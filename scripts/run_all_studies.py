@@ -1,20 +1,45 @@
 #!/usr/bin/env python3
 """Run every shipped convergence study, write CSVs, print a slope summary.
 
-Usage: python scripts/run_all_studies.py [output_dir]
+Usage: python scripts/run_all_studies.py [output_dir] [--compare DIR]
+
+With --compare DIR, also print, per preset and per deterministic column, the
+largest relative delta of the new CSV against DIR/<preset>.csv from an earlier
+run (a missing file is reported, not fatal).
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
 
-from levyspde.studies import emit_csv, preset_studies, run_study
+from levyspde.studies import emit_csv, preset_studies, read_csv, run_study
+
+DETERMINISTIC_COLUMNS = ("strong", "weak_quad", "representation")
+
+
+def max_relative_deltas(new_rows: list[dict], old_rows: list[dict]) -> dict[str, float]:
+    """Largest |new - old| / |old| per deterministic column over the levels."""
+    if [r["resolution"] for r in new_rows] != [r["resolution"] for r in old_rows]:
+        raise ValueError("the two CSVs have different ladders")
+    out = {}
+    for col in DETERMINISTIC_COLUMNS:
+        out[col] = max(
+            abs(n[col] - o[col]) / abs(o[col]) if o[col] else abs(n[col] - o[col])
+            for n, o in zip(new_rows, old_rows)
+        )
+    return out
 
 
 def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("output_dir", nargs="?", default="results")
+    ap.add_argument("--compare", metavar="DIR", help="earlier run's CSV directory to compare against")
+    args = ap.parse_args()
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     any_fail = False
+    deltas = {}
     for name, config in preset_studies().items():
         t0 = time.time()
         result = run_study(config)
@@ -27,7 +52,17 @@ def main() -> int:
             f"strong {s['strong_slope']: .3f} ({s['strong_expected']:.3f} +- 0.15)  "
             f"[{status}, {time.time() - t0:.1f}s]"
         )
+        if args.compare:
+            old = Path(args.compare) / f"{name}.csv"
+            new_rows = read_csv(str(out / f"{name}.csv"))
+            deltas[name] = max_relative_deltas(new_rows, read_csv(str(old))) if old.exists() else None
     print(f"CSV files in {out}/")
+    if args.compare:
+        print(f"\nlargest relative delta against {args.compare}/")
+        print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in DETERMINISTIC_COLUMNS))
+        for name, d in deltas.items():
+            cells = ["(no CSV)".rjust(14)] * 3 if d is None else [f"{d[c]:14.3e}" for c in DETERMINISTIC_COLUMNS]
+            print(f"{name:24s} " + " ".join(cells))
     return 2 if any_fail else 0
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import RegularityError
-from .mittag_leffler import mittag_leffler_neg
+from .mittag_leffler import RHO_VERIFIED_MIN, mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, hs_condition, sample_jump_path, stream, asymmetric_condition
 from .propagators import cq_weights, heat_kind, volterra_kind, wave_kind
 from .spectral import dirichlet_spectrum
@@ -66,7 +66,7 @@ def _make_kind(equation: str, rho, scheme):
         return heat_kind()
     if equation == "volterra":
         if rho is None:
-            raise ConfigError("volterra needs rho in (1,2)")
+            raise ConfigError(f"volterra needs rho in [{RHO_VERIFIED_MIN}, 2)")
         return volterra_kind(float(rho))
     if equation == "wave":
         return wave_kind(scheme or "crank_nicolson")

@@ -19,8 +19,18 @@ assembled cell-by-cell along the Taylor-remainder route, so its agreement with
 weak_quadratic is a genuine consistency check of the error representation, not
 a reprint of the same arithmetic.
 
-Time integrals are cellwise fixed-order Gauss quadrature on per-mode
-partitions refined by the mode's decay scale and oscillation frequency.
+The exact side (I_ee per mode and the cell integrals of e_k) does not depend
+on the level, so a study builds it once (exact_side, an ExactSide) and every
+level's error_report reuses it; a standalone error_report builds its own on
+the level's grid.  Heat and wave use closed forms.  Volterra, which has none,
+keeps one cumulative table of cellwise Gauss quadrature over the union of the
+ladder's cell edges, and each level differences it at its own edges.
+
+Time integrals without a closed form are cellwise fixed-order Gauss
+quadrature on per-mode partitions refined by the mode's decay scale and
+oscillation frequency.  For Volterra the first cell is also graded
+geometrically toward s = 0, where E_rho(-lam s^rho) has its s^rho branch point.
+Time-exact spatial setups integrate both sides on shared global nodes.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from .spectral import DirichletSpectrum, FemSpace, spectral_coupling
 
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
+_FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
 
 # Sign of the cross-term contribution in the representation assembly.  +1.0 is
 # the correct value; tests flip it to confirm the verification gate trips.
@@ -202,9 +213,12 @@ def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, 
     """(breakpoints, parent cell index per subcell) for one mode.
 
     Cells whose left edge lies beyond the dead span of an exponential envelope
-    are dropped entirely (their factor is below e^-40).  Cells needing the
-    geometric decay grading get the scalar _refine treatment; everything else
-    is uniformly subdivided in one vectorized pass.
+    are dropped entirely (their factor is below e^-40).  For the algebraic
+    family the first cell [0, e_1] is graded geometrically toward s = 0
+    (_FIRST_CELL_HALVINGS halvings), so no Gauss panel but the tiny first one
+    contains the s^rho branch point.  Cells needing the geometric decay grading
+    get the scalar _refine treatment; everything else is uniformly subdivided in
+    one vectorized pass.
     """
     n_cells = edges.size - 1
     if scale is not None and not algebraic:
@@ -214,14 +228,20 @@ def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, 
         n_keep = n_cells
     a = edges[:n_keep]
     b = edges[1 : n_keep + 1]
+    parent = np.arange(n_keep)
+    if algebraic:
+        graded = edges[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0)
+        a = np.concatenate([[0.0], graded, a[1:]])
+        b = np.concatenate([graded, b])
+        parent = np.concatenate([np.zeros(_FIRST_CELL_HALVINGS, dtype=int), parent])
     length = b - a
-    counts = np.ones(n_keep, dtype=int)
+    counts = np.ones(a.size, dtype=int)
     if algebraic:
         with np.errstate(divide="ignore"):
             alg = np.ceil(length / np.where(a > 0.0, 0.3 * a, np.inf))
         counts = np.maximum(counts, np.minimum(alg, 8.0).astype(int))
     if freq is not None:
-        live = np.ones(n_keep, bool) if scale is None else a < _DEAD_SPAN * scale
+        live = np.ones(a.size, bool) if scale is None else a < _DEAD_SPAN * scale
         osc = np.where(live, np.ceil(length * freq / 1.8), 1.0).astype(int)
         counts = np.maximum(counts, osc)
     geo = (
@@ -229,16 +249,8 @@ def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, 
         if scale is not None
         else np.empty(0, dtype=int)
     )
-    if geo.size == 0:
-        total = int(counts.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        bks_left = np.repeat(a, counts) + np.repeat(length / counts, counts) * within
-        parents = np.repeat(np.arange(n_keep), counts)
-        return np.append(bks_left, edges[n_keep]), parents
     bks: list[np.ndarray] = []
     parents: list[np.ndarray] = []
-    geo_set = set(int(i) for i in geo)
-    run_start = 0
 
     def flush(run_start: int, run_end: int) -> None:
         if run_end <= run_start:
@@ -247,17 +259,17 @@ def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, 
         total = int(c.sum())
         within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
         bks.append(np.repeat(a[run_start:run_end], c) + np.repeat(length[run_start:run_end] / c, c) * within)
-        parents.append(np.repeat(np.arange(run_start, run_end), c))
+        parents.append(np.repeat(parent[run_start:run_end], c))
 
-    for n in range(n_keep):
-        if n in geo_set:
-            flush(run_start, n)
-            sub = _refine(float(a[n]), float(b[n]), scale, freq, algebraic)
-            bks.append(sub[:-1])
-            parents.append(np.full(sub.size - 1, n, dtype=int))
-            run_start = n + 1
-    flush(run_start, n_keep)
-    bks.append(edges[n_keep : n_keep + 1])
+    run_start = 0
+    for n in geo:
+        flush(run_start, n)
+        sub = _refine(float(a[n]), float(b[n]), scale, freq, algebraic)
+        bks.append(sub[:-1])
+        parents.append(np.full(sub.size - 1, parent[n], dtype=int))
+        run_start = n + 1
+    flush(run_start, a.size)
+    bks.append(b[-1:])
     return np.concatenate(bks), np.concatenate(parents)
 
 
@@ -312,6 +324,69 @@ def hs_time_integral(
 
 
 # ----------------------------------------------------------------------------
+# the exact side of a temporal study
+
+
+@dataclass(frozen=True)
+class ExactSide:
+    """Per-mode exact-side integrals that do not depend on the level.
+
+    i_ee[k] is int_0^T e_k(s)^2 ds; cells(edges) gives, mode by mode, the cell
+    integrals int_cell e_k(s) ds on any level's edges.  Heat and wave use
+    closed forms.  Volterra, which has none, keeps table[k, i] =
+    int_0^{grid[i]} e_k(s) ds from one pass of _cell_primitives over grid (the
+    union of the ladder's cell edges), and a level differences the table at
+    its own edges.  Build it with exact_side.
+    """
+
+    kind: EquationKind
+    lam: np.ndarray
+    T: float
+    i_ee: np.ndarray
+    grid: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    def cells(self, edges: np.ndarray):
+        """A function k -> (int_cell e_k(s) ds for each cell of edges), one
+        mode row per call, so no (modes, cells) temporary is formed."""
+        edges = np.asarray(edges, float)
+        if self.kind.name == "volterra":
+            idx = np.clip(np.searchsorted(self.grid, edges), 1, self.grid.size - 1)
+            idx -= (edges - self.grid[idx - 1]) < (self.grid[idx] - edges)  # nearest grid point
+            if np.max(np.abs(self.grid[idx] - edges)) > 1e-12 * self.T:
+                raise ValueError("level edges are not on the grid of the exact-side table")
+            return lambda k: np.diff(self.table[k, idx])
+        a, h = edges[:-1], np.diff(edges)
+        if self.kind.name == "heat":
+            return lambda k: np.exp(-self.lam[k] * a) * -np.expm1(-self.lam[k] * h) / self.lam[k]
+        mid = a + 0.5 * h
+
+        def wave_row(k: int) -> np.ndarray:
+            rt = np.sqrt(self.lam[k])
+            return 2.0 * np.sin(rt * mid) * np.sin(0.5 * rt * h) / self.lam[k]
+
+        return wave_row
+
+
+def exact_side(kind: EquationKind, lam: np.ndarray, T: float, grid: np.ndarray | None = None) -> ExactSide:
+    """The exact side for modes lam on [0, T]; grid holds every cell edge a
+    level may ask about (None: just [0, T]).  Only Volterra uses the grid."""
+    lam = np.asarray(lam, float)
+    if kind.name == "heat":
+        return ExactSide(kind, lam, T, -np.expm1(-2.0 * lam * T) / (2.0 * lam))
+    if kind.name == "wave":
+        return ExactSide(kind, lam, T, T / (2.0 * lam) - np.sin(2.0 * np.sqrt(lam) * T) / (4.0 * lam**1.5))
+    grid = np.array([0.0, T]) if grid is None else np.asarray(grid, float)
+    table = np.zeros((lam.size, grid.size))
+    i_ee = np.empty(lam.size)
+    for k in range(lam.size):
+        p1, p2 = _cell_primitives(kind, lam[k], grid)
+        np.cumsum(p1, out=table[k, 1:])
+        i_ee[k] = p2.sum()
+    return ExactSide(kind, lam, T, i_ee, grid, table)
+
+
+# ----------------------------------------------------------------------------
 # deterministic error assembly
 
 
@@ -332,6 +407,7 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
             pts.append(np.linspace(0.0, span, m + 1))
     out = np.unique(np.concatenate(pts))
     if _algebraic_tail(kind):
+        out = np.concatenate([[0.0], out[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0), out[1:]])
         refined = [out[:1]]
         for i in range(out.size - 1):
             refined.append(_refine(float(out[i]), float(out[i + 1]), None, None, True)[1:])
@@ -409,7 +485,11 @@ def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np
     return fam_steps.real
 
 
-def _pieces(setup: Setup) -> _Pieces:
+def _level_edges(setup: Setup) -> np.ndarray:
+    return np.linspace(0.0, setup.T, (setup.n_cells or 1) + 1)
+
+
+def _pieces(setup: Setup, exact: ExactSide | None = None) -> _Pieces:
     kind = setup.kind
     spec = setup.spec
     q = setup.q()
@@ -436,42 +516,43 @@ def _pieces(setup: Setup) -> _Pieces:
         zero = 0.0
         return _Pieces(zero, zero, zero, zero, zero, x0_d, x0_e, x0_diff)
 
-    if setup.exact_scheme:
-        edges = np.array([0.0, setup.T])
-        i_ee = 0.0
-        for k in range(lam.size):
-            _, p2 = _cell_primitives(kind, lam[k], edges)
-            i_ee += q[k] * p2.sum()
-        return _Pieces(i_ee, i_ee, i_ee, 0.0, 0.0, x0_d, x0_e, x0_diff)
-
-    if fam is not None and coupling is None:
-        return _pieces_spectral_scheme(setup, lam, q, fam, x0_d, x0_e, x0_diff)
-    if fam is None:
+    if fam is None and not setup.exact_scheme:
         return _pieces_semidiscrete(setup, lam, q, lam_d, q_d, m_jk, x0_d, x0_e, x0_diff)
-    return _pieces_fem_scheme(setup, lam, q, lam_d, q_d, m_jk, fam, x0_d, x0_e, x0_diff)
+
+    if exact is None:
+        exact = exact_side(kind, lam, setup.T, _level_edges(setup))
+    elif exact.kind != kind or exact.T != setup.T or exact.lam.size != lam.size:
+        raise ValueError("the exact side was built for another equation, horizon or truncation")
+
+    if setup.exact_scheme:
+        i_ee = float(q @ exact.i_ee)
+        return _Pieces(i_ee, i_ee, i_ee, 0.0, 0.0, x0_d, x0_e, x0_diff)
+    if coupling is None:
+        return _pieces_spectral_scheme(setup, lam, q, fam, exact, x0_d, x0_e, x0_diff)
+    return _pieces_fem_scheme(setup, lam, q, lam_d, q_d, m_jk, fam, exact, x0_d, x0_e, x0_diff)
 
 
-def _pieces_spectral_scheme(setup: Setup, lam, q, fam, x0_d, x0_e, x0_diff) -> _Pieces:
+def _pieces_spectral_scheme(setup: Setup, lam, q, fam, exact: ExactSide, x0_d, x0_e, x0_diff) -> _Pieces:
     """Temporal studies: same mode basis, piecewise-constant discrete factors."""
     kind = setup.kind
     dt = setup.dt
-    edges = np.linspace(0.0, setup.T, setup.n_cells + 1)
+    cells = exact.cells(_level_edges(setup))
     et = _discrete_noise_weights(fam.steps[:, 1:], kind, lam)  # (K, N)
     i_dd = i_ee = i_de = rep_quad = cross_half = 0.0
     for k in range(lam.size):
         if q[k] == 0.0:
             continue
-        p1, p2 = _cell_primitives(kind, lam[k], edges)
+        p1 = cells(k)
         e_row = et[k]
         dd = float(np.dot(e_row, e_row)) * dt
-        ee = float(p2.sum())
+        ee = float(exact.i_ee[k])
         de = float(np.dot(e_row, p1))
         i_dd += q[k] * dd
         i_ee += q[k] * ee
         i_de += q[k] * de
         # representation route: Taylor-remainder pieces assembled per cell
-        rep_quad += q[k] * float(np.sum(e_row * e_row * dt - 2.0 * e_row * p1 + p2))
-        cross_half += q[k] * float(np.sum(e_row * p1 - p2))
+        rep_quad += q[k] * (float(np.sum(e_row * e_row * dt - 2.0 * e_row * p1)) + ee)
+        cross_half += q[k] * (float(np.sum(e_row * p1)) - ee)
     return _Pieces(i_dd, i_ee, i_de, rep_quad, cross_half, x0_d, x0_e, x0_diff)
 
 
@@ -493,20 +574,17 @@ def _pieces_semidiscrete(setup: Setup, lam, q, lam_d, q_d, m_jk, x0_d, x0_e, x0_
     return _Pieces(i_dd, i_ee, i_de, rep_quad, cross_half, x0_d, x0_e, x0_diff)
 
 
-def _pieces_fem_scheme(setup: Setup, lam, q, lam_d, q_d, m_jk, fam, x0_d, x0_e, x0_diff) -> _Pieces:
+def _pieces_fem_scheme(setup: Setup, lam, q, lam_d, q_d, m_jk, fam, exact: ExactSide, x0_d, x0_e, x0_diff) -> _Pieces:
     """Fully discrete: FEM modes, piecewise-constant factors, exact cross cells."""
     kind = setup.kind
     dt = setup.dt
-    edges = np.linspace(0.0, setup.T, setup.n_cells + 1)
+    cells = exact.cells(_level_edges(setup))
     et = _discrete_noise_weights(fam.steps[:, 1:], kind, lam_d)  # (J, N)
     p1 = np.empty((lam.size, setup.n_cells))
-    p2_sum = 0.0
     for k in range(lam.size):
-        row1, row2 = _cell_primitives(kind, lam[k], edges)
-        p1[k] = row1
-        p2_sum += q[k] * row2.sum()
+        p1[k] = cells(k)
     i_dd = float(q_d @ (et * et).sum(axis=1)) * dt
-    i_ee = p2_sum
+    i_ee = float(q @ exact.i_ee)
     mp = m_jk @ p1  # (J, N)
     i_de = float(np.einsum("jn,jn->", et, mp))
     rep_quad = i_dd - 2.0 * i_de + i_ee
@@ -542,8 +620,11 @@ class ErrorReport:
     mc_stderr: float | None = None
 
 
-def error_report(setup: Setup) -> ErrorReport:
-    p = _pieces(setup)
+def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
+    """Strong, weak and representation values of one setup.  exact is the
+    study's exact side (see exact_side); without it the setup's own grid is
+    used, through the same code path."""
+    p = _pieces(setup, exact)
     strong = float(np.sqrt(max(p.x0_diff + p.i_dd - 2.0 * p.i_de + p.i_ee, 0.0)))
     weak = (p.x0_d - p.x0_e) + (p.i_dd - p.i_ee)
     rep = (p.x0_d - p.x0_e) + p.rep_quad + _CROSS_TERM_SIGN * 2.0 * p.rep_cross_half

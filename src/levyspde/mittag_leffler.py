@@ -1,53 +1,115 @@
-"""Evaluation of E_rho(-x) for rho in [1, 2] and x >= 0.
+"""Evaluation of E_rho(-x) for rho == 1 or 1.01 <= rho <= 2, and x >= 0.
 
 This is the scalar resolvent of the fractional-kernel mode ODE: the Laplace
 transform z^(rho-1)/(z^rho + lam) inverts to E_rho(-lam t^rho).
 
 Strategy (vectorized over x):
   * rho == 1 and rho == 2 reduce to exp(-x) and cos(sqrt(x)).
-  * x <= SERIES_CUTOFF: power series with Neumaier compensation.  The largest
-    term is exp(x^(1/rho)), so keeping x small bounds the cancellation; the
-    envelope never exceeds the classical doubles-viable switch point 20.
+  * x <= SERIES_CUTOFF: the power series sum_j (-x)^j / Gamma(rho j + 1) in
+    Horner form.  The largest term is exp(x^(1/rho)), so keeping x small bounds
+    the cancellation; the envelope never exceeds the classical doubles-viable
+    switch point 20.
   * SERIES_CUTOFF < x <= 60**rho: residue pair of the Hankel representation
     plus the branch-cut integral, evaluated by a trapezoid rule after the
     substitution r = exp(u).  The integrand is analytic in a strip of width
-    pi*(rho-1)/rho, which dictates the step size; accuracy is near machine
-    epsilon for rho in [1.05, 1.95].
-  * x > 60**rho: residue pair plus the asymptotic series in 1/x, truncated at
-    its smallest nonzero term (< ~1e-13 at the switch point).
+    pi*(rho-1)/rho, which dictates the step size.  Arguments are taken in
+    chunks of at most _BRIDGE_CHUNK (argument, node) pairs, 2048 arguments at
+    rho = 1.5, so the chunk's temporary stays near 2.6 MB.
+  * x > 60**rho: residue pair plus the asymptotic series in 1/x, in Horner form.
+
+Both series use a fixed number of terms per rho: those above 1e-17 of the
+leading term at the branch's switch point (x = 5 for the power series; x = 60**rho
+for the asymptotic series, whose terms are taken only up to its smallest one
+there).  Inside each branch the dropped terms are smaller still (20 power-series
+terms and 15 asymptotic terms at rho = 1.5).  The coefficients are computed on
+the first call with a given rho and cached; nothing is computed at import.
+
+Verified range: the trapezoid step has a floor of 0.005, which the strip
+allows from rho = 1.01 up; there the evaluator agrees with a high-precision
+series to 1e-11 absolute (6e-15 in the bridge just above x = 5 at rho = 1.01).
+Below 1.01 the floor exceeds what the strip allows (with the former floor 0.01
+the bridge was off by 2.3e-4 at rho = 1.001), so rho in (1, 1.01) is refused
+with a ValueError rather than silently degraded.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 SERIES_CUTOFF = 5.0
-_SERIES_TERMS = 80
+RHO_VERIFIED_MIN = 1.01
+_TERM_FLOOR = 1e-17  # share of the leading term below which a series term is dropped
+_MAX_TERMS = 120
+_BRIDGE_CHUNK = 2048 * 161  # (argument, node) pairs per branch-cut chunk
+
+
+def _horner(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j coeff[j] y^j."""
+    out = np.full_like(y, coeff[-1])
+    for c in coeff[-2::-1]:
+        out *= y
+        out += c
+    return out
+
+
+@lru_cache(maxsize=32)
+def _series_coeff(rho: float) -> np.ndarray:
+    """1 / Gamma(rho j + 1), j = 0, 1, ..., for the power series in -x."""
+    j = np.arange(_MAX_TERMS, dtype=float)
+    log_c = -gammaln(rho * j + 1.0)
+    keep = j * np.log(SERIES_CUTOFF) + log_c > np.log(_TERM_FLOOR)  # the leading term is 1
+    return np.exp(log_c[: int(np.nonzero(keep)[0].max()) + 1])
+
+
+@lru_cache(maxsize=32)
+def _asymptotic_coeff(rho: float) -> np.ndarray:
+    """(-1)^(j+1) / Gamma(1 - rho j), j = 0, 1, ... (the j = 0 entry is 0), for
+    the series in 1/x."""
+    j = np.arange(1, _MAX_TERMS + 1, dtype=float)
+    # 1/Gamma(1 - rho j) = Gamma(rho j) sin(pi rho j) / pi via reflection.
+    # Snap sin values at the Gamma poles to exact zero so that rational rho
+    # (e.g. 3/2, where every even term vanishes) carries exact zeros.
+    sines = np.sin(np.pi * rho * j)
+    sines[np.abs(sines) < 1e-8] = 0.0
+    # Log-magnitudes of the terms at the switch point; keep the decreasing run
+    # up to the smallest nonzero term, then only the terms above the floor.
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(sines) / np.pi) + gammaln(rho * j) - j * rho * np.log(60.0)
+    run = log_mag[: int(np.argmin(np.where(np.isfinite(log_mag), log_mag, np.inf))) + 1]
+    n = int(np.nonzero(run > run.max() + np.log(_TERM_FLOOR))[0].max()) + 1
+    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(gammaln(rho * j[:n]))
+    return np.concatenate([[0.0], coeff])
 
 
 def _ml_series(rho: float, x: np.ndarray) -> np.ndarray:
-    """Power series sum_j (-x)^j / Gamma(rho j + 1) with compensated accumulation."""
-    j = np.arange(1, _SERIES_TERMS, dtype=float)
-    coeff = np.exp(-gammaln(rho * j + 1.0))
-    total = np.ones_like(x)
-    comp = np.zeros_like(x)  # Neumaier correction
-    powers = -x
-    for jj in range(j.size):
-        term = powers * coeff[jj]
-        t = total + term
-        comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
-        total = t
-        if np.all(np.abs(term) < 1e-20):
-            break
-        powers = powers * (-x)
-    return total + comp
+    """Power series sum_j (-x)^j / Gamma(rho j + 1), Horner form."""
+    return _horner(_series_coeff(rho), -x)
 
 
 def _residue_pair(rho: float, x: np.ndarray) -> np.ndarray:
     """(2/rho) * Re exp(x^(1/rho) * e^{i pi/rho}): the two conjugate Hankel poles."""
     root = x ** (1.0 / rho)
     return (2.0 / rho) * np.exp(root * np.cos(np.pi / rho)) * np.cos(root * np.sin(np.pi / rho))
+
+
+@lru_cache(maxsize=32)
+def _branch_cut_grid(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r^rho, exp(-r) r^rho du) on the trapezoid grid in u = log r.
+
+    The step is 0.55 of the strip width pi*(rho-1)/rho (capped at 0.25).  Its
+    floor 0.005 is what bounds the verified range from below: at rho = 1.01 the
+    step is 0.0054, and below about 1.01 the floor would clamp it above what the
+    strip allows, which is why mittag_leffler_neg refuses those rho.
+    """
+    step = max(min(0.55 * (rho - 1.0) / rho, 0.25), 0.005)
+    u_lo = -34.0 / rho
+    u_hi = np.log(720.0)
+    u = np.linspace(u_lo, u_hi, int(np.ceil((u_hi - u_lo) / step)) + 1)
+    rr = np.exp(rho * u)
+    return rr, np.exp(-np.exp(u)) * rr * (u[1] - u[0])
 
 
 def _branch_cut_integral(rho: float, x: np.ndarray) -> np.ndarray:
@@ -57,59 +119,32 @@ def _branch_cut_integral(rho: float, x: np.ndarray) -> np.ndarray:
     analyticity (poles of the denominator at Im(rho*u) = +-pi(rho-1)) does not
     depend on x.
     """
-    c = np.cos(np.pi * rho)
-    s2 = np.sin(np.pi * rho) ** 2
-    step = min(0.55 * (rho - 1.0) / rho, 0.25)
-    step = max(step, 0.01)
-    u_lo = -34.0 / rho
-    u_hi = np.log(720.0)
-    n = int(np.ceil((u_hi - u_lo) / step)) + 1
-    u = np.linspace(u_lo, u_hi, n)
-    r = np.exp(u)
-    rr = np.exp(rho * u)
-    base = np.exp(-r) * rr  # exp(-e^u) * e^{rho u}, the x-independent part
+    rr, base = _branch_cut_grid(rho)
     xcol = x[:, None]
-    denom = (rr[None, :] + xcol * c) ** 2 + (xcol * xcol) * s2
-    vals = (base[None, :] / denom).sum(axis=1)
-    return vals * (u[1] - u[0])
+    denom = (rr[None, :] + xcol * np.cos(np.pi * rho)) ** 2 + (xcol * xcol) * np.sin(np.pi * rho) ** 2
+    return (base[None, :] / denom).sum(axis=1)
 
 
 def _ml_bridge(rho: float, x: np.ndarray) -> np.ndarray:
     out = _residue_pair(rho, x)
     cut = np.empty_like(x)
-    chunk = 20000
-    for lo in range(0, x.size, chunk):
-        xs = x[lo : lo + chunk]
-        cut[lo : lo + chunk] = _branch_cut_integral(rho, xs)
+    rows = max(1, _BRIDGE_CHUNK // _branch_cut_grid(rho)[0].size)
+    for lo in range(0, x.size, rows):
+        cut[lo : lo + rows] = _branch_cut_integral(rho, x[lo : lo + rows])
     return out + (x * np.sin(np.pi * rho) / np.pi) * cut
 
 
-def _ml_asymptotic(rho: float, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
-    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(1 - rho j), smallest-term truncated."""
-    out = _residue_pair(rho, x)
-    j = np.arange(1, max_terms + 1, dtype=float)
-    # 1/Gamma(1 - rho j) = Gamma(rho j) sin(pi rho j) / pi via reflection.
-    # Snap sin values at the Gamma poles to exact zero so that rational rho
-    # (e.g. 3/2, where every even term vanishes) does not leave 1e-21-sized
-    # stragglers that defeat the smallest-term truncation below.
-    sines = np.sin(np.pi * rho * j)
-    sines[np.abs(sines) < 1e-8] = 0.0
-    log_mag = gammaln(rho * j)[None, :] - j[None, :] * np.log(x)[:, None]
-    terms = ((-1.0) ** (j + 1.0) * sines)[None, :] / np.pi * np.exp(log_mag)
-    # Truncate at the smallest nonzero magnitude; exact zeros (rational rho)
-    # must not count as growth points, so they are excluded from the running min.
-    mags = np.abs(terms)
-    mags_for_min = np.where(mags > 0.0, mags, np.inf)
-    runmin = np.minimum.accumulate(mags_for_min, axis=1)
-    growing = np.cumsum(mags[:, 1:] > runmin[:, :-1], axis=1) > 0
-    terms[:, 1:] = np.where(growing, 0.0, terms[:, 1:])
-    return out + terms.sum(axis=1)
+def _ml_asymptotic(rho: float, x: np.ndarray) -> np.ndarray:
+    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(1 - rho j), Horner form."""
+    return _residue_pair(rho, x) + _horner(_asymptotic_coeff(rho), 1.0 / x)
 
 
 def mittag_leffler_neg(rho: float, x) -> np.ndarray | float:
-    """E_rho(-x) for rho in [1, 2], x >= 0; scalar in, scalar out."""
-    if not 1.0 <= rho <= 2.0:
-        raise ValueError(f"rho={rho} outside [1, 2]")
+    """E_rho(-x) for rho == 1 or 1.01 <= rho <= 2, x >= 0; scalar in, scalar out."""
+    if not (rho == 1.0 or RHO_VERIFIED_MIN <= rho <= 2.0):
+        raise ValueError(
+            f"rho={rho} is outside the verified range of E_rho: rho == 1 or {RHO_VERIFIED_MIN} <= rho <= 2"
+        )
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa < 0):

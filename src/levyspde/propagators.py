@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import mittag_leffler_neg
+from .mittag_leffler import RHO_VERIFIED_MIN, mittag_leffler_neg
 
 WAVE_SCHEMES = ("crank_nicolson", "backward_euler", "explicit_euler")
 
@@ -34,8 +34,10 @@ class EquationKind:
         if self.name not in ("heat", "volterra", "wave"):
             raise ValueError(f"unknown equation {self.name!r}")
         if self.name == "volterra":
-            if self.rho is None or not 1.0 < self.rho < 2.0:
-                raise ValueError(f"volterra requires rho strictly in (1,2), got {self.rho}")
+            if self.rho is None or not RHO_VERIFIED_MIN <= self.rho < 2.0:
+                raise ValueError(
+                    f"volterra requires rho in [{RHO_VERIFIED_MIN}, 2), the verified range of E_rho; got {self.rho}"
+                )
         if self.name == "wave":
             scheme = self.scheme or "crank_nicolson"
             if scheme not in WAVE_SCHEMES:

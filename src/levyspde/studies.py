@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorReport, Setup, error_report, mc_weak_error
+from .errors import ErrorReport, Setup, error_report, exact_side, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import assemble_fem, dirichlet_spectrum
@@ -226,6 +226,23 @@ def _level_setup(config: StudyConfig, resolution: float) -> Setup:
     )
 
 
+def _study_exact_side(config: StudyConfig, spec):
+    """The exact side every level of the study shares, on the union of the
+    levels' cell edges; None where the levels need none (time-exact spatial
+    levels integrate both sides on their own global nodes)."""
+    if config.axis == "temporal":
+        counts = [int(round(config.T / dt)) for dt in config.ladder]
+    elif config.fixed_cells is not None:
+        counts = [config.fixed_cells]
+    elif config.exact_scheme:
+        counts = [1]
+    else:
+        return None
+    pts = np.unique(np.concatenate([np.linspace(0.0, config.T, n + 1) for n in counts]))
+    grid = pts[np.append(True, np.diff(pts) > 1e-12 * config.T)]  # one point per shared edge
+    return exact_side(config.kind, spec.eigenvalues, config.T, grid)
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Compute every ladder level and fit the rates.
 
@@ -247,11 +264,12 @@ def run_study(config: StudyConfig) -> StudyResult:
         from .errors import CylindricalFunctional
 
         g = CylindricalFunctional(mode=config.g_mode)
+    exact = _study_exact_side(config, spec)
     rows = []
     for level, resolution in enumerate(config.ladder):
         setup = _level_setup(config, resolution)
         setup.validate_regularity(config.beta)
-        rep = error_report(setup)
+        rep = error_report(setup, exact)
         if config.mc_paths:
             est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed, threads=config.threads)
             rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)

@@ -186,6 +186,24 @@ class TestHsTimeIntegral:
         b = hs_time_integral(f, q, T=1.0, dt=1.0 / 16, nodes_per_cell=16, scales=0.5 / lam)
         assert abs(a - b) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("dt", [1.0 / 16, None])
+    def test_volterra_first_cell_against_mpmath(self, k, dt):
+        # E_rho(-lam s^rho)^2 is not smooth at s = 0; the graded first cell
+        # must keep the Gauss panels away from the branch point
+        import mpmath as mp
+
+        from levyspde.mittag_leffler import mittag_leffler_neg
+
+        lam = (k * np.pi) ** 2
+        val = hs_time_integral(
+            lambda _, s: mittag_leffler_neg(1.5, lam * s**1.5) ** 2, [1.0], 1.0, dt=dt, algebraic_tail=True
+        )
+        with mp.workdps(30):
+            f = lambda s: mp.mpf(mittag_leffler_neg(1.5, float(lam * s**1.5))) ** 2  # noqa: E731
+            ref = float(mp.quad(f, [0.0] + [2.0**-m for m in range(30, 0, -1)] + [1.0]))
+        assert abs(val - ref) <= 1e-12 * ref
+
 
 class TestProfiles:
     def test_heat_bound_shape_along_ladder(self):
@@ -318,3 +336,40 @@ class TestSetupValidation:
         got = _exact_terminal_first(setup)
         assert got[0] == pytest.approx(exact_first, rel=1e-14)
         assert got[1] == 0.0
+
+
+class TestExactSide:
+    LADDER = (16, 32, 64, 128, 256)
+
+    @pytest.mark.parametrize("kind", [heat_kind(), wave_kind("crank_nicolson")], ids=["heat", "wave"])
+    def test_closed_forms_match_cell_quadrature(self, kind):
+        lam = dirichlet_spectrum(256).eigenvalues
+        exact = errors.exact_side(kind, lam, 1.0)
+        for n in self.LADDER:
+            edges = np.linspace(0.0, 1.0, n + 1)
+            cells = exact.cells(edges)
+            for k in range(lam.size):
+                p1, p2 = errors._cell_primitives(kind, lam[k], edges)
+                scale = 1e-10 * exact.i_ee[k]
+                assert np.max(np.abs(cells(k) - p1)) <= scale, (n, k)
+                assert abs(exact.i_ee[k] - p2.sum()) <= scale, (n, k)
+
+    def test_volterra_table_differences_at_level_edges(self):
+        kind = volterra_kind(1.5)
+        lam = dirichlet_spectrum(8).eigenvalues
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in (12, 16)]))
+        exact = errors.exact_side(kind, lam, 1.0, grid)
+        for n in (12, 16):
+            edges = np.linspace(0.0, 1.0, n + 1)
+            cells = exact.cells(edges)
+            for k in range(lam.size):
+                p1, p2 = errors._cell_primitives(kind, lam[k], edges)
+                assert np.max(np.abs(cells(k) - p1)) <= 1e-12 * exact.i_ee[k]
+                assert abs(exact.i_ee[k] - p2.sum()) <= 1e-12 * exact.i_ee[k]
+        with pytest.raises(ValueError, match="not on the grid"):
+            exact.cells(np.linspace(0.0, 1.0, 11))
+
+    def test_mismatched_exact_side_refused(self):
+        setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
+        with pytest.raises(ValueError, match="another equation"):
+            error_report(setup, errors.exact_side(wave_kind(), setup.spec.eigenvalues, 1.0))

@@ -44,7 +44,7 @@ def test_rho_two_is_cosine():
     assert np.abs(got - np.cos(np.sqrt(x))).max() <= 1e-8
 
 
-@pytest.mark.parametrize("rho", [1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.95])
+@pytest.mark.parametrize("rho", [1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.95])
 def test_interior_against_high_precision_series(rho):
     hi = 60.0**rho
     xs = np.concatenate(
@@ -83,11 +83,28 @@ def test_branch_agreement_at_switch_points():
         assert abs(_ml_bridge(rho, x)[0] - _ml_asymptotic(rho, x)[0]) <= 1e-11
 
 
+@pytest.mark.parametrize("rho", [1.01, 1.05, 1.5, 1.95])
+def test_horner_branches_straddling_switch_points(rho):
+    # both switch points from either side, where the fixed term counts are
+    # tightest (x = 5 for the power series, x = 60^rho for the asymptotic one)
+    hi = 60.0**rho
+    xs = [4.0, 4.999, 5.0, 5.001, 5.5, 0.9 * hi, 0.999 * hi, hi, 1.001 * hi, 1.1 * hi]
+    got = mittag_leffler_neg(rho, np.array(xs))
+    for x, g in zip(xs, got):
+        assert abs(g - series_oracle(rho, x)) <= 1e-11, x
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mittag_leffler_neg(0.8, 1.0)
     with pytest.raises(ValueError):
         mittag_leffler_neg(1.5, -0.1)
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.005])
+def test_refuses_rho_below_verified_range(rho):
+    with pytest.raises(ValueError, match=r"verified range.*1\.01 <= rho <= 2"):
+        mittag_leffler_neg(rho, 1.0)
 
 
 @hypothesis.given(

@@ -24,9 +24,11 @@ from levyspde.propagators import (
 
 class TestEquationKind:
     def test_volterra_needs_interior_rho(self):
-        for bad in (1.0, 2.0, 0.5):
-            with pytest.raises(ValueError):
+        # 1.001 and 1.005 lie below the verified range of E_rho
+        for bad in (1.0, 1.001, 1.005, 2.0, 0.5):
+            with pytest.raises(ValueError, match=r"\[1\.01, 2\).*verified range"):
                 EquationKind("volterra", rho=bad)
+        assert volterra_kind(1.01).rho == 1.01
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):

@@ -243,3 +243,42 @@ class TestDeterminism:
         cfg1 = dataclasses.replace(cfg, threads=1)
         cfg8 = dataclasses.replace(cfg, threads=8)
         assert csv_text(run_study(cfg1)) == csv_text(run_study(cfg8))
+
+
+class TestStudyExactSide:
+    """run_study builds the exact side once for the whole ladder; every level
+    must equal a standalone error_report on that level's own grid."""
+
+    @pytest.mark.parametrize(
+        "ladder", [(1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 12, 1 / 16, 1 / 20, 1 / 24)], ids=["dyadic", "non-nested"]
+    )
+    def test_volterra_rows_equal_standalone_reports(self, ladder):
+        from levyspde.errors import error_report
+        from levyspde.studies import _level_setup
+
+        cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="temporal", beta=0.5, modes=16, ladder=ladder)
+        res = run_study(cfg)
+        for row in res.rows:
+            alone = error_report(_level_setup(cfg, row.resolution))
+            for got, want in (
+                (row.report.strong_error, alone.strong_error),
+                (row.report.weak_error_quadratic, alone.weak_error_quadratic),
+                (row.report.representation_value, alone.representation_value),
+            ):
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_volterra_implied_exact_side_is_level_independent(self):
+        from levyspde.propagators import discrete_family
+        from levyspde.spectral import dirichlet_spectrum
+
+        ladder = (1 / 16, 1 / 32, 1 / 64, 1 / 128)
+        cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="temporal", beta=0.5, modes=16, ladder=ladder)
+        res = run_study(cfg)
+        spec = dirichlet_spectrum(cfg.modes)
+        q = cfg.covariance().values(spec)
+        implied = []
+        for row in res.rows:
+            n = int(round(1.0 / row.resolution))
+            e = discrete_family(cfg.kind, spec.eigenvalues, row.resolution, n).steps[:, 1:].real
+            implied.append(float(q @ (e * e).sum(axis=1)) * row.resolution - row.report.weak_error_quadratic)
+        assert np.ptp(implied) <= 1e-12 * implied[-1]
