@@ -7,7 +7,6 @@ acceptance failure.  All numeric stdout uses 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -45,7 +44,6 @@ _CONFIG_KEYS = {
     "g",
     "g_mode",
     "mc",
-    "threads",
     "output",
 }
 _COV_KEYS = {"amplitude", "decay"}
@@ -132,7 +130,6 @@ def load_config(path: str) -> StudyConfig:
             g_mode=int(raw.get("g_mode", 1)),
             mc_paths=None if mc is None else int(mc.get("paths", 1000)),
             mc_seed=0 if mc is None else int(mc.get("seed", 0)),
-            threads=int(raw.get("threads", 1)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -147,8 +144,6 @@ def cmd_study(args) -> int:
         config = presets[args.preset]
     else:
         config = load_config(args.config)
-    if args.threads is not None:
-        config = dataclasses.replace(config, threads=args.threads)
     try:
         result = run_study(config)
     except (RegularityError, ValueError) as exc:
@@ -244,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="name of a shipped preset")
     group.add_argument("--config", help="path to a JSON study config")
     st.add_argument("--output", help="output directory or .csv path (default $LEVYSPDE_OUTPUT_DIR or .)")
-    st.add_argument("--threads", type=int, default=None, help="cap on Monte Carlo worker threads")
     st.set_defaults(func=cmd_study)
 
     cc = sub.add_parser("check-condition", help="print the regularity functionals")

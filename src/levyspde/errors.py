@@ -35,14 +35,19 @@ Time-exact spatial setups integrate both sides on shared global nodes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .mittag_leffler import mittag_leffler_neg
-from .noise import CovarianceSpec, LevyLaw, hs_condition, increments_from_path, sample_jump_path, stream
+from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, hs_condition, stream
+
+# mc_weak_error draws its jumps through _compound_poisson_draws, not through
+# these two.  They stay importable here because studybench/tracer.py wraps
+# levyspde.errors.sample_jump_path and levyspde.errors.increments_from_path.
+from .noise import increments_from_path, sample_jump_path  # noqa: F401
 from .propagators import (
     DiscreteFamily,
     EquationKind,
@@ -55,6 +60,7 @@ from .spectral import DirichletSpectrum, FemSpace, spectral_coupling
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
+_MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
 # Sign of the cross-term contribution in the representation assembly.  +1.0 is
 # the correct value; tests flip it to confirm the verification gate trips.
@@ -684,19 +690,25 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
 # coupled Monte Carlo
 
 
-def quadratic_functional(x: np.ndarray) -> float:
-    return float(np.dot(x, x))
+def quadratic_functional(x: np.ndarray):
+    """|x|^2 of each row of a (..., K) array; a float for a single (K,) state."""
+    x = np.asarray(x, float)
+    if x.ndim == 1:
+        return float(np.dot(x, x))
+    return np.einsum("...k,...k->...", x, x)
 
 
 @dataclass(frozen=True)
 class CylindricalFunctional:
     """g(x) = f(<phi_{k_1}, x>, ..., <phi_{k_n}, x>) for smooth bounded-second-
-    derivative f; here f = cos of a single resolved coordinate."""
+    derivative f; here f = cos of a single resolved coordinate.  Like
+    quadratic_functional it maps a (..., K) array to one value per row."""
 
     mode: int = 1
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(np.cos(x[self.mode - 1]))
+    def __call__(self, x: np.ndarray):
+        v = np.cos(np.asarray(x, float)[..., self.mode - 1])
+        return float(v) if v.ndim == 0 else v
 
 
 def _exact_jump_weights(setup: Setup, t_jump: np.ndarray, lam_per_jump: np.ndarray) -> np.ndarray:
@@ -710,20 +722,28 @@ def _exact_jump_weights(setup: Setup, t_jump: np.ndarray, lam_per_jump: np.ndarr
     return np.sin(rt * rem) / rt
 
 
-def mc_weak_error(
-    setup: Setup,
-    g=None,
-    n_paths: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
-) -> tuple[float, float]:
+def _mc_block_paths(setup: Setup) -> int:
+    """Paths per Monte Carlo block: about _MC_JUMPS_PER_BLOCK expected jumps."""
+    per_path = math.ceil(setup.law.intensity * setup.T * setup.spec.mode_count)
+    return max(1, _MC_JUMPS_PER_BLOCK // per_path)
+
+
+def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> tuple[float, float]:
     """Coupled Monte Carlo estimate of E g(Xtilde_obs(T)) - E g(X_obs(T)).
 
     The jump path of each mode drives both the exact reference (jump-time sum
-    against the exact factor) and the scheme (cell increments against the
-    step factors), so the difference carries no coupling bias.  Requires the
-    compound-Poisson law; the subordinated laws have no finite jump-time
-    decomposition to build the exact reference from.
+    against the exact factor) and the scheme (the step factor of the cell
+    each jump lands in), so the difference carries no coupling bias.
+    Requires the compound-Poisson law; the subordinated laws have no finite
+    jump-time decomposition to build the exact reference from.
+
+    Paths are drawn in blocks of _mc_block_paths(setup): block b holds paths
+    b*P .. b*P + P - 1 (the last block may be short) and draws them from the
+    stream (seed, b) as one set of flat jump arrays over its P*K
+    coordinates, coordinate p*K + k being mode k of the block's path p.  The
+    estimate depends only on (setup, n_paths, seed).  g maps a (P, K) array
+    of observables to one value per row, as quadratic_functional and
+    CylindricalFunctional do; the default is quadratic_functional.
     """
     if setup.law.kind != "compound_poisson":
         raise ValueError("exact coupled reference requires the compound_poisson law")
@@ -733,52 +753,32 @@ def mc_weak_error(
         raise ValueError("Monte Carlo needs a time discretization")
     if g is None:
         g = quadratic_functional
-    spec = setup.spec
-    lam = spec.eigenvalues
-    K = spec.mode_count
+    lam = setup.spec.eigenvalues
+    K = setup.spec.mode_count
+    N = setup.n_cells
     sq = np.sqrt(setup.q())
-    fam = discrete_family(setup.kind, lam, setup.dt, setup.n_cells)
+    fam = discrete_family(setup.kind, lam, setup.dt, N)
     # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
     steps_desc = fam.steps[:, :0:-1]  # columns: step N, N-1, ..., 1
     et_weights = _discrete_noise_weights(steps_desc, setup.kind, lam)  # (K, N)
-    x0_disc = None
+    x0_disc = x0_exact = 0.0
     if setup.x0 is not None and np.any(setup.x0):
-        x0_disc = _discrete_terminal_first(setup, lam, fam, setup.x0 if setup.kind.name == "wave" else setup.x0)
-    x0_exact = _exact_terminal_first(setup) if setup.x0 is not None and np.any(setup.x0) else None
-    grid = np.linspace(0.0, setup.T, setup.n_cells + 1)
-
-    def one(p: int) -> float:
-        rng = stream(seed, p)
-        path = sample_jump_path(setup.law, setup.T, K, rng)
-        counts = np.array([t.size for t in path.times])
-        x_exact = np.zeros(K) if x0_exact is None else x0_exact.copy()
-        if counts.sum():
-            mode_idx = np.repeat(np.arange(K), counts)
-            t_flat = np.concatenate(path.times)
-            s_flat = np.concatenate(path.sizes)
-            wts = _exact_jump_weights(setup, t_flat, lam[mode_idx])
-            x_exact = x_exact + sq * np.bincount(mode_idx, weights=wts * s_flat, minlength=K)
-        inc = increments_from_path(path, grid)
-        x_disc = np.einsum("kn,kn->k", et_weights, inc) * sq
-        if x0_disc is not None:
-            x_disc = x_disc + x0_disc
-        return g(x_disc) - g(x_exact)
-
+        x0_disc = _discrete_terminal_first(setup, lam, fam, setup.x0)
+        x0_exact = _exact_terminal_first(setup)
+    edges = _level_edges(setup)[1:]
+    block = _mc_block_paths(setup)
     diffs = np.empty(n_paths)
-    if threads <= 1:
-        for p in range(n_paths):
-            diffs[p] = one(p)
-    else:
-        chunk = max(1, n_paths // (threads * 8))
-        bounds = list(range(0, n_paths, chunk))
-
-        def run_chunk(lo: int):
-            hi = min(lo + chunk, n_paths)
-            for p in range(lo, hi):
-                diffs[p] = one(p)
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run_chunk, bounds))
+    for b, lo in enumerate(range(0, n_paths, block)):
+        P = min(block, n_paths - lo)
+        coord, t, s = _compound_poisson_draws(setup.law, setup.T, P * K, stream(seed, b))
+        mode = coord % K
+        x_exact = np.bincount(coord, weights=_exact_jump_weights(setup, t, lam[mode]) * s, minlength=P * K)
+        cell = np.searchsorted(edges, t, side="left")
+        keep = cell < N  # right-closed cells (t_{n-1}, t_n]; nothing lies past T
+        x_disc = np.bincount(coord[keep], weights=et_weights[mode[keep], cell[keep]] * s[keep], minlength=P * K)
+        x_exact = sq * x_exact.reshape(P, K) + x0_exact
+        x_disc = sq * x_disc.reshape(P, K) + x0_disc
+        diffs[lo : lo + P] = g(x_disc) - g(x_exact)
     est = float(np.mean(diffs))
     stderr = float(np.std(diffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
     return est, stderr

@@ -4,6 +4,12 @@ The driving process is assembled coordinate-wise: L(t) = sum_k L_k(t) e_k with
 e_k = sqrt(q_k) phi_k, scalar laws normalized so that E L_k(t)^2 = t.  The
 covariance stays diagonal, so regularity conditions and Hilbert-Schmidt norms
 reduce to weighted eigenvalue sums with closed-form tail bounds.
+
+Compound-Poisson jumps are drawn for many coordinates at once as flat arrays
+(counts, then times, then sizes, each one draw from the generator).  A jump
+path of K modes takes K coordinates; the coupled Monte Carlo takes P*K
+coordinates for a block of P paths, from the stream (seed, block).  Streams
+are counter-based Philox, so each block's draws depend only on (seed, block).
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from .spectral import DirichletSpectrum
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream addressed by (seed, *path) indices.
 
-    Counter-based, so streams are reproducible regardless of creation order
-    or thread scheduling.
+    Counter-based, so streams are reproducible regardless of creation order.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
@@ -185,6 +190,22 @@ def _jump_sizes(law: LevyLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     return scale * rng.standard_normal(n)
 
 
+def _compound_poisson_draws(law: LevyLaw, T: float, n: int, rng: np.random.Generator):
+    """Jumps of n independent compound-Poisson coordinates on (0, T] as flat arrays.
+
+    Three draws from rng, in this order: the n jump counts (one poisson
+    draw), the times of all jumps (one uniform draw, scaled to [0, T)) and
+    their sizes (one draw).  Returns (coord, times, sizes): coord is the
+    coordinate of each jump, nondecreasing; the times within a coordinate
+    are in draw order, not sorted.
+    """
+    counts = rng.poisson(law.intensity * T, size=n)
+    total = int(counts.sum())
+    times = T * rng.random(total)
+    sizes = _jump_sizes(law, total, rng)
+    return np.repeat(np.arange(n), counts), times, sizes
+
+
 @dataclass(frozen=True)
 class JumpPath:
     """Sorted jump times and sizes per mode over [0, T]; compound Poisson only."""
@@ -211,15 +232,10 @@ def sample_jump_path(law: LevyLaw, T: float, K: int, rng: np.random.Generator) -
     if T == 0:
         empty = np.empty(0)
         return JumpPath(horizon=0.0, times=[empty] * K, sizes=[empty] * K)
-    counts = rng.poisson(law.intensity * T, size=K)
-    times: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    for n in counts:
-        n = int(n)
-        t = np.sort(T * rng.random(n)) if n else np.empty(0)
-        times.append(t)
-        sizes.append(_jump_sizes(law, n, rng))
-    return JumpPath(horizon=float(T), times=times, sizes=sizes)
+    coord, t, s = _compound_poisson_draws(law, T, K, rng)
+    order = np.lexsort((t, coord))
+    ends = np.cumsum(np.bincount(coord, minlength=K))  # the piece past the last end is empty
+    return JumpPath(horizon=float(T), times=np.split(t[order], ends)[:-1], sizes=np.split(s[order], ends)[:-1])
 
 
 def increments_from_path(path: JumpPath, grid: np.ndarray) -> np.ndarray:
@@ -233,13 +249,14 @@ def increments_from_path(path: JumpPath, grid: np.ndarray) -> np.ndarray:
         raise ValueError("grid must be increasing and start at 0")
     if grid[-1] > path.horizon:
         raise ValueError(f"grid end {grid[-1]} exceeds path horizon {path.horizon}")
+    K = path.mode_count
     ncell = grid.size - 1
-    out = np.zeros((path.mode_count, ncell))
-    edges = grid[1:]
-    for k, (t, s) in enumerate(zip(path.times, path.sizes)):
-        if not t.size:
-            continue
-        cell = np.searchsorted(edges, t, side="left")
-        keep = cell < ncell  # jumps beyond the grid end are outside every cell
-        np.add.at(out[k], cell[keep], s[keep])
-    return out
+    if not K:
+        return np.zeros((0, ncell))
+    mode = np.repeat(np.arange(K), [t.size for t in path.times])
+    t = np.concatenate(path.times)
+    s = np.concatenate(path.sizes)
+    cell = np.searchsorted(grid[1:], t, side="left")
+    keep = cell < ncell  # jumps beyond the grid end are outside every cell
+    flat = np.bincount(mode[keep] * ncell + cell[keep], weights=s[keep], minlength=K * ncell)
+    return flat.reshape(K, ncell)

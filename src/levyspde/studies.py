@@ -130,7 +130,6 @@ class StudyConfig:
     g_mode: int = 1
     mc_paths: int | None = None
     mc_seed: int = 0
-    threads: int = 1
     exact_scheme: bool = False
 
     def __post_init__(self):
@@ -271,7 +270,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         setup.validate_regularity(config.beta)
         rep = error_report(setup, exact)
         if config.mc_paths:
-            est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed, threads=config.threads)
+            est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
             rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
         rows.append(StudyRow(level=level, resolution=resolution, report=rep, in_fit=in_fit))

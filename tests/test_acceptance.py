@@ -299,15 +299,17 @@ def test_c9_wave_structure():
 # -- criterion 10: determinism ------------------------------------------------------
 
 
-def test_c10_determinism():
-    import dataclasses
-
+def test_c10_determinism(fresh_python):
     cfg = preset_studies()["wave-temporal-mc"]
-    a = csv_text(run_study(dataclasses.replace(cfg, threads=1)))
-    b = csv_text(run_study(dataclasses.replace(cfg, threads=1)))
-    c = csv_text(run_study(dataclasses.replace(cfg, threads=8)))
+    a = csv_text(run_study(cfg))
+    b = csv_text(run_study(cfg))
+    c = fresh_python(
+        "-c",
+        "import sys; from levyspde.studies import csv_text, preset_studies, run_study; "
+        "sys.stdout.write(csv_text(run_study(preset_studies()['wave-temporal-mc'])))",
+    )
     ok = a == b == c
-    assert report("10", ok, "identical config and seed give byte-identical CSV across reruns and thread counts 1/8")
+    assert report("10", ok, "identical config and seed give byte-identical CSV across reruns and a fresh interpreter")
 
 
 # -- tamper checks: the weak-rate predicates reject wrong rates ---------------------

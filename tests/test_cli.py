@@ -157,16 +157,37 @@ class TestStudyCommand:
         assert (tmp_path / "tiny-heat.csv").exists()
         assert code in (0, 2)  # rate gate may trip; config handling must not
 
-    def test_byte_identical_csv_across_runs_and_threads(self, capsys, tmp_path):
+    def test_byte_identical_csv_across_runs(self, capsys, tmp_path, fresh_python):
         paths = []
-        for i, threads in enumerate(("1", "8", "1")):
+        for i in range(2):
             out = tmp_path / f"run{i}.csv"
-            code, _, _ = run(
-                capsys, "study", "--preset", "wave-temporal-mc", "--output", str(out), "--threads", threads
-            )
+            code, _, _ = run(capsys, "study", "--preset", "wave-temporal-mc", "--output", str(out))
             assert code == 0
             paths.append(out.read_bytes())
+        out = tmp_path / "fresh.csv"
+        fresh_python("-m", "levyspde.cli", "study", "--preset", "wave-temporal-mc", "--output", str(out))
+        paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+    def test_threads_option_and_key_refused(self, capsys, tmp_path):
+        code, _, err = run(capsys, "study", "--preset", "wave-temporal-mc", "--threads", "2")
+        assert code == 1 and "unrecognized arguments: --threads 2" in err
+        cfg = tmp_path / "threads.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "equation": "heat",
+                    "axis": "temporal",
+                    "beta": 1.0,
+                    "modes": 64,
+                    "ladder": [2**-4, 2**-5, 2**-6, 2**-7],
+                    "threads": 1,
+                }
+            )
+        )
+        code, _, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and "unknown config keys ['threads']" in err
 
 
 class TestVerifyRepresentation:

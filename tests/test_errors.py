@@ -264,11 +264,22 @@ class TestMonteCarlo:
         b = mc_weak_error(setup, n_paths=1, seed=9)
         assert a[0] == b[0]
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_rerun_in_fresh_interpreter_same_bytes(self, fresh_python):
         setup = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4), CP, 1.0, n_cells=8)
-        a = mc_weak_error(setup, n_paths=300, seed=3, threads=1)
-        b = mc_weak_error(setup, n_paths=300, seed=3, threads=8)
+        a = mc_weak_error(setup, n_paths=300, seed=3)
+        b = mc_weak_error(setup, n_paths=300, seed=3)
+        fresh = fresh_python(
+            "-c",
+            "from levyspde.errors import Setup, mc_weak_error\n"
+            "from levyspde.noise import CovarianceSpec, LevyLaw\n"
+            "from levyspde.propagators import heat_kind\n"
+            "from levyspde.spectral import dirichlet_spectrum\n"
+            "setup = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4),\n"
+            "              LevyLaw('compound_poisson', intensity=1.0), 1.0, n_cells=8)\n"
+            "print(repr(mc_weak_error(setup, n_paths=300, seed=3)))",
+        )
         assert a == b
+        assert repr(a) == fresh.strip()
 
     def test_cylindrical_functional_truncation_independent(self):
         # a mode-1 observable must not care about modes beyond the resolved one
@@ -300,6 +311,103 @@ class TestMonteCarlo:
         det = weak_error_quadratic(setup)
         est, se = mc_weak_error(setup, n_paths=6000, seed=17)
         assert abs(est - det) <= 3.0 * se
+
+
+def per_path_reference(setup, g, n_paths, seed):
+    """mc_weak_error one path at a time: each path of a block is rebuilt as a
+    JumpPath from the block's draws; its exact value is the jump sum per mode,
+    its scheme value increments_from_path against the step weights."""
+    from levyspde.noise import JumpPath, _compound_poisson_draws, increments_from_path, stream
+
+    lam = setup.spec.eigenvalues
+    K = setup.spec.mode_count
+    sq = np.sqrt(setup.q())
+    fam = discrete_family(setup.kind, lam, setup.dt, setup.n_cells)
+    et = errors._discrete_noise_weights(fam.steps[:, :0:-1], setup.kind, lam)
+    x0_e = errors._exact_terminal_first(setup)
+    x0_d = errors._discrete_terminal_first(setup, lam, fam, setup.x0)
+    grid = np.linspace(0.0, setup.T, setup.n_cells + 1)
+    block = errors._mc_block_paths(setup)
+    diffs = []
+    for b, lo in enumerate(range(0, n_paths, block)):
+        P = min(block, n_paths - lo)
+        coord, t, s = _compound_poisson_draws(setup.law, setup.T, P * K, stream(seed, b))
+        for p in range(P):
+            times, sizes = [], []
+            for k in range(K):
+                sel = coord == p * K + k
+                order = np.argsort(t[sel], kind="stable")
+                times.append(t[sel][order])
+                sizes.append(s[sel][order])
+            path = JumpPath(horizon=setup.T, times=times, sizes=sizes)
+            x_exact = x0_e.copy()
+            for k in range(K):
+                w = errors._exact_jump_weights(setup, path.times[k], np.full(path.times[k].size, lam[k]))
+                x_exact[k] += sq[k] * np.sum(w * path.sizes[k])
+            x_disc = np.einsum("kn,kn->k", et, increments_from_path(path, grid)) * sq + x0_d
+            diffs.append(g(x_disc) - g(x_exact))
+    diffs = np.array(diffs)
+    return diffs.mean(), diffs.std(ddof=1) / np.sqrt(n_paths)
+
+
+class TestBatchedMonteCarlo:
+    """mc_weak_error assembles whole blocks of paths from flat jump arrays;
+    it must give what a per-path assembly of the same draws gives."""
+
+    @staticmethod
+    def setup_for(name):
+        T = 0.25 if name == "heat" else 1.0  # heat data would decay to nothing by T = 1
+        law = LevyLaw("compound_poisson", intensity=16.0 / T)  # 16 jumps per mode: 32 paths per block at K = 16
+        spec = dirichlet_spectrum(16)
+        cov = CovarianceSpec(amplitude=1.0, decay=0.4)
+        x0 = np.array([1.0, -0.5, 0.25])
+        if name == "heat":
+            return Setup(heat_kind(), spec, cov, law, T, n_cells=8, x0=x0)
+        if name == "wave":
+            return Setup(wave_kind("crank_nicolson"), spec, cov, law, T, n_cells=8, x0=np.stack([x0, -x0]))
+        return Setup(volterra_kind(1.5), spec, cov, law, T, n_cells=8, x0=x0)
+
+    @pytest.mark.parametrize("g", [errors.quadratic_functional, CylindricalFunctional(mode=2)], ids=["quadratic", "cos"])
+    @pytest.mark.parametrize("name", ["heat", "wave", "volterra"])
+    def test_equals_per_path_reference(self, name, g):
+        setup = self.setup_for(name)
+        n_paths = 75
+        block = errors._mc_block_paths(setup)
+        assert block < n_paths and n_paths % block  # two full blocks and a short one
+        est, se = mc_weak_error(setup, g=g, n_paths=n_paths, seed=11)
+        ref_est, ref_se = per_path_reference(setup, g, n_paths, seed=11)
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, K, decay, T",
+        [(heat_kind(), 24, 0.55, 0.25), (volterra_kind(1.5), 12, 0.4, 1.0)],
+        ids=["heat", "volterra"],
+    )
+    def test_nonzero_x0_matches_deterministic(self, kind, K, decay, T):
+        x0 = np.array([1.0, -0.5, 0.25])
+        cov = CovarianceSpec(amplitude=1.0, decay=decay)
+        setup = Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8, x0=x0)
+        det = weak_error_quadratic(setup)
+        est, se = mc_weak_error(setup, n_paths=20000, seed=7)
+        assert abs(est - det) <= 3.0 * se
+        # the data term moves the weak error by many standard errors
+        no_x0 = weak_error_quadratic(Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8))
+        assert abs(det - no_x0) > 5.0 * se
+
+    def test_functionals_map_rows(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 7))
+        cos = CylindricalFunctional(mode=3)
+        for g in (errors.quadratic_functional, cos):
+            rows = g(x)
+            assert rows.shape == (5,)
+            one = [g(r) for r in x]
+            assert all(isinstance(v, float) for v in one)
+            np.testing.assert_allclose(rows, one, rtol=1e-15)
+        assert errors.quadratic_functional(x[0]) == float(np.dot(x[0], x[0]))
+        assert cos(x[0]) == float(np.cos(x[0, 2]))
+        assert errors.quadratic_functional(x[None, :, :]).shape == (1, 5)
 
 
 class TestSetupValidation:

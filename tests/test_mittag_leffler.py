@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import hypothesis
 import mpmath as mp
 import numpy as np
@@ -9,20 +12,43 @@ from levyspde.propagators import cq_mode_solve
 
 
 def series_oracle(rho: float, x: float) -> float:
-    """Defining power series at adaptive precision (independent of the package paths)."""
+    """Defining power series at adaptive precision (independent of the package paths).
+
+    rho is taken as the fraction p/q of its decimal form, so rho j + 1 = a/q
+    with a = p j + q.  Gamma(a/q) for j >= q is Gamma((a - p q)/q), q terms
+    back, times the exact rising product a - p q, a - p q + q, ..., a - q over
+    q^p.  The first q terms take Gamma(a/q + m) / (a (a + q) ... (a + (m-1) q) / q^m)
+    with m = need + 100, large enough that mp.gamma uses its Stirling series
+    and not the Taylor route, whose setup costs seconds at each new precision.
+    (-x)^j is a running product.
+    """
     if x == 0.0:
         return 1.0
     need = int(x ** (1.0 / rho) * 0.4343) + 60
+    frac = Fraction(repr(rho))
+    p, q = frac.numerator, frac.denominator
+    m = need + 100
     with mp.workdps(need):
         s = mp.mpf(0)
-        xm = mp.mpf(x)
-        rm = mp.mpf(rho)
+        mx = -mp.mpf(x)
+        q_to_p = mp.mpf(q) ** p
+        q_to_m = mp.mpf(q) ** m
+        gammas = []  # Gamma(rho j + 1)
+        power = mp.mpf(1)  # (-x)^j
+        tol = mp.mpf(10) ** (-need + 10)
         j = 0
         while True:
-            t = (-xm) ** j / mp.gamma(rm * j + 1)
+            a = p * j + q
+            if j < q:
+                gam = mp.gamma(mp.mpf(a + m * q) / q) * q_to_m / math.prod(range(a, a + m * q, q))
+            else:
+                gam = gammas[j - q] * math.prod(range(a - p * q, a, q)) / q_to_p
+            gammas.append(gam)
+            t = power / gam
             s += t
+            power *= mx
             j += 1
-            if j > 10 and abs(t) < mp.mpf(10) ** (-need + 10):
+            if j > 10 and abs(t) < tol:
                 break
         return float(s)
 

@@ -236,13 +236,14 @@ class TestDeterminism:
         b = csv_text(run_study(cfg))
         assert a == b
 
-    def test_thread_count_invariance(self):
-        import dataclasses
-
+    def test_fresh_interpreter_identical_bytes(self, fresh_python):
         cfg = preset_studies()["wave-temporal-mc"]
-        cfg1 = dataclasses.replace(cfg, threads=1)
-        cfg8 = dataclasses.replace(cfg, threads=8)
-        assert csv_text(run_study(cfg1)) == csv_text(run_study(cfg8))
+        fresh = fresh_python(
+            "-c",
+            "import sys; from levyspde.studies import csv_text, preset_studies, run_study; "
+            "sys.stdout.write(csv_text(run_study(preset_studies()['wave-temporal-mc'])))",
+        )
+        assert csv_text(run_study(cfg)) == fresh
 
 
 class TestStudyExactSide:
