@@ -3,6 +3,9 @@
 
 Usage: python scripts/run_all_studies.py [output_dir] [--compare DIR]
 
+The weak slope printed is the one the study's gate judges: fitted against the
+bound shape, so |weak|/log(T/dt) for heat-temporal-beta1.
+
 With --compare DIR, also print, per preset and per deterministic column, the
 largest relative delta of the new CSV against DIR/<preset>.csv from an earlier
 run (a missing file is reported, not fatal).
@@ -48,7 +51,7 @@ def main() -> int:
         status = "pass" if result.passed() else "FAIL"
         any_fail |= not result.passed()
         print(
-            f"{name:24s} weak {s['weak_slope']: .3f} (>= {s['weak_expected'] - 0.15:.2f})  "
+            f"{name:24s} weak {s['weak_bound_slope']: .3f} (>= {s['weak_expected'] - 0.15:.2f})  "
             f"strong {s['strong_slope']: .3f} ({s['strong_expected']:.3f} +- 0.15)  "
             f"[{status}, {time.time() - t0:.1f}s]"
         )

@@ -14,30 +14,27 @@ noise structure, to weighted time integrals of squared mode factors:
         and the cross term          C = 2 (I_de - I_ee),
 
 with all norms taken in the observable component (full state for heat and
-Volterra, first component for the wave system).  The representation value is
-assembled cell-by-cell along the Taylor-remainder route, so its agreement with
-weak_quadratic is a genuine consistency check of the error representation, not
-a reprint of the same arithmetic.
+Volterra, first component for the wave system).  One assembly serves every
+setup: rows dd[j], ee[k] and de (per mode on the spectral space, per (discrete,
+exact) pair on a FEM space) weighted by q_d, q and m = q or C^2 q, C the
+FEM-to-sine coupling.  representation_sweep checks the regrouped value against
+_weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
-The exact side (I_ee per mode and the cell integrals of e_k) does not depend
-on the level, so a study builds it once (exact_side, an ExactSide) and every
-level's error_report reuses it; a standalone error_report builds its own on
-the level's grid.  Heat and wave use closed forms.  Volterra, which has none,
-keeps one cumulative table of cellwise Gauss quadrature over the union of the
-ladder's cell edges, and each level differences it at its own edges.
-
-Time integrals without a closed form are cellwise fixed-order Gauss
-quadrature on per-mode partitions refined by the mode's decay scale and
-oscillation frequency.  For Volterra the first cell is also graded
-geometrically toward s = 0, where E_rho(-lam s^rho) has its s^rho branch point.
-Time-exact spatial setups integrate both sides on shared global nodes.
+Heat and wave rows are closed forms.  A mode factor is e(s) = Re(c e^(mu s))
+(heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)), a step
+factor Re(c z^n), so Re u Re v = Re(uv + u conj(v))/2 turns every row into
+geometric sums expm1(N log xi)/expm1(log xi) or integrals expm1(nu T)/nu.
+Volterra has none: its scheme rows pair the CQ factor table with an ExactSide,
+one cumulative table of cellwise Gauss quadrature (partitions refined per
+mode, the first cell graded toward the s^rho branch point at s = 0) built once
+per study; its time-exact rows use Gauss quadrature on shared global nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,10 +46,11 @@ from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, hs_conditio
 # levyspde.errors.sample_jump_path and levyspde.errors.increments_from_path.
 from .noise import increments_from_path, sample_jump_path  # noqa: F401
 from .propagators import (
-    DiscreteFamily,
     EquationKind,
+    cq_mode_solve,
     discrete_family,
     i_stability_check,
+    step_log,
     wave_exact_z,
 )
 from .spectral import DirichletSpectrum, FemSpace, spectral_coupling
@@ -154,6 +152,14 @@ class Setup:
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def _panel_nodes(bks: np.ndarray, order: int = GAUSS_ORDER):
+    """Gauss nodes and weights on each panel [bks[i], bks[i+1]], shape (panels, order)."""
+    gx, gw = _gauss(order)
+    mid = 0.5 * (bks[1:] + bks[:-1])
+    half = 0.5 * np.diff(bks)
+    return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
 
 
 def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
@@ -281,13 +287,9 @@ def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, 
 
 def _cell_primitives(kind: EquationKind, lam: float, edges: np.ndarray, order: int = GAUSS_ORDER):
     """(P1, P2) rows: per-cell integrals of the factor and its square."""
-    gx, gw = _gauss(order)
     bks, parents = _mode_partition(edges, _decay_scale(kind, lam), _osc_freq(kind, lam), _algebraic_tail(kind))
-    mid = 0.5 * (bks[1:] + bks[:-1])
-    half = 0.5 * np.diff(bks)
-    nodes = mid[:, None] + half[:, None] * gx[None, :]
+    nodes, w = _panel_nodes(bks, order)
     vals = _noise_factor(kind, lam, nodes)
-    w = half[:, None] * gw[None, :]
     n_cells = edges.size - 1
     p1 = np.bincount(parents, weights=(w * vals).sum(axis=1), minlength=n_cells)
     p2 = np.bincount(parents, weights=(w * vals * vals).sum(axis=1), minlength=n_cells)
@@ -313,75 +315,54 @@ def hs_time_integral(
     weights = np.atleast_1d(np.asarray(weights, float))
     n = 1 if dt is None else int(round(T / dt))
     edges = np.linspace(0.0, T, n + 1)
-    gx, gw = _gauss(nodes_per_cell)
     total = 0.0
     for k in range(weights.size):
         if weights[k] == 0.0:
             continue
         scale = None if scales is None else float(scales[k])
         freq = None if frequencies is None else float(frequencies[k])
-        bks, _ = _mode_partition(edges, scale, freq, algebraic_tail)
-        mid = 0.5 * (bks[1:] + bks[:-1])
-        half = 0.5 * np.diff(bks)
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
-        vals = integrand(k, nodes)
-        total += weights[k] * float(((half[:, None] * gw[None, :]) * vals).sum())
+        nodes, w = _panel_nodes(_mode_partition(edges, scale, freq, algebraic_tail)[0], nodes_per_cell)
+        total += weights[k] * float((w * integrand(k, nodes)).sum())
     return total
 
 
 # ----------------------------------------------------------------------------
-# the exact side of a temporal study
+# the Volterra exact side of a temporal study
 
 
 @dataclass(frozen=True)
 class ExactSide:
     """Per-mode exact-side integrals that do not depend on the level.
 
-    i_ee[k] is int_0^T e_k(s)^2 ds; cells(edges) gives, mode by mode, the cell
-    integrals int_cell e_k(s) ds on any level's edges.  Heat and wave use
-    closed forms.  Volterra, which has none, keeps table[k, i] =
-    int_0^{grid[i]} e_k(s) ds from one pass of _cell_primitives over grid (the
-    union of the ladder's cell edges), and a level differences the table at
-    its own edges.  Build it with exact_side.
+    i_ee[k] is int_0^T e_k(s)^2 ds and table[k, i] = int_0^{grid[i]} e_k(s) ds,
+    both from one pass of _cell_primitives over grid (the union of the
+    ladder's cell edges); cells(edges) differences the table at a level's own
+    edges.  Volterra rows, which have no closed form, use it, and so does the
+    cellwise check _weak_error_cellwise for every family.  Build it with
+    exact_side.
     """
 
     kind: EquationKind
     lam: np.ndarray
     T: float
     i_ee: np.ndarray
-    grid: np.ndarray | None = None
-    table: np.ndarray | None = None
+    grid: np.ndarray
+    table: np.ndarray
 
-    def cells(self, edges: np.ndarray):
-        """A function k -> (int_cell e_k(s) ds for each cell of edges), one
-        mode row per call, so no (modes, cells) temporary is formed."""
+    def cells(self, edges: np.ndarray) -> np.ndarray:
+        """(modes, cells) array of int_cell e_k(s) ds on the cells of edges."""
         edges = np.asarray(edges, float)
-        if self.kind.name == "volterra":
-            idx = np.clip(np.searchsorted(self.grid, edges), 1, self.grid.size - 1)
-            idx -= (edges - self.grid[idx - 1]) < (self.grid[idx] - edges)  # nearest grid point
-            if np.max(np.abs(self.grid[idx] - edges)) > 1e-12 * self.T:
-                raise ValueError("level edges are not on the grid of the exact-side table")
-            return lambda k: np.diff(self.table[k, idx])
-        a, h = edges[:-1], np.diff(edges)
-        if self.kind.name == "heat":
-            return lambda k: np.exp(-self.lam[k] * a) * -np.expm1(-self.lam[k] * h) / self.lam[k]
-        mid = a + 0.5 * h
-
-        def wave_row(k: int) -> np.ndarray:
-            rt = np.sqrt(self.lam[k])
-            return 2.0 * np.sin(rt * mid) * np.sin(0.5 * rt * h) / self.lam[k]
-
-        return wave_row
+        idx = np.clip(np.searchsorted(self.grid, edges), 1, self.grid.size - 1)
+        idx -= (edges - self.grid[idx - 1]) < (self.grid[idx] - edges)  # nearest grid point
+        if np.max(np.abs(self.grid[idx] - edges)) > 1e-12 * self.T:
+            raise ValueError("level edges are not on the grid of the exact-side table")
+        return np.diff(self.table[:, idx], axis=1)
 
 
 def exact_side(kind: EquationKind, lam: np.ndarray, T: float, grid: np.ndarray | None = None) -> ExactSide:
     """The exact side for modes lam on [0, T]; grid holds every cell edge a
-    level may ask about (None: just [0, T]).  Only Volterra uses the grid."""
+    level may ask about (None: just [0, T])."""
     lam = np.asarray(lam, float)
-    if kind.name == "heat":
-        return ExactSide(kind, lam, T, -np.expm1(-2.0 * lam * T) / (2.0 * lam))
-    if kind.name == "wave":
-        return ExactSide(kind, lam, T, T / (2.0 * lam) - np.sin(2.0 * np.sqrt(lam) * T) / (4.0 * lam**1.5))
     grid = np.array([0.0, T]) if grid is None else np.asarray(grid, float)
     table = np.zeros((lam.size, grid.size))
     i_ee = np.empty(lam.size)
@@ -390,6 +371,64 @@ def exact_side(kind: EquationKind, lam: np.ndarray, T: float, grid: np.ndarray |
         np.cumsum(p1, out=table[k, 1:])
         i_ee[k] = p2.sum()
     return ExactSide(kind, lam, T, i_ee, grid, table)
+
+
+# ----------------------------------------------------------------------------
+# heat and wave time integrals in closed form
+
+
+def _carrier(kind: EquationKind, lam: np.ndarray):
+    """(c, mu) with the observable mode factor e(s) = Re(c e^(mu s)): heat
+    c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)."""
+    if kind.name == "heat":
+        return np.ones_like(lam), -lam
+    rt = np.sqrt(lam)
+    return 1j / rt, -1j * rt
+
+
+def _geometric(L, n: int):
+    """sum_{m<n} e^(m L) = expm1(n L) / expm1(L); n where L = 0."""
+    den = np.expm1(L)
+    zero = den == 0
+    return np.where(zero, n, np.expm1(n * L) / np.where(zero, 1, den))
+
+
+def _integral(nu, T: float):
+    """int_0^T e^(nu s) ds = expm1(nu T) / nu; T where nu = 0."""
+    zero = nu == 0
+    return np.where(zero, T, np.expm1(nu * T) / np.where(zero, 1, nu))
+
+
+def _re_products(a, la, b, lb, total):
+    """Sum (or integral) of Re(a e^(la x)) Re(b e^(lb x)), by
+    Re u Re v = Re(u v + u conj(v)) / 2; total(L) sums (integrates) e^(L x)."""
+    return 0.5 * (a * b * total(la + lb) + a * np.conj(b) * total(la + np.conj(lb))).real
+
+
+def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: int | None, pairs: bool):
+    """(dd, de, ee) for heat and wave: dd[j] = int_0^T etilde_j^2,
+    ee[k] = int_0^T e_k^2 and de = int_0^T etilde_j e_k, a (J, K) matrix when
+    pairs, else per mode (lam_d is lam).  n_cells None: etilde_j is the exact
+    factor at lam_d.  Otherwise etilde_j = Re(c z^n) on cell n, the cell
+    integrals of e_k are Re(c e^(mu t_(n-1)) expm1(mu dt) / mu), and every sum
+    over n is geometric."""
+    c_d, mu_d = _carrier(kind, lam_d)
+    c, mu = _carrier(kind, lam)
+    integral = partial(_integral, T=T)
+    ee = _re_products(c, mu, c, mu, integral)
+    if n_cells is None:
+        a, la, b, lb, total = c_d, mu_d, c, mu, integral
+        dd = _re_products(a, la, a, la, total)
+    else:
+        dt = T / n_cells
+        la = step_log(kind, lam_d, dt)
+        a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
+        b, lb = c * _integral(mu, dt), mu * dt  # int_cell_n e = Re(b e^((n-1) mu dt))
+        total = partial(_geometric, n=n_cells)
+        dd = dt * _re_products(a, la, a, la, total)
+    if pairs:
+        a, la = a[:, None], la[:, None]
+    return dd, _re_products(a, la, b, lb, total), ee
 
 
 # ----------------------------------------------------------------------------
@@ -422,66 +461,51 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
 
 
 def _global_nodes(kind: EquationKind, lam_max: float, T: float, order: int = GAUSS_ORDER):
-    bks = _global_partition(kind, lam_max, T)
-    gx, gw = _gauss(order)
-    mid = 0.5 * (bks[1:] + bks[:-1])
-    half = 0.5 * np.diff(bks)
-    return (mid[:, None] + half[:, None] * gx[None, :]).ravel(), (half[:, None] * gw[None, :]).ravel()
+    nodes, w = _panel_nodes(_global_partition(kind, lam_max, T), order)
+    return nodes.ravel(), w.ravel()
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """The six reusable ingredients of every deterministic error formula."""
+def _table_integrals(setup: Setup, lam_d, steps, pairs: bool, exact: ExactSide | None):
+    """(dd, de, ee) as in _closed_form_integrals, for Volterra, which has no
+    closed form.  Scheme levels: the CQ factor table steps (J, N+1) against
+    the exact-side cell table.  Time-exact levels: Gauss quadrature on global
+    nodes shared by both sides."""
+    kind, lam = setup.kind, setup.spec.eigenvalues
+    if steps is None:
+        nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
+        a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
+        b = _noise_factor(kind, lam[:, None], nodes[None, :])  # (K, G)
+        de = (a * w) @ b.T if pairs else (a * b) @ w
+        return (a * a) @ w, de, (b * b) @ w
+    edges = _level_edges(setup)
+    if exact is None:
+        exact = exact_side(kind, lam, setup.T, edges)
+    et = steps[:, 1:]
+    cells = exact.cells(edges)
+    de = et @ cells.T if pairs else np.einsum("kn,kn->k", et, cells)
+    return setup.dt * np.einsum("jn,jn->j", et, et), de, exact.i_ee
 
-    i_dd: float
-    i_ee: float
-    i_de: float
-    rep_quad: float
-    rep_cross_half: float  # I_de - I_ee assembled along the representation route
-    x0_d: float
-    x0_e: float
-    x0_diff: float
+
+def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
+    """Factor at T of each mode: exact (n_cells None), or n_cells steps of the
+    heat or wave scheme, z^N = e^(N log z) (the complex carrier for the wave)."""
+    if n_cells is not None:
+        return np.exp(n_cells * step_log(kind, lam, T / n_cells))
+    return wave_exact_z(lam, T) if kind.name == "wave" else _noise_factor(kind, lam, T)
+
+
+def _terminal_first(kind: EquationKind, lam: np.ndarray, z_T: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Observable component of the terminal factor z_T applied to x0; the
+    wave carries (position, velocity) coefficients and a complex carrier."""
+    if kind.name == "wave":
+        return z_T.real * x0[0] + (-z_T.imag / np.sqrt(lam)) * x0[1]
+    return z_T.real * x0
 
 
 def _exact_terminal_first(setup: Setup) -> np.ndarray:
     """Observable component of E(T) X0 in sine coordinates."""
     lam = setup.spec.eigenvalues
-    if setup.kind.name == "wave":
-        z = wave_exact_z(lam, setup.T)
-        return z.real * setup.x0[0] + (-z.imag / np.sqrt(lam)) * setup.x0[1]
-    if setup.kind.name == "heat":
-        return np.exp(-lam * setup.T) * setup.x0
-    return mittag_leffler_neg(setup.kind.rho, lam * setup.T**setup.kind.rho) * setup.x0
-
-
-def _discrete_terminal_first(setup: Setup, lam_d: np.ndarray, fam: DiscreteFamily | None, x0_d: np.ndarray) -> np.ndarray:
-    """Observable component of Etilde(T) X0 in discrete coordinates."""
-    if setup.kind.name == "wave":
-        if fam is None:
-            z = wave_exact_z(lam_d, setup.T)
-        else:
-            z = fam.steps[:, -1]
-        return z.real * x0_d[0] + (-z.imag / np.sqrt(lam_d)) * x0_d[1]
-    if fam is None:
-        if setup.kind.name == "heat":
-            return np.exp(-lam_d * setup.T) * x0_d
-        return mittag_leffler_neg(setup.kind.rho, lam_d * setup.T**setup.kind.rho) * x0_d
-    return fam.steps[:, -1].real * x0_d
-
-
-def _x0_terms(setup: Setup, lam_d, fam, coupling) -> tuple[float, float, float]:
-    if setup.x0 is None or not np.any(setup.x0):
-        return 0.0, 0.0, 0.0
-    a_e = _exact_terminal_first(setup)
-    if setup.exact_scheme:
-        return float(a_e @ a_e), float(a_e @ a_e), 0.0
-    x0 = setup.x0 if setup.x0.ndim == 2 else setup.x0[None, :]
-    x0_d = x0 if coupling is None else x0 @ coupling.T  # project onto discrete modes
-    a_d = _discrete_terminal_first(setup, lam_d, fam, x0_d if setup.kind.name == "wave" else x0_d[0])
-    nd = float(a_d @ a_d)
-    ne = float(a_e @ a_e)
-    cross = float(a_d @ a_e) if coupling is None else float(a_d @ (coupling @ a_e))
-    return nd, ne, nd - 2.0 * cross + ne
+    return _terminal_first(setup.kind, lam, _terminal_factor(setup.kind, lam, setup.T), setup.x0)
 
 
 def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np.ndarray) -> np.ndarray:
@@ -495,128 +519,6 @@ def _level_edges(setup: Setup) -> np.ndarray:
     return np.linspace(0.0, setup.T, (setup.n_cells or 1) + 1)
 
 
-def _pieces(setup: Setup, exact: ExactSide | None = None) -> _Pieces:
-    kind = setup.kind
-    spec = setup.spec
-    q = setup.q()
-    lam = spec.eigenvalues
-
-    if setup.fem is None:
-        coupling = None
-        lam_d = lam
-        m_jk = None
-        q_d = q
-    else:
-        coupling = spectral_coupling(setup.fem, spec)
-        lam_d = setup.fem.eigenvalues
-        m_jk = coupling**2 * q[None, :]
-        q_d = m_jk.sum(axis=1)
-
-    fam = None
-    if not setup.exact_scheme and setup.n_cells is not None:
-        fam = discrete_family(kind, lam_d, setup.dt, setup.n_cells)
-
-    x0_d, x0_e, x0_diff = _x0_terms(setup, lam_d, fam, coupling)
-
-    if setup.cov is None:
-        zero = 0.0
-        return _Pieces(zero, zero, zero, zero, zero, x0_d, x0_e, x0_diff)
-
-    if fam is None and not setup.exact_scheme:
-        return _pieces_semidiscrete(setup, lam, q, lam_d, q_d, m_jk, x0_d, x0_e, x0_diff)
-
-    if exact is None:
-        exact = exact_side(kind, lam, setup.T, _level_edges(setup))
-    elif exact.kind != kind or exact.T != setup.T or exact.lam.size != lam.size:
-        raise ValueError("the exact side was built for another equation, horizon or truncation")
-
-    if setup.exact_scheme:
-        i_ee = float(q @ exact.i_ee)
-        return _Pieces(i_ee, i_ee, i_ee, 0.0, 0.0, x0_d, x0_e, x0_diff)
-    if coupling is None:
-        return _pieces_spectral_scheme(setup, lam, q, fam, exact, x0_d, x0_e, x0_diff)
-    return _pieces_fem_scheme(setup, lam, q, lam_d, q_d, m_jk, fam, exact, x0_d, x0_e, x0_diff)
-
-
-def _pieces_spectral_scheme(setup: Setup, lam, q, fam, exact: ExactSide, x0_d, x0_e, x0_diff) -> _Pieces:
-    """Temporal studies: same mode basis, piecewise-constant discrete factors."""
-    kind = setup.kind
-    dt = setup.dt
-    cells = exact.cells(_level_edges(setup))
-    et = _discrete_noise_weights(fam.steps[:, 1:], kind, lam)  # (K, N)
-    i_dd = i_ee = i_de = rep_quad = cross_half = 0.0
-    for k in range(lam.size):
-        if q[k] == 0.0:
-            continue
-        p1 = cells(k)
-        e_row = et[k]
-        dd = float(np.dot(e_row, e_row)) * dt
-        ee = float(exact.i_ee[k])
-        de = float(np.dot(e_row, p1))
-        i_dd += q[k] * dd
-        i_ee += q[k] * ee
-        i_de += q[k] * de
-        # representation route: Taylor-remainder pieces assembled per cell
-        rep_quad += q[k] * (float(np.sum(e_row * e_row * dt - 2.0 * e_row * p1)) + ee)
-        cross_half += q[k] * (float(np.sum(e_row * p1)) - ee)
-    return _Pieces(i_dd, i_ee, i_de, rep_quad, cross_half, x0_d, x0_e, x0_diff)
-
-
-def _pieces_semidiscrete(setup: Setup, lam, q, lam_d, q_d, m_jk, x0_d, x0_e, x0_diff) -> _Pieces:
-    """Spatial studies: FEM modes with exact time factors; smooth x smooth."""
-    kind = setup.kind
-    lam_max = max(float(lam[-1]), float(lam_d[-1]))
-    nodes, w = _global_nodes(kind, lam_max, setup.T)
-    a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
-    b = _noise_factor(kind, lam[:, None], nodes[None, :])  # (K, G)
-    da = q_d @ (a * a)  # sum_j Qd_j a_j(s)^2 at nodes
-    db = q @ (b * b)
-    cross = np.einsum("jg,jg->g", a, m_jk @ b)
-    i_dd = float(np.dot(w, da))
-    i_ee = float(np.dot(w, db))
-    i_de = float(np.dot(w, cross))
-    rep_quad = float(np.dot(w, da - 2.0 * cross + db))
-    cross_half = float(np.dot(w, cross - db))
-    return _Pieces(i_dd, i_ee, i_de, rep_quad, cross_half, x0_d, x0_e, x0_diff)
-
-
-def _pieces_fem_scheme(setup: Setup, lam, q, lam_d, q_d, m_jk, fam, exact: ExactSide, x0_d, x0_e, x0_diff) -> _Pieces:
-    """Fully discrete: FEM modes, piecewise-constant factors, exact cross cells."""
-    kind = setup.kind
-    dt = setup.dt
-    cells = exact.cells(_level_edges(setup))
-    et = _discrete_noise_weights(fam.steps[:, 1:], kind, lam_d)  # (J, N)
-    p1 = np.empty((lam.size, setup.n_cells))
-    for k in range(lam.size):
-        p1[k] = cells(k)
-    i_dd = float(q_d @ (et * et).sum(axis=1)) * dt
-    i_ee = float(q @ exact.i_ee)
-    mp = m_jk @ p1  # (J, N)
-    i_de = float(np.einsum("jn,jn->", et, mp))
-    rep_quad = i_dd - 2.0 * i_de + i_ee
-    cross_half = i_de - i_ee
-    return _Pieces(i_dd, i_ee, i_de, rep_quad, cross_half, x0_d, x0_e, x0_diff)
-
-
-def strong_error(setup: Setup) -> float:
-    """L2(Omega) distance of the observable components at the final time."""
-    p = _pieces(setup)
-    val = p.x0_diff + p.i_dd - 2.0 * p.i_de + p.i_ee
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def weak_error_quadratic(setup: Setup) -> float:
-    """E g(observable of Xtilde(T)) - E g(observable of X(T)) for g = |.|^2."""
-    p = _pieces(setup)
-    return (p.x0_d - p.x0_e) + (p.i_dd - p.i_ee)
-
-
-def representation_quadratic(setup: Setup) -> float:
-    """The error-representation value for quadratic g: X0 term + the quadratic remainder + the cross term."""
-    p = _pieces(setup)
-    return (p.x0_d - p.x0_e) + p.rep_quad + _CROSS_TERM_SIGN * 2.0 * p.rep_cross_half
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     strong_error: float
@@ -627,14 +529,89 @@ class ErrorReport:
 
 
 def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
-    """Strong, weak and representation values of one setup.  exact is the
-    study's exact side (see exact_side); without it the setup's own grid is
-    used, through the same code path."""
-    p = _pieces(setup, exact)
-    strong = float(np.sqrt(max(p.x0_diff + p.i_dd - 2.0 * p.i_de + p.i_ee, 0.0)))
-    weak = (p.x0_d - p.x0_e) + (p.i_dd - p.i_ee)
-    rep = (p.x0_d - p.x0_e) + p.rep_quad + _CROSS_TERM_SIGN * 2.0 * p.rep_cross_half
+    """Strong, weak and representation values of one setup.
+
+    I_dd = q_d . dd, I_ee = q . ee and I_de = sum m * de, with m = q on the
+    spectral space and C^2 q (C the FEM-to-sine coupling) on a FEM space;
+    exact_scheme makes the discrete side the exact one.  exact is the study's
+    Volterra exact side (see exact_side); without it a Volterra scheme level
+    builds its own on the level's grid.
+    """
+    kind = setup.kind
+    lam = setup.spec.eigenvalues
+    q = setup.q()
+    if exact is not None and (exact.kind != kind or exact.T != setup.T or exact.lam.size != lam.size):
+        raise ValueError("the exact side was built for another equation, horizon or truncation")
+    n_cells = None if setup.exact_scheme else setup.n_cells
+    coupling = None
+    lam_d, m, q_d = lam, q, q
+    if setup.fem is not None and not setup.exact_scheme:
+        coupling = spectral_coupling(setup.fem, setup.spec)
+        lam_d = setup.fem.eigenvalues
+        m = coupling**2 * q[None, :]
+        q_d = m.sum(axis=1)
+    steps = None
+    if kind.name == "volterra" and n_cells is not None:
+        steps = discrete_family(kind, lam_d, setup.dt, n_cells).steps
+
+    x0_d = x0_e = x0_diff = 0.0
+    if setup.x0 is not None and np.any(setup.x0):
+        a_e = _exact_terminal_first(setup)
+        x0 = setup.x0 if coupling is None else setup.x0 @ coupling.T  # project onto discrete modes
+        z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, n_cells)
+        a_d = _terminal_first(kind, lam_d, z_T, x0)
+        x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
+        cross = float(a_d @ a_e) if coupling is None else float(a_d @ (coupling @ a_e))
+        x0_diff = x0_d - 2.0 * cross + x0_e
+
+    i_dd = i_de = i_ee = 0.0
+    if setup.cov is not None:
+        if kind.name == "volterra":
+            dd, de, ee = _table_integrals(setup, lam_d, steps, coupling is not None, exact)
+        else:
+            dd, de, ee = _closed_form_integrals(kind, lam_d, lam, setup.T, n_cells, coupling is not None)
+        # one reduction for all three, so exact_scheme's equal rows give equal sums
+        i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((q_d, dd), (m, de), (q, ee)))
+    weak = (x0_d - x0_e) + (i_dd - i_ee)
+    quad = i_dd - 2.0 * i_de + i_ee  # the quadratic remainder
+    rep = (x0_d - x0_e) + quad + _CROSS_TERM_SIGN * 2.0 * (i_de - i_ee)
+    strong = float(np.sqrt(max(x0_diff + quad, 0.0)))
     return ErrorReport(strong_error=strong, weak_error_quadratic=weak, representation_value=rep)
+
+
+def strong_error(setup: Setup) -> float:
+    """L2(Omega) distance of the observable components at the final time."""
+    return error_report(setup).strong_error
+
+
+def weak_error_quadratic(setup: Setup) -> float:
+    """E g(observable of Xtilde(T)) - E g(observable of X(T)) for g = |.|^2."""
+    return error_report(setup).weak_error_quadratic
+
+
+def representation_quadratic(setup: Setup) -> float:
+    """The error-representation value for quadratic g: X0 term + the quadratic remainder + the cross term."""
+    return error_report(setup).representation_value
+
+
+def _weak_error_cellwise(setup: Setup) -> float:
+    """The weak error of a spectral scheme setup by a route apart from
+    error_report: step factors from discrete_family tables (for Volterra the
+    per-mode march cq_mode_solve) and the exact side from _cell_primitives
+    Gauss quadrature on the level's cells, one mode at a time."""
+    kind, lam, q, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.n_cells
+    if kind.name == "volterra":
+        march = [cq_mode_solve(lk, kind.rho, setup.dt, N, np.zeros(N), x0=1.0) for lk in lam]
+        steps = np.column_stack([np.ones(lam.size), np.array(march)])
+    else:
+        steps = discrete_family(kind, lam, setup.dt, N).steps
+    et = _discrete_noise_weights(steps[:, 1:], kind, lam)
+    ee = exact_side(kind, lam, setup.T, _level_edges(setup)).i_ee  # _cell_primitives, mode by mode
+    weak = q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee)
+    if setup.x0 is not None:
+        a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)
+        weak += a_d @ a_d - a_e @ a_e
+    return float(weak)
 
 
 # ----------------------------------------------------------------------------
@@ -681,8 +658,7 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
             dz = tilde - wave_exact_z(lam, s)
             out[i] = float(np.max(np.abs(dz) * lam ** (-alpha / 2.0)))
         else:
-            exact = _noise_factor(setup.kind, lam, float(s)) if setup.kind.name != "heat" else np.exp(-lam * s)
-            out[i] = float(np.max(np.abs(tilde.real - exact)))
+            out[i] = float(np.max(np.abs(tilde.real - _noise_factor(setup.kind, lam, float(s)))))
     return out
 
 
@@ -709,17 +685,6 @@ class CylindricalFunctional:
     def __call__(self, x: np.ndarray):
         v = np.cos(np.asarray(x, float)[..., self.mode - 1])
         return float(v) if v.ndim == 0 else v
-
-
-def _exact_jump_weights(setup: Setup, t_jump: np.ndarray, lam_per_jump: np.ndarray) -> np.ndarray:
-    """Observable factor of E(T - tau) B phi_k per jump."""
-    rem = setup.T - t_jump
-    if setup.kind.name == "heat":
-        return np.exp(-lam_per_jump * rem)
-    if setup.kind.name == "volterra":
-        return mittag_leffler_neg(setup.kind.rho, lam_per_jump * rem**setup.kind.rho)
-    rt = np.sqrt(lam_per_jump)
-    return np.sin(rt * rem) / rt
 
 
 def _mc_block_paths(setup: Setup) -> int:
@@ -763,7 +728,7 @@ def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> t
     et_weights = _discrete_noise_weights(steps_desc, setup.kind, lam)  # (K, N)
     x0_disc = x0_exact = 0.0
     if setup.x0 is not None and np.any(setup.x0):
-        x0_disc = _discrete_terminal_first(setup, lam, fam, setup.x0)
+        x0_disc = _terminal_first(setup.kind, lam, fam.steps[:, -1], setup.x0)
         x0_exact = _exact_terminal_first(setup)
     edges = _level_edges(setup)[1:]
     block = _mc_block_paths(setup)
@@ -772,7 +737,7 @@ def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> t
         P = min(block, n_paths - lo)
         coord, t, s = _compound_poisson_draws(setup.law, setup.T, P * K, stream(seed, b))
         mode = coord % K
-        x_exact = np.bincount(coord, weights=_exact_jump_weights(setup, t, lam[mode]) * s, minlength=P * K)
+        x_exact = np.bincount(coord, weights=_noise_factor(setup.kind, lam[mode], setup.T - t) * s, minlength=P * K)
         cell = np.searchsorted(edges, t, side="left")
         keep = cell < N  # right-closed cells (t_{n-1}, t_n]; nothing lies past T
         x_disc = np.bincount(coord[keep], weights=et_weights[mode[keep], cell[keep]] * s[keep], minlength=P * K)

@@ -205,19 +205,25 @@ def rational_wave_mode(scheme: str, dt: float, lam_h: float) -> np.ndarray:
     return wave_matrix_from_z(complex(wave_step_z(scheme, dt, lam_h)), lam_h)
 
 
-def wave_step_power(scheme: str, dt: float, lam_h, n) -> np.ndarray:
-    """n-step complex carrier; Crank-Nicolson goes through its exact angle so
-    the modulus stays 1 to rounding for any n."""
+def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
+    """log z of the one-step factor per mode, in forms that keep their digits
+    (y = dt sqrt(lam)): heat backward Euler -log1p(dt lam); wave
+    Crank-Nicolson -2i arctan(y/2), backward Euler -log1p(y^2)/2 - i arctan(y)
+    and the explicit step +log1p(y^2)/2 - i arctan(y)."""
     lam_h = np.asarray(lam_h, float)
-    n = np.asarray(n, float)
+    if kind.name == "heat":
+        return -np.log1p(dt * lam_h)
     y = dt * np.sqrt(lam_h)
-    if scheme == "crank_nicolson":
-        theta = 2.0 * np.arctan(y / 2.0)
-        return np.exp(-1j * n * theta)
-    z = rational_symbol(scheme)(1j * y)
-    mod = np.abs(z)
-    arg = np.angle(z)
-    return mod**n * np.exp(1j * n * arg)
+    if kind.scheme == "crank_nicolson":
+        return -2j * np.arctan(y / 2.0)
+    sign = -1.0 if kind.scheme == "backward_euler" else 1.0
+    return sign * 0.5 * np.log1p(y * y) - 1j * np.arctan(y)
+
+
+def wave_step_power(scheme: str, dt: float, lam_h, n) -> np.ndarray:
+    """n-step complex carrier e^(n log z); Crank-Nicolson keeps modulus 1 to
+    rounding for any n."""
+    return np.exp(np.asarray(n, float) * step_log(wave_kind(scheme), lam_h, dt))
 
 
 def i_stability_check(scheme: str, y_grid: np.ndarray, tol: float = 1e-12) -> tuple[bool, float]:

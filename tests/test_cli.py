@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import levyspde.errors
+import levyspde.studies
 from levyspde.cli import main
+from levyspde.errors import ErrorReport
 
 
 def run(capsys, *argv):
@@ -156,6 +158,24 @@ class TestStudyCommand:
         code, out, _ = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
         assert (tmp_path / "tiny-heat.csv").exists()
         assert code in (0, 2)  # rate gate may trip; config handling must not
+
+    def test_heat_preset_passes_its_gate(self, capsys, tmp_path):
+        # the gate fits the weak error against its dt log(T/dt) bound shape
+        code, out, _ = run(capsys, "study", "--preset", "heat-temporal-beta1", "--output", str(tmp_path))
+        assert code == 0
+        assert "of |weak|/log(T/dt)" in out and "FAIL" not in out
+
+    def test_weak_column_at_the_strong_rate_exits_2(self, capsys, tmp_path, monkeypatch):
+        real = levyspde.studies.error_report
+
+        def strong_as_weak(setup, exact=None):
+            r = real(setup, exact)
+            return ErrorReport(r.strong_error, r.strong_error, r.representation_value)
+
+        monkeypatch.setattr(levyspde.studies, "error_report", strong_as_weak)
+        code, out, _ = run(capsys, "study", "--preset", "heat-temporal-beta1", "--output", str(tmp_path))
+        assert code == 2
+        assert "FAIL" in out
 
     def test_byte_identical_csv_across_runs(self, capsys, tmp_path, fresh_python):
         paths = []

@@ -325,7 +325,7 @@ def per_path_reference(setup, g, n_paths, seed):
     fam = discrete_family(setup.kind, lam, setup.dt, setup.n_cells)
     et = errors._discrete_noise_weights(fam.steps[:, :0:-1], setup.kind, lam)
     x0_e = errors._exact_terminal_first(setup)
-    x0_d = errors._discrete_terminal_first(setup, lam, fam, setup.x0)
+    x0_d = errors._terminal_first(setup.kind, lam, fam.steps[:, -1], setup.x0)
     grid = np.linspace(0.0, setup.T, setup.n_cells + 1)
     block = errors._mc_block_paths(setup)
     diffs = []
@@ -342,7 +342,7 @@ def per_path_reference(setup, g, n_paths, seed):
             path = JumpPath(horizon=setup.T, times=times, sizes=sizes)
             x_exact = x0_e.copy()
             for k in range(K):
-                w = errors._exact_jump_weights(setup, path.times[k], np.full(path.times[k].size, lam[k]))
+                w = errors._noise_factor(setup.kind, np.full(path.times[k].size, lam[k]), setup.T - path.times[k])
                 x_exact[k] += sq[k] * np.sum(w * path.sizes[k])
             x_disc = np.einsum("kn,kn->k", et, increments_from_path(path, grid)) * sq + x0_d
             diffs.append(g(x_disc) - g(x_exact))
@@ -448,19 +448,51 @@ class TestSetupValidation:
 
 class TestExactSide:
     LADDER = (16, 32, 64, 128, 256)
+    SCHEMES = [heat_kind(), wave_kind("crank_nicolson"), wave_kind("backward_euler")]
 
-    @pytest.mark.parametrize("kind", [heat_kind(), wave_kind("crank_nicolson")], ids=["heat", "wave"])
+    @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
     def test_closed_forms_match_cell_quadrature(self, kind):
+        # the kernel's dd, de and ee rows against step tables and cellwise Gauss quadrature
         lam = dirichlet_spectrum(256).eigenvalues
-        exact = errors.exact_side(kind, lam, 1.0)
         for n in self.LADDER:
+            dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n, pairs=False)
             edges = np.linspace(0.0, 1.0, n + 1)
-            cells = exact.cells(edges)
+            et = errors._discrete_noise_weights(discrete_family(kind, lam, 1.0 / n, n).steps[:, 1:], kind, lam)
             for k in range(lam.size):
                 p1, p2 = errors._cell_primitives(kind, lam[k], edges)
-                scale = 1e-10 * exact.i_ee[k]
-                assert np.max(np.abs(cells(k) - p1)) <= scale, (n, k)
-                assert abs(exact.i_ee[k] - p2.sum()) <= scale, (n, k)
+                scale = 1e-10 * p2.sum()
+                assert abs(dd[k] - (et[k] @ et[k]) / n) <= scale, (n, k)
+                assert abs(de[k] - et[k] @ p1) <= scale, (n, k)
+                assert abs(ee[k] - p2.sum()) <= scale, (n, k)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
+    def test_closed_forms_against_high_precision_sums(self, kind, n):
+        # direct 40-digit sums over the cells; every row within 1e-14 of ee
+        import mpmath as mp
+
+        modes = [1, 2, 16, 256]
+        lam = (np.array(modes) * np.pi) ** 2
+        dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n, pairs=False)
+        with mp.workdps(40):
+            dt, i = mp.mpf(1) / n, mp.mpc(0, 1)
+            for j, k in enumerate(modes):
+                rt = k * mp.pi
+                t = [m * dt for m in range(n + 1)]
+                if kind.name == "heat":
+                    et = [(1 + dt * rt**2) ** -m for m in range(1, n + 1)]
+                    cells = [(mp.exp(-(rt**2) * a) - mp.exp(-(rt**2) * b)) / rt**2 for a, b in zip(t, t[1:])]
+                    ref_ee = -mp.expm1(-2 * rt**2) / (2 * rt**2)
+                else:
+                    y = rt * dt
+                    z = (2 - i * y) / (2 + i * y) if kind.scheme == "crank_nicolson" else 1 / (1 + i * y)
+                    et = [-(z**m).imag / rt for m in range(1, n + 1)]
+                    cells = [(mp.cos(rt * a) - mp.cos(rt * b)) / rt**2 for a, b in zip(t, t[1:])]
+                    ref_ee = 1 / (2 * rt**2) - mp.sin(2 * rt) / (4 * rt**3)
+                ref_dd = dt * mp.fsum(e * e for e in et)
+                ref_de = mp.fsum(e * c for e, c in zip(et, cells))
+                for got, ref in ((dd[j], ref_dd), (de[j], ref_de), (ee[j], ref_ee)):
+                    assert abs(got - float(ref)) <= 1e-14 * float(ref_ee), (k, got, ref)
 
     def test_volterra_table_differences_at_level_edges(self):
         kind = volterra_kind(1.5)
@@ -472,7 +504,7 @@ class TestExactSide:
             cells = exact.cells(edges)
             for k in range(lam.size):
                 p1, p2 = errors._cell_primitives(kind, lam[k], edges)
-                assert np.max(np.abs(cells(k) - p1)) <= 1e-12 * exact.i_ee[k]
+                assert np.max(np.abs(cells[k] - p1)) <= 1e-12 * exact.i_ee[k]
                 assert abs(exact.i_ee[k] - p2.sum()) <= 1e-12 * exact.i_ee[k]
         with pytest.raises(ValueError, match="not on the grid"):
             exact.cells(np.linspace(0.0, 1.0, 11))
@@ -481,3 +513,68 @@ class TestExactSide:
         setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
         with pytest.raises(ValueError, match="another equation"):
             error_report(setup, errors.exact_side(wave_kind(), setup.spec.eigenvalues, 1.0))
+
+
+class TestFemAssembly:
+    """On a FEM space every discrete mode couples to every exact one; the
+    pairwise assembly must match a dense cellwise oracle."""
+
+    @staticmethod
+    def oracle(setup):
+        """(weak, strong^2) from step tables (the CQ march for Volterra) and
+        _cell_primitives on the level's cells, or from Gauss quadrature on
+        global nodes for a time-exact level, summed over every (j, k) pair."""
+        from levyspde.propagators import cq_mode_solve
+        from levyspde.spectral import spectral_coupling
+
+        kind, lam, q, T, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.T, setup.n_cells
+        C = spectral_coupling(setup.fem, setup.spec)
+        lam_d = setup.fem.eigenvalues
+        m = C**2 * q[None, :]
+        if N is None:
+            nodes, w = errors._global_nodes(kind, max(lam[-1], lam_d[-1]), T)
+            a = errors._noise_factor(kind, lam_d[:, None], nodes[None, :])
+            b = errors._noise_factor(kind, lam[:, None], nodes[None, :])
+            dd, ee = (a * a) @ w, (b * b) @ w
+            de = np.array([[np.sum(w * a[j] * b[k]) for k in range(lam.size)] for j in range(lam_d.size)])
+            z_T = errors._terminal_factor(kind, lam_d, T)
+        else:
+            if kind.name == "volterra":
+                march = [cq_mode_solve(lj, kind.rho, T / N, N, np.zeros(N), x0=1.0) for lj in lam_d]
+                steps = np.column_stack([np.ones(lam_d.size), np.array(march)])
+            else:
+                steps = discrete_family(kind, lam_d, T / N, N).steps
+            et = errors._discrete_noise_weights(steps[:, 1:], kind, lam_d)
+            prims = [errors._cell_primitives(kind, lk, np.linspace(0.0, T, N + 1)) for lk in lam]
+            dd = (T / N) * np.array([et[j] @ et[j] for j in range(lam_d.size)])
+            de = np.array([[et[j] @ prims[k][0] for k in range(lam.size)] for j in range(lam_d.size)])
+            ee = np.array([p2.sum() for _, p2 in prims])
+            z_T = steps[:, -1]
+        i_dd, i_de, i_ee = float(m.sum(axis=1) @ dd), float(np.sum(m * de)), float(q @ ee)
+        a_d = errors._terminal_first(kind, lam_d, z_T, setup.x0 @ C.T)
+        a_e = errors._exact_terminal_first(setup)
+        x0_diff = a_d @ a_d - 2.0 * a_d @ (C @ a_e) + a_e @ a_e
+        return (a_d @ a_d - a_e @ a_e) + i_dd - i_ee, x0_diff + i_dd - 2.0 * i_de + i_ee, i_ee
+
+    @pytest.mark.parametrize(
+        "kind, n_cells",
+        [
+            (heat_kind(), 16),
+            (wave_kind("crank_nicolson"), 16),
+            (volterra_kind(1.5), 16),
+            (heat_kind(), None),
+            (wave_kind("crank_nicolson"), None),
+        ],
+        ids=["heat", "wave", "volterra", "heat-time-exact", "wave-time-exact"],
+    )
+    def test_error_report_against_dense_oracle(self, kind, n_cells):
+        x0 = np.array([1.0, -0.5, 0.25])
+        if kind.name == "wave":
+            x0 = np.stack([x0, 0.5 * x0[::-1]])
+        cov = CovarianceSpec(amplitude=1.0, decay=0.4)
+        setup = Setup(kind, dirichlet_spectrum(24), cov, CP, 1.0, n_cells=n_cells, fem=assemble_fem(8), x0=x0)
+        rep = error_report(setup)
+        weak, strong2, i_ee = self.oracle(setup)
+        assert abs(rep.weak_error_quadratic - weak) <= 1e-10 * i_ee
+        assert abs(rep.strong_error**2 - strong2) <= 1e-10 * i_ee
+        assert abs(rep.representation_value - weak) <= 1e-10 * i_ee

@@ -190,11 +190,12 @@ class TestWaveSchemes:
 
     def test_step_power_matches_matrix_power(self):
         lam, dt, n = 17.0, 0.05, 9
-        m = np.linalg.matrix_power(rational_wave_mode("backward_euler", dt, lam), n)
-        z = complex(wave_step_power("backward_euler", dt, lam, n))
-        np.testing.assert_allclose(
-            m, [[z.real, -z.imag / np.sqrt(lam)], [z.imag * np.sqrt(lam), z.real]], rtol=1e-12, atol=1e-14
-        )
+        for scheme in ("backward_euler", "crank_nicolson", "explicit_euler"):
+            m = np.linalg.matrix_power(rational_wave_mode(scheme, dt, lam), n)
+            z = complex(wave_step_power(scheme, dt, lam, n))
+            np.testing.assert_allclose(
+                m, [[z.real, -z.imag / np.sqrt(lam)], [z.imag * np.sqrt(lam), z.real]], rtol=1e-12, atol=1e-14
+            )
 
     def test_i_stability(self):
         y = np.linspace(-80.0, 80.0, 4001)
