@@ -15,9 +15,10 @@ noise structure, to weighted time integrals of squared mode factors:
 
 with all norms taken in the observable component (full state for heat and
 Volterra, first component for the wave system).  One assembly serves every
-setup: rows dd[j], ee[k] and de (per mode on the spectral space, per (discrete,
-exact) pair on a FEM space) weighted by q_d, q and m = q or C^2 q, C the
-FEM-to-sine coupling.  representation_sweep checks the regrouped value against
+setup: sine mode k meets one discrete mode j(k) with coupling c_k (the
+identity with c = 1 on the spectral space, spectral.alias_fold on a P1 space),
+so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
+m = c^2 q, m and q.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
 Heat and wave rows are closed forms.  A mode factor is e(s) = Re(c e^(mu s))
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .mittag_leffler import mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, hs_condition, stream
@@ -53,7 +55,7 @@ from .propagators import (
     step_log,
     wave_exact_z,
 )
-from .spectral import DirichletSpectrum, FemSpace, spectral_coupling
+from .spectral import DirichletSpectrum, FemSpace, alias_fold, spectral_coupling
 
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
@@ -104,8 +106,9 @@ class Setup:
         if self.x0 is not None:
             x0 = np.asarray(self.x0, float)
             want = 2 if self.kind.name == "wave" else 1
-            if x0.ndim != want:
-                raise ValueError(f"x0 must have ndim {want} for {self.kind.name}")
+            if x0.ndim != want or (want == 2 and x0.shape[0] != 2):
+                shape = "(2, K) position and velocity rows" if want == 2 else "(K,)"
+                raise ValueError(f"x0 for {self.kind.name} must have shape {shape}, got {x0.shape}")
             if x0.shape[-1] > self.spec.mode_count:
                 raise ValueError("x0 has more coefficients than spectrum modes")
             pad = self.spec.mode_count - x0.shape[-1]
@@ -150,7 +153,7 @@ class Setup:
 
 @lru_cache(maxsize=8)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     return x, w
 
 
@@ -405,11 +408,11 @@ def _re_products(a, la, b, lb, total):
     return 0.5 * (a * b * total(la + lb) + a * np.conj(b) * total(la + np.conj(lb))).real
 
 
-def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: int | None, pairs: bool):
-    """(dd, de, ee) for heat and wave: dd[j] = int_0^T etilde_j^2,
-    ee[k] = int_0^T e_k^2 and de = int_0^T etilde_j e_k, a (J, K) matrix when
-    pairs, else per mode (lam_d is lam).  n_cells None: etilde_j is the exact
-    factor at lam_d.  Otherwise etilde_j = Re(c z^n) on cell n, the cell
+def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: int | None):
+    """(dd, de, ee) per sine mode k for heat and wave: dd = int_0^T etilde^2,
+    de = int_0^T etilde e_k and ee = int_0^T e_k^2, etilde the discrete factor
+    at lam_d[k], the eigenvalue of mode k's partner.  n_cells None: etilde is
+    the exact factor at lam_d.  Otherwise etilde = Re(c z^n) on cell n, the cell
     integrals of e_k are Re(c e^(mu t_(n-1)) expm1(mu dt) / mu), and every sum
     over n is geometric."""
     c_d, mu_d = _carrier(kind, lam_d)
@@ -426,8 +429,6 @@ def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: in
         b, lb = c * _integral(mu, dt), mu * dt  # int_cell_n e = Re(b e^((n-1) mu dt))
         total = partial(_geometric, n=n_cells)
         dd = dt * _re_products(a, la, a, la, total)
-    if pairs:
-        a, la = a[:, None], la[:, None]
     return dd, _re_products(a, la, b, lb, total), ee
 
 
@@ -465,9 +466,10 @@ def _global_nodes(kind: EquationKind, lam_max: float, T: float, order: int = GAU
     return nodes.ravel(), w.ravel()
 
 
-def _table_integrals(setup: Setup, lam_d, steps, pairs: bool, exact: ExactSide | None):
+def _table_integrals(setup: Setup, lam_d, j, steps, exact: ExactSide | None):
     """(dd, de, ee) as in _closed_form_integrals, for Volterra, which has no
-    closed form.  Scheme levels: the CQ factor table steps (J, N+1) against
+    closed form; the discrete rows are built on the J distinct lam_d and
+    gathered by j.  Scheme levels: the CQ factor table steps (J, N+1) against
     the exact-side cell table.  Time-exact levels: Gauss quadrature on global
     nodes shared by both sides."""
     kind, lam = setup.kind, setup.spec.eigenvalues
@@ -475,15 +477,13 @@ def _table_integrals(setup: Setup, lam_d, steps, pairs: bool, exact: ExactSide |
         nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
         a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
         b = _noise_factor(kind, lam[:, None], nodes[None, :])  # (K, G)
-        de = (a * w) @ b.T if pairs else (a * b) @ w
-        return (a * a) @ w, de, (b * b) @ w
+        return _gather((a * a) @ w, j), (_gather(a, j) * b) @ w, (b * b) @ w
     edges = _level_edges(setup)
     if exact is None:
         exact = exact_side(kind, lam, setup.T, edges)
     et = steps[:, 1:]
-    cells = exact.cells(edges)
-    de = et @ cells.T if pairs else np.einsum("kn,kn->k", et, cells)
-    return setup.dt * np.einsum("jn,jn->j", et, et), de, exact.i_ee
+    dd = setup.dt * np.einsum("jn,jn->j", et, et)
+    return _gather(dd, j), np.einsum("kn,kn->k", _gather(et, j), exact.cells(edges)), exact.i_ee
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
@@ -515,6 +515,29 @@ def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np
     return fam_steps.real
 
 
+def _partner_map(setup: Setup):
+    """(lam_d, j, c): the discrete eigenvalues and alias_fold's (j, c); on the
+    spectral space or under exact_scheme the identity, j None and c = 1."""
+    if setup.fem is None or setup.exact_scheme:
+        return setup.spec.eigenvalues, None, 1.0
+    return (setup.fem.eigenvalues, *alias_fold(setup.fem, setup.spec))
+
+
+def _gather(rows: np.ndarray, j) -> np.ndarray:
+    """rows[j(k) - 1] per sine mode k, rows itself for the identity.  j = 0
+    picks the last row, which the weight c^2 q = 0 of such a mode cancels."""
+    return rows if j is None else rows[j - 1]
+
+
+def _fold(v: np.ndarray, j, c, J: int) -> np.ndarray:
+    """C v along the last axis of v, C the (J, K) coupling: one bincount of
+    c v over j per row; v itself for the identity."""
+    if j is None:
+        return v
+    rows = [np.bincount(j, weights=c * r, minlength=J + 1)[1:] for r in np.reshape(v, (-1, v.shape[-1]))]
+    return np.reshape(rows, v.shape[:-1] + (J,))
+
+
 def _level_edges(setup: Setup) -> np.ndarray:
     return np.linspace(0.0, setup.T, (setup.n_cells or 1) + 1)
 
@@ -531,9 +554,9 @@ class ErrorReport:
 def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
     """Strong, weak and representation values of one setup.
 
-    I_dd = q_d . dd, I_ee = q . ee and I_de = sum m * de, with m = q on the
-    spectral space and C^2 q (C the FEM-to-sine coupling) on a FEM space;
-    exact_scheme makes the discrete side the exact one.  exact is the study's
+    I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes, with
+    m = c^2 q from the partner map (m = q on the spectral space); exact_scheme
+    makes the discrete side the exact one.  exact is the study's
     Volterra exact side (see exact_side); without it a Volterra scheme level
     builds its own on the level's grid.
     """
@@ -543,13 +566,8 @@ def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
     if exact is not None and (exact.kind != kind or exact.T != setup.T or exact.lam.size != lam.size):
         raise ValueError("the exact side was built for another equation, horizon or truncation")
     n_cells = None if setup.exact_scheme else setup.n_cells
-    coupling = None
-    lam_d, m, q_d = lam, q, q
-    if setup.fem is not None and not setup.exact_scheme:
-        coupling = spectral_coupling(setup.fem, setup.spec)
-        lam_d = setup.fem.eigenvalues
-        m = coupling**2 * q[None, :]
-        q_d = m.sum(axis=1)
+    lam_d, j, c = _partner_map(setup)
+    m = c * c * q
     steps = None
     if kind.name == "volterra" and n_cells is not None:
         steps = discrete_family(kind, lam_d, setup.dt, n_cells).steps
@@ -557,21 +575,19 @@ def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
     x0_d = x0_e = x0_diff = 0.0
     if setup.x0 is not None and np.any(setup.x0):
         a_e = _exact_terminal_first(setup)
-        x0 = setup.x0 if coupling is None else setup.x0 @ coupling.T  # project onto discrete modes
         z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, n_cells)
-        a_d = _terminal_first(kind, lam_d, z_T, x0)
+        a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
-        cross = float(a_d @ a_e) if coupling is None else float(a_d @ (coupling @ a_e))
-        x0_diff = x0_d - 2.0 * cross + x0_e
+        x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
 
     i_dd = i_de = i_ee = 0.0
     if setup.cov is not None:
         if kind.name == "volterra":
-            dd, de, ee = _table_integrals(setup, lam_d, steps, coupling is not None, exact)
+            dd, de, ee = _table_integrals(setup, lam_d, j, steps, exact)
         else:
-            dd, de, ee = _closed_form_integrals(kind, lam_d, lam, setup.T, n_cells, coupling is not None)
+            dd, de, ee = _closed_form_integrals(kind, _gather(lam_d, j), lam, setup.T, n_cells)
         # one reduction for all three, so exact_scheme's equal rows give equal sums
-        i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((q_d, dd), (m, de), (q, ee)))
+        i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)
     quad = i_dd - 2.0 * i_de + i_ee  # the quadratic remainder
     rep = (x0_d - x0_e) + quad + _CROSS_TERM_SIGN * 2.0 * (i_de - i_ee)

@@ -34,16 +34,17 @@ with a ValueError rather than silently degraded.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 SERIES_CUTOFF = 5.0
 RHO_VERIFIED_MIN = 1.01
 _TERM_FLOOR = 1e-17  # share of the leading term below which a series term is dropped
 _MAX_TERMS = 120
 _BRIDGE_CHUNK = 2048 * 161  # (argument, node) pairs per branch-cut chunk
+_lgamma = np.vectorize(math.lgamma, otypes=[float])  # over at most _MAX_TERMS coefficients
 
 
 def _horner(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -59,7 +60,7 @@ def _horner(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _series_coeff(rho: float) -> np.ndarray:
     """1 / Gamma(rho j + 1), j = 0, 1, ..., for the power series in -x."""
     j = np.arange(_MAX_TERMS, dtype=float)
-    log_c = -gammaln(rho * j + 1.0)
+    log_c = -_lgamma(rho * j + 1.0)
     keep = j * np.log(SERIES_CUTOFF) + log_c > np.log(_TERM_FLOOR)  # the leading term is 1
     return np.exp(log_c[: int(np.nonzero(keep)[0].max()) + 1])
 
@@ -77,10 +78,10 @@ def _asymptotic_coeff(rho: float) -> np.ndarray:
     # Log-magnitudes of the terms at the switch point; keep the decreasing run
     # up to the smallest nonzero term, then only the terms above the floor.
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(sines) / np.pi) + gammaln(rho * j) - j * rho * np.log(60.0)
+        log_mag = np.log(np.abs(sines) / np.pi) + _lgamma(rho * j) - j * rho * np.log(60.0)
     run = log_mag[: int(np.argmin(np.where(np.isfinite(log_mag), log_mag, np.inf))) + 1]
     n = int(np.nonzero(run > run.max() + np.log(_TERM_FLOOR))[0].max()) + 1
-    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(gammaln(rho * j[:n]))
+    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(_lgamma(rho * j[:n]))
     return np.concatenate([[0.0], coeff])
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .spectral import DirichletSpectrum
 
@@ -27,8 +28,8 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
     Counter-based, so streams are reproducible regardless of creation order.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,12 @@
 Everything downstream works in one of two orthonormal bases: the exact sine
 eigenbasis of the Laplacian on (0, length), or the mass-orthonormal generalized
 eigenbasis of the (stiffness, mass) pencil of a uniform piecewise-linear FEM
-space.  All inner products between the two bases have closed forms, so no
-quadrature is involved in the setup.
+space.  On the uniform mesh h = 1/M the pencil's eigenvectors are the sampled
+sines sin(j pi x_i), so its eigenvalues and its coupling to the sine basis are
+closed forms (Strang & Fix, An Analysis of the Finite Element Method, 1973,
+section 6): no matrix is assembled and nothing is solved.  By discrete sine
+orthogonality sine mode k couples to exactly one discrete mode, its alias
+j = +-k (mod 2M); alias_fold returns that map.
 """
 
 from __future__ import annotations
@@ -12,10 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-
-# Residual tolerance for the generalized eigensolve, relative to each eigenvalue.
-EIG_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,111 +52,64 @@ def dirichlet_spectrum(K: int, length: float = 1.0) -> DirichletSpectrum:
 class FemSpace:
     """Uniform P1 finite elements on (0,1) with M cells and M-1 interior nodes.
 
-    mass/stiffness are dense symmetric tridiagonal matrices; eigenpairs solve
-    stiffness @ v = lam * mass @ v with mass-orthonormal eigenvector columns.
+    eigenvalues[j-1] = 6 M^2 (1 - cos(j pi h)) / (2 + cos(j pi h)), j = 1..M-1,
+    solve stiffness @ v = lam * mass @ v; the mass-orthonormal eigenvector of
+    mode j has nodal values sqrt(6 / (2 + cos(j pi h))) sin(j pi x_i).
     """
 
     cell_count: int
-    mass: np.ndarray = field(repr=False)
-    stiffness: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)  # columns, V.T @ mass @ V = I
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.cell_count
 
     @property
     def interior_dim(self) -> int:
         return self.cell_count - 1
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(1, self.cell_count) * self.h
+
+def _versine(j, M: int):
+    """1 - cos(j pi / M), as 2 sin^2(j pi / 2M) to keep its digits at small j."""
+    return 2.0 * np.sin(j * np.pi / (2 * M)) ** 2
 
 
 def assemble_fem(M: int) -> FemSpace:
-    """Assemble the uniform P1 mass/stiffness pair and its generalized eigenpairs."""
+    """The uniform P1 space with M cells and its generalized eigenvalues, ascending."""
     M = int(M)
     if M < 2:
         raise ValueError(f"need at least one interior node, got M={M}")
-    n = M - 1
-    h = 1.0 / M
-    mass = np.zeros((n, n))
-    stiff = np.zeros((n, n))
-    idx = np.arange(n)
-    mass[idx, idx] = 4.0 * h / 6.0
-    stiff[idx, idx] = 2.0 / h
-    if n > 1:
-        mass[idx[:-1], idx[:-1] + 1] = h / 6.0
-        mass[idx[:-1] + 1, idx[:-1]] = h / 6.0
-        stiff[idx[:-1], idx[:-1] + 1] = -1.0 / h
-        stiff[idx[:-1] + 1, idx[:-1]] = -1.0 / h
-    lam, vec = scipy.linalg.eigh(stiff, mass)
-    order = np.argsort(lam)
-    lam = lam[order]
-    vec = vec[:, order]
-    resid = np.abs(stiff @ vec - mass @ vec * lam[None, :]).max(axis=0)
-    if np.any(resid > EIG_RESIDUAL_RTOL * lam):
-        raise RuntimeError(
-            f"generalized eigensolve residual {resid.max():.3e} exceeds "
-            f"{EIG_RESIDUAL_RTOL:.0e} * eigenvalue at M={M}"
-        )
-    return FemSpace(cell_count=M, mass=mass, stiffness=stiff, eigenvalues=lam, eigenvectors=vec)
+    v = _versine(np.arange(1, M), M)
+    return FemSpace(cell_count=M, eigenvalues=6.0 * M * M * v / (3.0 - v))
 
 
-def cross_gram(fem: FemSpace, spec: DirichletSpectrum) -> np.ndarray:
-    """G[i, k] = integral of hat_i(x) * sqrt(2) sin((k+1) pi x) over (0,1).
+def alias_fold(fem: FemSpace, spec: DirichletSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(j, c): the discrete mode j[k-1] (1-based; 0 for none) that sine mode k
+    couples to, and the signed coupling c[k-1] = <psi_j, phi_k>_{L2}.
 
-    Closed form from the exact antiderivative of sin against a hat function:
-        G[i, k] = sqrt(2) * 2 (1 - cos(a h)) sin(a x_i) / (a^2 h),  a = (k+1) pi.
+    sum_i sin(j pi x_i) sin(k pi x_i) is M/2 for k = j, -M/2 for k = -j
+    (mod 2M) and 0 otherwise, so k meets only j = k mod 2M folded into 1..M-1,
+    and none when k = 0 or M (mod 2M).  Against the hat functions,
+    <hat_i, phi_k> = sqrt(2) 2 (1 - cos(k pi h)) sin(k pi x_i) / ((k pi)^2 h),
+    which gives c = +-sqrt(6 / (2 + cos(k pi h))) sqrt(2) (1 - cos(k pi h)) M^2 / (k pi)^2,
+    + for k = j and - for k = -j (mod 2M); cos(k pi h) = cos(j pi h) there.
     """
     if spec.domain_length != 1.0:
-        raise ValueError("cross_gram requires the unit interval")
-    a = np.sqrt(spec.eigenvalues)[None, :]  # (k pi), shape (1, K)
-    x = fem.nodes[:, None]
-    h = fem.h
-    return np.sqrt(2.0) * 2.0 * (1.0 - np.cos(a * h)) * np.sin(a * x) / (a**2 * h)
-
-
-def l2_project_mode(fem: FemSpace, spec: DirichletSpectrum, k: int) -> np.ndarray:
-    """Coefficients of the L2 projection of sine mode k in the discrete eigenbasis.
-
-    Solves mass @ c = G[:, k-1] for nodal values, then d = V.T @ mass @ c = V.T @ G[:, k-1].
-    Mode index k is 1-based.
-    """
-    if not 1 <= k <= spec.mode_count:
-        raise ValueError(f"mode index {k} outside 1..{spec.mode_count}")
-    g = cross_gram(fem, spec)[:, k - 1]
-    return fem.eigenvectors.T @ g
+        raise ValueError("the alias fold requires the unit interval")
+    M = fem.cell_count
+    k = np.arange(1, spec.mode_count + 1)
+    r = k % (2 * M)
+    j = np.where(r < M, r, 2 * M - r) * (r != M)
+    v = _versine(j, M)
+    c = np.sqrt(6.0 / (3.0 - v)) * np.sqrt(2.0) * v * M * M / (k * np.pi) ** 2
+    return j, np.where(r < M, c, -c)  # c = 0 where j = 0
 
 
 def spectral_coupling(fem: FemSpace, spec: DirichletSpectrum) -> np.ndarray:
-    """C[j, k] = <psi_j, phi_k>_{L2} between discrete and exact eigenfunctions.
+    """C[j, k] = <psi_j, phi_k>_{L2} between discrete and exact eigenfunctions,
+    the alias fold scattered into a dense (J, K) array (one nonzero per column).
 
     Because the discrete eigenvectors are mass-orthonormal these are
     simultaneously the eigen-coordinates of the projected modes P_h phi_k.
     """
-    return fem.eigenvectors.T @ cross_gram(fem, spec)
-
-
-@dataclass(frozen=True)
-class DotHVector:
-    """Coefficients in the sine eigenbasis, carried with a regularity order tag."""
-
-    coefficients: np.ndarray
-    order: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", np.atleast_1d(np.asarray(self.coefficients, float)))
-
-
-def dot_norm(v: DotHVector | np.ndarray, spec: DirichletSpectrum, alpha: float) -> float:
-    """Fractional norm (sum_k lam_k^alpha v_k^2)^(1/2) over the stored truncation."""
-    coeff = v.coefficients if isinstance(v, DotHVector) else np.atleast_1d(np.asarray(v, float))
-    if coeff.size > spec.mode_count:
-        raise ValueError(f"coefficient vector longer ({coeff.size}) than spectrum ({spec.mode_count})")
-    lam = spec.eigenvalues[: coeff.size]
-    if alpha == 0.0:
-        return float(np.linalg.norm(coeff))
-    return float(np.sqrt(np.sum(lam**alpha * coeff**2)))
+    j, c = alias_fold(fem, spec)
+    C = np.zeros((fem.interior_dim, spec.mode_count))
+    live = np.nonzero(j)[0]
+    C[j[live] - 1, live] = c[live]
+    return C

@@ -164,6 +164,8 @@ class StudyConfig:
             raise ValueError("ladder must be strictly decreasing")
         if self.g not in ("quadratic", "cylindrical_cos"):
             raise ValueError(f"unknown test functional {self.g!r}")
+        if not 1 <= self.g_mode <= self.modes:
+            raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode}")
         if self.axis == "spatial":
             for h in self.ladder:
                 m = 1.0 / h

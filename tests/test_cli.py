@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestStudyCommand:
         )
         code, _, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
         assert code == 1 and "unknown config keys ['threads']" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"equation": "wave", "x0": [[1.0], [0.0], [0.5]]}, r"shape \(2, K\)"),
+            ({"equation": "heat", "g": "cylindrical_cos", "g_mode": 65, "mc": {"paths": 10}}, "g_mode"),
+        ],
+        ids=["wave-x0-three-rows", "g-mode-past-modes"],
+    )
+    def test_bad_shape_or_mode_index_exit_1(self, capsys, tmp_path, extra, message):
+        cfg = tmp_path / "bad.json"
+        base = {"schema_version": 1, "axis": "temporal", "beta": 0.75, "modes": 64, "ladder": [2**-3, 2**-4, 2**-5, 2**-6]}
+        cfg.write_text(json.dumps({**base, **extra}))
+        code, _, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and "Traceback" not in err
+        assert re.search(message, err)
 
 
 class TestVerifyRepresentation:

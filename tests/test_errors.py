@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -416,8 +418,10 @@ class TestSetupValidation:
             Setup(wave_kind("explicit_euler"), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4)
 
     def test_wave_x0_needs_two_components(self):
-        with pytest.raises(ValueError):
-            Setup(wave_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4, x0=np.ones(4))
+        # a (1, K) x0 would fail later with an IndexError, a third row would be dropped silently
+        for shape in [(4,), (1, 4), (3, 4)]:
+            with pytest.raises(ValueError, match=r"shape \(2, K\).*got %s" % re.escape(str(shape))):
+                Setup(wave_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4, x0=np.ones(shape))
 
     def test_fem_outrunning_spectrum_refused(self):
         with pytest.raises(ValueError, match="raise the spectral truncation"):
@@ -455,7 +459,7 @@ class TestExactSide:
         # the kernel's dd, de and ee rows against step tables and cellwise Gauss quadrature
         lam = dirichlet_spectrum(256).eigenvalues
         for n in self.LADDER:
-            dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n, pairs=False)
+            dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n)
             edges = np.linspace(0.0, 1.0, n + 1)
             et = errors._discrete_noise_weights(discrete_family(kind, lam, 1.0 / n, n).steps[:, 1:], kind, lam)
             for k in range(lam.size):
@@ -473,7 +477,7 @@ class TestExactSide:
 
         modes = [1, 2, 16, 256]
         lam = (np.array(modes) * np.pi) ** 2
-        dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n, pairs=False)
+        dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n)
         with mp.workdps(40):
             dt, i = mp.mpf(1) / n, mp.mpc(0, 1)
             for j, k in enumerate(modes):
@@ -516,20 +520,22 @@ class TestExactSide:
 
 
 class TestFemAssembly:
-    """On a FEM space every discrete mode couples to every exact one; the
-    pairwise assembly must match a dense cellwise oracle."""
+    """error_report weighs one row per sine mode through the alias fold; it
+    must match a dense oracle that pairs every discrete mode with every exact
+    one through an eigensolver's coupling."""
 
     @staticmethod
     def oracle(setup):
         """(weak, strong^2) from step tables (the CQ march for Volterra) and
         _cell_primitives on the level's cells, or from Gauss quadrature on
-        global nodes for a time-exact level, summed over every (j, k) pair."""
+        global nodes for a time-exact level, summed over every (j, k) pair of
+        the dense coupling C: eigh of the P1 pencil against the cross-Gram."""
+        from p1_oracle import dense_coupling
+
         from levyspde.propagators import cq_mode_solve
-        from levyspde.spectral import spectral_coupling
 
         kind, lam, q, T, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.T, setup.n_cells
-        C = spectral_coupling(setup.fem, setup.spec)
-        lam_d = setup.fem.eigenvalues
+        lam_d, C = dense_coupling(setup.fem.cell_count, setup.spec.mode_count)
         m = C**2 * q[None, :]
         if N is None:
             nodes, w = errors._global_nodes(kind, max(lam[-1], lam_d[-1]), T)
@@ -564,13 +570,16 @@ class TestFemAssembly:
             (volterra_kind(1.5), 16),
             (heat_kind(), None),
             (wave_kind("crank_nicolson"), None),
+            (volterra_kind(1.5), None),
         ],
-        ids=["heat", "wave", "volterra", "heat-time-exact", "wave-time-exact"],
+        ids=["heat", "wave", "volterra", "heat-time-exact", "wave-time-exact", "volterra-time-exact"],
     )
     def test_error_report_against_dense_oracle(self, kind, n_cells):
-        x0 = np.array([1.0, -0.5, 0.25])
+        # modes 12 and 20 alias to j = -4 and j = 4 (mod 16) on M = 8, so the fold's sign is seen
+        x0 = np.zeros(24)
+        x0[[0, 1, 2, 11, 19]] = [1.0, -0.5, 0.25, 0.3, -0.2]
         if kind.name == "wave":
-            x0 = np.stack([x0, 0.5 * x0[::-1]])
+            x0 = np.stack([x0, 0.5 * np.roll(x0, 1)])
         cov = CovarianceSpec(amplitude=1.0, decay=0.4)
         setup = Setup(kind, dirichlet_spectrum(24), cov, CP, 1.0, n_cells=n_cells, fem=assemble_fem(8), x0=x0)
         rep = error_report(setup)
@@ -578,3 +587,35 @@ class TestFemAssembly:
         assert abs(rep.weak_error_quadratic - weak) <= 1e-10 * i_ee
         assert abs(rep.strong_error**2 - strong2) <= 1e-10 * i_ee
         assert abs(rep.representation_value - weak) <= 1e-10 * i_ee
+
+    @pytest.mark.parametrize("kind, K", [(heat_kind(), 1024), (wave_kind("crank_nicolson"), 512)], ids=["heat", "wave"])
+    def test_fine_mesh_weak_error_against_high_precision_fold(self, kind, K):
+        """At M = 128 the weak error of a time-exact spatial level (the spatial
+        presets' finest mesh, decay 0.3) within 3e-13 I_ee of a 40-digit sum of
+        the fold: I_dd - I_ee = sum_k q_k (c_k^2 dd(lam_j(k)) - ee(lam_k))."""
+        import mpmath as mp
+
+        M, decay = 128, 0.3
+        setup = Setup(kind, dirichlet_spectrum(K), CovarianceSpec(1.0, decay), CP, 1.0, fem=assemble_fem(M))
+        with mp.workdps(40):
+
+            def row(lam):  # int_0^1 e(s)^2 ds of the exact factor at lam
+                if kind.name == "heat":
+                    return -mp.expm1(-2 * lam) / (2 * lam)
+                rt = mp.sqrt(lam)
+                return (1 - mp.sin(2 * rt) / (2 * rt)) / (2 * lam)
+
+            weak = i_ee = mp.mpf(0)
+            for k in range(1, K + 1):
+                lam, q = (k * mp.pi) ** 2, (k * mp.pi) ** (-2 * decay)
+                ee = q * row(lam)
+                i_ee += ee
+                r = k % (2 * M)
+                if r in (0, M):
+                    weak -= ee
+                    continue
+                cos = mp.cos(mp.pi * r / M)
+                c2 = 6 / (2 + cos) * 2 * (1 - cos) ** 2 * M**4 / (k * mp.pi) ** 4
+                weak += q * c2 * row(6 * M**2 * (1 - cos) / (2 + cos)) - ee
+        got = error_report(setup).weak_error_quadratic
+        assert abs(got - float(weak)) <= 3e-13 * float(i_ee)

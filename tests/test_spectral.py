@@ -4,15 +4,8 @@ import pytest
 import scipy.integrate
 from hypothesis import strategies as st
 
-from levyspde.spectral import (
-    DotHVector,
-    assemble_fem,
-    cross_gram,
-    dirichlet_spectrum,
-    dot_norm,
-    l2_project_mode,
-    spectral_coupling,
-)
+from levyspde.spectral import alias_fold, assemble_fem, dirichlet_spectrum, spectral_coupling
+from p1_oracle import cross_gram, dense_coupling, dense_pencil, nodes
 
 
 def hat(i, x, h):
@@ -48,13 +41,13 @@ class TestDirichletSpectrum:
 class TestFem:
     def test_single_interior_node_by_hand(self):
         # h = 1/2: mass = integral of the hat squared = 1/3, stiffness = 2/h = 4
-        fem = assemble_fem(2)
-        assert fem.mass[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert fem.stiffness[0, 0] == pytest.approx(4.0, rel=1e-15)
-        assert fem.eigenvalues[0] == pytest.approx(12.0, rel=1e-14)
+        mass, stiffness = dense_pencil(2)
+        assert mass[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert stiffness[0, 0] == pytest.approx(4.0, rel=1e-15)
+        assert assemble_fem(2).eigenvalues[0] == pytest.approx(12.0, rel=1e-14)
 
     def test_m4_discrete_eigenvalue_closed_form(self):
-        # dense generalized eigensolve must reproduce the uniform-mesh formula
+        # the uniform-mesh formula in its textbook form 6/h^2 (1 - cos)/(2 + cos)
         fem = assemble_fem(4)
         h = 0.25
         expect = (6.0 / h**2) * (1.0 - np.cos(np.pi * h)) / (2.0 + np.cos(np.pi * h))
@@ -68,11 +61,26 @@ class TestFem:
         with pytest.raises(ValueError):
             assemble_fem(1)
 
+    @staticmethod
+    def sampled_sines(M):
+        """The closed-form eigenvector columns sqrt(6/(2 + cos(j pi h))) sin(j pi x_i)."""
+        j = np.arange(1, M)
+        return np.sqrt(6.0 / (2.0 + np.cos(j * np.pi / M)))[None, :] * np.sin(np.pi * np.outer(nodes(M), j))
+
     @pytest.mark.parametrize("M", [8, 32, 128, 512])
     def test_mass_orthonormality(self, M):
-        fem = assemble_fem(M)
-        gram = fem.eigenvectors.T @ fem.mass @ fem.eigenvectors
+        V = self.sampled_sines(M)
+        gram = V.T @ dense_pencil(M)[0] @ V
         assert np.abs(gram - np.eye(M - 1)).max() <= 1e-10
+
+    @pytest.mark.parametrize("M", [8, 128, 512])
+    def test_closed_form_eigenpairs_solve_the_dense_pencil(self, M):
+        # stiffness v_j = lam_j mass v_j, residual relative to lam_j (mass V has entries of order h)
+        mass, stiffness = dense_pencil(M)
+        V, lam = self.sampled_sines(M), assemble_fem(M).eigenvalues
+        resid = np.abs(stiffness @ V - (mass @ V) * lam[None, :]).max(axis=0)
+        assert np.all(resid <= 1e-12 * lam)
+        assert np.all(np.diff(lam) > 0)
 
     @pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256, 512])
     def test_eigenvalue_envelope(self, M):
@@ -93,23 +101,22 @@ class TestFem:
 
 
 class TestCrossGram:
+    """The tests' cross-Gram oracle, and the unit-interval guard of the fold."""
+
     def test_matches_adaptive_quadrature(self):
-        fem = assemble_fem(7)
-        spec = dirichlet_spectrum(11)
-        G = cross_gram(fem, spec)
+        h = 1.0 / 7
+        G = cross_gram(7, 11)
         rng = np.random.default_rng(3)
         for i, k in zip(rng.integers(0, 6, size=6), rng.integers(0, 11, size=6)):
-            f = lambda x: hat(i, x, fem.h) * np.sqrt(2.0) * np.sin((k + 1) * np.pi * x)
+            f = lambda x: hat(i, x, h) * np.sqrt(2.0) * np.sin((k + 1) * np.pi * x)
             # integrate each smooth side of the hat's kink separately
-            left, _ = scipy.integrate.quad(f, i * fem.h, (i + 1) * fem.h, limit=200)
-            right, _ = scipy.integrate.quad(f, (i + 1) * fem.h, (i + 2) * fem.h, limit=200)
+            left, _ = scipy.integrate.quad(f, i * h, (i + 1) * h, limit=200)
+            right, _ = scipy.integrate.quad(f, (i + 1) * h, (i + 2) * h, limit=200)
             assert abs(G[i, k] - (left + right)) <= 1e-12
 
     def test_reflection_symmetry(self):
         # sin(k pi (1-x)) = (-1)^(k+1) sin(k pi x) mirrors the Gram rows
-        fem = assemble_fem(8)
-        spec = dirichlet_spectrum(6)
-        G = cross_gram(fem, spec)
+        G = cross_gram(8, 6)
         for k in range(6):
             sign = (-1.0) ** k  # k zero-based: mode k+1
             np.testing.assert_allclose(G[::-1, k], sign * G[:, k], atol=1e-14)
@@ -119,76 +126,48 @@ class TestCrossGram:
         k = 3
         errs = []
         for M in (16, 32, 64):
-            fem = assemble_fem(M)
-            spec = dirichlet_spectrum(8)
-            c = np.linalg.solve(fem.mass, cross_gram(fem, spec)[:, k - 1])
-            exact = np.sqrt(2.0) * np.sin(k * np.pi * fem.nodes)
+            c = np.linalg.solve(dense_pencil(M)[0], cross_gram(M, 8)[:, k - 1])
+            exact = np.sqrt(2.0) * np.sin(k * np.pi * nodes(M))
             errs.append(np.abs(c - exact).max())
         order = np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
         assert order <= -1.8
 
     def test_requires_unit_interval(self):
-        with pytest.raises(ValueError):
-            cross_gram(assemble_fem(4), dirichlet_spectrum(3, length=2.0))
+        with pytest.raises(ValueError, match="unit interval"):
+            alias_fold(assemble_fem(4), dirichlet_spectrum(3, length=2.0))
 
 
 class TestProjection:
+    """Column k of the coupling holds the discrete eigen-coordinates of the
+    L2 projection of sine mode k."""
+
     def test_concentrates_on_matching_mode(self):
-        fem = assemble_fem(512)
-        spec = dirichlet_spectrum(8)
+        C = spectral_coupling(assemble_fem(512), dirichlet_spectrum(8))
         for k in (1, 4, 8):
-            d = l2_project_mode(fem, spec, k)
+            d = C[:, k - 1]
             assert abs(abs(d[k - 1]) - 1.0) <= 1e-6
             assert np.delete(np.abs(d), k - 1).max() <= 1e-6
 
     @hypothesis.given(st.integers(min_value=1, max_value=12), st.integers(min_value=3, max_value=40))
     def test_projection_contracts(self, k, M):
-        spec = dirichlet_spectrum(12)
-        d = l2_project_mode(assemble_fem(M), spec, k)
+        d = spectral_coupling(assemble_fem(M), dirichlet_spectrum(12))[:, k - 1]
         assert np.sum(d**2) <= 1.0 + 1e-12
 
     def test_single_cell_closed_form(self):
         # one interior node: coefficient is <hat, phi_1> / sqrt(1/3)
-        fem = assemble_fem(2)
-        spec = dirichlet_spectrum(2)
-        d = l2_project_mode(fem, spec, 1)
+        d = spectral_coupling(assemble_fem(2), dirichlet_spectrum(2))[:, 0]
         inner = 4.0 * np.sqrt(2.0) / np.pi**2  # exact integral of hat * sqrt2 sin(pi x)
         assert abs(d[0]) == pytest.approx(inner / np.sqrt(1.0 / 3.0), rel=1e-12)
 
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            l2_project_mode(assemble_fem(4), dirichlet_spectrum(3), 4)
-
     def test_coupling_columns_are_projections(self):
-        fem = assemble_fem(16)
-        spec = dirichlet_spectrum(10)
-        C = spectral_coupling(fem, spec)
-        for k in (1, 5, 10):
-            np.testing.assert_allclose(C[:, k - 1], l2_project_mode(fem, spec, k), atol=1e-14)
-
-
-class TestDotNorm:
-    def test_alpha_zero_unit_vector(self):
-        spec = dirichlet_spectrum(4)
-        assert dot_norm(DotHVector([1.0, 0.0, 0.0]), spec, 0.0) == 1.0
-
-    def test_alpha_two_first_mode(self):
-        spec = dirichlet_spectrum(4)
-        assert dot_norm(DotHVector([1.0]), spec, 2.0) == pytest.approx(np.pi**2, rel=1e-15)
-
-    def test_negative_order(self):
-        spec = dirichlet_spectrum(4)
-        expect = np.sqrt(np.pi**-2 + (2 * np.pi) ** -2)
-        assert dot_norm(DotHVector([1.0, 1.0]), spec, -1.0) == pytest.approx(expect, rel=1e-14)
-
-    def test_truncation_guard(self):
-        with pytest.raises(ValueError):
-            dot_norm(DotHVector(np.ones(5)), dirichlet_spectrum(4), 0.0)
-
-    @hypothesis.given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=16)
-    )
-    def test_alpha_zero_is_euclidean(self, coeffs):
-        spec = dirichlet_spectrum(16)
-        v = np.asarray(coeffs)
-        assert dot_norm(DotHVector(v), spec, 0.0) == float(np.linalg.norm(v))
+        # the fold against eigh eigenvectors times the cross-Gram, five sheets of aliases
+        for M in (2, 3, 8, 64, 128):
+            K = 5 * M
+            lam_d, C = dense_coupling(M, K)
+            fem, spec = assemble_fem(M), dirichlet_spectrum(K)
+            fold = spectral_coupling(fem, spec)
+            assert np.abs(fold - C).max() <= 1e-11
+            np.testing.assert_allclose(fem.eigenvalues, lam_d, rtol=1e-11)
+            j, _ = alias_fold(fem, spec)
+            assert np.all((j == 0) == np.isin(np.arange(1, K + 1) % (2 * M), (0, M)))
+            assert np.all(np.count_nonzero(fold, axis=0) == (j > 0))

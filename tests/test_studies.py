@@ -126,6 +126,13 @@ class TestConfigValidation:
         )
         assert vol.decay == pytest.approx(0.5 - 2.0 / 3.0 + 0.55)
 
+    def test_g_mode_must_index_a_mode(self):
+        # 0 would read the last mode and modes + 1 would raise an IndexError inside the MC
+        assert self.base(modes=16, g="cylindrical_cos", g_mode=16).g_mode == 16
+        for bad in (0, 17):
+            with pytest.raises(ValueError, match=r"g_mode must be a mode index in 1\.\.16"):
+                self.base(modes=16, g="cylindrical_cos", g_mode=bad)
+
     def test_divergent_covariance_refused(self):
         cfg = self.base(beta=1.2)  # decay derived stays at the margin, fine
         cfg = self.base(beta=1.0, cov_decay=0.2)
@@ -259,6 +266,34 @@ class TestDeterminism:
             "sys.stdout.write(csv_text(run_study(preset_studies()['wave-temporal-mc'])))",
         )
         assert csv_text(run_study(cfg)) == fresh
+
+
+class TestRuntimeDependencies:
+    def test_spatial_studies_run_without_scipy(self, fresh_python):
+        # scipy is a test extra only: the library and a spatial study never import it
+        out = fresh_python(
+            "-c",
+            "import sys, levyspde\n"
+            "from levyspde import StudyConfig, heat_kind, run_study, volterra_kind\n"
+            "ladder = (1 / 4, 1 / 8, 1 / 16, 1 / 32)\n"
+            "run_study(StudyConfig('h', heat_kind(), 'spatial', 0.75, modes=64, ladder=ladder))\n"
+            "run_study(StudyConfig('v', volterra_kind(1.5), 'spatial', 0.5, modes=32, ladder=ladder, fixed_cells=8))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert out.strip() == "[]"
+
+    def test_names_the_benchmark_tracer_wraps_stay_importable(self):
+        # studybench/tracer.py installs its spans at these (module, name) pairs
+        import importlib
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "studybench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("studybench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for _, module, attr in tracer.WRAPPED:
+            assert callable(getattr(importlib.import_module(f"levyspde.{module}"), attr)), (module, attr)
 
 
 class TestStudyExactSide:
