@@ -25,15 +25,19 @@ Heat and wave rows are closed forms.  A mode factor is e(s) = Re(c e^(mu s))
 (heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)), a step
 factor Re(c z^n), so Re u Re v = Re(uv + u conj(v))/2 turns every row into
 geometric sums expm1(N log xi)/expm1(log xi) or integrals expm1(nu T)/nu.
-Volterra has none: its scheme rows pair the CQ factor table with an ExactSide,
-one cumulative table of cellwise Gauss quadrature (partitions refined per
-mode, the first cell graded toward the s^rho branch point at s = 0) built once
-per study; its time-exact rows use Gauss quadrature on shared global nodes.
+Volterra rows have no such form, but its exact side has two: the cell
+integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
+which its scheme rows pair with the CQ factor table, and
+I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
+read for every mode from one cumulative Gauss table (the first cell graded
+toward the u^rho branch point at u = 0).  Each level computes both for
+itself.  Its time-exact rows use Gauss quadrature on shared global nodes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -60,11 +64,17 @@ from .spectral import DirichletSpectrum, FemSpace, alias_fold, spectral_coupling
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
+_ML_BLOCK = 4096  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
 # Sign of the cross-term contribution in the representation assembly.  +1.0 is
 # the correct value; tests flip it to confirm the verification gate trips.
 _CROSS_TERM_SIGN = 1.0
+
+
+def _is_count(n) -> bool:
+    """n is an integer >= 1 (not a float with an integral value, not a bool)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
 class RegularityError(ValueError):
@@ -97,8 +107,8 @@ class Setup:
             raise ValueError("horizon T must be > 0")
         if self.n_cells is None and not self.exact_scheme and self.fem is None:
             raise ValueError("a spectral setup needs a time grid (n_cells) or exact_scheme")
-        if self.n_cells is not None and self.n_cells < 1:
-            raise ValueError("n_cells must be >= 1")
+        if self.n_cells is not None and not _is_count(self.n_cells):
+            raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
         if self.kind.name == "wave" and not self.exact_scheme and self.n_cells is not None:
             ok, worst = i_stability_check(self.kind.scheme, np.linspace(-64.0, 64.0, 2049))
             if not ok:
@@ -195,187 +205,6 @@ def _osc_freq(kind: EquationKind, lam: float) -> float | None:
     return float(np.sqrt(lam))
 
 
-def _algebraic_tail(kind: EquationKind) -> bool:
-    return kind.name == "volterra"
-
-
-def _refine(a: float, b: float, scale: float | None, freq: float | None, algebraic: bool) -> np.ndarray:
-    """Breakpoints subdividing [a, b] so Gauss quadrature resolves the factor."""
-    pts = [a, b]
-    if scale is not None and (b - a) > 2.0 * scale and a < _DEAD_SPAN * scale:
-        offs = 2.0 * scale * 2.0 ** np.arange(0, 64)
-        offs = offs[offs < (b - a)]
-        pts.extend(a + offs)
-    if algebraic and a > 0.0 and (b - a) > 0.3 * a:
-        n = min(int(np.ceil((b - a) / (0.3 * a))), 8)
-        pts.extend(a + (b - a) * np.arange(1, n) / n)
-    out = np.unique(np.asarray(pts))
-    if freq is not None:
-        live = scale is None or a < _DEAD_SPAN * scale
-        if live:
-            lengths = np.diff(out)
-            need = np.ceil(lengths * freq / 1.8).astype(int)
-            if np.any(need > 1):
-                pieces = [
-                    np.linspace(out[i], out[i + 1], need[i] + 1)[:-1] if need[i] > 1 else out[i : i + 1]
-                    for i in range(out.size - 1)
-                ]
-                out = np.concatenate(pieces + [out[-1:]])
-    return out
-
-
-def _mode_partition(edges: np.ndarray, scale: float | None, freq: float | None, algebraic: bool):
-    """(breakpoints, parent cell index per subcell) for one mode.
-
-    Cells whose left edge lies beyond the dead span of an exponential envelope
-    are dropped entirely (their factor is below e^-40).  For the algebraic
-    family the first cell [0, e_1] is graded geometrically toward s = 0
-    (_FIRST_CELL_HALVINGS halvings), so no Gauss panel but the tiny first one
-    contains the s^rho branch point.  Cells needing the geometric decay grading
-    get the scalar _refine treatment; everything else is uniformly subdivided in
-    one vectorized pass.
-    """
-    n_cells = edges.size - 1
-    if scale is not None and not algebraic:
-        alive = int(np.searchsorted(edges[:-1], _DEAD_SPAN * scale, side="left"))
-        n_keep = max(1, min(n_cells, alive))
-    else:
-        n_keep = n_cells
-    a = edges[:n_keep]
-    b = edges[1 : n_keep + 1]
-    parent = np.arange(n_keep)
-    if algebraic:
-        graded = edges[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0)
-        a = np.concatenate([[0.0], graded, a[1:]])
-        b = np.concatenate([graded, b])
-        parent = np.concatenate([np.zeros(_FIRST_CELL_HALVINGS, dtype=int), parent])
-    length = b - a
-    counts = np.ones(a.size, dtype=int)
-    if algebraic:
-        with np.errstate(divide="ignore"):
-            alg = np.ceil(length / np.where(a > 0.0, 0.3 * a, np.inf))
-        counts = np.maximum(counts, np.minimum(alg, 8.0).astype(int))
-    if freq is not None:
-        live = np.ones(a.size, bool) if scale is None else a < _DEAD_SPAN * scale
-        osc = np.where(live, np.ceil(length * freq / 1.8), 1.0).astype(int)
-        counts = np.maximum(counts, osc)
-    geo = (
-        np.nonzero((length > 2.0 * scale) & (a < _DEAD_SPAN * scale))[0]
-        if scale is not None
-        else np.empty(0, dtype=int)
-    )
-    bks: list[np.ndarray] = []
-    parents: list[np.ndarray] = []
-
-    def flush(run_start: int, run_end: int) -> None:
-        if run_end <= run_start:
-            return
-        c = counts[run_start:run_end]
-        total = int(c.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        bks.append(np.repeat(a[run_start:run_end], c) + np.repeat(length[run_start:run_end] / c, c) * within)
-        parents.append(np.repeat(parent[run_start:run_end], c))
-
-    run_start = 0
-    for n in geo:
-        flush(run_start, n)
-        sub = _refine(float(a[n]), float(b[n]), scale, freq, algebraic)
-        bks.append(sub[:-1])
-        parents.append(np.full(sub.size - 1, parent[n], dtype=int))
-        run_start = n + 1
-    flush(run_start, a.size)
-    bks.append(b[-1:])
-    return np.concatenate(bks), np.concatenate(parents)
-
-
-def _cell_primitives(kind: EquationKind, lam: float, edges: np.ndarray, order: int = GAUSS_ORDER):
-    """(P1, P2) rows: per-cell integrals of the factor and its square."""
-    bks, parents = _mode_partition(edges, _decay_scale(kind, lam), _osc_freq(kind, lam), _algebraic_tail(kind))
-    nodes, w = _panel_nodes(bks, order)
-    vals = _noise_factor(kind, lam, nodes)
-    n_cells = edges.size - 1
-    p1 = np.bincount(parents, weights=(w * vals).sum(axis=1), minlength=n_cells)
-    p2 = np.bincount(parents, weights=(w * vals * vals).sum(axis=1), minlength=n_cells)
-    return p1, p2
-
-
-def hs_time_integral(
-    integrand,
-    weights: np.ndarray,
-    T: float,
-    dt: float | None = None,
-    nodes_per_cell: int = GAUSS_ORDER,
-    scales: np.ndarray | None = None,
-    frequencies: np.ndarray | None = None,
-    algebraic_tail: bool = False,
-) -> float:
-    """sum_k weights[k] * int_0^T integrand(k, s) ds by cellwise Gauss quadrature.
-
-    The base cells are the right-closed scheme cells of width dt (one cell
-    [0, T] if dt is None); per-mode decay scales and oscillation frequencies
-    trigger subdivision so the fixed-order rule stays converged.
-    """
-    weights = np.atleast_1d(np.asarray(weights, float))
-    n = 1 if dt is None else int(round(T / dt))
-    edges = np.linspace(0.0, T, n + 1)
-    total = 0.0
-    for k in range(weights.size):
-        if weights[k] == 0.0:
-            continue
-        scale = None if scales is None else float(scales[k])
-        freq = None if frequencies is None else float(frequencies[k])
-        nodes, w = _panel_nodes(_mode_partition(edges, scale, freq, algebraic_tail)[0], nodes_per_cell)
-        total += weights[k] * float((w * integrand(k, nodes)).sum())
-    return total
-
-
-# ----------------------------------------------------------------------------
-# the Volterra exact side of a temporal study
-
-
-@dataclass(frozen=True)
-class ExactSide:
-    """Per-mode exact-side integrals that do not depend on the level.
-
-    i_ee[k] is int_0^T e_k(s)^2 ds and table[k, i] = int_0^{grid[i]} e_k(s) ds,
-    both from one pass of _cell_primitives over grid (the union of the
-    ladder's cell edges); cells(edges) differences the table at a level's own
-    edges.  Volterra rows, which have no closed form, use it, and so does the
-    cellwise check _weak_error_cellwise for every family.  Build it with
-    exact_side.
-    """
-
-    kind: EquationKind
-    lam: np.ndarray
-    T: float
-    i_ee: np.ndarray
-    grid: np.ndarray
-    table: np.ndarray
-
-    def cells(self, edges: np.ndarray) -> np.ndarray:
-        """(modes, cells) array of int_cell e_k(s) ds on the cells of edges."""
-        edges = np.asarray(edges, float)
-        idx = np.clip(np.searchsorted(self.grid, edges), 1, self.grid.size - 1)
-        idx -= (edges - self.grid[idx - 1]) < (self.grid[idx] - edges)  # nearest grid point
-        if np.max(np.abs(self.grid[idx] - edges)) > 1e-12 * self.T:
-            raise ValueError("level edges are not on the grid of the exact-side table")
-        return np.diff(self.table[:, idx], axis=1)
-
-
-def exact_side(kind: EquationKind, lam: np.ndarray, T: float, grid: np.ndarray | None = None) -> ExactSide:
-    """The exact side for modes lam on [0, T]; grid holds every cell edge a
-    level may ask about (None: just [0, T])."""
-    lam = np.asarray(lam, float)
-    grid = np.array([0.0, T]) if grid is None else np.asarray(grid, float)
-    table = np.zeros((lam.size, grid.size))
-    i_ee = np.empty(lam.size)
-    for k in range(lam.size):
-        p1, p2 = _cell_primitives(kind, lam[k], grid)
-        np.cumsum(p1, out=table[k, 1:])
-        i_ee[k] = p2.sum()
-    return ExactSide(kind, lam, T, i_ee, grid, table)
-
-
 # ----------------------------------------------------------------------------
 # heat and wave time integrals in closed form
 
@@ -436,8 +265,31 @@ def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: in
 # deterministic error assembly
 
 
+def _strictly_increasing(pts: np.ndarray) -> np.ndarray:
+    """The distinct values of pts in increasing order; np.unique would import
+    numpy.ma on its first call."""
+    pts = np.sort(pts)
+    return pts[np.append(True, np.diff(pts) > 0.0)]
+
+
 def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarray:
-    """Graded global breakpoints resolving every mode scale up to lam_max."""
+    """Graded global breakpoints on [0, T] resolving every mode scale up to lam_max.
+
+    A geometric grid (ratio 1.35) from half the decay scale of the top mode,
+    and a uniform grid of 1.8 radians of its oscillation per cell (for
+    Volterra only up to _DEAD_SPAN of its decay scales).  Volterra adds the
+    first cell graded toward the s^rho branch point at s = 0
+    (_FIRST_CELL_HALVINGS halvings) and cuts every later cell [a, b] into
+    min(ceil((b - a) / 0.3a), 8) equal pieces for the algebraic tail.
+
+    Limit: past _DEAD_SPAN decay scales of the top mode the lower Volterra
+    modes, which decay more slowly, still oscillate on cells as wide as 0.3a.
+    The ratio of every mode's damping |cos(pi/rho)| to its frequency
+    sin(pi/rho) vanishes as rho -> 2, so time-exact Volterra rows degrade
+    there: at rho = 1.9, K = 1024, I_ee from these nodes is off by 3.8e-7
+    relative.  The G_rho table of _volterra_ee, whose partition resolves the
+    one unit mode, agrees with a per-mode partition there to 1e-14.
+    """
     scale = _decay_scale(kind, lam_max)
     freq = _osc_freq(kind, lam_max)
     pts = [np.array([0.0, T])]
@@ -451,13 +303,15 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
         m = int(np.ceil(span * freq / 1.8))
         if m > 1:
             pts.append(np.linspace(0.0, span, m + 1))
-    out = np.unique(np.concatenate(pts))
-    if _algebraic_tail(kind):
+    out = _strictly_increasing(np.concatenate(pts))
+    if kind.name == "volterra":
         out = np.concatenate([[0.0], out[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0), out[1:]])
-        refined = [out[:1]]
-        for i in range(out.size - 1):
-            refined.append(_refine(float(out[i]), float(out[i + 1]), None, None, True)[1:])
-        out = np.concatenate(refined)
+        a, length = out[:-1], np.diff(out)
+        pieces = np.ones(a.size, dtype=int)
+        cut = (a > 0.0) & (length > 0.3 * a)
+        pieces[cut] = np.minimum(np.ceil(length[cut] / (0.3 * a[cut])), 8)
+        i = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        out = np.append(np.repeat(a, pieces) + np.repeat(length, pieces) * i / np.repeat(pieces, pieces), out[-1])
     return out
 
 
@@ -466,12 +320,26 @@ def _global_nodes(kind: EquationKind, lam_max: float, T: float, order: int = GAU
     return nodes.ravel(), w.ravel()
 
 
-def _table_integrals(setup: Setup, lam_d, j, steps, exact: ExactSide | None):
-    """(dd, de, ee) as in _closed_form_integrals, for Volterra, which has no
-    closed form; the discrete rows are built on the J distinct lam_d and
-    gathered by j.  Scheme levels: the CQ factor table steps (J, N+1) against
-    the exact-side cell table.  Time-exact levels: Gauss quadrature on global
-    nodes shared by both sides."""
+def _volterra_ee(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T E_rho(-lam_k s^rho)^2 ds per mode, as lam^(-1/rho) G(T lam^(1/rho))
+    with G(y) = int_0^y E_rho(-u^rho)^2 du: one cumulative Gauss table on the
+    global partition of the unit mode over [0, max y], every y_k a breakpoint."""
+    root = lam ** (1.0 / kind.rho)
+    y = T * root
+    bks = _strictly_increasing(np.concatenate([_global_partition(kind, 1.0, float(y.max())), y]))
+    nodes, w = _panel_nodes(bks)
+    f = mittag_leffler_neg(kind.rho, nodes**kind.rho)
+    g = np.concatenate([[0.0], np.cumsum((w * f * f).sum(axis=1))])
+    return g[np.searchsorted(bks, y)] / root
+
+
+def _table_integrals(setup: Setup, lam_d, j, steps):
+    """(dd, de, ee) as in _closed_form_integrals, for Volterra; the discrete
+    rows are built on the J distinct lam_d and gathered by j.  Scheme levels:
+    the CQ factor table steps (J, N+1) against the cell integrals
+    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, evaluated for blocks
+    of about _ML_BLOCK values, and ee from _volterra_ee.  Time-exact levels:
+    Gauss quadrature on global nodes shared by both sides."""
     kind, lam = setup.kind, setup.spec.eigenvalues
     if steps is None:
         nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
@@ -479,11 +347,17 @@ def _table_integrals(setup: Setup, lam_d, j, steps, exact: ExactSide | None):
         b = _noise_factor(kind, lam[:, None], nodes[None, :])  # (K, G)
         return _gather((a * a) @ w, j), (_gather(a, j) * b) @ w, (b * b) @ w
     edges = _level_edges(setup)
-    if exact is None:
-        exact = exact_side(kind, lam, setup.T, edges)
+    t_rho = edges**kind.rho
     et = steps[:, 1:]
+    et_k = _gather(et, j)
+    de = np.empty(lam.size)
+    rows = max(1, _ML_BLOCK // edges.size)
+    for lo in range(0, lam.size, rows):
+        k = slice(lo, lo + rows)
+        prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
+        de[k] = np.einsum("kn,kn->k", et_k[k], np.diff(prim, axis=1))
     dd = setup.dt * np.einsum("jn,jn->j", et, et)
-    return _gather(dd, j), np.einsum("kn,kn->k", _gather(et, j), exact.cells(edges)), exact.i_ee
+    return _gather(dd, j), de, _volterra_ee(kind, lam, setup.T)
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
@@ -551,20 +425,16 @@ class ErrorReport:
     mc_stderr: float | None = None
 
 
-def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
+def error_report(setup: Setup) -> ErrorReport:
     """Strong, weak and representation values of one setup.
 
     I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes, with
     m = c^2 q from the partner map (m = q on the spectral space); exact_scheme
-    makes the discrete side the exact one.  exact is the study's
-    Volterra exact side (see exact_side); without it a Volterra scheme level
-    builds its own on the level's grid.
+    makes the discrete side the exact one.
     """
     kind = setup.kind
     lam = setup.spec.eigenvalues
     q = setup.q()
-    if exact is not None and (exact.kind != kind or exact.T != setup.T or exact.lam.size != lam.size):
-        raise ValueError("the exact side was built for another equation, horizon or truncation")
     n_cells = None if setup.exact_scheme else setup.n_cells
     lam_d, j, c = _partner_map(setup)
     m = c * c * q
@@ -583,7 +453,7 @@ def error_report(setup: Setup, exact: ExactSide | None = None) -> ErrorReport:
     i_dd = i_de = i_ee = 0.0
     if setup.cov is not None:
         if kind.name == "volterra":
-            dd, de, ee = _table_integrals(setup, lam_d, j, steps, exact)
+            dd, de, ee = _table_integrals(setup, lam_d, j, steps)
         else:
             dd, de, ee = _closed_form_integrals(kind, _gather(lam_d, j), lam, setup.T, n_cells)
         # one reduction for all three, so exact_scheme's equal rows give equal sums
@@ -613,8 +483,8 @@ def representation_quadratic(setup: Setup) -> float:
 def _weak_error_cellwise(setup: Setup) -> float:
     """The weak error of a spectral scheme setup by a route apart from
     error_report: step factors from discrete_family tables (for Volterra the
-    per-mode march cq_mode_solve) and the exact side from _cell_primitives
-    Gauss quadrature on the level's cells, one mode at a time."""
+    per-mode march cq_mode_solve) and I_ee from Gauss quadrature on global
+    nodes, apart from both the closed forms and the G_rho table."""
     kind, lam, q, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.n_cells
     if kind.name == "volterra":
         march = [cq_mode_solve(lk, kind.rho, setup.dt, N, np.zeros(N), x0=1.0) for lk in lam]
@@ -622,7 +492,9 @@ def _weak_error_cellwise(setup: Setup) -> float:
     else:
         steps = discrete_family(kind, lam, setup.dt, N).steps
     et = _discrete_noise_weights(steps[:, 1:], kind, lam)
-    ee = exact_side(kind, lam, setup.T, _level_edges(setup)).i_ee  # _cell_primitives, mode by mode
+    nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
+    b = _noise_factor(kind, lam[:, None], nodes[None, :])
+    ee = (b * b) @ w
     weak = q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee)
     if setup.x0 is not None:
         a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)

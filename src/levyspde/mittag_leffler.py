@@ -1,35 +1,49 @@
-"""Evaluation of E_rho(-x) for rho == 1 or 1.01 <= rho <= 2, and x >= 0.
+"""Evaluation of E_{rho,beta}(-x) for beta in {1, 2}, rho == 1 or 1.01 <= rho <= 2,
+and x >= 0.
 
-This is the scalar resolvent of the fractional-kernel mode ODE: the Laplace
-transform z^(rho-1)/(z^rho + lam) inverts to E_rho(-lam t^rho).
+E_rho = E_{rho,1} is the scalar resolvent of the fractional-kernel mode ODE:
+the Laplace transform z^(rho-1)/(z^rho + lam) inverts to E_rho(-lam t^rho).
+E_{rho,2} is its running integral, int_0^t E_rho(-lam s^rho) ds =
+t E_{rho,2}(-lam t^rho) (integrate the power series term by term).
 
 Strategy (vectorized over x):
-  * rho == 1 and rho == 2 reduce to exp(-x) and cos(sqrt(x)).
-  * x <= SERIES_CUTOFF: the power series sum_j (-x)^j / Gamma(rho j + 1) in
+  * rho == 1 and rho == 2 reduce to exp(-x) and cos(sqrt(x)) (beta = 1), or
+    -expm1(-x)/x and sin(sqrt(x))/sqrt(x) (beta = 2).
+  * x <= SERIES_CUTOFF: the power series sum_j (-x)^j / Gamma(rho j + beta) in
     Horner form.  The largest term is exp(x^(1/rho)), so keeping x small bounds
     the cancellation; the envelope never exceeds the classical doubles-viable
     switch point 20.
-  * SERIES_CUTOFF < x <= 60**rho: residue pair of the Hankel representation
-    plus the branch-cut integral, evaluated by a trapezoid rule after the
+  * SERIES_CUTOFF < x <= 60**rho: residue pair (2/rho) Re[zeta^(1-beta) e^zeta]
+    of the Hankel representation, zeta = x^(1/rho) e^(i pi/rho), plus the
+    branch-cut integral x sin(pi(rho+1-beta))/pi int_0^inf e^(-r) r^(rho-beta)
+    / |r^rho e^(i pi rho) + x|^2 dr, evaluated by a trapezoid rule after the
     substitution r = exp(u).  The integrand is analytic in a strip of width
-    pi*(rho-1)/rho, which dictates the step size.  Arguments are taken in
-    chunks of at most _BRIDGE_CHUNK (argument, node) pairs, 2048 arguments at
-    rho = 1.5, so the chunk's temporary stays near 2.6 MB.
-  * x > 60**rho: residue pair plus the asymptotic series in 1/x, in Horner form.
+    pi*(rho-1)/rho, which dictates the step size.  Below the lowest node
+    u_lo = -34/rho the integrand is e^((rho+1-beta)u)/x^2 to double precision,
+    so the rule is continued there as a geometric series (ratio
+    e^(-(rho+1-beta)h)) folded into the weight of the lowest node.  For
+    beta = 2 near rho = 1 that tail is most of the integral: r^(rho-2) is
+    barely integrable at r = 0.  Arguments are taken in chunks of at most
+    _BRIDGE_CHUNK (argument, node) pairs, 2048 arguments at rho = 1.5, so the
+    chunk's temporary stays near 2.6 MB.
+  * x > 60**rho: residue pair plus the asymptotic series
+    sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.
 
-Both series use a fixed number of terms per rho: those above 1e-17 of the
-leading term at the branch's switch point (x = 5 for the power series; x = 60**rho
-for the asymptotic series, whose terms are taken only up to its smallest one
-there).  Inside each branch the dropped terms are smaller still (20 power-series
-terms and 15 asymptotic terms at rho = 1.5).  The coefficients are computed on
-the first call with a given rho and cached; nothing is computed at import.
+Both series use a fixed number of terms per (rho, beta): those above 1e-17 of
+the leading term at the branch's switch point (x = 5 for the power series;
+x = 60**rho for the asymptotic series, whose terms are taken only up to its
+smallest one there).  Inside each branch the dropped terms are smaller still
+(20 power-series terms and 15 asymptotic terms at rho = 1.5, beta = 1).  The
+coefficients are computed on the first call with a given (rho, beta) and
+cached; nothing is computed at import.
 
 Verified range: the trapezoid step has a floor of 0.005, which the strip
 allows from rho = 1.01 up; there the evaluator agrees with a high-precision
-series to 1e-11 absolute (6e-15 in the bridge just above x = 5 at rho = 1.01).
-Below 1.01 the floor exceeds what the strip allows (with the former floor 0.01
-the bridge was off by 2.3e-4 at rho = 1.001), so rho in (1, 1.01) is refused
-with a ValueError rather than silently degraded.
+series to 1e-11 absolute for both beta (6e-15 in the bridge just above x = 5
+at rho = 1.01, beta = 1).  Below 1.01 the floor exceeds what the strip allows
+(with the former floor 0.01 the bridge was off by 2.3e-4 at rho = 1.001), so
+rho in (1, 1.01) is refused with a ValueError rather than silently degraded;
+so are x that are negative, infinite or NaN, and beta other than 1 or 2.
 """
 
 from __future__ import annotations
@@ -57,103 +71,118 @@ def _horner(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _series_coeff(rho: float) -> np.ndarray:
-    """1 / Gamma(rho j + 1), j = 0, 1, ..., for the power series in -x."""
+def _series_coeff(rho: float, beta: int) -> np.ndarray:
+    """1 / Gamma(rho j + beta), j = 0, 1, ..., for the power series in -x."""
     j = np.arange(_MAX_TERMS, dtype=float)
-    log_c = -_lgamma(rho * j + 1.0)
-    keep = j * np.log(SERIES_CUTOFF) + log_c > np.log(_TERM_FLOOR)  # the leading term is 1
+    log_c = -_lgamma(rho * j + beta)
+    keep = j * np.log(SERIES_CUTOFF) + log_c > np.log(_TERM_FLOOR)  # the leading term is 1/Gamma(beta) = 1
     return np.exp(log_c[: int(np.nonzero(keep)[0].max()) + 1])
 
 
 @lru_cache(maxsize=32)
-def _asymptotic_coeff(rho: float) -> np.ndarray:
-    """(-1)^(j+1) / Gamma(1 - rho j), j = 0, 1, ... (the j = 0 entry is 0), for
+def _asymptotic_coeff(rho: float, beta: int) -> np.ndarray:
+    """(-1)^(j+1) / Gamma(beta - rho j), j = 0, 1, ... (the j = 0 entry is 0), for
     the series in 1/x."""
     j = np.arange(1, _MAX_TERMS + 1, dtype=float)
-    # 1/Gamma(1 - rho j) = Gamma(rho j) sin(pi rho j) / pi via reflection.
-    # Snap sin values at the Gamma poles to exact zero so that rational rho
-    # (e.g. 3/2, where every even term vanishes) carries exact zeros.
-    sines = np.sin(np.pi * rho * j)
+    # 1/Gamma(beta - rho j) = Gamma(a) sin(pi a) / pi with a = rho j + 1 - beta,
+    # via reflection.  Snap sin values at the Gamma poles to exact zero so that
+    # rational rho (e.g. 3/2, where every even term vanishes) carries exact zeros.
+    a = rho * j - (beta - 1)
+    sines = np.sin(np.pi * a)
     sines[np.abs(sines) < 1e-8] = 0.0
     # Log-magnitudes of the terms at the switch point; keep the decreasing run
     # up to the smallest nonzero term, then only the terms above the floor.
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(sines) / np.pi) + _lgamma(rho * j) - j * rho * np.log(60.0)
+        log_mag = np.log(np.abs(sines) / np.pi) + _lgamma(a) - j * rho * np.log(60.0)
     run = log_mag[: int(np.argmin(np.where(np.isfinite(log_mag), log_mag, np.inf))) + 1]
     n = int(np.nonzero(run > run.max() + np.log(_TERM_FLOOR))[0].max()) + 1
-    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(_lgamma(rho * j[:n]))
+    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(_lgamma(a[:n]))
     return np.concatenate([[0.0], coeff])
 
 
-def _ml_series(rho: float, x: np.ndarray) -> np.ndarray:
-    """Power series sum_j (-x)^j / Gamma(rho j + 1), Horner form."""
-    return _horner(_series_coeff(rho), -x)
+def _ml_series(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """Power series sum_j (-x)^j / Gamma(rho j + beta), Horner form."""
+    return _horner(_series_coeff(rho, beta), -x)
 
 
-def _residue_pair(rho: float, x: np.ndarray) -> np.ndarray:
-    """(2/rho) * Re exp(x^(1/rho) * e^{i pi/rho}): the two conjugate Hankel poles."""
+def _residue_pair(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """(2/rho) Re[zeta^(1-beta) e^zeta], zeta = x^(1/rho) e^{i pi/rho}: the two
+    conjugate Hankel poles."""
     root = x ** (1.0 / rho)
-    return (2.0 / rho) * np.exp(root * np.cos(np.pi / rho)) * np.cos(root * np.sin(np.pi / rho))
+    amp = (2.0 / rho) * np.exp(root * np.cos(np.pi / rho)) / root ** (beta - 1)
+    return amp * np.cos(root * np.sin(np.pi / rho) - (beta - 1) * np.pi / rho)
 
 
 @lru_cache(maxsize=32)
-def _branch_cut_grid(rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r^rho, exp(-r) r^rho du) on the trapezoid grid in u = log r.
+def _branch_cut_grid(rho: float, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r^rho, exp(-r) r^(rho+1-beta) du) on the trapezoid grid in u = log r.
 
     The step is 0.55 of the strip width pi*(rho-1)/rho (capped at 0.25).  Its
     floor 0.005 is what bounds the verified range from below: at rho = 1.01 the
     step is 0.0054, and below about 1.01 the floor would clamp it above what the
-    strip allows, which is why mittag_leffler_neg refuses those rho.
+    strip allows, which is why mittag_leffler_neg refuses those rho.  The lowest
+    node's weight also carries the nodes below it, u_lo - h, u_lo - 2h, ...,
+    where the integrand falls off as the geometric series e^((rho+1-beta)u).
     """
     step = max(min(0.55 * (rho - 1.0) / rho, 0.25), 0.005)
     u_lo = -34.0 / rho
     u_hi = np.log(720.0)
     u = np.linspace(u_lo, u_hi, int(np.ceil((u_hi - u_lo) / step)) + 1)
+    h = u[1] - u[0]
+    power = rho - (beta - 1)  # rho + 1 - beta
     rr = np.exp(rho * u)
-    return rr, np.exp(-np.exp(u)) * rr * (u[1] - u[0])
+    base = np.exp(-np.exp(u)) * np.exp(power * u) * h
+    base[0] /= -np.expm1(-power * h)
+    return rr, base
 
 
-def _branch_cut_integral(rho: float, x: np.ndarray) -> np.ndarray:
-    """I(x) = int_0^inf exp(-r) r^(rho-1) / (r^(2 rho) + 2 x r^rho cos(pi rho) + x^2) dr.
+def _branch_cut_integral(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """I(x) = int_0^inf exp(-r) r^(rho-beta) / (r^(2 rho) + 2 x r^rho cos(pi rho) + x^2) dr.
 
     Trapezoid after r = exp(u); one u-grid serves every x since the strip of
     analyticity (poles of the denominator at Im(rho*u) = +-pi(rho-1)) does not
     depend on x.
     """
-    rr, base = _branch_cut_grid(rho)
+    rr, base = _branch_cut_grid(rho, beta)
     xcol = x[:, None]
     denom = (rr[None, :] + xcol * np.cos(np.pi * rho)) ** 2 + (xcol * xcol) * np.sin(np.pi * rho) ** 2
     return (base[None, :] / denom).sum(axis=1)
 
 
-def _ml_bridge(rho: float, x: np.ndarray) -> np.ndarray:
-    out = _residue_pair(rho, x)
+def _ml_bridge(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    out = _residue_pair(rho, x, beta)
     cut = np.empty_like(x)
-    rows = max(1, _BRIDGE_CHUNK // _branch_cut_grid(rho)[0].size)
+    rows = max(1, _BRIDGE_CHUNK // _branch_cut_grid(rho, beta)[0].size)
     for lo in range(0, x.size, rows):
-        cut[lo : lo + rows] = _branch_cut_integral(rho, x[lo : lo + rows])
-    return out + (x * np.sin(np.pi * rho) / np.pi) * cut
+        cut[lo : lo + rows] = _branch_cut_integral(rho, x[lo : lo + rows], beta)
+    return out + (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi) * cut
 
 
-def _ml_asymptotic(rho: float, x: np.ndarray) -> np.ndarray:
-    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(1 - rho j), Horner form."""
-    return _residue_pair(rho, x) + _horner(_asymptotic_coeff(rho), 1.0 / x)
+def _ml_asymptotic(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), Horner form."""
+    return _residue_pair(rho, x, beta) + _horner(_asymptotic_coeff(rho, beta), 1.0 / x)
 
 
-def mittag_leffler_neg(rho: float, x) -> np.ndarray | float:
-    """E_rho(-x) for rho == 1 or 1.01 <= rho <= 2, x >= 0; scalar in, scalar out."""
+def mittag_leffler_neg(rho: float, x, beta: int = 1) -> np.ndarray | float:
+    """E_{rho,beta}(-x) for beta in {1, 2}, rho == 1 or 1.01 <= rho <= 2, and
+    finite x >= 0; scalar in, scalar out."""
     if not (rho == 1.0 or RHO_VERIFIED_MIN <= rho <= 2.0):
         raise ValueError(
             f"rho={rho} is outside the verified range of E_rho: rho == 1 or {RHO_VERIFIED_MIN} <= rho <= 2"
         )
+    if beta not in (1, 2):
+        raise ValueError(f"beta must be 1 or 2, got {beta!r}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("x must be finite")
     if np.any(xa < 0):
         raise ValueError("x must be nonnegative")
     if rho == 1.0:
-        out = np.exp(-xa)
+        out = np.exp(-xa) if beta == 1 else np.divide(-np.expm1(-xa), xa, out=np.ones_like(xa), where=xa > 0)
     elif rho == 2.0:
-        out = np.cos(np.sqrt(xa))
+        root = np.sqrt(xa)
+        out = np.cos(root) if beta == 1 else np.divide(np.sin(root), root, out=np.ones_like(root), where=root > 0)
     else:
         out = np.empty_like(xa)
         asym_cutoff = 60.0**rho
@@ -161,9 +190,9 @@ def mittag_leffler_neg(rho: float, x) -> np.ndarray | float:
         large = xa > asym_cutoff
         mid = ~small & ~large
         if np.any(small):
-            out[small] = _ml_series(rho, xa[small])
+            out[small] = _ml_series(rho, xa[small], beta)
         if np.any(mid):
-            out[mid] = _ml_bridge(rho, xa[mid])
+            out[mid] = _ml_bridge(rho, xa[mid], beta)
         if np.any(large):
-            out[large] = _ml_asymptotic(rho, xa[large])
+            out[large] = _ml_asymptotic(rho, xa[large], beta)
     return float(out[0]) if scalar else out

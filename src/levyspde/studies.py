@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorReport, Setup, error_report, exact_side, mc_weak_error
+from .errors import ErrorReport, Setup, _is_count, error_report, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import assemble_fem, dirichlet_spectrum
@@ -158,6 +158,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.axis not in ("temporal", "spatial"):
             raise ValueError(f"axis must be temporal or spatial, got {self.axis!r}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if len(self.ladder) < 4:
             raise ValueError("ladder needs at least 4 levels")
         if np.any(np.diff(self.ladder) >= 0):
@@ -166,9 +168,19 @@ class StudyConfig:
             raise ValueError(f"unknown test functional {self.g!r}")
         if not 1 <= self.g_mode <= self.modes:
             raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode}")
+        if self.fixed_cells is not None:
+            if self.axis != "spatial":
+                raise ValueError("fixed_cells applies to spatial studies only; a temporal ladder sets the cells")
+            if not _is_count(self.fixed_cells):
+                raise ValueError(f"fixed_cells must be a whole number >= 1, got {self.fixed_cells!r}")
+        if self.axis == "temporal":
+            for dt in self.ladder:
+                n = self.T / dt if dt > 0 else 0.0
+                if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
+                    raise ValueError(f"temporal ladder entry {dt} is not T/N for a whole number N >= 1 of cells")
         if self.axis == "spatial":
             for h in self.ladder:
-                m = 1.0 / h
+                m = 1.0 / h if h > 0 else 0.0
                 if abs(m - round(m)) > 1e-9 or round(m) < 2:
                     raise ValueError(f"spatial ladder entry {h} is not 1/M for integer M >= 2")
                 if round(m) - 1 > self.modes:
@@ -257,19 +269,6 @@ def _level_setup(config: StudyConfig, resolution: float) -> Setup:
     )
 
 
-def _study_exact_side(config: StudyConfig, spec):
-    """The Volterra exact side every scheme level of the study shares, on the
-    union of the levels' cell edges; None where no level needs one (heat and
-    wave have closed forms, time-exact levels integrate both sides on their
-    own global nodes)."""
-    if config.kind.name != "volterra" or config.exact_scheme or (config.axis == "spatial" and not config.fixed_cells):
-        return None
-    counts = [config.fixed_cells] if config.axis == "spatial" else [int(round(config.T / dt)) for dt in config.ladder]
-    pts = np.unique(np.concatenate([np.linspace(0.0, config.T, n + 1) for n in counts]))
-    grid = pts[np.append(True, np.diff(pts) > 1e-12 * config.T)]  # one point per shared edge
-    return exact_side(config.kind, spec.eigenvalues, config.T, grid)
-
-
 def run_study(config: StudyConfig) -> StudyResult:
     """Compute every ladder level and fit the rates.
 
@@ -291,12 +290,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         from .errors import CylindricalFunctional
 
         g = CylindricalFunctional(mode=config.g_mode)
-    exact = _study_exact_side(config, spec)
     rows = []
     for level, resolution in enumerate(config.ladder):
         setup = _level_setup(config, resolution)
         setup.validate_regularity(config.beta)
-        rep = error_report(setup, exact)
+        rep = error_report(setup)
         if config.mc_paths:
             est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
             rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)

@@ -23,6 +23,12 @@ class TestKernelCommands:
         val = float(out.split()[-1])
         assert abs(val - np.exp(-2.0)) <= 1e-10
 
+    @pytest.mark.parametrize("x", ["inf", "nan"])
+    def test_ml_eval_refuses_non_finite_argument(self, capsys, x):
+        # inf used to print "inf nan" and exit 0
+        code, out, err = run(capsys, "ml-eval", "1.5", "2.0", x)
+        assert code == 1 and "x must be finite" in err and "Traceback" not in err
+
     def test_cq_weights_by_hand(self, capsys):
         code, out, _ = run(capsys, "cq-weights", "1.5", "0.1", "4")
         assert code == 0
@@ -169,8 +175,8 @@ class TestStudyCommand:
     def test_weak_column_at_the_strong_rate_exits_2(self, capsys, tmp_path, monkeypatch):
         real = levyspde.studies.error_report
 
-        def strong_as_weak(setup, exact=None):
-            r = real(setup, exact)
+        def strong_as_weak(setup):
+            r = real(setup)
             return ErrorReport(r.strong_error, r.strong_error, r.representation_value)
 
         monkeypatch.setattr(levyspde.studies, "error_report", strong_as_weak)
@@ -215,8 +221,21 @@ class TestStudyCommand:
         [
             ({"equation": "wave", "x0": [[1.0], [0.0], [0.5]]}, r"shape \(2, K\)"),
             ({"equation": "heat", "g": "cylindrical_cos", "g_mode": 65, "mc": {"paths": 10}}, "g_mode"),
+            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "fixed_cells": "8"},
+             r"fixed_cells must be a whole number >= 1, got '8'"),
+            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "fixed_cells": 8.5},
+             r"fixed_cells must be a whole number >= 1, got 8\.5"),
+            ({"equation": "heat", "fixed_cells": 8}, "fixed_cells applies to spatial studies only"),
+            ({"equation": "heat", "ladder": [0.5, 0.3, 0.25, 0.125]}, r"entry 0\.3 is not T/N"),
         ],
-        ids=["wave-x0-three-rows", "g-mode-past-modes"],
+        ids=[
+            "wave-x0-three-rows",
+            "g-mode-past-modes",
+            "fixed-cells-string",
+            "fixed-cells-fraction",
+            "fixed-cells-temporal",
+            "dt-not-dividing-T",
+        ],
     )
     def test_bad_shape_or_mode_index_exit_1(self, capsys, tmp_path, extra, message):
         cfg = tmp_path / "bad.json"

@@ -9,7 +9,6 @@ from levyspde.errors import (
     RegularityError,
     Setup,
     error_report,
-    hs_time_integral,
     mc_weak_error,
     propagator_error_profile,
     representation_quadratic,
@@ -161,32 +160,47 @@ class TestRepresentationIdentity:
 
 
 class TestHsTimeIntegral:
+    """Hilbert-Schmidt time integrals sum_k q_k int_0^T f_k(s) ds by Gauss
+    quadrature on the global nodes (the route of the time-exact rows and of
+    _weak_error_cellwise), and the test oracle cell_integrals built on them."""
+
     def test_constant_integrand(self):
-        val = hs_time_integral(lambda k, s: np.full_like(s, 3.5), np.array([2.0]), T=1.25, dt=0.25)
-        assert val == pytest.approx(2.0 * 3.5 * 1.25, rel=1e-15)
+        _, w = errors._global_nodes(heat_kind(), 37.0, 1.25)
+        assert 2.0 * 3.5 * np.sum(w) == pytest.approx(2.0 * 3.5 * 1.25, rel=1e-15)
 
     def test_exponential_antiderivative(self):
         lam = 37.0
-        val = hs_time_integral(
-            lambda k, s: np.exp(-2.0 * lam * s),
-            np.array([1.0]),
-            T=1.0,
-            dt=0.125,
-            scales=np.array([1.0 / (2.0 * lam)]),
-        )
+        nodes, w = errors._global_nodes(heat_kind(), 2.0 * lam, 1.0)
         expect = (1.0 - np.exp(-2.0 * lam)) / (2.0 * lam)
-        assert abs(val - expect) <= 1e-12
+        assert abs(np.sum(w * np.exp(-2.0 * lam * nodes)) - expect) <= 1e-12
 
     def test_node_doubling_stable(self):
         lam = np.array([3.0, 210.0, 5000.0])
         q = np.array([1.0, 0.3, 0.1])
-
-        def f(k, s):
-            return np.exp(-2.0 * lam[k] * s)
-
-        a = hs_time_integral(f, q, T=1.0, dt=1.0 / 16, nodes_per_cell=8, scales=0.5 / lam)
-        b = hs_time_integral(f, q, T=1.0, dt=1.0 / 16, nodes_per_cell=16, scales=0.5 / lam)
+        a, b = (
+            q @ (np.exp(-2.0 * lam[:, None] * nodes) @ w)
+            for nodes, w in (errors._global_nodes(heat_kind(), 2.0 * lam[-1], 1.0, order) for order in (8, 16))
+        )
         assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("rho", [1.1, 1.5, 1.9])
+    def test_volterra_partition_matches_cellwise_refinement(self, rho):
+        # the vectorised cut of _global_partition against the documented rule
+        # applied one cell at a time: the same breakpoints, bit for bit
+        kind = volterra_kind(rho)
+        for lam, T in ((1.0, 1e3), ((64 * np.pi) ** 2, 1.0)):
+            scale, freq = errors._decay_scale(kind, lam), errors._osc_freq(kind, lam)
+            lo = scale / 2.0
+            geo = lo * 1.35 ** np.arange(0, int(np.ceil(np.log(T / lo) / np.log(1.35))) + 1)
+            span = min(T, errors._DEAD_SPAN * scale)
+            base = sorted({0.0, T, *geo[geo < T], *np.linspace(0.0, span, int(np.ceil(span * freq / 1.8)) + 1)})
+            base = [0.0] + [base[1] * 2.0**-m for m in range(errors._FIRST_CELL_HALVINGS, 0, -1)] + base[1:]
+            want = [0.0]
+            for a, b in zip(base, base[1:]):
+                n = min(int(np.ceil((b - a) / (0.3 * a))), 8) if a > 0.0 and b - a > 0.3 * a else 1
+                want.extend(a + (b - a) * np.arange(1, n) / n)
+                want.append(b)
+            assert np.array_equal(errors._global_partition(kind, lam, T), want)
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     @pytest.mark.parametrize("dt", [1.0 / 16, None])
@@ -194,13 +208,12 @@ class TestHsTimeIntegral:
         # E_rho(-lam s^rho)^2 is not smooth at s = 0; the graded first cell
         # must keep the Gauss panels away from the branch point
         import mpmath as mp
+        from cell_oracle import cell_integrals
 
         from levyspde.mittag_leffler import mittag_leffler_neg
 
         lam = (k * np.pi) ** 2
-        val = hs_time_integral(
-            lambda _, s: mittag_leffler_neg(1.5, lam * s**1.5) ** 2, [1.0], 1.0, dt=dt, algebraic_tail=True
-        )
+        val = cell_integrals(volterra_kind(1.5), lam, np.linspace(0.0, 1.0, round(1 / (dt or 1)) + 1))[1][0]
         with mp.workdps(30):
             f = lambda s: mp.mpf(mittag_leffler_neg(1.5, float(lam * s**1.5))) ** 2  # noqa: E731
             ref = float(mp.quad(f, [0.0] + [2.0**-m for m in range(30, 0, -1)] + [1.0]))
@@ -423,6 +436,13 @@ class TestSetupValidation:
             with pytest.raises(ValueError, match=r"shape \(2, K\).*got %s" % re.escape(str(shape))):
                 Setup(wave_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4, x0=np.ones(shape))
 
+    def test_cell_count_must_be_whole(self):
+        # n_cells = 8.5 used to return a report on interpolated edges
+        assert Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=np.int64(8)).n_cells == 8
+        for bad in (8.5, 8.0, "8", 0, -2, True):
+            with pytest.raises(ValueError, match=r"n_cells must be a whole number >= 1, got"):
+                Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=bad)
+
     def test_fem_outrunning_spectrum_refused(self):
         with pytest.raises(ValueError, match="raise the spectral truncation"):
             Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, fem=assemble_fem(8))
@@ -457,17 +477,17 @@ class TestExactSide:
     @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
     def test_closed_forms_match_cell_quadrature(self, kind):
         # the kernel's dd, de and ee rows against step tables and cellwise Gauss quadrature
+        from cell_oracle import cell_integrals
+
         lam = dirichlet_spectrum(256).eigenvalues
         for n in self.LADDER:
             dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n)
-            edges = np.linspace(0.0, 1.0, n + 1)
+            p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             et = errors._discrete_noise_weights(discrete_family(kind, lam, 1.0 / n, n).steps[:, 1:], kind, lam)
-            for k in range(lam.size):
-                p1, p2 = errors._cell_primitives(kind, lam[k], edges)
-                scale = 1e-10 * p2.sum()
-                assert abs(dd[k] - (et[k] @ et[k]) / n) <= scale, (n, k)
-                assert abs(de[k] - et[k] @ p1) <= scale, (n, k)
-                assert abs(ee[k] - p2.sum()) <= scale, (n, k)
+            scale = 1e-10 * p2
+            assert np.all(np.abs(dd - np.einsum("kn,kn->k", et, et) / n) <= scale), n
+            assert np.all(np.abs(de - np.einsum("kn,kn->k", et, p1)) <= scale), n
+            assert np.all(np.abs(ee - p2) <= scale), n
 
     @pytest.mark.parametrize("n", [512, 1024])
     @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
@@ -498,25 +518,62 @@ class TestExactSide:
                 for got, ref in ((dd[j], ref_dd), (de[j], ref_de), (ee[j], ref_ee)):
                     assert abs(got - float(ref)) <= 1e-14 * float(ref_ee), (k, got, ref)
 
-    def test_volterra_table_differences_at_level_edges(self):
-        kind = volterra_kind(1.5)
-        lam = dirichlet_spectrum(8).eigenvalues
-        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in (12, 16)]))
-        exact = errors.exact_side(kind, lam, 1.0, grid)
-        for n in (12, 16):
-            edges = np.linspace(0.0, 1.0, n + 1)
-            cells = exact.cells(edges)
-            for k in range(lam.size):
-                p1, p2 = errors._cell_primitives(kind, lam[k], edges)
-                assert np.max(np.abs(cells[k] - p1)) <= 1e-12 * exact.i_ee[k]
-                assert abs(exact.i_ee[k] - p2.sum()) <= 1e-12 * exact.i_ee[k]
-        with pytest.raises(ValueError, match="not on the grid"):
-            exact.cells(np.linspace(0.0, 1.0, 11))
+    def test_volterra_table_differences_at_level_edges(self, monkeypatch):
+        # de pairs the CQ table with diff(t E_{rho,2}(-lam t^rho)) at the level's
+        # edges, ee is read off the G_rho table; both against cellwise quadrature
+        from cell_oracle import cell_integrals
 
-    def test_mismatched_exact_side_refused(self):
-        setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
-        with pytest.raises(ValueError, match="another equation"):
-            error_report(setup, errors.exact_side(wave_kind(), setup.spec.eigenvalues, 1.0))
+        kind = volterra_kind(1.5)
+        spec = dirichlet_spectrum(8)
+        lam = spec.eigenvalues
+        for n in (12, 16):
+            setup = Setup(kind, spec, FLAT, CP, 1.0, n_cells=n)
+            steps = discrete_family(kind, lam, 1.0 / n, n).steps
+            _, de, ee = errors._table_integrals(setup, lam, None, steps)
+            p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
+            assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
+            assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
+            monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
+            assert np.array_equal(errors._table_integrals(setup, lam, None, steps)[1], de)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("mode", [1, 2, 64, 1024])
+    def test_volterra_ee_against_high_precision_sums(self, mode):
+        # I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)) against a 40-digit sum of
+        # order-30 Gauss panels on a partition built from the mode's own scales
+        import mpmath as mp
+
+        from levyspde.mittag_leffler import mittag_leffler_neg
+
+        rho = 1.5
+        lam = (mode * np.pi) ** 2
+        ee = errors._volterra_ee(volterra_kind(rho), np.array([lam]), 1.0)[0]
+        root = lam ** (1 / rho)
+        # in u = root s: the first unit graded toward u = 0, unit cells to u = 80
+        # (40 decay scales e^(-u/2)), then cells of relative width 1/4
+        u = [0.0] + [2.0**-m for m in range(40, 0, -1)] + list(range(2, 81))
+        while u[-1] < root:
+            u.append(u[-1] * 1.25)
+        s = np.array([v / root for v in u if v < root] + [1.0])
+        gx, gw = np.polynomial.legendre.leggauss(30)
+        half = np.diff(s)[:, None] / 2
+        nodes, w = (s[:-1, None] + half * (1 + gx)).ravel(), (half * gw).ravel()
+        vals = mittag_leffler_neg(rho, lam * nodes**rho)
+        with mp.workdps(40):
+            ref = float(mp.fsum(mp.mpf(wi) * mp.mpf(vi) ** 2 for wi, vi in zip(w, vals)))
+        assert abs(ee - ref) <= 1e-11 * ref
+
+    def test_time_exact_ee_against_g_table(self):
+        # time-exact Volterra rows integrate e_k^2 on the global nodes of the top
+        # mode; at rho = 1.5 they agree with the G_rho table (not so near rho = 2,
+        # see _global_partition)
+        kind = volterra_kind(1.5)
+        spec = dirichlet_spectrum(1024)
+        setup = Setup(kind, spec, FLAT, CP, 1.0, exact_scheme=True)
+        lam = spec.eigenvalues
+        _, _, ee = errors._table_integrals(setup, lam, None, None)
+        g = errors._volterra_ee(kind, lam, 1.0)
+        assert np.max(np.abs(ee - g) / g) <= 1e-14
 
 
 class TestFemAssembly:
@@ -527,9 +584,11 @@ class TestFemAssembly:
     @staticmethod
     def oracle(setup):
         """(weak, strong^2) from step tables (the CQ march for Volterra) and
-        _cell_primitives on the level's cells, or from Gauss quadrature on
-        global nodes for a time-exact level, summed over every (j, k) pair of
-        the dense coupling C: eigh of the P1 pencil against the cross-Gram."""
+        cellwise quadrature on the level's cells (cell_oracle), or from Gauss
+        quadrature on global nodes for a time-exact level, summed over every
+        (j, k) pair of the dense coupling C: eigh of the P1 pencil against the
+        cross-Gram."""
+        from cell_oracle import cell_integrals
         from p1_oracle import dense_coupling
 
         from levyspde.propagators import cq_mode_solve
@@ -551,10 +610,9 @@ class TestFemAssembly:
             else:
                 steps = discrete_family(kind, lam_d, T / N, N).steps
             et = errors._discrete_noise_weights(steps[:, 1:], kind, lam_d)
-            prims = [errors._cell_primitives(kind, lk, np.linspace(0.0, T, N + 1)) for lk in lam]
+            p1, ee = cell_integrals(kind, lam, np.linspace(0.0, T, N + 1))
             dd = (T / N) * np.array([et[j] @ et[j] for j in range(lam_d.size)])
-            de = np.array([[et[j] @ prims[k][0] for k in range(lam.size)] for j in range(lam_d.size)])
-            ee = np.array([p2.sum() for _, p2 in prims])
+            de = et @ p1.T
             z_T = steps[:, -1]
         i_dd, i_de, i_ee = float(m.sum(axis=1) @ dd), float(np.sum(m * de)), float(q @ ee)
         a_d = errors._terminal_first(kind, lam_d, z_T, setup.x0 @ C.T)

@@ -11,11 +11,12 @@ from levyspde.mittag_leffler import mittag_leffler_neg
 from levyspde.propagators import cq_mode_solve
 
 
-def series_oracle(rho: float, x: float) -> float:
-    """Defining power series at adaptive precision (independent of the package paths).
+def series_oracle(rho: float, x: float, beta: int = 1) -> float:
+    """Defining power series sum_j (-x)^j / Gamma(rho j + beta) at adaptive
+    precision (independent of the package paths).
 
-    rho is taken as the fraction p/q of its decimal form, so rho j + 1 = a/q
-    with a = p j + q.  Gamma(a/q) for j >= q is Gamma((a - p q)/q), q terms
+    rho is taken as the fraction p/q of its decimal form, so rho j + beta = a/q
+    with a = p j + beta q.  Gamma(a/q) for j >= q is Gamma((a - p q)/q), q terms
     back, times the exact rising product a - p q, a - p q + q, ..., a - q over
     q^p.  The first q terms take Gamma(a/q + m) / (a (a + q) ... (a + (m-1) q) / q^m)
     with m = need + 100, large enough that mp.gamma uses its Stirling series
@@ -38,7 +39,7 @@ def series_oracle(rho: float, x: float) -> float:
         tol = mp.mpf(10) ** (-need + 10)
         j = 0
         while True:
-            a = p * j + q
+            a = p * j + beta * q
             if j < q:
                 gam = mp.gamma(mp.mpf(a + m * q) / q) * q_to_m / math.prod(range(a, a + m * q, q))
             else:
@@ -103,10 +104,11 @@ def test_branch_agreement_at_switch_points():
     from levyspde.mittag_leffler import _ml_asymptotic, _ml_bridge, _ml_series
 
     for rho in (1.1, 1.5, 1.9):
-        x = np.array([5.0])
-        assert abs(_ml_series(rho, x)[0] - _ml_bridge(rho, x)[0]) <= 1e-11
-        x = np.array([60.0**rho])
-        assert abs(_ml_bridge(rho, x)[0] - _ml_asymptotic(rho, x)[0]) <= 1e-11
+        for beta in (1, 2):
+            x = np.array([5.0])
+            assert abs(_ml_series(rho, x, beta)[0] - _ml_bridge(rho, x, beta)[0]) <= 1e-11
+            x = np.array([60.0**rho])
+            assert abs(_ml_bridge(rho, x, beta)[0] - _ml_asymptotic(rho, x, beta)[0]) <= 1e-11
 
 
 @pytest.mark.parametrize("rho", [1.01, 1.05, 1.5, 1.95])
@@ -120,11 +122,33 @@ def test_horner_branches_straddling_switch_points(rho):
         assert abs(g - series_oracle(rho, x)) <= 1e-11, x
 
 
+@pytest.mark.parametrize("rho", [1.0, 1.01, 1.1, 1.5, 1.9, 2.0])
+def test_beta_two_against_high_precision_series(rho):
+    # E_{rho,2}(-x), the running integral of E_rho, on both sides of x = 5 and
+    # of x = 60^rho, where the power series, the bridge and the asymptotic
+    # series take over; near rho = 1 the bridge needs its geometric tail
+    hi = 60.0**rho
+    xs = [0.0, 1.0, 4.0, 4.999, 5.0, 5.001, 5.5, 20.0, 0.9 * hi, 0.999 * hi, hi, 1.001 * hi, 1.1 * hi, 40 * hi]
+    got = mittag_leffler_neg(rho, np.array(xs), beta=2)
+    for x, g in zip(xs, got):
+        assert abs(g - series_oracle(rho, x, beta=2)) <= 1e-11, x
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mittag_leffler_neg(0.8, 1.0)
     with pytest.raises(ValueError):
         mittag_leffler_neg(1.5, -0.1)
+    for rho in (1.0, 1.5, 2.0):
+        for x in (np.inf, np.nan, np.array([1.0, np.nan]), np.array([np.inf, 2.0])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                mittag_leffler_neg(rho, x)
+    for rho in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="verified range"):
+            mittag_leffler_neg(rho, 1.0)
+    for beta in (0, 3, 1.5, 2.5):
+        with pytest.raises(ValueError, match="beta must be 1 or 2"):
+            mittag_leffler_neg(1.5, 1.0, beta=beta)
 
 
 @pytest.mark.parametrize("rho", [1.001, 1.005])

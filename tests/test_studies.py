@@ -114,6 +114,9 @@ class TestConfigValidation:
     def test_spatial_ladder_must_be_reciprocal_integers(self):
         with pytest.raises(ValueError, match="1/M"):
             self.base(axis="spatial", ladder=(0.3, 0.2, 0.1, 0.05))
+        for last in (0.0, -0.25, float("nan")):  # 0 used to raise ZeroDivisionError
+            with pytest.raises(ValueError, match="1/M"):
+                self.base(axis="spatial", ladder=(0.5, 0.25, 0.125, last))
 
     def test_spatial_ladder_respects_truncation(self):
         with pytest.raises(ValueError, match="raise modes"):
@@ -132,6 +135,28 @@ class TestConfigValidation:
         for bad in (0, 17):
             with pytest.raises(ValueError, match=r"g_mode must be a mode index in 1\.\.16"):
                 self.base(modes=16, g="cylindrical_cos", g_mode=bad)
+
+    def test_cell_counts_must_be_whole(self):
+        # 8.5 used to run a spatial study on interpolated edges, "8" to end in a
+        # TypeError, fixed_cells on a temporal study to be ignored, and dt = 0.3
+        # to run 3 cells of width 1/3 reported as 0.3
+        spatial = dict(axis="spatial", modes=64)
+        assert self.base(fixed_cells=8, **spatial).fixed_cells == 8
+        for bad in (8.5, "8", 8.0, 0, True):
+            with pytest.raises(ValueError, match=r"fixed_cells must be a whole number >= 1, got"):
+                self.base(fixed_cells=bad, **spatial)
+        with pytest.raises(ValueError, match="fixed_cells applies to spatial studies only"):
+            self.base(fixed_cells=8)
+        with pytest.raises(ValueError, match=r"temporal ladder entry 0\.3 is not T/N"):
+            self.base(ladder=(0.5, 0.3, 0.25, 0.125))
+        with pytest.raises(ValueError, match=r"temporal ladder entry 2\.0 is not T/N"):
+            self.base(ladder=(2.0, 0.5, 0.25, 0.125))
+        assert self.base(T=0.75, ladder=(0.25, 0.125, 0.075, 0.0375)).ladder[2] == 0.075
+        with pytest.raises(ValueError, match="is not T/N"):
+            self.base(ladder=(0.25, 0.125, 0.0625, 0.0))  # used to raise ZeroDivisionError
+        for T in (0.0, float("inf"), float("nan")):  # N = T/dt must be a finite count
+            with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+                self.base(T=T)
 
     def test_divergent_covariance_refused(self):
         cfg = self.base(beta=1.2)  # decay derived stays at the margin, fine
@@ -270,7 +295,8 @@ class TestDeterminism:
 
 class TestRuntimeDependencies:
     def test_spatial_studies_run_without_scipy(self, fresh_python):
-        # scipy is a test extra only: the library and a spatial study never import it
+        # scipy is a test extra only: the library, spatial studies and a Volterra
+        # temporal study never import it, nor numpy.ma
         out = fresh_python(
             "-c",
             "import sys, levyspde\n"
@@ -278,8 +304,10 @@ class TestRuntimeDependencies:
             "ladder = (1 / 4, 1 / 8, 1 / 16, 1 / 32)\n"
             "run_study(StudyConfig('h', heat_kind(), 'spatial', 0.75, modes=64, ladder=ladder))\n"
             "run_study(StudyConfig('v', volterra_kind(1.5), 'spatial', 0.5, modes=32, ladder=ladder, fixed_cells=8))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "run_study(StudyConfig('w', volterra_kind(1.5), 'temporal', 0.5, modes=32, ladder=ladder))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))",
         )
+        # numpy.ma is what np.unique imports on its first call (11.9 ms)
         assert out.strip() == "[]"
 
     def test_names_the_benchmark_tracer_wraps_stay_importable(self):
@@ -297,8 +325,8 @@ class TestRuntimeDependencies:
 
 
 class TestStudyExactSide:
-    """run_study builds the exact side once for the whole ladder; every level
-    must equal a standalone error_report on that level's own grid."""
+    """Every level computes its exact side for itself; a study row must equal
+    a standalone error_report of that level bit for bit."""
 
     @pytest.mark.parametrize(
         "ladder", [(1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 12, 1 / 16, 1 / 20, 1 / 24)], ids=["dyadic", "non-nested"]
@@ -316,10 +344,10 @@ class TestStudyExactSide:
                 (row.report.weak_error_quadratic, alone.weak_error_quadratic),
                 (row.report.representation_value, alone.representation_value),
             ):
-                assert abs(got - want) <= 1e-10 * abs(want)
+                assert got == want
 
     def test_fixed_cells_rows_equal_standalone_reports(self):
-        # a spatial ladder with a time scheme on every level shares one exact-side table
+        # a spatial ladder with a time scheme on every level
         from levyspde.errors import error_report
         from levyspde.studies import _level_setup
 
@@ -336,7 +364,7 @@ class TestStudyExactSide:
                 (row.report.weak_error_quadratic, alone.weak_error_quadratic),
                 (row.report.representation_value, alone.representation_value),
             ):
-                assert abs(got - want) <= 1e-10 * abs(want)
+                assert got == want
 
     def test_volterra_implied_exact_side_is_level_independent(self):
         from levyspde.propagators import discrete_family
