@@ -8,7 +8,13 @@ bound shape, so |weak|/log(T/dt) for heat-temporal-beta1.
 
 With --compare DIR, also print, per preset and per deterministic column, the
 largest relative delta of the new CSV against DIR/<preset>.csv from an earlier
-run (a missing file is reported, not fatal).
+run, or `identical` when the two files are byte-identical (a missing file is
+reported, not fatal).  The comparison is a gate: a deterministic column that
+moved by more than 1e-10 relative (MAX_RELATIVE_DELTA) makes the exit status 3.
+
+Exit status: 0 all presets pass (and, with --compare, no column moved past the
+bound), 2 a preset failed its own rate gate (this wins over 3), 3 a column
+moved past the bound.
 """
 
 import argparse
@@ -19,6 +25,7 @@ from pathlib import Path
 from levyspde.studies import emit_csv, preset_studies, read_csv, run_study
 
 DETERMINISTIC_COLUMNS = ("strong", "weak_quad", "representation")
+MAX_RELATIVE_DELTA = 1e-10  # the deterministic CSV bound of a change that is not meant to move them
 
 
 def max_relative_deltas(new_rows: list[dict], old_rows: list[dict]) -> dict[str, float]:
@@ -41,7 +48,7 @@ def main() -> int:
     args = ap.parse_args()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    any_fail = False
+    any_fail = moved = False
     deltas = {}
     for name, config in preset_studies().items():
         t0 = time.time()
@@ -57,16 +64,26 @@ def main() -> int:
         )
         if args.compare:
             old = Path(args.compare) / f"{name}.csv"
-            new_rows = read_csv(str(out / f"{name}.csv"))
-            deltas[name] = max_relative_deltas(new_rows, read_csv(str(old))) if old.exists() else None
+            new = out / f"{name}.csv"
+            if not old.exists():
+                deltas[name] = None
+            elif new.read_bytes() == old.read_bytes():
+                deltas[name] = "identical"
+            else:
+                deltas[name] = max_relative_deltas(read_csv(str(new)), read_csv(str(old)))
     print(f"CSV files in {out}/")
     if args.compare:
         print(f"\nlargest relative delta against {args.compare}/")
         print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in DETERMINISTIC_COLUMNS))
         for name, d in deltas.items():
-            cells = ["(no CSV)".rjust(14)] * 3 if d is None else [f"{d[c]:14.3e}" for c in DETERMINISTIC_COLUMNS]
-            print(f"{name:24s} " + " ".join(cells))
-    return 2 if any_fail else 0
+            if d is None or d == "identical":
+                print(f"{name:24s} {d or '(no CSV)'}")
+                continue
+            print(f"{name:24s} " + " ".join(f"{d[c]:14.3e}" for c in DETERMINISTIC_COLUMNS))
+            moved |= max(d.values()) > MAX_RELATIVE_DELTA
+        if moved:
+            print(f"a deterministic column moved by more than {MAX_RELATIVE_DELTA:g} relative")
+    return 2 if any_fail else 3 if moved else 0
 
 
 if __name__ == "__main__":

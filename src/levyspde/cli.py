@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from .errors import RegularityError
 from .mittag_leffler import RHO_VERIFIED_MIN, mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, hs_condition, sample_jump_path, stream, asymmetric_condition
 from .propagators import cq_weights, heat_kind, volterra_kind, wave_kind
@@ -146,7 +145,7 @@ def cmd_study(args) -> int:
         config = load_config(args.config)
     try:
         result = run_study(config)
-    except (RegularityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     out = args.output or os.environ.get("LEVYSPDE_OUTPUT_DIR", ".")
@@ -216,8 +215,7 @@ def cmd_ml_eval(args) -> int:
 
 
 def cmd_cq_weights(args) -> int:
-    w = cq_weights(args.rho, args.dt, args.count)
-    for k, wk in enumerate(w.weights):
+    for k, wk in enumerate(cq_weights(args.rho, args.dt, args.count)):
         print(f"{k} {_fmt(wk)}")
     return 0
 
@@ -285,7 +283,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, RegularityError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .mittag_leffler import mittag_leffler_neg
-from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, hs_condition, stream
+from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
 
 # mc_weak_error draws its jumps through _compound_poisson_draws, not through
 # these two.  They stay importable here because studybench/tracer.py wraps
@@ -65,6 +65,7 @@ GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
 _ML_BLOCK = 4096  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
+_NODE_BLOCK = 1 << 20  # factor values per block of modes on a time-exact Volterra level; bounds its memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
 # Sign of the cross-term contribution in the representation assembly.  +1.0 is
@@ -75,10 +76,6 @@ _CROSS_TERM_SIGN = 1.0
 def _is_count(n) -> bool:
     """n is an integer >= 1 (not a float with an integral value, not a bool)."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
-
-
-class RegularityError(ValueError):
-    """Covariance decay too weak for the requested regularity target."""
 
 
 @dataclass(frozen=True)
@@ -135,26 +132,10 @@ class Setup:
     def dt(self) -> float | None:
         return None if self.n_cells is None else self.T / self.n_cells
 
-    @property
-    def rho(self) -> float:
-        return self.kind.rho if self.kind.name == "volterra" else 1.0
-
     def q(self) -> np.ndarray:
         if self.cov is None:
             return np.zeros(self.spec.mode_count)
         return self.cov.values(self.spec)
-
-    def validate_regularity(self, beta: float) -> None:
-        """Refuse setups whose covariance misses the targeted regularity."""
-        if self.cov is None:
-            return
-        rep = hs_condition(self.spec, self.cov, beta, self.rho)
-        if rep.converges is False:
-            expo = 2.0 * (self.cov.decay + 1.0 / self.rho - beta)
-            raise RegularityError(
-                f"Hilbert-Schmidt sum diverges at beta={beta}: exponent "
-                f"2(decay + 1/rho - beta) = {expo:.4g} <= 1"
-            )
 
 
 # ----------------------------------------------------------------------------
@@ -272,6 +253,11 @@ def _strictly_increasing(pts: np.ndarray) -> np.ndarray:
     return pts[np.append(True, np.diff(pts) > 0.0)]
 
 
+def _damping_ratio(rho: float) -> float:
+    """|cos(pi/rho)| / sin(pi/rho): every Volterra mode's damping over its frequency."""
+    return abs(math.cos(math.pi / rho)) / math.sin(math.pi / rho)
+
+
 def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarray:
     """Graded global breakpoints on [0, T] resolving every mode scale up to lam_max.
 
@@ -280,15 +266,16 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
     Volterra only up to _DEAD_SPAN of its decay scales).  Volterra adds the
     first cell graded toward the s^rho branch point at s = 0
     (_FIRST_CELL_HALVINGS halvings) and cuts every later cell [a, b] into
-    min(ceil((b - a) / 0.3a), 8) equal pieces for the algebraic tail.
+    min(ceil((b - a) / (0.3 kappa a)), ceil(8 / kappa)) equal pieces for the
+    algebraic tail, kappa = min(1, r(rho) / r(1.5)) with r = _damping_ratio.
 
-    Limit: past _DEAD_SPAN decay scales of the top mode the lower Volterra
-    modes, which decay more slowly, still oscillate on cells as wide as 0.3a.
-    The ratio of every mode's damping |cos(pi/rho)| to its frequency
-    sin(pi/rho) vanishes as rho -> 2, so time-exact Volterra rows degrade
-    there: at rho = 1.9, K = 1024, I_ee from these nodes is off by 3.8e-7
-    relative.  The G_rho table of _volterra_ee, whose partition resolves the
-    one unit mode, agrees with a per-mode partition there to 1e-14.
+    Past _DEAD_SPAN decay scales of the top mode the lower Volterra modes,
+    which decay more slowly, still oscillate on these tail pieces, and r, the
+    ratio of every mode's damping to its frequency, vanishes as rho -> 2.
+    kappa narrows the pieces with r; it is 1 for rho <= 1.5.  Limit: the node
+    count grows like 1/kappa.  At K = 1024 time-exact I_ee from these nodes
+    agrees with the G_rho table of _volterra_ee to 1e-14 for rho up to 1.95
+    (14328 nodes there; 5296 and 2.3e-4 off without kappa).
     """
     scale = _decay_scale(kind, lam_max)
     freq = _osc_freq(kind, lam_max)
@@ -305,11 +292,13 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
             pts.append(np.linspace(0.0, span, m + 1))
     out = _strictly_increasing(np.concatenate(pts))
     if kind.name == "volterra":
+        kappa = min(1.0, _damping_ratio(kind.rho) / _damping_ratio(1.5))
+        width, cap = 0.3 * kappa, math.ceil(8.0 / kappa)
         out = np.concatenate([[0.0], out[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0), out[1:]])
         a, length = out[:-1], np.diff(out)
         pieces = np.ones(a.size, dtype=int)
-        cut = (a > 0.0) & (length > 0.3 * a)
-        pieces[cut] = np.minimum(np.ceil(length[cut] / (0.3 * a[cut])), 8)
+        cut = (a > 0.0) & (length > width * a)
+        pieces[cut] = np.minimum(np.ceil(length[cut] / (width * a[cut])), cap)
         i = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
         out = np.append(np.repeat(a, pieces) + np.repeat(length, pieces) * i / np.repeat(pieces, pieces), out[-1])
     return out
@@ -339,13 +328,21 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
     the CQ factor table steps (J, N+1) against the cell integrals
     diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, evaluated for blocks
     of about _ML_BLOCK values, and ee from _volterra_ee.  Time-exact levels:
-    Gauss quadrature on global nodes shared by both sides."""
+    Gauss quadrature on global nodes shared by both sides, the exact factors
+    in blocks of about _NODE_BLOCK values; on the identity (j None) the two
+    sides are one table, so dd = de = ee."""
     kind, lam = setup.kind, setup.spec.eigenvalues
     if steps is None:
         nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
-        a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
-        b = _noise_factor(kind, lam[:, None], nodes[None, :])  # (K, G)
-        return _gather((a * a) @ w, j), (_gather(a, j) * b) @ w, (b * b) @ w
+        a = None if j is None else _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
+        de, ee = np.empty(lam.size), np.empty(lam.size)
+        rows = max(1, _NODE_BLOCK // nodes.size)
+        for lo in range(0, lam.size, rows):
+            k = slice(lo, lo + rows)
+            b = _noise_factor(kind, lam[k, None], nodes[None, :])
+            de[k] = ((b if a is None else a[j[k] - 1]) * b) @ w
+            ee[k] = (b * b) @ w
+        return (ee if a is None else _gather((a * a) @ w, j)), de, ee
     edges = _level_edges(setup)
     t_rho = edges**kind.rho
     et = steps[:, 1:]
@@ -514,34 +511,38 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     norm from the product space of order alpha into L2.  FEM setups (heat and
     Volterra, diagnostics-sized truncations) assemble the Gram of the error
     operator on the resolved sine modes and take its largest singular value.
+    The scheme factor at s is the n-step one, n = ceil(s / dt) with s / dt
+    rounded to 12 decimals first, so an s = n dt off by rounding stays in the
+    right-closed cell ((n-1) dt, n dt].
     """
     s_grid = np.asarray(s_grid, float)
     if np.any(s_grid <= 0) or np.any(s_grid > setup.T):
         raise ValueError("s grid must lie in (0, T]")
-    lam = setup.spec.eigenvalues
+    lam = lam_d = setup.spec.eigenvalues
     if setup.fem is not None:
         if setup.kind.name == "wave":
             raise ValueError("FEM profiles are implemented for the scalar families only")
         if setup.spec.mode_count > 512:
             raise ValueError("FEM profiles are a diagnostics tool; keep the truncation at 512 or below")
-        coupling = spectral_coupling(setup.fem, setup.spec)  # (J, K)
         lam_d = setup.fem.eigenvalues
-        fam = None
-        if setup.n_cells is not None:
-            fam = discrete_family(setup.kind, lam_d, setup.dt, setup.n_cells)
+    steps = None
+    if setup.n_cells is not None:
+        steps = discrete_family(setup.kind, lam_d, setup.dt, setup.n_cells).steps
+        n = np.ceil(np.round(s_grid / setup.dt, 12)).astype(int)  # s in the right-closed cell n
+    if setup.fem is not None:
+        coupling = spectral_coupling(setup.fem, setup.spec)  # (J, K)
         out = np.empty(s_grid.size)
         for i, s in enumerate(s_grid):
-            f = fam.factor_at(float(s)).real if fam is not None else _noise_factor(setup.kind, lam_d, float(s))
+            f = steps[:, n[i]].real if steps is not None else _noise_factor(setup.kind, lam_d, float(s))
             e = _noise_factor(setup.kind, lam, float(s))
             cf = coupling * f[:, None]
             gram = cf.T @ cf - (coupling.T @ (coupling * f[:, None])) * e[None, :] * 2.0
             gram = 0.5 * (gram + gram.T) + np.diag(e**2)
             out[i] = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
         return out
-    fam = discrete_family(setup.kind, lam, setup.dt, setup.n_cells)
     out = np.empty(s_grid.size)
     for i, s in enumerate(s_grid):
-        tilde = fam.factor_at(float(s))
+        tilde = steps[:, n[i]]
         if setup.kind.name == "wave":
             dz = tilde - wave_exact_z(lam, s)
             out[i] = float(np.max(np.abs(dz) * lam ** (-alpha / 2.0)))

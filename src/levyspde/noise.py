@@ -148,14 +148,6 @@ class LevyLaw:
             if self.jumps not in ("two_point", "normal"):
                 raise ValueError(f"unknown jump law {self.jumps!r}")
 
-    def increment_variance(self, dt: float) -> float:
-        """Analytic variance of an increment over a span dt (equals dt by normalization)."""
-        return float(dt)
-
-    def jump_second_moment(self) -> float:
-        """int xi^2 nu(dxi) of the scalar jump intensity measure (1 by normalization)."""
-        return 1.0
-
     def excess_kurtosis(self, dt: float) -> float:
         if self.kind in ("variance_gamma", "gamma_subordinated_wiener"):
             return 3.0 * self.nu / dt

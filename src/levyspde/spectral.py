@@ -38,10 +38,6 @@ class DirichletSpectrum:
         k = np.arange(1, self.mode_count + 1, dtype=float)
         object.__setattr__(self, "eigenvalues", (k * np.pi / self.domain_length) ** 2)
 
-    @property
-    def K(self) -> int:
-        return self.mode_count
-
 
 def dirichlet_spectrum(K: int, length: float = 1.0) -> DirichletSpectrum:
     """Spectrum of the Dirichlet Laplacian on (0, length) truncated to K modes."""

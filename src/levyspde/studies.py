@@ -293,7 +293,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     rows = []
     for level, resolution in enumerate(config.ladder):
         setup = _level_setup(config, resolution)
-        setup.validate_regularity(config.beta)
         rep = error_report(setup)
         if config.mc_paths:
             est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed)

@@ -3,23 +3,44 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from levyspde.errors import Setup, _noise_factor, propagator_error_profile
 from levyspde.mittag_leffler import mittag_leffler_neg
+from levyspde.noise import LevyLaw
 from levyspde.propagators import (
     EquationKind,
-    be_mode_power,
     cq_mode_solve,
     cq_resolvent,
     cq_weights,
     discrete_family,
-    exact_mode_factor,
     heat_kind,
     i_stability_check,
-    rational_wave_mode,
+    step_log,
     volterra_kind,
-    wave_energy,
+    wave_exact_z,
     wave_kind,
-    wave_step_power,
 )
+from levyspde.spectral import dirichlet_spectrum
+
+
+def be_steps(lam: float, dt: float, N: int) -> np.ndarray:
+    """Backward Euler factors (1 + dt lam)^(-n), n = 0..N, from the heat family."""
+    return discrete_family(heat_kind(), np.array([lam]), dt, N).steps[0]
+
+
+def wave_step(scheme: str, lam: float, dt: float) -> complex:
+    """The one-step complex carrier z = e^(log z) of a wave scheme."""
+    return complex(np.exp(step_log(wave_kind(scheme), lam, dt)))
+
+
+def rational_block(scheme: str, dt: float, lam: float) -> np.ndarray:
+    """R(dt A) by linear solves with the 2x2 wave generator A = [[0, -1], [lam, 0]]
+    (u' = v, v' = -lam u reads X' = -A X), apart from the complex carrier."""
+    a, eye = dt * np.array([[0.0, -1.0], [lam, 0.0]]), np.eye(2)
+    if scheme == "crank_nicolson":
+        return np.linalg.solve(2.0 * eye + a, 2.0 * eye - a)
+    if scheme == "backward_euler":
+        return np.linalg.solve(eye + a, eye)
+    return eye - a
 
 
 class TestEquationKind:
@@ -42,56 +63,52 @@ class TestEquationKind:
 
 class TestExactFactors:
     def test_time_zero_identity(self):
-        assert exact_mode_factor(heat_kind(), 3.0, 0.0) == 1.0
-        assert exact_mode_factor(volterra_kind(1.5), 3.0, 0.0) == 1.0
-        np.testing.assert_allclose(exact_mode_factor(wave_kind(), 3.0, 0.0), np.eye(2), atol=1e-16)
+        assert _noise_factor(heat_kind(), 3.0, 0.0) == 1.0
+        assert _noise_factor(volterra_kind(1.5), 3.0, 0.0) == 1.0
+        assert wave_exact_z(3.0, 0.0) == 1.0
 
     def test_heat_half_life(self):
         lam = 4.2
-        assert exact_mode_factor(heat_kind(), lam, np.log(2.0) / lam) == pytest.approx(0.5, rel=1e-14)
+        assert _noise_factor(heat_kind(), lam, np.log(2.0) / lam) == pytest.approx(0.5, rel=1e-14)
 
     def test_wave_energy_preserved(self):
+        # the block acts on w = a + i b/sqrt(lam) as w -> z w, and |w|^2 = a^2 + b^2/lam
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(1000):
             lam = float(rng.uniform(0.5, 1e6))
             t = float(rng.uniform(0.0, 10.0))
-            state = rng.standard_normal(2)
-            out = exact_mode_factor(wave_kind(), lam, t) @ state
-            worst = max(worst, abs(wave_energy(out, lam) - wave_energy(state, lam)) / wave_energy(state, lam))
+            a, b = rng.standard_normal(2)
+            w = a + 1j * b / np.sqrt(lam)
+            out = complex(wave_exact_z(lam, t)) * w
+            worst = max(worst, abs(abs(out) ** 2 - abs(w) ** 2) / abs(w) ** 2)
         assert worst <= 1e-12
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            exact_mode_factor(heat_kind(), -1.0, 1.0)
-        with pytest.raises(ValueError):
-            exact_mode_factor(heat_kind(), 1.0, -1.0)
 
 
 class TestCqWeights:
     def test_first_weight(self):
         w = cq_weights(1.5, 0.1, 4)
-        assert w.weights[0] == pytest.approx(0.1**0.5, rel=1e-15)
+        assert w[0] == pytest.approx(0.1**0.5, rel=1e-15)
 
     def test_first_ratio_is_rho_minus_one(self):
         # d/dz (1-z)^(1-rho) at 0 gives c_1 = rho - 1
         for rho in (1.1, 1.5, 1.9):
             w = cq_weights(rho, 1.0, 3)
-            assert w.weights[1] == pytest.approx(rho - 1.0, rel=1e-14)
+            assert w[1] == pytest.approx(rho - 1.0, rel=1e-14)
 
     def test_heat_limit(self):
         w = cq_weights(1.0 + 1e-12, 1.0, 6)
-        assert np.all(np.abs(w.weights[1:]) <= 1e-11)
+        assert np.all(np.abs(w[1:]) <= 1e-11)
 
     @pytest.mark.parametrize("rho", [1.1, 1.5, 1.9])
     def test_positive_nonincreasing_long(self, rho):
-        w = cq_weights(rho, 0.01, 10000).weights
+        w = cq_weights(rho, 0.01, 10000)
         assert np.all(w > 0)
         assert np.all(np.diff(w) <= 0)
 
     @hypothesis.given(st.floats(min_value=1.01, max_value=1.99), st.integers(min_value=2, max_value=200))
     def test_positive_nonincreasing_property(self, rho, n):
-        w = cq_weights(rho, 0.5, n).weights
+        w = cq_weights(rho, 0.5, n)
         assert np.all(w > 0)
         assert np.all(np.diff(w) <= 1e-18)
 
@@ -104,7 +121,7 @@ class TestCqWeights:
         z = radius * np.exp(2j * np.pi * np.arange(n) / n)
         coeff = np.fft.fft((1.0 - z) ** (1.0 - rho)) / n
         oracle = (coeff.real / radius ** np.arange(n))[:6]
-        w = cq_weights(rho, 1.0, 6).weights
+        w = cq_weights(rho, 1.0, 6)
         np.testing.assert_allclose(w, oracle, rtol=1e-11)
 
     def test_bad_arguments(self):
@@ -116,20 +133,20 @@ class TestCqWeights:
 
 class TestBeModePower:
     def test_zero_steps(self):
-        assert be_mode_power(5.0, 0.1, 0) == 1.0
+        assert be_steps(5.0, 0.1, 3)[0] == 1.0
 
     def test_quarter(self):
-        assert be_mode_power(10.0, 0.1, 2) == pytest.approx(0.25, rel=1e-15)
+        assert be_steps(10.0, 0.1, 2)[2] == pytest.approx(0.25, rel=1e-15)
 
     def test_first_order_limit(self):
         lam, t = 2.0, 1.0
         dts = [1e-2, 1e-3, 1e-4]
-        errs = [abs(be_mode_power(lam, dt, int(round(t / dt))) - np.exp(-lam * t)) for dt in dts]
+        errs = [abs(be_steps(lam, dt, int(round(t / dt)))[-1] - np.exp(-lam * t)) for dt in dts]
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 0.9
 
     def test_bounded_monotone(self):
-        vals = be_mode_power(7.0, 0.2, np.arange(50))
+        vals = be_steps(7.0, 0.2, 49)
         assert np.all(vals > 0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) < 0)
 
@@ -156,7 +173,7 @@ class TestCqSolve:
     def test_rho_near_one_is_backward_euler(self):
         lam, N = 2.0, 16
         x = cq_mode_solve(lam, 1.0 + 1e-10, 1.0 / N, N, np.zeros(N), x0=1.0)
-        be = be_mode_power(lam, 1.0 / N, np.arange(1, N + 1))
+        be = (1.0 + lam / N) ** -np.arange(1.0, N + 1)
         np.testing.assert_allclose(x, be, rtol=1e-7)
 
     def test_forcing_length_checked(self):
@@ -166,33 +183,29 @@ class TestCqSolve:
 
 class TestWaveSchemes:
     def test_dt_to_zero_identity(self):
-        m = rational_wave_mode("crank_nicolson", 1e-12, 5.0)
-        np.testing.assert_allclose(m, np.eye(2), atol=1e-5)
+        z = discrete_family(wave_kind(), np.array([5.0]), 1e-12, 1).steps[0, 1]
+        assert abs(z - 1.0) <= 1e-5
 
     def test_cn_unit_energy_amplification(self):
         for lam in (0.7, 42.0, 9e4):
-            m = rational_wave_mode("crank_nicolson", 0.05, lam)
-            eig = np.linalg.eigvals(m)
-            np.testing.assert_allclose(np.abs(eig), 1.0, atol=1e-13)
+            assert abs(wave_step("crank_nicolson", lam, 0.05)) == pytest.approx(1.0, abs=1e-13)
 
     def test_backward_euler_contracts(self):
-        rng = np.random.default_rng(1)
+        # the block scales the energy a^2 + b^2/lam of every state by |z|^2
         for lam in (0.7, 42.0):
-            m = rational_wave_mode("backward_euler", 0.05, lam)
-            for _ in range(50):
-                s = rng.standard_normal(2)
-                assert wave_energy(m @ s, lam) < wave_energy(s, lam)
+            assert abs(wave_step("backward_euler", lam, 0.05)) < 1.0
 
     def test_cn_thousand_step_energy_drift(self):
         lam, dt = 1234.5, 0.01
-        z = wave_step_power("crank_nicolson", dt, lam, 1000)
+        z = discrete_family(wave_kind(), np.array([lam]), dt, 1000).steps[0, -1]
         assert abs(abs(z) - 1.0) <= 1e-10
 
     def test_step_power_matches_matrix_power(self):
+        # the complex carrier against n products of the 2x2 block R(dt A)
         lam, dt, n = 17.0, 0.05, 9
         for scheme in ("backward_euler", "crank_nicolson", "explicit_euler"):
-            m = np.linalg.matrix_power(rational_wave_mode(scheme, dt, lam), n)
-            z = complex(wave_step_power(scheme, dt, lam, n))
+            m = np.linalg.matrix_power(rational_block(scheme, dt, lam), n)
+            z = complex(discrete_family(wave_kind(scheme), np.array([lam]), dt, n).steps[0, -1])
             np.testing.assert_allclose(
                 m, [[z.real, -z.imag / np.sqrt(lam)], [z.imag * np.sqrt(lam), z.real]], rtol=1e-12, atol=1e-14
             )
@@ -208,29 +221,42 @@ class TestWaveSchemes:
         assert not ok and worst > 1.0
 
 
+def heat_profile(dt: float, N: int, s: float) -> float:
+    """propagator_error_profile at s of a one-mode heat setup (lam = pi^2) with N cells of dt."""
+    setup = Setup(heat_kind(), dirichlet_spectrum(1), None, LevyLaw("compound_poisson"), dt * N, n_cells=N)
+    return float(propagator_error_profile(setup, np.array([s]))[0])
+
+
 class TestDiscreteFamily:
     def test_time_zero_is_projection(self):
         fam = discrete_family(heat_kind(), np.array([1.0, 4.0]), 0.25, 4)
-        np.testing.assert_array_equal(fam.factor_at(0.0), [1.0, 1.0])
+        np.testing.assert_array_equal(fam.steps[:, 0], [1.0, 1.0])
 
     def test_first_cell_single_step(self):
-        lam = np.array([2.0])
-        fam = discrete_family(heat_kind(), lam, 0.25, 4)
-        one = 1.0 / (1.0 + 0.25 * 2.0)
-        for t in (1e-9, 0.1, 0.25):
-            assert fam.factor_at(t)[0] == pytest.approx(one, rel=1e-15)
+        # every s in the first cell (0, dt] uses the one-step factor
+        lam = np.pi**2
+        one = discrete_family(heat_kind(), np.array([lam]), 0.25, 4).steps[0, 1]
+        assert one == pytest.approx(1.0 / (1.0 + 0.25 * lam), rel=1e-15)
+        for s in (1e-9, 0.1, 0.25):
+            assert heat_profile(0.25, 4, s) == abs(one - np.exp(-lam * s))
 
     def test_terminal_factor(self):
         lam = np.array([2.0])
         fam = discrete_family(heat_kind(), lam, 0.25, 4)
-        assert fam.factor_at(1.0)[0] == pytest.approx((1.0 + 0.5) ** -4, rel=1e-14)
+        assert fam.steps[0, -1] == pytest.approx((1.0 + 0.5) ** -4, rel=1e-14)
+
+    def test_step_index_at_cell_edges(self):
+        # s = 3 dt in floating point (0.30000000000000004) is still cell 3; just
+        # above it is cell 4; s = T is cell N
+        lam, dt, N = np.pi**2, 0.1, 10
+        steps = discrete_family(heat_kind(), np.array([lam]), dt, N).steps[0]
+        for s, n in ((3 * dt, 3), (3 * dt + 1e-9, 4), (1.0, N)):
+            assert heat_profile(dt, N, s) == abs(steps[n] - np.exp(-lam * s))
 
     def test_out_of_range(self):
-        fam = discrete_family(heat_kind(), np.array([1.0]), 0.25, 4)
-        with pytest.raises(ValueError):
-            fam.factor_at(1.1)
-        with pytest.raises(ValueError):
-            fam.factor_at(-0.1)
+        for s in (1.1, -0.1, 0.0):
+            with pytest.raises(ValueError, match=r"\(0, T\]"):
+                heat_profile(0.25, 4, s)
 
     def test_volterra_family_is_resolvent(self):
         lam = np.array([np.pi**2])
