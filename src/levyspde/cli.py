@@ -46,7 +46,7 @@ _CONFIG_KEYS = {
     "output",
 }
 _COV_KEYS = {"amplitude", "decay"}
-_LAW_KEYS = {"kind", "nu", "intensity", "jumps"}
+_LAW_KEYS = {"kind", "intensity", "jumps"}
 _MC_KEYS = {"paths", "seed"}
 
 
@@ -77,8 +77,6 @@ def _make_law(obj) -> LevyLaw:
     if unknown:
         raise ConfigError(f"unknown law keys {sorted(unknown)}")
     kw = {}
-    if "nu" in obj:
-        kw["nu"] = float(obj["nu"])
     if "intensity" in obj:
         kw["intensity"] = float(obj["intensity"])
     if "jumps" in obj:
@@ -118,7 +116,7 @@ def load_config(path: str) -> StudyConfig:
             axis=raw["axis"],
             beta=float(raw["beta"]),
             T=float(raw.get("horizon", 1.0)),
-            modes=int(raw.get("modes", 1024)),
+            modes=raw.get("modes", 1024),
             ladder=tuple(float(v) for v in raw["ladder"]),
             fixed_cells=raw.get("fixed_cells"),
             cov_amplitude=float(cov.get("amplitude", 1.0)),
@@ -126,9 +124,9 @@ def load_config(path: str) -> StudyConfig:
             law=_make_law(raw.get("law")),
             x0=None if x0 is None else tuple(x0),
             g=raw.get("g", "quadratic"),
-            g_mode=int(raw.get("g_mode", 1)),
-            mc_paths=None if mc is None else int(mc.get("paths", 1000)),
-            mc_seed=0 if mc is None else int(mc.get("seed", 0)),
+            g_mode=raw.get("g_mode", 1),
+            mc_paths=None if mc is None else mc.get("paths", 1000),
+            mc_seed=0 if mc is None else mc.get("seed", 0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -24,7 +24,7 @@ _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 Heat and wave rows are closed forms.  A mode factor is e(s) = Re(c e^(mu s))
 (heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)), a step
 factor Re(c z^n), so Re u Re v = Re(uv + u conj(v))/2 turns every row into
-geometric sums expm1(N log xi)/expm1(log xi) or integrals expm1(nu T)/nu.
+geometric sums expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
 Volterra rows have no such form, but its exact side has two: the cell
 integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
 which its scheme rows pair with the CQ factor table, and
@@ -73,9 +73,14 @@ _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds
 _CROSS_TERM_SIGN = 1.0
 
 
+def _is_whole(n) -> bool:
+    """n is an integer (not a float with an integral value, not a bool)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _is_count(n) -> bool:
-    """n is an integer >= 1 (not a float with an integral value, not a bool)."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+    """n is a whole number >= 1."""
+    return _is_whole(n) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,10 @@ class Setup:
 
     fem None means the spectral-Galerkin space (discrete operator = truncated
     exact operator); n_cells None means the time-exact (semidiscrete) family.
-    x0 holds sine-basis coefficients: shape (K,) or, for the wave system, a
-    (2, K) stack of position and velocity coefficients.  exact_scheme replaces
-    the discrete family by the exact one (a debugging/identity device).
+    With neither, the discrete family is the exact one, so every error is 0
+    (an identity check of the assembly).  x0 holds sine-basis coefficients:
+    shape (K,) or, for the wave system, a (2, K) stack of position and
+    velocity coefficients.
     """
 
     kind: EquationKind
@@ -97,16 +103,13 @@ class Setup:
     n_cells: int | None = None
     fem: FemSpace | None = None
     x0: np.ndarray | None = None
-    exact_scheme: bool = False
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError("horizon T must be > 0")
-        if self.n_cells is None and not self.exact_scheme and self.fem is None:
-            raise ValueError("a spectral setup needs a time grid (n_cells) or exact_scheme")
         if self.n_cells is not None and not _is_count(self.n_cells):
             raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
-        if self.kind.name == "wave" and not self.exact_scheme and self.n_cells is not None:
+        if self.kind.name == "wave" and self.n_cells is not None:
             ok, worst = i_stability_check(self.kind.scheme, np.linspace(-64.0, 64.0, 2049))
             if not ok:
                 raise ValueError(f"wave scheme {self.kind.scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
@@ -206,10 +209,10 @@ def _geometric(L, n: int):
     return np.where(zero, n, np.expm1(n * L) / np.where(zero, 1, den))
 
 
-def _integral(nu, T: float):
-    """int_0^T e^(nu s) ds = expm1(nu T) / nu; T where nu = 0."""
-    zero = nu == 0
-    return np.where(zero, T, np.expm1(nu * T) / np.where(zero, 1, nu))
+def _integral(L, T: float):
+    """int_0^T e^(L s) ds = expm1(L T) / L; T where L = 0."""
+    zero = L == 0
+    return np.where(zero, T, np.expm1(L * T) / np.where(zero, 1, L))
 
 
 def _re_products(a, la, b, lb, total):
@@ -388,8 +391,8 @@ def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np
 
 def _partner_map(setup: Setup):
     """(lam_d, j, c): the discrete eigenvalues and alias_fold's (j, c); on the
-    spectral space or under exact_scheme the identity, j None and c = 1."""
-    if setup.fem is None or setup.exact_scheme:
+    spectral space the identity, j None and c = 1."""
+    if setup.fem is None:
         return setup.spec.eigenvalues, None, 1.0
     return (setup.fem.eigenvalues, *alias_fold(setup.fem, setup.spec))
 
@@ -426,23 +429,23 @@ def error_report(setup: Setup) -> ErrorReport:
     """Strong, weak and representation values of one setup.
 
     I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes, with
-    m = c^2 q from the partner map (m = q on the spectral space); exact_scheme
-    makes the discrete side the exact one.
+    m = c^2 q from the partner map (m = q on the spectral space).  On the
+    exact family (no FEM space, no time grid) the rows are equal bit for bit,
+    so every value is exactly 0.
     """
     kind = setup.kind
     lam = setup.spec.eigenvalues
     q = setup.q()
-    n_cells = None if setup.exact_scheme else setup.n_cells
     lam_d, j, c = _partner_map(setup)
     m = c * c * q
     steps = None
-    if kind.name == "volterra" and n_cells is not None:
-        steps = discrete_family(kind, lam_d, setup.dt, n_cells).steps
+    if kind.name == "volterra" and setup.n_cells is not None:
+        steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
 
     x0_d = x0_e = x0_diff = 0.0
     if setup.x0 is not None and np.any(setup.x0):
         a_e = _exact_terminal_first(setup)
-        z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, n_cells)
+        z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, setup.n_cells)
         a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
         x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
@@ -452,8 +455,8 @@ def error_report(setup: Setup) -> ErrorReport:
         if kind.name == "volterra":
             dd, de, ee = _table_integrals(setup, lam_d, j, steps)
         else:
-            dd, de, ee = _closed_form_integrals(kind, _gather(lam_d, j), lam, setup.T, n_cells)
-        # one reduction for all three, so exact_scheme's equal rows give equal sums
+            dd, de, ee = _closed_form_integrals(kind, _gather(lam_d, j), lam, setup.T, setup.n_cells)
+        # one reduction for all three, so the exact family's equal rows give equal sums
         i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)
     quad = i_dd - 2.0 * i_de + i_ee  # the quadratic remainder
@@ -513,8 +516,11 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     operator on the resolved sine modes and take its largest singular value.
     The scheme factor at s is the n-step one, n = ceil(s / dt) with s / dt
     rounded to 12 decimals first, so an s = n dt off by rounding stays in the
-    right-closed cell ((n-1) dt, n dt].
+    right-closed cell ((n-1) dt, n dt].  The exact family (no FEM space, no
+    time grid) is refused: its error operator is 0.
     """
+    if setup.fem is None and setup.n_cells is None:
+        raise ValueError("the exact family (no FEM space, no time grid) has no propagator error")
     s_grid = np.asarray(s_grid, float)
     if np.any(s_grid <= 0) or np.any(s_grid > setup.T):
         raise ValueError("s grid must lie in (0, T]")
@@ -587,9 +593,9 @@ def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> t
 
     The jump path of each mode drives both the exact reference (jump-time sum
     against the exact factor) and the scheme (the step factor of the cell
-    each jump lands in), so the difference carries no coupling bias.
-    Requires the compound-Poisson law; the subordinated laws have no finite
-    jump-time decomposition to build the exact reference from.
+    each jump lands in), so the difference carries no coupling bias; the
+    compound-Poisson law's finite jump-time decomposition is what makes the
+    exact reference computable.
 
     Paths are drawn in blocks of _mc_block_paths(setup): block b holds paths
     b*P .. b*P + P - 1 (the last block may be short) and draws them from the
@@ -599,8 +605,6 @@ def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> t
     of observables to one value per row, as quadratic_functional and
     CylindricalFunctional do; the default is quadratic_functional.
     """
-    if setup.law.kind != "compound_poisson":
-        raise ValueError("exact coupled reference requires the compound_poisson law")
     if setup.fem is not None:
         raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
     if setup.n_cells is None:

@@ -34,30 +34,18 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Diagonal covariance q_k, either c * lam_k^(-decay) or an explicit table."""
+    """Diagonal covariance q_k = amplitude * lam_k^(-decay); decay is required."""
 
     amplitude: float = 1.0
     decay: float | None = None
-    explicit: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.decay is None) == (self.explicit is None):
-            raise ValueError("specify exactly one of decay or explicit")
-        if self.decay is not None and self.decay < 0:
-            raise ValueError("decay exponent must be >= 0")
+        if self.decay is None or not self.decay >= 0:
+            raise ValueError(f"decay exponent must be given and >= 0, got {self.decay}")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be > 0")
-        if self.explicit is not None:
-            q = np.asarray(self.explicit, float)
-            if np.any(q <= 0) or np.any(np.diff(q) > 0):
-                raise ValueError("explicit covariance must be positive and nonincreasing")
-            object.__setattr__(self, "explicit", q)
 
     def values(self, spec: DirichletSpectrum) -> np.ndarray:
-        if self.explicit is not None:
-            if self.explicit.size < spec.mode_count:
-                raise ValueError("explicit covariance shorter than requested truncation")
-            return self.explicit[: spec.mode_count]
         return self.amplitude * spec.eigenvalues ** (-self.decay)
 
 
@@ -66,8 +54,8 @@ class HsReport:
     """Truncated Hilbert-Schmidt sum sum_{k<=K} lam_k^(beta-1/rho) q_k with tail info."""
 
     partial_sum: float
-    tail_bound: float | None
-    converges: bool | None
+    tail_bound: float
+    converges: bool
 
     @property
     def norm(self) -> float:
@@ -77,7 +65,7 @@ class HsReport:
 def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho: float = 1.0) -> HsReport:
     """Evaluate the regularity functional governing the convergence rates.
 
-    For power-law covariance the summand is ~ k^(2(beta - 1/rho - decay)), so
+    The summand is ~ k^(2(beta - 1/rho - decay)), so
     the series converges iff 2*(decay + 1/rho - beta) > 1; the tail bound is
     the integral comparison starting at K.
     """
@@ -86,12 +74,10 @@ def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho:
     lam = spec.eigenvalues
     q = cov.values(spec)
     partial = float(np.sum(lam ** (beta - 1.0 / rho) * q))
-    if cov.decay is None:
-        return HsReport(partial_sum=partial, tail_bound=None, converges=None)
     expo = 2.0 * (beta - 1.0 / rho - cov.decay)  # summand ~ k^expo
     converges = expo < -1.0
     if converges:
-        scale = cov.amplitude * (np.pi / spec.domain_length) ** expo
+        scale = cov.amplitude * np.pi**expo
         tail = scale * spec.mode_count ** (expo + 1.0) / (-(expo + 1.0))
     else:
         tail = np.inf
@@ -122,58 +108,26 @@ def asymmetric_condition(
 
 @dataclass(frozen=True)
 class LevyLaw:
-    """Scalar mean-zero Levy increment law with E L(t)^2 = t.
+    """Scalar mean-zero compound-Poisson law with E L(t)^2 = t: intensity
+    jumps per unit time, each of variance 1/intensity, either symmetric
+    two-point or centered normal.
 
-    kinds:
-      variance_gamma: per-mode independent gamma subordinators, variance rate nu
-      gamma_subordinated_wiener: one gamma subordinator shared by all modes
-        (coordinates uncorrelated but dependent), variance rate nu
-      compound_poisson: intensity jumps per unit time, each of variance
-        1/intensity; jumps either symmetric two-point or centered normal
+    kind names the law; compound_poisson is the only one, because the
+    coupled Monte Carlo reference needs a finite jump-time decomposition and
+    the deterministic errors see the noise only through its covariance.
     """
 
-    kind: Literal["variance_gamma", "compound_poisson", "gamma_subordinated_wiener"]
-    nu: float = 1.0
+    kind: Literal["compound_poisson"]
     intensity: float = 1.0
     jumps: Literal["two_point", "normal"] = "two_point"
 
     def __post_init__(self):
-        if self.kind not in ("variance_gamma", "compound_poisson", "gamma_subordinated_wiener"):
-            raise ValueError(f"unknown law kind {self.kind!r}")
-        if self.kind in ("variance_gamma", "gamma_subordinated_wiener") and not self.nu > 0:
-            raise ValueError("subordinator variance rate nu must be > 0")
-        if self.kind == "compound_poisson":
-            if not self.intensity > 0:
-                raise ValueError("jump intensity must be > 0")
-            if self.jumps not in ("two_point", "normal"):
-                raise ValueError(f"unknown jump law {self.jumps!r}")
-
-    def excess_kurtosis(self, dt: float) -> float:
-        if self.kind in ("variance_gamma", "gamma_subordinated_wiener"):
-            return 3.0 * self.nu / dt
-        # compound Poisson: kappa_4 / var^2 = E J^4 / (intensity dt (E J^2)^2)
-        j4 = 1.0 if self.jumps == "two_point" else 3.0  # E J^4 in units of (E J^2)^2
-        return j4 / (self.intensity * dt)
-
-
-def sample_increments(law: LevyLaw, dt: float, K: int, rng: np.random.Generator) -> np.ndarray:
-    """K coordinate increments over a span dt: mean zero, variance dt each."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if law.kind == "variance_gamma":
-        z = rng.gamma(shape=dt / law.nu, scale=law.nu, size=K)
-        return rng.standard_normal(K) * np.sqrt(z)
-    if law.kind == "gamma_subordinated_wiener":
-        z = rng.gamma(shape=dt / law.nu, scale=law.nu)
-        return rng.standard_normal(K) * np.sqrt(z)
-    # compound Poisson
-    counts = rng.poisson(law.intensity * dt, size=K)
-    total = int(counts.sum())
-    sizes = _jump_sizes(law, total, rng)
-    out = np.zeros(K)
-    if total:
-        np.add.at(out, np.repeat(np.arange(K), counts), sizes)
-    return out
+        if self.kind != "compound_poisson":
+            raise ValueError(f"unknown law kind {self.kind!r}; the only law is 'compound_poisson'")
+        if not self.intensity > 0:
+            raise ValueError("jump intensity must be > 0")
+        if self.jumps not in ("two_point", "normal"):
+            raise ValueError(f"unknown jump law {self.jumps!r}")
 
 
 def _jump_sizes(law: LevyLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -201,7 +155,7 @@ def _compound_poisson_draws(law: LevyLaw, T: float, n: int, rng: np.random.Gener
 
 @dataclass(frozen=True)
 class JumpPath:
-    """Sorted jump times and sizes per mode over [0, T]; compound Poisson only."""
+    """Sorted jump times and sizes per mode over [0, T]."""
 
     horizon: float
     times: list[np.ndarray]
@@ -211,15 +165,9 @@ class JumpPath:
     def mode_count(self) -> int:
         return len(self.times)
 
-    def terminal(self) -> np.ndarray:
-        """L_k(T) per mode, summed in time order."""
-        return np.array([s.sum() if s.size else 0.0 for s in self.sizes])
-
 
 def sample_jump_path(law: LevyLaw, T: float, K: int, rng: np.random.Generator) -> JumpPath:
     """Full jump-time resolution of K compound-Poisson coordinates on (0, T]."""
-    if law.kind != "compound_poisson":
-        raise ValueError(f"jump paths require a compound_poisson law, got {law.kind}")
     if T < 0:
         raise ValueError("horizon must be >= 0")
     if T == 0:

@@ -1,7 +1,7 @@
-"""Dirichlet-Laplacian spectral data on an interval and 1-D P1 finite elements.
+"""Dirichlet-Laplacian spectral data on (0,1) and 1-D P1 finite elements.
 
 Everything downstream works in one of two orthonormal bases: the exact sine
-eigenbasis of the Laplacian on (0, length), or the mass-orthonormal generalized
+eigenbasis of the Laplacian on (0,1), or the mass-orthonormal generalized
 eigenbasis of the (stiffness, mass) pencil of a uniform piecewise-linear FEM
 space.  On the uniform mesh h = 1/M the pencil's eigenvectors are the sampled
 sines sin(j pi x_i), so its eigenvalues and its coupling to the sine basis are
@@ -20,28 +20,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DirichletSpectrum:
-    """Eigenvalues (k*pi/length)^2 of -d^2/dx^2 with zero boundary values.
+    """Eigenvalues (k*pi)^2 of -d^2/dx^2 on (0,1) with zero boundary values.
 
-    The eigenfunctions sqrt(2/length)*sin(k*pi*x/length) are never tabulated;
-    only closed-form integrals against them are evaluated.
+    The eigenfunctions sqrt(2)*sin(k*pi*x) are never tabulated; only
+    closed-form integrals against them are evaluated.
     """
 
     mode_count: int
-    domain_length: float = 1.0
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode_count < 1:
             raise ValueError(f"mode_count must be >= 1, got {self.mode_count}")
-        if not self.domain_length > 0:
-            raise ValueError(f"domain_length must be > 0, got {self.domain_length}")
         k = np.arange(1, self.mode_count + 1, dtype=float)
-        object.__setattr__(self, "eigenvalues", (k * np.pi / self.domain_length) ** 2)
+        object.__setattr__(self, "eigenvalues", (k * np.pi) ** 2)
 
 
-def dirichlet_spectrum(K: int, length: float = 1.0) -> DirichletSpectrum:
-    """Spectrum of the Dirichlet Laplacian on (0, length) truncated to K modes."""
-    return DirichletSpectrum(mode_count=int(K), domain_length=float(length))
+def dirichlet_spectrum(K: int) -> DirichletSpectrum:
+    """Spectrum of the Dirichlet Laplacian on (0,1) truncated to K modes."""
+    return DirichletSpectrum(mode_count=int(K))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,6 @@ def alias_fold(fem: FemSpace, spec: DirichletSpectrum) -> tuple[np.ndarray, np.n
     which gives c = +-sqrt(6 / (2 + cos(k pi h))) sqrt(2) (1 - cos(k pi h)) M^2 / (k pi)^2,
     + for k = j and - for k = -j (mod 2M); cos(k pi h) = cos(j pi h) there.
     """
-    if spec.domain_length != 1.0:
-        raise ValueError("the alias fold requires the unit interval")
     M = fem.cell_count
     k = np.arange(1, spec.mode_count + 1)
     r = k % (2 * M)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorReport, Setup, _is_count, error_report, mc_weak_error
+from .errors import ErrorReport, Setup, _is_count, _is_whole, error_report, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import assemble_fem, dirichlet_spectrum
@@ -61,19 +61,19 @@ class ExpectedRates:
         return self.spatial_strong if axis == "spatial" else self.temporal_strong
 
 
-def expected_rates(kind: EquationKind, beta: float, p: int | None = None, r: int = 2) -> ExpectedRates:
+def expected_rates(kind: EquationKind, beta: float) -> ExpectedRates:
     """Theoretical exponents; beta outside the covered range flags a warning
-    but the formulas are still evaluated.  For the wave family p defaults to
-    the classical order of the configured scheme (Crank-Nicolson 2, backward
-    Euler 1).  The heat temporal weak bound carries one factor log(T/dt) from
-    beta = 1, where the exponent reaches the order of backward Euler."""
+    but the formulas are still evaluated.  For the wave family p is the
+    classical order of the configured scheme (Crank-Nicolson 2, backward
+    Euler 1) and r = 2 that of P1 elements.  The heat temporal weak bound
+    carries one factor log(T/dt) from beta = 1, where the exponent reaches the
+    order of backward Euler."""
     if kind.name == "heat":
         return ExpectedRates(2 * beta, beta, beta, beta / 2, beta_in_range=0 < beta <= 1, temporal_weak_log=beta >= 1)
     if kind.name == "volterra":
         rho = kind.rho
         return ExpectedRates(2 * beta, rho * beta, beta, rho * beta / 2, beta_in_range=0 < beta <= 1 / rho)
-    if p is None:
-        p = 1 if kind.scheme == "backward_euler" else 2
+    p, r = (1 if kind.scheme == "backward_euler" else 2), 2
     return ExpectedRates(
         min(2 * beta * r / (r + 1), r),
         min(2 * beta * p / (p + 1), 1.0),
@@ -153,7 +153,6 @@ class StudyConfig:
     g_mode: int = 1
     mc_paths: int | None = None
     mc_seed: int = 0
-    exact_scheme: bool = False
 
     def __post_init__(self):
         if self.axis not in ("temporal", "spatial"):
@@ -166,13 +165,19 @@ class StudyConfig:
             raise ValueError("ladder must be strictly decreasing")
         if self.g not in ("quadratic", "cylindrical_cos"):
             raise ValueError(f"unknown test functional {self.g!r}")
-        if not 1 <= self.g_mode <= self.modes:
-            raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode}")
+        if not _is_count(self.modes):
+            raise ValueError(f"modes must be a whole number >= 1, got {self.modes!r}")
+        if not _is_count(self.g_mode) or self.g_mode > self.modes:
+            raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode!r}")
         if self.fixed_cells is not None:
             if self.axis != "spatial":
                 raise ValueError("fixed_cells applies to spatial studies only; a temporal ladder sets the cells")
             if not _is_count(self.fixed_cells):
                 raise ValueError(f"fixed_cells must be a whole number >= 1, got {self.fixed_cells!r}")
+        if self.mc_paths is not None and not _is_count(self.mc_paths):
+            raise ValueError(f"mc_paths must be a whole number >= 1 or None, got {self.mc_paths!r}")
+        if not (_is_whole(self.mc_seed) and self.mc_seed >= 0):
+            raise ValueError(f"mc_seed must be a whole number >= 0, got {self.mc_seed!r}")
         if self.axis == "temporal":
             for dt in self.ladder:
                 n = self.T / dt if dt > 0 else 0.0
@@ -252,21 +257,9 @@ def _level_setup(config: StudyConfig, resolution: float) -> Setup:
     x0 = None if config.x0 is None else np.asarray(config.x0, float)
     if config.axis == "temporal":
         n = int(round(config.T / resolution))
-        return Setup(
-            config.kind, spec, cov, config.law, config.T, n_cells=n, x0=x0, exact_scheme=config.exact_scheme
-        )
+        return Setup(config.kind, spec, cov, config.law, config.T, n_cells=n, x0=x0)
     fem = assemble_fem(int(round(1.0 / resolution)))
-    return Setup(
-        config.kind,
-        spec,
-        cov,
-        config.law,
-        config.T,
-        n_cells=config.fixed_cells,
-        fem=fem,
-        x0=x0,
-        exact_scheme=config.exact_scheme,
-    )
+    return Setup(config.kind, spec, cov, config.law, config.T, n_cells=config.fixed_cells, fem=fem, x0=x0)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -278,13 +271,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     spec = dirichlet_spectrum(config.modes)
     rho = config.kind.rho if config.kind.name == "volterra" else 1.0
     hs = hs_condition(spec, config.covariance(), config.beta, rho)
-    if hs.converges is False:
+    if not hs.converges:
         expo = 2.0 * (config.decay + 1.0 / rho - config.beta)
         raise ValueError(
             f"study {config.name!r} refused: covariance too rough for beta={config.beta} "
             f"(summability exponent {expo:.4g} <= 1)"
         )
-    tail_fraction = float(hs.tail_bound / hs.partial_sum) if hs.tail_bound is not None else float("nan")
+    tail_fraction = hs.tail_bound / hs.partial_sum
     g = None
     if config.g == "cylindrical_cos":
         from .errors import CylindricalFunctional
@@ -304,7 +297,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         strong_fit = fit_rate(res, [r.report.strong_error for r in rows])
         weak_fit = fit_rate(res, [r.report.weak_error_quadratic for r in rows])
     except InsufficientDataError:
-        strong_fit = weak_fit = None  # exact-scheme injection floors every level
+        strong_fit = weak_fit = None  # every level at the error floor
     return StudyResult(config=config, rows=tuple(rows), strong_fit=strong_fit, weak_fit=weak_fit, tail_fraction=tail_fraction)
 
 
@@ -359,9 +352,10 @@ def emit_csv(result: StudyResult, path: str) -> None:
         f.write(text)
 
 
-def read_csv(path_or_text: str, is_text: bool = False) -> list[dict]:
+def read_csv(path: str) -> list[dict]:
     """Parse a study CSV back into row dicts (floats bitwise-identical)."""
-    text = path_or_text if is_text else open(path_or_text).read()
+    with open(path) as f:
+        text = f.read()
     rows = []
     header: list[str] | None = None
     for line in text.splitlines():

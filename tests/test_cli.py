@@ -227,6 +227,16 @@ class TestStudyCommand:
              r"fixed_cells must be a whole number >= 1, got 8\.5"),
             ({"equation": "heat", "fixed_cells": 8}, "fixed_cells applies to spatial studies only"),
             ({"equation": "heat", "ladder": [0.5, 0.3, 0.25, 0.125]}, r"entry 0\.3 is not T/N"),
+            # counts used to be truncated by int(): this config ran on 16 modes, 20 paths, seed 1, and exited 0
+            ({"equation": "heat", "modes": 16.7, "g_mode": 1.9, "mc": {"paths": 20.9, "seed": 1.5}},
+             r"modes must be a whole number >= 1, got 16\.7"),
+            ({"equation": "heat", "g": "cylindrical_cos", "g_mode": 1.9, "mc": {"paths": 10}},
+             r"g_mode must be a mode index in 1\.\.64, got 1\.9"),
+            ({"equation": "heat", "mc": {"paths": 20.9}}, r"mc_paths must be a whole number >= 1 or None, got 20\.9"),
+            ({"equation": "heat", "mc": {"paths": 20, "seed": 1.5}}, r"mc_seed must be a whole number >= 0, got 1\.5"),
+            ({"equation": "heat", "law": {"nu": 0.5}}, r"unknown law keys \['nu'\]"),
+            ({"equation": "heat", "law": {"kind": "variance_gamma"}},
+             r"unknown law kind 'variance_gamma'; the only law is 'compound_poisson'"),
         ],
         ids=[
             "wave-x0-three-rows",
@@ -235,6 +245,12 @@ class TestStudyCommand:
             "fixed-cells-fraction",
             "fixed-cells-temporal",
             "dt-not-dividing-T",
+            "modes-fraction",
+            "g-mode-fraction",
+            "mc-paths-fraction",
+            "mc-seed-fraction",
+            "law-nu",
+            "law-variance-gamma",
         ],
     )
     def test_bad_shape_or_mode_index_exit_1(self, capsys, tmp_path, extra, message):

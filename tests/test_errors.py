@@ -89,18 +89,18 @@ class TestDeterministicHeat:
 
 class TestZeroAndExactCases:
     def test_exact_scheme_injection_zeros_everything(self):
-        # the Volterra case runs the time-exact node rows, where both sides
-        # are one table
-        for kind in (heat_kind(), volterra_kind(1.5)):
+        # the exact family: no FEM space and no time grid.  The Volterra case
+        # runs the time-exact node rows, where both sides are one table
+        for kind, x0 in ((heat_kind(), np.ones(4)), (volterra_kind(1.5), np.ones(4)), (wave_kind(), np.ones((2, 4)))):
             setup = Setup(
                 kind,
                 dirichlet_spectrum(32),
                 CovarianceSpec(amplitude=1.0, decay=0.55),
                 CP,
                 1.0,
-                n_cells=8,
-                exact_scheme=True,
-                x0=np.ones(4),
+                n_cells=None,
+                fem=None,
+                x0=x0,
             )
             rep = error_report(setup)
             assert rep.strong_error == 0.0
@@ -265,6 +265,11 @@ class TestProfiles:
         consts = np.asarray(consts)
         assert consts.max() <= 4.0 * consts.min()
 
+    def test_exact_family_refused(self):
+        setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0)
+        with pytest.raises(ValueError, match="exact family"):
+            propagator_error_profile(setup, np.array([0.5, 1.0]))
+
     def test_wave_profile_scaled_rows(self):
         setup = Setup(wave_kind(), dirichlet_spectrum(64), FLAT, CP, 1.0, n_cells=64)
         prof = propagator_error_profile(setup, np.geomspace(0.05, 1.0, 20), alpha=2.0)
@@ -312,11 +317,9 @@ class TestMonteCarlo:
         assert abs(e1 - e2) <= 4.0 * np.hypot(s1, s2)
 
     def test_variance_gamma_reference_unsupported(self):
-        setup = Setup(
-            heat_kind(), dirichlet_spectrum(4), FLAT, LevyLaw("variance_gamma", nu=0.5), 1.0, n_cells=4
-        )
-        with pytest.raises(ValueError):
-            mc_weak_error(setup, n_paths=10, seed=0)
+        # the coupled reference needs compound-Poisson jump times; other laws are refused up front
+        with pytest.raises(ValueError, match="compound_poisson"):
+            LevyLaw("variance_gamma")
 
     def test_wave_mc_first_component(self):
         cov = CovarianceSpec(amplitude=1.0, decay=0.3)

@@ -7,9 +7,9 @@ from levyspde.noise import (
     CovarianceSpec,
     JumpPath,
     LevyLaw,
+    _compound_poisson_draws,
     hs_condition,
     increments_from_path,
-    sample_increments,
     sample_jump_path,
     stream,
     asymmetric_condition,
@@ -17,11 +17,21 @@ from levyspde.noise import (
 from levyspde.spectral import dirichlet_spectrum
 
 ALL_LAWS = [
-    LevyLaw("variance_gamma", nu=0.5),
-    LevyLaw("gamma_subordinated_wiener", nu=0.5),
     LevyLaw("compound_poisson", intensity=2.0, jumps="two_point"),
     LevyLaw("compound_poisson", intensity=2.0, jumps="normal"),
 ]
+
+
+def increments(law: LevyLaw, dt: float, K: int, rng) -> np.ndarray:
+    """K coordinate increments over a span dt: each coordinate's jumps summed."""
+    coord, _, sizes = _compound_poisson_draws(law, dt, K, rng)
+    return np.bincount(coord, weights=sizes, minlength=K)
+
+
+def excess_kurtosis(law: LevyLaw, dt: float) -> float:
+    """kappa_4 / var^2 = E J^4 / (intensity dt (E J^2)^2) of an increment over dt."""
+    j4 = 1.0 if law.jumps == "two_point" else 3.0  # E J^4 in units of (E J^2)^2
+    return j4 / (law.intensity * dt)
 
 
 class TestCovariance:
@@ -30,18 +40,10 @@ class TestCovariance:
         q = CovarianceSpec(amplitude=2.0, decay=1.0).values(spec)
         np.testing.assert_allclose(q, 2.0 / spec.eigenvalues, rtol=1e-15)
 
-    def test_explicit_checked(self):
-        with pytest.raises(ValueError):
-            CovarianceSpec(explicit=[1.0, 2.0])  # increasing
-        with pytest.raises(ValueError):
-            CovarianceSpec(explicit=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            CovarianceSpec(decay=0.5, explicit=[1.0])
-
-    def test_explicit_truncation(self):
-        spec = dirichlet_spectrum(4)
-        with pytest.raises(ValueError):
-            CovarianceSpec(explicit=[1.0, 0.5]).values(spec)
+    @pytest.mark.parametrize("decay", [None, -0.1, float("nan")])
+    def test_decay_required(self, decay):
+        with pytest.raises(ValueError, match="decay"):
+            CovarianceSpec(amplitude=1.0, decay=decay)
 
 
 class TestHsCondition:
@@ -71,11 +73,6 @@ class TestHsCondition:
             for rho in (1.0, 1.5, 1.9):
                 rep = hs_condition(spec, CovarianceSpec(amplitude=1.0, decay=decay), 0.0, rho)
                 assert rep.converges is True
-
-    def test_explicit_covariance_unknown_flag(self):
-        spec = dirichlet_spectrum(4)
-        rep = hs_condition(spec, CovarianceSpec(explicit=[1.0, 0.5, 0.25, 0.125]), 1.0)
-        assert rep.converges is None and rep.tail_bound is None
 
     def test_monotone_in_beta(self):
         spec = dirichlet_spectrum(256)
@@ -120,57 +117,38 @@ class TestSampling:
     @pytest.mark.parametrize("dt", [1e-3, 1e-1, 1.0])
     def test_moments(self, law, dt):
         n_rep, K = 400, 250  # 1e5 draws
-        draws = np.concatenate([sample_increments(law, dt, K, stream(11, i)) for i in range(n_rep)])
+        draws = np.concatenate([increments(law, dt, K, stream(11, i)) for i in range(n_rep)])
         n = draws.size
         se_mean = np.sqrt(dt / n)
         assert abs(draws.mean()) <= 4 * se_mean
-        # var of the sample variance ~ (kappa4 + 2 var^2)/n; a shared subordinator
-        # correlates draws within a call, adding Var(Z)/n_rep
-        kurt = law.excess_kurtosis(dt)
-        se2 = (kurt + 2.0) * dt**2 / n
-        if law.kind == "gamma_subordinated_wiener":
-            se2 += law.nu * dt / n_rep
+        # var of the sample variance ~ (kappa4 + 2 var^2)/n
+        se2 = (excess_kurtosis(law, dt) + 2.0) * dt**2 / n
         assert abs(draws.var() - dt) <= 5 * np.sqrt(se2)
-
-    def test_variance_gamma_kurtosis(self):
-        dt, nu = 0.5, 0.4
-        law = LevyLaw("variance_gamma", nu=nu)
-        draws = np.concatenate([sample_increments(law, dt, 500, stream(5, i)) for i in range(400)])
-        excess = draws.std() ** -4 * np.mean((draws - draws.mean()) ** 4) - 3.0
-        expect = 3.0 * nu / dt
-        assert excess == pytest.approx(expect, rel=0.15)
-
-    def test_variance_gamma_degenerates_to_gaussian(self):
-        # nu -> 0 sends the excess kurtosis 3 nu / dt to zero
-        dt = 1.0
-        law = LevyLaw("variance_gamma", nu=1e-4)
-        draws = np.concatenate([sample_increments(law, dt, 500, stream(6, i)) for i in range(200)])
-        excess = draws.std() ** -4 * np.mean((draws - draws.mean()) ** 4) - 3.0
-        assert abs(excess) <= 0.05
 
     def test_zero_jump_event_gives_zero(self):
         law = LevyLaw("compound_poisson", intensity=1e-7)
-        draws = sample_increments(law, 1e-3, 1000, stream(0, 0))
+        draws = increments(law, 1e-3, 1000, stream(0, 0))
         assert np.all(draws == 0.0)
 
     def test_cross_mode_uncorrelated(self):
         for law in ALL_LAWS:
-            pairs = np.array([sample_increments(law, 1.0, 2, stream(17, i)) for i in range(4000)])
+            pairs = np.array([increments(law, 1.0, 2, stream(17, i)) for i in range(4000)])
             corr = np.mean(pairs[:, 0] * pairs[:, 1])
             se = np.sqrt(np.mean(pairs[:, 0] ** 2 * pairs[:, 1] ** 2) / 4000)
             assert abs(corr) <= 4 * se
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            sample_increments(ALL_LAWS[0], 0.0, 4, stream(0, 0))
+        with pytest.raises(ValueError, match="horizon"):
+            sample_jump_path(ALL_LAWS[0], -1.0, 4, stream(0, 0))
 
     def test_bad_law_kind(self):
-        with pytest.raises(ValueError):
-            LevyLaw("poisson")
+        for kind in ("poisson", "variance_gamma", "gamma_subordinated_wiener"):
+            with pytest.raises(ValueError, match="compound_poisson"):
+                LevyLaw(kind)
         with pytest.raises(ValueError):
             LevyLaw("compound_poisson", intensity=-1.0)
         with pytest.raises(ValueError):
-            LevyLaw("variance_gamma", nu=0.0)
+            LevyLaw("compound_poisson", jumps="laplace")
 
     def test_stream_reproducible_and_split(self):
         a = stream(1, 2).standard_normal(4)
@@ -185,10 +163,6 @@ class TestJumpPaths:
         law = LevyLaw("compound_poisson", intensity=3.0)
         path = sample_jump_path(law, 0.0, 5, stream(0, 0))
         assert all(t.size == 0 for t in path.times)
-
-    def test_requires_compound_poisson(self):
-        with pytest.raises(ValueError):
-            sample_jump_path(LevyLaw("variance_gamma"), 1.0, 2, stream(0, 0))
 
     def test_mean_jump_count(self):
         law = LevyLaw("compound_poisson", intensity=2.5)
@@ -210,10 +184,10 @@ class TestJumpPaths:
             path = sample_jump_path(law, 1.0, 4, stream(31, i))
             agg.append(increments_from_path(path, grid).ravel())
         agg = np.concatenate(agg)
-        direct = np.concatenate([sample_increments(law, 0.25, 4 * 4, stream(37, i)) for i in range(1500)])
+        direct = np.concatenate([increments(law, 0.25, 4 * 4, stream(37, i)) for i in range(1500)])
         for sample in (agg, direct):
             assert abs(sample.mean()) <= 4 * np.sqrt(0.25 / sample.size)
-        se_var = 0.25 * np.sqrt((law.excess_kurtosis(0.25) + 2.0) / agg.size)
+        se_var = 0.25 * np.sqrt((excess_kurtosis(law, 0.25) + 2.0) / agg.size)
         assert abs(agg.var() - direct.var()) <= 6 * se_var
 
     def test_single_jump_lands_in_right_closed_cell(self):
@@ -231,7 +205,7 @@ class TestJumpPaths:
             law = LevyLaw("compound_poisson", intensity=intensity)
             path = sample_jump_path(law, 1.0, 6, stream(seed, 0))
             inc = increments_from_path(path, np.linspace(0.0, 1.0, 9))
-            np.testing.assert_array_equal(inc.sum(axis=1), path.terminal())
+            np.testing.assert_array_equal(inc.sum(axis=1), [s.sum() for s in path.sizes])
 
     def test_refinement_pairwise_exact(self):
         law = LevyLaw("compound_poisson", intensity=4.0)
@@ -245,7 +219,7 @@ class TestJumpPaths:
         law = LevyLaw("compound_poisson", intensity=3.0, jumps="normal")
         path = sample_jump_path(law, 1.0, 3, stream(seed, 0))
         inc = increments_from_path(path, np.linspace(0.0, 1.0, ncell + 1))
-        np.testing.assert_allclose(inc.sum(axis=1), path.terminal(), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(inc.sum(axis=1), [s.sum() for s in path.sizes], rtol=1e-12, atol=1e-13)
 
     def test_grid_beyond_horizon_rejected(self):
         law = LevyLaw("compound_poisson", intensity=1.0)

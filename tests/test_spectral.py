@@ -14,24 +14,16 @@ def hat(i, x, h):
 
 class TestDirichletSpectrum:
     def test_unit_interval_single_mode(self):
-        assert dirichlet_spectrum(1, 1.0).eigenvalues == pytest.approx([np.pi**2], rel=1e-15)
+        assert dirichlet_spectrum(1).eigenvalues == pytest.approx([np.pi**2], rel=1e-15)
 
     def test_three_modes(self):
-        got = dirichlet_spectrum(3, 1.0).eigenvalues
+        got = dirichlet_spectrum(3).eigenvalues
         assert got == pytest.approx([np.pi**2, 4 * np.pi**2, 9 * np.pi**2], rel=1e-15)
-
-    def test_rescaled_interval(self):
-        got = dirichlet_spectrum(2, 2.0).eigenvalues
-        assert got == pytest.approx([(np.pi / 2) ** 2, np.pi**2], rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_bad_mode_count(self, bad):
         with pytest.raises(ValueError):
             dirichlet_spectrum(bad)
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            dirichlet_spectrum(4, 0.0)
 
     def test_strictly_increasing(self):
         lam = dirichlet_spectrum(64).eigenvalues
@@ -131,10 +123,6 @@ class TestCrossGram:
             errs.append(np.abs(c - exact).max())
         order = np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
         assert order <= -1.8
-
-    def test_requires_unit_interval(self):
-        with pytest.raises(ValueError, match="unit interval"):
-            alias_fold(assemble_fem(4), dirichlet_spectrum(3, length=2.0))
 
 
 class TestProjection:

@@ -132,9 +132,28 @@ class TestConfigValidation:
     def test_g_mode_must_index_a_mode(self):
         # 0 would read the last mode and modes + 1 would raise an IndexError inside the MC
         assert self.base(modes=16, g="cylindrical_cos", g_mode=16).g_mode == 16
-        for bad in (0, 17):
+        for bad in (0, 17, 1.9):
             with pytest.raises(ValueError, match=r"g_mode must be a mode index in 1\.\.16"):
                 self.base(modes=16, g="cylindrical_cos", g_mode=bad)
+
+    def test_counts_must_be_whole(self):
+        # modes=16.7 used to run on 16 modes and mc_paths=20.5 to end in a TypeError inside the MC
+        ok = self.base(modes=np.int64(16), g_mode=np.int64(2), mc_paths=np.int64(20), mc_seed=np.int64(3))
+        assert (ok.modes, ok.g_mode, ok.mc_paths, ok.mc_seed) == (16, 2, 20, 3)
+        assert self.base(mc_paths=None, mc_seed=0).mc_paths is None
+        for key, bad, message in [
+            ("modes", 16.7, r"modes must be a whole number >= 1, got 16\.7"),
+            ("modes", 16.0, r"modes must be a whole number >= 1, got 16\.0"),
+            ("modes", "16", r"modes must be a whole number >= 1, got '16'"),
+            ("modes", True, r"modes must be a whole number >= 1, got True"),
+            ("mc_paths", 20.5, r"mc_paths must be a whole number >= 1 or None, got 20\.5"),
+            ("mc_paths", 0, r"mc_paths must be a whole number >= 1 or None, got 0"),
+            ("mc_seed", 1.5, r"mc_seed must be a whole number >= 0, got 1\.5"),
+            ("mc_seed", -1, r"mc_seed must be a whole number >= 0, got -1"),
+            ("mc_seed", False, r"mc_seed must be a whole number >= 0, got False"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                self.base(**{key: bad})
 
     def test_cell_counts_must_be_whole(self):
         # 8.5 used to run a spatial study on interpolated edges, "8" to end in a
@@ -178,23 +197,24 @@ class TestConfigValidation:
 
 
 class TestRunStudy:
-    def test_exact_scheme_injection_zero_columns(self):
+    def test_fits_unavailable_at_error_floor(self):
+        # a covariance of amplitude 1e-40 puts every level below FIT_FLOOR
         cfg = StudyConfig(
-            name="exact",
+            name="floor",
             kind=heat_kind(),
             axis="temporal",
             beta=1.0,
             modes=16,
             ladder=(0.25, 0.125, 0.0625, 0.03125),
-            exact_scheme=True,
+            cov_amplitude=1e-40,
         )
         res = run_study(cfg)
         for row in res.rows:
-            assert row.report.strong_error == 0.0
-            assert row.report.weak_error_quadratic == 0.0
-            assert row.report.representation_value == 0.0
+            assert 0.0 < row.report.strong_error < 1e-19
+            assert abs(row.report.weak_error_quadratic) < 1e-13
             assert not row.in_fit
         assert res.weak_fit is None and res.strong_fit is None
+        assert "# fits: unavailable (every level at the error floor)" in csv_text(res)
 
     def test_rows_cover_ladder_in_order(self, preset_result):
         res = preset_result("heat-temporal-beta1")
@@ -246,7 +266,9 @@ class TestCsv:
     def test_round_trip_bitwise(self, preset_result, tmp_path):
         res = preset_result("wave-temporal-mc")
         text = csv_text(res)
-        rows = read_csv(text, is_text=True)
+        path = tmp_path / "study.csv"
+        path.write_text(text)
+        rows = read_csv(str(path))
         assert len(rows) == len(res.rows)
         for parsed, row in zip(rows, res.rows):
             assert parsed["resolution"] == row.resolution
