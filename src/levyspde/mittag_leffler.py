@@ -15,17 +15,21 @@ Strategy (vectorized over x):
     switch point 20.
   * SERIES_CUTOFF < x <= 60**rho: residue pair (2/rho) Re[zeta^(1-beta) e^zeta]
     of the Hankel representation, zeta = x^(1/rho) e^(i pi/rho), plus the
-    branch-cut integral x sin(pi(rho+1-beta))/pi int_0^inf e^(-r) r^(rho-beta)
-    / |r^rho e^(i pi rho) + x|^2 dr, evaluated by a trapezoid rule after the
-    substitution r = exp(u).  The integrand is analytic in a strip of width
-    pi*(rho-1)/rho, which dictates the step size.  Below the lowest node
-    u_lo = -34/rho the integrand is e^((rho+1-beta)u)/x^2 to double precision,
-    so the rule is continued there as a geometric series (ratio
-    e^(-(rho+1-beta)h)) folded into the weight of the lowest node.  For
-    beta = 2 near rho = 1 that tail is most of the integral: r^(rho-2) is
-    barely integrable at r = 0.  Arguments are taken in chunks of at most
-    _BRIDGE_CHUNK (argument, node) pairs, 2048 arguments at rho = 1.5, so the
-    chunk's temporary stays near 2.6 MB.
+    branch-cut integral x sin(pi(rho+1-beta))/pi I(x),
+    I(x) = int_0^inf e^(-r) r^(rho-beta) / |r^rho e^(i pi rho) + x|^2 dr > 0.
+    log I is analytic in u = log x on [log 5, rho log 60], so it is read from
+    a table per (rho, beta): _BRIDGE_PANELS equal panels in u, each a
+    Chebyshev interpolant of degree _BRIDGE_DEGREE, evaluated by Clenshaw's
+    recurrence (O(1) work and memory per argument).  The table is built on
+    the first bridge call with a given (rho, beta) and cached.  Its 8 * 17 =
+    136 values of I come from a trapezoid rule after the substitution
+    r = exp(u), which it matches to about 1e-14 relative.  The integrand is
+    analytic in a strip of width pi*(rho-1)/rho, which dictates the
+    trapezoid's step.  Below the lowest node u_lo = -34/rho the integrand is
+    e^((rho+1-beta)u)/x^2 to double precision, so the rule is continued there
+    as a geometric series (ratio e^(-(rho+1-beta)h)) folded into the weight of
+    the lowest node.  For beta = 2 near rho = 1 that tail is most of the
+    integral: r^(rho-2) is barely integrable at r = 0.
   * x > 60**rho: residue pair plus the asymptotic series
     sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.
 
@@ -37,13 +41,14 @@ smallest one there).  Inside each branch the dropped terms are smaller still
 coefficients are computed on the first call with a given (rho, beta) and
 cached; nothing is computed at import.
 
-Verified range: the trapezoid step has a floor of 0.005, which the strip
-allows from rho = 1.01 up; there the evaluator agrees with a high-precision
-series to 1e-11 absolute for both beta (6e-15 in the bridge just above x = 5
-at rho = 1.01, beta = 1).  Below 1.01 the floor exceeds what the strip allows
-(with the former floor 0.01 the bridge was off by 2.3e-4 at rho = 1.001), so
-rho in (1, 1.01) is refused with a ValueError rather than silently degraded;
-so are x that are negative, infinite or NaN, and beta other than 1 or 2.
+Verified range: the trapezoid that builds the bridge table has a step
+floor of 0.005, which the strip allows from rho = 1.01 up; there the
+evaluator agrees with a high-precision series to 1e-11 absolute for both
+beta (6e-15 in the bridge just above x = 5 at rho = 1.01, beta = 1).  Below
+1.01 the floor exceeds what the strip allows (with the former floor 0.01 the
+bridge was off by 2.3e-4 at rho = 1.001), so rho in (1, 1.01) is refused
+with a ValueError rather than silently degraded; so are x that are negative,
+infinite or NaN, and beta other than 1 or 2.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ SERIES_CUTOFF = 5.0
 RHO_VERIFIED_MIN = 1.01
 _TERM_FLOOR = 1e-17  # share of the leading term below which a series term is dropped
 _MAX_TERMS = 120
-_BRIDGE_CHUNK = 2048 * 161  # (argument, node) pairs per branch-cut chunk
+_BRIDGE_PANELS = 8  # equal panels in log x of the bridge table
+_BRIDGE_DEGREE = 16  # Chebyshev degree per panel
 _lgamma = np.vectorize(math.lgamma, otypes=[float])  # over at most _MAX_TERMS coefficients
 
 
@@ -149,13 +155,37 @@ def _branch_cut_integral(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray
     return (base[None, :] / denom).sum(axis=1)
 
 
+@lru_cache(maxsize=32)
+def _bridge_table(rho: float, beta: int) -> tuple[float, float, np.ndarray]:
+    """(log 5, panel width, Chebyshev coefficients of log I as a (degree + 1,
+    panels) array): on each of the equal panels of [log 5, rho log 60] in
+    u = log x, the interpolant of log I through the trapezoid's values at the
+    panel's Chebyshev points."""
+    lo = np.log(SERIES_CUTOFF)
+    width = (rho * np.log(60.0) - lo) / _BRIDGE_PANELS
+    t = np.polynomial.chebyshev.chebpts1(_BRIDGE_DEGREE + 1)
+    u = lo + (np.arange(_BRIDGE_PANELS) + (t[:, None] + 1.0) / 2.0) * width
+    # a panel at a time: at rho = 1.01 each value meets 7392 trapezoid nodes
+    log_cut = np.log([_branch_cut_integral(rho, np.exp(panel), beta) for panel in u.T]).T
+    return lo, width, np.linalg.solve(np.polynomial.chebyshev.chebvander(t, _BRIDGE_DEGREE), log_cut)
+
+
+def _bridge_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """I(x) on 5 <= x <= 60**rho from the table: panel index, affine map to
+    [-1, 1], Clenshaw's recurrence, exp."""
+    lo, width, coeff = _bridge_table(rho, beta)
+    s = (np.log(x) - lo) / width
+    panel = np.clip(s.astype(int), 0, _BRIDGE_PANELS - 1)
+    t2 = 4.0 * (s - panel) - 2.0  # 2t, t in [-1, 1] on the panel
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for c in coeff[:0:-1]:
+        b1, b2 = c[panel] + t2 * b1 - b2, b1
+    return np.exp(coeff[0][panel] + 0.5 * t2 * b1 - b2)
+
+
 def _ml_bridge(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
-    out = _residue_pair(rho, x, beta)
-    cut = np.empty_like(x)
-    rows = max(1, _BRIDGE_CHUNK // _branch_cut_grid(rho, beta)[0].size)
-    for lo in range(0, x.size, rows):
-        cut[lo : lo + rows] = _branch_cut_integral(rho, x[lo : lo + rows], beta)
-    return out + (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi) * cut
+    return _residue_pair(rho, x, beta) + (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi) * _bridge_cut(rho, x, beta)
 
 
 def _ml_asymptotic(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:

@@ -111,6 +111,38 @@ def test_branch_agreement_at_switch_points():
             assert abs(_ml_bridge(rho, x, beta)[0] - _ml_asymptotic(rho, x, beta)[0]) <= 1e-11
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("rho", [1.01, 1.1, 1.5, 1.9, 1.99])
+def test_bridge_table_against_trapezoid(rho, beta):
+    # the Chebyshev table of the branch-cut integral against the trapezoid
+    # that builds it, on seeded random x over the whole bridge and its ends
+    from levyspde.mittag_leffler import _branch_cut_integral, _bridge_cut
+
+    hi = 60.0**rho
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[5.0, hi], rng.uniform(5.0, hi, 1000), np.exp(rng.uniform(np.log(5.0), np.log(hi), 1000))])
+    xs = np.minimum(xs, hi)
+    got = _bridge_cut(rho, xs, beta)
+    # the trapezoid in chunks: at rho = 1.01 each argument meets 7392 nodes
+    want = np.concatenate([_branch_cut_integral(rho, c, beta) for c in np.array_split(xs, 16)])
+    assert np.abs(got / want - 1.0).max() <= 5e-14
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("rho", [1.01, 1.5, 1.95])
+def test_bridge_table_seams_against_high_precision_series(rho, beta):
+    # every interior panel edge and every panel midpoint of the bridge table,
+    # equal panels in log x on [5, 60^rho]
+    from levyspde.mittag_leffler import _BRIDGE_PANELS
+
+    lo, hi = np.log(5.0), rho * np.log(60.0)
+    u = lo + (hi - lo) / _BRIDGE_PANELS * np.arange(1, 2 * _BRIDGE_PANELS) / 2.0
+    xs = np.exp(u)
+    got = mittag_leffler_neg(rho, xs, beta=beta)
+    for x, g in zip(xs, got):
+        assert abs(g - series_oracle(rho, float(x), beta=beta)) <= 1e-11, x
+
+
 @pytest.mark.parametrize("rho", [1.01, 1.05, 1.5, 1.95])
 def test_horner_branches_straddling_switch_points(rho):
     # both switch points from either side, where the fixed term counts are

@@ -216,6 +216,16 @@ class TestRunStudy:
         assert res.weak_fit is None and res.strong_fit is None
         assert "# fits: unavailable (every level at the error floor)" in csv_text(res)
 
+    def test_volterra_rho_near_one_passes_its_gate(self):
+        # the low edge of E_rho's verified range, where the bridge trapezoid
+        # has 7392 nodes: the study runs on the bridge table
+        cfg = StudyConfig(
+            name="v101", kind=volterra_kind(1.01), axis="temporal", beta=0.5, modes=64,
+            ladder=tuple(2.0 ** -np.arange(4, 11)),
+        )
+        res = run_study(cfg)
+        assert res.passed(), res.summary()
+
     def test_rows_cover_ladder_in_order(self, preset_result):
         res = preset_result("heat-temporal-beta1")
         assert len(res.rows) == 7
