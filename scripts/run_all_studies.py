@@ -8,13 +8,17 @@ bound shape, so |weak|/log(T/dt) for heat-temporal-beta1.
 
 With --compare DIR, also print, per preset and per deterministic column, the
 largest relative delta of the new CSV against DIR/<preset>.csv from an earlier
-run, or `identical` when the two files are byte-identical (a missing file is
-reported, not fatal).  The comparison is a gate: a deterministic column that
-moved by more than 1e-10 relative (MAX_RELATIVE_DELTA) makes the exit status 3.
+run, and whether the Monte Carlo columns (mc_estimate, mc_stderr) are
+`identical` or `moved`; a preset whose two files are byte-identical prints
+`identical` alone (a missing file is reported, not fatal).  The comparison is
+a gate: a deterministic column that moved by more than 1e-10 relative
+(MAX_RELATIVE_DELTA), or a Monte Carlo value that is not bit for bit the
+earlier one, makes the exit status 3.  The Monte Carlo columns move only
+through a documented change of sampler.
 
-Exit status: 0 all presets pass (and, with --compare, no column moved past the
+Exit status: 0 all presets pass (and, with --compare, no column moved past its
 bound), 2 a preset failed its own rate gate (this wins over 3), 3 a column
-moved past the bound.
+moved past its bound.
 """
 
 import argparse
@@ -25,6 +29,7 @@ from pathlib import Path
 from levyspde.studies import emit_csv, preset_studies, read_csv, run_study
 
 DETERMINISTIC_COLUMNS = ("strong", "weak_quad", "representation")
+MC_COLUMNS = ("mc_estimate", "mc_stderr")
 MAX_RELATIVE_DELTA = 1e-10  # the deterministic CSV bound of a change that is not meant to move them
 
 
@@ -39,6 +44,12 @@ def max_relative_deltas(new_rows: list[dict], old_rows: list[dict]) -> dict[str,
             for n, o in zip(new_rows, old_rows)
         )
     return out
+
+
+def mc_identical(new_rows: list[dict], old_rows: list[dict]) -> bool:
+    """Every Monte Carlo value is bit for bit the earlier one (repr also
+    tells -0.0 from 0.0 and matches nan to nan)."""
+    return all(repr(n[col]) == repr(o[col]) for n, o in zip(new_rows, old_rows) for col in MC_COLUMNS)
 
 
 def main() -> int:
@@ -70,19 +81,25 @@ def main() -> int:
             elif new.read_bytes() == old.read_bytes():
                 deltas[name] = "identical"
             else:
-                deltas[name] = max_relative_deltas(read_csv(str(new)), read_csv(str(old)))
+                new_rows, old_rows = read_csv(str(new)), read_csv(str(old))
+                deltas[name] = (max_relative_deltas(new_rows, old_rows), mc_identical(new_rows, old_rows))
     print(f"CSV files in {out}/")
     if args.compare:
         print(f"\nlargest relative delta against {args.compare}/")
-        print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in DETERMINISTIC_COLUMNS))
+        print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in DETERMINISTIC_COLUMNS) + f" {'mc columns':>14s}")
         for name, d in deltas.items():
             if d is None or d == "identical":
                 print(f"{name:24s} {d or '(no CSV)'}")
                 continue
-            print(f"{name:24s} " + " ".join(f"{d[c]:14.3e}" for c in DETERMINISTIC_COLUMNS))
-            moved |= max(d.values()) > MAX_RELATIVE_DELTA
-        if moved:
-            print(f"a deterministic column moved by more than {MAX_RELATIVE_DELTA:g} relative")
+            det, mc_same = d
+            mc = "identical" if mc_same else "moved"
+            print(f"{name:24s} " + " ".join(f"{det[c]:14.3e}" for c in DETERMINISTIC_COLUMNS) + f" {mc:>14s}")
+            if max(det.values()) > MAX_RELATIVE_DELTA:
+                moved = True
+                print(f"  {name}: a deterministic column moved by more than {MAX_RELATIVE_DELTA:g} relative")
+            if not mc_same:
+                moved = True
+                print(f"  {name}: the Monte Carlo columns are not bit for bit the earlier ones")
     return 2 if any_fail else 3 if moved else 0
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -588,8 +589,40 @@ def _mc_block_paths(setup: Setup) -> int:
     return max(1, _MC_JUMPS_PER_BLOCK // per_path)
 
 
-def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> tuple[float, float]:
-    """Coupled Monte Carlo estimate of E g(Xtilde_obs(T)) - E g(X_obs(T)).
+def _mc_ladder(setups: Setup | Sequence[Setup]) -> tuple[Setup, ...]:
+    """The setups as a ladder: spectral-Galerkin scheme setups that differ only
+    in n_cells; a single Setup is a ladder of one."""
+    ladder = (setups,) if isinstance(setups, Setup) else tuple(setups)
+    if not ladder:
+        raise ValueError("Monte Carlo needs at least one setup")
+    first = ladder[0]
+    for i, s in enumerate(ladder):
+        if s.fem is not None:
+            raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
+        if s.n_cells is None:
+            raise ValueError("Monte Carlo needs a time discretization")
+        same_x0 = s.x0 is None if first.x0 is None else s.x0 is not None and np.array_equal(s.x0, first.x0)
+        same = {
+            "kind": s.kind == first.kind,
+            "spectrum": s.spec.mode_count == first.spec.mode_count,
+            "covariance": s.cov == first.cov,
+            "law": s.law == first.law,
+            "T": s.T == first.T,
+            "x0": same_x0,
+        }
+        differ = [name for name, ok in same.items() if not ok]
+        if differ:
+            raise ValueError(
+                f"a Monte Carlo ladder's setups may differ only in n_cells; setup {i} differs from setup 0 "
+                f"in {', '.join(differ)}"
+            )
+    return ladder
+
+
+def mc_weak_error(
+    setups: Setup | Sequence[Setup], g=None, n_paths: int = 1000, seed: int = 0
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Coupled Monte Carlo estimates of E g(Xtilde_obs(T)) - E g(X_obs(T)).
 
     The jump path of each mode drives both the exact reference (jump-time sum
     against the exact factor) and the scheme (the step factor of the cell
@@ -597,46 +630,59 @@ def mc_weak_error(setup: Setup, g=None, n_paths: int = 1000, seed: int = 0) -> t
     compound-Poisson law's finite jump-time decomposition is what makes the
     exact reference computable.
 
-    Paths are drawn in blocks of _mc_block_paths(setup): block b holds paths
-    b*P .. b*P + P - 1 (the last block may be short) and draws them from the
-    stream (seed, b) as one set of flat jump arrays over its P*K
-    coordinates, coordinate p*K + k being mode k of the block's path p.  The
-    estimate depends only on (setup, n_paths, seed).  g maps a (P, K) array
-    of observables to one value per row, as quadratic_functional and
-    CylindricalFunctional do; the default is quadratic_functional.
+    setups is a ladder: spectral-Galerkin setups with a time grid that differ
+    only in n_cells.  Every level sees the same paths.  Paths are drawn in
+    blocks of _mc_block_paths: block b holds paths b*P .. b*P + P - 1 (the
+    last block may be short) and draws them from the stream (seed, b) as one
+    set of flat jump arrays over its P*K coordinates, coordinate p*K + k being
+    mode k of the block's path p.  Each block is drawn once for the whole
+    ladder and its exact side computed once; only the binning of its jump
+    times into a level's cells, and that level's scheme side, are per level
+    (the times are sorted once, each level then takes one searchsorted of its
+    edges).  levels x n_paths differences are held at once.  A level's
+    estimate depends only on (its setup, n_paths, seed), not on the other
+    levels.  g maps a (P, K) array of observables to one value per row, as
+    quadratic_functional and CylindricalFunctional do; the default is
+    quadratic_functional.
+
+    Returns one (estimate, stderr) per level, or the pair itself for a single
+    Setup.
     """
-    if setup.fem is not None:
-        raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
-    if setup.n_cells is None:
-        raise ValueError("Monte Carlo needs a time discretization")
+    ladder = _mc_ladder(setups)
     if g is None:
         g = quadratic_functional
-    lam = setup.spec.eigenvalues
-    K = setup.spec.mode_count
-    N = setup.n_cells
-    sq = np.sqrt(setup.q())
-    fam = discrete_family(setup.kind, lam, setup.dt, N)
-    # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
-    steps_desc = fam.steps[:, :0:-1]  # columns: step N, N-1, ..., 1
-    et_weights = _discrete_noise_weights(steps_desc, setup.kind, lam)  # (K, N)
-    x0_disc = x0_exact = 0.0
-    if setup.x0 is not None and np.any(setup.x0):
-        x0_disc = _terminal_first(setup.kind, lam, fam.steps[:, -1], setup.x0)
-        x0_exact = _exact_terminal_first(setup)
-    edges = _level_edges(setup)[1:]
-    block = _mc_block_paths(setup)
-    diffs = np.empty(n_paths)
+    first = ladder[0]
+    kind, lam, K, T = first.kind, first.spec.eigenvalues, first.spec.mode_count, first.T
+    sq = np.sqrt(first.q())
+    has_x0 = first.x0 is not None and np.any(first.x0)
+    x0_exact = _exact_terminal_first(first) if has_x0 else 0.0
+    levels = []  # (right cell edges, step weights, scheme data term) per level
+    for setup in ladder:
+        fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
+        # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
+        et_weights = _discrete_noise_weights(fam.steps[:, :0:-1], kind, lam)  # (K, N), columns step N .. 1
+        x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0) if has_x0 else 0.0
+        levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
+    block = _mc_block_paths(first)
+    diffs = np.empty((len(ladder), n_paths))
     for b, lo in enumerate(range(0, n_paths, block)):
         P = min(block, n_paths - lo)
-        coord, t, s = _compound_poisson_draws(setup.law, setup.T, P * K, stream(seed, b))
+        coord, t, s = _compound_poisson_draws(first.law, T, P * K, stream(seed, b))
         mode = coord % K
-        x_exact = np.bincount(coord, weights=_noise_factor(setup.kind, lam[mode], setup.T - t) * s, minlength=P * K)
-        cell = np.searchsorted(edges, t, side="left")
-        keep = cell < N  # right-closed cells (t_{n-1}, t_n]; nothing lies past T
-        x_disc = np.bincount(coord[keep], weights=et_weights[mode[keep], cell[keep]] * s[keep], minlength=P * K)
-        x_exact = sq * x_exact.reshape(P, K) + x0_exact
-        x_disc = sq * x_disc.reshape(P, K) + x0_disc
-        diffs[lo : lo + P] = g(x_disc) - g(x_exact)
-    est = float(np.mean(diffs))
-    stderr = float(np.std(diffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-    return est, stderr
+        x_exact = np.bincount(coord, weights=_noise_factor(kind, lam[mode], T - t) * s, minlength=P * K)
+        g_exact = g(sq * x_exact.reshape(P, K) + x0_exact)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        cell = np.empty(t.size, dtype=np.intp)
+        for row, (edges, et_weights, x0_disc) in zip(diffs, levels):
+            # right-closed cells (t_{n-1}, t_n]; times lie in [0, T) and edges[-1] is T,
+            # so every jump lands in a cell
+            ends = np.searchsorted(t_sorted, edges, side="right")
+            cell[order] = np.repeat(np.arange(edges.size), np.diff(ends, prepend=0))
+            x_disc = np.bincount(coord, weights=et_weights[mode, cell] * s, minlength=P * K)
+            row[lo : lo + P] = g(sq * x_disc.reshape(P, K) + x0_disc) - g_exact
+    out = [
+        (float(np.mean(row)), float(np.std(row, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan"))
+        for row in diffs
+    ]
+    return out[0] if isinstance(setups, Setup) else out

@@ -266,7 +266,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Compute every ladder level and fit the rates.
 
     Deterministic columns are bitwise reproducible for a fixed build; the MC
-    columns are reproducible for a fixed seed.
+    columns are reproducible for a fixed seed.  With mc_paths, one
+    mc_weak_error call serves the whole ladder: each block of paths is drawn
+    once per study and its exact side shared, and only the binning of its
+    jumps into each level's cells is per level.  Every row equals a
+    standalone mc_weak_error of its level's setup bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     rho = config.kind.rho if config.kind.name == "volterra" else 1.0
@@ -283,13 +287,14 @@ def run_study(config: StudyConfig) -> StudyResult:
         from .errors import CylindricalFunctional
 
         g = CylindricalFunctional(mode=config.g_mode)
+    setups = [_level_setup(config, resolution) for resolution in config.ladder]
+    mc = [(None, None)] * len(setups)
+    if config.mc_paths:
+        mc = mc_weak_error(setups, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
     rows = []
-    for level, resolution in enumerate(config.ladder):
-        setup = _level_setup(config, resolution)
+    for level, (resolution, setup, (est, se)) in enumerate(zip(config.ladder, setups, mc)):
         rep = error_report(setup)
-        if config.mc_paths:
-            est, se = mc_weak_error(setup, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
-            rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)
+        rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
         rows.append(StudyRow(level=level, resolution=resolution, report=rep, in_fit=in_fit))
     res = np.array([r.resolution for r in rows])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -334,6 +335,57 @@ class TestMonteCarlo:
         det = weak_error_quadratic(setup)
         est, se = mc_weak_error(setup, n_paths=6000, seed=17)
         assert abs(est - det) <= 3.0 * se
+
+
+class TestMonteCarloLadder:
+    """mc_weak_error takes a ladder: spectral scheme setups that differ only in
+    n_cells.  Anything else is refused before a path is drawn."""
+
+    BASE = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4, x0=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", volterra_kind(1.5)),
+            ("spec", dirichlet_spectrum(12)),
+            ("cov", CovarianceSpec(amplitude=1.0, decay=0.7)),
+            ("law", LevyLaw("compound_poisson", intensity=2.0)),
+            ("T", 2.0),
+            ("x0", np.array([1.0, -0.5])),
+        ],
+        ids=["kind", "spectrum", "covariance", "law", "T", "x0"],
+    )
+    def test_setups_differing_beyond_cells_refused(self, field, value):
+        # a longer spectrum pads x0 to its length, so it differs in x0 too
+        other = dataclasses.replace(self.BASE, n_cells=8, **{field: value})
+        name = {"spec": "spectrum", "cov": "covariance"}.get(field, field)
+        with pytest.raises(ValueError, match=f"differ only in n_cells; setup 1 differs from setup 0 in {name}(,|$)"):
+            mc_weak_error([self.BASE, other], n_paths=10)
+
+    def test_missing_x0_differs_from_given_x0(self):
+        with pytest.raises(ValueError, match="in x0$"):
+            mc_weak_error([self.BASE, dataclasses.replace(self.BASE, x0=None)], n_paths=10)
+
+    def test_fem_setup_refused(self):
+        fem = dataclasses.replace(self.BASE, fem=assemble_fem(4))
+        with pytest.raises(ValueError, match="spectral-Galerkin"):
+            mc_weak_error([self.BASE, fem], n_paths=10)
+        with pytest.raises(ValueError, match="spectral-Galerkin"):
+            mc_weak_error(fem, n_paths=10)
+
+    def test_time_exact_setup_refused(self):
+        exact = dataclasses.replace(self.BASE, n_cells=None)
+        with pytest.raises(ValueError, match="time discretization"):
+            mc_weak_error([self.BASE, exact], n_paths=10)
+
+    def test_empty_ladder_refused(self):
+        with pytest.raises(ValueError, match="at least one setup"):
+            mc_weak_error([], n_paths=10)
+
+    def test_single_setup_is_a_ladder_of_one(self):
+        one = mc_weak_error(self.BASE, n_paths=50, seed=4)
+        assert isinstance(one, tuple)
+        assert mc_weak_error([self.BASE], n_paths=50, seed=4) == [one]
 
 
 def per_path_reference(setup, g, n_paths, seed):

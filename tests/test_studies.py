@@ -413,3 +413,66 @@ class TestStudyExactSide:
             e = discrete_family(cfg.kind, spec.eigenvalues, row.resolution, n).steps[:, 1:].real
             implied.append(float(q @ (e * e).sum(axis=1)) * row.resolution - row.report.weak_error_quadratic)
         assert np.ptp(implied) <= 1e-12 * implied[-1]
+
+
+class TestStudyMonteCarlo:
+    """run_study draws each block of paths once for the whole ladder; a study
+    row's MC columns must equal a standalone mc_weak_error of that level's
+    setup bit for bit."""
+
+    KINDS = {
+        "heat": (heat_kind(), 1.0, (1.0, -0.5, 0.25)),
+        "wave": (wave_kind("crank_nicolson"), 0.75, ((1.0, -0.5, 0.25), (-1.0, 0.5, -0.25))),
+        "volterra": (volterra_kind(1.5), 0.5, (1.0, -0.5, 0.25)),
+    }
+
+    @pytest.mark.parametrize(
+        "ladder", [(1 / 8, 1 / 16, 1 / 32, 1 / 64), (1 / 12, 1 / 16, 1 / 20, 1 / 24)], ids=["dyadic", "non-nested"]
+    )
+    @pytest.mark.parametrize("g", ["quadratic", "cylindrical_cos"])
+    @pytest.mark.parametrize("name", list(KINDS))
+    def test_rows_equal_standalone_mc(self, name, g, ladder):
+        from levyspde.errors import CylindricalFunctional, _mc_block_paths, mc_weak_error
+        from levyspde.noise import LevyLaw
+        from levyspde.studies import _level_setup
+
+        kind, beta, x0 = self.KINDS[name]
+        cfg = StudyConfig(
+            name="m", kind=kind, axis="temporal", beta=beta, modes=16, ladder=ladder, x0=x0,
+            law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2, mc_paths=75, mc_seed=11,
+        )
+        setups = [_level_setup(cfg, dt) for dt in ladder]
+        block = _mc_block_paths(setups[0])
+        assert block < cfg.mc_paths and cfg.mc_paths % block  # full blocks and a short last one
+        func = CylindricalFunctional(mode=2) if g == "cylindrical_cos" else None
+        res = run_study(cfg)
+        for row, setup in zip(res.rows, setups):
+            alone = mc_weak_error(setup, g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
+            assert (row.report.mc_estimate, row.report.mc_stderr) == alone
+
+    def test_one_mc_call_per_study(self, monkeypatch):
+        import levyspde.studies as studies
+
+        # the benchmark tracer counts calls at this name: one per study, not one per level
+        calls, mc = [], studies.mc_weak_error
+
+        def counted(setups, **kwargs):
+            calls.append(len(setups))
+            return mc(setups, **kwargs)
+
+        monkeypatch.setattr(studies, "mc_weak_error", counted)
+        ladder = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
+        cfg = StudyConfig(name="m", kind=heat_kind(), axis="temporal", beta=1.0, modes=8, ladder=ladder, mc_paths=20)
+        res = run_study(cfg)
+        assert calls == [4]
+        assert all(r.report.mc_stderr > 0.0 for r in res.rows)
+
+    def test_wave_temporal_mc_preset_columns_pinned(self, preset_result):
+        # the MC columns move only through a documented change of sampler
+        rows = preset_result("wave-temporal-mc").rows
+        assert [(r.report.mc_estimate, r.report.mc_stderr) for r in rows] == [
+            (0.0007619784421427238, 0.00031120393438171953),
+            (0.0003311828246732667, 0.00016501885693700262),
+            (5.5605082096211746e-05, 8.458667977107005e-05),
+            (3.4992907276399117e-05, 4.1585340928508016e-05),
+        ]
