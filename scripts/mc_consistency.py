@@ -11,7 +11,7 @@ Usage: python scripts/mc_consistency.py [n_seeds] [n_paths]
 import sys
 import time
 
-from levyspde.errors import Setup, mc_weak_error, weak_error_quadratic
+from levyspde.errors import Setup, error_report, mc_weak_error
 from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import heat_kind, volterra_kind, wave_kind
 from levyspde.spectral import dirichlet_spectrum
@@ -29,7 +29,7 @@ FAMILIES = {
 
 
 def check(name: str, setup: Setup, n_seeds: int, n_paths: int) -> bool:
-    det = weak_error_quadratic(setup)
+    det = error_report(setup).weak_error_quadratic
     print(f"{name}: deterministic weak error {det:.17g}")
     hits = 0
     t0 = time.time()

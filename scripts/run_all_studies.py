@@ -8,13 +8,16 @@ bound shape, so |weak|/log(T/dt) for heat-temporal-beta1.
 
 With --compare DIR, also print, per preset and per deterministic column, the
 largest relative delta of the new CSV against DIR/<preset>.csv from an earlier
-run, and whether the Monte Carlo columns (mc_estimate, mc_stderr) are
-`identical` or `moved`; a preset whose two files are byte-identical prints
-`identical` alone (a missing file is reported, not fatal).  The comparison is
-a gate: a deterministic column that moved by more than 1e-10 relative
-(MAX_RELATIVE_DELTA), or a Monte Carlo value that is not bit for bit the
-earlier one, makes the exit status 3.  The Monte Carlo columns move only
-through a documented change of sampler.
+run, the largest relative delta over the numeric fields of the `#` metadata
+lines (covariance_tail_fraction, the fit slopes and r^2, ...), and whether the
+Monte Carlo columns (mc_estimate, mc_stderr) are `identical` or `moved`; a
+preset whose two files are byte-identical prints `identical` alone (a missing
+file is reported, not fatal).  The comparison is a gate: a deterministic
+column or a metadata field that moved by more than 1e-10 relative
+(MAX_RELATIVE_DELTA), a metadata text or field present on one side only, or a
+Monte Carlo value that is not bit for bit the earlier one, makes the exit
+status 3; each metadata field past the bound is named.  The Monte Carlo
+columns move only through a documented change of sampler.
 
 Exit status: 0 all presets pass (and, with --compare, no column moved past its
 bound), 2 a preset failed its own rate gate (this wins over 3), 3 a column
@@ -22,11 +25,12 @@ moved past its bound.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
-from levyspde.studies import emit_csv, preset_studies, read_csv, run_study
+from levyspde.studies import SLOPE_TOL, emit_csv, preset_studies, read_csv, run_study
 
 DETERMINISTIC_COLUMNS = ("strong", "weak_quad", "representation")
 MC_COLUMNS = ("mc_estimate", "mc_stderr")
@@ -43,6 +47,36 @@ def max_relative_deltas(new_rows: list[dict], old_rows: list[dict]) -> dict[str,
             abs(n[col] - o[col]) / abs(o[col]) if o[col] else abs(n[col] - o[col])
             for n, o in zip(new_rows, old_rows)
         )
+    return out
+
+
+def read_header(path: Path) -> dict[str, str]:
+    """The `#` metadata lines of a study CSV: {key: value} for every key=value
+    word, and the other words of the i-th line under the key `line i`."""
+    out = {}
+    lines = [line[1:].split() for line in path.read_text().splitlines() if line.startswith("#")]
+    for i, words in enumerate(lines):
+        out[f"line {i}"] = " ".join(w for w in words if "=" not in w)
+        out.update(w.split("=", 1) for w in words if "=" in w)
+    return out
+
+
+def header_deltas(new: dict[str, str], old: dict[str, str]) -> dict[str, float]:
+    """Per metadata field that differs: |new - old| / |old| for numbers
+    (|new - old| where old is 0), inf for text, a nan on one side or a field
+    on one side only."""
+    out = {}
+    for key in sorted(new.keys() | old.keys()):
+        n, o = new.get(key), old.get(key)
+        if n == o:
+            continue
+        try:
+            x, y = float(n), float(o)
+        except (TypeError, ValueError):
+            out[key] = math.inf
+            continue
+        delta = abs(x - y) / abs(y) if y else abs(x - y)
+        out[key] = math.inf if math.isnan(delta) else delta
     return out
 
 
@@ -69,8 +103,8 @@ def main() -> int:
         status = "pass" if result.passed() else "FAIL"
         any_fail |= not result.passed()
         print(
-            f"{name:24s} weak {s['weak_bound_slope']: .3f} (>= {s['weak_expected'] - 0.15:.2f})  "
-            f"strong {s['strong_slope']: .3f} ({s['strong_expected']:.3f} +- 0.15)  "
+            f"{name:24s} weak {s['weak_bound_slope']: .3f} (>= {s['weak_expected'] - SLOPE_TOL:.2f})  "
+            f"strong {s['strong_slope']: .3f} ({s['strong_expected']:.3f} +- {SLOPE_TOL:g})  "
             f"[{status}, {time.time() - t0:.1f}s]"
         )
         if args.compare:
@@ -82,21 +116,34 @@ def main() -> int:
                 deltas[name] = "identical"
             else:
                 new_rows, old_rows = read_csv(str(new)), read_csv(str(old))
-                deltas[name] = (max_relative_deltas(new_rows, old_rows), mc_identical(new_rows, old_rows))
+                deltas[name] = (
+                    max_relative_deltas(new_rows, old_rows),
+                    header_deltas(read_header(new), read_header(old)),
+                    mc_identical(new_rows, old_rows),
+                )
     print(f"CSV files in {out}/")
     if args.compare:
         print(f"\nlargest relative delta against {args.compare}/")
-        print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in DETERMINISTIC_COLUMNS) + f" {'mc columns':>14s}")
+        columns = (*DETERMINISTIC_COLUMNS, "# metadata", "mc columns")
+        print(f"{'preset':24s} " + " ".join(f"{c:>14s}" for c in columns))
         for name, d in deltas.items():
             if d is None or d == "identical":
                 print(f"{name:24s} {d or '(no CSV)'}")
                 continue
-            det, mc_same = d
+            det, meta, mc_same = d
             mc = "identical" if mc_same else "moved"
-            print(f"{name:24s} " + " ".join(f"{det[c]:14.3e}" for c in DETERMINISTIC_COLUMNS) + f" {mc:>14s}")
+            values = [det[c] for c in DETERMINISTIC_COLUMNS] + [max(meta.values(), default=0.0)]
+            print(f"{name:24s} " + " ".join(f"{v:14.3e}" for v in values) + f" {mc:>14s}")
             if max(det.values()) > MAX_RELATIVE_DELTA:
                 moved = True
                 print(f"  {name}: a deterministic column moved by more than {MAX_RELATIVE_DELTA:g} relative")
+            for key, delta in meta.items():
+                if delta > MAX_RELATIVE_DELTA:
+                    moved = True
+                    how = f"moved by {delta:.3e} relative"
+                    if math.isinf(delta):
+                        how = "differs (text, nan, or on one side only)"
+                    print(f"  {name}: metadata {key} {how}")
             if not mc_same:
                 moved = True
                 print(f"  {name}: the Monte Carlo columns are not bit for bit the earlier ones")

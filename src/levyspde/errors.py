@@ -37,7 +37,6 @@ itself.  Its time-exact rows use Gauss quadrature on shared global nodes.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -60,7 +59,7 @@ from .propagators import (
     step_log,
     wave_exact_z,
 )
-from .spectral import DirichletSpectrum, FemSpace, alias_fold, spectral_coupling
+from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling
 
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
@@ -72,16 +71,6 @@ _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds
 # Sign of the cross-term contribution in the representation assembly.  +1.0 is
 # the correct value; tests flip it to confirm the verification gate trips.
 _CROSS_TERM_SIGN = 1.0
-
-
-def _is_whole(n) -> bool:
-    """n is an integer (not a float with an integral value, not a bool)."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
-
-
-def _is_count(n) -> bool:
-    """n is a whole number >= 1."""
-    return _is_whole(n) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -106,8 +95,8 @@ class Setup:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("horizon T must be > 0")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.n_cells is not None and not _is_count(self.n_cells):
             raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
         if self.kind.name == "wave" and self.n_cells is not None:
@@ -120,6 +109,8 @@ class Setup:
             if x0.ndim != want or (want == 2 and x0.shape[0] != 2):
                 shape = "(2, K) position and velocity rows" if want == 2 else "(K,)"
                 raise ValueError(f"x0 for {self.kind.name} must have shape {shape}, got {x0.shape}")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("x0 must be finite")
             if x0.shape[-1] > self.spec.mode_count:
                 raise ValueError("x0 has more coefficients than spectrum modes")
             pad = self.spec.mode_count - x0.shape[-1]
@@ -333,32 +324,30 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
     diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, evaluated for blocks
     of about _ML_BLOCK values, and ee from _volterra_ee.  Time-exact levels:
     Gauss quadrature on global nodes shared by both sides, the exact factors
-    in blocks of about _NODE_BLOCK values; on the identity (j None) the two
-    sides are one table, so dd = de = ee."""
+    in blocks of about _NODE_BLOCK values."""
     kind, lam = setup.kind, setup.spec.eigenvalues
     if steps is None:
         nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
-        a = None if j is None else _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
+        a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
         de, ee = np.empty(lam.size), np.empty(lam.size)
         rows = max(1, _NODE_BLOCK // nodes.size)
         for lo in range(0, lam.size, rows):
             k = slice(lo, lo + rows)
             b = _noise_factor(kind, lam[k, None], nodes[None, :])
-            de[k] = ((b if a is None else a[j[k] - 1]) * b) @ w
+            de[k] = (a[j[k] - 1] * b) @ w
             ee[k] = (b * b) @ w
-        return (ee if a is None else _gather((a * a) @ w, j)), de, ee
+        return ((a * a) @ w)[j - 1], de, ee
     edges = _level_edges(setup)
     t_rho = edges**kind.rho
     et = steps[:, 1:]
-    et_k = _gather(et, j)
     de = np.empty(lam.size)
     rows = max(1, _ML_BLOCK // edges.size)
     for lo in range(0, lam.size, rows):
         k = slice(lo, lo + rows)
         prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
-        de[k] = np.einsum("kn,kn->k", et_k[k], np.diff(prim, axis=1))
+        de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
     dd = setup.dt * np.einsum("jn,jn->j", et, et)
-    return _gather(dd, j), de, _volterra_ee(kind, lam, setup.T)
+    return dd[j - 1], de, _volterra_ee(kind, lam, setup.T)
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
@@ -392,23 +381,18 @@ def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np
 
 def _partner_map(setup: Setup):
     """(lam_d, j, c): the discrete eigenvalues and alias_fold's (j, c); on the
-    spectral space the identity, j None and c = 1."""
+    spectral space the identity fold, j(k) = k and c = 1.  j = 0 (no partner)
+    picks the last discrete row, which the weight c^2 q = 0 of such a mode
+    cancels."""
     if setup.fem is None:
-        return setup.spec.eigenvalues, None, 1.0
+        lam = setup.spec.eigenvalues
+        return lam, np.arange(1, lam.size + 1), np.ones(lam.size)
     return (setup.fem.eigenvalues, *alias_fold(setup.fem, setup.spec))
-
-
-def _gather(rows: np.ndarray, j) -> np.ndarray:
-    """rows[j(k) - 1] per sine mode k, rows itself for the identity.  j = 0
-    picks the last row, which the weight c^2 q = 0 of such a mode cancels."""
-    return rows if j is None else rows[j - 1]
 
 
 def _fold(v: np.ndarray, j, c, J: int) -> np.ndarray:
     """C v along the last axis of v, C the (J, K) coupling: one bincount of
-    c v over j per row; v itself for the identity."""
-    if j is None:
-        return v
+    c v over j per row."""
     rows = [np.bincount(j, weights=c * r, minlength=J + 1)[1:] for r in np.reshape(v, (-1, v.shape[-1]))]
     return np.reshape(rows, v.shape[:-1] + (J,))
 
@@ -422,15 +406,13 @@ class ErrorReport:
     strong_error: float
     weak_error_quadratic: float
     representation_value: float
-    mc_estimate: float | None = None
-    mc_stderr: float | None = None
 
 
 def error_report(setup: Setup) -> ErrorReport:
     """Strong, weak and representation values of one setup.
 
     I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes, with
-    m = c^2 q from the partner map (m = q on the spectral space).  On the
+    m = c^2 q from the partner map (c = 1 on the spectral space).  On the
     exact family (no FEM space, no time grid) the rows are equal bit for bit,
     so every value is exactly 0.
     """
@@ -456,7 +438,7 @@ def error_report(setup: Setup) -> ErrorReport:
         if kind.name == "volterra":
             dd, de, ee = _table_integrals(setup, lam_d, j, steps)
         else:
-            dd, de, ee = _closed_form_integrals(kind, _gather(lam_d, j), lam, setup.T, setup.n_cells)
+            dd, de, ee = _closed_form_integrals(kind, lam_d[j - 1], lam, setup.T, setup.n_cells)
         # one reduction for all three, so the exact family's equal rows give equal sums
         i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)
@@ -466,21 +448,6 @@ def error_report(setup: Setup) -> ErrorReport:
     return ErrorReport(strong_error=strong, weak_error_quadratic=weak, representation_value=rep)
 
 
-def strong_error(setup: Setup) -> float:
-    """L2(Omega) distance of the observable components at the final time."""
-    return error_report(setup).strong_error
-
-
-def weak_error_quadratic(setup: Setup) -> float:
-    """E g(observable of Xtilde(T)) - E g(observable of X(T)) for g = |.|^2."""
-    return error_report(setup).weak_error_quadratic
-
-
-def representation_quadratic(setup: Setup) -> float:
-    """The error-representation value for quadratic g: X0 term + the quadratic remainder + the cross term."""
-    return error_report(setup).representation_value
-
-
 def _weak_error_cellwise(setup: Setup) -> float:
     """The weak error of a spectral scheme setup by a route apart from
     error_report: step factors from discrete_family tables (for Volterra the
@@ -488,7 +455,7 @@ def _weak_error_cellwise(setup: Setup) -> float:
     nodes, apart from both the closed forms and the G_rho table."""
     kind, lam, q, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.n_cells
     if kind.name == "volterra":
-        march = [cq_mode_solve(lk, kind.rho, setup.dt, N, np.zeros(N), x0=1.0) for lk in lam]
+        march = [cq_mode_solve(lk, kind.rho, setup.dt, N) for lk in lam]
         steps = np.column_stack([np.ones(lam.size), np.array(march)])
     else:
         steps = discrete_family(kind, lam, setup.dt, N).steps
@@ -523,8 +490,8 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     if setup.fem is None and setup.n_cells is None:
         raise ValueError("the exact family (no FEM space, no time grid) has no propagator error")
     s_grid = np.asarray(s_grid, float)
-    if np.any(s_grid <= 0) or np.any(s_grid > setup.T):
-        raise ValueError("s grid must lie in (0, T]")
+    if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
+        raise ValueError("s_grid must lie in (0, T]")
     lam = lam_d = setup.spec.eigenvalues
     if setup.fem is not None:
         if setup.kind.name == "wave":
@@ -648,6 +615,8 @@ def mc_weak_error(
     Returns one (estimate, stderr) per level, or the pair itself for a single
     Setup.
     """
+    if not _is_count(n_paths):
+        raise ValueError(f"n_paths must be a whole number >= 1, got {n_paths!r}")
     ladder = _mc_ladder(setups)
     if g is None:
         g = quadratic_functional

@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .spectral import DirichletSpectrum
+from .spectral import DirichletSpectrum, _is_whole
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -28,6 +28,8 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
     Counter-based, so streams are reproducible regardless of creation order.
     """
+    if not all(_is_whole(i) and i >= 0 for i in (seed, *path)):
+        raise ValueError(f"stream seed and path must be whole numbers >= 0, got seed={seed!r} path={path!r}")
     ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return Generator(Philox(ss))
 
@@ -40,10 +42,10 @@ class CovarianceSpec:
     decay: float | None = None
 
     def __post_init__(self):
-        if self.decay is None or not self.decay >= 0:
-            raise ValueError(f"decay exponent must be given and >= 0, got {self.decay}")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be > 0")
+        if self.decay is None or not 0 <= self.decay < np.inf:
+            raise ValueError(f"decay exponent must be given, finite and >= 0, got {self.decay}")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
 
     def values(self, spec: DirichletSpectrum) -> np.ndarray:
         return self.amplitude * spec.eigenvalues ** (-self.decay)
@@ -51,11 +53,13 @@ class CovarianceSpec:
 
 @dataclass(frozen=True)
 class HsReport:
-    """Truncated Hilbert-Schmidt sum sum_{k<=K} lam_k^(beta-1/rho) q_k with tail info."""
+    """Truncated Hilbert-Schmidt sum sum_{k<=K} lam_k^(beta-1/rho) q_k with tail
+    info; exponent is the summability exponent 2*(decay + 1/rho - beta)."""
 
     partial_sum: float
     tail_bound: float
     converges: bool
+    exponent: float
 
     @property
     def norm(self) -> float:
@@ -81,7 +85,8 @@ def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho:
         tail = scale * spec.mode_count ** (expo + 1.0) / (-(expo + 1.0))
     else:
         tail = np.inf
-    return HsReport(partial_sum=partial, tail_bound=float(tail), converges=bool(converges))
+    exponent = 2.0 * (cov.decay + 1.0 / rho - beta)
+    return HsReport(partial_sum=partial, tail_bound=float(tail), converges=bool(converges), exponent=exponent)
 
 
 def asymmetric_condition(
@@ -124,8 +129,8 @@ class LevyLaw:
     def __post_init__(self):
         if self.kind != "compound_poisson":
             raise ValueError(f"unknown law kind {self.kind!r}; the only law is 'compound_poisson'")
-        if not self.intensity > 0:
-            raise ValueError("jump intensity must be > 0")
+        if not 0 < self.intensity < np.inf:
+            raise ValueError(f"jump intensity must be finite and > 0, got {self.intensity}")
         if self.jumps not in ("two_point", "normal"):
             raise ValueError(f"unknown jump law {self.jumps!r}")
 

@@ -90,23 +90,20 @@ def cq_weights(rho: float, dt: float, N: int) -> np.ndarray:
     return dt ** (rho - 1.0) * c
 
 
-def cq_mode_solve(lam_h: float, rho: float, dt: float, N: int, forcing: np.ndarray, x0: float = 0.0) -> np.ndarray:
-    """March x_n - x_{n-1} + dt lam sum_{k<=n} w_{n-k} x_k = f_n for one mode.
-
-    Returns x_1..x_N.  O(N^2) due to the full convolution memory.
+def cq_mode_solve(lam_h: float, rho: float, dt: float, N: int) -> np.ndarray:
+    """March x_n - x_{n-1} + dt lam sum_{k<=n} w_{n-k} x_k = 0 from x_0 = 1 for
+    one mode: the homogeneous factors e_1..e_N of cq_resolvent, one mode at a
+    time.  O(N^2) due to the full convolution memory.
     """
-    forcing = np.asarray(forcing, float)
-    if forcing.size != N:
-        raise ValueError("forcing must have N entries")
     w = cq_weights(rho, dt, N)
     wrev = w[::-1].copy()  # contiguous reversed weights keep the dot in BLAS
     a = dt * lam_h
     x = np.empty(N + 1)
-    x[0] = x0
+    x[0] = 1.0
     denom = 1.0 + a * w[0]
     for n in range(1, N + 1):
         hist = a * np.dot(wrev[N - n : N - 1], x[1:n]) if n > 1 else 0.0
-        x[n] = (x[n - 1] + forcing[n - 1] - hist) / denom
+        x[n] = (x[n - 1] - hist) / denom
     return x[1:]
 
 

@@ -13,9 +13,20 @@ j = +-k (mod 2M); alias_fold returns that map.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _is_whole(n) -> bool:
+    """n is an integer (not a float with an integral value, not a bool)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _is_count(n) -> bool:
+    """n is a whole number >= 1."""
+    return _is_whole(n) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -30,15 +41,16 @@ class DirichletSpectrum:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode_count < 1:
-            raise ValueError(f"mode_count must be >= 1, got {self.mode_count}")
+        if not _is_count(self.mode_count):
+            raise ValueError(f"mode_count must be a whole number >= 1, got {self.mode_count!r}")
+        object.__setattr__(self, "mode_count", int(self.mode_count))
         k = np.arange(1, self.mode_count + 1, dtype=float)
         object.__setattr__(self, "eigenvalues", (k * np.pi) ** 2)
 
 
 def dirichlet_spectrum(K: int) -> DirichletSpectrum:
     """Spectrum of the Dirichlet Laplacian on (0,1) truncated to K modes."""
-    return DirichletSpectrum(mode_count=int(K))
+    return DirichletSpectrum(mode_count=K)
 
 
 @dataclass(frozen=True)
@@ -65,9 +77,9 @@ def _versine(j, M: int):
 
 def assemble_fem(M: int) -> FemSpace:
     """The uniform P1 space with M cells and its generalized eigenvalues, ascending."""
+    if not (_is_whole(M) and M >= 2):
+        raise ValueError(f"cell count M must be a whole number >= 2 (one interior node), got {M!r}")
     M = int(M)
-    if M < 2:
-        raise ValueError(f"need at least one interior node, got M={M}")
     v = _versine(np.arange(1, M), M)
     return FemSpace(cell_count=M, eigenvalues=6.0 * M * M * v / (3.0 - v))
 

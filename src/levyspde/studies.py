@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorReport, Setup, _is_count, _is_whole, error_report, mc_weak_error
+from .errors import ErrorReport, Setup, error_report, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
-from .spectral import assemble_fem, dirichlet_spectrum
+from .spectral import _is_count, _is_whole, assemble_fem, dirichlet_spectrum
 
 # Covariance decay is derived from the regularity target with this margin:
 # decay = beta - 1/rho + 1/2 + REG_MARGIN places the summability exponent at
@@ -174,8 +174,13 @@ class StudyConfig:
                 raise ValueError("fixed_cells applies to spatial studies only; a temporal ladder sets the cells")
             if not _is_count(self.fixed_cells):
                 raise ValueError(f"fixed_cells must be a whole number >= 1, got {self.fixed_cells!r}")
-        if self.mc_paths is not None and not _is_count(self.mc_paths):
-            raise ValueError(f"mc_paths must be a whole number >= 1 or None, got {self.mc_paths!r}")
+        if self.mc_paths is not None:
+            if not _is_count(self.mc_paths):
+                raise ValueError(f"mc_paths must be a whole number >= 1 or None, got {self.mc_paths!r}")
+            if self.axis != "temporal":
+                raise ValueError(
+                    "mc_paths applies to temporal studies only; Monte Carlo runs on spectral-Galerkin setups"
+                )
         if not (_is_whole(self.mc_seed) and self.mc_seed >= 0):
             raise ValueError(f"mc_seed must be a whole number >= 0, got {self.mc_seed!r}")
         if self.axis == "temporal":
@@ -209,9 +214,14 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyRow:
+    """One ladder level: its error_report and, with mc_paths, its coupled
+    Monte Carlo estimate and standard error (None without)."""
+
     level: int
     resolution: float
     report: ErrorReport
+    mc_estimate: float | None
+    mc_stderr: float | None
     in_fit: bool
 
 
@@ -276,10 +286,9 @@ def run_study(config: StudyConfig) -> StudyResult:
     rho = config.kind.rho if config.kind.name == "volterra" else 1.0
     hs = hs_condition(spec, config.covariance(), config.beta, rho)
     if not hs.converges:
-        expo = 2.0 * (config.decay + 1.0 / rho - config.beta)
         raise ValueError(
             f"study {config.name!r} refused: covariance too rough for beta={config.beta} "
-            f"(summability exponent {expo:.4g} <= 1)"
+            f"(summability exponent {hs.exponent:.4g} <= 1)"
         )
     tail_fraction = hs.tail_bound / hs.partial_sum
     g = None
@@ -294,9 +303,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     rows = []
     for level, (resolution, setup, (est, se)) in enumerate(zip(config.ladder, setups, mc)):
         rep = error_report(setup)
-        rep = ErrorReport(rep.strong_error, rep.weak_error_quadratic, rep.representation_value, est, se)
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
-        rows.append(StudyRow(level=level, resolution=resolution, report=rep, in_fit=in_fit))
+        rows.append(StudyRow(level, resolution, rep, est, se, in_fit))
     res = np.array([r.resolution for r in rows])
     try:
         strong_fit = fit_rate(res, [r.report.strong_error for r in rows])
@@ -341,8 +349,8 @@ def csv_text(result: StudyResult) -> str:
                     _fmt(rep.strong_error),
                     _fmt(rep.weak_error_quadratic),
                     _fmt(rep.representation_value),
-                    _fmt(rep.mc_estimate),
-                    _fmt(rep.mc_stderr),
+                    _fmt(r.mc_estimate),
+                    _fmt(r.mc_stderr),
                     str(int(r.in_fit)),
                 ]
             )
@@ -391,7 +399,7 @@ def representation_sweep() -> list[dict]:
     error assembled cell by cell by an independent route (_weak_error_cellwise)
     on 12 setups: 3 equations x 2 resolutions x 2 covariances, with nonzero
     initial data throughout."""
-    from .errors import _weak_error_cellwise, representation_quadratic
+    from .errors import _weak_error_cellwise
 
     kinds = [heat_kind(), volterra_kind(1.5), wave_kind("crank_nicolson")]
     out = []
@@ -410,7 +418,7 @@ def representation_sweep() -> list[dict]:
                     x0[:3] = [1.0, -0.5, 0.25]
                 setup = Setup(kind, spec, cov, law, 1.0, n_cells=n_cells, x0=x0)
                 weak = _weak_error_cellwise(setup)
-                rep = representation_quadratic(setup)
+                rep = error_report(setup).representation_value
                 rel = abs(rep - weak) / max(abs(weak), 1e-14)
                 out.append(
                     {

@@ -16,7 +16,7 @@ column of the wrong rate.
 import numpy as np
 import pytest
 
-from levyspde.errors import Setup, mc_weak_error, weak_error_quadratic
+from levyspde.errors import Setup, error_report, mc_weak_error
 from levyspde.mittag_leffler import mittag_leffler_neg
 from levyspde.noise import CovarianceSpec, LevyLaw, hs_condition, asymmetric_condition
 from levyspde.propagators import (
@@ -224,7 +224,7 @@ def test_c6_mc_consistency():
     spec = dirichlet_spectrum(32)
     cov = CovarianceSpec(amplitude=1.0, decay=0.55)
     setup = Setup(heat_kind(), spec, cov, CP, 1.0, n_cells=64)
-    det = weak_error_quadratic(setup)
+    det = error_report(setup).weak_error_quadratic
     hits = 0
     for seed in range(20):
         est, se = mc_weak_error(setup, n_paths=10000, seed=seed)

@@ -234,6 +234,8 @@ class TestStudyCommand:
              r"g_mode must be a mode index in 1\.\.64, got 1\.9"),
             ({"equation": "heat", "mc": {"paths": 20.9}}, r"mc_paths must be a whole number >= 1 or None, got 20\.9"),
             ({"equation": "heat", "mc": {"paths": 20, "seed": 1.5}}, r"mc_seed must be a whole number >= 0, got 1\.5"),
+            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "mc": {"paths": 10}},
+             "mc_paths applies to temporal studies only"),
             ({"equation": "heat", "law": {"nu": 0.5}}, r"unknown law keys \['nu'\]"),
             ({"equation": "heat", "law": {"kind": "variance_gamma"}},
              r"unknown law kind 'variance_gamma'; the only law is 'compound_poisson'"),
@@ -249,6 +251,7 @@ class TestStudyCommand:
             "g-mode-fraction",
             "mc-paths-fraction",
             "mc-seed-fraction",
+            "mc-paths-spatial",
             "law-nu",
             "law-variance-gamma",
         ],

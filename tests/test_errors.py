@@ -11,9 +11,6 @@ from levyspde.errors import (
     error_report,
     mc_weak_error,
     propagator_error_profile,
-    representation_quadratic,
-    strong_error,
-    weak_error_quadratic,
 )
 from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import discrete_family, heat_kind, volterra_kind, wave_kind
@@ -40,8 +37,9 @@ class TestDeterministicHeat:
         lam = np.pi**2
         setup = Setup(heat_kind(), dirichlet_spectrum(1), FLAT, CP, T, n_cells=N)
         i_dd, i_ee, i_de = heat_single_mode_closed_form(lam, T, N)
-        assert weak_error_quadratic(setup) == pytest.approx(i_dd - i_ee, abs=1e-15)
-        assert strong_error(setup) == pytest.approx(np.sqrt(i_dd - 2 * i_de + i_ee), abs=1e-15)
+        rep = error_report(setup)
+        assert rep.weak_error_quadratic == pytest.approx(i_dd - i_ee, abs=1e-15)
+        assert rep.strong_error == pytest.approx(np.sqrt(i_dd - 2 * i_de + i_ee), abs=1e-15)
 
     def test_single_mode_against_fine_riemann(self):
         # cellwise midpoint rule: respects the kinks of the piecewise factor
@@ -55,15 +53,15 @@ class TestDeterministicHeat:
         for n in range(1, N + 1):
             s = (n - 1) * dt + (np.arange(sub) + 0.5) * dt / sub
             total += np.sum((r**n - np.exp(-lam * s)) ** 2) * dt / sub
-        assert strong_error(setup) == pytest.approx(np.sqrt(total), abs=1e-8)
+        assert error_report(setup).strong_error == pytest.approx(np.sqrt(total), abs=1e-8)
 
     def test_weak_error_can_be_negative(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(64), CovarianceSpec(amplitude=1.0, decay=0.55), CP, 1.0, n_cells=32)
-        assert weak_error_quadratic(setup) < 0.0
+        assert error_report(setup).weak_error_quadratic < 0.0
 
     def test_matches_monte_carlo_l2(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(24), CovarianceSpec(amplitude=1.0, decay=0.55), CP, 1.0, n_cells=16)
-        det2 = strong_error(setup) ** 2
+        det2 = error_report(setup).strong_error ** 2
         from levyspde.noise import increments_from_path, sample_jump_path, stream
 
         lam = setup.spec.eigenvalues
@@ -91,7 +89,8 @@ class TestDeterministicHeat:
 class TestZeroAndExactCases:
     def test_exact_scheme_injection_zeros_everything(self):
         # the exact family: no FEM space and no time grid.  The Volterra case
-        # runs the time-exact node rows, where both sides are one table
+        # runs the time-exact node rows through the identity fold, where both
+        # sides tabulate the same factors
         for kind, x0 in ((heat_kind(), np.ones(4)), (volterra_kind(1.5), np.ones(4)), (wave_kind(), np.ones((2, 4)))):
             setup = Setup(
                 kind,
@@ -114,15 +113,35 @@ class TestZeroAndExactCases:
         lam = setup.spec.eigenvalues[:2]
         r4 = (1.0 + 0.25 * lam) ** -4
         expect = np.sum((r4 * x0) ** 2) - np.sum((np.exp(-lam) * x0) ** 2)
-        assert weak_error_quadratic(setup) == pytest.approx(expect, rel=1e-14)
-        assert representation_quadratic(setup) == pytest.approx(expect, rel=1e-14)
+        rep = error_report(setup)
+        assert rep.weak_error_quadratic == pytest.approx(expect, rel=1e-14)
+        assert rep.representation_value == pytest.approx(expect, rel=1e-14)
         diff = np.sqrt(np.sum(((r4 - np.exp(-lam)) * x0) ** 2))
-        assert strong_error(setup) == pytest.approx(diff, rel=1e-14)
+        assert rep.strong_error == pytest.approx(diff, rel=1e-14)
 
     def test_noise_off_zero_data_all_zero(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(8), None, CP, 1.0, n_cells=4)
         rep = error_report(setup)
         assert (rep.strong_error, rep.weak_error_quadratic, rep.representation_value) == (0.0, 0.0, 0.0)
+
+
+class TestOnePath:
+    def test_spectral_partner_map_is_the_identity_fold(self):
+        setup = Setup(heat_kind(), dirichlet_spectrum(6), FLAT, CP, 1.0, n_cells=4)
+        lam_d, j, c = errors._partner_map(setup)
+        assert lam_d is setup.spec.eigenvalues
+        np.testing.assert_array_equal(j, np.arange(1, 7))
+        np.testing.assert_array_equal(c, np.ones(6))
+
+    def test_error_report_is_the_only_entry_point(self):
+        import levyspde
+
+        fields = [f.name for f in dataclasses.fields(errors.ErrorReport)]
+        assert fields == ["strong_error", "weak_error_quadratic", "representation_value"]
+        for name in ("strong_error", "weak_error_quadratic", "representation_quadratic"):
+            assert not hasattr(errors, name) and not hasattr(levyspde, name)
+        assert "increments_from_path" not in levyspde.__all__
+        assert callable(errors.increments_from_path)  # studybench/tracer.py wraps it there
 
 
 class TestRepresentationIdentity:
@@ -136,15 +155,15 @@ class TestRepresentationIdentity:
 
     def test_single_mode_tight(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(1), FLAT, CP, 1.0, n_cells=8, x0=np.array([2.0]))
-        weak = weak_error_quadratic(setup)
-        rep = representation_quadratic(setup)
+        r = error_report(setup)
+        weak, rep = r.weak_error_quadratic, r.representation_value
         assert abs(rep - weak) <= 1e-10 * max(abs(weak), 1.0)
 
     def test_sign_mutation_is_detected(self, monkeypatch):
         setup = Setup(heat_kind(), dirichlet_spectrum(16), CovarianceSpec(amplitude=1.0, decay=0.4), CP, 1.0, n_cells=8)
-        weak = weak_error_quadratic(setup)
+        weak = error_report(setup).weak_error_quadratic
         monkeypatch.setattr(errors, "_CROSS_TERM_SIGN", -1.0)
-        rep = representation_quadratic(setup)
+        rep = error_report(setup).representation_value
         assert abs(rep - weak) / max(abs(weak), 1e-14) > 1e-4
 
     def test_fem_setups_agree_too(self):
@@ -157,8 +176,8 @@ class TestRepresentationIdentity:
             fem=assemble_fem(8),
             x0=np.array([1.0, 0.0, -0.5]),
         )
-        weak = weak_error_quadratic(setup)
-        rep = representation_quadratic(setup)
+        r = error_report(setup)
+        weak, rep = r.weak_error_quadratic, r.representation_value
         assert abs(rep - weak) <= 1e-8 * max(abs(weak), 1e-14)
 
 
@@ -266,6 +285,16 @@ class TestProfiles:
         consts = np.asarray(consts)
         assert consts.max() <= 4.0 * consts.min()
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.5])
+    def test_s_grid_outside_horizon_refused(self, bad):
+        # NaN used to end in an IndexError
+        for setup in (
+            Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4),
+            Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, fem=assemble_fem(4)),
+        ):
+            with pytest.raises(ValueError, match=r"s_grid must lie in \(0, T\]"):
+                propagator_error_profile(setup, np.array([0.5, bad]))
+
     def test_exact_family_refused(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0)
         with pytest.raises(ValueError, match="exact family"):
@@ -280,7 +309,7 @@ class TestProfiles:
 class TestMonteCarlo:
     def test_quadratic_matches_deterministic(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(24), CovarianceSpec(amplitude=1.0, decay=0.55), CP, 1.0, n_cells=16)
-        det = weak_error_quadratic(setup)
+        det = error_report(setup).weak_error_quadratic
         est, se = mc_weak_error(setup, n_paths=10000, seed=5)
         assert abs(est - det) <= 3.0 * se
 
@@ -325,14 +354,14 @@ class TestMonteCarlo:
     def test_wave_mc_first_component(self):
         cov = CovarianceSpec(amplitude=1.0, decay=0.3)
         setup = Setup(wave_kind(), dirichlet_spectrum(12), cov, CP, 1.0, n_cells=16)
-        det = weak_error_quadratic(setup)
+        det = error_report(setup).weak_error_quadratic
         est, se = mc_weak_error(setup, n_paths=8000, seed=13)
         assert abs(est - det) <= 3.0 * se
 
     def test_volterra_mc(self):
         cov = CovarianceSpec(amplitude=1.0, decay=0.4)
         setup = Setup(volterra_kind(1.5), dirichlet_spectrum(12), cov, CP, 1.0, n_cells=8)
-        det = weak_error_quadratic(setup)
+        det = error_report(setup).weak_error_quadratic
         est, se = mc_weak_error(setup, n_paths=6000, seed=17)
         assert abs(est - det) <= 3.0 * se
 
@@ -342,6 +371,13 @@ class TestMonteCarloLadder:
     n_cells.  Anything else is refused before a path is drawn."""
 
     BASE = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4, x0=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 10.0, "10", True])
+    def test_path_count_must_be_whole(self, bad):
+        # 0 used to return (nan, nan) with RuntimeWarnings, 2.5 to end in a TypeError
+        assert mc_weak_error(self.BASE, n_paths=np.int64(3)) == mc_weak_error(self.BASE, n_paths=3)
+        with pytest.raises(ValueError, match="n_paths must be a whole number >= 1"):
+            mc_weak_error(self.BASE, n_paths=bad)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -463,11 +499,11 @@ class TestBatchedMonteCarlo:
         x0 = np.array([1.0, -0.5, 0.25])
         cov = CovarianceSpec(amplitude=1.0, decay=decay)
         setup = Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8, x0=x0)
-        det = weak_error_quadratic(setup)
+        det = error_report(setup).weak_error_quadratic
         est, se = mc_weak_error(setup, n_paths=20000, seed=7)
         assert abs(est - det) <= 3.0 * se
         # the data term moves the weak error by many standard errors
-        no_x0 = weak_error_quadratic(Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8))
+        no_x0 = error_report(Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8)).weak_error_quadratic
         assert abs(det - no_x0) > 5.0 * se
 
     def test_functionals_map_rows(self):
@@ -502,6 +538,20 @@ class TestSetupValidation:
         for bad in (8.5, 8.0, "8", 0, -2, True):
             with pytest.raises(ValueError, match=r"n_cells must be a whole number >= 1, got"):
                 Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=bad)
+
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_horizon_finite_and_positive(self, T):
+        # inf used to return an all-NaN report
+        with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+            Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, T, n_cells=4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_x0_must_be_finite(self, bad):
+        # NaN used to give a NaN report
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4, x0=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            Setup(wave_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4, x0=np.array([[1.0], [bad]]))
 
     def test_fem_outrunning_spectrum_refused(self):
         with pytest.raises(ValueError, match="raise the spectral truncation"):
@@ -581,12 +631,13 @@ class TestExactSide:
         for n in (12, 16):
             setup = Setup(kind, spec, FLAT, CP, 1.0, n_cells=n)
             steps = discrete_family(kind, lam, 1.0 / n, n).steps
-            _, de, ee = errors._table_integrals(setup, lam, None, steps)
+            j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
+            _, de, ee = errors._table_integrals(setup, lam, j, steps)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
             assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
             monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
-            assert np.array_equal(errors._table_integrals(setup, lam, None, steps)[1], de)
+            assert np.array_equal(errors._table_integrals(setup, lam, j, steps)[1], de)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("mode", [1, 2, 64, 1024])
@@ -630,7 +681,7 @@ class TestExactSide:
             dd, _, ee = errors._table_integrals(setup, lam_d, j, None)
             g = errors._volterra_ee(kind, lam, 1.0)
             assert np.max(np.abs(ee - g) / g) <= 1e-14, rho
-            g = errors._gather(errors._volterra_ee(kind, lam_d, 1.0), j)
+            g = errors._volterra_ee(kind, lam_d, 1.0)[j - 1]
             assert np.max(np.abs(dd - g) / g) <= 1e-14, rho
 
 
@@ -663,7 +714,7 @@ class TestFemAssembly:
             z_T = errors._terminal_factor(kind, lam_d, T)
         else:
             if kind.name == "volterra":
-                march = [cq_mode_solve(lj, kind.rho, T / N, N, np.zeros(N), x0=1.0) for lj in lam_d]
+                march = [cq_mode_solve(lj, kind.rho, T / N, N) for lj in lam_d]
                 steps = np.column_stack([np.ones(lam_d.size), np.array(march)])
             else:
                 steps = discrete_family(kind, lam_d, T / N, N).steps

@@ -40,10 +40,16 @@ class TestCovariance:
         q = CovarianceSpec(amplitude=2.0, decay=1.0).values(spec)
         np.testing.assert_allclose(q, 2.0 / spec.eigenvalues, rtol=1e-15)
 
-    @pytest.mark.parametrize("decay", [None, -0.1, float("nan")])
+    @pytest.mark.parametrize("decay", [None, -0.1, float("nan"), float("inf")])
     def test_decay_required(self, decay):
-        with pytest.raises(ValueError, match="decay"):
+        # inf used to give zero noise
+        with pytest.raises(ValueError, match="decay exponent must be given, finite and >= 0"):
             CovarianceSpec(amplitude=1.0, decay=decay)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf")])
+    def test_amplitude_finite_and_positive(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite and > 0"):
+            CovarianceSpec(amplitude=amplitude, decay=0.5)
 
 
 class TestHsCondition:
@@ -66,6 +72,15 @@ class TestHsCondition:
         spec2 = dirichlet_spectrum(8192)
         rep2 = hs_condition(spec2, cov, beta=1.0, rho=1.0)
         assert rep2.partial_sum - rep.partial_sum <= rep.tail_bound
+
+    def test_exponent_is_the_summability_exponent(self):
+        # run_study's refusal and check-condition print this value; it is the
+        # expression both computed for themselves, bit for bit
+        spec = dirichlet_spectrum(16)
+        for decay, beta, rho in ((0.55, 1.0, 1.0), (0.3833, 0.5, 1.5), (0.2, 1.0, 1.0), (0.3, 0.75, 1.9)):
+            rep = hs_condition(spec, CovarianceSpec(amplitude=1.0, decay=decay), beta, rho)
+            assert rep.exponent == 2.0 * (decay + 1.0 / rho - beta)
+            assert rep.converges == (rep.exponent > 1.0)
 
     def test_beta_zero_always_converges(self):
         spec = dirichlet_spectrum(32)
@@ -149,6 +164,19 @@ class TestSampling:
             LevyLaw("compound_poisson", intensity=-1.0)
         with pytest.raises(ValueError):
             LevyLaw("compound_poisson", jumps="laplace")
+
+    @pytest.mark.parametrize("intensity", [0.0, -1.0, float("nan"), float("inf")])
+    def test_intensity_finite_and_positive(self, intensity):
+        # inf used to be accepted and end in an OverflowError inside the MC
+        with pytest.raises(ValueError, match="jump intensity must be finite and > 0"):
+            LevyLaw("compound_poisson", intensity=intensity)
+
+    @pytest.mark.parametrize("seed, path", [(1.5, ()), (-1, ()), (True, ()), ("3", ()), (1, (0.5,)), (1, (-1,))])
+    def test_stream_indices_must_be_whole(self, seed, path):
+        # seed 1.5 used to run as seed 1
+        np.testing.assert_array_equal(stream(np.int64(1), np.int64(2)).random(3), stream(1, 2).random(3))
+        with pytest.raises(ValueError, match="stream seed and path must be whole numbers >= 0"):
+            stream(seed, *path)
 
     def test_stream_reproducible_and_split(self):
         a = stream(1, 2).standard_normal(4)

@@ -153,8 +153,8 @@ class TestBeModePower:
 
 class TestCqSolve:
     def test_zero_stiffness_random_walk(self):
-        x = cq_mode_solve(1e-30, 1.5, 0.1, 5, np.ones(5))
-        np.testing.assert_allclose(x, np.arange(1.0, 6.0), rtol=1e-12)
+        x = cq_mode_solve(1e-30, 1.5, 0.1, 5)
+        np.testing.assert_allclose(x, np.ones(5), rtol=1e-12)
 
     def test_homogeneous_converges_to_kernel(self):
         lam, rho, T = np.pi**2, 1.5, 1.0
@@ -166,19 +166,15 @@ class TestCqSolve:
 
     def test_matches_resolvent_table(self):
         lam, rho, N = 3.7, 1.3, 24
-        x = cq_mode_solve(lam, rho, 1.0 / N, N, np.zeros(N), x0=1.0)
+        x = cq_mode_solve(lam, rho, 1.0 / N, N)
         e = cq_resolvent(np.array([lam]), rho, 1.0 / N, N)[0]
         np.testing.assert_array_equal(x, e[1:])
 
     def test_rho_near_one_is_backward_euler(self):
         lam, N = 2.0, 16
-        x = cq_mode_solve(lam, 1.0 + 1e-10, 1.0 / N, N, np.zeros(N), x0=1.0)
+        x = cq_mode_solve(lam, 1.0 + 1e-10, 1.0 / N, N)
         be = (1.0 + lam / N) ** -np.arange(1.0, N + 1)
         np.testing.assert_allclose(x, be, rtol=1e-7)
-
-    def test_forcing_length_checked(self):
-        with pytest.raises(ValueError):
-            cq_mode_solve(1.0, 1.5, 0.1, 5, np.zeros(4))
 
 
 class TestWaveSchemes:

@@ -25,6 +25,13 @@ class TestDirichletSpectrum:
         with pytest.raises(ValueError):
             dirichlet_spectrum(bad)
 
+    @pytest.mark.parametrize("bad", [16.7, 16.0, "16", True, 0])
+    def test_mode_count_must_be_whole(self, bad):
+        # 16.7 used to give 16 modes
+        assert dirichlet_spectrum(np.int64(16)).mode_count == 16
+        with pytest.raises(ValueError, match=r"mode_count must be a whole number >= 1, got"):
+            dirichlet_spectrum(bad)
+
     def test_strictly_increasing(self):
         lam = dirichlet_spectrum(64).eigenvalues
         assert np.all(np.diff(lam) > 0)
@@ -52,6 +59,13 @@ class TestFem:
     def test_no_interior_node(self):
         with pytest.raises(ValueError):
             assemble_fem(1)
+
+    @pytest.mark.parametrize("bad", [8.9, 8.0, "8", True, 1])
+    def test_cell_count_must_be_whole(self, bad):
+        # 8.9 used to give 8 cells
+        assert assemble_fem(np.int64(8)).cell_count == 8
+        with pytest.raises(ValueError, match=r"cell count M must be a whole number >= 2"):
+            assemble_fem(bad)
 
     @staticmethod
     def sampled_sines(M):

@@ -177,6 +177,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
                 self.base(T=T)
 
+    def test_mc_paths_refused_on_spatial_axis(self):
+        # every spatial level has a FEM space; run_study used to fail only after the config was accepted
+        spatial = dict(axis="spatial", modes=64, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32), mc_paths=10)
+        for extra in ({}, {"fixed_cells": 8}):
+            with pytest.raises(ValueError, match="mc_paths applies to temporal studies only"):
+                self.base(**spatial, **extra)
+        assert self.base(axis="spatial", modes=64, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32)).mc_paths is None
+
     def test_divergent_covariance_refused(self):
         cfg = self.base(beta=1.2)  # decay derived stays at the margin, fine
         cfg = self.base(beta=1.0, cov_decay=0.2)
@@ -285,8 +293,8 @@ class TestCsv:
             assert parsed["strong"] == row.report.strong_error
             assert parsed["weak_quad"] == row.report.weak_error_quadratic
             assert parsed["representation"] == row.report.representation_value
-            assert parsed["mc_estimate"] == row.report.mc_estimate
-            assert parsed["mc_stderr"] == row.report.mc_stderr
+            assert parsed["mc_estimate"] == row.mc_estimate
+            assert parsed["mc_stderr"] == row.mc_stderr
             assert parsed["in_fit"] == int(row.in_fit)
 
     def test_column_contract(self, preset_result):
@@ -448,7 +456,7 @@ class TestStudyMonteCarlo:
         res = run_study(cfg)
         for row, setup in zip(res.rows, setups):
             alone = mc_weak_error(setup, g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
-            assert (row.report.mc_estimate, row.report.mc_stderr) == alone
+            assert (row.mc_estimate, row.mc_stderr) == alone
 
     def test_one_mc_call_per_study(self, monkeypatch):
         import levyspde.studies as studies
@@ -465,12 +473,12 @@ class TestStudyMonteCarlo:
         cfg = StudyConfig(name="m", kind=heat_kind(), axis="temporal", beta=1.0, modes=8, ladder=ladder, mc_paths=20)
         res = run_study(cfg)
         assert calls == [4]
-        assert all(r.report.mc_stderr > 0.0 for r in res.rows)
+        assert all(r.mc_stderr > 0.0 for r in res.rows)
 
     def test_wave_temporal_mc_preset_columns_pinned(self, preset_result):
         # the MC columns move only through a documented change of sampler
         rows = preset_result("wave-temporal-mc").rows
-        assert [(r.report.mc_estimate, r.report.mc_stderr) for r in rows] == [
+        assert [(r.mc_estimate, r.mc_stderr) for r in rows] == [
             (0.0007619784421427238, 0.00031120393438171953),
             (0.0003311828246732667, 0.00016501885693700262),
             (5.5605082096211746e-05, 8.458667977107005e-05),
