@@ -24,14 +24,14 @@ def main() -> int:
     for p in range(4, 10):
         setup = Setup(heat_kind(), spec, cov, law, 1.0, n_cells=2**p)
         prof = propagator_error_profile(setup, s_grid)
-        print(f"  dt = 2^-{p}: C = {np.max(s_grid * prof) * 2**p:.6f}")
+        print(f"  dt = 2^-{p}: C = {np.max(s_grid * prof) * 2**p:.17g}")
     print("volterra spatial (time-exact): C(level) = max_s s*err(s)/h^(4/3)")
     spec_v = dirichlet_spectrum(96)
     cov_v = CovarianceSpec(amplitude=1.0, decay=0.4)
     for M in (8, 16, 32, 64):
         setup = Setup(volterra_kind(1.5), spec_v, cov_v, law, 1.0, fem=assemble_fem(M))
         prof = propagator_error_profile(setup, np.geomspace(1e-2, 1.0, 25))
-        print(f"  h = 1/{M}: C = {np.max(np.geomspace(1e-2, 1.0, 25) * prof) * M ** (4.0 / 3.0):.6f}")
+        print(f"  h = 1/{M}: C = {np.max(np.geomspace(1e-2, 1.0, 25) * prof) * M ** (4.0 / 3.0):.17g}")
     return 0
 
 

@@ -72,8 +72,6 @@ def _make_kind(equation: str, rho, scheme):
 
 
 def _make_law(obj) -> LevyLaw:
-    if obj is None:
-        return LevyLaw("compound_poisson", intensity=1.0)
     unknown = set(obj) - _LAW_KEYS
     if unknown:
         raise ConfigError(f"unknown law keys {sorted(unknown)}")
@@ -86,7 +84,10 @@ def _make_law(obj) -> LevyLaw:
 
 
 def load_config(path: str) -> StudyConfig:
-    """Parse the strict JSON study schema; unknown keys are rejected."""
+    """Parse the strict JSON study schema; unknown keys are rejected.  Only
+    the keys the file gives are passed on, so every default is StudyConfig's;
+    the one default of the schema itself is 1000 paths for an "mc" object
+    without "paths"."""
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
@@ -109,25 +110,33 @@ def load_config(path: str) -> StudyConfig:
         unknown = set(mc) - _MC_KEYS
         if unknown:
             raise ConfigError(f"unknown mc keys {sorted(unknown)}")
-    x0 = raw.get("x0")
     try:
+        kw = {}
+        # (source object, JSON key, StudyConfig field, conversion); null is None for x0 and decay
+        for obj, key, name, convert in (
+            (raw, "horizon", "T", float),
+            (raw, "modes", "modes", None),
+            (raw, "fixed_cells", "fixed_cells", None),
+            (raw, "x0", "x0", lambda v: None if v is None else tuple(v)),
+            (raw, "g", "g", None),
+            (raw, "g_mode", "g_mode", None),
+            (cov, "amplitude", "cov_amplitude", float),
+            (cov, "decay", "cov_decay", lambda v: None if v is None else float(v)),
+            (mc or {}, "seed", "mc_seed", None),
+        ):
+            if key in obj:
+                kw[name] = obj[key] if convert is None else convert(obj[key])
+        if raw.get("law") is not None:
+            kw["law"] = _make_law(raw["law"])
+        if mc is not None:
+            kw["mc_paths"] = mc.get("paths", 1000)
         return StudyConfig(
             name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
             kind=kind,
             axis=raw["axis"],
             beta=float(raw["beta"]),
-            T=float(raw.get("horizon", 1.0)),
-            modes=raw.get("modes", 1024),
             ladder=tuple(float(v) for v in raw["ladder"]),
-            fixed_cells=raw.get("fixed_cells"),
-            cov_amplitude=float(cov.get("amplitude", 1.0)),
-            cov_decay=None if cov.get("decay") is None else float(cov["decay"]),
-            law=_make_law(raw.get("law")),
-            x0=None if x0 is None else tuple(x0),
-            g=raw.get("g", "quadratic"),
-            g_mode=raw.get("g_mode", 1),
-            mc_paths=None if mc is None else mc.get("paths", 1000),
-            mc_seed=0 if mc is None else mc.get("seed", 0),
+            **kw,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -47,9 +47,10 @@ from numpy.polynomial.legendre import leggauss
 from .mittag_leffler import mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
 
-# mc_weak_error draws its jumps through _compound_poisson_draws, not through
-# these two.  They stay importable here because studybench/tracer.py wraps
-# levyspde.errors.sample_jump_path and levyspde.errors.increments_from_path.
+# mc_weak_error draws its jumps through _compound_poisson_draws, and
+# propagator_error_profile folds the modes by alias class; sample_jump_path,
+# increments_from_path and spectral_coupling stay importable here because
+# studybench/tracer.py wraps them under levyspde.errors.
 from .noise import increments_from_path, sample_jump_path  # noqa: F401
 from .propagators import (
     EquationKind,
@@ -59,7 +60,7 @@ from .propagators import (
     step_log,
     wave_exact_z,
 )
-from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling
+from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling  # noqa: F401
 
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
@@ -82,7 +83,7 @@ class Setup:
     With neither, the discrete family is the exact one, so every error is 0
     (an identity check of the assembly).  x0 holds sine-basis coefficients:
     shape (K,) or, for the wave system, a (2, K) stack of position and
-    velocity coefficients.
+    velocity coefficients, stored at full length (zeros where none are given).
     """
 
     kind: EquationKind
@@ -103,20 +104,19 @@ class Setup:
             ok, worst = i_stability_check(self.kind.scheme, np.linspace(-64.0, 64.0, 2049))
             if not ok:
                 raise ValueError(f"wave scheme {self.kind.scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
+        K = self.spec.mode_count
+        x0 = np.zeros((2, K) if self.kind.name == "wave" else K)
         if self.x0 is not None:
-            x0 = np.asarray(self.x0, float)
-            want = 2 if self.kind.name == "wave" else 1
-            if x0.ndim != want or (want == 2 and x0.shape[0] != 2):
-                shape = "(2, K) position and velocity rows" if want == 2 else "(K,)"
-                raise ValueError(f"x0 for {self.kind.name} must have shape {shape}, got {x0.shape}")
-            if not np.all(np.isfinite(x0)):
+            given = np.asarray(self.x0, float)
+            if given.ndim != x0.ndim or given.shape[:-1] != x0.shape[:-1]:
+                shape = "(2, K) position and velocity rows" if x0.ndim == 2 else "(K,)"
+                raise ValueError(f"x0 for {self.kind.name} must have shape {shape}, got {given.shape}")
+            if not np.all(np.isfinite(given)):
                 raise ValueError("x0 must be finite")
-            if x0.shape[-1] > self.spec.mode_count:
+            if given.shape[-1] > K:
                 raise ValueError("x0 has more coefficients than spectrum modes")
-            pad = self.spec.mode_count - x0.shape[-1]
-            if pad:
-                x0 = np.pad(x0, [(0, 0)] * (want - 1) + [(0, pad)])
-            object.__setattr__(self, "x0", x0)
+            x0[..., : given.shape[-1]] = given
+        object.__setattr__(self, "x0", x0)
         if self.fem is not None and self.fem.interior_dim > self.spec.mode_count:
             raise ValueError(
                 f"FEM space has {self.fem.interior_dim} modes but only {self.spec.mode_count} "
@@ -426,7 +426,7 @@ def error_report(setup: Setup) -> ErrorReport:
         steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
 
     x0_d = x0_e = x0_diff = 0.0
-    if setup.x0 is not None and np.any(setup.x0):
+    if setup.x0.any():
         a_e = _exact_terminal_first(setup)
         z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, setup.n_cells)
         a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
@@ -463,11 +463,8 @@ def _weak_error_cellwise(setup: Setup) -> float:
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
     b = _noise_factor(kind, lam[:, None], nodes[None, :])
     ee = (b * b) @ w
-    weak = q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee)
-    if setup.x0 is not None:
-        a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)
-        weak += a_d @ a_d - a_e @ a_e
-    return float(weak)
+    a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)
+    return float(q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee) + (a_d @ a_d - a_e @ a_e))
 
 
 # ----------------------------------------------------------------------------
@@ -475,13 +472,16 @@ def _weak_error_cellwise(setup: Setup) -> float:
 
 
 def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-    """Operator error norm of Etilde(s) - E(s) at each s.
+    """Operator error norm of Etilde(s) P_h - E(s) at each s.
 
-    Spectral setups reduce to the sup over modes of the factor error; for the
-    wave family the first-row error is scaled by lam^(-alpha/2), the operator
-    norm from the product space of order alpha into L2.  FEM setups (heat and
-    Volterra, diagnostics-sized truncations) assemble the Gram of the error
-    operator on the resolved sine modes and take its largest singular value.
+    Heat and Volterra: the Gram of the error operator on the sine modes is
+    block-diagonal over the alias classes {k : j(k) = j} of _partner_map (class
+    0 the unresolved modes, c = 0).  With v = (f_j - e) c on a class, its block
+    is v v^T - (e c)(e c)^T with the diagonal v^2 + e^2 (1 - c^2), so a 1x1
+    class with c = 1 (the spectral space) gives (f - e)^2 exactly; one batched
+    eigvalsh per s.  Wave (spectral space only): the sup over modes of the
+    carrier error scaled by lam^(-alpha/2), the operator norm from the product
+    space of order alpha into L2.
     The scheme factor at s is the n-step one, n = ceil(s / dt) with s / dt
     rounded to 12 decimals first, so an s = n dt off by rounding stays in the
     right-closed cell ((n-1) dt, n dt].  The exact family (no FEM space, no
@@ -492,36 +492,29 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     s_grid = np.asarray(s_grid, float)
     if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
         raise ValueError("s_grid must lie in (0, T]")
-    lam = lam_d = setup.spec.eigenvalues
-    if setup.fem is not None:
-        if setup.kind.name == "wave":
-            raise ValueError("FEM profiles are implemented for the scalar families only")
-        if setup.spec.mode_count > 512:
-            raise ValueError("FEM profiles are a diagnostics tool; keep the truncation at 512 or below")
-        lam_d = setup.fem.eigenvalues
-    steps = None
+    kind, lam = setup.kind, setup.spec.eigenvalues
+    if kind.name == "wave" and setup.fem is not None:
+        raise ValueError("FEM profiles are implemented for the scalar families only")
+    lam_d, j, c = _partner_map(setup)
     if setup.n_cells is not None:
-        steps = discrete_family(setup.kind, lam_d, setup.dt, setup.n_cells).steps
+        steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
         n = np.ceil(np.round(s_grid / setup.dt, 12)).astype(int)  # s in the right-closed cell n
-    if setup.fem is not None:
-        coupling = spectral_coupling(setup.fem, setup.spec)  # (J, K)
-        out = np.empty(s_grid.size)
-        for i, s in enumerate(s_grid):
-            f = steps[:, n[i]].real if steps is not None else _noise_factor(setup.kind, lam_d, float(s))
-            e = _noise_factor(setup.kind, lam, float(s))
-            cf = coupling * f[:, None]
-            gram = cf.T @ cf - (coupling.T @ (coupling * f[:, None])) * e[None, :] * 2.0
-            gram = 0.5 * (gram + gram.T) + np.diag(e**2)
-            out[i] = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-        return out
     out = np.empty(s_grid.size)
+    if kind.name == "wave":
+        for i, s in enumerate(s_grid):
+            out[i] = float(np.max(np.abs(steps[:, n[i]] - wave_exact_z(lam, s)) * lam ** (-alpha / 2.0)))
+        return out
+    counts, order = np.bincount(j, minlength=lam_d.size + 1), np.argsort(j, kind="stable")
+    classes = np.full((counts.size, max(counts.max(), 1)), j.size)  # mode indices per class, padded with K
+    classes[j[order], np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    diag = np.arange(classes.shape[1])
     for i, s in enumerate(s_grid):
-        tilde = steps[:, n[i]]
-        if setup.kind.name == "wave":
-            dz = tilde - wave_exact_z(lam, s)
-            out[i] = float(np.max(np.abs(dz) * lam ** (-alpha / 2.0)))
-        else:
-            out[i] = float(np.max(np.abs(tilde.real - _noise_factor(setup.kind, lam, float(s)))))
+        f = steps[:, n[i]] if setup.n_cells is not None else _noise_factor(kind, lam_d, float(s))
+        e = _noise_factor(kind, lam, float(s))
+        v, ec = (np.append(x, 0.0)[classes] for x in ((f[j - 1] - e) * c, e * c))
+        gram = v[:, :, None] * v[:, None, :] - ec[:, :, None] * ec[:, None, :]
+        gram[:, diag, diag] = v * v + np.append(e * e * (1.0 - c * c), 0.0)[classes]
+        out[i] = float(np.sqrt(max(np.linalg.eigvalsh(gram)[:, -1].max(), 0.0)))
     return out
 
 
@@ -568,14 +561,13 @@ def _mc_ladder(setups: Setup | Sequence[Setup]) -> tuple[Setup, ...]:
             raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
         if s.n_cells is None:
             raise ValueError("Monte Carlo needs a time discretization")
-        same_x0 = s.x0 is None if first.x0 is None else s.x0 is not None and np.array_equal(s.x0, first.x0)
         same = {
             "kind": s.kind == first.kind,
             "spectrum": s.spec.mode_count == first.spec.mode_count,
             "covariance": s.cov == first.cov,
             "law": s.law == first.law,
             "T": s.T == first.T,
-            "x0": same_x0,
+            "x0": np.array_equal(s.x0, first.x0),
         }
         differ = [name for name, ok in same.items() if not ok]
         if differ:
@@ -623,14 +615,13 @@ def mc_weak_error(
     first = ladder[0]
     kind, lam, K, T = first.kind, first.spec.eigenvalues, first.spec.mode_count, first.T
     sq = np.sqrt(first.q())
-    has_x0 = first.x0 is not None and np.any(first.x0)
-    x0_exact = _exact_terminal_first(first) if has_x0 else 0.0
+    x0_exact = _exact_terminal_first(first)
     levels = []  # (right cell edges, step weights, scheme data term) per level
     for setup in ladder:
         fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
         # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
         et_weights = _discrete_noise_weights(fam.steps[:, :0:-1], kind, lam)  # (K, N), columns step N .. 1
-        x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0) if has_x0 else 0.0
+        x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
         levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
     block = _mc_block_paths(first)
     diffs = np.empty((len(ladder), n_paths))

@@ -66,6 +66,11 @@ class HsReport:
         return float(np.sqrt(self.partial_sum))
 
 
+def _check_beta(beta: float) -> None:
+    if not np.isfinite(beta):
+        raise ValueError(f"regularity target beta must be finite, got {beta}")
+
+
 def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho: float = 1.0) -> HsReport:
     """Evaluate the regularity functional governing the convergence rates.
 
@@ -75,6 +80,7 @@ def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho:
     """
     if not (rho == 1.0 or 1.0 < rho < 2.0):
         raise ValueError(f"rho must be 1 or in (1,2), got {rho}")
+    _check_beta(beta)
     lam = spec.eigenvalues
     q = cov.values(spec)
     partial = float(np.sum(lam ** (beta - 1.0 / rho) * q))
@@ -105,6 +111,7 @@ def asymmetric_condition(
     """
     if not 1 <= m <= spec.mode_count:
         raise ValueError(f"truncation m={m} outside 1..{spec.mode_count}")
+    _check_beta(beta)
     lam = spec.eigenvalues[:m]
     q = cov.values(spec)[:m]
     mom = np.broadcast_to(np.asarray(second_moments, float), (m,)) if np.ndim(second_moments) else np.full(m, float(second_moments))
@@ -173,8 +180,10 @@ class JumpPath:
 
 def sample_jump_path(law: LevyLaw, T: float, K: int, rng: np.random.Generator) -> JumpPath:
     """Full jump-time resolution of K compound-Poisson coordinates on (0, T]."""
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
+    if not 0 <= T < np.inf:  # NaN fails too
+        raise ValueError(f"horizon T must be finite and >= 0, got {T}")
+    if not (_is_whole(K) and K >= 0):
+        raise ValueError(f"mode count K must be a whole number >= 0, got {K!r}")
     if T == 0:
         empty = np.empty(0)
         return JumpPath(horizon=0.0, times=[empty] * K, sizes=[empty] * K)

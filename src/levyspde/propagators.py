@@ -4,10 +4,10 @@ heat:      backward Euler (1 + dt lam)^(-n)
 volterra:  backward Euler + convolution quadrature (cq_resolvent)
 wave:      I-stable rational one-step scheme R(dt A)
 
-Wave mode blocks [[a, b], [-lam b, a]] commute with the generator block and are
-carried as the complex scalar z = a + i b' (b = -Im z / sqrt(lam)); powers are
-complex powers e^(n log z) with step_log, which keeps n-step energy exact
-instead of accumulating O(n) rounding from repeated 2x2 multiplication.  The
+One-step schemes have one form, step_log, the log of the factor z per mode,
+and n-step factors e^(n log z); a wave mode block [[a, b], [-lam b, a]] is the
+complex scalar z = a + i b' (b = -Im z / sqrt(lam)), which keeps n-step energy
+exact instead of accumulating O(n) rounding from 2x2 products.  The
 exact factors (e^(-lam t), E_rho(-lam t^rho), the rotation) live with the
 error assembly in levyspde.errors; wave_exact_z is the exact wave carrier.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mittag_leffler import RHO_VERIFIED_MIN
+from .spectral import _is_count
 
 WAVE_SCHEMES = ("crank_nicolson", "backward_euler", "explicit_euler")
 
@@ -80,8 +81,10 @@ def cq_weights(rho: float, dt: float, N: int) -> np.ndarray:
     all positive, nonincreasing for rho in (1,2)."""
     if not 1.0 < rho < 2.0:
         raise ValueError(f"rho must be in (1,2), got {rho}")
-    if N < 1:
-        raise ValueError("need N >= 1 weights")
+    if not 0.0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"step dt must be finite and > 0, got {dt}")
+    if not _is_count(N):
+        raise ValueError(f"weight count N must be a whole number >= 1, got {N!r}")
     c = np.empty(N)
     c[0] = 1.0
     k = np.arange(1, N, dtype=float)
@@ -126,17 +129,6 @@ def cq_resolvent(lam_h: np.ndarray, rho: float, dt: float, N: int) -> np.ndarray
     return e
 
 
-def rational_symbol(scheme: str):
-    """R as a callable on complex arguments; approximates exp(-z)."""
-    if scheme == "crank_nicolson":
-        return lambda z: (2.0 - z) / (2.0 + z)
-    if scheme == "backward_euler":
-        return lambda z: 1.0 / (1.0 + z)
-    if scheme == "explicit_euler":
-        return lambda z: 1.0 - z
-    raise ValueError(f"unknown wave scheme {scheme!r}")
-
-
 def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
     """log z of the one-step factor per mode, in forms that keep their digits
     (y = dt sqrt(lam)): heat backward Euler -log1p(dt lam); wave
@@ -153,10 +145,10 @@ def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
 
 
 def i_stability_check(scheme: str, y_grid: np.ndarray, tol: float = 1e-12) -> tuple[bool, float]:
-    """sup |R(iy)| over the test frequencies; fails above 1 + tol."""
+    """sup |R(iy)| over the test frequencies, as exp(max Re step_log) of the
+    wave scheme at dt = 1, lam = y^2; fails above 1 + tol."""
     y = np.asarray(y_grid, float)
-    vals = np.abs(rational_symbol(scheme)(1j * y))
-    worst = float(vals.max())
+    worst = float(np.exp(step_log(wave_kind(scheme), y * y, 1.0).real.max()))
     return worst <= 1.0 + tol, worst
 
 
@@ -177,14 +169,11 @@ class DiscreteFamily:
 
 
 def discrete_family(kind: EquationKind, lam_h: np.ndarray, dt: float, N: int) -> DiscreteFamily:
-    """Build the n-step factor table for the given mode eigenvalues: heat
-    (1 + dt lam)^(-n), Volterra the CQ resolvent, wave e^(n log z)."""
+    """Build the n-step factor table for the given mode eigenvalues: Volterra
+    the CQ resolvent, heat and wave e^(n log z) from step_log."""
     lam_h = np.atleast_1d(np.asarray(lam_h, float))
-    n = np.arange(N + 1, dtype=float)
-    if kind.name == "heat":
-        steps = (1.0 + dt * lam_h[:, None]) ** (-n[None, :])
-    elif kind.name == "volterra":
+    if kind.name == "volterra":
         steps = cq_resolvent(lam_h, kind.rho, dt, N)
     else:
-        steps = np.exp(n[None, :] * step_log(kind, lam_h, dt)[:, None])
+        steps = np.exp(np.arange(N + 1.0)[None, :] * step_log(kind, lam_h, dt)[:, None])
     return DiscreteFamily(kind=kind, dt=float(dt), steps=steps)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ErrorReport, Setup, error_report, mc_weak_error
-from .noise import CovarianceSpec, LevyLaw, hs_condition
+from .noise import CovarianceSpec, LevyLaw, _check_beta, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import _is_count, _is_whole, assemble_fem, dirichlet_spectrum
 
@@ -157,6 +157,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.axis not in ("temporal", "spatial"):
             raise ValueError(f"axis must be temporal or spatial, got {self.axis!r}")
+        _check_beta(self.beta)
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if len(self.ladder) < 4:
@@ -264,12 +265,11 @@ class StudyResult:
 def _level_setup(config: StudyConfig, resolution: float) -> Setup:
     spec = dirichlet_spectrum(config.modes)
     cov = config.covariance()
-    x0 = None if config.x0 is None else np.asarray(config.x0, float)
     if config.axis == "temporal":
         n = int(round(config.T / resolution))
-        return Setup(config.kind, spec, cov, config.law, config.T, n_cells=n, x0=x0)
+        return Setup(config.kind, spec, cov, config.law, config.T, n_cells=n, x0=config.x0)
     fem = assemble_fem(int(round(1.0 / resolution)))
-    return Setup(config.kind, spec, cov, config.law, config.T, n_cells=config.fixed_cells, fem=fem, x0=x0)
+    return Setup(config.kind, spec, cov, config.law, config.T, n_cells=config.fixed_cells, fem=fem, x0=config.x0)
 
 
 def run_study(config: StudyConfig) -> StudyResult:

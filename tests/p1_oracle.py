@@ -50,3 +50,17 @@ def dense_coupling(M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns against the cross-Gram."""
     lam, vec = dense_eigenpairs(M)
     return lam, vec.T @ cross_gram(M, K)
+
+
+def dense_error_norm(C: np.ndarray, f: np.ndarray, e: np.ndarray) -> float:
+    """||Etilde P_h - E|| on the sine modes from the dense (J, K) coupling C,
+    discrete factors f (J,) and exact factors e (K,).
+
+    Split phi_k = sum_j C[j, k] psi_j + r_k with r_k orthogonal to the P1
+    space, so (Etilde P_h - E) phi_k = sum_j C[j, k] (f_j - e_k) psi_j - e_k r_k
+    and <r_k, r_l> = delta_kl - (C^T C)[k, l]: the Gram is W^T W plus
+    e_k e_l (I - C^T C)[k, l] with W[j, k] = C[j, k] (f_j - e_k).  No alias
+    structure is assumed."""
+    W = C * (f[:, None] - e[None, :])
+    gram = W.T @ W + np.outer(e, e) * (np.eye(e.size) - C.T @ C)
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))

@@ -37,6 +37,32 @@ class TestKernelCommands:
         assert w[0] == pytest.approx(0.1**0.5, rel=1e-12)
         assert w[1] / w[0] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("dt", ["-0.1", "0", "nan", "inf"])
+    def test_cq_weights_refuses_bad_step(self, capsys, dt):
+        # -0.1 used to print complex weights, nan and inf nan and inf, all with exit 0
+        code, out, err = run(capsys, "cq-weights", "1.5", dt, "4")
+        assert code == 1 and out == "" and "step dt must be finite and > 0" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_check_condition_refuses_non_finite_beta(self, capsys, beta):
+        # nan used to print nan lines and exit 0
+        code, out, err = run(capsys, "check-condition", "--equation", "heat", "--beta", beta, "--decay", "0.5", "--modes", "8")
+        assert code == 1 and out == "" and "beta must be finite" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--horizon", "inf"), "horizon T must be finite"),
+            (("--horizon", "nan"), "horizon T must be finite"),
+            (("--modes", "-2"), "mode count K must be a whole number >= 0"),
+        ],
+        ids=["horizon-inf", "horizon-nan", "modes-negative"],
+    )
+    def test_sample_path_refuses_bad_horizon_or_modes(self, capsys, extra, message):
+        # these used to end in numpy's "lam" errors and "negative dimensions are not allowed"
+        code, out, err = run(capsys, "sample-path", *extra)
+        assert code == 1 and out == "" and message in err
+
     def test_seventeen_digit_output(self, capsys):
         _, out, _ = run(capsys, "ml-eval", "1.5", "0.7")
         token = out.split()[-1].lstrip("-").split("e")[0].replace(".", "").lstrip("0")
@@ -91,6 +117,22 @@ class TestCheckCondition:
 
 
 class TestStudyCommand:
+    def test_minimal_config_takes_study_config_defaults(self, tmp_path):
+        # load_config passes only the keys the file gives, so every other field
+        # is StudyConfig's own default
+        from levyspde.cli import load_config
+        from levyspde.propagators import heat_kind
+        from levyspde.studies import StudyConfig
+
+        ladder = [2**-4, 2**-5, 2**-6, 2**-7]
+        cfg = tmp_path / "minimal.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "equation": "heat", "axis": "temporal", "beta": 1.0, "ladder": ladder}))
+        want = StudyConfig(name="minimal", kind=heat_kind(), axis="temporal", beta=1.0, ladder=tuple(ladder))
+        assert load_config(str(cfg)) == want
+        cfg.write_text(json.dumps({"schema_version": 1, "equation": "heat", "axis": "temporal", "beta": 1.0, "ladder": ladder, "mc": {}}))
+        loaded = load_config(str(cfg))
+        assert (loaded.mc_paths, loaded.mc_seed) == (1000, want.mc_seed)
+
     def test_unknown_equation_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"schema_version": 1, "equation": "advection", "axis": "temporal", "beta": 1.0, "ladder": [0.5, 0.25, 0.125, 0.0625]}))

@@ -305,6 +305,80 @@ class TestProfiles:
         prof = propagator_error_profile(setup, np.geomspace(0.05, 1.0, 20), alpha=2.0)
         assert np.all(prof >= 0.0) and prof.max() < 1.0
 
+    @pytest.mark.parametrize("kind", [heat_kind(), volterra_kind(1.5), wave_kind(), wave_kind("backward_euler")])
+    def test_spectral_profile_is_per_mode_sup(self, kind):
+        # every alias class of the identity fold is one mode with c = 1, so the
+        # class Gram is exactly (f - e)^2 and the norm the sup of |f - e|, bit for bit
+        spec, N, alpha = dirichlet_spectrum(48), 16, 0.5
+        lam = spec.eigenvalues
+        sgrid = np.geomspace(1e-3, 1.0, 30)
+        prof = propagator_error_profile(Setup(kind, spec, FLAT, CP, 1.0, n_cells=N), sgrid, alpha=alpha)
+        steps = discrete_family(kind, lam, 1.0 / N, N).steps
+        for s, value in zip(sgrid, prof):
+            f = steps[:, int(np.ceil(np.round(s * N, 12)))]
+            if kind.name == "wave":
+                want = np.max(np.abs(f - errors.wave_exact_z(lam, s)) * lam ** (-alpha / 2.0))
+            else:
+                want = np.max(np.abs(f - errors._noise_factor(kind, lam, s)))
+            assert value == want
+
+    @pytest.mark.parametrize("kind", [heat_kind(), volterra_kind(1.5)], ids=["heat", "volterra"])
+    @pytest.mark.parametrize("K, M, N", [(32, 8, None), (96, 16, 64), (1024, 8, None), (1024, 64, 16)])
+    def test_fem_profile_against_dense_gram(self, kind, K, M, N):
+        # the full (K, K) Gram from eigh eigenvectors and the cross-Gram, no alias
+        # classes assumed; K = 1024 used to be refused.  The dense Gram's own
+        # roundoff grows with M on time-exact levels (8e-8 at K = 512, M = 64, where
+        # the class form is within 7e-11 of the 40-digit Gram of the next test),
+        # so it is compared where that floor is below 1e-9.
+        from p1_oracle import dense_coupling, dense_error_norm
+
+        lam_d, C = dense_coupling(M, K)
+        lam = dirichlet_spectrum(K).eigenvalues
+        sgrid = np.geomspace(1e-2, 1.0, 4)
+        setup = Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=N, fem=assemble_fem(M))
+        prof = propagator_error_profile(setup, sgrid)
+        for s, value in zip(sgrid, prof):
+            if N is None:
+                f = errors._noise_factor(kind, lam_d, s)
+            else:
+                f = discrete_family(kind, lam_d, 1.0 / N, N).steps[:, int(np.ceil(np.round(s * N, 12)))]
+            want = dense_error_norm(C, f, errors._noise_factor(kind, lam, s))
+            assert value == pytest.approx(want, rel=1e-9)
+
+    def test_fem_profile_against_40_digit_gram(self):
+        # heat, K = 512, M = 64, time-exact, at the s where the dense Gram is worst:
+        # each class block f^2 c c^T - f c c^T (e + e^T) + diag(e^2) from the same
+        # doubles, its eigenvalues in 30 digits
+        import mpmath as mp
+
+        from levyspde.spectral import alias_fold
+
+        K, M, s = 512, 64, 0.16
+        setup = Setup(heat_kind(), dirichlet_spectrum(K), FLAT, CP, 1.0, fem=assemble_fem(M))
+        value = propagator_error_profile(setup, np.array([s]))[0]
+        j, c = alias_fold(setup.fem, setup.spec)
+        f = errors._noise_factor(heat_kind(), setup.fem.eigenvalues, s)
+        e = errors._noise_factor(heat_kind(), setup.spec.eigenvalues, s)
+        top = mp.mpf(0)
+        with mp.workdps(30):
+            for cls in range(M):
+                ks = np.nonzero(j == cls)[0]
+                fj = mp.mpf(float(f[cls - 1])) if cls else mp.mpf(0)
+                cc, ee = [mp.mpf(float(c[k])) for k in ks], [mp.mpf(float(e[k])) for k in ks]
+                block = mp.matrix(len(ks), len(ks))
+                for a in range(len(ks)):
+                    for b in range(len(ks)):
+                        block[a, b] = fj * fj * cc[a] * cc[b] - fj * cc[a] * cc[b] * (ee[a] + ee[b])
+                    block[a, a] += ee[a] ** 2
+                top = max(top, max(mp.eigsy(block, eigvals_only=True)))
+            want = float(mp.sqrt(top))
+        assert value == pytest.approx(want, rel=1e-9)
+
+    def test_fem_wave_profile_refused(self):
+        setup = Setup(wave_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, fem=assemble_fem(4))
+        with pytest.raises(ValueError, match="scalar families only"):
+            propagator_error_profile(setup, np.array([0.5]))
+
 
 class TestMonteCarlo:
     def test_quadratic_matches_deterministic(self):
@@ -401,6 +475,18 @@ class TestMonteCarloLadder:
     def test_missing_x0_differs_from_given_x0(self):
         with pytest.raises(ValueError, match="in x0$"):
             mc_weak_error([self.BASE, dataclasses.replace(self.BASE, x0=None)], n_paths=10)
+
+    @pytest.mark.parametrize("kind", [heat_kind(), wave_kind()], ids=["heat", "wave"])
+    def test_missing_x0_is_zero_x0(self, kind):
+        # a missing x0 is stored as zeros, so the two ladders run together and
+        # give the same pairs bit for bit
+        none = Setup(kind, dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
+        assert none.x0.shape == ((2, 8) if kind.name == "wave" else (8,)) and not none.x0.any()
+        zero = dataclasses.replace(none, x0=np.zeros_like(none.x0))
+        ladder = [none, dataclasses.replace(zero, n_cells=8)]
+        mixed = mc_weak_error(ladder, n_paths=200, seed=6)
+        assert mixed == mc_weak_error([zero, dataclasses.replace(none, n_cells=8)], n_paths=200, seed=6)
+        assert mixed[0] == mc_weak_error(zero, n_paths=200, seed=6)
 
     def test_fem_setup_refused(self):
         fem = dataclasses.replace(self.BASE, fem=assemble_fem(4))

@@ -99,6 +99,15 @@ class TestHsCondition:
         with pytest.raises(ValueError):
             hs_condition(dirichlet_spectrum(4), CovarianceSpec(decay=0.5), 1.0, rho=2.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_refused(self, beta):
+        # nan used to give a nan partial sum and an infinite tail bound
+        spec, cov = dirichlet_spectrum(8), CovarianceSpec(decay=0.5)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            hs_condition(spec, cov, beta)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            asymmetric_condition(spec, cov, 1.0, beta, 8)
+
 
 class TestWeqii:
     def test_equals_squared_hs_norm_every_truncation(self):
@@ -155,6 +164,19 @@ class TestSampling:
     def test_bad_dt(self):
         with pytest.raises(ValueError, match="horizon"):
             sample_jump_path(ALL_LAWS[0], -1.0, 4, stream(0, 0))
+
+    @pytest.mark.parametrize("T", [float("inf"), float("nan")])
+    def test_non_finite_horizon_refused(self, T):
+        # these used to end in numpy's "lam value too large" and "lam < 0 or lam is NaN"
+        with pytest.raises(ValueError, match="horizon T must be finite and >= 0"):
+            sample_jump_path(ALL_LAWS[0], T, 4, stream(0, 0))
+
+    @pytest.mark.parametrize("K", [-2, 2.5, 4.0, True])
+    def test_mode_count_must_be_whole(self, K):
+        # -2 used to end in "negative dimensions are not allowed"
+        assert sample_jump_path(ALL_LAWS[0], 1.0, np.int64(0), stream(0, 0)).mode_count == 0
+        with pytest.raises(ValueError, match="mode count K must be a whole number >= 0"):
+            sample_jump_path(ALL_LAWS[0], 1.0, K, stream(0, 0))
 
     def test_bad_law_kind(self):
         for kind in ("poisson", "variance_gamma", "gamma_subordinated_wiener"):

@@ -130,6 +130,18 @@ class TestCqWeights:
         with pytest.raises(ValueError):
             cq_weights(1.5, 0.1, 0)
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, dt):
+        # -0.1 used to give complex weights, nan and inf nan and inf
+        with pytest.raises(ValueError, match="step dt must be finite and > 0"):
+            cq_weights(1.5, dt, 4)
+
+    @pytest.mark.parametrize("N", [0, -3, 2.5, 4.0, True])
+    def test_count_must_be_whole(self, N):
+        np.testing.assert_array_equal(cq_weights(1.5, 0.1, np.int64(4)), cq_weights(1.5, 0.1, 4))
+        with pytest.raises(ValueError, match="weight count N must be a whole number >= 1"):
+            cq_weights(1.5, 0.1, N)
+
 
 class TestBeModePower:
     def test_zero_steps(self):
@@ -216,6 +228,19 @@ class TestWaveSchemes:
         ok, worst = i_stability_check("explicit_euler", y)
         assert not ok and worst > 1.0
 
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler", "explicit_euler"])
+    def test_i_stability_against_rational_block(self, scheme):
+        # |R(iy)|^2 is the determinant a^2 + lam b^2 of the block R(dt A) at dt = 1, lam = y^2
+        y = np.linspace(-64.0, 64.0, 257)
+        want = max(np.sqrt(np.linalg.det(rational_block(scheme, 1.0, v * v))) for v in y)
+        ok, worst = i_stability_check(scheme, y)
+        assert worst == pytest.approx(want, rel=1e-12)
+        assert ok == (scheme != "explicit_euler")
+
+    def test_unknown_scheme_refused(self):
+        with pytest.raises(ValueError, match="unknown wave scheme"):
+            i_stability_check("leapfrog", np.array([0.0, 1.0]))
+
 
 def heat_profile(dt: float, N: int, s: float) -> float:
     """propagator_error_profile at s of a one-mode heat setup (lam = pi^2) with N cells of dt."""
@@ -235,6 +260,15 @@ class TestDiscreteFamily:
         assert one == pytest.approx(1.0 / (1.0 + 0.25 * lam), rel=1e-15)
         for s in (1e-9, 0.1, 0.25):
             assert heat_profile(0.25, 4, s) == abs(one - np.exp(-lam * s))
+
+    def test_heat_steps_are_backward_euler_powers(self):
+        # e^(n log z) with log z = -log1p(dt lam) against the rational powers,
+        # relative down to the smallest normal number (below it both lose digits)
+        lam = np.pi**2 * np.arange(1.0, 2049.0) ** 2
+        for dt, N in ((0.25, 4), (1.0 / 64, 64), (1.0 / 1024, 1024)):
+            n = np.arange(N + 1.0)
+            steps = discrete_family(heat_kind(), lam, dt, N).steps
+            np.testing.assert_allclose(steps, (1.0 + dt * lam[:, None]) ** (-n[None, :]), rtol=1e-12, atol=np.finfo(float).tiny)
 
     def test_terminal_factor(self):
         lam = np.array([2.0])

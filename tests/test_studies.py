@@ -118,6 +118,15 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="1/M"):
                 self.base(axis="spatial", ladder=(0.5, 0.25, 0.125, last))
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_beta_must_be_finite(self, beta):
+        # nan used to be accepted here and to fail in run_study on the derived
+        # covariance decay, a field the config never set
+        with pytest.raises(ValueError, match="regularity target beta must be finite"):
+            self.base(beta=beta)
+        with pytest.raises(ValueError, match="regularity target beta must be finite"):
+            self.base(beta=beta, cov_decay=0.5)
+
     def test_spatial_ladder_respects_truncation(self):
         with pytest.raises(ValueError, match="raise modes"):
             self.base(axis="spatial", modes=16, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32))
