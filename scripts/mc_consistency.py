@@ -34,7 +34,7 @@ def check(name: str, setup: Setup, n_seeds: int, n_paths: int) -> bool:
     hits = 0
     t0 = time.time()
     for seed in range(n_seeds):
-        est, se = mc_weak_error(setup, n_paths=n_paths, seed=seed)
+        [(est, se)] = mc_weak_error([setup], n_paths=n_paths, seed=seed)
         ok = abs(est - det) <= 3.0 * se
         hits += ok
         print(f"  seed {seed:2d}: estimate {est:+.6e}  stderr {se:.2e}  z {((est - det) / se):+6.2f}  {'ok' if ok else 'MISS'}")

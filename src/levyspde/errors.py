@@ -69,10 +69,6 @@ _ML_BLOCK = 4096  # t E_{rho,2} values per block of modes on a Volterra scheme l
 _NODE_BLOCK = 1 << 20  # factor values per block of modes on a time-exact Volterra level; bounds its memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
-# Sign of the cross-term contribution in the representation assembly.  +1.0 is
-# the correct value; tests flip it to confirm the verification gate trips.
-_CROSS_TERM_SIGN = 1.0
-
 
 @dataclass(frozen=True)
 class Setup:
@@ -443,7 +439,7 @@ def error_report(setup: Setup) -> ErrorReport:
         i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)
     quad = i_dd - 2.0 * i_de + i_ee  # the quadratic remainder
-    rep = (x0_d - x0_e) + quad + _CROSS_TERM_SIGN * 2.0 * (i_de - i_ee)
+    rep = (x0_d - x0_e) + quad + 2.0 * (i_de - i_ee)
     strong = float(np.sqrt(max(x0_diff + quad, 0.0)))
     return ErrorReport(strong_error=strong, weak_error_quadratic=weak, representation_value=rep)
 
@@ -481,7 +477,8 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     class with c = 1 (the spectral space) gives (f - e)^2 exactly; one batched
     eigvalsh per s.  Wave (spectral space only): the sup over modes of the
     carrier error scaled by lam^(-alpha/2), the operator norm from the product
-    space of order alpha into L2.
+    space of order alpha into L2; alpha must be finite, and 0 for heat and
+    Volterra, where it plays no part.
     The scheme factor at s is the n-step one, n = ceil(s / dt) with s / dt
     rounded to 12 decimals first, so an s = n dt off by rounding stays in the
     right-closed cell ((n-1) dt, n dt].  The exact family (no FEM space, no
@@ -493,6 +490,10 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
     if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
         raise ValueError("s_grid must lie in (0, T]")
     kind, lam = setup.kind, setup.spec.eigenvalues
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if kind.name != "wave" and alpha != 0.0:
+        raise ValueError(f"alpha applies to the wave family only; {kind.name} profiles take alpha = 0, got {alpha}")
     if kind.name == "wave" and setup.fem is not None:
         raise ValueError("FEM profiles are implemented for the scalar families only")
     lam_d, j, c = _partner_map(setup)
@@ -522,11 +523,9 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.
 # coupled Monte Carlo
 
 
-def quadratic_functional(x: np.ndarray):
-    """|x|^2 of each row of a (..., K) array; a float for a single (K,) state."""
+def quadratic_functional(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of a (..., K) block of states."""
     x = np.asarray(x, float)
-    if x.ndim == 1:
-        return float(np.dot(x, x))
     return np.einsum("...k,...k->...", x, x)
 
 
@@ -534,13 +533,12 @@ def quadratic_functional(x: np.ndarray):
 class CylindricalFunctional:
     """g(x) = f(<phi_{k_1}, x>, ..., <phi_{k_n}, x>) for smooth bounded-second-
     derivative f; here f = cos of a single resolved coordinate.  Like
-    quadratic_functional it maps a (..., K) array to one value per row."""
+    quadratic_functional it maps a (..., K) block of states to one value per row."""
 
     mode: int = 1
 
-    def __call__(self, x: np.ndarray):
-        v = np.cos(np.asarray(x, float)[..., self.mode - 1])
-        return float(v) if v.ndim == 0 else v
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.cos(np.asarray(x, float)[..., self.mode - 1])
 
 
 def _mc_block_paths(setup: Setup) -> int:
@@ -549,10 +547,12 @@ def _mc_block_paths(setup: Setup) -> int:
     return max(1, _MC_JUMPS_PER_BLOCK // per_path)
 
 
-def _mc_ladder(setups: Setup | Sequence[Setup]) -> tuple[Setup, ...]:
+def _mc_ladder(setups: Sequence[Setup]) -> tuple[Setup, ...]:
     """The setups as a ladder: spectral-Galerkin scheme setups that differ only
-    in n_cells; a single Setup is a ladder of one."""
-    ladder = (setups,) if isinstance(setups, Setup) else tuple(setups)
+    in n_cells."""
+    if isinstance(setups, Setup):
+        raise ValueError("mc_weak_error takes a ladder, a sequence of Setups; pass [setup] for one setup")
+    ladder = tuple(setups)
     if not ladder:
         raise ValueError("Monte Carlo needs at least one setup")
     first = ladder[0]
@@ -578,9 +578,7 @@ def _mc_ladder(setups: Setup | Sequence[Setup]) -> tuple[Setup, ...]:
     return ladder
 
 
-def mc_weak_error(
-    setups: Setup | Sequence[Setup], g=None, n_paths: int = 1000, seed: int = 0
-) -> tuple[float, float] | list[tuple[float, float]]:
+def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: int = 0) -> list[tuple[float, float]]:
     """Coupled Monte Carlo estimates of E g(Xtilde_obs(T)) - E g(X_obs(T)).
 
     The jump path of each mode drives both the exact reference (jump-time sum
@@ -589,8 +587,9 @@ def mc_weak_error(
     compound-Poisson law's finite jump-time decomposition is what makes the
     exact reference computable.
 
-    setups is a ladder: spectral-Galerkin setups with a time grid that differ
-    only in n_cells.  Every level sees the same paths.  Paths are drawn in
+    setups is a ladder: a sequence of spectral-Galerkin setups with a time
+    grid that differ only in n_cells ([setup] for one; a bare Setup is
+    refused).  Every level sees the same paths.  Paths are drawn in
     blocks of _mc_block_paths: block b holds paths b*P .. b*P + P - 1 (the
     last block may be short) and draws them from the stream (seed, b) as one
     set of flat jump arrays over its P*K coordinates, coordinate p*K + k being
@@ -600,12 +599,9 @@ def mc_weak_error(
     (the times are sorted once, each level then takes one searchsorted of its
     edges).  levels x n_paths differences are held at once.  A level's
     estimate depends only on (its setup, n_paths, seed), not on the other
-    levels.  g maps a (P, K) array of observables to one value per row, as
-    quadratic_functional and CylindricalFunctional do; the default is
-    quadratic_functional.
-
-    Returns one (estimate, stderr) per level, or the pair itself for a single
-    Setup.
+    levels, and one (estimate, stderr) is returned per level.  g maps a (P, K)
+    array of observables to one value per row, as quadratic_functional (the
+    default) and CylindricalFunctional do.
     """
     if not _is_count(n_paths):
         raise ValueError(f"n_paths must be a whole number >= 1, got {n_paths!r}")
@@ -641,8 +637,7 @@ def mc_weak_error(
             cell[order] = np.repeat(np.arange(edges.size), np.diff(ends, prepend=0))
             x_disc = np.bincount(coord, weights=et_weights[mode, cell] * s, minlength=P * K)
             row[lo : lo + P] = g(sq * x_disc.reshape(P, K) + x0_disc) - g_exact
-    out = [
+    return [
         (float(np.mean(row)), float(np.std(row, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan"))
         for row in diffs
     ]
-    return out[0] if isinstance(setups, Setup) else out

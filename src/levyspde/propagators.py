@@ -144,12 +144,12 @@ def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
     return sign * 0.5 * np.log1p(y * y) - 1j * np.arctan(y)
 
 
-def i_stability_check(scheme: str, y_grid: np.ndarray, tol: float = 1e-12) -> tuple[bool, float]:
+def i_stability_check(scheme: str, y_grid: np.ndarray) -> tuple[bool, float]:
     """sup |R(iy)| over the test frequencies, as exp(max Re step_log) of the
-    wave scheme at dt = 1, lam = y^2; fails above 1 + tol."""
+    wave scheme at dt = 1, lam = y^2; fails above 1 + 1e-12."""
     y = np.asarray(y_grid, float)
     worst = float(np.exp(step_log(wave_kind(scheme), y * y, 1.0).real.max()))
-    return worst <= 1.0 + tol, worst
+    return worst <= 1.0 + 1e-12, worst
 
 
 # ----------------------------------------------------------------------------
@@ -163,8 +163,6 @@ class DiscreteFamily:
     modes); complex carriers for the wave.  On the right-closed cell
     ((n-1) dt, n dt] the scheme's solution operator is the n-step factor."""
 
-    kind: EquationKind
-    dt: float
     steps: np.ndarray = field(repr=False)
 
 
@@ -176,4 +174,4 @@ def discrete_family(kind: EquationKind, lam_h: np.ndarray, dt: float, N: int) ->
         steps = cq_resolvent(lam_h, kind.rho, dt, N)
     else:
         steps = np.exp(np.arange(N + 1.0)[None, :] * step_log(kind, lam_h, dt)[:, None])
-    return DiscreteFamily(kind=kind, dt=float(dt), steps=steps)
+    return DiscreteFamily(steps=steps)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErrorReport, Setup, error_report, mc_weak_error
+from .errors import CylindricalFunctional, ErrorReport, Setup, error_report, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, _check_beta, hs_condition
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import _is_count, _is_whole, assemble_fem, dirichlet_spectrum
@@ -91,32 +91,40 @@ class RateFit:
     levels_used: int
 
 
+def _above_floor(resolutions, errors) -> tuple[np.ndarray, np.ndarray]:
+    """(resolutions, |errors|) of the levels with |error| above FIT_FLOOR;
+    fewer than three such levels is an error."""
+    res = np.asarray(resolutions, float)
+    err = np.abs(np.asarray(errors, float))
+    keep = err > FIT_FLOOR
+    if keep.sum() < 3:
+        raise InsufficientDataError(f"only {int(keep.sum())} levels above the error floor; need >= 3")
+    return res[keep], err[keep]
+
+
 def fit_rate(resolutions: np.ndarray, errors: np.ndarray) -> RateFit:
     """Least-squares slope of log|error| against log resolution.
 
     Levels with |error| below the floor guard are excluded; fewer than three
     usable levels is an error.
     """
-    res = np.asarray(resolutions, float)
-    err = np.abs(np.asarray(errors, float))
-    keep = err > FIT_FLOOR
-    if keep.sum() < 3:
-        raise InsufficientDataError(f"only {int(keep.sum())} levels above the error floor; need >= 3")
-    x = np.log(res[keep])
-    y = np.log(err[keep])
+    res, err = _above_floor(resolutions, errors)
+    x = np.log(res)
+    y = np.log(err)
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, levels_used=int(keep.sum()))
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, levels_used=res.size)
 
 
 def log_shape_slope(resolutions, errors, T: float) -> float:
     """Fitted exponent a of the bound shape C h^a log(T/h): the slope of
-    |error| / log(T/h)."""
-    res = np.asarray(resolutions, float)
-    return fit_rate(res, np.abs(np.asarray(errors, float)) / np.log(T / res)).slope
+    |error| / log(T/h) over the levels fit_rate keeps, those whose plain
+    |error| is above FIT_FLOOR."""
+    res, err = _above_floor(resolutions, errors)
+    return float(np.polyfit(np.log(res), np.log(err / np.log(T / res)), 1)[0])
 
 
 def weak_rate_ok(slope: float, expected: float) -> bool:
@@ -184,6 +192,12 @@ class StudyConfig:
                 )
         if not (_is_whole(self.mc_seed) and self.mc_seed >= 0):
             raise ValueError(f"mc_seed must be a whole number >= 0, got {self.mc_seed!r}")
+        if self.cov_decay is None and self.decay < 0:
+            rho = self.kind.rho if self.kind.name == "volterra" else 1.0
+            raise ValueError(
+                f"the covariance decay derived from beta={self.beta} and rho={rho}, beta - 1/rho "
+                f"+ 1/2 + {REG_MARGIN} = {self.decay:.6g}, is negative; raise beta or give covariance.decay (cov_decay)"
+            )
         if self.axis == "temporal":
             for dt in self.ladder:
                 n = self.T / dt if dt > 0 else 0.0
@@ -235,9 +249,10 @@ class StudyResult:
     tail_fraction: float
 
     def summary(self) -> dict:
-        """Fitted slopes and the gates.  weak_slope is the plain slope;
+        """Fitted slopes and gates; a study passes when weak_ok and strong_ok.
         weak_bound_slope, the one weak_ok judges, is fitted against the weak
-        bound's shape (the plain slope where that has no log factor)."""
+        bound's shape on the levels of the plain weak_slope (equal to it where
+        that shape has no log factor)."""
         exp = self.config.expected()
         axis = self.config.axis
         weak = bound = self.weak_fit.slope if self.weak_fit else float("nan")
@@ -256,10 +271,6 @@ class StudyResult:
             "strong_ok": bool(abs(strong - exp.strong(axis)) <= SLOPE_TOL),
             "beta_in_range": exp.beta_in_range,
         }
-
-    def passed(self) -> bool:
-        s = self.summary()
-        return bool(s["weak_ok"] and s["strong_ok"])
 
 
 def _level_setup(config: StudyConfig, resolution: float) -> Setup:
@@ -291,11 +302,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             f"(summability exponent {hs.exponent:.4g} <= 1)"
         )
     tail_fraction = hs.tail_bound / hs.partial_sum
-    g = None
-    if config.g == "cylindrical_cos":
-        from .errors import CylindricalFunctional
-
-        g = CylindricalFunctional(mode=config.g_mode)
+    g = CylindricalFunctional(mode=config.g_mode) if config.g == "cylindrical_cos" else None
     setups = [_level_setup(config, resolution) for resolution in config.ladder]
     mc = [(None, None)] * len(setups)
     if config.mc_paths:

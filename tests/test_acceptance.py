@@ -227,7 +227,7 @@ def test_c6_mc_consistency():
     det = error_report(setup).weak_error_quadratic
     hits = 0
     for seed in range(20):
-        est, se = mc_weak_error(setup, n_paths=10000, seed=seed)
+        [(est, se)] = mc_weak_error([setup], n_paths=10000, seed=seed)
         hits += abs(est - det) <= 3.0 * se
     ok = hits >= 19
     assert report("6", ok, f"MC within 3 stderr of deterministic weak error in {hits}/20 seeded runs")

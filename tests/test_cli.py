@@ -116,6 +116,16 @@ class TestCheckCondition:
         assert 0.0 < p2 - p1 <= t1
 
 
+TINY_HEAT = {
+    "schema_version": 1,
+    "equation": "heat",
+    "axis": "temporal",
+    "beta": 1.0,
+    "modes": 64,
+    "ladder": [2**-4, 2**-5, 2**-6, 2**-7, 2**-8],
+}
+
+
 class TestStudyCommand:
     def test_minimal_config_takes_study_config_defaults(self, tmp_path):
         # load_config passes only the keys the file gives, so every other field
@@ -238,6 +248,32 @@ class TestStudyCommand:
         paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    def test_output_key_refused(self, capsys, tmp_path):
+        # the key was accepted and ignored: the CSV went to ./<name>.csv
+        cfg = tmp_path / "out.json"
+        dest = tmp_path / "elsewhere" / "x.csv"
+        cfg.write_text(json.dumps({**TINY_HEAT, "output": str(dest)}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and "unknown config keys ['output']" in err
+        assert out == "" and not dest.exists() and not (tmp_path / "out.csv").exists()
+
+    def test_negative_derived_decay_exit_1(self, capsys, tmp_path):
+        # used to be accepted and to fail in run_study naming "decay exponent"
+        cfg = tmp_path / "rough.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "beta": 0.2, "modes": 16, "ladder": [0.25, 0.125, 0.0625, 0.03125]}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "derived from beta=0.2 and rho=1.0" in err and "covariance.decay" in err
+
+    def test_weak_fit_near_the_floor_exits_0_or_2(self, capsys, tmp_path):
+        # 4 levels above FIT_FLOOR; summary() used to raise after the CSV was
+        # written, and the study exited 1, the config-error code
+        cfg = tmp_path / "near-floor.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "covariance": {"amplitude": 1e-10}}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code in (0, 2) and err == ""
+        assert (tmp_path / "near-floor.csv").exists() and "weak slope" in out
+
     def test_threads_option_and_key_refused(self, capsys, tmp_path):
         code, _, err = run(capsys, "study", "--preset", "wave-temporal-mc", "--threads", "2")
         assert code == 1 and "unrecognized arguments: --threads 2" in err
@@ -314,7 +350,16 @@ class TestVerifyRepresentation:
         assert "pass" in out
 
     def test_tampered_sign_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(levyspde.errors, "_CROSS_TERM_SIGN", -1.0)
+        # representation_sweep looks _weak_error_cellwise up at call time; a
+        # value 1e-6 relative off is 100 times the fixed 1e-8 gate
+        real = levyspde.errors._weak_error_cellwise
+        monkeypatch.setattr(levyspde.errors, "_weak_error_cellwise", lambda setup: real(setup) * (1.0 + 1e-6))
         code, out, _ = run(capsys, "verify-representation")
         assert code == 2
         assert "FAIL" in out
+
+    def test_tolerance_option_refused(self, capsys):
+        # the gate is the fixed 1e-8; --tolerance 1 used to pass any sweep
+        code, out, err = run(capsys, "verify-representation", "--tolerance", "1")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --tolerance 1" in err

@@ -4,12 +4,14 @@ import pytest
 from levyspde.propagators import heat_kind, volterra_kind, wave_kind
 from levyspde.studies import (
     CSV_COLUMNS,
+    FIT_FLOOR,
     InsufficientDataError,
     StudyConfig,
     StudyResult,
     csv_text,
     expected_rates,
     fit_rate,
+    log_shape_slope,
     preset_studies,
     read_csv,
     run_study,
@@ -138,6 +140,15 @@ class TestConfigValidation:
         )
         assert vol.decay == pytest.approx(0.5 - 2.0 / 3.0 + 0.55)
 
+    @pytest.mark.parametrize(
+        "kind, beta, rho", [(heat_kind(), 0.2, 1.0), (volterra_kind(1.5), 0.1, 1.5)], ids=["heat", "volterra"]
+    )
+    def test_negative_derived_decay_refused(self, kind, beta, rho):
+        # used to be accepted and to fail in run_study on "decay exponent", a field never set
+        with pytest.raises(ValueError, match=rf"derived from beta={beta} and rho={rho}.*beta - 1/rho.*is negative.*decay"):
+            self.base(kind=kind, beta=beta)
+        assert self.base(kind=kind, beta=beta, cov_decay=0.3).decay == 0.3  # a given decay is not derived
+
     def test_g_mode_must_index_a_mode(self):
         # 0 would read the last mode and modes + 1 would raise an IndexError inside the MC
         assert self.base(modes=16, g="cylindrical_cos", g_mode=16).g_mode == 16
@@ -233,6 +244,24 @@ class TestRunStudy:
         assert res.weak_fit is None and res.strong_fit is None
         assert "# fits: unavailable (every level at the error floor)" in csv_text(res)
 
+    def test_bound_shape_fit_keeps_the_plain_fit_levels(self):
+        # |weak| runs from 5.1e-13 to 6.5e-14, so the plain fit keeps 4 levels;
+        # |weak| / log(T/dt) of the fourth is below FIT_FLOOR, and a bound-shape
+        # fit that floored the divided values kept 1 level and made summary() raise
+        cfg = StudyConfig(
+            name="near-floor", kind=heat_kind(), axis="temporal", beta=1.0, modes=64,
+            ladder=tuple(2.0 ** -np.arange(4, 9)), cov_amplitude=1e-10,
+        )
+        res = run_study(cfg)
+        assert res.weak_fit.levels_used == 4
+        res_dt = np.array([r.resolution for r in res.rows])
+        weak = np.array([r.report.weak_error_quadratic for r in res.rows])
+        kept = np.abs(weak) > FIT_FLOOR
+        s = res.summary()
+        x, y = np.log(res_dt[kept]), np.log(np.abs(weak[kept]) / np.log(1.0 / res_dt[kept]))
+        assert s["weak_bound_slope"] == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+        assert log_shape_slope(res_dt, weak, 1.0) == s["weak_bound_slope"]
+
     def test_volterra_rho_near_one_passes_its_gate(self):
         # the low edge of E_rho's verified range, where the bridge trapezoid
         # has 7392 nodes: the study runs on the bridge table
@@ -240,8 +269,8 @@ class TestRunStudy:
             name="v101", kind=volterra_kind(1.01), axis="temporal", beta=0.5, modes=64,
             ladder=tuple(2.0 ** -np.arange(4, 11)),
         )
-        res = run_study(cfg)
-        assert res.passed(), res.summary()
+        s = run_study(cfg).summary()
+        assert s["weak_ok"] and s["strong_ok"], s
 
     def test_rows_cover_ladder_in_order(self, preset_result):
         res = preset_result("heat-temporal-beta1")
@@ -464,7 +493,7 @@ class TestStudyMonteCarlo:
         func = CylindricalFunctional(mode=2) if g == "cylindrical_cos" else None
         res = run_study(cfg)
         for row, setup in zip(res.rows, setups):
-            alone = mc_weak_error(setup, g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
+            [alone] = mc_weak_error([setup], g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
             assert (row.mc_estimate, row.mc_stderr) == alone
 
     def test_one_mc_call_per_study(self, monkeypatch):
