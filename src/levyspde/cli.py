@@ -11,9 +11,9 @@ import json
 import os
 import sys
 
-from .mittag_leffler import RHO_VERIFIED_MIN, mittag_leffler_neg
+from .mittag_leffler import mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, hs_condition, sample_jump_path, stream, asymmetric_condition
-from .propagators import cq_weights, heat_kind, volterra_kind, wave_kind
+from .propagators import EquationKind, cq_weights
 from .spectral import dirichlet_spectrum
 from .studies import (
     SLOPE_TOL,
@@ -58,18 +58,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _make_kind(equation: str, rho, scheme):
-    if equation == "heat":
-        return heat_kind()
-    if equation == "volterra":
-        if rho is None:
-            raise ConfigError(f"volterra needs rho in [{RHO_VERIFIED_MIN}, 2)")
-        return volterra_kind(float(rho))
-    if equation == "wave":
-        return wave_kind(scheme or "crank_nicolson")
-    raise ConfigError(f"unknown equation {equation!r}")
-
-
 def _make_law(obj) -> LevyLaw:
     unknown = set(obj) - _LAW_KEYS
     if unknown:
@@ -99,7 +87,6 @@ def load_config(path: str) -> StudyConfig:
     for key in ("equation", "axis", "beta", "ladder"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-    kind = _make_kind(raw["equation"], raw.get("rho"), raw.get("scheme"))
     cov = raw.get("covariance") or {}
     unknown = set(cov) - _COV_KEYS
     if unknown:
@@ -110,6 +97,8 @@ def load_config(path: str) -> StudyConfig:
         if unknown:
             raise ConfigError(f"unknown mc keys {sorted(unknown)}")
     try:
+        rho = raw.get("rho")
+        kind = EquationKind(raw["equation"], rho=None if rho is None else float(rho), scheme=raw.get("scheme"))
         kw = {}
         # (source object, JSON key, StudyConfig field, conversion); null is None for x0 and decay
         for obj, key, name, convert in (
@@ -176,11 +165,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_check_condition(args) -> int:
-    try:
-        kind = _make_kind(args.equation, args.rho, None)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    kind = EquationKind(args.equation, rho=args.rho)
     rho = kind.rho if kind.name == "volterra" else 1.0
     spec = dirichlet_spectrum(args.modes)
     cov = CovarianceSpec(amplitude=args.amplitude, decay=args.decay)

@@ -21,10 +21,12 @@ so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
 m = c^2 q, m and q.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
-Heat and wave rows are closed forms.  A mode factor is e(s) = Re(c e^(mu s))
-(heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)), a step
-factor Re(c z^n), so Re u Re v = Re(uv + u conj(v))/2 turns every row into
-geometric sums expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
+Heat and wave rows are closed forms.  Every heat and wave exact factor comes
+from _carrier's (c, mu): the carrier e^(mu s), the mode factor e(s) =
+Re(c e^(mu s)) (heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)),
+read out by _observable; a step factor is Re(c z^n), so
+Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
+expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
 Volterra rows have no such form, but its exact side has two: the cell
 integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
 which its scheme rows pair with the CQ factor table, and
@@ -58,7 +60,6 @@ from .propagators import (
     discrete_family,
     i_stability_check,
     step_log,
-    wave_exact_z,
 )
 from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling  # noqa: F401
 
@@ -84,7 +85,7 @@ class Setup:
 
     kind: EquationKind
     spec: DirichletSpectrum
-    cov: CovarianceSpec | None
+    cov: CovarianceSpec
     law: LevyLaw
     T: float
     n_cells: int | None = None
@@ -92,6 +93,8 @@ class Setup:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.cov, CovarianceSpec):
+            raise ValueError(f"cov must be a CovarianceSpec, got {self.cov!r}")
         if not 0 < self.T < np.inf:
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.n_cells is not None and not _is_count(self.n_cells):
@@ -124,8 +127,6 @@ class Setup:
         return None if self.n_cells is None else self.T / self.n_cells
 
     def q(self) -> np.ndarray:
-        if self.cov is None:
-            return np.zeros(self.spec.mode_count)
         return self.cov.values(self.spec)
 
 
@@ -147,17 +148,29 @@ def _panel_nodes(bks: np.ndarray, order: int = GAUSS_ORDER):
     return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
 
 
+def _carrier(kind: EquationKind, lam: np.ndarray):
+    """(c, mu) of a heat or wave mode: E(s) acts as the carrier e^(mu s), with the
+    observable factor e(s) = Re(c e^(mu s)); heat c = 1, mu = -lam; wave
+    c = i/sqrt(lam), mu = -i sqrt(lam)."""
+    if kind.name == "heat":
+        return np.ones_like(lam), -lam
+    rt = np.sqrt(lam)
+    return 1j / rt, -1j * rt
+
+
+def _observable(kind: EquationKind, lam, z) -> np.ndarray:
+    """The noise column's observable of a mode factor z: -Im z / sqrt(lam) for the wave, else Re z."""
+    return -z.imag / np.sqrt(lam) if kind.name == "wave" else z.real
+
+
 def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
-    """Observable component of E(s) B phi_k: the scalar factor for heat and
-    Volterra, the first component sin(s sqrt(lam))/sqrt(lam) for the wave."""
+    """Observable component e(s) of E(s) B phi_k: E_rho(-lam s^rho) for
+    Volterra, the observable of the carrier e^(mu s) for heat and wave."""
     lam = np.asarray(lam, float)
     s = np.asarray(s, float)
-    if kind.name == "heat":
-        return np.exp(-lam * s)
     if kind.name == "volterra":
         return mittag_leffler_neg(kind.rho, lam * s**kind.rho)
-    rt = np.sqrt(lam)
-    return np.sin(rt * s) / rt
+    return _observable(kind, lam, np.exp(_carrier(kind, lam)[1] * s))
 
 
 def _decay_scale(kind: EquationKind, lam: float) -> float | None:
@@ -179,15 +192,6 @@ def _osc_freq(kind: EquationKind, lam: float) -> float | None:
 
 # ----------------------------------------------------------------------------
 # heat and wave time integrals in closed form
-
-
-def _carrier(kind: EquationKind, lam: np.ndarray):
-    """(c, mu) with the observable mode factor e(s) = Re(c e^(mu s)): heat
-    c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)."""
-    if kind.name == "heat":
-        return np.ones_like(lam), -lam
-    rt = np.sqrt(lam)
-    return 1j / rt, -1j * rt
 
 
 def _geometric(L, n: int):
@@ -347,18 +351,18 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
-    """Factor at T of each mode: exact (n_cells None), or n_cells steps of the
-    heat or wave scheme, z^N = e^(N log z) (the complex carrier for the wave)."""
+    """Factor at T of each mode: exact (n_cells None; the carrier e^(mu T), E_rho
+    for Volterra), or n_cells steps of the heat or wave scheme, z^N = e^(N log z)."""
     if n_cells is not None:
         return np.exp(n_cells * step_log(kind, lam, T / n_cells))
-    return wave_exact_z(lam, T) if kind.name == "wave" else _noise_factor(kind, lam, T)
+    return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_carrier(kind, lam)[1] * T)
 
 
 def _terminal_first(kind: EquationKind, lam: np.ndarray, z_T: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Observable component of the terminal factor z_T applied to x0; the
     wave carries (position, velocity) coefficients and a complex carrier."""
     if kind.name == "wave":
-        return z_T.real * x0[0] + (-z_T.imag / np.sqrt(lam)) * x0[1]
+        return z_T.real * x0[0] + _observable(kind, lam, z_T) * x0[1]
     return z_T.real * x0
 
 
@@ -366,13 +370,6 @@ def _exact_terminal_first(setup: Setup) -> np.ndarray:
     """Observable component of E(T) X0 in sine coordinates."""
     lam = setup.spec.eigenvalues
     return _terminal_first(setup.kind, lam, _terminal_factor(setup.kind, lam, setup.T), setup.x0)
-
-
-def _discrete_noise_weights(fam_steps: np.ndarray, kind: EquationKind, lam_d: np.ndarray) -> np.ndarray:
-    """Per-step observable factors etilde_j[n] of the discrete noise column."""
-    if kind.name == "wave":
-        return -fam_steps.imag / np.sqrt(lam_d)[:, None]
-    return fam_steps.real
 
 
 def _partner_map(setup: Setup):
@@ -429,14 +426,12 @@ def error_report(setup: Setup) -> ErrorReport:
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
         x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
 
-    i_dd = i_de = i_ee = 0.0
-    if setup.cov is not None:
-        if kind.name == "volterra":
-            dd, de, ee = _table_integrals(setup, lam_d, j, steps)
-        else:
-            dd, de, ee = _closed_form_integrals(kind, lam_d[j - 1], lam, setup.T, setup.n_cells)
-        # one reduction for all three, so the exact family's equal rows give equal sums
-        i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
+    if kind.name == "volterra":
+        dd, de, ee = _table_integrals(setup, lam_d, j, steps)
+    else:
+        dd, de, ee = _closed_form_integrals(kind, lam_d[j - 1], lam, setup.T, setup.n_cells)
+    # one reduction for all three, so the exact family's equal rows give equal sums
+    i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)
     quad = i_dd - 2.0 * i_de + i_ee  # the quadratic remainder
     rep = (x0_d - x0_e) + quad + 2.0 * (i_de - i_ee)
@@ -455,7 +450,7 @@ def _weak_error_cellwise(setup: Setup) -> float:
         steps = np.column_stack([np.ones(lam.size), np.array(march)])
     else:
         steps = discrete_family(kind, lam, setup.dt, N).steps
-    et = _discrete_noise_weights(steps[:, 1:], kind, lam)
+    et = _observable(kind, lam[:, None], steps[:, 1:])
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
     b = _noise_factor(kind, lam[:, None], nodes[None, :])
     ee = (b * b) @ w
@@ -467,44 +462,33 @@ def _weak_error_cellwise(setup: Setup) -> float:
 # operator error profiles (deterministic bound-shape diagnostics)
 
 
-def propagator_error_profile(setup: Setup, s_grid: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-    """Operator error norm of Etilde(s) P_h - E(s) at each s.
+def propagator_error_profile(setup: Setup, s_grid: np.ndarray) -> np.ndarray:
+    """Operator error norm of Etilde(s) P_h - E(s) at each s, for the heat and
+    Volterra families (a wave setup is refused).
 
-    Heat and Volterra: the Gram of the error operator on the sine modes is
-    block-diagonal over the alias classes {k : j(k) = j} of _partner_map (class
-    0 the unresolved modes, c = 0).  With v = (f_j - e) c on a class, its block
-    is v v^T - (e c)(e c)^T with the diagonal v^2 + e^2 (1 - c^2), so a 1x1
-    class with c = 1 (the spectral space) gives (f - e)^2 exactly; one batched
-    eigvalsh per s.  Wave (spectral space only): the sup over modes of the
-    carrier error scaled by lam^(-alpha/2), the operator norm from the product
-    space of order alpha into L2; alpha must be finite, and 0 for heat and
-    Volterra, where it plays no part.
-    The scheme factor at s is the n-step one, n = ceil(s / dt) with s / dt
-    rounded to 12 decimals first, so an s = n dt off by rounding stays in the
-    right-closed cell ((n-1) dt, n dt].  The exact family (no FEM space, no
-    time grid) is refused: its error operator is 0.
+    The Gram of the error operator on the sine modes is block-diagonal over
+    the alias classes {k : j(k) = j} of _partner_map (class 0 the unresolved
+    modes, c = 0).  With v = (f_j - e) c on a class, its block is
+    v v^T - (e c)(e c)^T with the diagonal v^2 + e^2 (1 - c^2), so a 1x1 class
+    with c = 1 (the spectral space) gives (f - e)^2 exactly; one batched
+    eigvalsh per s.  The scheme factor at s is the n-step one, n = ceil(s / dt)
+    with s / dt rounded to 12 decimals first, so an s = n dt off by rounding
+    stays in the right-closed cell ((n-1) dt, n dt].  The exact family (no FEM
+    space, no time grid) is refused: its error operator is 0.
     """
+    if setup.kind.name == "wave":
+        raise ValueError("propagator error profiles cover the heat and Volterra families; got a wave setup")
     if setup.fem is None and setup.n_cells is None:
         raise ValueError("the exact family (no FEM space, no time grid) has no propagator error")
     s_grid = np.asarray(s_grid, float)
     if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
         raise ValueError("s_grid must lie in (0, T]")
     kind, lam = setup.kind, setup.spec.eigenvalues
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if kind.name != "wave" and alpha != 0.0:
-        raise ValueError(f"alpha applies to the wave family only; {kind.name} profiles take alpha = 0, got {alpha}")
-    if kind.name == "wave" and setup.fem is not None:
-        raise ValueError("FEM profiles are implemented for the scalar families only")
     lam_d, j, c = _partner_map(setup)
     if setup.n_cells is not None:
         steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
         n = np.ceil(np.round(s_grid / setup.dt, 12)).astype(int)  # s in the right-closed cell n
     out = np.empty(s_grid.size)
-    if kind.name == "wave":
-        for i, s in enumerate(s_grid):
-            out[i] = float(np.max(np.abs(steps[:, n[i]] - wave_exact_z(lam, s)) * lam ** (-alpha / 2.0)))
-        return out
     counts, order = np.bincount(j, minlength=lam_d.size + 1), np.argsort(j, kind="stable")
     classes = np.full((counts.size, max(counts.max(), 1)), j.size)  # mode indices per class, padded with K
     classes[j[order], np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts)] = order
@@ -616,7 +600,7 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
     for setup in ladder:
         fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
         # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
-        et_weights = _discrete_noise_weights(fam.steps[:, :0:-1], kind, lam)  # (K, N), columns step N .. 1
+        et_weights = _observable(kind, lam[:, None], fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
         x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
         levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
     block = _mc_block_paths(first)

@@ -1,4 +1,4 @@
-"""Discrete solution-operator families, represented mode-wise.
+"""Equation kinds and their discrete solution-operator families, mode-wise.
 
 heat:      backward Euler (1 + dt lam)^(-n)
 volterra:  backward Euler + convolution quadrature (cq_resolvent)
@@ -7,9 +7,9 @@ wave:      I-stable rational one-step scheme R(dt A)
 One-step schemes have one form, step_log, the log of the factor z per mode,
 and n-step factors e^(n log z); a wave mode block [[a, b], [-lam b, a]] is the
 complex scalar z = a + i b' (b = -Im z / sqrt(lam)), which keeps n-step energy
-exact instead of accumulating O(n) rounding from 2x2 products.  The
-exact factors (e^(-lam t), E_rho(-lam t^rho), the rotation) live with the
-error assembly in levyspde.errors; wave_exact_z is the exact wave carrier.
+exact instead of accumulating O(n) rounding from 2x2 products.  The exact
+factors (the heat and wave carriers e^(mu t), E_rho(-lam t^rho)) live with
+the error assembly in levyspde.errors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ WAVE_SCHEMES = ("crank_nicolson", "backward_euler", "explicit_euler")
 @dataclass(frozen=True)
 class EquationKind:
     """Which evolution family is in play; volterra carries the kernel order rho,
-    wave carries the rational one-step scheme name."""
+    wave carries the rational one-step scheme name, and no other family takes
+    either."""
 
     name: str  # heat | volterra | wave
     rho: float | None = None
@@ -36,6 +37,10 @@ class EquationKind:
     def __post_init__(self):
         if self.name not in ("heat", "volterra", "wave"):
             raise ValueError(f"unknown equation {self.name!r}")
+        if self.rho is not None and self.name != "volterra":
+            raise ValueError(f"rho applies to volterra only; {self.name} takes none, got rho={self.rho}")
+        if self.scheme is not None and self.name != "wave":
+            raise ValueError(f"scheme applies to wave only; {self.name} takes none, got scheme={self.scheme!r}")
         if self.name == "volterra":
             if self.rho is None or not RHO_VERIFIED_MIN <= self.rho < 2.0:
                 raise ValueError(
@@ -58,17 +63,6 @@ def volterra_kind(rho: float) -> EquationKind:
 
 def wave_kind(scheme: str = "crank_nicolson") -> EquationKind:
     return EquationKind("wave", scheme=scheme)
-
-
-# ----------------------------------------------------------------------------
-# exact wave carrier
-
-
-def wave_exact_z(lam, t) -> np.ndarray:
-    """Complex carrier exp(-i t sqrt(lam)) of the exact wave mode block."""
-    lam = np.asarray(lam, float)
-    t = np.asarray(t, float)
-    return np.exp(-1j * np.sqrt(lam) * t)
 
 
 # ----------------------------------------------------------------------------

@@ -178,6 +178,8 @@ class StudyConfig:
             raise ValueError(f"modes must be a whole number >= 1, got {self.modes!r}")
         if not _is_count(self.g_mode) or self.g_mode > self.modes:
             raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode!r}")
+        if self.g_mode != 1 and self.g != "cylindrical_cos":
+            raise ValueError(f"g_mode applies to g = 'cylindrical_cos' only; g is {self.g!r}, got g_mode={self.g_mode}")
         if self.fixed_cells is not None:
             if self.axis != "spatial":
                 raise ValueError("fixed_cells applies to spatial studies only; a temporal ladder sets the cells")
@@ -192,6 +194,8 @@ class StudyConfig:
                 )
         if not (_is_whole(self.mc_seed) and self.mc_seed >= 0):
             raise ValueError(f"mc_seed must be a whole number >= 0, got {self.mc_seed!r}")
+        if self.g != "quadratic" and self.mc_paths is None:
+            raise ValueError(f"test functional g={self.g!r} is read only by the Monte Carlo columns; set mc_paths")
         if self.cov_decay is None and self.decay < 0:
             rho = self.kind.rho if self.kind.name == "volterra" else 1.0
             raise ValueError(
@@ -203,6 +207,11 @@ class StudyConfig:
                 n = self.T / dt if dt > 0 else 0.0
                 if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
                     raise ValueError(f"temporal ladder entry {dt} is not T/N for a whole number N >= 1 of cells")
+                if round(n) == 1 and self.expected().weak_log(self.axis):
+                    raise ValueError(
+                        f"temporal ladder entry {dt} is T: the weak bound C dt^a log(T/dt) is 0 there; "
+                        "start the ladder below T"
+                    )
         if self.axis == "spatial":
             for h in self.ladder:
                 m = 1.0 / h if h > 0 else 0.0

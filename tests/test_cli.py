@@ -115,6 +115,15 @@ class TestCheckCondition:
         p2, _ = grab(1024)
         assert 0.0 < p2 - p1 <= t1
 
+    def test_rho_refused_off_volterra(self, capsys):
+        # used to be ignored: heat ran with rho = 1 and exited 0
+        code, out, err = run(
+            capsys, "check-condition", "--equation", "heat", "--beta", "1.0", "--rho", "1.5", "--decay", "0.55"
+        )
+        assert code == 1 and out == "" and "rho applies to volterra only; heat takes none" in err
+        code, out, err = run(capsys, "check-condition", "--equation", "volterra", "--beta", "0.5", "--decay", "0.55")
+        assert code == 1 and out == "" and "volterra requires rho in [1.01, 2)" in err
+
 
 TINY_HEAT = {
     "schema_version": 1,
@@ -341,6 +350,27 @@ class TestStudyCommand:
         code, _, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
         assert code == 1 and "Traceback" not in err
         assert re.search(message, err)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"rho": 1.7, "scheme": "explicit_euler"}, "rho applies to volterra only; heat takes none"),
+            ({"scheme": "explicit_euler"}, "scheme applies to wave only; heat takes none"),
+            ({"equation": "volterra"}, r"volterra requires rho in \[1\.01, 2\)"),
+            ({"g": "cylindrical_cos", "g_mode": 3}, "read only by the Monte Carlo columns; set mc_paths"),
+            ({"g_mode": 3, "mc": {"paths": 10}}, "g_mode applies to g = 'cylindrical_cos' only"),
+            ({"ladder": [1.0, 0.5, 0.25, 0.125]}, r"temporal ladder entry 1\.0 is T: the weak bound"),
+        ],
+        ids=["stray-rho-and-scheme", "stray-scheme", "volterra-without-rho", "g-without-mc", "g-mode-without-cos",
+             "dt-equals-T-under-log-bound"],
+    )
+    def test_stray_or_unread_keys_exit_1(self, capsys, tmp_path, extra, message):
+        # each used to run, write a CSV and exit 0 (the last one 2, after a divide-by-zero warning)
+        cfg = tmp_path / "stray.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, **extra}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert re.search(message, err) and not (tmp_path / "stray.csv").exists()
 
 
 class TestVerifyRepresentation:

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from levyspde.errors import Setup, _noise_factor, propagator_error_profile
+from levyspde.errors import Setup, _noise_factor, _terminal_factor, propagator_error_profile
 from levyspde.mittag_leffler import mittag_leffler_neg
-from levyspde.noise import LevyLaw
+from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import (
     EquationKind,
     cq_mode_solve,
@@ -16,7 +16,6 @@ from levyspde.propagators import (
     i_stability_check,
     step_log,
     volterra_kind,
-    wave_exact_z,
     wave_kind,
 )
 from levyspde.spectral import dirichlet_spectrum
@@ -60,29 +59,41 @@ class TestEquationKind:
     def test_wave_default_scheme(self):
         assert wave_kind().scheme == "crank_nicolson"
 
+    def test_stray_rho_and_scheme_refused(self):
+        # a rho off Volterra and a scheme off the wave used to be accepted and ignored
+        for name in ("heat", "wave"):
+            with pytest.raises(ValueError, match=f"rho applies to volterra only; {name} takes none, got rho=1.7"):
+                EquationKind(name, rho=1.7)
+        for name, rho in (("heat", None), ("volterra", 1.5)):
+            with pytest.raises(ValueError, match=f"scheme applies to wave only; {name} takes none"):
+                EquationKind(name, rho=rho, scheme="explicit_euler")
+
 
 class TestExactFactors:
     def test_time_zero_identity(self):
         assert _noise_factor(heat_kind(), 3.0, 0.0) == 1.0
         assert _noise_factor(volterra_kind(1.5), 3.0, 0.0) == 1.0
-        assert wave_exact_z(3.0, 0.0) == 1.0
+        assert _noise_factor(wave_kind(), 3.0, 0.0) == 0.0
+        assert _terminal_factor(wave_kind(), 3.0, 0.0) == 1.0
 
     def test_heat_half_life(self):
         lam = 4.2
         assert _noise_factor(heat_kind(), lam, np.log(2.0) / lam) == pytest.approx(0.5, rel=1e-14)
 
     def test_wave_energy_preserved(self):
-        # the block acts on w = a + i b/sqrt(lam) as w -> z w, and |w|^2 = a^2 + b^2/lam
+        # the exact wave block is the rotation cos(t rt) - i sin(t rt), rt = sqrt(lam),
+        # of w = a + i b/sqrt(lam), |w|^2 = a^2 + b^2/lam; its noise column's
+        # position response is sin(t rt) / rt
         rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(1000):
-            lam = float(rng.uniform(0.5, 1e6))
-            t = float(rng.uniform(0.0, 10.0))
-            a, b = rng.standard_normal(2)
-            w = a + 1j * b / np.sqrt(lam)
-            out = complex(wave_exact_z(lam, t)) * w
-            worst = max(worst, abs(abs(out) ** 2 - abs(w) ** 2) / abs(w) ** 2)
-        assert worst <= 1e-12
+        lam = rng.uniform(0.5, 1e6, 1000)
+        t = rng.uniform(0.0, 10.0, 1000)
+        a, b = rng.standard_normal((2, 1000))
+        rt = np.sqrt(lam)
+        z = _terminal_factor(wave_kind(), lam, t)
+        np.testing.assert_allclose(z, np.cos(t * rt) - 1j * np.sin(t * rt), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_noise_factor(wave_kind(), lam, t) * rt, np.sin(t * rt), rtol=0.0, atol=1e-15)
+        w = a + 1j * b / rt
+        assert np.max(np.abs(np.abs(z * w) ** 2 - np.abs(w) ** 2) / np.abs(w) ** 2) <= 1e-12
 
 
 class TestCqWeights:
@@ -244,7 +255,8 @@ class TestWaveSchemes:
 
 def heat_profile(dt: float, N: int, s: float) -> float:
     """propagator_error_profile at s of a one-mode heat setup (lam = pi^2) with N cells of dt."""
-    setup = Setup(heat_kind(), dirichlet_spectrum(1), None, LevyLaw("compound_poisson"), dt * N, n_cells=N)
+    cov = CovarianceSpec(amplitude=1.0, decay=0.0)
+    setup = Setup(heat_kind(), dirichlet_spectrum(1), cov, LevyLaw("compound_poisson"), dt * N, n_cells=N)
     return float(propagator_error_profile(setup, np.array([s]))[0])
 
 

@@ -151,14 +151,36 @@ class TestConfigValidation:
 
     def test_g_mode_must_index_a_mode(self):
         # 0 would read the last mode and modes + 1 would raise an IndexError inside the MC
-        assert self.base(modes=16, g="cylindrical_cos", g_mode=16).g_mode == 16
+        assert self.base(modes=16, g="cylindrical_cos", g_mode=16, mc_paths=10).g_mode == 16
         for bad in (0, 17, 1.9):
             with pytest.raises(ValueError, match=r"g_mode must be a mode index in 1\.\.16"):
-                self.base(modes=16, g="cylindrical_cos", g_mode=bad)
+                self.base(modes=16, g="cylindrical_cos", g_mode=bad, mc_paths=10)
+
+    def test_unread_test_functional_refused(self):
+        # g is read only by the Monte Carlo columns, and the CSV header does not
+        # record it: both used to be accepted and to write the quadratic CSV
+        with pytest.raises(ValueError, match="g='cylindrical_cos' is read only by the Monte Carlo columns"):
+            self.base(g="cylindrical_cos", g_mode=3)
+        with pytest.raises(ValueError, match="g_mode applies to g = 'cylindrical_cos' only; g is 'quadratic'"):
+            self.base(g_mode=3, mc_paths=10)
+        assert self.base(g="cylindrical_cos", g_mode=3, mc_paths=10).g_mode == 3
+
+    def test_ladder_entry_at_horizon_refused_under_log_bound(self):
+        # the heat weak bound at beta >= 1 is C dt^a log(T/dt), which is 0 at dt = T:
+        # summary() used to divide by it and report weak_bound_slope nan
+        assert self.base().expected().weak_log("temporal")
+        with pytest.raises(ValueError, match=r"temporal ladder entry 1\.0 is T: the weak bound C dt\^a log\(T/dt\)"):
+            self.base(modes=16, ladder=(1.0, 0.5, 0.25, 0.125))
+        with pytest.raises(ValueError, match=r"temporal ladder entry 0\.5 is T"):
+            self.base(T=0.5, ladder=(0.5, 0.25, 0.125, 0.0625))
+        # without the log factor dt = T is a level like any other
+        assert self.base(beta=0.75, ladder=(1.0, 0.5, 0.25, 0.125)).ladder[0] == 1.0
 
     def test_counts_must_be_whole(self):
         # modes=16.7 used to run on 16 modes and mc_paths=20.5 to end in a TypeError inside the MC
-        ok = self.base(modes=np.int64(16), g_mode=np.int64(2), mc_paths=np.int64(20), mc_seed=np.int64(3))
+        ok = self.base(
+            modes=np.int64(16), g="cylindrical_cos", g_mode=np.int64(2), mc_paths=np.int64(20), mc_seed=np.int64(3)
+        )
         assert (ok.modes, ok.g_mode, ok.mc_paths, ok.mc_seed) == (16, 2, 20, 3)
         assert self.base(mc_paths=None, mc_seed=0).mc_paths is None
         for key, bad, message in [
@@ -485,7 +507,8 @@ class TestStudyMonteCarlo:
         kind, beta, x0 = self.KINDS[name]
         cfg = StudyConfig(
             name="m", kind=kind, axis="temporal", beta=beta, modes=16, ladder=ladder, x0=x0,
-            law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2, mc_paths=75, mc_seed=11,
+            law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2 if g == "cylindrical_cos" else 1,
+            mc_paths=75, mc_seed=11,
         )
         setups = [_level_setup(cfg, dt) for dt in ladder]
         block = _mc_block_paths(setups[0])
