@@ -18,6 +18,8 @@ from .spectral import dirichlet_spectrum
 from .studies import (
     SLOPE_TOL,
     StudyConfig,
+    _fmt,
+    _kernel_order,
     emit_csv,
     preset_studies,
     representation_sweep,
@@ -26,106 +28,82 @@ from .studies import (
 
 SCHEMA_VERSION = 1
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "name",
-    "equation",
-    "rho",
-    "scheme",
-    "axis",
-    "beta",
-    "horizon",
-    "modes",
-    "ladder",
-    "fixed_cells",
-    "covariance",
-    "law",
-    "x0",
-    "g",
-    "g_mode",
-    "mc",
-}
-_COV_KEYS = {"amplitude", "decay"}
-_LAW_KEYS = {"kind", "intensity", "jumps"}
-_MC_KEYS = {"paths", "seed"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _nullable(convert):
+    return lambda v: None if v is None else convert(v)
 
 
-def _make_law(obj) -> LevyLaw:
-    unknown = set(obj) - _LAW_KEYS
+# JSON key -> (name load_config passes on, conversion; None keeps the value),
+# or the table of a nested JSON object.  equation, rho and scheme build the
+# EquationKind; the law object's names are LevyLaw's.
+_SCHEMA = {
+    "schema_version": ("schema_version", None),
+    "name": ("name", None),
+    "equation": ("equation", None),
+    "rho": ("rho", _nullable(float)),
+    "scheme": ("scheme", None),
+    "axis": ("axis", None),
+    "beta": ("beta", float),
+    "horizon": ("T", float),
+    "modes": ("modes", None),
+    "ladder": ("ladder", lambda v: tuple(float(x) for x in v)),
+    "fixed_cells": ("fixed_cells", None),
+    "covariance": {"amplitude": ("cov_amplitude", float), "decay": ("cov_decay", _nullable(float))},
+    "law": {"kind": ("kind", None), "intensity": ("intensity", float), "jumps": ("jumps", None)},
+    "x0": ("x0", _nullable(tuple)),
+    "g": ("g", None),
+    "g_mode": ("g_mode", None),
+    "mc": {"paths": ("mc_paths", None), "seed": ("mc_seed", None)},
+}
+
+
+def _fields(obj, schema: dict, where: str) -> dict:
+    """The converted values of a JSON object under its schema table, by name;
+    a nested object's values come as a dict under its key, and a nested
+    object given as null is absent.  A non-object and unknown keys are
+    refused."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(obj) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown law keys {sorted(unknown)}")
-    kw = {}
-    if "intensity" in obj:
-        kw["intensity"] = float(obj["intensity"])
-    if "jumps" in obj:
-        kw["jumps"] = obj["jumps"]
-    return LevyLaw(obj.get("kind", "compound_poisson"), **kw)
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}")
+    out = {}
+    for key, value in obj.items():
+        entry = schema[key]
+        if not isinstance(entry, dict):
+            name, convert = entry
+            out[name] = value if convert is None else convert(value)
+        elif value is not None:
+            out[key] = _fields(value, entry, key)
+    return out
 
 
 def load_config(path: str) -> StudyConfig:
-    """Parse the strict JSON study schema; unknown keys are rejected.  Only
-    the keys the file gives are passed on, so every default is StudyConfig's;
-    the one default of the schema itself is 1000 paths for an "mc" object
-    without "paths"."""
+    """Parse the strict JSON study schema (_SCHEMA); unknown keys are
+    rejected.  Only the keys the file gives are passed on, so every default is
+    StudyConfig's; the one default of the schema itself is 1000 paths for an
+    "mc" object without "paths"."""
     with open(path) as f:
         raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    for key in ("equation", "axis", "beta", "ladder"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    cov = raw.get("covariance") or {}
-    unknown = set(cov) - _COV_KEYS
-    if unknown:
-        raise ConfigError(f"unknown covariance keys {sorted(unknown)}")
-    mc = raw.get("mc")
-    if mc is not None:
-        unknown = set(mc) - _MC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown mc keys {sorted(unknown)}")
     try:
-        rho = raw.get("rho")
-        kind = EquationKind(raw["equation"], rho=None if rho is None else float(rho), scheme=raw.get("scheme"))
-        kw = {}
-        # (source object, JSON key, StudyConfig field, conversion); null is None for x0 and decay
-        for obj, key, name, convert in (
-            (raw, "horizon", "T", float),
-            (raw, "modes", "modes", None),
-            (raw, "fixed_cells", "fixed_cells", None),
-            (raw, "x0", "x0", lambda v: None if v is None else tuple(v)),
-            (raw, "g", "g", None),
-            (raw, "g_mode", "g_mode", None),
-            (cov, "amplitude", "cov_amplitude", float),
-            (cov, "decay", "cov_decay", lambda v: None if v is None else float(v)),
-            (mc or {}, "seed", "mc_seed", None),
-        ):
-            if key in obj:
-                kw[name] = obj[key] if convert is None else convert(obj[key])
-        if raw.get("law") is not None:
-            kw["law"] = _make_law(raw["law"])
-        if mc is not None:
-            kw["mc_paths"] = mc.get("paths", 1000)
-        return StudyConfig(
-            name=raw.get("name", os.path.splitext(os.path.basename(path))[0]),
-            kind=kind,
-            axis=raw["axis"],
-            beta=float(raw["beta"]),
-            ladder=tuple(float(v) for v in raw["ladder"]),
-            **kw,
-        )
+        kw = _fields(raw, _SCHEMA, "config")
+        if kw.pop("schema_version", None) != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+        for key in ("equation", "axis", "beta", "ladder"):
+            if key not in kw:
+                raise ConfigError(f"missing required key {key!r}")
+        kind = EquationKind(kw.pop("equation"), rho=kw.pop("rho", None), scheme=kw.pop("scheme", None))
+        kw.update(kw.pop("covariance", {}))
+        if "mc" in kw:
+            kw.update({"mc_paths": 1000, **kw.pop("mc")})
+        if "law" in kw:
+            kw["law"] = LevyLaw(**{"kind": "compound_poisson", **kw["law"]})
+        kw.setdefault("name", os.path.splitext(os.path.basename(path))[0])
+        return StudyConfig(kind=kind, **kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -144,14 +122,14 @@ def cmd_study(args) -> int:
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    out = args.output or os.environ.get("LEVYSPDE_OUTPUT_DIR", ".")
+    out = args.output or "."
     path = out if out.endswith(".csv") else os.path.join(out, f"{config.name}.csv")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     emit_csv(result, path)
     s = result.summary()
     print(f"study {config.name}: wrote {path}")
     weak = _fmt(s["weak_slope"])
-    if config.expected().weak_log(config.axis):
+    if config.expected().weak_log:
         weak = f"{_fmt(s['weak_bound_slope'])} of |weak|/log(T/dt), plain {weak}"
     verdict = "pass" if s["weak_ok"] else "FAIL"
     print(f"  weak slope   {weak} (guaranteed >= {_fmt(s['weak_expected'])} - {SLOPE_TOL:g}): {verdict}")
@@ -166,10 +144,9 @@ def cmd_study(args) -> int:
 
 def cmd_check_condition(args) -> int:
     kind = EquationKind(args.equation, rho=args.rho)
-    rho = kind.rho if kind.name == "volterra" else 1.0
     spec = dirichlet_spectrum(args.modes)
     cov = CovarianceSpec(amplitude=args.amplitude, decay=args.decay)
-    rep = hs_condition(spec, cov, args.beta, rho)
+    rep = hs_condition(spec, cov, args.beta, _kernel_order(kind))
     print(f"hs_partial_sum {_fmt(rep.partial_sum)}")
     print(f"hs_norm {_fmt(rep.norm)}")
     print(f"hs_tail_bound {_fmt(rep.tail_bound)}")
@@ -228,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = st.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="name of a shipped preset")
     group.add_argument("--config", help="path to a JSON study config")
-    st.add_argument("--output", help="output directory or .csv path (default $LEVYSPDE_OUTPUT_DIR or .)")
+    st.add_argument("--output", help="output directory or .csv path (default the working directory)")
     st.set_defaults(func=cmd_study)
 
     cc = sub.add_parser("check-condition", help="print the regularity functionals")
@@ -273,7 +250,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ m = c^2 q, m and q.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
 Heat and wave rows are closed forms.  Every heat and wave exact factor comes
-from _carrier's (c, mu): the carrier e^(mu s), the mode factor e(s) =
+from _carrier's mu: the carrier e^(mu s), the mode factor e(s) =
 Re(c e^(mu s)) (heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)),
 read out by _observable; a step factor is Re(c z^n), so
 Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
@@ -148,19 +148,20 @@ def _panel_nodes(bks: np.ndarray, order: int = GAUSS_ORDER):
     return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
 
 
-def _carrier(kind: EquationKind, lam: np.ndarray):
-    """(c, mu) of a heat or wave mode: E(s) acts as the carrier e^(mu s), with the
-    observable factor e(s) = Re(c e^(mu s)); heat c = 1, mu = -lam; wave
-    c = i/sqrt(lam), mu = -i sqrt(lam)."""
-    if kind.name == "heat":
-        return np.ones_like(lam), -lam
-    rt = np.sqrt(lam)
-    return 1j / rt, -1j * rt
+def _carrier(kind: EquationKind, lam):
+    """mu of a heat or wave mode, None for Volterra (whose factor
+    E_rho(-lam s^rho) has no carrier): E(s) acts as the carrier e^(mu s), with
+    the observable factor e(s) = Re(c e^(mu s)); heat mu = -lam, c = 1; wave
+    mu = -i sqrt(lam), c = i/sqrt(lam) = i/(-Im mu)."""
+    if kind.name == "volterra":
+        return None
+    return -lam if kind.name == "heat" else -1j * np.sqrt(lam)
 
 
-def _observable(kind: EquationKind, lam, z) -> np.ndarray:
-    """The noise column's observable of a mode factor z: -Im z / sqrt(lam) for the wave, else Re z."""
-    return -z.imag / np.sqrt(lam) if kind.name == "wave" else z.real
+def _observable(kind: EquationKind, mu, z) -> np.ndarray:
+    """The noise column's observable Re(c z) of a mode factor z, mu = _carrier(kind, lam):
+    Im z / Im mu = -Im z / sqrt(lam) for the wave, else Re z."""
+    return z.imag / mu.imag if kind.name == "wave" else z.real
 
 
 def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
@@ -170,7 +171,8 @@ def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
     s = np.asarray(s, float)
     if kind.name == "volterra":
         return mittag_leffler_neg(kind.rho, lam * s**kind.rho)
-    return _observable(kind, lam, np.exp(_carrier(kind, lam)[1] * s))
+    mu = _carrier(kind, lam)
+    return _observable(kind, mu, np.exp(mu * s))
 
 
 def _decay_scale(kind: EquationKind, lam: float) -> float | None:
@@ -220,8 +222,8 @@ def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: in
     the exact factor at lam_d.  Otherwise etilde = Re(c z^n) on cell n, the cell
     integrals of e_k are Re(c e^(mu t_(n-1)) expm1(mu dt) / mu), and every sum
     over n is geometric."""
-    c_d, mu_d = _carrier(kind, lam_d)
-    c, mu = _carrier(kind, lam)
+    mu_d, mu = _carrier(kind, lam_d), _carrier(kind, lam)
+    c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (mu_d, mu))
     integral = partial(_integral, T=T)
     ee = _re_products(c, mu, c, mu, integral)
     if n_cells is None:
@@ -355,14 +357,14 @@ def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int
     for Volterra), or n_cells steps of the heat or wave scheme, z^N = e^(N log z)."""
     if n_cells is not None:
         return np.exp(n_cells * step_log(kind, lam, T / n_cells))
-    return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_carrier(kind, lam)[1] * T)
+    return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_carrier(kind, lam) * T)
 
 
 def _terminal_first(kind: EquationKind, lam: np.ndarray, z_T: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Observable component of the terminal factor z_T applied to x0; the
     wave carries (position, velocity) coefficients and a complex carrier."""
     if kind.name == "wave":
-        return z_T.real * x0[0] + _observable(kind, lam, z_T) * x0[1]
+        return z_T.real * x0[0] + _observable(kind, _carrier(kind, lam), z_T) * x0[1]
     return z_T.real * x0
 
 
@@ -450,7 +452,7 @@ def _weak_error_cellwise(setup: Setup) -> float:
         steps = np.column_stack([np.ones(lam.size), np.array(march)])
     else:
         steps = discrete_family(kind, lam, setup.dt, N).steps
-    et = _observable(kind, lam[:, None], steps[:, 1:])
+    et = _observable(kind, _carrier(kind, lam[:, None]), steps[:, 1:])
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
     b = _noise_factor(kind, lam[:, None], nodes[None, :])
     ee = (b * b) @ w
@@ -600,7 +602,7 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
     for setup in ladder:
         fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
         # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
-        et_weights = _observable(kind, lam[:, None], fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
+        et_weights = _observable(kind, _carrier(kind, lam[:, None]), fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
         x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
         levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
     block = _mc_block_paths(first)

@@ -38,49 +38,41 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class ExpectedRates:
-    """Guaranteed (lower-bound) convergence exponents per equation family.
+    """Guaranteed (lower-bound) convergence exponents of one axis.
 
-    temporal_weak_log marks a temporal weak bound of the shape
-    C dt^a log(T/dt) rather than C dt^a.
+    weak_log marks a weak bound of the shape C h^a log(T/h) rather than C h^a.
     """
 
-    spatial_weak: float
-    temporal_weak: float
-    spatial_strong: float
-    temporal_strong: float
+    weak: float
+    strong: float
     beta_in_range: bool = True
-    temporal_weak_log: bool = False
-
-    def weak(self, axis: str) -> float:
-        return self.spatial_weak if axis == "spatial" else self.temporal_weak
-
-    def weak_log(self, axis: str) -> bool:
-        return axis == "temporal" and self.temporal_weak_log
-
-    def strong(self, axis: str) -> float:
-        return self.spatial_strong if axis == "spatial" else self.temporal_strong
+    weak_log: bool = False
 
 
-def expected_rates(kind: EquationKind, beta: float) -> ExpectedRates:
-    """Theoretical exponents; beta outside the covered range flags a warning
-    but the formulas are still evaluated.  For the wave family p is the
-    classical order of the configured scheme (Crank-Nicolson 2, backward
-    Euler 1) and r = 2 that of P1 elements.  The heat temporal weak bound
-    carries one factor log(T/dt) from beta = 1, where the exponent reaches the
-    order of backward Euler."""
-    if kind.name == "heat":
-        return ExpectedRates(2 * beta, beta, beta, beta / 2, beta_in_range=0 < beta <= 1, temporal_weak_log=beta >= 1)
-    if kind.name == "volterra":
-        rho = kind.rho
-        return ExpectedRates(2 * beta, rho * beta, beta, rho * beta / 2, beta_in_range=0 < beta <= 1 / rho)
-    p, r = (1 if kind.scheme == "backward_euler" else 2), 2
-    return ExpectedRates(
-        min(2 * beta * r / (r + 1), r),
-        min(2 * beta * p / (p + 1), 1.0),
-        min(beta * r / (r + 1), r),
-        min(beta * p / (p + 1), 1.0),
-        beta_in_range=beta > 0,
-    )
+def _kernel_order(kind: EquationKind) -> float:
+    """rho of the Volterra kernel; heat is its rho = 1 case, and the wave
+    takes the same 1 in the regularity functional."""
+    return kind.rho if kind.name == "volterra" else 1.0
+
+
+def expected_rates(kind: EquationKind, beta: float, axis: str) -> ExpectedRates:
+    """Theoretical exponents of one axis from the paper's weak = 2 x strong:
+    the weak exponent is 2s, s the strong one.  Heat is Volterra at rho = 1,
+    s = beta in space and rho beta / 2 in time.  Wave: s = beta p/(p+1), p
+    the classical order of the method (P1 elements and Crank-Nicolson 2,
+    backward Euler 1), both exponents capped at 2 in space and 1 in time.
+    beta outside the covered range flags a warning but the formulas are still
+    evaluated.  The heat temporal weak bound carries one factor log(T/dt) from
+    beta = 1, where the exponent reaches the order of backward Euler."""
+    if kind.name == "wave":
+        p = 1 if axis == "temporal" and kind.scheme == "backward_euler" else 2
+        cap = 2.0 if axis == "spatial" else 1.0
+        s = beta * p / (p + 1)
+        return ExpectedRates(min(2 * s, cap), min(s, cap), beta_in_range=beta > 0)
+    rho = _kernel_order(kind)
+    s = beta if axis == "spatial" else rho * beta / 2
+    weak_log = kind.name == "heat" and axis == "temporal" and beta >= 1
+    return ExpectedRates(2 * s, s, beta_in_range=0 < beta <= 1 / rho, weak_log=weak_log)
 
 
 @dataclass(frozen=True)
@@ -197,9 +189,8 @@ class StudyConfig:
         if self.g != "quadratic" and self.mc_paths is None:
             raise ValueError(f"test functional g={self.g!r} is read only by the Monte Carlo columns; set mc_paths")
         if self.cov_decay is None and self.decay < 0:
-            rho = self.kind.rho if self.kind.name == "volterra" else 1.0
             raise ValueError(
-                f"the covariance decay derived from beta={self.beta} and rho={rho}, beta - 1/rho "
+                f"the covariance decay derived from beta={self.beta} and rho={_kernel_order(self.kind)}, beta - 1/rho "
                 f"+ 1/2 + {REG_MARGIN} = {self.decay:.6g}, is negative; raise beta or give covariance.decay (cov_decay)"
             )
         if self.axis == "temporal":
@@ -207,7 +198,7 @@ class StudyConfig:
                 n = self.T / dt if dt > 0 else 0.0
                 if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
                     raise ValueError(f"temporal ladder entry {dt} is not T/N for a whole number N >= 1 of cells")
-                if round(n) == 1 and self.expected().weak_log(self.axis):
+                if round(n) == 1 and self.expected().weak_log:
                     raise ValueError(
                         f"temporal ladder entry {dt} is T: the weak bound C dt^a log(T/dt) is 0 there; "
                         "start the ladder below T"
@@ -226,14 +217,13 @@ class StudyConfig:
     def decay(self) -> float:
         if self.cov_decay is not None:
             return self.cov_decay
-        rho = self.kind.rho if self.kind.name == "volterra" else 1.0
-        return self.beta - 1.0 / rho + 0.5 + REG_MARGIN
+        return self.beta - 1.0 / _kernel_order(self.kind) + 0.5 + REG_MARGIN
 
     def covariance(self) -> CovarianceSpec:
         return CovarianceSpec(amplitude=self.cov_amplitude, decay=self.decay)
 
     def expected(self) -> ExpectedRates:
-        return expected_rates(self.kind, self.beta)
+        return expected_rates(self.kind, self.beta, self.axis)
 
 
 @dataclass(frozen=True)
@@ -263,21 +253,20 @@ class StudyResult:
         bound's shape on the levels of the plain weak_slope (equal to it where
         that shape has no log factor)."""
         exp = self.config.expected()
-        axis = self.config.axis
         weak = bound = self.weak_fit.slope if self.weak_fit else float("nan")
         strong = self.strong_fit.slope if self.strong_fit else float("nan")
-        if self.weak_fit and exp.weak_log(axis):
+        if self.weak_fit and exp.weak_log:
             res = [r.resolution for r in self.rows]
             bound = log_shape_slope(res, [r.report.weak_error_quadratic for r in self.rows], self.config.T)
         return {
             "study": self.config.name,
             "weak_slope": weak,
             "weak_bound_slope": bound,
-            "weak_expected": exp.weak(axis),
-            "weak_ok": weak_rate_ok(bound, exp.weak(axis)),
+            "weak_expected": exp.weak,
+            "weak_ok": weak_rate_ok(bound, exp.weak),
             "strong_slope": strong,
-            "strong_expected": exp.strong(axis),
-            "strong_ok": bool(abs(strong - exp.strong(axis)) <= SLOPE_TOL),
+            "strong_expected": exp.strong,
+            "strong_ok": bool(abs(strong - exp.strong) <= SLOPE_TOL),
             "beta_in_range": exp.beta_in_range,
         }
 
@@ -303,8 +292,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     standalone mc_weak_error of its level's setup bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
-    rho = config.kind.rho if config.kind.name == "volterra" else 1.0
-    hs = hs_condition(spec, config.covariance(), config.beta, rho)
+    hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))
     if not hs.converges:
         raise ValueError(
             f"study {config.name!r} refused: covariance too rough for beta={config.beta} "

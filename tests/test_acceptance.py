@@ -323,7 +323,7 @@ def test_c10_determinism(fresh_python):
 def test_tamper_heat_bound_shape_rejects_wrong_rates(preset_result):
     res = preset_result("heat-temporal-beta1")
     dts, strong, _ = columns(res)
-    expected = res.config.expected().temporal_weak
+    expected = res.config.expected().weak
     # a weak column with the strong error's shape compensates to about 0.74
     slope = log_shape_slope(dts, strong, res.config.T)
     assert slope < 0.85
@@ -336,7 +336,7 @@ def test_tamper_heat_bound_shape_rejects_wrong_rates(preset_result):
 def test_tamper_wave_rejects_slow_weak_rates(preset_result):
     res = preset_result("wave-temporal")
     strong_slope = res.strong_fit.slope
-    expected = res.config.expected().temporal_weak
+    expected = res.config.expected().weak
     dts, strong, _ = columns(res)
     # weak error at the strong rate: below the 0.85 edge
     assert not wave_weak_ok(strong_slope, strong_slope, expected)

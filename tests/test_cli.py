@@ -179,6 +179,22 @@ class TestStudyCommand:
         assert code == 1
         assert "Traceback" not in err
 
+    def test_unreadable_config_path_exit_1(self, capsys, tmp_path):
+        # a directory used to end in an IsADirectoryError traceback
+        code, out, err = run(capsys, "study", "--config", str(tmp_path))
+        assert code == 1 and out == "" and "Traceback" not in err and "Is a directory" in err
+
+    def test_default_output_is_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        # $LEVYSPDE_OUTPUT_DIR used to be a second way to set --output
+        cfg, work, other = tmp_path / "tiny.json", tmp_path / "work", tmp_path / "other"
+        cfg.write_text(json.dumps(TINY_HEAT))
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("LEVYSPDE_OUTPUT_DIR", str(other))
+        code, _, _ = run(capsys, "study", "--config", str(cfg))
+        assert code in (0, 2)
+        assert (work / "tiny.csv").exists() and not other.exists()
+
     def test_divergent_covariance_exit_1_with_exponent(self, capsys, tmp_path):
         cfg = tmp_path / "rough.json"
         cfg.write_text(
@@ -326,6 +342,12 @@ class TestStudyCommand:
             ({"equation": "heat", "law": {"nu": 0.5}}, r"unknown law keys \['nu'\]"),
             ({"equation": "heat", "law": {"kind": "variance_gamma"}},
              r"unknown law kind 'variance_gamma'; the only law is 'compound_poisson'"),
+            # the first two used to end in a TypeError traceback, the third to name the
+            # letters of "normal" as unknown law keys, the last to run on the derived decay
+            ({"equation": "heat", "mc": 5}, "mc must be a JSON object"),
+            ({"equation": "heat", "covariance": 0.5}, "covariance must be a JSON object"),
+            ({"equation": "heat", "law": "normal"}, "law must be a JSON object"),
+            ({"equation": "heat", "covariance": False}, "covariance must be a JSON object"),
         ],
         ids=[
             "wave-x0-three-rows",
@@ -341,6 +363,10 @@ class TestStudyCommand:
             "mc-paths-spatial",
             "law-nu",
             "law-variance-gamma",
+            "mc-number",
+            "covariance-number",
+            "law-string",
+            "covariance-false",
         ],
     )
     def test_bad_shape_or_mode_index_exit_1(self, capsys, tmp_path, extra, message):

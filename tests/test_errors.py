@@ -666,6 +666,27 @@ class TestExactSide:
     LADDER = (16, 32, 64, 128, 256)
     SCHEMES = [heat_kind(), wave_kind("crank_nicolson"), wave_kind("backward_euler")]
 
+    @pytest.mark.parametrize("kind", SCHEMES[:2], ids=["heat", "wave"])
+    def test_exact_factor_takes_one_square_root(self, kind, monkeypatch):
+        # the wave's exact factor used to take sqrt(lam) twice, once for the unread
+        # carrier coefficient c = i/sqrt(lam) and once more to read the observable
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, x):
+                calls.append(np.size(x))
+                return np.sqrt(x)
+
+        lam, s = dirichlet_spectrum(64).eigenvalues, np.linspace(0.0, 1.0, 9)[:, None]
+        want = np.exp(-lam * s) if kind.name == "heat" else np.sin(np.sqrt(lam) * s) / np.sqrt(lam)
+        monkeypatch.setattr(errors, "np", CountingNumpy())
+        got = errors._noise_factor(kind, lam, s)
+        assert calls == ([] if kind.name == "heat" else [lam.size])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+
     @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
     def test_closed_forms_match_cell_quadrature(self, kind):
         # the kernel's dd, de and ee rows against step tables and cellwise Gauss quadrature

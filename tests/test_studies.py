@@ -67,36 +67,74 @@ class TestFitRate:
         assert fit.levels_used == 3
 
 
+# The paper's guaranteed exponents, written out per family and axis as
+# beta -> (weak, strong, beta_in_range, weak_log); wave p = 2 for P1 elements
+# and Crank-Nicolson, 1 for backward Euler.
+def _volterra_row(rho):
+    return {
+        "spatial": lambda b: (2 * b, b, 0 < b <= 1 / rho, False),
+        "temporal": lambda b: (rho * b, rho * b / 2, 0 < b <= 1 / rho, False),
+    }
+
+
+PAPER_RATES = {
+    "heat": {
+        "spatial": lambda b: (2 * b, b, 0 < b <= 1, False),
+        "temporal": lambda b: (b, b / 2, 0 < b <= 1, b >= 1),
+    },
+    **{f"volterra {rho}": _volterra_row(rho) for rho in (1.2, 1.5, 1.9)},
+    "wave crank_nicolson": {
+        "spatial": lambda b: (min(4 * b / 3, 2.0), min(2 * b / 3, 2.0), True, False),
+        "temporal": lambda b: (min(4 * b / 3, 1.0), min(2 * b / 3, 1.0), True, False),
+    },
+    "wave backward_euler": {
+        "spatial": lambda b: (min(4 * b / 3, 2.0), min(2 * b / 3, 2.0), True, False),
+        "temporal": lambda b: (min(b, 1.0), min(b / 2, 1.0), True, False),
+    },
+}
+
+
 class TestExpectedRates:
     def test_heat_beta_one(self):
-        r = expected_rates(heat_kind(), 1.0)
-        assert (r.spatial_weak, r.temporal_weak, r.spatial_strong, r.temporal_strong) == (2.0, 1.0, 1.0, 0.5)
-        assert r.beta_in_range
+        spatial, temporal = (expected_rates(heat_kind(), 1.0, axis) for axis in ("spatial", "temporal"))
+        assert (spatial.weak, spatial.strong, temporal.weak, temporal.strong) == (2.0, 1.0, 1.0, 0.5)
+        assert spatial.beta_in_range and temporal.beta_in_range
 
     def test_bound_shape_log_factor(self):
         # only the heat temporal weak bound at the end of the range carries log(T/dt)
-        assert expected_rates(heat_kind(), 1.0).weak_log("temporal")
-        assert not expected_rates(heat_kind(), 1.0).weak_log("spatial")
-        assert not expected_rates(heat_kind(), 0.75).weak_log("temporal")
-        assert not expected_rates(wave_kind("crank_nicolson"), 0.75).weak_log("temporal")
-        assert not expected_rates(volterra_kind(1.5), 0.5).weak_log("temporal")
+        assert expected_rates(heat_kind(), 1.0, "temporal").weak_log
+        assert not expected_rates(heat_kind(), 1.0, "spatial").weak_log
+        assert not expected_rates(heat_kind(), 0.75, "temporal").weak_log
+        assert not expected_rates(wave_kind("crank_nicolson"), 0.75, "temporal").weak_log
+        assert not expected_rates(volterra_kind(1.5), 0.5, "temporal").weak_log
 
     def test_wave_beta_075(self):
-        r = expected_rates(wave_kind("crank_nicolson"), 0.75)
-        assert (r.spatial_weak, r.temporal_weak) == (1.0, 1.0)
-        assert (r.spatial_strong, r.temporal_strong) == (0.5, 0.5)
+        for axis in ("spatial", "temporal"):
+            r = expected_rates(wave_kind("crank_nicolson"), 0.75, axis)
+            assert (r.weak, r.strong) == (1.0, 0.5)
 
     def test_volterra(self):
-        r = expected_rates(volterra_kind(1.5), 0.5)
-        assert (r.spatial_weak, r.temporal_weak, r.spatial_strong, r.temporal_strong) == (1.0, 0.75, 0.5, 0.375)
+        spatial, temporal = (expected_rates(volterra_kind(1.5), 0.5, axis) for axis in ("spatial", "temporal"))
+        assert (spatial.weak, spatial.strong, temporal.weak, temporal.strong) == (1.0, 0.5, 0.75, 0.375)
 
     def test_out_of_range_flag(self):
-        assert expected_rates(heat_kind(), 1.4).beta_in_range is False
-        assert expected_rates(volterra_kind(1.5), 0.8).beta_in_range is False
+        assert expected_rates(heat_kind(), 1.4, "temporal").beta_in_range is False
+        assert expected_rates(volterra_kind(1.5), 0.8, "spatial").beta_in_range is False
 
     def test_wave_backward_euler_order_one(self):
-        r = expected_rates(wave_kind("backward_euler"), 0.9)
-        assert r.temporal_weak == pytest.approx(min(2 * 0.9 * 1 / 2, 1.0))
+        r = expected_rates(wave_kind("backward_euler"), 0.9, "temporal")
+        assert r.weak == pytest.approx(min(2 * 0.9 * 1 / 2, 1.0))
+
+    @pytest.mark.parametrize("family", list(PAPER_RATES))
+    def test_matches_the_paper_table_exactly(self, family):
+        # weak = 2 x strong, built per axis, agrees bit for bit with the table
+        name, _, param = family.partition(" ")
+        kind = {"heat": heat_kind, "volterra": lambda: volterra_kind(float(param)), "wave": lambda: wave_kind(param)}[name]()
+        betas = [float(b) for b in np.linspace(0.05, 3.5, 70)] + [0.5, 0.75, 1.0, 1 / 1.5, 1.5, 3.0]
+        for axis, row in PAPER_RATES[family].items():
+            for beta in betas:
+                r = expected_rates(kind, beta, axis)
+                assert (r.weak, r.strong, r.beta_in_range, r.weak_log) == row(beta), (family, axis, beta)
 
 
 class TestConfigValidation:
@@ -168,7 +206,7 @@ class TestConfigValidation:
     def test_ladder_entry_at_horizon_refused_under_log_bound(self):
         # the heat weak bound at beta >= 1 is C dt^a log(T/dt), which is 0 at dt = T:
         # summary() used to divide by it and report weak_bound_slope nan
-        assert self.base().expected().weak_log("temporal")
+        assert self.base().expected().weak_log
         with pytest.raises(ValueError, match=r"temporal ladder entry 1\.0 is T: the weak bound C dt\^a log\(T/dt\)"):
             self.base(modes=16, ladder=(1.0, 0.5, 0.25, 0.125))
         with pytest.raises(ValueError, match=r"temporal ladder entry 0\.5 is T"):
