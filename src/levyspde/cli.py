@@ -33,10 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _nullable(convert):
-    return lambda v: None if v is None else convert(v)
-
-
 # JSON key -> (name load_config passes on, conversion; None keeps the value),
 # or the table of a nested JSON object.  equation, rho and scheme build the
 # EquationKind; the law object's names are LevyLaw's.
@@ -44,7 +40,7 @@ _SCHEMA = {
     "schema_version": ("schema_version", None),
     "name": ("name", None),
     "equation": ("equation", None),
-    "rho": ("rho", _nullable(float)),
+    "rho": ("rho", float),
     "scheme": ("scheme", None),
     "axis": ("axis", None),
     "beta": ("beta", float),
@@ -52,9 +48,9 @@ _SCHEMA = {
     "modes": ("modes", None),
     "ladder": ("ladder", lambda v: tuple(float(x) for x in v)),
     "fixed_cells": ("fixed_cells", None),
-    "covariance": {"amplitude": ("cov_amplitude", float), "decay": ("cov_decay", _nullable(float))},
+    "covariance": {"amplitude": ("cov_amplitude", float), "decay": ("cov_decay", float)},
     "law": {"kind": ("kind", None), "intensity": ("intensity", float), "jumps": ("jumps", None)},
-    "x0": ("x0", _nullable(tuple)),
+    "x0": ("x0", tuple),
     "g": ("g", None),
     "g_mode": ("g_mode", None),
     "mc": {"paths": ("mc_paths", None), "seed": ("mc_seed", None)},
@@ -63,9 +59,8 @@ _SCHEMA = {
 
 def _fields(obj, schema: dict, where: str) -> dict:
     """The converted values of a JSON object under its schema table, by name;
-    a nested object's values come as a dict under its key, and a nested
-    object given as null is absent.  A non-object and unknown keys are
-    refused."""
+    a nested object's values come as a dict under its key, and a key given
+    as null is absent.  A non-object and unknown keys are refused."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - set(schema)
@@ -74,11 +69,13 @@ def _fields(obj, schema: dict, where: str) -> dict:
     out = {}
     for key, value in obj.items():
         entry = schema[key]
-        if not isinstance(entry, dict):
+        if value is None:
+            continue
+        if isinstance(entry, dict):
+            out[key] = _fields(value, entry, key)
+        else:
             name, convert = entry
             out[name] = value if convert is None else convert(value)
-        elif value is not None:
-            out[key] = _fields(value, entry, key)
     return out
 
 

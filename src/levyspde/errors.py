@@ -32,8 +32,15 @@ integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
 which its scheme rows pair with the CQ factor table, and
 I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
-toward the u^rho branch point at u = 0).  Each level computes both for
-itself.  Its time-exact rows use Gauss quadrature on shared global nodes.
+toward the u^rho branch point at u = 0).  The cell integrals depend on the
+level's edges; ee does not, and is read once per (kind, K, T) (_sine_ee).
+Time-exact rows use Gauss quadrature on global nodes shared by both sides;
+the nodes, the (K, G) exact factors on them and ee depend only on
+(kind, K, T, lam_max), lam_max = max(lam_K, top discrete eigenvalue), so one
+table (_node_table) serves every level with that key, and a level evaluates
+only its J discrete rows.  One table is held at a time, K G 8 bytes (59 MB
+at rho = 1.9, K = 1024, G = 7248): memory traded for time, as measured in
+the README ("The exact side of a temporal study").
 """
 
 from __future__ import annotations
@@ -319,25 +326,55 @@ def _volterra_ee(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
     return g[np.searchsorted(bks, y)] / root
 
 
+@lru_cache(maxsize=1)
+def _sine_ee(kind: EquationKind, K: int, T: float) -> np.ndarray:
+    """_volterra_ee of the K sine modes: the ee row of every Volterra scheme
+    level, once per (kind, K, T); read-only."""
+    ee = _volterra_ee(kind, DirichletSpectrum(K).eigenvalues, T)
+    ee.flags.writeable = False
+    return ee
+
+
+@lru_cache(maxsize=1)
+def _node_table(kind: EquationKind, K: int, T: float, lam_max: float):
+    """(nodes, w, b, ee) of the time-exact Volterra levels whose top eigenvalue,
+    discrete or exact, is lam_max: the global Gauss nodes and weights of
+    lam_max, the (K, G) exact factors b[k] = E_rho(-lam_k s^rho) of the sine
+    modes on them and ee = (b * b) @ w; read-only.  b is filled in blocks of
+    modes of about _NODE_BLOCK values, so no temporary is larger than a block."""
+    lam = DirichletSpectrum(K).eigenvalues
+    nodes, w = _global_nodes(kind, lam_max, T)
+    b, ee = np.empty((K, nodes.size)), np.empty(K)
+    rows = max(1, _NODE_BLOCK // nodes.size)
+    for lo in range(0, K, rows):
+        k = slice(lo, lo + rows)
+        b[k] = _noise_factor(kind, lam[k, None], nodes[None, :])
+        ee[k] = (b[k] * b[k]) @ w
+    for x in (nodes, w, b, ee):
+        x.flags.writeable = False
+    return nodes, w, b, ee
+
+
 def _table_integrals(setup: Setup, lam_d, j, steps):
     """(dd, de, ee) as in _closed_form_integrals, for Volterra; the discrete
     rows are built on the J distinct lam_d and gathered by j.  Scheme levels:
     the CQ factor table steps (J, N+1) against the cell integrals
     diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, evaluated for blocks
-    of about _ML_BLOCK values, and ee from _volterra_ee.  Time-exact levels:
-    Gauss quadrature on global nodes shared by both sides, the exact factors
-    in blocks of about _NODE_BLOCK values."""
+    of about _ML_BLOCK values, and ee from _sine_ee.  Time-exact levels:
+    Gauss quadrature on the global nodes of _node_table, whose exact factors
+    and ee serve every level with the same key; the level evaluates its J
+    discrete rows and pairs them with the table in blocks of about
+    _NODE_BLOCK values."""
     kind, lam = setup.kind, setup.spec.eigenvalues
     if steps is None:
-        nodes, w = _global_nodes(kind, max(float(lam[-1]), float(lam_d[-1])), setup.T)
+        lam_max = max(float(lam[-1]), float(lam_d[-1]))
+        nodes, w, b, ee = _node_table(kind, lam.size, setup.T, lam_max)
         a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
-        de, ee = np.empty(lam.size), np.empty(lam.size)
+        de = np.empty(lam.size)
         rows = max(1, _NODE_BLOCK // nodes.size)
         for lo in range(0, lam.size, rows):
             k = slice(lo, lo + rows)
-            b = _noise_factor(kind, lam[k, None], nodes[None, :])
-            de[k] = (a[j[k] - 1] * b) @ w
-            ee[k] = (b * b) @ w
+            de[k] = (a[j[k] - 1] * b[k]) @ w
         return ((a * a) @ w)[j - 1], de, ee
     edges = _level_edges(setup)
     t_rho = edges**kind.rho
@@ -349,7 +386,7 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
         prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
     dd = setup.dt * np.einsum("jn,jn->j", et, et)
-    return dd[j - 1], de, _volterra_ee(kind, lam, setup.T)
+    return dd[j - 1], de, _sine_ee(kind, lam.size, setup.T)
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:

@@ -31,7 +31,13 @@ Strategy (vectorized over x):
     the lowest node.  For beta = 2 near rho = 1 that tail is most of the
     integral: r^(rho-2) is barely integrable at r = 0.
   * x > 60**rho: residue pair plus the asymptotic series
-    sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.
+    sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.  The
+    pair decays like exp(x^(1/rho) cos(pi/rho)), the series like a power of
+    1/x: past a cutoff per (rho, beta), computed with the coefficients, the
+    pair is below 1e-17 of the series, under half an ulp, so it is skipped
+    there and the output is the same bit for bit.  At rho = 1.5 the cutoff is
+    about 1100 (beta = 1); up to rho = 1.1 it is 60**rho itself, and it grows
+    without bound as rho -> 2, where the pair is all of cos(sqrt(x)).
 
 Both series use a fixed number of terms per (rho, beta): those above 1e-17 of
 the leading term at the branch's switch point (x = 5 for the power series;
@@ -86,9 +92,10 @@ def _series_coeff(rho: float, beta: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _asymptotic_coeff(rho: float, beta: int) -> np.ndarray:
+def _asymptotic_coeff(rho: float, beta: int) -> tuple[np.ndarray, float]:
     """(-1)^(j+1) / Gamma(beta - rho j), j = 0, 1, ... (the j = 0 entry is 0), for
-    the series in 1/x."""
+    the series in 1/x, and the x past which the residue pair is below
+    _TERM_FLOOR of that series (_pair_cutoff)."""
     j = np.arange(1, _MAX_TERMS + 1, dtype=float)
     # 1/Gamma(beta - rho j) = Gamma(a) sin(pi a) / pi with a = rho j + 1 - beta,
     # via reflection.  Snap sin values at the Gamma poles to exact zero so that
@@ -102,8 +109,37 @@ def _asymptotic_coeff(rho: float, beta: int) -> np.ndarray:
         log_mag = np.log(np.abs(sines) / np.pi) + _lgamma(a) - j * rho * np.log(60.0)
     run = log_mag[: int(np.argmin(np.where(np.isfinite(log_mag), log_mag, np.inf))) + 1]
     n = int(np.nonzero(run > run.max() + np.log(_TERM_FLOOR))[0].max()) + 1
-    coeff = (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(_lgamma(a[:n]))
-    return np.concatenate([[0.0], coeff])
+    coeff = np.concatenate([[0.0], (-1.0) ** (j[:n] + 1.0) * sines[:n] / np.pi * np.exp(_lgamma(a[:n]))])
+    return coeff, _pair_cutoff(rho, beta, coeff)
+
+
+def _pair_cutoff(rho: float, beta: int, coeff: np.ndarray) -> float:
+    """The least x on a grid of ratio 2^(1/4) from 60**rho past which the
+    residue pair is below _TERM_FLOOR of the asymptotic series (inf if none).
+
+    The pair is at most (2/rho) e^(-d y) y^(1-beta), y = x^(1/rho),
+    d = -cos(pi/rho) > 0.  With c_m the first nonzero coefficient, the series
+    is at least |c_m| x^-m / 2 where the later terms add up to at most |c_m| / 2
+    of the first; that tail falls with x, and so does the ratio of the two
+    bounds once d y > m rho + 1 - beta.  So the three conditions, once met,
+    hold for every larger x: there the pair is under half an ulp of the sum,
+    and adding it changes no bit.
+    """
+    nonzero = np.flatnonzero(coeff)
+    if nonzero.size == 0:
+        return math.inf
+    m = int(nonzero[0])
+    lead = abs(coeff[m])
+    x = 60.0**rho * 2.0 ** (np.arange(4000) / 4.0)
+    x = x[x < 1e300]
+    y = x ** (1.0 / rho)
+    d = -math.cos(math.pi / rho)
+    tail = _horner(np.append(0.0, np.abs(coeff[m + 1 :])), 1.0 / x)  # sum_{j>m} |c_j| x^(m-j)
+    log_pair = math.log(2.0 / rho) - d * y + (1 - beta) * np.log(y)
+    ok = (tail <= 0.5 * lead) & (log_pair <= math.log(0.5 * _TERM_FLOOR * lead) - m * np.log(x))
+    ok &= d * y > m * rho + 1 - beta
+    first = int(np.flatnonzero(~ok).max(initial=-1)) + 1
+    return float(x[first]) if first < x.size else math.inf
 
 
 def _ml_series(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
@@ -189,8 +225,14 @@ def _ml_bridge(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
 
 
 def _ml_asymptotic(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
-    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), Horner form."""
-    return _residue_pair(rho, x, beta) + _horner(_asymptotic_coeff(rho, beta), 1.0 / x)
+    """Residue pair plus sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), Horner
+    form; the pair only below _pair_cutoff, past which adding it changes no bit."""
+    coeff, cutoff = _asymptotic_coeff(rho, beta)
+    out = _horner(coeff, 1.0 / x)
+    near = x < cutoff
+    if near.any():
+        out[near] += _residue_pair(rho, x[near], beta)
+    return out
 
 
 def mittag_leffler_neg(rho: float, x, beta: int = 1) -> np.ndarray | float:

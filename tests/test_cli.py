@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -6,7 +7,8 @@ import pytest
 
 import levyspde.errors
 import levyspde.studies
-from levyspde.cli import main
+from levyspde.studies import CSV_COLUMNS
+from levyspde.cli import _SCHEMA, main
 from levyspde.errors import ErrorReport
 
 
@@ -397,6 +399,92 @@ class TestStudyCommand:
         code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
         assert code == 1 and out == "" and "Traceback" not in err
         assert re.search(message, err) and not (tmp_path / "stray.csv").exists()
+
+
+# every key of the schema given, valid, on a study that reads it; rho and
+# fixed_cells on a Volterra spatial study, every other key on a wave temporal one
+FULL_WAVE = {
+    "schema_version": 1,
+    "name": "full",
+    "equation": "wave",
+    "scheme": "backward_euler",
+    "axis": "temporal",
+    "beta": 0.75,
+    "horizon": 1.0,
+    "modes": 16,
+    "ladder": [2**-3, 2**-4, 2**-5, 2**-6],
+    "covariance": {"amplitude": 0.5, "decay": 0.6},
+    "law": {"kind": "compound_poisson", "intensity": 2.0, "jumps": "normal"},
+    "x0": [[1.0, 0.5], [0.0, 0.25]],
+    "g": "cylindrical_cos",
+    "g_mode": 2,
+    "mc": {"paths": 20, "seed": 3},
+}
+FULL_VOLTERRA = {
+    "schema_version": 1,
+    "equation": "volterra",
+    "rho": 1.5,
+    "axis": "spatial",
+    "beta": 0.5,
+    "modes": 16,
+    "ladder": [1 / 4, 1 / 6, 1 / 8, 1 / 12],
+    "fixed_cells": 8,
+}
+
+
+def _schema_keys(schema, prefix=()):
+    for key, entry in schema.items():
+        yield prefix + (key,)
+        if isinstance(entry, dict):
+            yield from _schema_keys(entry, prefix + (key,))
+
+
+class TestNullIsAbsent:
+    """A key given as null means the key is absent, for every key of the schema."""
+
+    @staticmethod
+    def outcome(path, obj):
+        from levyspde.cli import ConfigError, load_config
+
+        path.write_text(json.dumps(obj))
+        try:
+            return load_config(str(path))
+        except ConfigError as exc:
+            return f"refused: {exc}"
+
+    @pytest.mark.parametrize("key", [".".join(k) for k in _schema_keys(_SCHEMA)])
+    def test_null_equals_leaving_the_key_out(self, tmp_path, key):
+        *outer, last = key.split(".")  # outer: the covariance, law or mc object, if any
+        given = copy.deepcopy(FULL_VOLTERRA if last in ("rho", "fixed_cells") else FULL_WAVE)
+        left_out = copy.deepcopy(given)
+        inner_given, inner_left_out = (obj[outer[0]] if outer else obj for obj in (given, left_out))
+        assert last in inner_given, key  # the base gives every key a value
+        inner_given[last] = None
+        del inner_left_out[last]
+        path = tmp_path / "study.json"
+        assert self.outcome(path, given) == self.outcome(path, left_out)
+
+    def test_full_configs_load(self, tmp_path):
+        for base in (FULL_WAVE, FULL_VOLTERRA):
+            assert not isinstance(self.outcome(tmp_path / "study.json", base), str)
+
+    def test_null_name_writes_the_stem(self, capsys, tmp_path):
+        # used to write None.csv with the header "# study=None"
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "name": None}))
+        code, out, _ = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code in (0, 2) and (tmp_path / "tiny.csv").exists() and not (tmp_path / "None.csv").exists()
+        assert "# study=tiny" in (tmp_path / "tiny.csv").read_text()
+
+    def test_null_mc_paths_runs_the_schema_default(self, capsys, tmp_path):
+        # used to run without Monte Carlo: mc_paths=0 and empty MC columns, exit 0
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "modes": 16, "ladder": TINY_HEAT["ladder"][:4], "mc": {"paths": None}}))
+        code, _, _ = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        rows = (tmp_path / "mc.csv").read_text().splitlines()
+        assert code in (0, 2) and any("mc_paths=1000" in line for line in rows if line.startswith("#"))
+        data = [line.split(",") for line in rows if not line.startswith(("#", "level"))]
+        assert len(data) == 4 and all(row[CSV_COLUMNS.index("mc_estimate")] != "" for row in data)
 
 
 class TestVerifyRepresentation:

@@ -862,10 +862,20 @@ class TestFemAssembly:
         setup = Setup(kind, dirichlet_spectrum(24), cov, CP, 1.0, n_cells=n_cells, fem=assemble_fem(8), x0=x0)
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
-            # time-exact node rows in blocks of 5 sine modes, the last one short
-            nodes = errors._global_nodes(kind, setup.spec.eigenvalues[-1], 1.0)[0]
-            monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * nodes.size)
+            # time-exact node rows in blocks of 5 sine modes, the last one short: the
+            # cached table is cleared so that the blocked build runs.  Its nodes,
+            # weights and E_rho values equal the one-block table's bit for bit; ee
+            # is a BLAS matrix-vector product per block, whose summation order
+            # depends on the block's row count, so it agrees to rounding
+            key = (kind, 24, 1.0, max(float(setup.spec.eigenvalues[-1]), float(setup.fem.eigenvalues[-1])))
+            whole = errors._node_table(*key)
+            assert 24 * whole[0].size <= errors._NODE_BLOCK
+            monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * whole[0].size)
+            errors._node_table.cache_clear()
             reports.append(error_report(setup))
+            blocked = errors._node_table(*key)
+            assert blocked is not whole and all(np.array_equal(b, w) for b, w in zip(blocked[:3], whole[:3]))
+            assert np.all(np.abs(blocked[3] - whole[3]) <= 4e-16 * whole[3])
         weak, strong2, i_ee = self.oracle(setup)
         for rep in reports:
             assert abs(rep.weak_error_quadratic - weak) <= 1e-10 * i_ee

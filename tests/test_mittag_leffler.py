@@ -112,6 +112,38 @@ def test_branch_agreement_at_switch_points():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("rho", [1.1, 1.3, 1.5, 1.7, 1.9])
+def test_residue_pair_skipped_past_its_cutoff(rho, beta):
+    # past the cutoff the asymptotic branch leaves the residue pair out; at, just
+    # below and just above it, at the branch start and beyond, the branch's value
+    # equals pair + series to the bit, and every value (the bridge's, where the
+    # cutoff is the branch start) the high-precision series to 1e-13 relative
+    from levyspde.mittag_leffler import _asymptotic_coeff, _horner, _residue_pair
+
+    coeff, cutoff = _asymptotic_coeff(rho, beta)
+    start = 60.0**rho
+    assert start <= cutoff < math.inf
+    x = np.array([start * (1 + 1e-9), math.sqrt(start * cutoff), cutoff * (1 - 2**-40), cutoff, cutoff * (1 + 2**-40), 2 * cutoff])
+    got = mittag_leffler_neg(rho, x, beta)
+    asym = x > start
+    assert np.array_equal(got[asym], _residue_pair(rho, x[asym], beta) + _horner(coeff, 1.0 / x[asym]))
+    for xi, g in zip(x, got):
+        ref = series_oracle(rho, float(xi), beta)
+        assert abs(g - ref) <= 1e-13 * abs(ref), xi
+
+
+def test_residue_pair_cutoff_grows_toward_rho_two():
+    # the pair decays like exp(x^(1/rho) cos(pi/rho)), slower as rho -> 2, where
+    # it is all of cos(sqrt(x)); up to rho = 1.1 it never matters on the branch
+    from levyspde.mittag_leffler import _asymptotic_coeff
+
+    for beta in (1, 2):
+        cutoffs = [_asymptotic_coeff(rho, beta)[1] for rho in (1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99)]
+        assert cutoffs[:2] == [60.0**1.01, 60.0**1.1]
+        assert all(a < b for a, b in zip(cutoffs[1:], cutoffs[2:]))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("rho", [1.01, 1.1, 1.5, 1.9, 1.99])
 def test_bridge_table_against_trapezoid(rho, beta):
     # the Chebyshev table of the branch-cut integral against the trapezoid

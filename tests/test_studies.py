@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import levyspde.errors as errors
 from levyspde.propagators import heat_kind, volterra_kind, wave_kind
 from levyspde.studies import (
     CSV_COLUMNS,
@@ -462,9 +465,15 @@ class TestRuntimeDependencies:
             assert callable(getattr(importlib.import_module(f"levyspde.{module}"), attr)), (module, attr)
 
 
+def _bits(report):
+    return [v.hex() for v in dataclasses.astuple(report)]
+
+
 class TestStudyExactSide:
-    """Every level computes its exact side for itself; a study row must equal
-    a standalone error_report of that level bit for bit."""
+    """The Volterra exact side is computed once per study: the scheme levels'
+    ee row once per (kind, K, T), the time-exact levels' node table once per
+    (kind, K, T, lam_max).  Both are pure functions of their keys, so a study
+    row must equal a cold standalone error_report of that level bit for bit."""
 
     @pytest.mark.parametrize(
         "ladder", [(1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 12, 1 / 16, 1 / 20, 1 / 24)], ids=["dyadic", "non-nested"]
@@ -476,6 +485,7 @@ class TestStudyExactSide:
         cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="temporal", beta=0.5, modes=16, ladder=ladder)
         res = run_study(cfg)
         for row in res.rows:
+            errors._sine_ee.cache_clear()
             alone = error_report(_level_setup(cfg, row.resolution))
             for got, want in (
                 (row.report.strong_error, alone.strong_error),
@@ -503,6 +513,46 @@ class TestStudyExactSide:
                 (row.report.representation_value, alone.representation_value),
             ):
                 assert got == want
+
+    # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
+    # those of M <= 12 below it: the finest level of the second ladder has its own nodes
+    TIME_EXACT_LADDERS = {"shared-nodes": (1 / 4, 1 / 6, 1 / 8, 1 / 12), "finest-keyed-apart": (1 / 4, 1 / 8, 1 / 12, 1 / 16)}
+
+    @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
+    def test_time_exact_rows_equal_cold_standalone_reports(self, ladder):
+        from levyspde.errors import error_report
+        from levyspde.studies import _level_setup
+
+        cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="spatial", beta=0.5, modes=16, ladder=ladder)
+        res = run_study(cfg)
+        for row in res.rows:
+            errors._node_table.cache_clear()
+            alone = error_report(_level_setup(cfg, row.resolution))
+            assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
+
+    @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
+    def test_time_exact_exact_side_evaluated_once_per_node_set(self, ladder, monkeypatch):
+        # E_rho values: K G for each node set (once, not once per level) plus J G per level
+        from levyspde.spectral import assemble_fem
+
+        kind, K = volterra_kind(1.5), 16
+        lam_K = (K * np.pi) ** 2
+        counted = []
+        real = errors.mittag_leffler_neg
+        monkeypatch.setattr(errors, "mittag_leffler_neg", lambda rho, x, beta=1: counted.append(x.size) or real(rho, x, beta))
+        errors._node_table.cache_clear()
+        run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
+        want, node_sets = 0, []
+        for h in ladder:
+            lam_d = assemble_fem(round(1 / h)).eigenvalues
+            lam_max = max(lam_K, float(lam_d[-1]))
+            G = errors._global_nodes(kind, lam_max, 1.0)[0].size
+            if lam_max not in node_sets:
+                node_sets.append(lam_max)
+                want += K * G
+            want += lam_d.size * G
+        assert len(node_sets) == (2 if lam_max > lam_K else 1)
+        assert sum(counted) == want
 
     def test_volterra_implied_exact_side_is_level_independent(self):
         from levyspde.propagators import discrete_family
