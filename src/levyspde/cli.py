@@ -149,7 +149,7 @@ def cmd_check_condition(args) -> int:
     print(f"hs_tail_bound {_fmt(rep.tail_bound)}")
     print(f"summability_exponent {_fmt(rep.exponent)}")
     print(f"converges {rep.converges}")
-    w = asymmetric_condition(spec, cov, 1.0, args.beta, args.modes)
+    w = asymmetric_condition(spec, cov, args.beta, args.modes)
     print(f"asymmetric {_fmt(w)}")
     hs1 = hs_condition(spec, cov, args.beta, 1.0)
     print(f"asymmetric_equals_hs_squared {w == hs1.partial_sum}")

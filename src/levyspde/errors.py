@@ -21,10 +21,11 @@ so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
 m = c^2 q, m and q.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
-Heat and wave rows are closed forms.  Every heat and wave exact factor comes
-from _carrier's mu: the carrier e^(mu s), the mode factor e(s) =
-Re(c e^(mu s)) (heat c = 1, mu = -lam; wave c = i/sqrt(lam), mu = -i sqrt(lam)),
-read out by _observable; a step factor is Re(c z^n), so
+Every mode factor decays and oscillates like e^(p s), p = _pole(kind, lam),
+which also sets the resolution of the global partition.  Heat and wave rows
+are closed forms: their exact factor is the carrier e^(p s) itself, the mode
+factor e(s) = Re(c e^(p s)) (heat c = 1, p = -lam; wave c = i/sqrt(lam),
+p = -i sqrt(lam)), read out by _observable; a step factor is Re(c z^n), so
 Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
 expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
 Volterra rows have no such form, but its exact side has two: the cell
@@ -155,48 +156,33 @@ def _panel_nodes(bks: np.ndarray, order: int = GAUSS_ORDER):
     return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
 
 
-def _carrier(kind: EquationKind, lam):
-    """mu of a heat or wave mode, None for Volterra (whose factor
-    E_rho(-lam s^rho) has no carrier): E(s) acts as the carrier e^(mu s), with
-    the observable factor e(s) = Re(c e^(mu s)); heat mu = -lam, c = 1; wave
-    mu = -i sqrt(lam), c = i/sqrt(lam) = i/(-Im mu)."""
+def _pole(kind: EquationKind, lam):
+    """The pole p of a mode: its factor decays and oscillates like e^(p s).
+    Volterra p = lam^(1/rho) e^(i pi/rho), the pole of E_rho(-lam s^rho)'s
+    residue pair; its ends are heat's p = -lam (rho = 1) and the wave's
+    +-i sqrt(lam) (rho = 2).  Heat and wave factors are the carrier e^(p s)
+    itself, with the observable factor e(s) = Re(c e^(p s)): heat p = -lam,
+    c = 1; wave p = -i sqrt(lam), c = i/sqrt(lam) = i/(-Im p)."""
     if kind.name == "volterra":
-        return None
+        return lam ** (1.0 / kind.rho) * (np.cos(np.pi / kind.rho) + 1j * np.sin(np.pi / kind.rho))
     return -lam if kind.name == "heat" else -1j * np.sqrt(lam)
 
 
-def _observable(kind: EquationKind, mu, z) -> np.ndarray:
-    """The noise column's observable Re(c z) of a mode factor z, mu = _carrier(kind, lam):
-    Im z / Im mu = -Im z / sqrt(lam) for the wave, else Re z."""
-    return z.imag / mu.imag if kind.name == "wave" else z.real
+def _observable(kind: EquationKind, p, z) -> np.ndarray:
+    """The noise column's observable Re(c z) of a mode factor z, p = _pole(kind, lam):
+    Im z / Im p = -Im z / sqrt(lam) for the wave, else Re z."""
+    return z.imag / p.imag if kind.name == "wave" else z.real
 
 
 def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
     """Observable component e(s) of E(s) B phi_k: E_rho(-lam s^rho) for
-    Volterra, the observable of the carrier e^(mu s) for heat and wave."""
+    Volterra, the observable of the carrier e^(p s) for heat and wave."""
     lam = np.asarray(lam, float)
     s = np.asarray(s, float)
     if kind.name == "volterra":
         return mittag_leffler_neg(kind.rho, lam * s**kind.rho)
-    mu = _carrier(kind, lam)
-    return _observable(kind, mu, np.exp(mu * s))
-
-
-def _decay_scale(kind: EquationKind, lam: float) -> float | None:
-    if kind.name == "heat":
-        return 1.0 / lam
-    if kind.name == "volterra":
-        damp = abs(np.cos(np.pi / kind.rho))  # envelope exp(lam^(1/rho) cos(pi/rho) s)
-        return 1.0 / (damp * lam ** (1.0 / kind.rho))
-    return None
-
-
-def _osc_freq(kind: EquationKind, lam: float) -> float | None:
-    if kind.name == "heat":
-        return None
-    if kind.name == "volterra":
-        return lam ** (1.0 / kind.rho) * np.sin(np.pi / kind.rho)
-    return float(np.sqrt(lam))
+    p = _pole(kind, lam)
+    return _observable(kind, p, np.exp(p * s))
 
 
 # ----------------------------------------------------------------------------
@@ -227,20 +213,20 @@ def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: in
     de = int_0^T etilde e_k and ee = int_0^T e_k^2, etilde the discrete factor
     at lam_d[k], the eigenvalue of mode k's partner.  n_cells None: etilde is
     the exact factor at lam_d.  Otherwise etilde = Re(c z^n) on cell n, the cell
-    integrals of e_k are Re(c e^(mu t_(n-1)) expm1(mu dt) / mu), and every sum
+    integrals of e_k are Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum
     over n is geometric."""
-    mu_d, mu = _carrier(kind, lam_d), _carrier(kind, lam)
-    c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (mu_d, mu))
+    p_d, p = _pole(kind, lam_d), _pole(kind, lam)
+    c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
     integral = partial(_integral, T=T)
-    ee = _re_products(c, mu, c, mu, integral)
+    ee = _re_products(c, p, c, p, integral)
     if n_cells is None:
-        a, la, b, lb, total = c_d, mu_d, c, mu, integral
+        a, la, b, lb, total = c_d, p_d, c, p, integral
         dd = _re_products(a, la, a, la, total)
     else:
         dt = T / n_cells
         la = step_log(kind, lam_d, dt)
         a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
-        b, lb = c * _integral(mu, dt), mu * dt  # int_cell_n e = Re(b e^((n-1) mu dt))
+        b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
         total = partial(_geometric, n=n_cells)
         dd = dt * _re_products(a, la, a, la, total)
     return dd, _re_products(a, la, b, lb, total), ee
@@ -257,46 +243,45 @@ def _strictly_increasing(pts: np.ndarray) -> np.ndarray:
     return pts[np.append(True, np.diff(pts) > 0.0)]
 
 
-def _damping_ratio(rho: float) -> float:
-    """|cos(pi/rho)| / sin(pi/rho): every Volterra mode's damping over its frequency."""
-    return abs(math.cos(math.pi / rho)) / math.sin(math.pi / rho)
-
-
 def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarray:
     """Graded global breakpoints on [0, T] resolving every mode scale up to lam_max.
 
-    A geometric grid (ratio 1.35) from half the decay scale of the top mode,
-    and a uniform grid of 1.8 radians of its oscillation per cell (for
-    Volterra only up to _DEAD_SPAN of its decay scales).  Volterra adds the
-    first cell graded toward the s^rho branch point at s = 0
-    (_FIRST_CELL_HALVINGS halvings) and cuts every later cell [a, b] into
-    min(ceil((b - a) / (0.3 kappa a)), ceil(8 / kappa)) equal pieces for the
-    algebraic tail, kappa = min(1, r(rho) / r(1.5)) with r = _damping_ratio.
+    From the pole p = _pole(kind, lam_max) of the top mode: a geometric grid
+    (ratio 1.35) from half its decay scale -1/Re p, and a uniform grid of 1.8
+    radians of its oscillation |Im p| per cell, up to _DEAD_SPAN decay scales
+    (the whole horizon for the wave, whose pole has Re p = 0 and no decay
+    scale).  Volterra adds the first cell graded toward the s^rho branch point
+    at s = 0 (_FIRST_CELL_HALVINGS halvings) and cuts every later cell [a, b]
+    into min(ceil((b - a) / (0.3 kappa a)), ceil(8 / kappa)) equal pieces for
+    the algebraic tail, kappa = min(1, r(rho) / r(1.5)) with the damping ratio
+    r = |Re p| / Im p, the same for every mode of one rho.
 
     Past _DEAD_SPAN decay scales of the top mode the lower Volterra modes,
-    which decay more slowly, still oscillate on these tail pieces, and r, the
-    ratio of every mode's damping to its frequency, vanishes as rho -> 2.
-    kappa narrows the pieces with r; it is 1 for rho <= 1.5.  Limit: the node
-    count grows like 1/kappa.  At K = 1024 time-exact I_ee from these nodes
-    agrees with the G_rho table of _volterra_ee to 1e-14 for rho up to 1.95
-    (14328 nodes there; 5296 and 2.3e-4 off without kappa).
+    which decay more slowly, still oscillate on these tail pieces, and r
+    vanishes as rho -> 2.  kappa narrows the pieces with r; it is 1 for
+    rho <= 1.5.  Limit: the node count grows like 1/kappa.  At K = 1024
+    time-exact I_ee from these nodes agrees with the G_rho table of
+    _volterra_ee to 1e-14 for rho up to 1.95 (14328 nodes there; 5296 and
+    2.3e-4 off without kappa).
     """
-    scale = _decay_scale(kind, lam_max)
-    freq = _osc_freq(kind, lam_max)
+    p = _pole(kind, lam_max)
     pts = [np.array([0.0, T])]
-    if scale is not None:
+    span = T
+    if p.real < 0.0:
+        scale = -1.0 / p.real
         lo = scale / 2.0
         if lo < T:
             grid = lo * 1.35 ** np.arange(0, int(np.ceil(np.log(T / lo) / np.log(1.35))) + 1)
             pts.append(grid[grid < T])
-    if freq is not None:
-        span = T if kind.name == "wave" else min(T, _DEAD_SPAN * scale)
-        m = int(np.ceil(span * freq / 1.8))
-        if m > 1:
-            pts.append(np.linspace(0.0, span, m + 1))
+        span = min(T, _DEAD_SPAN * scale)
+    m = int(np.ceil(span * abs(p.imag) / 1.8))
+    if m > 1:
+        pts.append(np.linspace(0.0, span, m + 1))
     out = _strictly_increasing(np.concatenate(pts))
     if kind.name == "volterra":
-        kappa = min(1.0, _damping_ratio(kind.rho) / _damping_ratio(1.5))
+        # r from the unit modes' poles e^(i pi/rho), whose parts are exactly cos and sin
+        r, r15 = (abs(u.real) / u.imag for u in (_pole(kind, 1.0), _pole(EquationKind("volterra", 1.5), 1.0)))
+        kappa = min(1.0, r / r15)
         width, cap = 0.3 * kappa, math.ceil(8.0 / kappa)
         out = np.concatenate([[0.0], out[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0), out[1:]])
         a, length = out[:-1], np.diff(out)
@@ -390,18 +375,18 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
-    """Factor at T of each mode: exact (n_cells None; the carrier e^(mu T), E_rho
+    """Factor at T of each mode: exact (n_cells None; the carrier e^(p T), E_rho
     for Volterra), or n_cells steps of the heat or wave scheme, z^N = e^(N log z)."""
     if n_cells is not None:
         return np.exp(n_cells * step_log(kind, lam, T / n_cells))
-    return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_carrier(kind, lam) * T)
+    return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_pole(kind, lam) * T)
 
 
 def _terminal_first(kind: EquationKind, lam: np.ndarray, z_T: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Observable component of the terminal factor z_T applied to x0; the
     wave carries (position, velocity) coefficients and a complex carrier."""
     if kind.name == "wave":
-        return z_T.real * x0[0] + _observable(kind, _carrier(kind, lam), z_T) * x0[1]
+        return z_T.real * x0[0] + _observable(kind, _pole(kind, lam), z_T) * x0[1]
     return z_T.real * x0
 
 
@@ -489,7 +474,7 @@ def _weak_error_cellwise(setup: Setup) -> float:
         steps = np.column_stack([np.ones(lam.size), np.array(march)])
     else:
         steps = discrete_family(kind, lam, setup.dt, N).steps
-    et = _observable(kind, _carrier(kind, lam[:, None]), steps[:, 1:])
+    et = _observable(kind, _pole(kind, lam[:, None]), steps[:, 1:])
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
     b = _noise_factor(kind, lam[:, None], nodes[None, :])
     ee = (b * b) @ w
@@ -639,7 +624,7 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
     for setup in ladder:
         fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
         # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
-        et_weights = _observable(kind, _carrier(kind, lam[:, None]), fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
+        et_weights = _observable(kind, _pole(kind, lam[:, None]), fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
         x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
         levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
     block = _mc_block_paths(first)

@@ -95,27 +95,21 @@ def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho:
     return HsReport(partial_sum=partial, tail_bound=float(tail), converges=bool(converges), exponent=exponent)
 
 
-def asymmetric_condition(
-    spec: DirichletSpectrum,
-    cov: CovarianceSpec,
-    second_moments: float | np.ndarray,
-    beta: float,
-    m: int,
-) -> float:
+def asymmetric_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, m: int) -> float:
     """Jump-moment regularity functional sum_{k<=m} (int xi^2 nu_k) q_k lam_k^(beta-1).
 
     This is the asymmetric sufficient condition for the wave rates, built from
-    the jump intensity measures instead of the covariance alone.  With
-    unit-normalized laws every jump-measure second moment is 1 and the value
-    coincides with the truncated squared Hilbert-Schmidt sum at rho = 1.
+    the jump intensity measures instead of the covariance alone.  Every LevyLaw
+    is normalized to E L(t)^2 = t, so every jump-measure second moment
+    int xi^2 nu_k is 1 and the value coincides with the truncated squared
+    Hilbert-Schmidt sum at rho = 1.
     """
     if not 1 <= m <= spec.mode_count:
         raise ValueError(f"truncation m={m} outside 1..{spec.mode_count}")
     _check_beta(beta)
     lam = spec.eigenvalues[:m]
     q = cov.values(spec)[:m]
-    mom = np.broadcast_to(np.asarray(second_moments, float), (m,)) if np.ndim(second_moments) else np.full(m, float(second_moments))
-    return float(np.sum(mom * q * lam ** (beta - 1.0)))
+    return float(np.sum(q * lam ** (beta - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -184,9 +178,6 @@ def sample_jump_path(law: LevyLaw, T: float, K: int, rng: np.random.Generator) -
         raise ValueError(f"horizon T must be finite and >= 0, got {T}")
     if not (_is_whole(K) and K >= 0):
         raise ValueError(f"mode count K must be a whole number >= 0, got {K!r}")
-    if T == 0:
-        empty = np.empty(0)
-        return JumpPath(horizon=0.0, times=[empty] * K, sizes=[empty] * K)
     coord, t, s = _compound_poisson_draws(law, T, K, rng)
     order = np.lexsort((t, coord))
     ends = np.cumsum(np.bincount(coord, minlength=K))  # the piece past the last end is empty

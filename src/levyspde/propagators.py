@@ -8,7 +8,7 @@ One-step schemes have one form, step_log, the log of the factor z per mode,
 and n-step factors e^(n log z); a wave mode block [[a, b], [-lam b, a]] is the
 complex scalar z = a + i b' (b = -Im z / sqrt(lam)), which keeps n-step energy
 exact instead of accumulating O(n) rounding from 2x2 products.  The exact
-factors (the heat and wave carriers e^(mu t), E_rho(-lam t^rho)) live with
+factors (the heat and wave carriers e^(p t), E_rho(-lam t^rho)) live with
 the error assembly in levyspde.errors.
 """
 

@@ -241,7 +241,7 @@ def test_c7_asymmetric_identity_every_truncation():
     spec = dirichlet_spectrum(4096)
     worst_m = 0
     for m in range(1, 4097):
-        w = asymmetric_condition(spec, cov, 1.0, beta, m)
+        w = asymmetric_condition(spec, cov, beta, m)
         hs = hs_condition(dirichlet_spectrum(m), cov, beta, rho=1.0)
         if w != hs.partial_sum:
             worst_m = m

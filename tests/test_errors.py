@@ -214,17 +214,42 @@ class TestHsTimeIntegral:
         )
         assert abs(a - b) < 1e-10
 
+    @staticmethod
+    def documented_base(T, scale, freq, span):
+        """The rule of _global_partition before the Volterra cuts, written out:
+        a geometric grid (ratio 1.35) from scale / 2 (none without a scale)
+        and a uniform grid of 1.8 radians of freq per cell over [0, span]."""
+        pts = {0.0, T}
+        if scale is not None:
+            lo = scale / 2.0
+            geo = lo * 1.35 ** np.arange(0, int(np.ceil(np.log(T / lo) / np.log(1.35))) + 1)
+            pts.update(geo[geo < T])
+        m = int(np.ceil(span * freq / 1.8))
+        if m > 1:
+            pts.update(np.linspace(0.0, span, m + 1))
+        return sorted(pts)
+
+    @pytest.mark.parametrize("kind", [heat_kind(), wave_kind()], ids=lambda k: k.name)
+    def test_heat_and_wave_partition_from_pole(self, kind):
+        # heat decays on the scale 1/lam and does not oscillate; the wave
+        # oscillates at sqrt(lam) over the whole horizon and does not decay
+        for lam, T in ((0.1, 1.0), (np.pi**2, 1.0), (1.0, 1e3), ((64 * np.pi) ** 2, 1.0)):
+            if kind.name == "heat":
+                want = self.documented_base(T, 1.0 / lam, 0.0, T)
+            else:
+                want = self.documented_base(T, None, float(np.sqrt(lam)), T)
+            assert np.array_equal(errors._global_partition(kind, lam, T), want)
+
     @pytest.mark.parametrize("rho", [1.1, 1.5, 1.9])
     def test_volterra_partition_matches_cellwise_refinement(self, rho):
         # the vectorised cut of _global_partition against the documented rule
         # applied one cell at a time: the same breakpoints, bit for bit
         kind = volterra_kind(rho)
         for lam, T in ((1.0, 1e3), ((64 * np.pi) ** 2, 1.0)):
-            scale, freq = errors._decay_scale(kind, lam), errors._osc_freq(kind, lam)
-            lo = scale / 2.0
-            geo = lo * 1.35 ** np.arange(0, int(np.ceil(np.log(T / lo) / np.log(1.35))) + 1)
-            span = min(T, errors._DEAD_SPAN * scale)
-            base = sorted({0.0, T, *geo[geo < T], *np.linspace(0.0, span, int(np.ceil(span * freq / 1.8)) + 1)})
+            # the envelope exp(lam^(1/rho) cos(pi/rho) s) and oscillation sin(lam^(1/rho) sin(pi/rho) s)
+            scale = 1.0 / (abs(np.cos(np.pi / rho)) * lam ** (1.0 / rho))
+            freq = lam ** (1.0 / rho) * np.sin(np.pi / rho)
+            base = self.documented_base(T, scale, freq, min(T, errors._DEAD_SPAN * scale))
             base = [0.0] + [base[1] * 2.0**-m for m in range(errors._FIRST_CELL_HALVINGS, 0, -1)] + base[1:]
             ratio = [abs(np.cos(np.pi / r)) / np.sin(np.pi / r) for r in (rho, 1.5)]
             kappa = min(1.0, ratio[0] / ratio[1])  # 1 up to rho = 1.5, then narrower tail pieces

@@ -106,7 +106,7 @@ class TestHsCondition:
         with pytest.raises(ValueError, match="beta must be finite"):
             hs_condition(spec, cov, beta)
         with pytest.raises(ValueError, match="beta must be finite"):
-            asymmetric_condition(spec, cov, 1.0, beta, 8)
+            asymmetric_condition(spec, cov, beta, 8)
 
 
 class TestWeqii:
@@ -118,7 +118,7 @@ class TestWeqii:
             sub = dirichlet_spectrum(m)
             subcov = CovarianceSpec(amplitude=1.3, decay=0.4)
             hs = hs_condition(sub, subcov, beta, rho=1.0)
-            w = asymmetric_condition(spec, cov, 1.0, beta, m)
+            w = asymmetric_condition(spec, cov, beta, m)
             assert w == hs.partial_sum == hs.norm**2 or w == pytest.approx(hs.norm**2, rel=1e-15)
 
     def test_single_mode_value(self):
@@ -126,14 +126,7 @@ class TestWeqii:
         cov = CovarianceSpec(amplitude=1.0, decay=0.5)
         beta = 0.6
         expect = cov.values(spec)[0] * spec.eigenvalues[0] ** (beta - 1.0)
-        assert asymmetric_condition(spec, cov, 1.0, beta, 1) == pytest.approx(expect, rel=1e-15)
-
-    def test_linear_in_jump_moment(self):
-        spec = dirichlet_spectrum(16)
-        cov = CovarianceSpec(amplitude=1.0, decay=0.5)
-        one = asymmetric_condition(spec, cov, 1.0, 0.9, 16)
-        two = asymmetric_condition(spec, cov, 2.0, 0.9, 16)
-        assert two == pytest.approx(2.0 * one, rel=1e-15)
+        assert asymmetric_condition(spec, cov, beta, 1) == pytest.approx(expect, rel=1e-15)
 
 
 class TestSampling:

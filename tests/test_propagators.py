@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from levyspde.errors import Setup, _noise_factor, _terminal_factor, propagator_error_profile
+from levyspde.errors import Setup, _noise_factor, _pole, _terminal_factor, propagator_error_profile
 from levyspde.mittag_leffler import mittag_leffler_neg
 from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import (
@@ -252,6 +252,26 @@ class TestWaveSchemes:
         with pytest.raises(ValueError, match="unknown wave scheme"):
             i_stability_check("leapfrog", np.array([0.0, 1.0]))
 
+
+
+class TestConsistencyOrder:
+    @pytest.mark.parametrize(
+        "kind, order",
+        [
+            (heat_kind(), 1),
+            (wave_kind("backward_euler"), 1),
+            (wave_kind("explicit_euler"), 1),
+            (wave_kind("crank_nicolson"), 2),
+        ],
+        ids=lambda v: v.scheme or v.name if isinstance(v, EquationKind) else str(v),
+    )
+    def test_step_log_approaches_pole(self, kind, order):
+        # log z / dt - p = O(dt^order), z the one-step factor and p the exact
+        # exponent: the classical order the temporal rate fits assume
+        lam = np.array([np.pi**2, (8 * np.pi) ** 2])
+        dts = 2.0 ** -np.arange(12, 17)
+        err = np.array([np.abs(step_log(kind, lam, dt) / dt - _pole(kind, lam)) for dt in dts])
+        assert np.all(np.abs(np.log2(err[:-1] / err[1:]) - order) < 0.1)
 
 def heat_profile(dt: float, N: int, s: float) -> float:
     """propagator_error_profile at s of a one-mode heat setup (lam = pi^2) with N cells of dt."""
