@@ -96,7 +96,7 @@ def main() -> int:
     any_fail = moved = False
     deltas = {}
     for name, config in preset_studies().items():
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run_study(config)
         emit_csv(result, str(out / f"{name}.csv"))
         s = result.summary()
@@ -106,7 +106,7 @@ def main() -> int:
         print(
             f"{name:24s} weak {s['weak_bound_slope']: .3f} (>= {s['weak_expected'] - SLOPE_TOL:.2f})  "
             f"strong {s['strong_slope']: .3f} ({s['strong_expected']:.3f} +- {SLOPE_TOL:g})  "
-            f"[{status}, {time.time() - t0:.1f}s]"
+            f"[{status}, {1e3 * (time.perf_counter() - t0):.1f} ms]"
         )
         if args.compare:
             old = Path(args.compare) / f"{name}.csv"

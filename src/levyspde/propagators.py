@@ -4,6 +4,13 @@ heat:      backward Euler (1 + dt lam)^(-n)
 volterra:  backward Euler + convolution quadrature (cq_resolvent)
 wave:      I-stable rational one-step scheme R(dt A)
 
+The Volterra factors e_1, e_2, ... are the coefficients of 1/sigma(z),
+sigma(z) = 1 - z + dt lam W(z) with W the generating function of the CQ
+weights: a lower-triangular Toeplitz system.  cq_resolvent solves it in
+blocks of _CQ_BLOCK steps, one GEMM for the history and the first block's
+factors as the block's inverse; cq_mode_solve marches one mode step by step,
+the independent reference.
+
 One-step schemes have one form, step_log, the log of the factor z per mode,
 and n-step factors e^(n log z); a wave mode block [[a, b], [-lam b, a]] is the
 complex scalar z = a + i b' (b = -Im z / sqrt(lam)), which keeps n-step energy
@@ -17,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mittag_leffler import RHO_VERIFIED_MIN
 from .spectral import _is_count
 
 WAVE_SCHEMES = ("crank_nicolson", "backward_euler", "explicit_euler")
+_CQ_BLOCK = 32  # steps per block of cq_resolvent's blocked Toeplitz solve
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,21 @@ def cq_weights(rho: float, dt: float, N: int) -> np.ndarray:
     return dt ** (rho - 1.0) * c
 
 
+def _check_eigenvalues(lam_h: np.ndarray) -> None:
+    """Refuse an eigenvalue that is negative or not finite: the CQ solve
+    divides by sigma_0 = 1 + dt^rho lam, which must be > 0."""
+    bad = ~((lam_h >= 0.0) & (lam_h < np.inf))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"eigenvalue lam_h must be finite and >= 0, got {float(lam_h[bad][0])}")
+
+
 def cq_mode_solve(lam_h: float, rho: float, dt: float, N: int) -> np.ndarray:
     """March x_n - x_{n-1} + dt lam sum_{k<=n} w_{n-k} x_k = 0 from x_0 = 1 for
-    one mode: the homogeneous factors e_1..e_N of cq_resolvent, one mode at a
-    time.  O(N^2) due to the full convolution memory.
+    one mode, one step at a time: the homogeneous factors e_1..e_N of
+    cq_resolvent by a route that shares none of its blocking, the per-mode
+    reference.  O(N^2) due to the full convolution memory.
     """
+    _check_eigenvalues(np.atleast_1d(np.asarray(lam_h, float)))
     w = cq_weights(rho, dt, N)
     wrev = w[::-1].copy()  # contiguous reversed weights keep the dot in BLAS
     a = dt * lam_h
@@ -109,17 +128,43 @@ def cq_resolvent(lam_h: np.ndarray, rho: float, dt: float, N: int) -> np.ndarray
 
     e_m is the m-step solution operator: the scheme solution reads
     x_n = e_n x_0 + sum_j e_{n-j+1} f_j.
+
+    The first B = _CQ_BLOCK steps are cq_mode_solve's march for all modes at
+    once (levels with N <= B are that march bit for bit).  Each later block
+    n = s+1..s+b solves sum_{k=s+1}^{n} sigma_{n-k} e_k = r_n with
+    r_n = e_s [n = s+1] - dt lam sum_{k<=s} w_{n-k} e_k: the history r is one
+    GEMM of the (K, s) table against a Toeplitz of the weights, and the
+    solve is e_{s+i} = sum_{j<=i} e_{i-j+1} r_{s+j}, because the inverse of
+    the triangular Toeplitz matrix of sigma is that of 1/sigma, whose
+    coefficients are e_1..e_B.  Python steps per level: B + N/B.
     """
     lam_h = np.atleast_1d(np.asarray(lam_h, float))
+    _check_eigenvalues(lam_h)
+    B = _CQ_BLOCK
     w = cq_weights(rho, dt, N)
-    wrev = w[::-1].copy()
     a = dt * lam_h
     e = np.empty((lam_h.size, N + 1))
     e[:, 0] = 1.0
     denom = 1.0 + a * w[0]
-    for n in range(1, N + 1):
-        hist = a * (e[:, 1:n] @ wrev[N - n : N - 1]) if n > 1 else 0.0
+    m = min(N, B)
+    wrev = w[m - 1 :: -1].copy()  # contiguous reversed weights keep the matvec in BLAS
+    for n in range(1, m + 1):
+        hist = a * (e[:, 1:n] @ wrev[m - n : m - 1]) if n > 1 else 0.0
         e[:, n] = (e[:, n - 1] - hist) / denom
+    if N > B:
+        # toep[q, i] = w_{N+B-2-q-i}: its rows N-1-s.. weigh e_1..e_s into
+        # block s's history r_{s+b}, ..., r_{s+1} (reversed, as inv reads
+        # it); the zero head is read only past the last step
+        toep = sliding_window_view(np.concatenate([np.zeros(B - 1), w[::-1]]), B)[: N - 1].copy()
+        # inv[k, i, j] = e_{i+j-B+2} (0 below e_1): the lower-triangular
+        # Toeplitz inverse acting on reversed r, as a view
+        first = np.concatenate([np.zeros((lam_h.size, B - 1)), e[:, 1 : B + 1]], axis=1)
+        inv = sliding_window_view(first, B, axis=1)
+        for s in range(B, N, B):
+            b = min(B, N - s)
+            r = -a[:, None] * (e[:, 1 : s + 1] @ toep[N - 1 - s :, B - b :])
+            r[:, -1] += e[:, s]
+            e[:, s + 1 : s + b + 1] = np.einsum("kij,kj->ki", inv[:, :b, B - b :], r)
     return e
 
 

@@ -60,12 +60,13 @@ def expected_rates(kind: EquationKind, beta: float, axis: str) -> ExpectedRates:
     the weak exponent is 2s, s the strong one.  Heat is Volterra at rho = 1,
     s = beta in space and rho beta / 2 in time.  Wave: s = beta p/(p+1), p
     the classical order of the method (P1 elements and Crank-Nicolson 2,
-    backward Euler 1), both exponents capped at 2 in space and 1 in time.
+    backward and explicit Euler 1), both exponents capped at 2 in space and 1
+    in time.
     beta outside the covered range flags a warning but the formulas are still
     evaluated.  The heat temporal weak bound carries one factor log(T/dt) from
     beta = 1, where the exponent reaches the order of backward Euler."""
     if kind.name == "wave":
-        p = 1 if axis == "temporal" and kind.scheme == "backward_euler" else 2
+        p = 1 if axis == "temporal" and kind.scheme != "crank_nicolson" else 2
         cap = 2.0 if axis == "spatial" else 1.0
         s = beta * p / (p + 1)
         return ExpectedRates(min(2 * s, cap), min(s, cap), beta_in_range=beta > 0)

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis
 import numpy as np
 import pytest
@@ -192,6 +194,27 @@ class TestCqSolve:
         x = cq_mode_solve(lam, rho, 1.0 / N, N)
         e = cq_resolvent(np.array([lam]), rho, 1.0 / N, N)[0]
         np.testing.assert_array_equal(x, e[1:])
+
+    @pytest.mark.parametrize("N", [33, 101, 1024])  # past the first block; 101 ends in a partial one
+    @pytest.mark.parametrize("rho", [1.01, 1.5, 1.99])
+    def test_blocked_solve_matches_march(self, N, rho):
+        # the blocked Toeplitz solve against the per-mode step-by-step march;
+        # both carry rounding that grows with the step count (at N = 1024,
+        # rho = 1.99, lam = 1 each is about 4e-14 from an extended-precision
+        # march, and they differ by 1.3e-14), so the bound is N unit roundoffs
+        dt = 1.0 / N
+        lam = np.geomspace(1.0, (1024 * np.pi) ** 2 / dt, 12)
+        e = cq_resolvent(lam, rho, dt, N)
+        for lk, row in zip(lam, e):
+            np.testing.assert_allclose(row[1:], cq_mode_solve(lk, rho, dt, N), rtol=0, atol=N * 2.0**-53)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -100.0, -(0.1**-1.5)])
+    def test_refuses_bad_eigenvalue(self, lam):
+        # the last value makes sigma_0 = 1 + dt^rho lam zero at dt = 0.1
+        with pytest.raises(ValueError, match=f"lam_h must be finite and >= 0, got {re.escape(str(lam))}"):
+            cq_resolvent(np.array([1.0, lam]), 1.5, 0.1, 40)
+        with pytest.raises(ValueError, match=f"lam_h must be finite and >= 0, got {re.escape(str(lam))}"):
+            cq_mode_solve(lam, 1.5, 0.1, 40)
 
     def test_rho_near_one_is_backward_euler(self):
         lam, N = 2.0, 16

@@ -72,7 +72,7 @@ class TestFitRate:
 
 # The paper's guaranteed exponents, written out per family and axis as
 # beta -> (weak, strong, beta_in_range, weak_log); wave p = 2 for P1 elements
-# and Crank-Nicolson, 1 for backward Euler.
+# and Crank-Nicolson, 1 for backward and explicit Euler.
 def _volterra_row(rho):
     return {
         "spatial": lambda b: (2 * b, b, 0 < b <= 1 / rho, False),
@@ -90,9 +90,12 @@ PAPER_RATES = {
         "spatial": lambda b: (min(4 * b / 3, 2.0), min(2 * b / 3, 2.0), True, False),
         "temporal": lambda b: (min(4 * b / 3, 1.0), min(2 * b / 3, 1.0), True, False),
     },
-    "wave backward_euler": {
-        "spatial": lambda b: (min(4 * b / 3, 2.0), min(2 * b / 3, 2.0), True, False),
-        "temporal": lambda b: (min(b, 1.0), min(b / 2, 1.0), True, False),
+    **{
+        f"wave {scheme}": {
+            "spatial": lambda b: (min(4 * b / 3, 2.0), min(2 * b / 3, 2.0), True, False),
+            "temporal": lambda b: (min(b, 1.0), min(b / 2, 1.0), True, False),
+        }
+        for scheme in ("backward_euler", "explicit_euler")
     },
 }
 
