@@ -35,6 +35,12 @@ I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
 toward the u^rho branch point at u = 0).  The cell integrals depend on the
 level's edges; ee does not, and is read once per (kind, K, T) (_sine_ee).
+studies.run_study runs a temporal ladder finest first, and the finest level
+keeps its primitives t E_{rho,2} at every second edge (_prim_table,
+K (N/2 + 1) 8 bytes, 4.2 MB at K = N = 1024, at most _PRIM_TABLE_MAX
+values): a coarser level whose edges are every r-th of its edges bit for
+bit, as on any dyadic ladder, reads them as a strided view; any other level
+evaluates its own.
 Time-exact rows use Gauss quadrature on global nodes shared by both sides;
 the nodes, the (K, G) exact factors on them and ee depend only on
 (kind, K, T, lam_max), lam_max = max(lam_K, top discrete eigenvalue), so one
@@ -74,7 +80,8 @@ from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectr
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
-_ML_BLOCK = 4096  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
+_ML_BLOCK = 16384  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
+_PRIM_TABLE_MAX = 1 << 23  # values of the held cell-primitive table (64 MB); a larger level evaluates directly
 _NODE_BLOCK = 1 << 20  # factor values per block of modes on a time-exact Volterra level; bounds its memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
@@ -340,16 +347,49 @@ def _node_table(kind: EquationKind, K: int, T: float, lam_max: float):
     return nodes, w, b, ee
 
 
+class _PrimitiveTable:
+    """The cell primitives t E_{rho,2}(-lam_k t^rho) of the K sine modes at
+    every second edge of one Volterra scheme level, held for (kind, K, T);
+    read-only.  A level whose edges equal the held level's taken every r-th,
+    r even, bit for bit, reads its primitives as a strided view of the table;
+    on a dyadic ladder run finest first (studies.run_study) only the finest
+    level evaluates E_{rho,2}.  A level that reads nothing replaces the table
+    with its own when its n_cells is even and the table's K (N/2 + 1) values
+    stay within _PRIM_TABLE_MAX."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.key = self.edges = self.values = None
+
+    def view(self, key, edges: np.ndarray):
+        """The (K, N+1) primitives at edges, a view of the table, or None."""
+        if key != self.key or (self.edges.size - 1) % (edges.size - 1):
+            return None
+        stride = (self.edges.size - 1) // (edges.size - 1)
+        return self.values[:, ::stride] if np.array_equal(self.edges[::stride], edges) else None
+
+    def hold(self, key, edges: np.ndarray, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        self.key, self.edges, self.values = key, edges[::2], values
+
+
+_prim_table = _PrimitiveTable()
+
+
 def _table_integrals(setup: Setup, lam_d, j, steps):
     """(dd, de, ee) as in _closed_form_integrals, for Volterra; the discrete
     rows are built on the J distinct lam_d and gathered by j.  Scheme levels:
     the CQ factor table steps (J, N+1) against the cell integrals
-    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, evaluated for blocks
-    of about _ML_BLOCK values, and ee from _sine_ee.  Time-exact levels:
-    Gauss quadrature on the global nodes of _node_table, whose exact factors
-    and ee serve every level with the same key; the level evaluates its J
-    discrete rows and pairs them with the table in blocks of about
-    _NODE_BLOCK values."""
+    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, and ee from
+    _sine_ee.  The primitives are read off _prim_table where the level's edges
+    nest in the held level's; otherwise they are evaluated for blocks of about
+    _ML_BLOCK values, and every second column is kept as the next table.
+    Time-exact levels: Gauss quadrature on the global nodes of _node_table,
+    whose exact factors and ee serve every level with the same key; the level
+    evaluates its J discrete rows and pairs them with the table in blocks of
+    about _NODE_BLOCK values."""
     kind, lam = setup.kind, setup.spec.eigenvalues
     if steps is None:
         lam_max = max(float(lam[-1]), float(lam_d[-1]))
@@ -362,14 +402,26 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
             de[k] = (a[j[k] - 1] * b[k]) @ w
         return ((a * a) @ w)[j - 1], de, ee
     edges = _level_edges(setup)
+    key = (kind, lam.size, setup.T)
+    held = _prim_table.view(key, edges)
+    keep = None
+    if held is None and setup.n_cells % 2 == 0 and lam.size * (setup.n_cells // 2 + 1) <= _PRIM_TABLE_MAX:
+        keep = np.empty((lam.size, setup.n_cells // 2 + 1))
     t_rho = edges**kind.rho
     et = steps[:, 1:]
     de = np.empty(lam.size)
     rows = max(1, _ML_BLOCK // edges.size)
     for lo in range(0, lam.size, rows):
         k = slice(lo, lo + rows)
-        prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
+        if held is None:
+            prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
+            if keep is not None:
+                keep[k] = prim[:, ::2]
+        else:
+            prim = held[k]
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
+    if keep is not None:
+        _prim_table.hold(key, edges, keep)
     dd = setup.dt * np.einsum("jn,jn->j", et, et)
     return dd[j - 1], de, _sine_ee(kind, lam.size, setup.T)
 

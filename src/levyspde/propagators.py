@@ -96,12 +96,19 @@ def cq_weights(rho: float, dt: float, N: int) -> np.ndarray:
     return dt ** (rho - 1.0) * c
 
 
-def _check_eigenvalues(lam_h: np.ndarray) -> None:
-    """Refuse an eigenvalue that is negative or not finite: the CQ solve
-    divides by sigma_0 = 1 + dt^rho lam, which must be > 0."""
+def _check_eigenvalues(lam_h: np.ndarray, dt: float, w0: float) -> None:
+    """Refuse an eigenvalue that is negative or not finite, or whose dt lam or
+    dt lam w_0 = dt^rho lam overflows: the CQ solve divides by
+    sigma_0 = 1 + dt^rho lam, which must be finite and > 0."""
     bad = ~((lam_h >= 0.0) & (lam_h < np.inf))  # NaN fails too
     if bad.any():
         raise ValueError(f"eigenvalue lam_h must be finite and >= 0, got {float(lam_h[bad][0])}")
+    with np.errstate(over="ignore"):
+        over = ~np.isfinite(dt * lam_h * w0)  # (dt lam) w0: infinite where either product overflows
+    if over.any():
+        raise ValueError(
+            f"eigenvalue lam_h = {float(lam_h[over][0])} overflows at dt = {dt}: dt lam and dt^rho lam must be finite"
+        )
 
 
 def cq_mode_solve(lam_h: float, rho: float, dt: float, N: int) -> np.ndarray:
@@ -110,8 +117,8 @@ def cq_mode_solve(lam_h: float, rho: float, dt: float, N: int) -> np.ndarray:
     cq_resolvent by a route that shares none of its blocking, the per-mode
     reference.  O(N^2) due to the full convolution memory.
     """
-    _check_eigenvalues(np.atleast_1d(np.asarray(lam_h, float)))
     w = cq_weights(rho, dt, N)
+    _check_eigenvalues(np.atleast_1d(np.asarray(lam_h, float)), dt, w[0])
     wrev = w[::-1].copy()  # contiguous reversed weights keep the dot in BLAS
     a = dt * lam_h
     x = np.empty(N + 1)
@@ -139,9 +146,9 @@ def cq_resolvent(lam_h: np.ndarray, rho: float, dt: float, N: int) -> np.ndarray
     coefficients are e_1..e_B.  Python steps per level: B + N/B.
     """
     lam_h = np.atleast_1d(np.asarray(lam_h, float))
-    _check_eigenvalues(lam_h)
     B = _CQ_BLOCK
     w = cq_weights(rho, dt, N)
+    _check_eigenvalues(lam_h, dt, w[0])
     a = dt * lam_h
     e = np.empty((lam_h.size, N + 1))
     e[:, 0] = 1.0

@@ -291,6 +291,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     once per study and its exact side shared, and only the binning of its
     jumps into each level's cells is per level.  Every row equals a
     standalone mc_weak_error of its level's setup bit for bit.
+
+    A temporal ladder's levels run finest first, rows in ladder order: a
+    Volterra finest level holds its cell primitives at every second edge
+    (errors._prim_table, K (N/2 + 1) 8 bytes) for every coarser level whose
+    time edges nest in its own, and each row still equals a cold standalone
+    error_report bit for bit.  A spatial ladder runs in ladder order.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))
@@ -305,11 +311,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     mc = [(None, None)] * len(setups)
     if config.mc_paths:
         mc = mc_weak_error(setups, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
-    rows = []
-    for level, (resolution, setup, (est, se)) in enumerate(zip(config.ladder, setups, mc)):
-        rep = error_report(setup)
+    rows = [None] * len(setups)
+    order = range(len(setups))
+    for level in reversed(order) if config.axis == "temporal" else order:
+        rep = error_report(setups[level])
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
-        rows.append(StudyRow(level, resolution, rep, est, se, in_fit))
+        rows[level] = StudyRow(level, config.ladder[level], rep, *mc[level], in_fit)
     res = np.array([r.resolution for r in rows])
     try:
         strong_fit = fit_rate(res, [r.report.strong_error for r in rows])

@@ -768,11 +768,13 @@ class TestExactSide:
             setup = Setup(kind, spec, FLAT, CP, 1.0, n_cells=n)
             steps = discrete_family(kind, lam, 1.0 / n, n).steps
             j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
+            errors._prim_table.cache_clear()  # cold: evaluate, not read a held level's primitives
             _, de, ee = errors._table_integrals(setup, lam, j, steps)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
             assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
             monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
+            errors._prim_table.cache_clear()
             assert np.array_equal(errors._table_integrals(setup, lam, j, steps)[1], de)
             monkeypatch.undo()
 

@@ -216,6 +216,13 @@ class TestCqSolve:
         with pytest.raises(ValueError, match=f"lam_h must be finite and >= 0, got {re.escape(str(lam))}"):
             cq_mode_solve(lam, 1.5, 0.1, 40)
 
+    def test_refuses_overflowing_eigenvalue(self):
+        # finite, but dt lam = 2e308 is not: the parent returned [1, 0, nan, ...]
+        with pytest.raises(ValueError, match=r"lam_h = 1e\+308 overflows at dt = 10.0"):
+            cq_resolvent(np.array([1.0, 1e308]), 1.5, 10.0, 5)
+        with pytest.raises(ValueError, match=r"lam_h = 1e\+308 overflows at dt = 10.0"):
+            cq_mode_solve(1e308, 1.5, 10.0, 5)
+
     def test_rho_near_one_is_backward_euler(self):
         lam, N = 2.0, 16
         x = cq_mode_solve(lam, 1.0 + 1e-10, 1.0 / N, N)
