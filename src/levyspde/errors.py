@@ -365,10 +365,8 @@ class _PrimitiveTable:
 
     def view(self, key, edges: np.ndarray):
         """The (K, N+1) primitives at edges, a view of the table, or None."""
-        if key != self.key or (self.edges.size - 1) % (edges.size - 1):
-            return None
-        stride = (self.edges.size - 1) // (edges.size - 1)
-        return self.values[:, ::stride] if np.array_equal(self.edges[::stride], edges) else None
+        stride = _nest_stride(self.edges, edges) if key == self.key else None
+        return None if stride is None else self.values[:, ::stride]
 
     def hold(self, key, edges: np.ndarray, values: np.ndarray) -> None:
         values.flags.writeable = False
@@ -468,6 +466,26 @@ def _fold(v: np.ndarray, j, c, J: int) -> np.ndarray:
 
 def _level_edges(setup: Setup) -> np.ndarray:
     return np.linspace(0.0, setup.T, (setup.n_cells or 1) + 1)
+
+
+def _nest_stride(fine: np.ndarray, edges: np.ndarray) -> int | None:
+    """r when edges are every r-th of the edges fine, bit for bit, else None:
+    each cell of edges is then the union of r cells of fine."""
+    r, rem = divmod(fine.size - 1, edges.size - 1)
+    return r if not rem and np.array_equal(fine[::r], edges) else None
+
+
+def _cells(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The 0-based right-closed cell (edges[c], edges[c+1]] of each t in
+    [0, T], edges = np.linspace(0, T, N + 1): np.searchsorted(edges[1:], t,
+    side="left") without sorting t.  The guess floor(t N / T) is off by at
+    most one; one comparison each way against the edges makes it exact."""
+    n = edges.size - 1
+    c = np.minimum((t * (n / edges[-1])).astype(np.intp), n - 1)
+    c -= t <= edges[c]
+    np.maximum(c, 0, out=c)
+    c += t > edges[c + 1]
+    return c
 
 
 @dataclass(frozen=True)
@@ -597,14 +615,18 @@ class CylindricalFunctional:
 
     mode: int = 1
 
+    def __post_init__(self):
+        if not _is_count(self.mode):  # mode 0 or -1 would read a coordinate from the end
+            raise ValueError(f"CylindricalFunctional mode must be a whole number >= 1, got {self.mode!r}")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.cos(np.asarray(x, float)[..., self.mode - 1])
 
 
 def _mc_block_paths(setup: Setup) -> int:
     """Paths per Monte Carlo block: about _MC_JUMPS_PER_BLOCK expected jumps."""
-    per_path = math.ceil(setup.law.intensity * setup.T * setup.spec.mode_count)
-    return max(1, _MC_JUMPS_PER_BLOCK // per_path)
+    per_path = setup.law.intensity * setup.T * setup.spec.mode_count  # may overflow to inf
+    return _MC_JUMPS_PER_BLOCK // max(1, math.ceil(per_path)) if per_path <= _MC_JUMPS_PER_BLOCK else 1
 
 
 def _mc_ladder(setups: Sequence[Setup]) -> tuple[Setup, ...]:
@@ -654,10 +676,12 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
     last block may be short) and draws them from the stream (seed, b) as one
     set of flat jump arrays over its P*K coordinates, coordinate p*K + k being
     mode k of the block's path p.  Each block is drawn once for the whole
-    ladder and its exact side computed once; only the binning of its jump
-    times into a level's cells, and that level's scheme side, are per level
-    (the times are sorted once, each level then takes one searchsorted of its
-    edges).  levels x n_paths differences are held at once.  A level's
+    ladder and its exact side computed once; only the scheme side is per
+    level.  Each jump's cell is found once, on the finest level, without
+    sorting (_cells); a level whose edges nest in the finest level's
+    (_nest_stride, as on any dyadic ladder) reads its cell as that cell // r,
+    any other level bins the times against its own edges the same way.
+    levels x n_paths differences are held at once.  A level's
     estimate depends only on (its setup, n_paths, seed), not on the other
     levels, and one (estimate, stderr) is returned per level.  g maps a (P, K)
     array of observables to one value per row, as quadratic_functional (the
@@ -670,15 +694,20 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
         g = quadratic_functional
     first = ladder[0]
     kind, lam, K, T = first.kind, first.spec.eigenvalues, first.spec.mode_count, first.T
+    if isinstance(g, CylindricalFunctional) and g.mode > K:
+        raise ValueError(f"CylindricalFunctional mode {g.mode} exceeds the K = {K} modes of the setups")
     sq = np.sqrt(first.q())
     x0_exact = _exact_terminal_first(first)
-    levels = []  # (right cell edges, step weights, scheme data term) per level
+    fine = _level_edges(max(ladder, key=lambda s: s.n_cells))
+    levels = []  # (edges, stride into fine or None, flat step weights, scheme data term) per level
     for setup in ladder:
         fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
-        # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor
-        et_weights = _observable(kind, _pole(kind, lam[:, None]), fam.steps[:, :0:-1])  # (K, N), columns step N .. 1
+        # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor;
+        # (K, N), columns step N .. 1, flattened row by row
+        weights = _observable(kind, _pole(kind, lam[:, None]), fam.steps[:, :0:-1]).ravel()
         x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
-        levels.append((_level_edges(setup)[1:], et_weights, x0_disc))
+        edges = _level_edges(setup)
+        levels.append((edges, _nest_stride(fine, edges), weights, x0_disc))
     block = _mc_block_paths(first)
     diffs = np.empty((len(ladder), n_paths))
     for b, lo in enumerate(range(0, n_paths, block)):
@@ -687,15 +716,12 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
         mode = coord % K
         x_exact = np.bincount(coord, weights=_noise_factor(kind, lam[mode], T - t) * s, minlength=P * K)
         g_exact = g(sq * x_exact.reshape(P, K) + x0_exact)
-        order = np.argsort(t)
-        t_sorted = t[order]
-        cell = np.empty(t.size, dtype=np.intp)
-        for row, (edges, et_weights, x0_disc) in zip(diffs, levels):
-            # right-closed cells (t_{n-1}, t_n]; times lie in [0, T) and edges[-1] is T,
-            # so every jump lands in a cell
-            ends = np.searchsorted(t_sorted, edges, side="right")
-            cell[order] = np.repeat(np.arange(edges.size), np.diff(ends, prepend=0))
-            x_disc = np.bincount(coord, weights=et_weights[mode, cell] * s, minlength=P * K)
+        # flat index mode * N + cell into the finest level's weights; a nested level's
+        # is that index // r (its N is the finest N / r), cheaper than binning it anew
+        fine_index = mode * (fine.size - 1) + _cells(t, fine)
+        for row, (edges, stride, weights, x0_disc) in zip(diffs, levels):
+            index = fine_index // stride if stride else mode * (edges.size - 1) + _cells(t, edges)
+            x_disc = np.bincount(coord, weights=weights[index] * s, minlength=P * K)
             row[lo : lo + P] = g(sq * x_disc.reshape(P, K) + x0_disc) - g_exact
     return [
         (float(np.mean(row)), float(np.std(row, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan"))

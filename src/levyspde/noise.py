@@ -22,6 +22,15 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .spectral import DirichletSpectrum, _is_whole
 
+# numpy's Generator.poisson refuses a mean past int64 max - 10 sqrt(int64 max)
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+# expected jumps of one draw (53.7M): a draw and its Monte Carlo binning hold
+# about ten 8-byte arrays per jump (coordinate, time, size, mode, cell, weight
+# index, gathered weights and their temporaries), 80 bytes, so the cap is a
+# 4 GiB memory budget.  A block expects 8192 jumps, so only a single path with
+# K * intensity * T past the cap is refused, long before an allocation fails
+_DRAW_JUMPS_MAX = (4 << 30) // 80
+
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream addressed by (seed, *path) indices.
@@ -150,9 +159,17 @@ def _compound_poisson_draws(law: LevyLaw, T: float, n: int, rng: np.random.Gener
     draw), the times of all jumps (one uniform draw, scaled to [0, T)) and
     their sizes (one draw).  Returns (coord, times, sizes): coord is the
     coordinate of each jump, nondecreasing; the times within a coordinate
-    are in draw order, not sorted.
+    are in draw order, not sorted.  Refused before any draw: a Poisson mean
+    intensity * T past numpy's _POISSON_MEAN_MAX, and more than _DRAW_JUMPS_MAX
+    expected jumps.
     """
-    counts = rng.poisson(law.intensity * T, size=n)
+    mean = law.intensity * T
+    where = f"jump intensity {law.intensity:g} over T = {T:g} on {n} coordinates"
+    if not mean <= _POISSON_MEAN_MAX:
+        raise ValueError(f"{where}: the Poisson mean {mean:.4g} is past the sampler's {_POISSON_MEAN_MAX:.4g}")
+    if n * mean > _DRAW_JUMPS_MAX:
+        raise ValueError(f"{where} expects {n * mean:.4g} jumps; one draw holds at most {_DRAW_JUMPS_MAX}")
+    counts = rng.poisson(mean, size=n)
     total = int(counts.sum())
     times = T * rng.random(total)
     sizes = _jump_sizes(law, total, rng)

@@ -288,9 +288,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     Deterministic columns are bitwise reproducible for a fixed build; the MC
     columns are reproducible for a fixed seed.  With mc_paths, one
     mc_weak_error call serves the whole ladder: each block of paths is drawn
-    once per study and its exact side shared, and only the binning of its
-    jumps into each level's cells is per level.  Every row equals a
-    standalone mc_weak_error of its level's setup bit for bit.
+    once per study and its exact side shared, its jumps are binned once on
+    the finest level, and a level whose edges nest in the finest level's
+    reads its cells from those; only the scheme side is per level.  Every
+    row equals a standalone mc_weak_error of its level's setup bit for bit.
 
     A temporal ladder's levels run finest first, rows in ladder order: a
     Volterra finest level holds its cell primitives at every second edge

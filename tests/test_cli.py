@@ -65,6 +65,25 @@ class TestKernelCommands:
         code, out, err = run(capsys, "sample-path", *extra)
         assert code == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize(
+        "intensity, message",
+        [("1e30", r"the Poisson mean 1e\+30 is past"), ("1e308", r"the Poisson mean 1e\+308 is past"),
+         ("1e13", r"expects 4e\+13 jumps")],
+        ids=["past-poisson-range", "expected-jumps-overflow", "past-memory-cap"],
+    )
+    def test_intensity_the_sampler_cannot_draw_exit_1(self, capsys, tmp_path, intensity, message):
+        # sample-path used to print numpy's "lam value too large"; a study died in an
+        # OverflowError traceback at 1e308 (4 modes overflow the expected jumps per
+        # path to inf) and in an _ArrayMemoryError traceback at 1e13
+        named = re.escape(f"jump intensity {float(intensity):g} over T = 1 on 4 coordinates")
+        code, out, err = run(capsys, "sample-path", "--modes", "4", "--intensity", intensity)
+        assert code == 1 and out == "" and re.search(named + ".*" + message, err)
+        cfg = tmp_path / "dense.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "modes": 4, "law": {"intensity": float(intensity)}, "mc": {"paths": 10}}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert re.search(named + ".*" + message, err) and not (tmp_path / "dense.csv").exists()
+
     def test_seventeen_digit_output(self, capsys):
         _, out, _ = run(capsys, "ml-eval", "1.5", "0.7")
         token = out.split()[-1].lstrip("-").split("e")[0].replace(".", "").lstrip("0")

@@ -539,6 +539,31 @@ class TestMonteCarloLadder:
         with pytest.raises(ValueError, match=r"takes a ladder.*pass \[setup\]"):
             mc_weak_error(self.BASE, n_paths=10)
 
+    @pytest.mark.parametrize("mode", [0, -1, 1.5, 2.0, "2", True])
+    def test_cylindrical_mode_must_be_a_count(self, mode):
+        # mode 0 used to read cos of the last coordinate, -1 the second-to-last, 1.5 was accepted
+        assert CylindricalFunctional(mode=np.int64(2))(np.arange(3.0)) == np.cos(1.0)
+        with pytest.raises(ValueError, match=r"CylindricalFunctional mode must be a whole number >= 1, got"):
+            CylindricalFunctional(mode=mode)
+
+    def test_cylindrical_mode_past_modes_refused(self):
+        # K = 8 modes: mode 9 used to end in an IndexError
+        assert mc_weak_error([self.BASE], g=CylindricalFunctional(mode=8), n_paths=10)[0][1] > 0.0
+        with pytest.raises(ValueError, match=r"CylindricalFunctional mode 9 exceeds the K = 8 modes"):
+            mc_weak_error([self.BASE], g=CylindricalFunctional(mode=9), n_paths=10)
+
+    @pytest.mark.parametrize(
+        "intensity, message",
+        [(1e30, r": the Poisson mean 1e\+30 is past the sampler's"), (1e13, r" expects 8e\+13 jumps; one draw holds at most")],
+        ids=["past-poisson-range", "past-memory-cap"],
+    )
+    def test_intensity_the_sampler_cannot_draw_refused(self, intensity, message):
+        # 1e30 used to end in numpy's "lam value too large", 1e13 in an _ArrayMemoryError
+        setup = dataclasses.replace(self.BASE, law=LevyLaw("compound_poisson", intensity=intensity))
+        assert errors._mc_block_paths(setup) == 1  # one path of K = 8 coordinates per block
+        with pytest.raises(ValueError, match=re.escape(f"jump intensity {intensity:g} over T = 1 on 8 coordinates") + message):
+            mc_weak_error([setup], n_paths=10)
+
 
 def per_path_reference(setup, g, n_paths, seed):
     """mc_weak_error one path at a time: each path of a block is rebuilt as a
@@ -577,6 +602,39 @@ def per_path_reference(setup, g, n_paths, seed):
     return diffs.mean(), diffs.std(ddof=1) / np.sqrt(n_paths)
 
 
+class TestCells:
+    """_cells bins unsorted times into right-closed cells with a guess and one
+    correction each way; it must equal searchsorted on the level's edges."""
+
+    @pytest.mark.parametrize("T", [1.0, 0.7, 1.3])
+    @pytest.mark.parametrize("N", [1, 3, 64, 1024])
+    def test_equals_searchsorted_at_and_beside_every_edge(self, N, T):
+        edges = np.linspace(0.0, T, N + 1)
+        inner = edges[edges < T]
+        t = np.concatenate(
+            [inner, np.nextafter(inner[1:], 0.0), np.nextafter(inner, np.inf), [0.0, np.nextafter(T, 0.0)]]
+        )
+        t = np.random.default_rng(N).permutation(t)  # unsorted, as a block's draws are
+        np.testing.assert_array_equal(errors._cells(t, edges), np.searchsorted(edges[1:], t, side="left"))
+
+    def test_guess_below_the_cell_is_corrected(self):
+        # at T = 0.7, N = 4641 the guess floor(t N / T) falls one cell short of
+        # times one ulp past some edges (edge 3 the first); the upward correction mends it
+        T, N = 0.7, 4641
+        edges = np.linspace(0.0, T, N + 1)
+        t = np.nextafter(edges[:-1], np.inf)
+        want = np.searchsorted(edges[1:], t, side="left")
+        assert np.any((t * (N / T)).astype(np.intp) < want)
+        np.testing.assert_array_equal(errors._cells(t, edges), want)
+
+    def test_nest_stride(self):
+        fine = np.linspace(0.0, 1.0, 65)
+        assert [errors._nest_stride(fine, np.linspace(0.0, 1.0, n + 1)) for n in (8, 64, 24, 128)] == [8, 1, None, None]
+        # a ratio-3 ladder nests at T = 1 but not at T = 0.7: linspace rounds the edges differently
+        assert errors._nest_stride(np.linspace(0.0, 1.0, 28), np.linspace(0.0, 1.0, 10)) == 3
+        assert errors._nest_stride(np.linspace(0.0, 0.7, 28), np.linspace(0.0, 0.7, 10)) is None
+
+
 class TestBatchedMonteCarlo:
     """mc_weak_error assembles whole blocks of paths from flat jump arrays;
     it must give what a per-path assembly of the same draws gives."""
@@ -605,6 +663,22 @@ class TestBatchedMonteCarlo:
         ref_est, ref_se = per_path_reference(setup, g, n_paths, seed=11)
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["heat", "wave", "volterra"])
+    def test_nested_coarse_level_equals_per_path_reference(self, name):
+        # the coarse level reads its cells off the fine level's (cell // 2); at
+        # T = 0.7 the edges still nest bit for bit
+        base = self.setup_for(name)
+        fine = dataclasses.replace(base, T=0.7, n_cells=16)
+        coarse = dataclasses.replace(fine, n_cells=8)
+        assert errors._nest_stride(errors._level_edges(fine), errors._level_edges(coarse)) == 2
+        n_paths = 75
+        assert errors._mc_block_paths(fine) < n_paths  # several blocks
+        _, (est, se) = mc_weak_error([fine, coarse], n_paths=n_paths, seed=5)
+        ref_est, ref_se = per_path_reference(coarse, errors.quadratic_functional, n_paths, seed=5)
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+        assert [(est, se)] == mc_weak_error([coarse], n_paths=n_paths, seed=5)
 
     @pytest.mark.parametrize(
         "kind, K, decay, T",

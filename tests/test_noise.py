@@ -1,3 +1,5 @@
+import re
+
 import hypothesis
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from levyspde.noise import (
     CovarianceSpec,
     JumpPath,
     LevyLaw,
+    _DRAW_JUMPS_MAX,
     _compound_poisson_draws,
     hs_condition,
     increments_from_path,
@@ -179,6 +182,39 @@ class TestSampling:
             LevyLaw("compound_poisson", intensity=-1.0)
         with pytest.raises(ValueError):
             LevyLaw("compound_poisson", jumps="laplace")
+
+    @pytest.mark.parametrize(
+        "intensity, K, message",
+        [
+            (1e30, 4, r": the Poisson mean 1e\+30 is past the sampler's"),
+            (1e30, 0, r": the Poisson mean 1e\+30 is past the sampler's"),
+            (1e13, 4, r" expects 4e\+13 jumps; one draw holds at most 53687091"),
+        ],
+        ids=["past-poisson-range", "past-poisson-range-no-modes", "past-memory-cap"],
+    )
+    def test_intensity_the_sampler_cannot_draw_refused(self, intensity, K, message):
+        # 1e30 used to end in numpy's "lam value too large", 1e13 in an _ArrayMemoryError for 291 TiB
+        rng = stream(0, 0)
+        law = LevyLaw("compound_poisson", intensity=intensity)
+        with pytest.raises(ValueError, match=re.escape(f"jump intensity {intensity:g} over T = 1 on {K} coordinates") + message):
+            sample_jump_path(law, 1.0, K, rng)
+        np.testing.assert_array_equal(rng.random(4), stream(0, 0).random(4))  # refused before any draw
+
+    def test_draw_inside_the_memory_budget_is_drawn(self):
+        # 4.5M expected jumps (about 110 MB of arrays) lie past 2^22 but well inside the cap
+        law = LevyLaw("compound_poisson", intensity=4.5e6)
+        coord, t, s = _compound_poisson_draws(law, 1.0, 1, stream(0, 0))
+        assert (1 << 22) < t.size < _DRAW_JUMPS_MAX and coord.size == s.size == t.size
+
+    def test_draws_are_three_generator_calls(self):
+        # the refusals add no draw: counts, times and sizes are one generator call each
+        law = LevyLaw("compound_poisson", intensity=3.0)
+        coord, t, s = _compound_poisson_draws(law, 0.7, 5, stream(9, 1))
+        rng = stream(9, 1)
+        counts = rng.poisson(law.intensity * 0.7, size=5)
+        np.testing.assert_array_equal(coord, np.repeat(np.arange(5), counts))
+        np.testing.assert_array_equal(t, 0.7 * rng.random(counts.sum()))
+        np.testing.assert_array_equal(s, (2.0 * rng.integers(0, 2, size=counts.sum()) - 1.0) / np.sqrt(3.0))
 
     @pytest.mark.parametrize("intensity", [0.0, -1.0, float("nan"), float("inf")])
     def test_intensity_finite_and_positive(self, intensity):

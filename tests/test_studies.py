@@ -608,22 +608,30 @@ class TestStudyMonteCarlo:
     }
 
     @pytest.mark.parametrize(
-        "ladder", [(1 / 8, 1 / 16, 1 / 32, 1 / 64), (1 / 12, 1 / 16, 1 / 20, 1 / 24)], ids=["dyadic", "non-nested"]
+        "cells, T, nested",
+        [((8, 16, 32, 64), 1.0, True), ((12, 16, 20, 24), 1.0, False), ((3, 9, 27, 81), 1.0, True),
+         ((3, 9, 27, 81), 1.3, False)],
+        ids=["dyadic", "non-nested", "ratio3-T1", "ratio3-T1.3"],
     )
     @pytest.mark.parametrize("g", ["quadratic", "cylindrical_cos"])
     @pytest.mark.parametrize("name", list(KINDS))
-    def test_rows_equal_standalone_mc(self, name, g, ladder):
-        from levyspde.errors import CylindricalFunctional, _mc_block_paths, mc_weak_error
+    def test_rows_equal_standalone_mc(self, name, g, cells, T, nested):
+        from levyspde.errors import CylindricalFunctional, _level_edges, _mc_block_paths, _nest_stride, mc_weak_error
         from levyspde.noise import LevyLaw
         from levyspde.studies import _level_setup
 
         kind, beta, x0 = self.KINDS[name]
+        ladder = tuple(T / n for n in cells)
         cfg = StudyConfig(
-            name="m", kind=kind, axis="temporal", beta=beta, modes=16, ladder=ladder, x0=x0,
+            name="m", kind=kind, axis="temporal", beta=beta, T=T, modes=16, ladder=ladder, x0=x0,
             law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2 if g == "cylindrical_cos" else 1,
             mc_paths=75, mc_seed=11,
         )
         setups = [_level_setup(cfg, dt) for dt in ladder]
+        # a nested ladder reads every level's cells off the finest level's; the others
+        # bin at least one level on its own edges
+        strides = [_nest_stride(_level_edges(setups[-1]), _level_edges(s)) for s in setups]
+        assert (None not in strides) == nested
         block = _mc_block_paths(setups[0])
         assert block < cfg.mc_paths and cfg.mc_paths % block  # full blocks and a short last one
         func = CylindricalFunctional(mode=2) if g == "cylindrical_cos" else None
@@ -648,6 +656,21 @@ class TestStudyMonteCarlo:
         res = run_study(cfg)
         assert calls == [4]
         assert all(r.mc_stderr > 0.0 for r in res.rows)
+
+    def test_heat_intensity_16_mc_columns_pinned(self):
+        # 16 blocks of 32 paths per level, every level's cells read off the finest level's
+        from levyspde.noise import LevyLaw
+
+        cfg = StudyConfig(
+            name="h", kind=heat_kind(), axis="temporal", beta=1.0, modes=16, ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
+            law=LevyLaw("compound_poisson", intensity=16.0), mc_paths=500, mc_seed=0,
+        )
+        assert [(r.mc_estimate, r.mc_stderr) for r in run_study(cfg).rows] == [
+            (-0.00712386098012604, 0.0005913793001630574),
+            (-0.005176318338217161, 0.0004080956663402649),
+            (-0.0034209670648504965, 0.0002710640009262263),
+            (-0.002073982417757503, 0.00015896965196421765),
+        ]
 
     def test_wave_temporal_mc_preset_columns_pinned(self, preset_result):
         # the MC columns move only through a documented change of sampler
