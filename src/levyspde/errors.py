@@ -33,21 +33,20 @@ integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
 which its scheme rows pair with the CQ factor table, and
 I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
-toward the u^rho branch point at u = 0).  The cell integrals depend on the
-level's edges; ee does not, and is read once per (kind, K, T) (_sine_ee).
-studies.run_study runs a temporal ladder finest first, and the finest level
-keeps its primitives t E_{rho,2} at every second edge (_prim_table,
-K (N/2 + 1) 8 bytes, 4.2 MB at K = N = 1024, at most _PRIM_TABLE_MAX
-values): a coarser level whose edges are every r-th of its edges bit for
-bit, as on any dyadic ladder, reads them as a strided view; any other level
-evaluates its own.
-Time-exact rows use Gauss quadrature on global nodes shared by both sides;
-the nodes, the (K, G) exact factors on them and ee depend only on
-(kind, K, T, lam_max), lam_max = max(lam_K, top discrete eigenvalue), so one
-table (_node_table) serves every level with that key, and a level evaluates
-only its J discrete rows.  One table is held at a time, K G 8 bytes (59 MB
-at rho = 1.9, K = 1024, G = 7248): memory traded for time, as measured in
-the README ("The exact side of a temporal study").
+toward the u^rho branch point at u = 0).  Time-exact rows use Gauss quadrature
+on global nodes shared by both sides; the nodes, the (K, G) exact factors on
+them and ee depend only on (kind, K, T, lam_max), lam_max = max(lam_K, top
+discrete eigenvalue), and a level evaluates only its J discrete rows.
+The exact-side values a Volterra level evaluates pass to the next level of its
+study through one read-only table, _exact_table, which holds one key at a time:
+(kind, K, T) for scheme levels, with ee and the cell primitives at every second
+edge of one level (K (N/2 + 1) 8 bytes, at most _PRIM_TABLE_MAX values), and
+(kind, K, T, lam_max) for time-exact levels, with the nodes, weights, factors
+and ee (K G 8 bytes).  One rule says what a level may reuse: the held values,
+as a strided view, when its key matches and its points are the held points
+taken every r-th, bit for bit.  studies.run_study runs a temporal ladder
+finest first, so on a dyadic ladder only the finest level evaluates
+E_{rho,2}; ee is evaluated once per key.
 """
 
 from __future__ import annotations
@@ -318,99 +317,84 @@ def _volterra_ee(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
     return g[np.searchsorted(bks, y)] / root
 
 
-@lru_cache(maxsize=1)
-def _sine_ee(kind: EquationKind, K: int, T: float) -> np.ndarray:
-    """_volterra_ee of the K sine modes: the ee row of every Volterra scheme
-    level, once per (kind, K, T); read-only."""
-    ee = _volterra_ee(kind, DirichletSpectrum(K).eigenvalues, T)
-    ee.flags.writeable = False
-    return ee
+def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
+    """Slices of range(K) of max(1, block // per_mode) modes each, the last
+    one possibly short: blocks of about block values at per_mode per mode."""
+    rows = max(1, block // per_mode)
+    return [slice(lo, lo + rows) for lo in range(0, K, rows)]
 
 
-@lru_cache(maxsize=1)
-def _node_table(kind: EquationKind, K: int, T: float, lam_max: float):
-    """(nodes, w, b, ee) of the time-exact Volterra levels whose top eigenvalue,
-    discrete or exact, is lam_max: the global Gauss nodes and weights of
-    lam_max, the (K, G) exact factors b[k] = E_rho(-lam_k s^rho) of the sine
-    modes on them and ee = (b * b) @ w; read-only.  b is filled in blocks of
-    modes of about _NODE_BLOCK values, so no temporary is larger than a block."""
-    lam = DirichletSpectrum(K).eigenvalues
-    nodes, w = _global_nodes(kind, lam_max, T)
-    b, ee = np.empty((K, nodes.size)), np.empty(K)
-    rows = max(1, _NODE_BLOCK // nodes.size)
-    for lo in range(0, K, rows):
-        k = slice(lo, lo + rows)
-        b[k] = _noise_factor(kind, lam[k, None], nodes[None, :])
-        ee[k] = (b[k] * b[k]) @ w
-    for x in (nodes, w, b, ee):
-        x.flags.writeable = False
-    return nodes, w, b, ee
-
-
-class _PrimitiveTable:
-    """The cell primitives t E_{rho,2}(-lam_k t^rho) of the K sine modes at
-    every second edge of one Volterra scheme level, held for (kind, K, T);
-    read-only.  A level whose edges equal the held level's taken every r-th,
-    r even, bit for bit, reads its primitives as a strided view of the table;
-    on a dyadic ladder run finest first (studies.run_study) only the finest
-    level evaluates E_{rho,2}.  A level that reads nothing replaces the table
-    with its own when its n_cells is even and the table's K (N/2 + 1) values
-    stay within _PRIM_TABLE_MAX."""
+class _ExactTable:
+    """The exact-side values of one Volterra key, held for the next level of a
+    study; read-only.  Scheme levels, key (kind, K, T): ee and the (K, N/2 + 1)
+    cell primitives t E_{rho,2}(-lam_k t^rho) at points, every second edge of
+    the level that kept them.  Time-exact levels, key (kind, K, T, lam_max):
+    the global Gauss nodes and weights of lam_max, the (K, G) exact factors
+    E_rho(-lam_k s^rho) on them and ee.  Each is a pure function of its key
+    and points, so a level that reads them gets the bits it would evaluate."""
 
     def __init__(self):
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self.key = self.edges = self.values = None
+        self.key = self.points = self.weights = self.values = self.ee = None
 
-    def view(self, key, edges: np.ndarray):
-        """The (K, N+1) primitives at edges, a view of the table, or None."""
-        stride = _nest_stride(self.edges, edges) if key == self.key else None
+    def view(self, key, points: np.ndarray):
+        """The held values at points, a strided view, when key matches and
+        points are the held points taken every r-th, bit for bit; else None."""
+        stride = _nest_stride(self.points, points) if key == self.key and self.points is not None else None
         return None if stride is None else self.values[:, ::stride]
 
-    def hold(self, key, edges: np.ndarray, values: np.ndarray) -> None:
-        values.flags.writeable = False
-        self.key, self.edges, self.values = key, edges[::2], values
+    def hold(self, key, points, weights, values, ee: np.ndarray) -> None:
+        for x in (points, weights, values, ee):
+            if x is not None:
+                x.flags.writeable = False
+        self.key, self.points, self.weights, self.values, self.ee = key, points, weights, values, ee
 
 
-_prim_table = _PrimitiveTable()
+_exact_table = _ExactTable()
 
 
 def _table_integrals(setup: Setup, lam_d, j, steps):
     """(dd, de, ee) as in _closed_form_integrals, for Volterra; the discrete
-    rows are built on the J distinct lam_d and gathered by j.  Scheme levels:
+    rows are built on the J distinct lam_d and gathered by j, and the exact
+    side is read from _exact_table or evaluated and held there.  Scheme levels:
     the CQ factor table steps (J, N+1) against the cell integrals
-    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, and ee from
-    _sine_ee.  The primitives are read off _prim_table where the level's edges
-    nest in the held level's; otherwise they are evaluated for blocks of about
-    _ML_BLOCK values, and every second column is kept as the next table.
-    Time-exact levels: Gauss quadrature on the global nodes of _node_table,
-    whose exact factors and ee serve every level with the same key; the level
-    evaluates its J discrete rows and pairs them with the table in blocks of
-    about _NODE_BLOCK values."""
-    kind, lam = setup.kind, setup.spec.eigenvalues
+    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, in blocks of about
+    _ML_BLOCK values.  A level that reads nothing keeps every second column
+    when N is even and K (N/2 + 1) <= _PRIM_TABLE_MAX, else leaves a held table
+    of its key in place; ee is evaluated once per key, after the primitives.
+    Time-exact levels: Gauss quadrature on global nodes, the exact factors and
+    ee built once per key, and the level's J discrete rows paired with them,
+    both in blocks of about _NODE_BLOCK values."""
+    kind, lam, T = setup.kind, setup.spec.eigenvalues, setup.T
     if steps is None:
         lam_max = max(float(lam[-1]), float(lam_d[-1]))
-        nodes, w, b, ee = _node_table(kind, lam.size, setup.T, lam_max)
+        key = (kind, lam.size, T, lam_max)
+        if key != _exact_table.key:
+            nodes, w = _global_nodes(kind, lam_max, T)
+            b, ee = np.empty((lam.size, nodes.size)), np.empty(lam.size)
+            for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
+                b[k] = _noise_factor(kind, lam[k, None], nodes[None, :])
+                ee[k] = (b[k] * b[k]) @ w
+            _exact_table.hold(key, nodes, w, b, ee)
+        nodes, w, b, ee = _exact_table.points, _exact_table.weights, _exact_table.values, _exact_table.ee
         a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
         de = np.empty(lam.size)
-        rows = max(1, _NODE_BLOCK // nodes.size)
-        for lo in range(0, lam.size, rows):
-            k = slice(lo, lo + rows)
+        for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
             de[k] = (a[j[k] - 1] * b[k]) @ w
         return ((a * a) @ w)[j - 1], de, ee
     edges = _level_edges(setup)
-    key = (kind, lam.size, setup.T)
-    held = _prim_table.view(key, edges)
+    key = (kind, lam.size, T)
+    held = _exact_table.view(key, edges)
+    ee = _exact_table.ee if key == _exact_table.key else None
     keep = None
     if held is None and setup.n_cells % 2 == 0 and lam.size * (setup.n_cells // 2 + 1) <= _PRIM_TABLE_MAX:
         keep = np.empty((lam.size, setup.n_cells // 2 + 1))
     t_rho = edges**kind.rho
     et = steps[:, 1:]
     de = np.empty(lam.size)
-    rows = max(1, _ML_BLOCK // edges.size)
-    for lo in range(0, lam.size, rows):
-        k = slice(lo, lo + rows)
+    for k in _mode_blocks(lam.size, edges.size, _ML_BLOCK):
         if held is None:
             prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
             if keep is not None:
@@ -418,10 +402,12 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
         else:
             prim = held[k]
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
-    if keep is not None:
-        _prim_table.hold(key, edges, keep)
     dd = setup.dt * np.einsum("jn,jn->j", et, et)
-    return dd[j - 1], de, _sine_ee(kind, lam.size, setup.T)
+    if ee is None:
+        ee = _volterra_ee(kind, lam, T)
+    if keep is not None or key != _exact_table.key:
+        _exact_table.hold(key, None if keep is None else edges[::2], None, keep, ee)
+    return dd[j - 1], de, ee
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
@@ -567,7 +553,8 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray) -> np.ndarray:
     with c = 1 (the spectral space) gives (f - e)^2 exactly; one batched
     eigvalsh per s.  The scheme factor at s is the n-step one, n = ceil(s / dt)
     with s / dt rounded to 12 decimals first, so an s = n dt off by rounding
-    stays in the right-closed cell ((n-1) dt, n dt].  The exact family (no FEM
+    stays in the right-closed cell ((n-1) dt, n dt], and n >= 1, so an s that
+    rounds to 0 stays in the first cell (0, dt].  The exact family (no FEM
     space, no time grid) is refused: its error operator is 0.
     """
     if setup.kind.name == "wave":
@@ -581,7 +568,7 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray) -> np.ndarray:
     lam_d, j, c = _partner_map(setup)
     if setup.n_cells is not None:
         steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
-        n = np.ceil(np.round(s_grid / setup.dt, 12)).astype(int)  # s in the right-closed cell n
+        n = np.maximum(np.ceil(np.round(s_grid / setup.dt, 12)).astype(int), 1)  # s in the right-closed cell n
     out = np.empty(s_grid.size)
     counts, order = np.bincount(j, minlength=lam_d.size + 1), np.argsort(j, kind="stable")
     classes = np.full((counts.size, max(counts.max(), 1)), j.size)  # mode indices per class, padded with K

@@ -293,11 +293,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     reads its cells from those; only the scheme side is per level.  Every
     row equals a standalone mc_weak_error of its level's setup bit for bit.
 
-    A temporal ladder's levels run finest first, rows in ladder order: a
-    Volterra finest level holds its cell primitives at every second edge
-    (errors._prim_table, K (N/2 + 1) 8 bytes) for every coarser level whose
-    time edges nest in its own, and each row still equals a cold standalone
-    error_report bit for bit.  A spatial ladder runs in ladder order.
+    A temporal ladder's levels run finest first, rows in ladder order, and a
+    spatial ladder in ladder order.  A Volterra level passes its exact side to
+    the next level through errors._exact_table: a key's ee, and the cell
+    primitives of the last level that kept them (on a dyadic ladder the
+    finest), which a coarser level reads when its time edges nest in that
+    level's.  Each row still equals a cold standalone error_report bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))

@@ -842,13 +842,13 @@ class TestExactSide:
             setup = Setup(kind, spec, FLAT, CP, 1.0, n_cells=n)
             steps = discrete_family(kind, lam, 1.0 / n, n).steps
             j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
-            errors._prim_table.cache_clear()  # cold: evaluate, not read a held level's primitives
+            errors._exact_table.cache_clear()  # cold: evaluate, not read a held level's primitives
             _, de, ee = errors._table_integrals(setup, lam, j, steps)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
             assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
             monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
-            errors._prim_table.cache_clear()
+            errors._exact_table.cache_clear()
             assert np.array_equal(errors._table_integrals(setup, lam, j, steps)[1], de)
             monkeypatch.undo()
 
@@ -964,18 +964,21 @@ class TestFemAssembly:
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
             # time-exact node rows in blocks of 5 sine modes, the last one short: the
-            # cached table is cleared so that the blocked build runs.  Its nodes,
+            # held table is cleared so that the blocked build runs.  Its nodes,
             # weights and E_rho values equal the one-block table's bit for bit; ee
             # is a BLAS matrix-vector product per block, whose summation order
             # depends on the block's row count, so it agrees to rounding
+            table = errors._exact_table
             key = (kind, 24, 1.0, max(float(setup.spec.eigenvalues[-1]), float(setup.fem.eigenvalues[-1])))
-            whole = errors._node_table(*key)
+            assert table.key == key
+            whole = (table.points, table.weights, table.values, table.ee)
             assert 24 * whole[0].size <= errors._NODE_BLOCK
             monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * whole[0].size)
-            errors._node_table.cache_clear()
+            table.cache_clear()
             reports.append(error_report(setup))
-            blocked = errors._node_table(*key)
-            assert blocked is not whole and all(np.array_equal(b, w) for b, w in zip(blocked[:3], whole[:3]))
+            assert table.key == key
+            blocked = (table.points, table.weights, table.values, table.ee)
+            assert blocked[2] is not whole[2] and all(np.array_equal(b, w) for b, w in zip(blocked[:3], whole[:3]))
             assert np.all(np.abs(blocked[3] - whole[3]) <= 4e-16 * whole[3])
         weak, strong2, i_ee = self.oracle(setup)
         for rep in reports:

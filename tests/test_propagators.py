@@ -320,7 +320,7 @@ class TestDiscreteFamily:
         lam = np.pi**2
         one = discrete_family(heat_kind(), np.array([lam]), 0.25, 4).steps[0, 1]
         assert one == pytest.approx(1.0 / (1.0 + 0.25 * lam), rel=1e-15)
-        for s in (1e-9, 0.1, 0.25):
+        for s in (1e-14, 1e-9, 0.1, 0.25):  # s / dt rounds to 0 at 1e-14
             assert heat_profile(0.25, 4, s) == abs(one - np.exp(-lam * s))
 
     def test_heat_steps_are_backward_euler_powers(self):

@@ -481,7 +481,8 @@ class TestStudyExactSide:
     # (T, ladder, _PRIM_TABLE_MAX or None, shared): a dyadic ladder evaluates
     # its cell primitives t E_{rho,2}(-lam t^rho) once, on the finest level's
     # edges; non-nested edges and a table past the cap fall back to every
-    # level's own
+    # level's own.  shared is True (only the finest level evaluates), False
+    # (every level does) or the count of E_{rho,2} values evaluated
     VOLTERRA_LADDERS = {
         "dyadic": (1.0, (1 / 16, 1 / 32, 1 / 64, 1 / 128), None, True),
         "dyadic-T0.7": (0.7, (0.7 / 16, 0.7 / 32, 0.7 / 64, 0.7 / 128), None, True),
@@ -489,6 +490,10 @@ class TestStudyExactSide:
         # 30 cells held; linspace(0, 1, 31)[::6] is 1 ulp off linspace(0, 1, 6)
         "unequal-edges": (1.0, (1 / 5, 1 / 30, 1 / 31, 1 / 33), None, False),
         "tiny-cap": (1.0, (1 / 16, 1 / 32, 1 / 64, 1 / 128), 16 * 8, False),  # below every level's K (N/2 + 1)
+        # run 32, 16, 15, 8: the odd level evaluates its own 16 edges and keeps no
+        # table, so the held 32-cell one still serves 8 (16 (33 + 16) values, not
+        # 16 (33 + 16 + 9) as when the odd level evicts it)
+        "odd-level-keeps-the-table": (1.0, (1 / 8, 1 / 15, 1 / 16, 1 / 32), None, 784),
     }
 
     @pytest.mark.parametrize("T, ladder, cap, shared", VOLTERRA_LADDERS.values(), ids=VOLTERRA_LADDERS.keys())
@@ -510,12 +515,13 @@ class TestStudyExactSide:
             return real(rho, x, beta)
 
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting)  # the name the benchmark tracer wraps
-        errors._prim_table.cache_clear()
+        errors._exact_table.cache_clear()
         res = run_study(cfg)
-        assert sum(counted) == K * (max(cells) + 1 if shared else sum(n + 1 for n in cells))
+        if isinstance(shared, bool):
+            shared = K * (max(cells) + 1 if shared else sum(n + 1 for n in cells))
+        assert sum(counted) == shared
         for row in res.rows:
-            errors._sine_ee.cache_clear()
-            errors._prim_table.cache_clear()
+            errors._exact_table.cache_clear()
             alone = error_report(_level_setup(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
@@ -551,7 +557,7 @@ class TestStudyExactSide:
         cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="spatial", beta=0.5, modes=16, ladder=ladder)
         res = run_study(cfg)
         for row in res.rows:
-            errors._node_table.cache_clear()
+            errors._exact_table.cache_clear()
             alone = error_report(_level_setup(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
@@ -565,7 +571,7 @@ class TestStudyExactSide:
         counted = []
         real = errors.mittag_leffler_neg
         monkeypatch.setattr(errors, "mittag_leffler_neg", lambda rho, x, beta=1: counted.append(x.size) or real(rho, x, beta))
-        errors._node_table.cache_clear()
+        errors._exact_table.cache_clear()
         run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
         want, node_sets = 0, []
         for h in ladder:
@@ -578,6 +584,28 @@ class TestStudyExactSide:
             want += lam_d.size * G
         assert len(node_sets) == (2 if lam_max > lam_K else 1)
         assert sum(counted) == want
+
+    def test_interleaved_studies_rows_equal_cold_standalone_reports(self):
+        # one table is held for every Volterra study, and each study below
+        # replaces the last one's: time-exact spatial, dyadic temporal, a time
+        # scheme on a spatial ladder (K = 12), non-nested temporal, dyadic again
+        from levyspde.errors import error_report
+        from levyspde.studies import _level_setup
+
+        kind, dyadic, meshes = volterra_kind(1.5), (1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 4, 1 / 6, 1 / 8, 1 / 12)
+        configs = [
+            StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=16, ladder=meshes),
+            StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=dyadic),
+            StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=12, ladder=meshes, fixed_cells=16),
+            StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=(1 / 12, 1 / 16, 1 / 20, 1 / 24)),
+            StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=dyadic),
+        ]
+        results = [run_study(cfg) for cfg in configs]
+        for cfg, res in zip(configs, results):
+            for row in res.rows:
+                errors._exact_table.cache_clear()
+                alone = error_report(_level_setup(cfg, row.resolution))
+                assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     def test_volterra_implied_exact_side_is_level_independent(self):
         from levyspde.propagators import discrete_family
