@@ -10,12 +10,9 @@ from .errors import (
 from .mittag_leffler import mittag_leffler_neg
 from .noise import (
     CovarianceSpec,
-    JumpPath,
     LevyLaw,
     hs_condition,
-    sample_jump_path,
     stream,
-    asymmetric_condition,
 )
 from .propagators import (
     DiscreteFamily,
@@ -56,7 +53,6 @@ __all__ = [
     "ErrorReport",
     "ExpectedRates",
     "FemSpace",
-    "JumpPath",
     "LevyLaw",
     "RateFit",
     "Setup",
@@ -81,9 +77,7 @@ __all__ = [
     "propagator_error_profile",
     "representation_sweep",
     "run_study",
-    "sample_jump_path",
     "stream",
     "volterra_kind",
     "wave_kind",
-    "asymmetric_condition",
 ]

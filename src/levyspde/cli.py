@@ -12,7 +12,7 @@ import os
 import sys
 
 from .mittag_leffler import mittag_leffler_neg
-from .noise import CovarianceSpec, LevyLaw, hs_condition, sample_jump_path, stream, asymmetric_condition
+from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, cq_weights
 from .spectral import dirichlet_spectrum
 from .studies import (
@@ -149,10 +149,6 @@ def cmd_check_condition(args) -> int:
     print(f"hs_tail_bound {_fmt(rep.tail_bound)}")
     print(f"summability_exponent {_fmt(rep.exponent)}")
     print(f"converges {rep.converges}")
-    w = asymmetric_condition(spec, cov, args.beta, args.modes)
-    print(f"asymmetric {_fmt(w)}")
-    hs1 = hs_condition(spec, cov, args.beta, 1.0)
-    print(f"asymmetric_equals_hs_squared {w == hs1.partial_sum}")
     return 0
 
 
@@ -182,15 +178,6 @@ def cmd_ml_eval(args) -> int:
 def cmd_cq_weights(args) -> int:
     for k, wk in enumerate(cq_weights(args.rho, args.dt, args.count)):
         print(f"{k} {_fmt(wk)}")
-    return 0
-
-
-def cmd_sample_path(args) -> int:
-    law = LevyLaw("compound_poisson", intensity=args.intensity, jumps=args.jumps)
-    path = sample_jump_path(law, args.horizon, args.modes, stream(args.seed, 0))
-    for k in range(path.mode_count):
-        for t, s in zip(path.times[k], path.sizes[k]):
-            print(f"{k + 1} {_fmt(t)} {_fmt(s)}")
     return 0
 
 
@@ -227,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     cq.add_argument("dt", type=float)
     cq.add_argument("count", type=int)
     cq.set_defaults(func=cmd_cq_weights)
-
-    sp = sub.add_parser("sample-path", help="print a jump path (mode, time, size)")
-    sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--modes", type=int, default=4)
-    sp.add_argument("--intensity", type=float, default=1.0)
-    sp.add_argument("--jumps", choices=["two_point", "normal"], default="two_point")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_sample_path)
 
     return ap
 

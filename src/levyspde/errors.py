@@ -148,15 +148,14 @@ class Setup:
 # mode factor evaluation and quadrature partitions
 
 
-@lru_cache(maxsize=8)
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(order)
-    return x, w
+@lru_cache(maxsize=1)
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    return leggauss(GAUSS_ORDER)
 
 
-def _panel_nodes(bks: np.ndarray, order: int = GAUSS_ORDER):
-    """Gauss nodes and weights on each panel [bks[i], bks[i+1]], shape (panels, order)."""
-    gx, gw = _gauss(order)
+def _panel_nodes(bks: np.ndarray):
+    """Gauss nodes and weights on each panel [bks[i], bks[i+1]], shape (panels, GAUSS_ORDER)."""
+    gx, gw = _gauss()
     mid = 0.5 * (bks[1:] + bks[:-1])
     half = 0.5 * np.diff(bks)
     return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
@@ -299,8 +298,8 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
     return out
 
 
-def _global_nodes(kind: EquationKind, lam_max: float, T: float, order: int = GAUSS_ORDER):
-    nodes, w = _panel_nodes(_global_partition(kind, lam_max, T), order)
+def _global_nodes(kind: EquationKind, lam_max: float, T: float):
+    nodes, w = _panel_nodes(_global_partition(kind, lam_max, T))
     return nodes.ravel(), w.ravel()
 
 

@@ -104,23 +104,6 @@ def hs_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, rho:
     return HsReport(partial_sum=partial, tail_bound=float(tail), converges=bool(converges), exponent=exponent)
 
 
-def asymmetric_condition(spec: DirichletSpectrum, cov: CovarianceSpec, beta: float, m: int) -> float:
-    """Jump-moment regularity functional sum_{k<=m} (int xi^2 nu_k) q_k lam_k^(beta-1).
-
-    This is the asymmetric sufficient condition for the wave rates, built from
-    the jump intensity measures instead of the covariance alone.  Every LevyLaw
-    is normalized to E L(t)^2 = t, so every jump-measure second moment
-    int xi^2 nu_k is 1 and the value coincides with the truncated squared
-    Hilbert-Schmidt sum at rho = 1.
-    """
-    if not 1 <= m <= spec.mode_count:
-        raise ValueError(f"truncation m={m} outside 1..{spec.mode_count}")
-    _check_beta(beta)
-    lam = spec.eigenvalues[:m]
-    q = cov.values(spec)[:m]
-    return float(np.sum(q * lam ** (beta - 1.0)))
-
-
 @dataclass(frozen=True)
 class LevyLaw:
     """Scalar mean-zero compound-Poisson law with E L(t)^2 = t: intensity

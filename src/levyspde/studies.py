@@ -380,12 +380,13 @@ def emit_csv(result: StudyResult, path: str) -> None:
 
 
 def read_csv(path: str) -> list[dict]:
-    """Parse a study CSV back into row dicts (floats bitwise-identical)."""
+    """Parse a study CSV back into row dicts (floats bitwise-identical).  A row
+    whose field count is not the header's is refused, naming its line."""
     with open(path) as f:
         text = f.read()
     rows = []
     header: list[str] | None = None
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         if header is None:
@@ -394,6 +395,8 @@ def read_csv(path: str) -> list[dict]:
                 raise ValueError(f"unexpected CSV header {header}")
             continue
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path} line {number}: {len(parts)} fields, the header has {len(header)}")
         row: dict = {}
         for name, val in zip(header, parts):
             if name in ("level", "in_fit"):

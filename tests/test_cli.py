@@ -1,6 +1,8 @@
+import argparse
 import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import levyspde.errors
 import levyspde.studies
 from levyspde.studies import CSV_COLUMNS
-from levyspde.cli import _SCHEMA, main
+from levyspde.cli import _SCHEMA, build_parser, main
 from levyspde.errors import ErrorReport
 
 
@@ -52,32 +54,15 @@ class TestKernelCommands:
         assert code == 1 and out == "" and "beta must be finite" in err
 
     @pytest.mark.parametrize(
-        "extra, message",
-        [
-            (("--horizon", "inf"), "horizon T must be finite"),
-            (("--horizon", "nan"), "horizon T must be finite"),
-            (("--modes", "-2"), "mode count K must be a whole number >= 0"),
-        ],
-        ids=["horizon-inf", "horizon-nan", "modes-negative"],
-    )
-    def test_sample_path_refuses_bad_horizon_or_modes(self, capsys, extra, message):
-        # these used to end in numpy's "lam" errors and "negative dimensions are not allowed"
-        code, out, err = run(capsys, "sample-path", *extra)
-        assert code == 1 and out == "" and message in err
-
-    @pytest.mark.parametrize(
         "intensity, message",
         [("1e30", r"the Poisson mean 1e\+30 is past"), ("1e308", r"the Poisson mean 1e\+308 is past"),
          ("1e13", r"expects 4e\+13 jumps")],
         ids=["past-poisson-range", "expected-jumps-overflow", "past-memory-cap"],
     )
     def test_intensity_the_sampler_cannot_draw_exit_1(self, capsys, tmp_path, intensity, message):
-        # sample-path used to print numpy's "lam value too large"; a study died in an
-        # OverflowError traceback at 1e308 (4 modes overflow the expected jumps per
-        # path to inf) and in an _ArrayMemoryError traceback at 1e13
+        # a study died in an OverflowError traceback at 1e308 (4 modes overflow the
+        # expected jumps per path to inf) and in an _ArrayMemoryError traceback at 1e13
         named = re.escape(f"jump intensity {float(intensity):g} over T = 1 on 4 coordinates")
-        code, out, err = run(capsys, "sample-path", "--modes", "4", "--intensity", intensity)
-        assert code == 1 and out == "" and re.search(named + ".*" + message, err)
         cfg = tmp_path / "dense.json"
         cfg.write_text(json.dumps({**TINY_HEAT, "modes": 4, "law": {"intensity": float(intensity)}, "mc": {"paths": 10}}))
         code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
@@ -90,22 +75,12 @@ class TestKernelCommands:
         assert len(token) >= 17
 
 
-class TestSamplePath:
-    def test_bitwise_stable(self, capsys):
-        a = run(capsys, "sample-path", "--seed", "7", "--modes", "3", "--intensity", "2.0")
-        b = run(capsys, "sample-path", "--seed", "7", "--modes", "3", "--intensity", "2.0")
-        assert a == b and a[0] == 0
-        c = run(capsys, "sample-path", "--seed", "8", "--modes", "3", "--intensity", "2.0")
-        assert c[1] != a[1]
-
-
 class TestCheckCondition:
     def test_identity_line(self, capsys):
         code, out, _ = run(
             capsys, "check-condition", "--equation", "heat", "--beta", "1.0", "--decay", "0.55", "--modes", "256"
         )
         assert code == 0
-        assert "asymmetric_equals_hs_squared True" in out
         assert "converges True" in out
 
     def test_boundary_divergence(self, capsys):
@@ -526,3 +501,16 @@ class TestVerifyRepresentation:
         code, out, err = run(capsys, "verify-representation", "--tolerance", "1")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --tolerance 1" in err
+        # the sample-path command is gone; argparse refuses it like any unknown command
+        code, out, err = run(capsys, "sample-path", "--modes", "4")
+        assert code == 1 and out == ""
+        assert "invalid choice: 'sample-path'" in err
+
+
+def test_readme_cli_block_lists_every_command():
+    # the `levyspde <command>` lines of README's CLI block name exactly the parser's subcommands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("levyspde ")}
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)

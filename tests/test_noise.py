@@ -15,7 +15,6 @@ from levyspde.noise import (
     increments_from_path,
     sample_jump_path,
     stream,
-    asymmetric_condition,
 )
 from levyspde.spectral import dirichlet_spectrum
 
@@ -71,6 +70,7 @@ class TestHsCondition:
         assert rep.converges is True
         direct = np.sum(spec.eigenvalues ** (1.0 - 1.0) * cov.values(spec))
         assert rep.partial_sum == pytest.approx(direct, rel=1e-15)
+        assert rep.norm**2 == pytest.approx(rep.partial_sum, rel=1e-15)
         # integral-comparison bound dominates the actual continuation
         spec2 = dirichlet_spectrum(8192)
         rep2 = hs_condition(spec2, cov, beta=1.0, rho=1.0)
@@ -108,28 +108,6 @@ class TestHsCondition:
         spec, cov = dirichlet_spectrum(8), CovarianceSpec(decay=0.5)
         with pytest.raises(ValueError, match="beta must be finite"):
             hs_condition(spec, cov, beta)
-        with pytest.raises(ValueError, match="beta must be finite"):
-            asymmetric_condition(spec, cov, beta, 8)
-
-
-class TestWeqii:
-    def test_equals_squared_hs_norm_every_truncation(self):
-        spec = dirichlet_spectrum(512)
-        cov = CovarianceSpec(amplitude=1.3, decay=0.4)
-        beta = 0.75
-        for m in (1, 2, 17, 256, 512):
-            sub = dirichlet_spectrum(m)
-            subcov = CovarianceSpec(amplitude=1.3, decay=0.4)
-            hs = hs_condition(sub, subcov, beta, rho=1.0)
-            w = asymmetric_condition(spec, cov, beta, m)
-            assert w == hs.partial_sum == hs.norm**2 or w == pytest.approx(hs.norm**2, rel=1e-15)
-
-    def test_single_mode_value(self):
-        spec = dirichlet_spectrum(4)
-        cov = CovarianceSpec(amplitude=1.0, decay=0.5)
-        beta = 0.6
-        expect = cov.values(spec)[0] * spec.eigenvalues[0] ** (beta - 1.0)
-        assert asymmetric_condition(spec, cov, beta, 1) == pytest.approx(expect, rel=1e-15)
 
 
 class TestSampling:

@@ -401,6 +401,14 @@ class TestCsv:
             assert parsed["mc_stderr"] == row.mc_stderr
             assert parsed["in_fit"] == int(row.in_fit)
 
+    @pytest.mark.parametrize("row, count", [("0,0.5,1.0", 3), ("0,0.5,1.0,1.0,1.0,,,1,9", 9)], ids=["short", "long"])
+    def test_row_with_wrong_field_count_refused(self, tmp_path, row, count):
+        # a short row used to parse into a partial dict and a long one lost its extra field
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# name=x\n{','.join(CSV_COLUMNS)}\n0,0.5,1.0,1.0,1.0,,,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 4: {count} fields, the header has 8"):
+            read_csv(str(path))
+
     def test_column_contract(self, preset_result):
         assert len(CSV_COLUMNS) == 8
         res = preset_result("wave-temporal-mc")
