@@ -14,14 +14,17 @@ Monte Carlo columns (mc_estimate, mc_stderr) are `identical` or `moved`; a
 preset whose two files are byte-identical prints `identical` alone (a missing
 file is reported, not fatal).  The comparison is a gate: a deterministic
 column or a metadata field that moved by more than 1e-10 relative
-(MAX_RELATIVE_DELTA), a metadata text or field present on one side only, or a
-Monte Carlo value that is not bit for bit the earlier one, makes the exit
-status 3; each metadata field past the bound is named.  The Monte Carlo
+(MAX_RELATIVE_DELTA), a metadata text or field present on one side only, a
+Monte Carlo value that is not bit for bit the earlier one, or an earlier CSV
+that cannot be compared (malformed, or on another ladder), makes the exit
+status 3; each metadata field past the bound is named, and an earlier CSV
+that cannot be compared is reported on its preset's line while the presets
+after it are still compared.  The Monte Carlo
 columns move only through a documented change of sampler.
 
 Exit status: 0 all presets pass (and, with --compare, no column moved past its
 bound), 2 a preset failed its own rate gate (this wins over 3), 3 a column
-moved past its bound.
+moved past its bound or an earlier CSV could not be compared.
 """
 
 import argparse
@@ -116,12 +119,15 @@ def main() -> int:
             elif new.read_bytes() == old.read_bytes():
                 deltas[name] = "identical"
             else:
-                new_rows, old_rows = read_csv(str(new)), read_csv(str(old))
-                deltas[name] = (
-                    max_relative_deltas(new_rows, old_rows),
-                    header_deltas(read_header(new), read_header(old)),
-                    mc_identical(new_rows, old_rows),
-                )
+                try:
+                    new_rows, old_rows = read_csv(str(new)), read_csv(str(old))
+                    deltas[name] = (
+                        max_relative_deltas(new_rows, old_rows),
+                        header_deltas(read_header(new), read_header(old)),
+                        mc_identical(new_rows, old_rows),
+                    )
+                except ValueError as exc:  # a malformed baseline or another ladder
+                    deltas[name] = exc
     print(f"CSV files in {out}/")
     if args.compare:
         print(f"\nlargest relative delta against {args.compare}/")
@@ -130,6 +136,10 @@ def main() -> int:
         for name, d in deltas.items():
             if d is None or d == "identical":
                 print(f"{name:24s} {d or '(no CSV)'}")
+                continue
+            if isinstance(d, ValueError):
+                moved = True
+                print(f"{name:24s} not comparable: {d}")
                 continue
             det, meta, mc_same = d
             mc = "identical" if mc_same else "moved"

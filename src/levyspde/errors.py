@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .mittag_leffler import mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
@@ -81,7 +80,7 @@ _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
 _ML_BLOCK = 16384  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
 _PRIM_TABLE_MAX = 1 << 23  # values of the held cell-primitive table (64 MB); a larger level evaluates directly
-_NODE_BLOCK = 1 << 20  # factor values per block of modes on a time-exact Volterra level; bounds its memory
+_NODE_BLOCK = 1 << 20  # factor values per mode block on global nodes (time-exact Volterra, the oracle); bounds memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
 
@@ -150,7 +149,12 @@ class Setup:
 
 @lru_cache(maxsize=1)
 def _gauss() -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(GAUSS_ORDER)
+    """The GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1]:
+    numpy.polynomial.legendre.leggauss(GAUSS_ORDER) written out at repr
+    precision, its values bit for bit without importing numpy.polynomial."""
+    half_x = [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]
+    half_w = [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]
+    return np.array([-x for x in half_x[::-1]] + half_x), np.array(half_w[::-1] + half_w)
 
 
 def _panel_nodes(bks: np.ndarray):
@@ -522,7 +526,8 @@ def _weak_error_cellwise(setup: Setup) -> float:
     """The weak error of a spectral scheme setup by a route apart from
     error_report: step factors from discrete_family tables (for Volterra the
     per-mode march cq_mode_solve) and I_ee from Gauss quadrature on global
-    nodes, apart from both the closed forms and the G_rho table."""
+    nodes, in blocks of about _NODE_BLOCK factor values, apart from both the
+    closed forms and the G_rho table."""
     kind, lam, q, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.n_cells
     if kind.name == "volterra":
         march = [cq_mode_solve(lk, kind.rho, setup.dt, N) for lk in lam]
@@ -531,8 +536,10 @@ def _weak_error_cellwise(setup: Setup) -> float:
         steps = discrete_family(kind, lam, setup.dt, N).steps
     et = _observable(kind, _pole(kind, lam[:, None]), steps[:, 1:])
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
-    b = _noise_factor(kind, lam[:, None], nodes[None, :])
-    ee = (b * b) @ w
+    ee = np.empty(lam.size)
+    for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
+        b = _noise_factor(kind, lam[k, None], nodes[None, :])
+        ee[k] = (b * b) @ w
     a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)
     return float(q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee) + (a_d @ a_d - a_e @ a_e))
 

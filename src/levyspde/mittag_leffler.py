@@ -191,6 +191,19 @@ def _branch_cut_integral(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray
     return (base[None, :] / denom).sum(axis=1)
 
 
+def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
+    """(t, V): the _BRIDGE_DEGREE + 1 Chebyshev points of the first kind and
+    V[i, j] = T_j(t_i), by the recurrence T_j = T_{j-1} 2t - T_{j-2}.  These are
+    numpy.polynomial.chebyshev's chebpts1 and chebvander formulas, so the bits
+    are theirs without importing numpy.polynomial."""
+    n = _BRIDGE_DEGREE + 1
+    t = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+    cols = [np.ones_like(t), t]
+    for _ in range(2, n):
+        cols.append(cols[-1] * (2.0 * t) - cols[-2])
+    return t, np.column_stack(cols)
+
+
 @lru_cache(maxsize=32)
 def _bridge_table(rho: float, beta: int) -> tuple[float, float, np.ndarray]:
     """(log 5, panel width, Chebyshev coefficients of log I as a (degree + 1,
@@ -199,11 +212,11 @@ def _bridge_table(rho: float, beta: int) -> tuple[float, float, np.ndarray]:
     panel's Chebyshev points."""
     lo = np.log(SERIES_CUTOFF)
     width = (rho * np.log(60.0) - lo) / _BRIDGE_PANELS
-    t = np.polynomial.chebyshev.chebpts1(_BRIDGE_DEGREE + 1)
+    t, vander = _chebyshev_basis()
     u = lo + (np.arange(_BRIDGE_PANELS) + (t[:, None] + 1.0) / 2.0) * width
     # a panel at a time: at rho = 1.01 each value meets 7392 trapezoid nodes
     log_cut = np.log([_branch_cut_integral(rho, np.exp(panel), beta) for panel in u.T]).T
-    return lo, width, np.linalg.solve(np.polynomial.chebyshev.chebvander(t, _BRIDGE_DEGREE), log_cut)
+    return lo, width, np.linalg.solve(vander, log_cut)
 
 
 def _bridge_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:

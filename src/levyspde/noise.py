@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .spectral import DirichletSpectrum, _is_whole
 
@@ -36,9 +35,13 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream addressed by (seed, *path) indices.
 
     Counter-based, so streams are reproducible regardless of creation order.
+    numpy.random is imported here, on the first stream a process asks for,
+    so that no deterministic study loads it.
     """
     if not all(_is_whole(i) and i >= 0 for i in (seed, *path)):
         raise ValueError(f"stream seed and path must be whole numbers >= 0, got seed={seed!r} path={path!r}")
+    from numpy.random import Generator, Philox, SeedSequence
+
     ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return Generator(Philox(ss))
 

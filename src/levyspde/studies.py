@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CylindricalFunctional, ErrorReport, Setup, error_report, mc_weak_error
-from .noise import CovarianceSpec, LevyLaw, _check_beta, hs_condition
+from .noise import CovarianceSpec, LevyLaw, _check_beta, hs_condition, stream
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import _is_count, _is_whole, assemble_fem, dirichlet_spectrum
 
@@ -187,6 +187,8 @@ class StudyConfig:
                 )
         if not (_is_whole(self.mc_seed) and self.mc_seed >= 0):
             raise ValueError(f"mc_seed must be a whole number >= 0, got {self.mc_seed!r}")
+        if self.mc_paths is not None:
+            stream(self.mc_seed)  # a Monte Carlo config is ready once it can draw: load the sampler here, not mid-study
         if self.g != "quadratic" and self.mc_paths is None:
             raise ValueError(f"test functional g={self.g!r} is read only by the Monte Carlo columns; set mc_paths")
         if self.cov_decay is None and self.decay < 0:

@@ -1,7 +1,10 @@
 import argparse
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -514,3 +517,30 @@ def test_readme_cli_block_lists_every_command():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("levyspde ")}
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == set(sub.choices)
+
+
+def test_run_all_studies_reports_each_baseline_it_cannot_compare(tmp_path):
+    # a baseline CSV cut short (read_csv refuses it) and one on another ladder
+    # (max_relative_deltas refuses it): each is reported on its own preset's
+    # line and counts as moved, and the presets after them are still compared
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+    def run_script(*args):
+        cmd = [sys.executable, str(root / "scripts" / "run_all_studies.py"), *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    base = tmp_path / "base"
+    assert run_script(str(base)).returncode == 0
+    short = base / "heat-temporal-beta1.csv"
+    text = short.read_text()
+    short.write_text(text[: text.rstrip().rfind(",")])  # the last row loses its last field
+    other = base / "wave-spatial.csv"
+    other.write_text("".join(other.read_text().splitlines(keepends=True)[:-1]))  # one level fewer
+    done = run_script(str(tmp_path / "new"), "--compare", str(base))
+    assert done.returncode == 3, done.stderr
+    table = done.stdout.split("\nlargest relative delta against ", 1)[1].splitlines()[2:]
+    status = {line.split()[0]: line.split(None, 1)[1] for line in table}
+    assert status.pop("heat-temporal-beta1").startswith("not comparable: ")
+    assert status.pop("wave-spatial") == "not comparable: the two CSVs have different ladders"
+    assert len(status) == 4 and set(status.values()) == {"identical"}

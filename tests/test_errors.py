@@ -196,6 +196,27 @@ class TestHsTimeIntegral:
     quadrature on the global nodes (the route of the time-exact rows and of
     _weak_error_cellwise), and the test oracle cell_integrals built on them."""
 
+    def test_gauss_rule_is_numpys_bit_for_bit(self):
+        # the library writes the rule out so that it never imports numpy.polynomial
+        x, w = errors._gauss()
+        want_x, want_w = np.polynomial.legendre.leggauss(errors.GAUSS_ORDER)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+
+    @pytest.mark.parametrize("kind", [heat_kind(), volterra_kind(1.5), wave_kind("crank_nicolson")], ids=lambda k: k.name)
+    def test_cellwise_oracle_in_mode_blocks(self, kind, monkeypatch):
+        # the oracle's exact factors in blocks of 5 of the 48 modes, the last one
+        # short; ee is a BLAS matrix-vector product per block, whose summation
+        # order depends on the block's row count, so it agrees to rounding
+        x0 = np.zeros((2, 48) if kind.name == "wave" else 48)
+        x0[..., :2] = [1.0, -0.5]
+        setup = Setup(kind, dirichlet_spectrum(48), CovarianceSpec(amplitude=1.0, decay=0.3), CP, 1.0, n_cells=8, x0=x0)
+        whole = errors._weak_error_cellwise(setup)
+        nodes, _ = errors._global_nodes(kind, float(setup.spec.eigenvalues[-1]), 1.0)
+        assert 48 * nodes.size <= errors._NODE_BLOCK
+        monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * nodes.size)
+        assert len(errors._mode_blocks(48, nodes.size, errors._NODE_BLOCK)) == 10
+        assert abs(errors._weak_error_cellwise(setup) - whole) <= 1e-14 * abs(whole)
+
     def test_constant_integrand(self):
         _, w = errors._global_nodes(heat_kind(), 37.0, 1.25)
         assert 2.0 * 3.5 * np.sum(w) == pytest.approx(2.0 * 3.5 * 1.25, rel=1e-15)

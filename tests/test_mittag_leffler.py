@@ -143,6 +143,17 @@ def test_residue_pair_cutoff_grows_toward_rho_two():
         assert all(a < b for a, b in zip(cutoffs[1:], cutoffs[2:]))
 
 
+def test_bridge_basis_is_numpys_bit_for_bit():
+    # the library builds the Chebyshev points and matrix itself, so that it
+    # never imports numpy.polynomial
+    from levyspde.mittag_leffler import _BRIDGE_DEGREE, _chebyshev_basis
+
+    t, vander = _chebyshev_basis()
+    cheb = np.polynomial.chebyshev
+    assert t.tobytes() == cheb.chebpts1(_BRIDGE_DEGREE + 1).tobytes()
+    assert vander.tobytes() == cheb.chebvander(t, _BRIDGE_DEGREE).tobytes()
+
+
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("rho", [1.01, 1.1, 1.5, 1.9, 1.99])
 def test_bridge_table_against_trapezoid(rho, beta):

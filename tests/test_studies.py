@@ -462,6 +462,45 @@ class TestRuntimeDependencies:
         # numpy.ma is what np.unique imports on its first call (11.9 ms)
         assert out.strip() == "[]"
 
+    def test_deterministic_studies_load_neither_numpy_random_nor_polynomial(self, fresh_python):
+        # numpy.random (with secrets, hashlib and hmac) is about 10 ms of import
+        # that only the Monte Carlo sampler uses, numpy.polynomial 3-5 ms that
+        # nothing uses.  Compared against what `import numpy` alone loads, so
+        # that numpy 1.x, which imports numpy.random itself, passes too
+        presets = [c for c in preset_studies().values() if c.mc_paths is None]
+        out = fresh_python(
+            "-c",
+            "import sys, numpy\n"
+            "numpy_alone = set(sys.modules)\n"
+            "from levyspde import EquationKind, LevyLaw, StudyConfig, run_study, volterra_kind\n"
+            "from levyspde import errors, mittag_leffler\n"
+            f"configs = [{', '.join(map(repr, presets))}]\n"
+            "run_study(next(c for c in configs if c.name == 'heat-temporal-beta1'))\n"
+            "run_study(StudyConfig('v', volterra_kind(1.5), 'temporal', 0.5, modes=32, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32)))\n"
+            "print(errors._gauss.cache_info().currsize, mittag_leffler._bridge_table.cache_info().currsize)\n"
+            "print(sorted(m for m in set(sys.modules) - numpy_alone if m.startswith(('numpy.random', 'numpy.polynomial'))))",
+        )
+        used, loaded = out.strip().splitlines()
+        gauss, bridges = map(int, used.split())
+        assert gauss == 1 and bridges >= 1  # what numpy.polynomial built before was built
+        assert loaded == "[]"
+
+    def test_a_monte_carlo_config_loads_the_sampler(self, fresh_python):
+        # loaded when the config is built, so that a Monte Carlo study does not
+        # pay for the import inside run_study
+        out = fresh_python(
+            "-c",
+            "import sys, numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from levyspde import StudyConfig, wave_kind\n"
+            "print('numpy.random' in sys.modules)\n"
+            "ladder = (1 / 8, 1 / 16, 1 / 32, 1 / 64)\n"
+            "StudyConfig('mc', wave_kind('crank_nicolson'), 'temporal', 0.75, modes=8, ladder=ladder, mc_paths=10)\n"
+            "print('numpy.random' in sys.modules)",
+        )
+        numpy_alone, library, config = out.split()
+        assert library == numpy_alone and config == "True"
+
     def test_names_the_benchmark_tracer_wraps_stay_importable(self):
         # studybench/tracer.py installs its spans at these (module, name) pairs
         import importlib
