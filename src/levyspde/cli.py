@@ -20,8 +20,8 @@ from .studies import (
     StudyConfig,
     _fmt,
     _kernel_order,
+    _preset_fields,
     emit_csv,
-    preset_studies,
     representation_sweep,
     run_study,
 )
@@ -106,12 +106,12 @@ def load_config(path: str) -> StudyConfig:
 
 
 def cmd_study(args) -> int:
-    presets = preset_studies()
     if args.preset:
+        presets = _preset_fields()  # the named preset alone: building the Monte Carlo one loads the sampler
         if args.preset not in presets:
             print(f"unknown preset {args.preset!r}; available: {', '.join(sorted(presets))}", file=sys.stderr)
             return 1
-        config = presets[args.preset]
+        config = StudyConfig(name=args.preset, **presets[args.preset])
     else:
         config = load_config(args.config)
     try:

@@ -18,7 +18,10 @@ Volterra, first component for the wave system).  One assembly serves every
 setup: sine mode k meets one discrete mode j(k) with coupling c_k (the
 identity with c = 1 on the spectral space, spectral.alias_fold on a P1 space),
 so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
-m = c^2 q, m and q.  representation_sweep checks the regrouped value against
+m = c^2 q, m and q.  One function builds them for every family,
+_rows(kind, lam_d, j, lam, T, n_cells): eigenvalue arrays in, no Setup, so
+rows at modes past K or at eigenvalues no spectrum carries come from the same
+call.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
 Every mode factor decays and oscillates like e^(p s), p = _pole(kind, lam),
@@ -35,18 +38,19 @@ I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
 toward the u^rho branch point at u = 0).  Time-exact rows use Gauss quadrature
 on global nodes shared by both sides; the nodes, the (K, G) exact factors on
-them and ee depend only on (kind, K, T, lam_max), lam_max = max(lam_K, top
-discrete eigenvalue), and a level evaluates only its J discrete rows.
+them and ee depend only on (kind, lam, T, lam_max), lam_max = the largest of
+lam and lam_d, and a level evaluates only its J discrete rows.
 The exact-side values a Volterra level evaluates pass to the next level of its
-study through one read-only table, _exact_table, which holds one key at a time:
-(kind, K, T) for scheme levels, with ee and the cell primitives at every second
-edge of one level (K (N/2 + 1) 8 bytes, at most _PRIM_TABLE_MAX values), and
-(kind, K, T, lam_max) for time-exact levels, with the nodes, weights, factors
-and ee (K G 8 bytes).  One rule says what a level may reuse: the held values,
-as a strided view, when its key matches and its points are the held points
-taken every r-th, bit for bit.  studies.run_study runs a temporal ladder
-finest first, so on a dyadic ladder only the finest level evaluates
-E_{rho,2}; ee is evaluated once per key.
+study through one read-only table, _exact_table, which holds one key at a time.
+The key carries the bytes of lam, as _rows takes any array: (kind, lam, T)
+for scheme levels, with ee and the cell primitives at every second edge of
+one level (K (N/2 + 1) 8 bytes, at most _PRIM_TABLE_MAX values), and
+(kind, lam, T, lam_max) for time-exact levels, with the nodes, weights,
+factors and ee (K G 8 bytes).  One rule says what a level may reuse: the
+held values, as a strided view, when its key matches and its points are the
+held points taken every r-th, bit for bit.  studies.run_study runs a
+temporal ladder finest first, so on a dyadic ladder only the finest level
+evaluates E_{rho,2}; ee is evaluated once per key.
 """
 
 from __future__ import annotations
@@ -217,30 +221,6 @@ def _re_products(a, la, b, lb, total):
     return 0.5 * (a * b * total(la + lb) + a * np.conj(b) * total(la + np.conj(lb))).real
 
 
-def _closed_form_integrals(kind: EquationKind, lam_d, lam, T: float, n_cells: int | None):
-    """(dd, de, ee) per sine mode k for heat and wave: dd = int_0^T etilde^2,
-    de = int_0^T etilde e_k and ee = int_0^T e_k^2, etilde the discrete factor
-    at lam_d[k], the eigenvalue of mode k's partner.  n_cells None: etilde is
-    the exact factor at lam_d.  Otherwise etilde = Re(c z^n) on cell n, the cell
-    integrals of e_k are Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum
-    over n is geometric."""
-    p_d, p = _pole(kind, lam_d), _pole(kind, lam)
-    c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
-    integral = partial(_integral, T=T)
-    ee = _re_products(c, p, c, p, integral)
-    if n_cells is None:
-        a, la, b, lb, total = c_d, p_d, c, p, integral
-        dd = _re_products(a, la, a, la, total)
-    else:
-        dt = T / n_cells
-        la = step_log(kind, lam_d, dt)
-        a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
-        b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
-        total = partial(_geometric, n=n_cells)
-        dd = dt * _re_products(a, la, a, la, total)
-    return dd, _re_products(a, la, b, lb, total), ee
-
-
 # ----------------------------------------------------------------------------
 # deterministic error assembly
 
@@ -329,12 +309,13 @@ def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
 
 class _ExactTable:
     """The exact-side values of one Volterra key, held for the next level of a
-    study; read-only.  Scheme levels, key (kind, K, T): ee and the (K, N/2 + 1)
-    cell primitives t E_{rho,2}(-lam_k t^rho) at points, every second edge of
-    the level that kept them.  Time-exact levels, key (kind, K, T, lam_max):
-    the global Gauss nodes and weights of lam_max, the (K, G) exact factors
-    E_rho(-lam_k s^rho) on them and ee.  Each is a pure function of its key
-    and points, so a level that reads them gets the bits it would evaluate."""
+    study; read-only.  Scheme levels, key (kind, lam bytes, T): ee and the
+    (K, N/2 + 1) cell primitives t E_{rho,2}(-lam_k t^rho) at points, every
+    second edge of the level that kept them.  Time-exact levels, key
+    (kind, lam bytes, T, lam_max): the global Gauss nodes and weights of
+    lam_max, the (K, G) exact factors E_rho(-lam_k s^rho) on them and ee.
+    Each is a pure function of its key and points, so a level that reads
+    them gets the bits it would evaluate."""
 
     def __init__(self):
         self.cache_clear()
@@ -358,22 +339,44 @@ class _ExactTable:
 _exact_table = _ExactTable()
 
 
-def _table_integrals(setup: Setup, lam_d, j, steps):
-    """(dd, de, ee) as in _closed_form_integrals, for Volterra; the discrete
-    rows are built on the J distinct lam_d and gathered by j, and the exact
-    side is read from _exact_table or evaluated and held there.  Scheme levels:
-    the CQ factor table steps (J, N+1) against the cell integrals
+def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
+    """(dd, de, ee, z_T) per sine mode k from eigenvalue arrays alone:
+    dd = int_0^T etilde^2, de = int_0^T etilde e_k, ee = int_0^T e_k^2, etilde
+    the discrete factor at lam_d[j[k] - 1] (lam_d, j as _partner_map gives
+    them; the discrete side is built on the J values of lam_d and gathered by
+    j), and z_T the scheme's terminal factor on lam_d, None on a time-exact
+    level (n_cells None, etilde the exact factor at lam_d).
+
+    Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
+    Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
+    Volterra reads its exact side from _exact_table or evaluates and holds it.
+    Scheme levels: the CQ factor table (J, N+1) against the cell integrals
     diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, in blocks of about
-    _ML_BLOCK values.  A level that reads nothing keeps every second column
-    when N is even and K (N/2 + 1) <= _PRIM_TABLE_MAX, else leaves a held table
-    of its key in place; ee is evaluated once per key, after the primitives.
-    Time-exact levels: Gauss quadrature on global nodes, the exact factors and
-    ee built once per key, and the level's J discrete rows paired with them,
-    both in blocks of about _NODE_BLOCK values."""
-    kind, lam, T = setup.kind, setup.spec.eigenvalues, setup.T
-    if steps is None:
-        lam_max = max(float(lam[-1]), float(lam_d[-1]))
-        key = (kind, lam.size, T, lam_max)
+    _ML_BLOCK values; a level that reads nothing keeps every second column
+    when N is even and K (N/2 + 1) <= _PRIM_TABLE_MAX, else leaves a held
+    table of its key in place; ee is evaluated once per key, after the
+    primitives.  Time-exact levels: Gauss quadrature on global nodes, factors
+    and ee built once per key, in blocks of about _NODE_BLOCK values."""
+    if kind.name != "volterra":
+        p_d, p = _pole(kind, lam_d)[j - 1], _pole(kind, lam)
+        c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
+        integral = partial(_integral, T=T)
+        ee = _re_products(c, p, c, p, integral)
+        if n_cells is None:
+            a, la, b, lb, total, z_T = c_d, p_d, c, p, integral, None
+            dd = _re_products(a, la, a, la, total)
+        else:
+            dt = T / n_cells
+            log_z = step_log(kind, lam_d, dt)
+            la, z_T = log_z[j - 1], np.exp(n_cells * log_z)
+            a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
+            b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
+            total = partial(_geometric, n=n_cells)
+            dd = dt * _re_products(a, la, a, la, total)
+        return dd, _re_products(a, la, b, lb, total), ee, z_T
+    if n_cells is None:
+        lam_max = max(float(lam.max()), float(lam_d.max()))
+        key = (kind, lam.tobytes(), T, lam_max)
         if key != _exact_table.key:
             nodes, w = _global_nodes(kind, lam_max, T)
             b, ee = np.empty((lam.size, nodes.size)), np.empty(lam.size)
@@ -386,14 +389,16 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
         de = np.empty(lam.size)
         for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
             de[k] = (a[j[k] - 1] * b[k]) @ w
-        return ((a * a) @ w)[j - 1], de, ee
-    edges = _level_edges(setup)
-    key = (kind, lam.size, T)
+        return ((a * a) @ w)[j - 1], de, ee, None
+    dt = T / n_cells
+    steps = discrete_family(kind, lam_d, dt, n_cells).steps
+    edges = np.linspace(0.0, T, n_cells + 1)
+    key = (kind, lam.tobytes(), T)
     held = _exact_table.view(key, edges)
     ee = _exact_table.ee if key == _exact_table.key else None
     keep = None
-    if held is None and setup.n_cells % 2 == 0 and lam.size * (setup.n_cells // 2 + 1) <= _PRIM_TABLE_MAX:
-        keep = np.empty((lam.size, setup.n_cells // 2 + 1))
+    if held is None and n_cells % 2 == 0 and lam.size * (n_cells // 2 + 1) <= _PRIM_TABLE_MAX:
+        keep = np.empty((lam.size, n_cells // 2 + 1))
     t_rho = edges**kind.rho
     et = steps[:, 1:]
     de = np.empty(lam.size)
@@ -405,19 +410,16 @@ def _table_integrals(setup: Setup, lam_d, j, steps):
         else:
             prim = held[k]
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
-    dd = setup.dt * np.einsum("jn,jn->j", et, et)
+    dd = dt * np.einsum("jn,jn->j", et, et)
     if ee is None:
         ee = _volterra_ee(kind, lam, T)
     if keep is not None or key != _exact_table.key:
         _exact_table.hold(key, None if keep is None else edges[::2], None, keep, ee)
-    return dd[j - 1], de, ee
+    return dd[j - 1], de, ee, steps[:, -1]
 
 
-def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
-    """Factor at T of each mode: exact (n_cells None; the carrier e^(p T), E_rho
-    for Volterra), or n_cells steps of the heat or wave scheme, z^N = e^(N log z)."""
-    if n_cells is not None:
-        return np.exp(n_cells * step_log(kind, lam, T / n_cells))
+def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
+    """Exact factor at T of each mode: the carrier e^(p T), E_rho for Volterra."""
     return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_pole(kind, lam) * T)
 
 
@@ -492,27 +494,17 @@ def error_report(setup: Setup) -> ErrorReport:
     exact family (no FEM space, no time grid) the rows are equal bit for bit,
     so every value is exactly 0.
     """
-    kind = setup.kind
-    lam = setup.spec.eigenvalues
-    q = setup.q()
+    kind, q = setup.kind, setup.q()
     lam_d, j, c = _partner_map(setup)
     m = c * c * q
-    steps = None
-    if kind.name == "volterra" and setup.n_cells is not None:
-        steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
-
+    dd, de, ee, z_T = _rows(kind, lam_d, j, setup.spec.eigenvalues, setup.T, setup.n_cells)
     x0_d = x0_e = x0_diff = 0.0
     if setup.x0.any():
         a_e = _exact_terminal_first(setup)
-        z_T = steps[:, -1] if steps is not None else _terminal_factor(kind, lam_d, setup.T, setup.n_cells)
+        z_T = _terminal_factor(kind, lam_d, setup.T) if z_T is None else z_T
         a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
         x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
-
-    if kind.name == "volterra":
-        dd, de, ee = _table_integrals(setup, lam_d, j, steps)
-    else:
-        dd, de, ee = _closed_form_integrals(kind, lam_d[j - 1], lam, setup.T, setup.n_cells)
     # one reduction for all three, so the exact family's equal rows give equal sums
     i_dd, i_de, i_ee = (float(np.vdot(w, v)) for w, v in ((m, dd), (m, de), (q, ee)))
     weak = (x0_d - x0_e) + (i_dd - i_ee)

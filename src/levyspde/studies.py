@@ -460,58 +460,25 @@ def _dyadic(lo: int, hi: int) -> tuple[float, ...]:
     return tuple(2.0**-p for p in range(lo, hi + 1))
 
 
+def _preset_fields() -> dict[str, dict]:
+    """Each shipped preset's StudyConfig fields but its name, by name; nothing
+    is built, so one preset can be built alone (the Monte Carlo one loads the
+    sampler)."""
+    wave = wave_kind("crank_nicolson")
+    return {
+        "heat-temporal-beta1": dict(kind=heat_kind(), axis="temporal", beta=1.0, modes=4096, ladder=_dyadic(4, 10)),
+        "heat-spatial-beta075": dict(kind=heat_kind(), axis="spatial", beta=0.75, modes=4096, ladder=_dyadic(2, 7)),
+        "volterra-temporal": dict(
+            kind=volterra_kind(1.5), axis="temporal", beta=0.5, modes=1024, ladder=_dyadic(4, 10)
+        ),
+        "wave-temporal": dict(kind=wave, axis="temporal", beta=0.75, modes=1024, ladder=_dyadic(4, 10)),
+        "wave-spatial": dict(kind=wave, axis="spatial", beta=0.75, modes=1024, ladder=_dyadic(2, 7)),
+        "wave-temporal-mc": dict(
+            kind=wave, axis="temporal", beta=0.75, modes=32, ladder=_dyadic(3, 6), mc_paths=2000, mc_seed=0
+        ),
+    }
+
+
 def preset_studies() -> dict[str, StudyConfig]:
     """The canonical convergence studies; names are CLI-addressable."""
-    presets = [
-        StudyConfig(
-            name="heat-temporal-beta1",
-            kind=heat_kind(),
-            axis="temporal",
-            beta=1.0,
-            modes=4096,
-            ladder=_dyadic(4, 10),
-        ),
-        StudyConfig(
-            name="heat-spatial-beta075",
-            kind=heat_kind(),
-            axis="spatial",
-            beta=0.75,
-            modes=4096,
-            ladder=_dyadic(2, 7),
-        ),
-        StudyConfig(
-            name="volterra-temporal",
-            kind=volterra_kind(1.5),
-            axis="temporal",
-            beta=0.5,
-            modes=1024,
-            ladder=_dyadic(4, 10),
-        ),
-        StudyConfig(
-            name="wave-temporal",
-            kind=wave_kind("crank_nicolson"),
-            axis="temporal",
-            beta=0.75,
-            modes=1024,
-            ladder=_dyadic(4, 10),
-        ),
-        StudyConfig(
-            name="wave-spatial",
-            kind=wave_kind("crank_nicolson"),
-            axis="spatial",
-            beta=0.75,
-            modes=1024,
-            ladder=_dyadic(2, 7),
-        ),
-        StudyConfig(
-            name="wave-temporal-mc",
-            kind=wave_kind("crank_nicolson"),
-            axis="temporal",
-            beta=0.75,
-            modes=32,
-            ladder=_dyadic(3, 6),
-            mc_paths=2000,
-            mc_seed=0,
-        ),
-    ]
-    return {p.name: p for p in presets}
+    return {name: StudyConfig(name=name, **fields) for name, fields in _preset_fields().items()}

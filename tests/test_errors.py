@@ -820,7 +820,7 @@ class TestExactSide:
 
         lam = dirichlet_spectrum(256).eigenvalues
         for n in self.LADDER:
-            dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n)
+            dd, de, ee, _ = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             et = observed_steps(kind, lam, discrete_family(kind, lam, 1.0 / n, n).steps[:, 1:])
             scale = 1e-10 * p2
@@ -836,7 +836,7 @@ class TestExactSide:
 
         modes = [1, 2, 16, 256]
         lam = (np.array(modes) * np.pi) ** 2
-        dd, de, ee = errors._closed_form_integrals(kind, lam, lam, 1.0, n)
+        dd, de, ee, _ = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
         with mp.workdps(40):
             dt, i = mp.mpf(1) / n, mp.mpc(0, 1)
             for j, k in enumerate(modes):
@@ -859,25 +859,70 @@ class TestExactSide:
 
     def test_volterra_table_differences_at_level_edges(self, monkeypatch):
         # de pairs the CQ table with diff(t E_{rho,2}(-lam t^rho)) at the level's
-        # edges, ee is read off the G_rho table; both against cellwise quadrature
+        # edges, ee is read off the G_rho table; both against cellwise quadrature.
+        # z_T is the CQ table's last column, from the one solve
         from cell_oracle import cell_integrals
 
         kind = volterra_kind(1.5)
-        spec = dirichlet_spectrum(8)
-        lam = spec.eigenvalues
+        lam = dirichlet_spectrum(8).eigenvalues
+        j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
         for n in (12, 16):
-            setup = Setup(kind, spec, FLAT, CP, 1.0, n_cells=n)
             steps = discrete_family(kind, lam, 1.0 / n, n).steps
-            j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
             errors._exact_table.cache_clear()  # cold: evaluate, not read a held level's primitives
-            _, de, ee = errors._table_integrals(setup, lam, j, steps)
+            _, de, ee, z_T = errors._rows(kind, lam, j, lam, 1.0, n)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
             assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
+            assert np.array_equal(z_T, steps[:, -1])
             monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
             errors._exact_table.cache_clear()
-            assert np.array_equal(errors._table_integrals(setup, lam, j, steps)[1], de)
+            assert np.array_equal(errors._rows(kind, lam, j, lam, 1.0, n)[1], de)
             monkeypatch.undo()
+
+    ROW_KINDS = [heat_kind(), wave_kind("crank_nicolson"), volterra_kind(1.5)]
+
+    @pytest.mark.parametrize("n", [16, None], ids=["scheme", "time-exact"])
+    @pytest.mark.parametrize("kind", ROW_KINDS, ids=["heat", "wave", "volterra"])
+    def test_rows_at_eigenvalues_no_setup_carries(self, kind, n):
+        # rows are a function of eigenvalue arrays: modes K+1..2K of a K = 8
+        # spectrum and a log-spaced set, against cellwise quadrature
+        from cell_oracle import cell_integrals
+
+        bound = 1e-12 if kind.name == "volterra" else 1e-10
+        for lam in ((np.arange(9.0, 17.0) * np.pi) ** 2, np.logspace(0.5, 4.5, 9)):
+            errors._exact_table.cache_clear()
+            dd, de, ee, z_T = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
+            p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, (n or 1) + 1))
+            assert np.all(np.abs(ee - p2) <= bound * p2)
+            if n is None:  # etilde is the exact factor: every row is the exact ee
+                assert z_T is None
+                assert np.all(np.abs(dd - p2) <= bound * p2) and np.all(np.abs(de - p2) <= bound * p2)
+                continue
+            steps = discrete_family(kind, lam, 1.0 / n, n).steps
+            et = observed_steps(kind, lam, steps[:, 1:])
+            assert np.all(np.abs(dd - np.einsum("kn,kn->k", et, et) / n) <= bound * p2)
+            assert np.all(np.abs(de - np.einsum("kn,kn->k", et, p1)) <= bound * p2)
+            assert np.allclose(z_T, steps[:, -1], rtol=1e-12, atol=0.0)
+
+    def test_rows_held_table_is_keyed_by_the_eigenvalues(self):
+        # two equal-size spectra, Dirichlet modes 1..K and K+1..2K, partnered in
+        # one discrete spectrum of 2K values (so a time-exact level's lam_max is
+        # the same for both): each call's rows equal that array's cold rows bit
+        # for bit.  A (kind, K, T) key read the first array's cell primitives and
+        # ee for the second, and the time-exact factors and ee likewise
+        kind, K = volterra_kind(1.5), 16
+        lam_d = dirichlet_spectrum(2 * K).eigenvalues
+        low, high = (lam_d[:K], np.arange(1, K + 1)), (lam_d[K:], np.arange(K + 1, 2 * K + 1))
+        calls = [(low, 64), (high, 32), (high, None), (low, None)]
+        cold = []
+        for (lam, j), n in calls:
+            errors._exact_table.cache_clear()
+            cold.append(errors._rows(kind, lam_d, j, lam, 1.0, n))
+        errors._exact_table.cache_clear()
+        for ((lam, j), n), want in zip(calls, cold):
+            got = errors._rows(kind, lam_d, j, lam, 1.0, n)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w), n
 
     @pytest.mark.parametrize("mode", [1, 2, 64, 1024])
     def test_volterra_ee_against_high_precision_sums(self, mode):
@@ -917,7 +962,8 @@ class TestExactSide:
             kind = volterra_kind(rho)
             setup = Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(64))
             lam_d, j, _ = errors._partner_map(setup)
-            dd, _, ee = errors._table_integrals(setup, lam_d, j, None)
+            dd, _, ee, z_T = errors._rows(kind, lam_d, j, lam, 1.0, None)
+            assert z_T is None
             g = errors._volterra_ee(kind, lam, 1.0)
             assert np.max(np.abs(ee - g) / g) <= 1e-14, rho
             g = errors._volterra_ee(kind, lam_d, 1.0)[j - 1]
@@ -996,7 +1042,8 @@ class TestFemAssembly:
             # is a BLAS matrix-vector product per block, whose summation order
             # depends on the block's row count, so it agrees to rounding
             table = errors._exact_table
-            key = (kind, 24, 1.0, max(float(setup.spec.eigenvalues[-1]), float(setup.fem.eigenvalues[-1])))
+            lam = setup.spec.eigenvalues
+            key = (kind, lam.tobytes(), 1.0, max(float(lam.max()), float(setup.fem.eigenvalues.max())))
             assert table.key == key
             whole = (table.points, table.weights, table.values, table.ee)
             assert 24 * whole[0].size <= errors._NODE_BLOCK

@@ -501,6 +501,22 @@ class TestRuntimeDependencies:
         numpy_alone, library, config = out.split()
         assert library == numpy_alone and config == "True"
 
+    def test_a_deterministic_preset_run_leaves_the_sampler_unloaded(self, fresh_python, tmp_path):
+        # `levyspde study --preset NAME` builds that preset alone; building every
+        # preset to look one up built the Monte Carlo one too, which loads numpy.random
+        out = fresh_python(
+            "-c",
+            "import contextlib, io, sys, numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from levyspde.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['study', '--preset', 'heat-temporal-beta1', '--output', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)",
+        )
+        numpy_alone, code, after = out.split()
+        assert code == "0" and after == numpy_alone == "False"
+        assert (tmp_path / "heat-temporal-beta1.csv").exists()
+
     def test_names_the_benchmark_tracer_wraps_stay_importable(self):
         # studybench/tracer.py installs its spans at these (module, name) pairs
         import importlib
