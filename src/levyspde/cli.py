@@ -47,7 +47,6 @@ _SCHEMA = {
     "horizon": ("T", float),
     "modes": ("modes", None),
     "ladder": ("ladder", lambda v: tuple(float(x) for x in v)),
-    "fixed_cells": ("fixed_cells", None),
     "covariance": {"amplitude": ("cov_amplitude", float), "decay": ("cov_decay", float)},
     "law": {"kind": ("kind", None), "intensity": ("intensity", float), "jumps": ("jumps", None)},
     "x0": ("x0", tuple),

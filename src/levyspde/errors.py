@@ -48,9 +48,9 @@ one level (K (N/2 + 1) 8 bytes, at most _PRIM_TABLE_MAX values), and
 (kind, lam, T, lam_max) for time-exact levels, with the nodes, weights,
 factors and ee (K G 8 bytes).  One rule says what a level may reuse: the
 held values, as a strided view, when its key matches and its points are the
-held points taken every r-th, bit for bit.  studies.run_study runs a
-temporal ladder finest first, so on a dyadic ladder only the finest level
-evaluates E_{rho,2}; ee is evaluated once per key.
+held points taken every r-th, bit for bit.  studies.run_study runs every
+ladder finest first, so on a dyadic ladder only the finest level evaluates
+E_{rho,2}; ee is evaluated once per key.
 """
 
 from __future__ import annotations

@@ -131,11 +131,11 @@ def weak_rate_ok(slope: float, expected: float) -> bool:
 class StudyConfig:
     """A convergence-study declaration.
 
-    axis "temporal": ladder entries are time steps dt on the spectral-Galerkin
-    space.  axis "spatial": ladder entries are mesh widths h = 1/M with the
-    time-exact family on the FEM eigenpairs (fixed_cells adds a time scheme).
-    Covariance decay defaults to the regularity-target derivation; pass
-    cov_decay to override.
+    axis "temporal": ladder entries are time steps dt = T/N on the
+    spectral-Galerkin space.  axis "spatial": ladder entries are mesh widths
+    h = 1/M with the time-exact family on the FEM eigenpairs.  Covariance
+    decay defaults to the regularity-target derivation; pass cov_decay to
+    override.
     """
 
     name: str
@@ -145,7 +145,6 @@ class StudyConfig:
     T: float = 1.0
     modes: int = 1024
     ladder: tuple[float, ...] = ()
-    fixed_cells: int | None = None
     cov_amplitude: float = 1.0
     cov_decay: float | None = None
     law: LevyLaw = field(default_factory=lambda: LevyLaw("compound_poisson", intensity=1.0))
@@ -156,6 +155,9 @@ class StudyConfig:
     mc_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or self.name.splitlines() != [self.name]:
+            # the name heads the CSV and names its file: a line break breaks read_csv, "" writes ".csv"
+            raise ValueError(f"name must be one non-empty line of text, got {self.name!r}")
         if self.axis not in ("temporal", "spatial"):
             raise ValueError(f"axis must be temporal or spatial, got {self.axis!r}")
         _check_beta(self.beta)
@@ -173,11 +175,6 @@ class StudyConfig:
             raise ValueError(f"g_mode must be a mode index in 1..{self.modes}, got {self.g_mode!r}")
         if self.g_mode != 1 and self.g != "cylindrical_cos":
             raise ValueError(f"g_mode applies to g = 'cylindrical_cos' only; g is {self.g!r}, got g_mode={self.g_mode}")
-        if self.fixed_cells is not None:
-            if self.axis != "spatial":
-                raise ValueError("fixed_cells applies to spatial studies only; a temporal ladder sets the cells")
-            if not _is_count(self.fixed_cells):
-                raise ValueError(f"fixed_cells must be a whole number >= 1, got {self.fixed_cells!r}")
         if self.mc_paths is not None:
             if not _is_count(self.mc_paths):
                 raise ValueError(f"mc_paths must be a whole number >= 1 or None, got {self.mc_paths!r}")
@@ -199,7 +196,7 @@ class StudyConfig:
         if self.axis == "temporal":
             for dt in self.ladder:
                 n = self.T / dt if dt > 0 else 0.0
-                if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
+                if not np.isfinite(n) or abs(n - round(n)) > 1e-9 * n or round(n) < 1:
                     raise ValueError(f"temporal ladder entry {dt} is not T/N for a whole number N >= 1 of cells")
                 if round(n) == 1 and self.expected().weak_log:
                     raise ValueError(
@@ -209,7 +206,7 @@ class StudyConfig:
         if self.axis == "spatial":
             for h in self.ladder:
                 m = 1.0 / h if h > 0 else 0.0
-                if abs(m - round(m)) > 1e-9 or round(m) < 2:
+                if not np.isfinite(m) or abs(m - round(m)) > 1e-9 or round(m) < 2:
                     raise ValueError(f"spatial ladder entry {h} is not 1/M for integer M >= 2")
                 if round(m) - 1 > self.modes:
                     raise ValueError(
@@ -281,7 +278,7 @@ def _level_setup(config: StudyConfig, resolution: float) -> Setup:
         n = int(round(config.T / resolution))
         return Setup(config.kind, spec, cov, config.law, config.T, n_cells=n, x0=config.x0)
     fem = assemble_fem(int(round(1.0 / resolution)))
-    return Setup(config.kind, spec, cov, config.law, config.T, n_cells=config.fixed_cells, fem=fem, x0=config.x0)
+    return Setup(config.kind, spec, cov, config.law, config.T, fem=fem, x0=config.x0)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -295,12 +292,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     reads its cells from those; only the scheme side is per level.  Every
     row equals a standalone mc_weak_error of its level's setup bit for bit.
 
-    A temporal ladder's levels run finest first, rows in ladder order, and a
-    spatial ladder in ladder order.  A Volterra level passes its exact side to
-    the next level through errors._exact_table: a key's ee, and the cell
-    primitives of the last level that kept them (on a dyadic ladder the
-    finest), which a coarser level reads when its time edges nest in that
-    level's.  Each row still equals a cold standalone error_report bit for bit.
+    Every ladder runs finest first, rows in ladder order.  A Volterra level
+    passes its exact side to the next level through errors._exact_table: a
+    temporal key's ee and the cell primitives of the last level that kept
+    them (on a dyadic ladder the finest), which a coarser level reads when
+    its time edges nest in that level's; a spatial key's node table, whose
+    lam_max only falls from the finest mesh down.  Each row still equals a
+    cold standalone error_report bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))
@@ -316,8 +314,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     if config.mc_paths:
         mc = mc_weak_error(setups, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
     rows = [None] * len(setups)
-    order = range(len(setups))
-    for level in reversed(order) if config.axis == "temporal" else order:
+    for level in reversed(range(len(setups))):
         rep = error_report(setups[level])
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
         rows[level] = StudyRow(level, config.ladder[level], rep, *mc[level], in_fit)

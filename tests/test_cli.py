@@ -323,12 +323,17 @@ class TestStudyCommand:
         [
             ({"equation": "wave", "x0": [[1.0], [0.0], [0.5]]}, r"shape \(2, K\)"),
             ({"equation": "heat", "g": "cylindrical_cos", "g_mode": 65, "mc": {"paths": 10}}, "g_mode"),
-            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "fixed_cells": "8"},
-             r"fixed_cells must be a whole number >= 1, got '8'"),
-            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "fixed_cells": 8.5},
-             r"fixed_cells must be a whole number >= 1, got 8\.5"),
-            ({"equation": "heat", "fixed_cells": 8}, "fixed_cells applies to spatial studies only"),
+            # the former time-grid key of spatial studies: it used to run, its error levelling off at the time error
+            ({"equation": "heat", "axis": "spatial", "ladder": [1 / 4, 1 / 8, 1 / 16, 1 / 32], "fixed_cells": 8},
+             r"unknown config keys \['fixed_cells'\]"),
             ({"equation": "heat", "ladder": [0.5, 0.3, 0.25, 0.125]}, r"entry 0\.3 is not T/N"),
+            # T/dt and 1/h overflow: both used to end in an OverflowError traceback
+            ({"equation": "heat", "ladder": [1e-320, 1e-321, 1e-322, 1e-323]}, r"entry 1e-320 is not T/N"),
+            ({"equation": "heat", "axis": "spatial", "ladder": [1e-320, 1e-321, 1e-322, 1e-323]},
+             r"entry 1e-320 is not 1/M"),
+            # both used to run; the first wrote a CSV read_csv refuses, the second a hidden ".csv"
+            ({"equation": "heat", "name": "a\nlevel,x"}, r"name must be one non-empty line of text, got 'a\\nlevel,x'"),
+            ({"equation": "heat", "name": ""}, r"name must be one non-empty line of text, got ''"),
             # counts used to be truncated by int(): this config ran on 16 modes, 20 paths, seed 1, and exited 0
             ({"equation": "heat", "modes": 16.7, "g_mode": 1.9, "mc": {"paths": 20.9, "seed": 1.5}},
              r"modes must be a whole number >= 1, got 16\.7"),
@@ -351,10 +356,12 @@ class TestStudyCommand:
         ids=[
             "wave-x0-three-rows",
             "g-mode-past-modes",
-            "fixed-cells-string",
-            "fixed-cells-fraction",
-            "fixed-cells-temporal",
+            "fixed-cells-unknown-key",
             "dt-not-dividing-T",
+            "dt-past-float-range",
+            "h-past-float-range",
+            "name-line-break",
+            "name-empty",
             "modes-fraction",
             "g-mode-fraction",
             "mc-paths-fraction",
@@ -398,8 +405,8 @@ class TestStudyCommand:
         assert re.search(message, err) and not (tmp_path / "stray.csv").exists()
 
 
-# every key of the schema given, valid, on a study that reads it; rho and
-# fixed_cells on a Volterra spatial study, every other key on a wave temporal one
+# every key of the schema given, valid, on a study that reads it; rho on a
+# Volterra spatial study, every other key on a wave temporal one
 FULL_WAVE = {
     "schema_version": 1,
     "name": "full",
@@ -425,7 +432,6 @@ FULL_VOLTERRA = {
     "beta": 0.5,
     "modes": 16,
     "ladder": [1 / 4, 1 / 6, 1 / 8, 1 / 12],
-    "fixed_cells": 8,
 }
 
 
@@ -452,7 +458,7 @@ class TestNullIsAbsent:
     @pytest.mark.parametrize("key", [".".join(k) for k in _schema_keys(_SCHEMA)])
     def test_null_equals_leaving_the_key_out(self, tmp_path, key):
         *outer, last = key.split(".")  # outer: the covariance, law or mc object, if any
-        given = copy.deepcopy(FULL_VOLTERRA if last in ("rho", "fixed_cells") else FULL_WAVE)
+        given = copy.deepcopy(FULL_VOLTERRA if last == "rho" else FULL_WAVE)
         left_out = copy.deepcopy(given)
         inner_given, inner_left_out = (obj[outer[0]] if outer else obj for obj in (given, left_out))
         assert last in inner_given, key  # the base gives every key a value
@@ -517,6 +523,15 @@ def test_readme_cli_block_lists_every_command():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("levyspde ")}
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == set(sub.choices)
+
+
+def test_readme_schema_block_lists_every_key():
+    # the keys of README's "Study config schema" JSON block, top level and in
+    # each nested object, are exactly cli._SCHEMA's: a deleted key leaves the docs too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n### Study config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
+    assert set(_schema_keys(documented)) == set(_schema_keys(_SCHEMA))
 
 
 def test_run_all_studies_reports_each_baseline_it_cannot_compare(tmp_path):

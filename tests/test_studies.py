@@ -242,16 +242,7 @@ class TestConfigValidation:
                 self.base(**{key: bad})
 
     def test_cell_counts_must_be_whole(self):
-        # 8.5 used to run a spatial study on interpolated edges, "8" to end in a
-        # TypeError, fixed_cells on a temporal study to be ignored, and dt = 0.3
-        # to run 3 cells of width 1/3 reported as 0.3
-        spatial = dict(axis="spatial", modes=64)
-        assert self.base(fixed_cells=8, **spatial).fixed_cells == 8
-        for bad in (8.5, "8", 8.0, 0, True):
-            with pytest.raises(ValueError, match=r"fixed_cells must be a whole number >= 1, got"):
-                self.base(fixed_cells=bad, **spatial)
-        with pytest.raises(ValueError, match="fixed_cells applies to spatial studies only"):
-            self.base(fixed_cells=8)
+        # dt = 0.3 used to run 3 cells of width 1/3 reported as 0.3
         with pytest.raises(ValueError, match=r"temporal ladder entry 0\.3 is not T/N"):
             self.base(ladder=(0.5, 0.3, 0.25, 0.125))
         with pytest.raises(ValueError, match=r"temporal ladder entry 2\.0 is not T/N"):
@@ -263,12 +254,31 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
                 self.base(T=T)
 
+    def test_ladder_entry_past_float_range_refused(self):
+        # T/dt and 1/h of a subnormal entry are inf: round() used to raise OverflowError
+        tiny = (1e-320, 1e-321, 1e-322, 1e-323)
+        with pytest.raises(ValueError, match=r"temporal ladder entry 1e-320 is not T/N"):
+            self.base(ladder=tiny)
+        with pytest.raises(ValueError, match=r"spatial ladder entry 1e-320 is not 1/M"):
+            self.base(axis="spatial", ladder=tiny)
+        with pytest.raises(ValueError, match=r"temporal ladder entry 1e-300 is not T/N"):
+            self.base(T=1e10, ladder=(1e-300, 1e-301, 1e-302, 1e-303))  # a normal dt, T/dt past 1.8e308
+
+    def test_name_must_be_one_nonempty_line(self, tmp_path):
+        # a line break used to write a CSV that read_csv refused ("unexpected
+        # CSV header"), and "" a hidden ".csv"
+        for bad in ("a\nlevel,x", "", "a\r", "a\n", 5):
+            with pytest.raises(ValueError, match=r"name must be one non-empty line of text, got"):
+                self.base(name=bad)
+        cfg = self.base(name="a b,c=d", modes=16)
+        path = tmp_path / "study.csv"
+        path.write_text(csv_text(run_study(cfg)))
+        assert len(read_csv(str(path))) == 4
+
     def test_mc_paths_refused_on_spatial_axis(self):
         # every spatial level has a FEM space; run_study used to fail only after the config was accepted
-        spatial = dict(axis="spatial", modes=64, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32), mc_paths=10)
-        for extra in ({}, {"fixed_cells": 8}):
-            with pytest.raises(ValueError, match="mc_paths applies to temporal studies only"):
-                self.base(**spatial, **extra)
+        with pytest.raises(ValueError, match="mc_paths applies to temporal studies only"):
+            self.base(axis="spatial", modes=64, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32), mc_paths=10)
         assert self.base(axis="spatial", modes=64, ladder=(1 / 4, 1 / 8, 1 / 16, 1 / 32)).mc_paths is None
 
     def test_divergent_covariance_refused(self):
@@ -452,10 +462,14 @@ class TestRuntimeDependencies:
         out = fresh_python(
             "-c",
             "import sys, levyspde\n"
-            "from levyspde import StudyConfig, heat_kind, run_study, volterra_kind\n"
+            "from levyspde import (CovarianceSpec, LevyLaw, Setup, StudyConfig, assemble_fem, dirichlet_spectrum,\n"
+            "                      error_report, heat_kind, run_study, volterra_kind)\n"
             "ladder = (1 / 4, 1 / 8, 1 / 16, 1 / 32)\n"
             "run_study(StudyConfig('h', heat_kind(), 'spatial', 0.75, modes=64, ladder=ladder))\n"
-            "run_study(StudyConfig('v', volterra_kind(1.5), 'spatial', 0.5, modes=32, ladder=ladder, fixed_cells=8))\n"
+            "law = LevyLaw('compound_poisson', intensity=1.0)\n"
+            "for m in (4, 8, 16, 32):  # fully discrete: a time scheme on a P1 space\n"
+            "    error_report(Setup(volterra_kind(1.5), dirichlet_spectrum(32), CovarianceSpec(1.0, 0.4), law, 1.0,\n"
+            "                       n_cells=8, fem=assemble_fem(m)))\n"
             "run_study(StudyConfig('w', volterra_kind(1.5), 'temporal', 0.5, modes=32, ladder=ladder))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))",
         )
@@ -535,11 +549,26 @@ def _bits(report):
     return [v.hex() for v in dataclasses.astuple(report)]
 
 
+def _fully_discrete(K, meshes):
+    """Volterra rho = 1.5 setups with the backward-Euler CQ scheme of 16 cells
+    on the P1 space of each M in meshes, spectrum K."""
+    from levyspde.errors import Setup
+    from levyspde.noise import CovarianceSpec, LevyLaw
+    from levyspde.spectral import assemble_fem, dirichlet_spectrum
+
+    cov, law = CovarianceSpec(amplitude=1.0, decay=0.4), LevyLaw("compound_poisson", intensity=1.0)
+    return [
+        Setup(volterra_kind(1.5), dirichlet_spectrum(K), cov, law, 1.0, n_cells=16, fem=assemble_fem(m))
+        for m in meshes
+    ]
+
+
 class TestStudyExactSide:
     """The Volterra exact side is computed once per study: the scheme levels'
-    ee row once per (kind, K, T), the time-exact levels' node table once per
-    (kind, K, T, lam_max).  Both are pure functions of their keys, so a study
-    row must equal a cold standalone error_report of that level bit for bit."""
+    ee row once per (kind, lam, T), the time-exact levels' node table once per
+    (kind, lam, T, lam_max), lam by its bytes.  Both are pure functions of
+    their keys, so a study row must equal a cold standalone error_report of
+    that level bit for bit."""
 
     # (T, ladder, _PRIM_TABLE_MAX or None, shared): a dyadic ladder evaluates
     # its cell primitives t E_{rho,2}(-lam t^rho) once, on the finest level's
@@ -588,25 +617,14 @@ class TestStudyExactSide:
             alone = error_report(_level_setup(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
-    def test_fixed_cells_rows_equal_standalone_reports(self):
-        # a spatial ladder with a time scheme on every level
-        from levyspde.errors import error_report
-        from levyspde.studies import _level_setup
-
-        cfg = StudyConfig(
-            name="v", kind=volterra_kind(1.5), axis="spatial", beta=0.5, modes=16, ladder=(1 / 4, 1 / 6, 1 / 8, 1 / 12),
-            fixed_cells=16,
-        )
-        res = run_study(cfg)
-        for row in res.rows:
-            alone = error_report(_level_setup(cfg, row.resolution))
-            assert row.report.strong_error > 0.0
-            for got, want in (
-                (row.report.strong_error, alone.strong_error),
-                (row.report.weak_error_quadratic, alone.weak_error_quadratic),
-                (row.report.representation_value, alone.representation_value),
-            ):
-                assert got == want
+    def test_fully_discrete_reports_equal_cold_reports(self):
+        # a time scheme on every level of a P1 ladder, run one after another
+        setups = _fully_discrete(16, (4, 6, 8, 12))
+        errors._exact_table.cache_clear()
+        warm = [errors.error_report(setup) for setup in setups]
+        for setup, report in zip(setups, warm):
+            errors._exact_table.cache_clear()
+            assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
     # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
     # those of M <= 12 below it: the finest level of the second ladder has its own nodes
@@ -649,26 +667,29 @@ class TestStudyExactSide:
         assert sum(counted) == want
 
     def test_interleaved_studies_rows_equal_cold_standalone_reports(self):
-        # one table is held for every Volterra study, and each study below
+        # one table is held for every Volterra study, and each run below
         # replaces the last one's: time-exact spatial, dyadic temporal, a time
-        # scheme on a spatial ladder (K = 12), non-nested temporal, dyadic again
-        from levyspde.errors import error_report
+        # scheme on P1 spaces (K = 12, the scheme key of another lam),
+        # non-nested temporal, dyadic again
         from levyspde.studies import _level_setup
 
         kind, dyadic, meshes = volterra_kind(1.5), (1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 4, 1 / 6, 1 / 8, 1 / 12)
-        configs = [
+        runs = [
             StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=16, ladder=meshes),
             StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=dyadic),
-            StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=12, ladder=meshes, fixed_cells=16),
+            _fully_discrete(12, (4, 6, 8, 12)),
             StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=(1 / 12, 1 / 16, 1 / 20, 1 / 24)),
             StudyConfig(name="v", kind=kind, axis="temporal", beta=0.5, modes=16, ladder=dyadic),
         ]
-        results = [run_study(cfg) for cfg in configs]
-        for cfg, res in zip(configs, results):
-            for row in res.rows:
-                errors._exact_table.cache_clear()
-                alone = error_report(_level_setup(cfg, row.resolution))
-                assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
+        warm = []  # (report, setup) of every level, all computed before any cold report
+        for step in runs:
+            if isinstance(step, StudyConfig):
+                warm += [(row.report, _level_setup(step, row.resolution)) for row in run_study(step).rows]
+            else:
+                warm += [(errors.error_report(setup), setup) for setup in step]
+        for report, setup in warm:
+            errors._exact_table.cache_clear()
+            assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
     def test_volterra_implied_exact_side_is_level_independent(self):
         from levyspde.propagators import discrete_family
