@@ -112,14 +112,14 @@ class Setup:
     def __post_init__(self):
         if not isinstance(self.cov, CovarianceSpec):
             raise ValueError(f"cov must be a CovarianceSpec, got {self.cov!r}")
+        if not isinstance(self.law, LevyLaw):
+            raise ValueError(f"law must be a LevyLaw, got {self.law!r}")
         if not 0 < self.T < np.inf:
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.n_cells is not None and not _is_count(self.n_cells):
             raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
-        if self.kind.name == "wave" and self.n_cells is not None:
-            ok, worst = i_stability_check(self.kind.scheme, np.linspace(-64.0, 64.0, 2049))
-            if not ok:
-                raise ValueError(f"wave scheme {self.kind.scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
+        if self.n_cells is not None:
+            _check_scheme(self.kind)
         K = self.spec.mode_count
         x0 = np.zeros((2, K) if self.kind.name == "wave" else K)
         if self.x0 is not None:
@@ -145,6 +145,14 @@ class Setup:
 
     def q(self) -> np.ndarray:
         return self.cov.values(self.spec)
+
+
+def _check_scheme(kind: EquationKind) -> None:
+    """Refuse a wave scheme that is not I-stable; every other scheme is."""
+    if kind.name == "wave":
+        ok, worst = i_stability_check(kind.scheme, np.linspace(-64.0, 64.0, 2049))
+        if not ok:
+            raise ValueError(f"wave scheme {kind.scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
 
 
 # ----------------------------------------------------------------------------
@@ -455,10 +463,6 @@ def _fold(v: np.ndarray, j, c, J: int) -> np.ndarray:
     return np.reshape(rows, v.shape[:-1] + (J,))
 
 
-def _level_edges(setup: Setup) -> np.ndarray:
-    return np.linspace(0.0, setup.T, (setup.n_cells or 1) + 1)
-
-
 def _nest_stride(fine: np.ndarray, edges: np.ndarray) -> int | None:
     """r when edges are every r-th of the edges fine, bit for bit, else None:
     each cell of edges is then the union of r cells of fine."""
@@ -614,38 +618,7 @@ def _mc_block_paths(setup: Setup) -> int:
     return _MC_JUMPS_PER_BLOCK // max(1, math.ceil(per_path)) if per_path <= _MC_JUMPS_PER_BLOCK else 1
 
 
-def _mc_ladder(setups: Sequence[Setup]) -> tuple[Setup, ...]:
-    """The setups as a ladder: spectral-Galerkin scheme setups that differ only
-    in n_cells."""
-    if isinstance(setups, Setup):
-        raise ValueError("mc_weak_error takes a ladder, a sequence of Setups; pass [setup] for one setup")
-    ladder = tuple(setups)
-    if not ladder:
-        raise ValueError("Monte Carlo needs at least one setup")
-    first = ladder[0]
-    for i, s in enumerate(ladder):
-        if s.fem is not None:
-            raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
-        if s.n_cells is None:
-            raise ValueError("Monte Carlo needs a time discretization")
-        same = {
-            "kind": s.kind == first.kind,
-            "spectrum": s.spec.mode_count == first.spec.mode_count,
-            "covariance": s.cov == first.cov,
-            "law": s.law == first.law,
-            "T": s.T == first.T,
-            "x0": np.array_equal(s.x0, first.x0),
-        }
-        differ = [name for name, ok in same.items() if not ok]
-        if differ:
-            raise ValueError(
-                f"a Monte Carlo ladder's setups may differ only in n_cells; setup {i} differs from setup 0 "
-                f"in {', '.join(differ)}"
-            )
-    return ladder
-
-
-def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: int = 0) -> list[tuple[float, float]]:
+def mc_weak_error(setup: Setup, n_cells, g=None, n_paths: int = 1000, seed: int = 0) -> list[tuple[float, float]]:
     """Coupled Monte Carlo estimates of E g(Xtilde_obs(T)) - E g(X_obs(T)).
 
     The jump path of each mode drives both the exact reference (jump-time sum
@@ -654,50 +627,56 @@ def mc_weak_error(setups: Sequence[Setup], g=None, n_paths: int = 1000, seed: in
     compound-Poisson law's finite jump-time decomposition is what makes the
     exact reference computable.
 
-    setups is a ladder: a sequence of spectral-Galerkin setups with a time
-    grid that differ only in n_cells ([setup] for one; a bare Setup is
-    refused).  Every level sees the same paths.  Paths are drawn in
-    blocks of _mc_block_paths: block b holds paths b*P .. b*P + P - 1 (the
-    last block may be short) and draws them from the stream (seed, b) as one
-    set of flat jump arrays over its P*K coordinates, coordinate p*K + k being
-    mode k of the block's path p.  Each block is drawn once for the whole
-    ladder and its exact side computed once; only the scheme side is per
-    level.  Each jump's cell is found once, on the finest level, without
-    sorting (_cells); a level whose edges nest in the finest level's
-    (_nest_stride, as on any dyadic ladder) reads its cell as that cell // r,
-    any other level bins the times against its own edges the same way.
-    levels x n_paths differences are held at once.  A level's
-    estimate depends only on (its setup, n_paths, seed), not on the other
-    levels, and one (estimate, stderr) is returned per level.  g maps a (P, K)
+    setup is the problem: a spectral-Galerkin setup without a time grid (fem
+    and n_cells None).  n_cells holds the step count N of each level ([N] for
+    one), whose scheme steps by T/N across the edges np.linspace(0, T, N + 1).
+    One (estimate, stderr) is returned per level, in order, and a level's
+    estimate depends only on (setup, N, n_paths, seed).  Every level sees the
+    same paths.  Paths are drawn in blocks of _mc_block_paths: block b holds
+    paths b*P .. b*P + P - 1 (the last block may be short) and draws them from
+    the stream (seed, b) as one set of flat jump arrays over its P*K
+    coordinates, coordinate p*K + k being mode k of the block's path p.  Each
+    block is drawn once for all levels and its exact side computed once; only
+    the scheme side is per level.  Each jump's cell is found once, on the
+    finest level, without sorting (_cells); a level whose edges nest in the
+    finest level's (_nest_stride, as on any dyadic ladder) reads its cell as
+    that cell // r, any other level bins the times against its own edges the
+    same way.  levels x n_paths differences are held at once.  g maps a (P, K)
     array of observables to one value per row, as quadratic_functional (the
     default) and CylindricalFunctional do.
     """
     if not _is_count(n_paths):
         raise ValueError(f"n_paths must be a whole number >= 1, got {n_paths!r}")
-    ladder = _mc_ladder(setups)
+    if setup.fem is not None:
+        raise ValueError("Monte Carlo runs on spectral-Galerkin setups")
+    if setup.n_cells is not None:
+        raise ValueError(f"the Monte Carlo problem carries no time grid (its steps go in n_cells), got {setup.n_cells=}")
+    cells = tuple(n_cells) if isinstance(n_cells, (Sequence, np.ndarray)) else ()
+    if not cells or not all(map(_is_count, cells)):
+        raise ValueError(f"n_cells must be a nonempty sequence of whole numbers >= 1, got {n_cells!r}")
     if g is None:
         g = quadratic_functional
-    first = ladder[0]
-    kind, lam, K, T = first.kind, first.spec.eigenvalues, first.spec.mode_count, first.T
+    kind, lam, K, T = setup.kind, setup.spec.eigenvalues, setup.spec.mode_count, setup.T
     if isinstance(g, CylindricalFunctional) and g.mode > K:
-        raise ValueError(f"CylindricalFunctional mode {g.mode} exceeds the K = {K} modes of the setups")
-    sq = np.sqrt(first.q())
-    x0_exact = _exact_terminal_first(first)
-    fine = _level_edges(max(ladder, key=lambda s: s.n_cells))
-    levels = []  # (edges, stride into fine or None, flat step weights, scheme data term) per level
-    for setup in ladder:
-        fam = discrete_family(kind, lam, setup.dt, setup.n_cells)
+        raise ValueError(f"CylindricalFunctional mode {g.mode} exceeds the K = {K} modes of the setup")
+    _check_scheme(kind)
+    sq = np.sqrt(setup.q())
+    x0_exact = _exact_terminal_first(setup)
+    fine = np.linspace(0.0, T, max(cells) + 1)
+    levels = []  # (edges, stride into fine or None, flat step weights, scheme data term) per step count
+    for N in cells:
+        fam = discrete_family(kind, lam, T / N, N)
         # weight for a jump landing in cell n (1-based) is the (N - n + 1)-step factor;
         # (K, N), columns step N .. 1, flattened row by row
         weights = _observable(kind, _pole(kind, lam[:, None]), fam.steps[:, :0:-1]).ravel()
-        x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], first.x0)
-        edges = _level_edges(setup)
+        x0_disc = _terminal_first(kind, lam, fam.steps[:, -1], setup.x0)
+        edges = np.linspace(0.0, T, N + 1)
         levels.append((edges, _nest_stride(fine, edges), weights, x0_disc))
-    block = _mc_block_paths(first)
-    diffs = np.empty((len(ladder), n_paths))
+    block = _mc_block_paths(setup)
+    diffs = np.empty((len(cells), n_paths))
     for b, lo in enumerate(range(0, n_paths, block)):
         P = min(block, n_paths - lo)
-        coord, t, s = _compound_poisson_draws(first.law, T, P * K, stream(seed, b))
+        coord, t, s = _compound_poisson_draws(setup.law, T, P * K, stream(seed, b))
         mode = coord % K
         x_exact = np.bincount(coord, weights=_noise_factor(kind, lam[mode], T - t) * s, minlength=P * K)
         g_exact = g(sq * x_exact.reshape(P, K) + x0_exact)

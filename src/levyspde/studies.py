@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,6 +158,8 @@ class StudyConfig:
         if not isinstance(self.name, str) or self.name.splitlines() != [self.name]:
             # the name heads the CSV and names its file: a line break breaks read_csv, "" writes ".csv"
             raise ValueError(f"name must be one non-empty line of text, got {self.name!r}")
+        if "/" in self.name or "\\" in self.name:  # a separator would write the CSV outside the output directory
+            raise ValueError(f"name must not hold a path separator (/ or \\), got {self.name!r}")
         if self.axis not in ("temporal", "spatial"):
             raise ValueError(f"axis must be temporal or spatial, got {self.axis!r}")
         _check_beta(self.beta)
@@ -286,11 +288,11 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     Deterministic columns are bitwise reproducible for a fixed build; the MC
     columns are reproducible for a fixed seed.  With mc_paths, one
-    mc_weak_error call serves the whole ladder: each block of paths is drawn
-    once per study and its exact side shared, its jumps are binned once on
-    the finest level, and a level whose edges nest in the finest level's
-    reads its cells from those; only the scheme side is per level.  Every
-    row equals a standalone mc_weak_error of its level's setup bit for bit.
+    mc_weak_error call serves the whole ladder, its problem and step counts:
+    each block of paths is drawn once and its exact side shared, its jumps
+    are binned once on the finest level, and a level whose edges nest in the
+    finest level's reads its cells from those; only the scheme side is per
+    level.  Level N's MC pair equals mc_weak_error(problem, [N]) bit for bit.
 
     Every ladder runs finest first, rows in ladder order.  A Volterra level
     passes its exact side to the next level through errors._exact_table: a
@@ -312,7 +314,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     setups = [_level_setup(config, resolution) for resolution in config.ladder]
     mc = [(None, None)] * len(setups)
     if config.mc_paths:
-        mc = mc_weak_error(setups, g=g, n_paths=config.mc_paths, seed=config.mc_seed)
+        problem = replace(setups[0], n_cells=None)
+        mc = mc_weak_error(problem, [s.n_cells for s in setups], g=g, n_paths=config.mc_paths, seed=config.mc_seed)
     rows = [None] * len(setups)
     for level in reversed(range(len(setups))):
         rep = error_report(setups[level])

@@ -13,6 +13,8 @@ with the tamper checks at the end, which show that each one rejects an error
 column of the wrong rate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,11 +224,11 @@ def test_c5_representation_identity():
 def test_c6_mc_consistency():
     spec = dirichlet_spectrum(32)
     cov = CovarianceSpec(amplitude=1.0, decay=0.55)
-    setup = Setup(heat_kind(), spec, cov, CP, 1.0, n_cells=64)
-    det = error_report(setup).weak_error_quadratic
+    problem = Setup(heat_kind(), spec, cov, CP, 1.0)
+    det = error_report(dataclasses.replace(problem, n_cells=64)).weak_error_quadratic
     hits = 0
     for seed in range(20):
-        [(est, se)] = mc_weak_error([setup], n_paths=10000, seed=seed)
+        [(est, se)] = mc_weak_error(problem, [64], n_paths=10000, seed=seed)
         hits += abs(est - det) <= 3.0 * se
     ok = hits >= 19
     assert report("6", ok, f"MC within 3 stderr of deterministic weak error in {hits}/20 seeded runs")

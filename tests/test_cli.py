@@ -404,6 +404,16 @@ class TestStudyCommand:
         assert code == 1 and out == "" and "Traceback" not in err
         assert re.search(message, err) and not (tmp_path / "stray.csv").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "a\\b"], ids=["slash", "backslash"])
+    def test_name_with_path_separator_exit_1(self, capsys, tmp_path, name):
+        # "../escaped" used to write <output>/../escaped.csv, outside --output, and exit 0
+        cfg = tmp_path / "sep.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, "name": name}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path / "out"))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "name must not hold a path separator" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["sep.json"]
+
 
 # every key of the schema given, valid, on a study that reads it; rho on a
 # Volterra spatial study, every other key on a wave temporal one
@@ -559,3 +569,16 @@ def test_run_all_studies_reports_each_baseline_it_cannot_compare(tmp_path):
     assert status.pop("heat-temporal-beta1").startswith("not comparable: ")
     assert status.pop("wave-spatial") == "not comparable: the two CSVs have different ladders"
     assert len(status) == 4 and set(status.values()) == {"identical"}
+
+
+@pytest.mark.parametrize(
+    "argv, heads",
+    [(["mc_consistency.py", "1", "200"], ["heat", "wave", "volterra"]), (["profile_bound_shapes.py"], ["heat temporal"])],
+    ids=["mc_consistency", "profile_bound_shapes"],
+)
+def test_script_runs_in_a_fresh_interpreter(fresh_python, argv, heads):
+    # no other test runs these scripts, so a change of the library call shape could break them unseen;
+    # fresh_python fails on a nonzero exit status
+    root = Path(__file__).resolve().parents[1]
+    out = fresh_python(str(root / "scripts" / argv[0]), *argv[1:])
+    assert all(any(line.startswith(head) for line in out.splitlines()) for head in heads)

@@ -439,30 +439,30 @@ class TestProfiles:
 
 class TestMonteCarlo:
     def test_quadratic_matches_deterministic(self):
-        setup = Setup(heat_kind(), dirichlet_spectrum(24), CovarianceSpec(amplitude=1.0, decay=0.55), CP, 1.0, n_cells=16)
-        det = error_report(setup).weak_error_quadratic
-        [(est, se)] = mc_weak_error([setup], n_paths=10000, seed=5)
+        problem = Setup(heat_kind(), dirichlet_spectrum(24), CovarianceSpec(amplitude=1.0, decay=0.55), CP, 1.0)
+        det = error_report(dataclasses.replace(problem, n_cells=16)).weak_error_quadratic
+        [(est, se)] = mc_weak_error(problem, [16], n_paths=10000, seed=5)
         assert abs(est - det) <= 3.0 * se
 
     def test_single_path_bit_reproducible(self):
-        setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
-        [(a, _)] = mc_weak_error([setup], n_paths=1, seed=9)
-        [(b, _)] = mc_weak_error([setup], n_paths=1, seed=9)
+        problem = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0)
+        [(a, _)] = mc_weak_error(problem, [4], n_paths=1, seed=9)
+        [(b, _)] = mc_weak_error(problem, [4], n_paths=1, seed=9)
         assert a == b
 
     def test_rerun_in_fresh_interpreter_same_bytes(self, fresh_python):
-        setup = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4), CP, 1.0, n_cells=8)
-        a = mc_weak_error([setup], n_paths=300, seed=3)
-        b = mc_weak_error([setup], n_paths=300, seed=3)
+        problem = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4), CP, 1.0)
+        a = mc_weak_error(problem, [8], n_paths=300, seed=3)
+        b = mc_weak_error(problem, [8], n_paths=300, seed=3)
         fresh = fresh_python(
             "-c",
             "from levyspde.errors import Setup, mc_weak_error\n"
             "from levyspde.noise import CovarianceSpec, LevyLaw\n"
             "from levyspde.propagators import heat_kind\n"
             "from levyspde.spectral import dirichlet_spectrum\n"
-            "setup = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4),\n"
-            "              LevyLaw('compound_poisson', intensity=1.0), 1.0, n_cells=8)\n"
-            "print(repr(mc_weak_error([setup], n_paths=300, seed=3)))",
+            "problem = Setup(heat_kind(), dirichlet_spectrum(8), CovarianceSpec(amplitude=1.0, decay=0.4),\n"
+            "                LevyLaw('compound_poisson', intensity=1.0), 1.0)\n"
+            "print(repr(mc_weak_error(problem, [8], n_paths=300, seed=3)))",
         )
         assert a == b
         assert repr(a) == fresh.strip()
@@ -472,8 +472,8 @@ class TestMonteCarlo:
         cov = CovarianceSpec(amplitude=1.0, decay=0.55)
         ests = []
         for K in (8, 16):
-            setup = Setup(heat_kind(), dirichlet_spectrum(K), cov, CP, 1.0, n_cells=8)
-            ests += mc_weak_error([setup], g=CylindricalFunctional(mode=1), n_paths=4000, seed=21)
+            problem = Setup(heat_kind(), dirichlet_spectrum(K), cov, CP, 1.0)
+            ests += mc_weak_error(problem, [8], g=CylindricalFunctional(mode=1), n_paths=4000, seed=21)
         (e1, s1), (e2, s2) = ests
         assert abs(e1 - e2) <= 4.0 * np.hypot(s1, s2)
 
@@ -484,87 +484,68 @@ class TestMonteCarlo:
 
     def test_wave_mc_first_component(self):
         cov = CovarianceSpec(amplitude=1.0, decay=0.3)
-        setup = Setup(wave_kind(), dirichlet_spectrum(12), cov, CP, 1.0, n_cells=16)
-        det = error_report(setup).weak_error_quadratic
-        [(est, se)] = mc_weak_error([setup], n_paths=8000, seed=13)
+        problem = Setup(wave_kind(), dirichlet_spectrum(12), cov, CP, 1.0)
+        det = error_report(dataclasses.replace(problem, n_cells=16)).weak_error_quadratic
+        [(est, se)] = mc_weak_error(problem, [16], n_paths=8000, seed=13)
         assert abs(est - det) <= 3.0 * se
 
     def test_volterra_mc(self):
         cov = CovarianceSpec(amplitude=1.0, decay=0.4)
-        setup = Setup(volterra_kind(1.5), dirichlet_spectrum(12), cov, CP, 1.0, n_cells=8)
-        det = error_report(setup).weak_error_quadratic
-        [(est, se)] = mc_weak_error([setup], n_paths=6000, seed=17)
+        problem = Setup(volterra_kind(1.5), dirichlet_spectrum(12), cov, CP, 1.0)
+        det = error_report(dataclasses.replace(problem, n_cells=8)).weak_error_quadratic
+        [(est, se)] = mc_weak_error(problem, [8], n_paths=6000, seed=17)
         assert abs(est - det) <= 3.0 * se
 
 
 class TestMonteCarloLadder:
-    """mc_weak_error takes a ladder: spectral scheme setups that differ only in
-    n_cells.  Anything else is refused before a path is drawn."""
+    """mc_weak_error takes one problem, a spectral-Galerkin setup without a
+    time grid, and the step counts of its levels.  Anything else is refused
+    before a path is drawn."""
 
-    BASE = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4, x0=np.array([1.0, 0.5]))
+    BASE = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, x0=np.array([1.0, 0.5]))
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, 10.0, "10", True])
     def test_path_count_must_be_whole(self, bad):
         # 0 used to return (nan, nan) with RuntimeWarnings, 2.5 to end in a TypeError
-        assert mc_weak_error([self.BASE], n_paths=np.int64(3)) == mc_weak_error([self.BASE], n_paths=3)
+        assert mc_weak_error(self.BASE, [4], n_paths=np.int64(3)) == mc_weak_error(self.BASE, [4], n_paths=3)
         with pytest.raises(ValueError, match="n_paths must be a whole number >= 1"):
-            mc_weak_error([self.BASE], n_paths=bad)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("kind", volterra_kind(1.5)),
-            ("spec", dirichlet_spectrum(12)),
-            ("cov", CovarianceSpec(amplitude=1.0, decay=0.7)),
-            ("law", LevyLaw("compound_poisson", intensity=2.0)),
-            ("T", 2.0),
-            ("x0", np.array([1.0, -0.5])),
-        ],
-        ids=["kind", "spectrum", "covariance", "law", "T", "x0"],
-    )
-    def test_setups_differing_beyond_cells_refused(self, field, value):
-        # a longer spectrum pads x0 to its length, so it differs in x0 too
-        other = dataclasses.replace(self.BASE, n_cells=8, **{field: value})
-        name = {"spec": "spectrum", "cov": "covariance"}.get(field, field)
-        with pytest.raises(ValueError, match=f"differ only in n_cells; setup 1 differs from setup 0 in {name}(,|$)"):
-            mc_weak_error([self.BASE, other], n_paths=10)
-
-    def test_missing_x0_differs_from_given_x0(self):
-        with pytest.raises(ValueError, match="in x0$"):
-            mc_weak_error([self.BASE, dataclasses.replace(self.BASE, x0=None)], n_paths=10)
+            mc_weak_error(self.BASE, [4], n_paths=bad)
 
     @pytest.mark.parametrize("kind", [heat_kind(), wave_kind()], ids=["heat", "wave"])
     def test_missing_x0_is_zero_x0(self, kind):
-        # a missing x0 is stored as zeros, so the two ladders run together and
-        # give the same pairs bit for bit
-        none = Setup(kind, dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
+        # a missing x0 is stored as zeros, so the two problems give the same
+        # pairs bit for bit; a level's pair does not depend on the other levels
+        none = Setup(kind, dirichlet_spectrum(8), FLAT, CP, 1.0)
         assert none.x0.shape == ((2, 8) if kind.name == "wave" else (8,)) and not none.x0.any()
         zero = dataclasses.replace(none, x0=np.zeros_like(none.x0))
-        ladder = [none, dataclasses.replace(zero, n_cells=8)]
-        mixed = mc_weak_error(ladder, n_paths=200, seed=6)
-        assert mixed == mc_weak_error([zero, dataclasses.replace(none, n_cells=8)], n_paths=200, seed=6)
-        assert mixed[:1] == mc_weak_error([zero], n_paths=200, seed=6)
+        pairs = mc_weak_error(none, [4, 8], n_paths=200, seed=6)
+        assert pairs == mc_weak_error(zero, [4, 8], n_paths=200, seed=6)
+        assert pairs[:1] == mc_weak_error(zero, [4], n_paths=200, seed=6)
 
     def test_fem_setup_refused(self):
-        fem = dataclasses.replace(self.BASE, fem=assemble_fem(4))
         with pytest.raises(ValueError, match="spectral-Galerkin"):
-            mc_weak_error([self.BASE, fem], n_paths=10)
-        with pytest.raises(ValueError, match="spectral-Galerkin"):
-            mc_weak_error([fem], n_paths=10)
+            mc_weak_error(dataclasses.replace(self.BASE, fem=assemble_fem(4)), [4], n_paths=10)
 
-    def test_time_exact_setup_refused(self):
-        exact = dataclasses.replace(self.BASE, n_cells=None)
-        with pytest.raises(ValueError, match="time discretization"):
-            mc_weak_error([self.BASE, exact], n_paths=10)
+    def test_setup_with_time_grid_refused(self):
+        # the step counts are the second argument; a problem that carries one is not a second call shape
+        with pytest.raises(ValueError, match=r"carries no time grid \(its steps go in n_cells\), got setup.n_cells=4"):
+            mc_weak_error(dataclasses.replace(self.BASE, n_cells=4), [4], n_paths=10)
 
     def test_empty_ladder_refused(self):
-        with pytest.raises(ValueError, match="at least one setup"):
-            mc_weak_error([], n_paths=10)
+        with pytest.raises(ValueError, match=r"n_cells must be a nonempty sequence of whole numbers >= 1, got \[\]"):
+            mc_weak_error(self.BASE, [], n_paths=10)
 
-    def test_bare_setup_refused(self):
-        # one setup is the ladder [setup]; a bare Setup is not a second call shape
-        with pytest.raises(ValueError, match=r"takes a ladder.*pass \[setup\]"):
-            mc_weak_error(self.BASE, n_paths=10)
+    @pytest.mark.parametrize("bad", [8, [8, 2.5], [0]], ids=["bare-count", "fraction", "zero"])
+    def test_step_counts_must_be_counts(self, bad):
+        assert mc_weak_error(self.BASE, np.array([8, 4]), n_paths=10) == mc_weak_error(self.BASE, (8, 4), n_paths=10)
+        with pytest.raises(ValueError, match=re.escape(f"n_cells must be a nonempty sequence of whole numbers >= 1, got {bad!r}")):
+            mc_weak_error(self.BASE, bad, n_paths=10)
+
+    def test_unstable_wave_scheme_refused(self):
+        # the problem carries no time grid, so Setup has not checked its scheme
+        problem = Setup(wave_kind("explicit_euler"), dirichlet_spectrum(8), FLAT, CP, 1.0)
+        with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
+            mc_weak_error(problem, [4], n_paths=10)
 
     @pytest.mark.parametrize("mode", [0, -1, 1.5, 2.0, "2", True])
     def test_cylindrical_mode_must_be_a_count(self, mode):
@@ -575,9 +556,9 @@ class TestMonteCarloLadder:
 
     def test_cylindrical_mode_past_modes_refused(self):
         # K = 8 modes: mode 9 used to end in an IndexError
-        assert mc_weak_error([self.BASE], g=CylindricalFunctional(mode=8), n_paths=10)[0][1] > 0.0
+        assert mc_weak_error(self.BASE, [4], g=CylindricalFunctional(mode=8), n_paths=10)[0][1] > 0.0
         with pytest.raises(ValueError, match=r"CylindricalFunctional mode 9 exceeds the K = 8 modes"):
-            mc_weak_error([self.BASE], g=CylindricalFunctional(mode=9), n_paths=10)
+            mc_weak_error(self.BASE, [4], g=CylindricalFunctional(mode=9), n_paths=10)
 
     @pytest.mark.parametrize(
         "intensity, message",
@@ -589,23 +570,24 @@ class TestMonteCarloLadder:
         setup = dataclasses.replace(self.BASE, law=LevyLaw("compound_poisson", intensity=intensity))
         assert errors._mc_block_paths(setup) == 1  # one path of K = 8 coordinates per block
         with pytest.raises(ValueError, match=re.escape(f"jump intensity {intensity:g} over T = 1 on 8 coordinates") + message):
-            mc_weak_error([setup], n_paths=10)
+            mc_weak_error(setup, [4], n_paths=10)
 
 
-def per_path_reference(setup, g, n_paths, seed):
-    """mc_weak_error one path at a time: each path of a block is rebuilt as a
-    JumpPath from the block's draws; its exact value is the jump sum per mode,
-    its scheme value increments_from_path against the step weights."""
+def per_path_reference(setup, N, g, n_paths, seed):
+    """mc_weak_error(setup, [N]) one path at a time: each path of a block is
+    rebuilt as a JumpPath from the block's draws; its exact value is the jump
+    sum per mode, its scheme value increments_from_path against the step
+    weights."""
     from levyspde.noise import JumpPath, _compound_poisson_draws, increments_from_path, stream
 
     lam = setup.spec.eigenvalues
     K = setup.spec.mode_count
     sq = np.sqrt(setup.q())
-    fam = discrete_family(setup.kind, lam, setup.dt, setup.n_cells)
+    fam = discrete_family(setup.kind, lam, setup.T / N, N)
     et = observed_steps(setup.kind, lam, fam.steps[:, :0:-1])
     x0_e = errors._exact_terminal_first(setup)
     x0_d = errors._terminal_first(setup.kind, lam, fam.steps[:, -1], setup.x0)
-    grid = np.linspace(0.0, setup.T, setup.n_cells + 1)
+    grid = np.linspace(0.0, setup.T, N + 1)
     block = errors._mc_block_paths(setup)
     disc, exact = [], []
     for b, lo in enumerate(range(0, n_paths, block)):
@@ -667,27 +649,27 @@ class TestBatchedMonteCarlo:
     it must give what a per-path assembly of the same draws gives."""
 
     @staticmethod
-    def setup_for(name):
+    def problem_for(name):
         T = 0.25 if name == "heat" else 1.0  # heat data would decay to nothing by T = 1
         law = LevyLaw("compound_poisson", intensity=16.0 / T)  # 16 jumps per mode: 32 paths per block at K = 16
         spec = dirichlet_spectrum(16)
         cov = CovarianceSpec(amplitude=1.0, decay=0.4)
         x0 = np.array([1.0, -0.5, 0.25])
         if name == "heat":
-            return Setup(heat_kind(), spec, cov, law, T, n_cells=8, x0=x0)
+            return Setup(heat_kind(), spec, cov, law, T, x0=x0)
         if name == "wave":
-            return Setup(wave_kind("crank_nicolson"), spec, cov, law, T, n_cells=8, x0=np.stack([x0, -x0]))
-        return Setup(volterra_kind(1.5), spec, cov, law, T, n_cells=8, x0=x0)
+            return Setup(wave_kind("crank_nicolson"), spec, cov, law, T, x0=np.stack([x0, -x0]))
+        return Setup(volterra_kind(1.5), spec, cov, law, T, x0=x0)
 
     @pytest.mark.parametrize("g", [errors.quadratic_functional, CylindricalFunctional(mode=2)], ids=["quadratic", "cos"])
     @pytest.mark.parametrize("name", ["heat", "wave", "volterra"])
     def test_equals_per_path_reference(self, name, g):
-        setup = self.setup_for(name)
+        problem = self.problem_for(name)
         n_paths = 75
-        block = errors._mc_block_paths(setup)
+        block = errors._mc_block_paths(problem)
         assert block < n_paths and n_paths % block  # two full blocks and a short one
-        [(est, se)] = mc_weak_error([setup], g=g, n_paths=n_paths, seed=11)
-        ref_est, ref_se = per_path_reference(setup, g, n_paths, seed=11)
+        [(est, se)] = mc_weak_error(problem, [8], g=g, n_paths=n_paths, seed=11)
+        ref_est, ref_se = per_path_reference(problem, 8, g, n_paths, seed=11)
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
 
@@ -695,17 +677,15 @@ class TestBatchedMonteCarlo:
     def test_nested_coarse_level_equals_per_path_reference(self, name):
         # the coarse level reads its cells off the fine level's (cell // 2); at
         # T = 0.7 the edges still nest bit for bit
-        base = self.setup_for(name)
-        fine = dataclasses.replace(base, T=0.7, n_cells=16)
-        coarse = dataclasses.replace(fine, n_cells=8)
-        assert errors._nest_stride(errors._level_edges(fine), errors._level_edges(coarse)) == 2
+        problem = dataclasses.replace(self.problem_for(name), T=0.7)
+        assert errors._nest_stride(np.linspace(0.0, 0.7, 17), np.linspace(0.0, 0.7, 9)) == 2
         n_paths = 75
-        assert errors._mc_block_paths(fine) < n_paths  # several blocks
-        _, (est, se) = mc_weak_error([fine, coarse], n_paths=n_paths, seed=5)
-        ref_est, ref_se = per_path_reference(coarse, errors.quadratic_functional, n_paths, seed=5)
+        assert errors._mc_block_paths(problem) < n_paths  # several blocks
+        _, (est, se) = mc_weak_error(problem, [16, 8], n_paths=n_paths, seed=5)
+        ref_est, ref_se = per_path_reference(problem, 8, errors.quadratic_functional, n_paths, seed=5)
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
-        assert [(est, se)] == mc_weak_error([coarse], n_paths=n_paths, seed=5)
+        assert [(est, se)] == mc_weak_error(problem, [8], n_paths=n_paths, seed=5)
 
     @pytest.mark.parametrize(
         "kind, K, decay, T",
@@ -715,9 +695,9 @@ class TestBatchedMonteCarlo:
     def test_nonzero_x0_matches_deterministic(self, kind, K, decay, T):
         x0 = np.array([1.0, -0.5, 0.25])
         cov = CovarianceSpec(amplitude=1.0, decay=decay)
-        setup = Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8, x0=x0)
-        det = error_report(setup).weak_error_quadratic
-        [(est, se)] = mc_weak_error([setup], n_paths=20000, seed=7)
+        problem = Setup(kind, dirichlet_spectrum(K), cov, CP, T, x0=x0)
+        det = error_report(dataclasses.replace(problem, n_cells=8)).weak_error_quadratic
+        [(est, se)] = mc_weak_error(problem, [8], n_paths=20000, seed=7)
         assert abs(est - det) <= 3.0 * se
         # the data term moves the weak error by many standard errors
         no_x0 = error_report(Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=8)).weak_error_quadratic
@@ -741,6 +721,12 @@ class TestSetupValidation:
     def test_covariance_required(self):
         with pytest.raises(ValueError, match="cov must be a CovarianceSpec, got None"):
             Setup(heat_kind(), dirichlet_spectrum(4), None, CP, 1.0, n_cells=4)
+
+    @pytest.mark.parametrize("law", [None, "compound_poisson", FLAT], ids=["none", "string", "covariance"])
+    def test_law_required(self, law):
+        # None used to be accepted and to fail only in mc_weak_error, as an AttributeError on law.intensity
+        with pytest.raises(ValueError, match=re.escape(f"law must be a LevyLaw, got {law!r}")):
+            Setup(heat_kind(), dirichlet_spectrum(4), FLAT, law, 1.0)
 
     def test_wave_x0_needs_two_components(self):
         # a (1, K) x0 would fail later with an IndexError, a third row would be dropped silently

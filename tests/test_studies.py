@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,12 @@ class TestConfigValidation:
         path = tmp_path / "study.csv"
         path.write_text(csv_text(run_study(cfg)))
         assert len(read_csv(str(path))) == 4
+
+    def test_name_must_hold_no_path_separator(self):
+        # "../escaped" used to name the CSV <output>/../escaped.csv, outside the output directory
+        for bad in ("../escaped", "a/b", "/abs", "a\\b"):
+            with pytest.raises(ValueError, match=re.escape(f"name must not hold a path separator (/ or \\), got {bad!r}")):
+                self.base(name=bad)
 
     def test_mc_paths_refused_on_spatial_axis(self):
         # every spatial level has a FEM space; run_study used to fail only after the config was accepted
@@ -710,8 +717,8 @@ class TestStudyExactSide:
 
 class TestStudyMonteCarlo:
     """run_study draws each block of paths once for the whole ladder; a study
-    row's MC columns must equal a standalone mc_weak_error of that level's
-    setup bit for bit."""
+    row's MC columns must equal a standalone mc_weak_error of the study's
+    problem at that level's step count bit for bit."""
 
     KINDS = {
         "heat": (heat_kind(), 1.0, (1.0, -0.5, 0.25)),
@@ -728,7 +735,7 @@ class TestStudyMonteCarlo:
     @pytest.mark.parametrize("g", ["quadratic", "cylindrical_cos"])
     @pytest.mark.parametrize("name", list(KINDS))
     def test_rows_equal_standalone_mc(self, name, g, cells, T, nested):
-        from levyspde.errors import CylindricalFunctional, _level_edges, _mc_block_paths, _nest_stride, mc_weak_error
+        from levyspde.errors import CylindricalFunctional, _mc_block_paths, _nest_stride, mc_weak_error
         from levyspde.noise import LevyLaw
         from levyspde.studies import _level_setup
 
@@ -739,17 +746,18 @@ class TestStudyMonteCarlo:
             law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2 if g == "cylindrical_cos" else 1,
             mc_paths=75, mc_seed=11,
         )
-        setups = [_level_setup(cfg, dt) for dt in ladder]
+        problem = dataclasses.replace(_level_setup(cfg, ladder[0]), n_cells=None)
+        assert [_level_setup(cfg, dt).n_cells for dt in ladder] == list(cells)
         # a nested ladder reads every level's cells off the finest level's; the others
         # bin at least one level on its own edges
-        strides = [_nest_stride(_level_edges(setups[-1]), _level_edges(s)) for s in setups]
+        strides = [_nest_stride(np.linspace(0.0, T, cells[-1] + 1), np.linspace(0.0, T, n + 1)) for n in cells]
         assert (None not in strides) == nested
-        block = _mc_block_paths(setups[0])
+        block = _mc_block_paths(problem)
         assert block < cfg.mc_paths and cfg.mc_paths % block  # full blocks and a short last one
         func = CylindricalFunctional(mode=2) if g == "cylindrical_cos" else None
         res = run_study(cfg)
-        for row, setup in zip(res.rows, setups):
-            [alone] = mc_weak_error([setup], g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
+        for row, n in zip(res.rows, cells):
+            [alone] = mc_weak_error(problem, [n], g=func, n_paths=cfg.mc_paths, seed=cfg.mc_seed)
             assert (row.mc_estimate, row.mc_stderr) == alone
 
     def test_one_mc_call_per_study(self, monkeypatch):
@@ -758,15 +766,15 @@ class TestStudyMonteCarlo:
         # the benchmark tracer counts calls at this name: one per study, not one per level
         calls, mc = [], studies.mc_weak_error
 
-        def counted(setups, **kwargs):
-            calls.append(len(setups))
-            return mc(setups, **kwargs)
+        def counted(problem, n_cells, **kwargs):
+            calls.append(list(n_cells))
+            return mc(problem, n_cells, **kwargs)
 
         monkeypatch.setattr(studies, "mc_weak_error", counted)
         ladder = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
         cfg = StudyConfig(name="m", kind=heat_kind(), axis="temporal", beta=1.0, modes=8, ladder=ladder, mc_paths=20)
         res = run_study(cfg)
-        assert calls == [4]
+        assert calls == [[8, 16, 32, 64]]
         assert all(r.mc_stderr > 0.0 for r in res.rows)
 
     def test_heat_intensity_16_mc_columns_pinned(self):
