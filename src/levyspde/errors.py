@@ -43,14 +43,14 @@ lam and lam_d, and a level evaluates only its J discrete rows.
 The exact-side values a Volterra level evaluates pass to the next level of its
 study through one read-only table, _exact_table, which holds one key at a time.
 The key carries the bytes of lam, as _rows takes any array: (kind, lam, T)
-for scheme levels, with ee and the cell primitives at every second edge of
-one level (K (N/2 + 1) 8 bytes, at most _PRIM_TABLE_MAX values), and
-(kind, lam, T, lam_max) for time-exact levels, with the nodes, weights,
-factors and ee (K G 8 bytes).  One rule says what a level may reuse: the
-held values, as a strided view, when its key matches and its points are the
-held points taken every r-th, bit for bit.  studies.run_study runs every
-ladder finest first, so on a dyadic ladder only the finest level evaluates
-E_{rho,2}; ee is evaluated once per key.
+for scheme levels, with the cell primitives at the level's N+1 edges and ee
+(K (N+1) 8 bytes, at most _PRIM_TABLE_MAX values), and (kind, lam, T,
+lam_max) for time-exact levels, with the factors at its Gauss nodes and ee
+(K G 8 bytes).  Every level reads it by one rule, _ExactTable.view: the held
+values, as a strided view, when its key matches and its points are the held
+points taken every r-th, bit for bit.  studies.run_study runs every ladder
+finest first, so on a dyadic ladder only the finest level evaluates E_{rho,2};
+ee is evaluated once per key.
 """
 
 from __future__ import annotations
@@ -70,13 +70,7 @@ from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
 # increments_from_path and spectral_coupling stay importable here because
 # studybench/tracer.py wraps them under levyspde.errors.
 from .noise import increments_from_path, sample_jump_path  # noqa: F401
-from .propagators import (
-    EquationKind,
-    cq_mode_solve,
-    discrete_family,
-    i_stability_check,
-    step_log,
-)
+from .propagators import EquationKind, cq_mode_solve, discrete_family, step_log
 from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling  # noqa: F401
 
 GAUSS_ORDER = 8
@@ -118,8 +112,6 @@ class Setup:
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.n_cells is not None and not _is_count(self.n_cells):
             raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
-        if self.n_cells is not None:
-            _check_scheme(self.kind)
         K = self.spec.mode_count
         x0 = np.zeros((2, K) if self.kind.name == "wave" else K)
         if self.x0 is not None:
@@ -145,14 +137,6 @@ class Setup:
 
     def q(self) -> np.ndarray:
         return self.cov.values(self.spec)
-
-
-def _check_scheme(kind: EquationKind) -> None:
-    """Refuse a wave scheme that is not I-stable; every other scheme is."""
-    if kind.name == "wave":
-        ok, worst = i_stability_check(kind.scheme, np.linspace(-64.0, 64.0, 2049))
-        if not ok:
-            raise ValueError(f"wave scheme {kind.scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
 
 
 # ----------------------------------------------------------------------------
@@ -316,20 +300,19 @@ def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
 
 
 class _ExactTable:
-    """The exact-side values of one Volterra key, held for the next level of a
-    study; read-only.  Scheme levels, key (kind, lam bytes, T): ee and the
-    (K, N/2 + 1) cell primitives t E_{rho,2}(-lam_k t^rho) at points, every
-    second edge of the level that kept them.  Time-exact levels, key
-    (kind, lam bytes, T, lam_max): the global Gauss nodes and weights of
-    lam_max, the (K, G) exact factors E_rho(-lam_k s^rho) on them and ee.
-    Each is a pure function of its key and points, so a level that reads
-    them gets the bits it would evaluate."""
+    """The exact-side values one Volterra level evaluated, held for the next
+    level of a study; read-only.  Scheme levels, key (kind, lam bytes, T):
+    the (K, N+1) cell primitives t E_{rho,2}(-lam_k t^rho) at the level's
+    N+1 edges, and ee.  Time-exact levels, key (kind, lam bytes, T, lam_max):
+    the (K, G) exact factors E_rho(-lam_k s^rho) at the global Gauss nodes of
+    lam_max, and ee.  Each is a pure function of its key and points, so a
+    level that reads them gets the bits it would evaluate."""
 
     def __init__(self):
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self.key = self.points = self.weights = self.values = self.ee = None
+        self.key = self.points = self.values = self.ee = None
 
     def view(self, key, points: np.ndarray):
         """The held values at points, a strided view, when key matches and
@@ -337,11 +320,15 @@ class _ExactTable:
         stride = _nest_stride(self.points, points) if key == self.key and self.points is not None else None
         return None if stride is None else self.values[:, ::stride]
 
-    def hold(self, key, points, weights, values, ee: np.ndarray) -> None:
-        for x in (points, weights, values, ee):
+    def hold(self, key, points, values, ee: np.ndarray) -> None:
+        for x in (points, values, ee):
             if x is not None:
                 x.flags.writeable = False
-        self.key, self.points, self.weights, self.values, self.ee = key, points, weights, values, ee
+        self.key, self.points, self.values, self.ee = key, points, values, ee
+
+    def held_points(self, key) -> int:
+        """How many points key's values are held at; 0 for another key or none."""
+        return self.points.size if key == self.key and self.points is not None else 0
 
 
 _exact_table = _ExactTable()
@@ -357,14 +344,15 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
 
     Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
     Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
-    Volterra reads its exact side from _exact_table or evaluates and holds it.
+    Volterra reads its exact side through _exact_table.view or evaluates it.
     Scheme levels: the CQ factor table (J, N+1) against the cell integrals
     diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, in blocks of about
-    _ML_BLOCK values; a level that reads nothing keeps every second column
-    when N is even and K (N/2 + 1) <= _PRIM_TABLE_MAX, else leaves a held
-    table of its key in place; ee is evaluated once per key, after the
-    primitives.  Time-exact levels: Gauss quadrature on global nodes, factors
-    and ee built once per key, in blocks of about _NODE_BLOCK values."""
+    _ML_BLOCK values; a level that reads nothing holds its K (N+1) values
+    when they fit under _PRIM_TABLE_MAX and outnumber the held points of its
+    key, so it never evicts a table that later levels can read; ee is
+    evaluated once per key, after the primitives.  Time-exact levels: Gauss
+    quadrature on global nodes, factors and ee once per key, in blocks of
+    about _NODE_BLOCK values."""
     if kind.name != "volterra":
         p_d, p = _pole(kind, lam_d)[j - 1], _pole(kind, lam)
         c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
@@ -385,28 +373,27 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
     if n_cells is None:
         lam_max = max(float(lam.max()), float(lam_d.max()))
         key = (kind, lam.tobytes(), T, lam_max)
-        if key != _exact_table.key:
-            nodes, w = _global_nodes(kind, lam_max, T)
+        nodes, w = _global_nodes(kind, lam_max, T)
+        b = _exact_table.view(key, nodes)
+        if b is None:
             b, ee = np.empty((lam.size, nodes.size)), np.empty(lam.size)
             for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
                 b[k] = _noise_factor(kind, lam[k, None], nodes[None, :])
                 ee[k] = (b[k] * b[k]) @ w
-            _exact_table.hold(key, nodes, w, b, ee)
-        nodes, w, b, ee = _exact_table.points, _exact_table.weights, _exact_table.values, _exact_table.ee
+            _exact_table.hold(key, nodes, b, ee)
         a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
         de = np.empty(lam.size)
         for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
             de[k] = (a[j[k] - 1] * b[k]) @ w
-        return ((a * a) @ w)[j - 1], de, ee, None
+        return ((a * a) @ w)[j - 1], de, _exact_table.ee, None
     dt = T / n_cells
     steps = discrete_family(kind, lam_d, dt, n_cells).steps
     edges = np.linspace(0.0, T, n_cells + 1)
     key = (kind, lam.tobytes(), T)
     held = _exact_table.view(key, edges)
     ee = _exact_table.ee if key == _exact_table.key else None
-    keep = None
-    if held is None and n_cells % 2 == 0 and lam.size * (n_cells // 2 + 1) <= _PRIM_TABLE_MAX:
-        keep = np.empty((lam.size, n_cells // 2 + 1))
+    fits = lam.size * edges.size <= _PRIM_TABLE_MAX
+    keep = np.empty((lam.size, edges.size)) if fits and _exact_table.held_points(key) < edges.size else None
     t_rho = edges**kind.rho
     et = steps[:, 1:]
     de = np.empty(lam.size)
@@ -414,7 +401,7 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
         if held is None:
             prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
             if keep is not None:
-                keep[k] = prim[:, ::2]
+                keep[k] = prim
         else:
             prim = held[k]
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
@@ -422,7 +409,7 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
     if ee is None:
         ee = _volterra_ee(kind, lam, T)
     if keep is not None or key != _exact_table.key:
-        _exact_table.hold(key, None if keep is None else edges[::2], None, keep, ee)
+        _exact_table.hold(key, None if keep is None else edges, keep, ee)
     return dd[j - 1], de, ee, steps[:, -1]
 
 
@@ -645,6 +632,8 @@ def mc_weak_error(setup: Setup, n_cells, g=None, n_paths: int = 1000, seed: int 
     array of observables to one value per row, as quadratic_functional (the
     default) and CylindricalFunctional do.
     """
+    if not isinstance(setup, Setup):
+        raise ValueError(f"setup must be one Setup, the problem, got a {type(setup).__name__}")
     if not _is_count(n_paths):
         raise ValueError(f"n_paths must be a whole number >= 1, got {n_paths!r}")
     if setup.fem is not None:
@@ -659,7 +648,6 @@ def mc_weak_error(setup: Setup, n_cells, g=None, n_paths: int = 1000, seed: int 
     kind, lam, K, T = setup.kind, setup.spec.eigenvalues, setup.spec.mode_count, setup.T
     if isinstance(g, CylindricalFunctional) and g.mode > K:
         raise ValueError(f"CylindricalFunctional mode {g.mode} exceeds the K = {K} modes of the setup")
-    _check_scheme(kind)
     sq = np.sqrt(setup.q())
     x0_exact = _exact_terminal_first(setup)
     fine = np.linspace(0.0, T, max(cells) + 1)

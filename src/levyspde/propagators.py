@@ -36,8 +36,8 @@ _CQ_BLOCK = 32  # steps per block of cq_resolvent's blocked Toeplitz solve
 @dataclass(frozen=True)
 class EquationKind:
     """Which evolution family is in play; volterra carries the kernel order rho,
-    wave carries the rational one-step scheme name, and no other family takes
-    either."""
+    wave the name of an I-stable rational one-step scheme (judged here, once),
+    and no other family takes either."""
 
     name: str  # heat | volterra | wave
     rho: float | None = None
@@ -57,8 +57,9 @@ class EquationKind:
                 )
         if self.name == "wave":
             scheme = self.scheme or "crank_nicolson"
-            if scheme not in WAVE_SCHEMES:
-                raise ValueError(f"unknown wave scheme {scheme!r}")
+            ok, worst = i_stability_check(scheme, np.linspace(-64.0, 64.0, 2049))
+            if not ok:
+                raise ValueError(f"wave scheme {scheme!r} is not I-stable: max |R(iy)| = {worst:.6g}")
             object.__setattr__(self, "scheme", scheme)
 
 
@@ -183,18 +184,24 @@ def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
     lam_h = np.asarray(lam_h, float)
     if kind.name == "heat":
         return -np.log1p(dt * lam_h)
-    y = dt * np.sqrt(lam_h)
-    if kind.scheme == "crank_nicolson":
+    return _wave_step_log(kind.scheme, dt * np.sqrt(lam_h))
+
+
+def _wave_step_log(scheme: str, y) -> np.ndarray:
+    """step_log of a wave scheme at y = dt sqrt(lam)."""
+    if scheme == "crank_nicolson":
         return -2j * np.arctan(y / 2.0)
-    sign = -1.0 if kind.scheme == "backward_euler" else 1.0
+    sign = -1.0 if scheme == "backward_euler" else 1.0
     return sign * 0.5 * np.log1p(y * y) - 1j * np.arctan(y)
 
 
 def i_stability_check(scheme: str, y_grid: np.ndarray) -> tuple[bool, float]:
     """sup |R(iy)| over the test frequencies, as exp(max Re step_log) of the
     wave scheme at dt = 1, lam = y^2; fails above 1 + 1e-12."""
+    if scheme not in WAVE_SCHEMES:
+        raise ValueError(f"unknown wave scheme {scheme!r}")
     y = np.asarray(y_grid, float)
-    worst = float(np.exp(step_log(wave_kind(scheme), y * y, 1.0).real.max()))
+    worst = float(np.exp(_wave_step_log(scheme, np.sqrt(y * y)).real.max()))  # dt sqrt(lam) at dt = 1, lam = y^2
     return worst <= 1.0 + 1e-12, worst
 
 

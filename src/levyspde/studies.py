@@ -295,12 +295,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     level.  Level N's MC pair equals mc_weak_error(problem, [N]) bit for bit.
 
     Every ladder runs finest first, rows in ladder order.  A Volterra level
-    passes its exact side to the next level through errors._exact_table: a
-    temporal key's ee and the cell primitives of the last level that kept
-    them (on a dyadic ladder the finest), which a coarser level reads when
-    its time edges nest in that level's; a spatial key's node table, whose
-    lam_max only falls from the finest mesh down.  Each row still equals a
-    cold standalone error_report bit for bit.
+    passes what it evaluated to the next level through errors._exact_table:
+    a temporal key's ee and the finest level's cell primitives at all its
+    edges, which a coarser level reads when its edges are every r-th of
+    those; a spatial key's node table, whose lam_max only falls from the
+    finest mesh down.  Each row still equals a cold standalone error_report
+    bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))

@@ -404,6 +404,23 @@ class TestStudyCommand:
         assert code == 1 and out == "" and "Traceback" not in err
         assert re.search(message, err) and not (tmp_path / "stray.csv").exists()
 
+    @pytest.mark.parametrize("axis, ladder", [("temporal", [2**-3, 2**-4, 2**-5, 2**-6]), ("spatial", [2**-2, 2**-3, 2**-4, 2**-5])])
+    def test_unstable_wave_scheme_exit_1_before_any_level(self, capsys, tmp_path, monkeypatch, axis, ladder):
+        # the kind refuses the scheme where the config is read; a spatial study
+        # used to accept explicit Euler and ignore it
+        from levyspde.cli import load_config
+
+        wave = {**TINY_HEAT, "equation": "wave", "axis": axis, "ladder": ladder}
+        cfg = tmp_path / "unstable.json"
+        cfg.write_text(json.dumps({**wave, "scheme": "backward_euler"}))
+        assert load_config(str(cfg)).kind.scheme == "backward_euler"
+        monkeypatch.setattr("levyspde.cli.run_study", lambda config: pytest.fail("a level ran"))
+        cfg.write_text(json.dumps({**wave, "scheme": "explicit_euler"}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert re.search(r"wave scheme 'explicit_euler' is not I-stable: max \|R\(iy\)\| = \d", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["unstable.json"]
+
     @pytest.mark.parametrize("name", ["../escaped", "a\\b"], ids=["slash", "backslash"])
     def test_name_with_path_separator_exit_1(self, capsys, tmp_path, name):
         # "../escaped" used to write <output>/../escaped.csv, outside --output, and exit 0

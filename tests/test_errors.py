@@ -542,10 +542,14 @@ class TestMonteCarloLadder:
             mc_weak_error(self.BASE, bad, n_paths=10)
 
     def test_unstable_wave_scheme_refused(self):
-        # the problem carries no time grid, so Setup has not checked its scheme
-        problem = Setup(wave_kind("explicit_euler"), dirichlet_spectrum(8), FLAT, CP, 1.0)
+        # the kind refuses the scheme, so no Monte Carlo problem can be built on it
         with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
-            mc_weak_error(problem, [4], n_paths=10)
+            mc_weak_error(Setup(wave_kind("explicit_euler"), dirichlet_spectrum(8), FLAT, CP, 1.0), [4], n_paths=10)
+
+    def test_problem_must_be_one_setup(self):
+        # the former call shape, a list of per-level setups, used to end in an AttributeError
+        with pytest.raises(ValueError, match="setup must be one Setup, the problem, got a list"):
+            mc_weak_error([self.BASE], [8], n_paths=10)
 
     @pytest.mark.parametrize("mode", [0, -1, 1.5, 2.0, "2", True])
     def test_cylindrical_mode_must_be_a_count(self, mode):
@@ -715,7 +719,8 @@ class TestBatchedMonteCarlo:
 
 class TestSetupValidation:
     def test_unstable_wave_scheme_refused(self):
-        with pytest.raises(ValueError, match="I-stable"):
+        # refused where the kind is built, before Setup sees it
+        with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
             Setup(wave_kind("explicit_euler"), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4)
 
     def test_covariance_required(self):
@@ -1023,23 +1028,23 @@ class TestFemAssembly:
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
             # time-exact node rows in blocks of 5 sine modes, the last one short: the
-            # held table is cleared so that the blocked build runs.  Its nodes,
-            # weights and E_rho values equal the one-block table's bit for bit; ee
+            # held table is cleared so that the blocked build runs.  Its nodes
+            # and E_rho values equal the one-block table's bit for bit; ee
             # is a BLAS matrix-vector product per block, whose summation order
             # depends on the block's row count, so it agrees to rounding
             table = errors._exact_table
             lam = setup.spec.eigenvalues
             key = (kind, lam.tobytes(), 1.0, max(float(lam.max()), float(setup.fem.eigenvalues.max())))
             assert table.key == key
-            whole = (table.points, table.weights, table.values, table.ee)
+            whole = (table.points, table.values, table.ee)
             assert 24 * whole[0].size <= errors._NODE_BLOCK
             monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * whole[0].size)
             table.cache_clear()
             reports.append(error_report(setup))
             assert table.key == key
-            blocked = (table.points, table.weights, table.values, table.ee)
-            assert blocked[2] is not whole[2] and all(np.array_equal(b, w) for b, w in zip(blocked[:3], whole[:3]))
-            assert np.all(np.abs(blocked[3] - whole[3]) <= 4e-16 * whole[3])
+            blocked = (table.points, table.values, table.ee)
+            assert blocked[1] is not whole[1] and all(np.array_equal(b, w) for b, w in zip(blocked[:2], whole[:2]))
+            assert np.all(np.abs(blocked[2] - whole[2]) <= 4e-16 * whole[2])
         weak, strong2, i_ee = self.oracle(setup)
         for rep in reports:
             assert abs(rep.weak_error_quadratic - weak) <= 1e-10 * i_ee

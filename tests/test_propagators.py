@@ -252,7 +252,7 @@ class TestWaveSchemes:
     def test_step_power_matches_matrix_power(self):
         # the complex carrier against n products of the 2x2 block R(dt A)
         lam, dt, n = 17.0, 0.05, 9
-        for scheme in ("backward_euler", "crank_nicolson", "explicit_euler"):
+        for scheme in ("backward_euler", "crank_nicolson"):
             m = np.linalg.matrix_power(rational_block(scheme, dt, lam), n)
             z = complex(discrete_family(wave_kind(scheme), np.array([lam]), dt, n).steps[0, -1])
             np.testing.assert_allclose(
@@ -281,6 +281,18 @@ class TestWaveSchemes:
     def test_unknown_scheme_refused(self):
         with pytest.raises(ValueError, match="unknown wave scheme"):
             i_stability_check("leapfrog", np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="unknown wave scheme 'leapfrog'"):
+            wave_kind("leapfrog")
+
+    def test_unstable_scheme_refused_where_the_kind_is_built(self):
+        # the scheme is judged once, by its kind: no Setup, Monte Carlo run or
+        # study of any axis can be built on an explicit-Euler wave
+        _, worst = i_stability_check("explicit_euler", np.linspace(-64.0, 64.0, 2049))
+        message = f"wave scheme 'explicit_euler' is not I-stable: max |R(iy)| = {worst:.6g}"
+        assert worst > 1.0
+        for build in (lambda: wave_kind("explicit_euler"), lambda: EquationKind("wave", scheme="explicit_euler")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
 
 
 
@@ -290,7 +302,6 @@ class TestConsistencyOrder:
         [
             (heat_kind(), 1),
             (wave_kind("backward_euler"), 1),
-            (wave_kind("explicit_euler"), 1),
             (wave_kind("crank_nicolson"), 2),
         ],
         ids=lambda v: v.scheme or v.name if isinstance(v, EquationKind) else str(v),
