@@ -14,7 +14,7 @@ import sys
 from .mittag_leffler import mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, hs_condition
 from .propagators import EquationKind, cq_weights
-from .spectral import dirichlet_spectrum
+from .spectral import _is_whole, dirichlet_spectrum
 from .studies import (
     SLOPE_TOL,
     StudyConfig,
@@ -33,23 +33,38 @@ class ConfigError(ValueError):
     pass
 
 
-# JSON key -> (name load_config passes on, conversion; None keeps the value),
-# or the table of a nested JSON object.  equation, rho and scheme build the
-# EquationKind; the law object's names are LevyLaw's.
+def _real(v, key: str) -> float:
+    """A JSON number as a float; float() would take true as 1.0 and "1.5" as
+    1.5, and end in an OverflowError on an integer past the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or abs(v) > sys.float_info.max:
+        raise ConfigError(f"{key} takes JSON numbers in the float range, got {json.dumps(v)}")
+    return float(v)
+
+
+def _reals(v, key: str, depth: int = 1) -> tuple:
+    """A JSON array of numbers as a tuple of floats; at depth 2 its entries may be such arrays (the wave's x0)."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{key} takes a JSON array, got {json.dumps(v)}")
+    return tuple(_reals(x, key) if depth > 1 and isinstance(x, list) else _real(x, key) for x in v)
+
+
+# JSON key -> (name load_config passes on, conversion(value, key); None keeps
+# the value), or the table of a nested JSON object.  equation, rho and scheme
+# build the EquationKind; the law object's names are LevyLaw's.
 _SCHEMA = {
     "schema_version": ("schema_version", None),
     "name": ("name", None),
     "equation": ("equation", None),
-    "rho": ("rho", float),
+    "rho": ("rho", _real),
     "scheme": ("scheme", None),
     "axis": ("axis", None),
-    "beta": ("beta", float),
-    "horizon": ("T", float),
+    "beta": ("beta", _real),
+    "horizon": ("T", _real),
     "modes": ("modes", None),
-    "ladder": ("ladder", lambda v: tuple(float(x) for x in v)),
-    "covariance": {"amplitude": ("cov_amplitude", float), "decay": ("cov_decay", float)},
-    "law": {"kind": ("kind", None), "intensity": ("intensity", float), "jumps": ("jumps", None)},
-    "x0": ("x0", tuple),
+    "ladder": ("ladder", _reals),
+    "covariance": {"amplitude": ("cov_amplitude", _real), "decay": ("cov_decay", _real)},
+    "law": {"kind": ("kind", None), "intensity": ("intensity", _real), "jumps": ("jumps", None)},
+    "x0": ("x0", lambda v, key: _reals(v, key, depth=2)),
     "g": ("g", None),
     "g_mode": ("g_mode", None),
     "mc": {"paths": ("mc_paths", None), "seed": ("mc_seed", None)},
@@ -59,7 +74,7 @@ _SCHEMA = {
 def _fields(obj, schema: dict, where: str) -> dict:
     """The converted values of a JSON object under its schema table, by name;
     a nested object's values come as a dict under its key, and a key given
-    as null is absent.  A non-object and unknown keys are refused."""
+    as null is absent.  A non-object, unknown keys and bad values are refused."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - set(schema)
@@ -74,7 +89,7 @@ def _fields(obj, schema: dict, where: str) -> dict:
             out[key] = _fields(value, entry, key)
         else:
             name, convert = entry
-            out[name] = value if convert is None else convert(value)
+            out[name] = value if convert is None else convert(value, key)
     return out
 
 
@@ -87,8 +102,8 @@ def load_config(path: str) -> StudyConfig:
         raw = json.load(f)
     try:
         kw = _fields(raw, _SCHEMA, "config")
-        if kw.pop("schema_version", None) != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+        if not _is_whole(version := kw.pop("schema_version", None)) or version != SCHEMA_VERSION:  # true == 1
+            raise ConfigError(f"schema_version must be the integer {SCHEMA_VERSION}, got {json.dumps(version)}")
         for key in ("equation", "axis", "beta", "ladder"):
             if key not in kw:
                 raise ConfigError(f"missing required key {key!r}")

@@ -37,20 +37,14 @@ which its scheme rows pair with the CQ factor table, and
 I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
 toward the u^rho branch point at u = 0).  Time-exact rows use Gauss quadrature
-on global nodes shared by both sides; the nodes, the (K, G) exact factors on
-them and ee depend only on (kind, lam, T, lam_max), lam_max = the largest of
-lam and lam_d, and a level evaluates only its J discrete rows.
-The exact-side values a Volterra level evaluates pass to the next level of its
-study through one read-only table, _exact_table, which holds one key at a time.
-The key carries the bytes of lam, as _rows takes any array: (kind, lam, T)
-for scheme levels, with the cell primitives at the level's N+1 edges and ee
-(K (N+1) 8 bytes, at most _PRIM_TABLE_MAX values), and (kind, lam, T,
-lam_max) for time-exact levels, with the factors at its Gauss nodes and ee
-(K G 8 bytes).  Every level reads it by one rule, _ExactTable.view: the held
-values, as a strided view, when its key matches and its points are the held
-points taken every r-th, bit for bit.  studies.run_study runs every ladder
-finest first, so on a dyadic ladder only the finest level evaluates E_{rho,2};
-ee is evaluated once per key.
+on global nodes shared by both sides, which depend only on lam_max, the
+largest of lam and lam_d; a level evaluates only its J discrete rows.  Both
+level types make one pass over the exact side in blocks of modes and reduce
+each row along itself, so no number depends on the block size.  What a level
+evaluates passes to the next level of its study through one read-only table,
+_exact_table, read by one rule, _ExactTable.view.  studies.run_study runs
+every ladder finest first, so on a dyadic ladder only the finest level
+evaluates E_{rho,2}; ee is evaluated once per key.
 """
 
 from __future__ import annotations
@@ -76,9 +70,8 @@ from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectr
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
-_ML_BLOCK = 16384  # t E_{rho,2} values per block of modes on a Volterra scheme level; bounds its memory
+_ML_BLOCK = 16384  # exact-side values per block of modes (Volterra levels, the oracle); bounds memory, moves no row
 _PRIM_TABLE_MAX = 1 << 23  # values of the held cell-primitive table (64 MB); a larger level evaluates directly
-_NODE_BLOCK = 1 << 20  # factor values per mode block on global nodes (time-exact Volterra, the oracle); bounds memory
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
 
@@ -301,12 +294,15 @@ def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
 
 class _ExactTable:
     """The exact-side values one Volterra level evaluated, held for the next
-    level of a study; read-only.  Scheme levels, key (kind, lam bytes, T):
-    the (K, N+1) cell primitives t E_{rho,2}(-lam_k t^rho) at the level's
-    N+1 edges, and ee.  Time-exact levels, key (kind, lam bytes, T, lam_max):
-    the (K, G) exact factors E_rho(-lam_k s^rho) at the global Gauss nodes of
-    lam_max, and ee.  Each is a pure function of its key and points, so a
-    level that reads them gets the bits it would evaluate."""
+    level of a study; read-only, one key at a time.  The key carries the bytes
+    of lam, as _rows takes any array.  Scheme levels, key (kind, lam, T): the
+    (K, N+1) cell primitives t E_{rho,2}(-lam_k t^rho) at the level's N+1
+    edges (K (N+1) 8 bytes, at most _PRIM_TABLE_MAX values), and ee.
+    Time-exact levels, key (kind, lam, T, lam_max): the (K, G) factors
+    E_rho(-lam_k s^rho) at the global Gauss nodes of lam_max (K G 8 bytes),
+    and ee.  Each is a pure function of its key and points, not of the blocks
+    it was evaluated in, so a level that reads them through view gets the
+    bits it would evaluate."""
 
     def __init__(self):
         self.cache_clear()
@@ -344,15 +340,16 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
 
     Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
     Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
-    Volterra reads its exact side through _exact_table.view or evaluates it.
-    Scheme levels: the CQ factor table (J, N+1) against the cell integrals
-    diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, in blocks of about
-    _ML_BLOCK values; a level that reads nothing holds its K (N+1) values
-    when they fit under _PRIM_TABLE_MAX and outnumber the held points of its
-    key, so it never evicts a table that later levels can read; ee is
-    evaluated once per key, after the primitives.  Time-exact levels: Gauss
-    quadrature on global nodes, factors and ee once per key, in blocks of
-    about _NODE_BLOCK values."""
+    Volterra: one pass over the exact side for both level types, in blocks
+    of modes of about _ML_BLOCK values: read through _exact_table.view or
+    evaluated, kept, paired with the discrete side and held.  Scheme levels
+    pair the CQ table (J, N+1) with the differences of the primitives at the
+    edges and read ee from the G_rho table; time-exact levels form every row
+    as a (a w), (a w) x or x (x w) at the Gauss nodes, a the discrete and x
+    the exact factors, so the exact family's rows are equal.  A level that
+    reads nothing holds its values when they outnumber its key's held points
+    (scheme levels: and fit under _PRIM_TABLE_MAX).  Every row is reduced
+    along itself, so no row depends on the block size."""
     if kind.name != "volterra":
         p_d, p = _pole(kind, lam_d)[j - 1], _pole(kind, lam)
         c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
@@ -372,45 +369,44 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
         return dd, _re_products(a, la, b, lb, total), ee, z_T
     if n_cells is None:
         lam_max = max(float(lam.max()), float(lam_d.max()))
-        key = (kind, lam.tobytes(), T, lam_max)
-        nodes, w = _global_nodes(kind, lam_max, T)
-        b = _exact_table.view(key, nodes)
-        if b is None:
-            b, ee = np.empty((lam.size, nodes.size)), np.empty(lam.size)
-            for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
-                b[k] = _noise_factor(kind, lam[k, None], nodes[None, :])
-                ee[k] = (b[k] * b[k]) @ w
-            _exact_table.hold(key, nodes, b, ee)
-        a = _noise_factor(kind, lam_d[:, None], nodes[None, :])  # (J, G)
-        de = np.empty(lam.size)
-        for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
-            de[k] = (a[j[k] - 1] * b[k]) @ w
-        return ((a * a) @ w)[j - 1], de, _exact_table.ee, None
-    dt = T / n_cells
-    steps = discrete_family(kind, lam_d, dt, n_cells).steps
-    edges = np.linspace(0.0, T, n_cells + 1)
-    key = (kind, lam.tobytes(), T)
-    held = _exact_table.view(key, edges)
+        key, (points, w) = (kind, lam.tobytes(), T, lam_max), _global_nodes(kind, lam_max, T)
+        a = _noise_factor(kind, lam_d[:, None], points[None, :])
+        aw, z_T, exact = a * w, None, partial(_noise_factor, kind, s=points)
+        dd = np.sum(a * aw, axis=1)
+
+        def pair(k, x):
+            return np.sum(aw[j[k] - 1] * x, axis=1)
+
+    else:
+        steps = discrete_family(kind, lam_d, T / n_cells, n_cells).steps
+        key, points = (kind, lam.tobytes(), T), np.linspace(0.0, T, n_cells + 1)
+        et, z_T, t_rho = steps[:, 1:], steps[:, -1], points**kind.rho
+        dd = (T / n_cells) * np.einsum("jn,jn->j", et, et)
+
+        def exact(lam_k):  # int_0^t e_k at the edges
+            return points * mittag_leffler_neg(kind.rho, lam_k * t_rho, beta=2)
+
+        def pair(k, x):
+            return np.einsum("kn,kn->k", et[j[k] - 1], np.diff(x, axis=1))
+
+    held = _exact_table.view(key, points)
     ee = _exact_table.ee if key == _exact_table.key else None
-    fits = lam.size * edges.size <= _PRIM_TABLE_MAX
-    keep = np.empty((lam.size, edges.size)) if fits and _exact_table.held_points(key) < edges.size else None
-    t_rho = edges**kind.rho
-    et = steps[:, 1:]
+    fits = n_cells is None or lam.size * points.size <= _PRIM_TABLE_MAX
+    keep = np.empty((lam.size, points.size)) if fits and _exact_table.held_points(key) < points.size else None
+    node_ee = np.empty(lam.size) if ee is None and n_cells is None else None
     de = np.empty(lam.size)
-    for k in _mode_blocks(lam.size, edges.size, _ML_BLOCK):
-        if held is None:
-            prim = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)  # int_0^t e_k
-            if keep is not None:
-                keep[k] = prim
-        else:
-            prim = held[k]
-        de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(prim, axis=1))
-    dd = dt * np.einsum("jn,jn->j", et, et)
+    for k in _mode_blocks(lam.size, points.size, _ML_BLOCK):
+        x = exact(lam[k, None]) if held is None else held[k]
+        if keep is not None:
+            keep[k] = x
+        if node_ee is not None:
+            node_ee[k] = np.sum(x * (x * w), axis=1)
+        de[k] = pair(k, x)
     if ee is None:
-        ee = _volterra_ee(kind, lam, T)
+        ee = _volterra_ee(kind, lam, T) if node_ee is None else node_ee
     if keep is not None or key != _exact_table.key:
-        _exact_table.hold(key, None if keep is None else edges, keep, ee)
-    return dd[j - 1], de, ee, steps[:, -1]
+        _exact_table.hold(key, None if keep is None else points, keep, ee)
+    return dd[j - 1], de, ee, z_T
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
@@ -509,7 +505,8 @@ def _weak_error_cellwise(setup: Setup) -> float:
     """The weak error of a spectral scheme setup by a route apart from
     error_report: step factors from discrete_family tables (for Volterra the
     per-mode march cq_mode_solve) and I_ee from Gauss quadrature on global
-    nodes, in blocks of about _NODE_BLOCK factor values, apart from both the
+    nodes, in blocks of about _ML_BLOCK factor values (each row reduced on its
+    own, so the value does not depend on the block size), apart from both the
     closed forms and the G_rho table."""
     kind, lam, q, N = setup.kind, setup.spec.eigenvalues, setup.q(), setup.n_cells
     if kind.name == "volterra":
@@ -520,9 +517,9 @@ def _weak_error_cellwise(setup: Setup) -> float:
     et = _observable(kind, _pole(kind, lam[:, None]), steps[:, 1:])
     nodes, w = _global_nodes(kind, float(lam[-1]), setup.T)
     ee = np.empty(lam.size)
-    for k in _mode_blocks(lam.size, nodes.size, _NODE_BLOCK):
+    for k in _mode_blocks(lam.size, nodes.size, _ML_BLOCK):
         b = _noise_factor(kind, lam[k, None], nodes[None, :])
-        ee[k] = (b * b) @ w
+        ee[k] = np.sum(b * (b * w), axis=1)
     a_d, a_e = _terminal_first(kind, lam, steps[:, -1], setup.x0), _exact_terminal_first(setup)
     return float(q @ (setup.dt * np.einsum("kn,kn->k", et, et) - ee) + (a_d @ a_d - a_e @ a_e))
 

@@ -386,6 +386,53 @@ class TestStudyCommand:
     @pytest.mark.parametrize(
         "extra, message",
         [
+            ({"beta": True}, "beta takes JSON numbers in the float range, got true"),
+            ({"horizon": "1"}, 'horizon takes JSON numbers in the float range, got "1"'),
+            ({"equation": "volterra", "rho": "1.5"}, 'rho takes JSON numbers in the float range, got "1.5"'),
+            ({"ladder": ["0.0625", 0.03125, 0.015625, 0.0078125]}, r'ladder takes JSON numbers in the float range, got "0\.0625"'),
+            ({"ladder": 0.0625}, r"ladder takes a JSON array, got 0\.0625"),
+            ({"ladder": [[0.0625], [0.03125], [0.015625], [0.0078125]]}, r"ladder takes JSON numbers in the float range, got \[0\.0625\]"),
+            ({"law": {"intensity": True}}, "intensity takes JSON numbers in the float range, got true"),
+            ({"covariance": {"amplitude": True}}, "amplitude takes JSON numbers in the float range, got true"),
+            ({"covariance": {"decay": "0.6"}}, 'decay takes JSON numbers in the float range, got "0.6"'),
+            ({"x0": ["1", 0.5]}, 'x0 takes JSON numbers in the float range, got "1"'),
+            ({"equation": "wave", "x0": [[True, 0.5], [0.0, 0.25]]}, "x0 takes JSON numbers in the float range, got true"),
+            ({"beta": 10**400}, "beta takes JSON numbers in the float range, got 1000"),
+            ({"schema_version": True}, "schema_version must be the integer 1, got true"),
+            ({"schema_version": 1.0}, r"schema_version must be the integer 1, got 1\.0"),
+            ({"schema_version": "1"}, 'schema_version must be the integer 1, got "1"'),
+        ],
+        ids=["beta-true", "horizon-string", "rho-string", "ladder-strings", "ladder-number", "ladder-nested", "intensity-true",
+             "amplitude-true", "decay-string", "x0-string", "wave-x0-true", "beta-past-float-range",
+             "schema-version-true", "schema-version-float", "schema-version-string"],
+    )
+    def test_non_number_for_a_number_exit_1(self, capsys, tmp_path, extra, message):
+        # float() took true as 1.0 and "1" as 1.0, and the schema version compared
+        # true and 1.0 equal to 1: these configs used to run, write a CSV and exit 0
+        # or 2, except a bare or nested ladder (a TypeError naming no key), the
+        # integer past the float range (an OverflowError traceback) and "1" (refused)
+        cfg = tmp_path / "coerced.json"
+        cfg.write_text(json.dumps({**TINY_HEAT, **extra}))
+        code, out, err = run(capsys, "study", "--config", str(cfg), "--output", str(tmp_path / "out"))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert re.search(message, err)
+        assert [p.name for p in tmp_path.rglob("*")] == ["coerced.json"]
+
+    def test_whole_numbers_for_float_keys_load_as_floats(self, tmp_path):
+        from levyspde.cli import load_config
+
+        cfg = tmp_path / "ints.json"
+        given = {**FULL_WAVE, "beta": 1, "horizon": 1, "ladder": [1, 0.5, 0.25, 0.125], "x0": [[1, 0], [0, 2]],
+                 "covariance": {"amplitude": 2, "decay": 1}, "law": {"intensity": 3}}
+        cfg.write_text(json.dumps(given))
+        config = load_config(str(cfg))
+        assert (config.beta, config.T, config.ladder, config.x0) == (1.0, 1.0, (1.0, 0.5, 0.25, 0.125), ((1.0, 0.0), (0.0, 2.0)))
+        assert (config.cov_amplitude, config.cov_decay, config.law.intensity) == (2.0, 1.0, 3.0)
+        assert all(type(v) is float for v in (config.beta, config.T, *config.ladder, *config.x0[0], config.cov_decay))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
             ({"rho": 1.7, "scheme": "explicit_euler"}, "rho applies to volterra only; heat takes none"),
             ({"scheme": "explicit_euler"}, "scheme applies to wave only; heat takes none"),
             ({"equation": "volterra"}, r"volterra requires rho in \[1\.01, 2\)"),

@@ -117,6 +117,21 @@ class TestZeroAndExactCases:
             assert rep.weak_error_quadratic == 0.0
             assert rep.representation_value == 0.0
 
+    def test_time_exact_exact_family_zero_across_blocks(self):
+        # K = 512 at rho = 1.9: the exact factors on the global nodes (about 3.6M
+        # values) span many blocks of modes, and the discrete side is one (J, G)
+        # table; every row reduces on its own, so both sides still agree bit for bit
+        kind, K = volterra_kind(1.9), 512
+        spec = dirichlet_spectrum(K)
+        nodes, _ = errors._global_nodes(kind, float(spec.eigenvalues[-1]), 1.0)
+        assert K * nodes.size > 3_000_000 and len(errors._mode_blocks(K, nodes.size, errors._ML_BLOCK)) > 1
+        x0 = np.zeros(K)
+        x0[:3] = [1.0, -0.5, 0.25]
+        errors._exact_table.cache_clear()
+        rep = error_report(Setup(kind, spec, CovarianceSpec(amplitude=1.0, decay=0.5), CP, 1.0, x0=x0))
+        errors._exact_table.cache_clear()
+        assert (rep.strong_error, rep.weak_error_quadratic, rep.representation_value) == (0.0, 0.0, 0.0)
+
     def test_initial_data_terms_against_closed_form(self):
         # the x0 terms by hand: backward Euler (1 + dt lam)^(-N) against e^(-lam T);
         # the noise terms are the same bits with and without x0, so they cancel
@@ -204,18 +219,18 @@ class TestHsTimeIntegral:
 
     @pytest.mark.parametrize("kind", [heat_kind(), volterra_kind(1.5), wave_kind("crank_nicolson")], ids=lambda k: k.name)
     def test_cellwise_oracle_in_mode_blocks(self, kind, monkeypatch):
-        # the oracle's exact factors in blocks of 5 of the 48 modes, the last one
-        # short; ee is a BLAS matrix-vector product per block, whose summation
-        # order depends on the block's row count, so it agrees to rounding
+        # the oracle's exact factors in one block of all 48 modes and in blocks of
+        # 5, the last one short; ee reduces each row on its own, so the value
+        # does not depend on how many rows a block holds, bit for bit
         x0 = np.zeros((2, 48) if kind.name == "wave" else 48)
         x0[..., :2] = [1.0, -0.5]
         setup = Setup(kind, dirichlet_spectrum(48), CovarianceSpec(amplitude=1.0, decay=0.3), CP, 1.0, n_cells=8, x0=x0)
-        whole = errors._weak_error_cellwise(setup)
         nodes, _ = errors._global_nodes(kind, float(setup.spec.eigenvalues[-1]), 1.0)
-        assert 48 * nodes.size <= errors._NODE_BLOCK
-        monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * nodes.size)
-        assert len(errors._mode_blocks(48, nodes.size, errors._NODE_BLOCK)) == 10
-        assert abs(errors._weak_error_cellwise(setup) - whole) <= 1e-14 * abs(whole)
+        monkeypatch.setattr(errors, "_ML_BLOCK", 48 * nodes.size)
+        whole = errors._weak_error_cellwise(setup)
+        monkeypatch.setattr(errors, "_ML_BLOCK", 5 * nodes.size)
+        assert len(errors._mode_blocks(48, nodes.size, errors._ML_BLOCK)) == 10
+        assert errors._weak_error_cellwise(setup) == whole
 
     def test_constant_integrand(self):
         _, w = errors._global_nodes(heat_kind(), 37.0, 1.25)
@@ -870,6 +885,30 @@ class TestExactSide:
             assert np.array_equal(errors._rows(kind, lam, j, lam, 1.0, n)[1], de)
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("fem", [None, 8], ids=["spectral", "p1"])
+    @pytest.mark.parametrize("n", [16, None], ids=["scheme", "time-exact"])
+    def test_volterra_rows_do_not_depend_on_the_block_size(self, n, fem, monkeypatch):
+        # one block loop serves both level types: blocks of 1 mode, of 3 modes
+        # (the last of the 16 short) and the whole table give the same rows bit
+        # for bit, cold and read back from the held table
+        kind = volterra_kind(1.5)
+        setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=n, fem=fem and assemble_fem(fem))
+        lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
+        lam_max = max(float(lam.max()), float(lam_d.max()))
+        per_mode = n + 1 if n else errors._global_nodes(kind, lam_max, 1.0)[0].size
+        builds = []
+        for modes in (1, 3, lam.size):
+            monkeypatch.setattr(errors, "_ML_BLOCK", modes * per_mode)
+            assert len(errors._mode_blocks(lam.size, per_mode, errors._ML_BLOCK)) == -(-lam.size // modes)
+            errors._exact_table.cache_clear()
+            cold = errors._rows(kind, lam_d, j, lam, 1.0, n)
+            assert errors._exact_table.held_points((kind, lam.tobytes(), 1.0) + ((lam_max,) if n is None else ())) == per_mode
+            builds += [cold, errors._rows(kind, lam_d, j, lam, 1.0, n)]
+        errors._exact_table.cache_clear()
+        for rows in builds[1:]:
+            for got, want in zip(rows, builds[0]):
+                assert (got is None and want is None) or np.array_equal(got, want)
+
     ROW_KINDS = [heat_kind(), wave_kind("crank_nicolson"), volterra_kind(1.5)]
 
     @pytest.mark.parametrize("n", [16, None], ids=["scheme", "time-exact"])
@@ -1027,24 +1066,25 @@ class TestFemAssembly:
         setup = Setup(kind, dirichlet_spectrum(24), cov, CP, 1.0, n_cells=n_cells, fem=assemble_fem(8), x0=x0)
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
-            # time-exact node rows in blocks of 5 sine modes, the last one short: the
-            # held table is cleared so that the blocked build runs.  Its nodes
-            # and E_rho values equal the one-block table's bit for bit; ee
-            # is a BLAS matrix-vector product per block, whose summation order
-            # depends on the block's row count, so it agrees to rounding
+            # time-exact node rows in one block of all 24 sine modes and in blocks
+            # of 5, the last one short: the held table is cleared so that each
+            # build runs.  Every row reduces on its own, so the nodes, the E_rho
+            # values, ee and the report are the one-block build's bit for bit
             table = errors._exact_table
             lam = setup.spec.eigenvalues
             key = (kind, lam.tobytes(), 1.0, max(float(lam.max()), float(setup.fem.eigenvalues.max())))
             assert table.key == key
-            whole = (table.points, table.values, table.ee)
-            assert 24 * whole[0].size <= errors._NODE_BLOCK
-            monkeypatch.setattr(errors, "_NODE_BLOCK", 5 * whole[0].size)
-            table.cache_clear()
-            reports.append(error_report(setup))
-            assert table.key == key
-            blocked = (table.points, table.values, table.ee)
-            assert blocked[1] is not whole[1] and all(np.array_equal(b, w) for b, w in zip(blocked[:2], whole[:2]))
-            assert np.all(np.abs(blocked[2] - whole[2]) <= 4e-16 * whole[2])
+            G = table.points.size
+            builds = []
+            for block in (24 * G, 5 * G):
+                monkeypatch.setattr(errors, "_ML_BLOCK", block)
+                table.cache_clear()
+                reports.append(error_report(setup))
+                assert table.key == key
+                builds.append((table.points, table.values, table.ee))
+            whole, blocked = builds
+            assert blocked[1] is not whole[1] and all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+            assert reports[-1] == reports[-2]
         weak, strong2, i_ee = self.oracle(setup)
         for rep in reports:
             assert abs(rep.weak_error_quadratic - weak) <= 1e-10 * i_ee
