@@ -31,20 +31,20 @@ factor e(s) = Re(c e^(p s)) (heat c = 1, p = -lam; wave c = i/sqrt(lam),
 p = -i sqrt(lam)), read out by _observable; a step factor is Re(c z^n), so
 Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
 expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
-Volterra rows have no such form, but its exact side has two: the cell
-integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges,
-which its scheme rows pair with the CQ factor table, and
+Volterra scheme rows have no such form, but their exact side has two: the
+cell integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's
+edges, which they pair with the CQ factor table, and
 I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
 read for every mode from one cumulative Gauss table (the first cell graded
-toward the u^rho branch point at u = 0).  Time-exact rows use Gauss quadrature
-on global nodes shared by both sides, which depend only on lam_max, the
-largest of lam and lam_d; a level evaluates only its J discrete rows.  Both
-level types make one pass over the exact side in blocks of modes and reduce
-each row along itself, so no number depends on the block size.  What a level
-evaluates passes to the next level of its study through one read-only table,
-_exact_table, read by one rule, _ExactTable.view.  studies.run_study runs
-every ladder finest first, so on a dyadic ladder only the finest level
-evaluates E_{rho,2}; ee is evaluated once per key.
+toward the u^rho branch point at u = 0).  Time-exact Volterra rows are closed
+forms (_cut_rows): every factor is a pole-corrected residue pair plus a sum of
+exponentials e^(-r_q t) on one lattice in log r, so no E_rho is evaluated and
+no quadrature node is used.  Both level types work in blocks of modes and
+reduce each row along itself, so no number depends on the block size.  What
+a level evaluates passes to the next level of its study through one
+read-only table, _exact_table, read by one rule, _ExactTable.view.
+studies.run_study runs every ladder finest first, so on a dyadic ladder only
+the finest level evaluates E_{rho,2}; ee is evaluated once per key.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectr
 GAUSS_ORDER = 8
 _DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
-_ML_BLOCK = 16384  # exact-side values per block of modes (Volterra levels, the oracle); bounds memory, moves no row
+_CUT_STEP = 0.28  # cut trapezoid step in u = log r: error e^(-pi^2/h) ~ 5e-16 from the strip |Im u| < pi/2
+_ML_BLOCK = 16384  # values per block of modes (Volterra levels, the oracle); bounds memory, moves no row
 _PRIM_TABLE_MAX = 1 << 23  # values of the held cell-primitive table (64 MB); a larger level evaluates directly
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
 
@@ -233,10 +234,11 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
     Past _DEAD_SPAN decay scales of the top mode the lower Volterra modes,
     which decay more slowly, still oscillate on these tail pieces, and r
     vanishes as rho -> 2.  kappa narrows the pieces with r; it is 1 for
-    rho <= 1.5.  Limit: the node count grows like 1/kappa.  At K = 1024
-    time-exact I_ee from these nodes agrees with the G_rho table of
-    _volterra_ee to 1e-14 for rho up to 1.95 (14328 nodes there; 5296 and
-    2.3e-4 off without kappa).
+    rho <= 1.5.  Limit: the node count grows like 1/kappa.  The Volterra
+    partition serves the G_rho table of _volterra_ee (on the unit mode) and
+    the oracle _weak_error_cellwise; at K = 1024 Gauss sums of e_k^2 on the
+    top mode's nodes agree with the G_rho table to 1e-14 for rho up to 1.95
+    (14328 nodes there; 5296 and 2.3e-4 off without kappa).
     """
     p = _pole(kind, lam_max)
     pts = [np.array([0.0, T])]
@@ -298,11 +300,10 @@ class _ExactTable:
     of lam, as _rows takes any array.  Scheme levels, key (kind, lam, T): the
     (K, N+1) cell primitives t E_{rho,2}(-lam_k t^rho) at the level's N+1
     edges (K (N+1) 8 bytes, at most _PRIM_TABLE_MAX values), and ee.
-    Time-exact levels, key (kind, lam, T, lam_max): the (K, G) factors
-    E_rho(-lam_k s^rho) at the global Gauss nodes of lam_max (K G 8 bytes),
-    and ee.  Each is a pure function of its key and points, not of the blocks
-    it was evaluated in, so a level that reads them through view gets the
-    bits it would evaluate."""
+    Time-exact levels, key (kind, lam, T, lattice ends), points the lattice:
+    _cut_side's (3, K, Q) tables (3 K Q 8 bytes), and ee.  Each is a pure
+    function of its key and points, not of the blocks it was evaluated in, so
+    a level that reads them through view gets the bits it would evaluate."""
 
     def __init__(self):
         self.cache_clear()
@@ -314,7 +315,7 @@ class _ExactTable:
         """The held values at points, a strided view, when key matches and
         points are the held points taken every r-th, bit for bit; else None."""
         stride = _nest_stride(self.points, points) if key == self.key and self.points is not None else None
-        return None if stride is None else self.values[:, ::stride]
+        return None if stride is None else self.values[..., ::stride]
 
     def hold(self, key, points, values, ee: np.ndarray) -> None:
         for x in (points, values, ee):
@@ -340,16 +341,14 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
 
     Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
     Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
-    Volterra: one pass over the exact side for both level types, in blocks
-    of modes of about _ML_BLOCK values: read through _exact_table.view or
-    evaluated, kept, paired with the discrete side and held.  Scheme levels
-    pair the CQ table (J, N+1) with the differences of the primitives at the
-    edges and read ee from the G_rho table; time-exact levels form every row
-    as a (a w), (a w) x or x (x w) at the Gauss nodes, a the discrete and x
-    the exact factors, so the exact family's rows are equal.  A level that
-    reads nothing holds its values when they outnumber its key's held points
-    (scheme levels: and fit under _PRIM_TABLE_MAX).  Every row is reduced
-    along itself, so no row depends on the block size."""
+    Volterra time-exact levels: _cut_rows.  Volterra scheme levels make one
+    pass over the exact side in blocks of modes of about _ML_BLOCK values:
+    the cell primitives at the edges are read through _exact_table.view or
+    evaluated, kept, and their differences paired with the CQ table
+    (J, N+1); ee is read from the G_rho table.  A level that reads nothing
+    holds its primitives when they outnumber its key's held points and fit
+    under _PRIM_TABLE_MAX.  Every row is reduced along itself, so no row
+    depends on the block size."""
     if kind.name != "volterra":
         p_d, p = _pole(kind, lam_d)[j - 1], _pole(kind, lam)
         c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
@@ -368,45 +367,114 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
             dd = dt * _re_products(a, la, a, la, total)
         return dd, _re_products(a, la, b, lb, total), ee, z_T
     if n_cells is None:
-        lam_max = max(float(lam.max()), float(lam_d.max()))
-        key, (points, w) = (kind, lam.tobytes(), T, lam_max), _global_nodes(kind, lam_max, T)
-        a = _noise_factor(kind, lam_d[:, None], points[None, :])
-        aw, z_T, exact = a * w, None, partial(_noise_factor, kind, s=points)
-        dd = np.sum(a * aw, axis=1)
-
-        def pair(k, x):
-            return np.sum(aw[j[k] - 1] * x, axis=1)
-
-    else:
-        steps = discrete_family(kind, lam_d, T / n_cells, n_cells).steps
-        key, points = (kind, lam.tobytes(), T), np.linspace(0.0, T, n_cells + 1)
-        et, z_T, t_rho = steps[:, 1:], steps[:, -1], points**kind.rho
-        dd = (T / n_cells) * np.einsum("jn,jn->j", et, et)
-
-        def exact(lam_k):  # int_0^t e_k at the edges
-            return points * mittag_leffler_neg(kind.rho, lam_k * t_rho, beta=2)
-
-        def pair(k, x):
-            return np.einsum("kn,kn->k", et[j[k] - 1], np.diff(x, axis=1))
-
+        return _cut_rows(kind, lam_d, j, lam, T)
+    steps = discrete_family(kind, lam_d, T / n_cells, n_cells).steps
+    key, points = (kind, lam.tobytes(), T), np.linspace(0.0, T, n_cells + 1)
+    et, t_rho = steps[:, 1:], points**kind.rho
+    dd = (T / n_cells) * np.einsum("jn,jn->j", et, et)
     held = _exact_table.view(key, points)
     ee = _exact_table.ee if key == _exact_table.key else None
-    fits = n_cells is None or lam.size * points.size <= _PRIM_TABLE_MAX
+    fits = lam.size * points.size <= _PRIM_TABLE_MAX
     keep = np.empty((lam.size, points.size)) if fits and _exact_table.held_points(key) < points.size else None
-    node_ee = np.empty(lam.size) if ee is None and n_cells is None else None
     de = np.empty(lam.size)
     for k in _mode_blocks(lam.size, points.size, _ML_BLOCK):
-        x = exact(lam[k, None]) if held is None else held[k]
+        # int_0^t e_k at the edges
+        x = points * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2) if held is None else held[k]
         if keep is not None:
             keep[k] = x
-        if node_ee is not None:
-            node_ee[k] = np.sum(x * (x * w), axis=1)
-        de[k] = pair(k, x)
+        de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(x, axis=1))
     if ee is None:
-        ee = _volterra_ee(kind, lam, T) if node_ee is None else node_ee
+        ee = _volterra_ee(kind, lam, T)
     if keep is not None or key != _exact_table.key:
         _exact_table.hold(key, None if keep is None else points, keep, ee)
-    return dd[j - 1], de, ee, z_T
+    return dd[j - 1], de, ee, steps[:, -1]
+
+
+def _cut_pair(kind: EquationKind, lam: np.ndarray):
+    """(A, p): each mode's pole p = _pole(kind, lam) and its pole-corrected
+    amplitude A = (2/rho) / (1 - e^(-2 pi (pi (rho - 1) + i log lam) / (rho h))),
+    h = _CUT_STEP (see _cut_rows)."""
+    rho = kind.rho
+    nu = np.log(lam) / rho
+    A = (2.0 / rho) / (1.0 - np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP))
+    return A, _pole(kind, lam)
+
+
+def _cut_side(kind: EquationKind, lam: np.ndarray, u: np.ndarray, M: np.ndarray, T: float):
+    """(A, p, tables): _cut_pair(kind, lam) and the (3, K, Q) tables on the
+    lattice u of the cut weights W, the pole-cut integrals
+    P = int_0^T Re(A e^(p t)) e^(-r t) dt (r = e^u) and Y = W M + P."""
+    (A, p), rho, half = _cut_pair(kind, lam), kind.rho, np.pi * (kind.rho - 1.0) / 2.0
+    nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
+    tables = np.empty((3, lam.size, u.size))
+    for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
+        sinh2 = np.sinh(rho * (u - nu[k, None]) / 2.0) ** 2
+        tables[0, k] = -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
+        # e^((p - r) T) - 1 from one real expm1 per value
+        grow = np.expm1(T * (p.real[k, None] - r)) * (1.0 + turn[k, None]) + turn[k, None]
+        tables[1, k] = (A[k, None] * grow / (p[k, None] - r)).real
+    tables[2] = tables[0] @ M + tables[1]  # one product of the whole table, so its bits follow its shape only
+    return A, p, tables
+
+
+@lru_cache(maxsize=1)
+def _cut_lattice(rho: float, T: float, lo: int, hi: int):
+    """The lattice u_q = q _CUT_STEP, lo <= q <= hi, and the (Q, Q) matrix
+    M_qq' = int_0^T e^(-(r_q + r_q') t) dt, r = e^u, both read-only."""
+    u = np.arange(lo, hi + 1) * _CUT_STEP
+    s = np.exp(u)[:, None] + np.exp(u)
+    M = -np.expm1(-T * s) / s
+    u.flags.writeable = M.flags.writeable = False
+    return u, M
+
+
+def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
+    """(dd, de, ee, None) of a time-exact Volterra level in closed form.
+
+    On the Hankel contour E_rho(-lam t^rho) is the residue pair
+    (2/rho) Re e^(p t) plus a cut integral in u = log r, here a trapezoid sum
+    on one lattice u_q = q h anchored at u = 0 (h = _CUT_STEP) over
+    (log lam -+ _DEAD_SPAN)/rho of lam and lam_d: Re(A e^(p t)) + sum_q W_q
+    e^(-e^(u_q) t), W = -sin(pi(rho-1)) h / (4 pi [sinh^2(rho(u - nu)/2) +
+    sin^2(pi(rho-1)/2)]), nu = log(lam)/rho.  The integrand's poles
+    u = nu +- i pi(rho-1)/rho are the residue pair, so the trapezoid's pole
+    correction is _cut_pair's A in place of 2/rho and one h serves every rho.
+    Every row is cross(a, b) = int_0^T e_a e_b, the pair products plus
+    sum_q (W_a Y_b + P_a W_b) (_cut_side), reduced row by row: dd = cross(d, d),
+    de = cross(d[j-1], x), ee = cross(x, x), so the exact family's rows are
+    equal and no row depends on the block size.  The exact side's tables and
+    ee are held under (kind, lam, T, lattice ends)."""
+    both = np.concatenate([lam, lam_d])
+    lo, hi = float(both.min()), float(both.max())
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0, got the range [{lo}, {hi}]")
+    step = kind.rho * _CUT_STEP
+    ends = (math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step))
+    u, M = _cut_lattice(kind.rho, T, *ends)
+    integral, key = partial(_integral, T=T), (kind, lam.tobytes(), T, ends)
+
+    def rows(side, k):  # (A, p, W, P, Y) of the modes k
+        A, p, tables = side
+        return A[k], p[k], *tables[:, k]
+
+    def cross(a, b):
+        return _re_products(a[0], a[1], b[0], b[1], integral) + np.sum(a[2] * b[4] + a[3] * b[2], axis=1)
+
+    d, held = _cut_side(kind, lam_d, u, M, T), _exact_table.view(key, u)
+    x = _cut_side(kind, lam, u, M, T) if held is None else (*_cut_pair(kind, lam), held)
+    ee = np.empty(lam.size) if held is None else _exact_table.ee
+    dd, de = np.empty(lam_d.size), np.empty(lam.size)
+    for k in _mode_blocks(lam_d.size, u.size, _ML_BLOCK):
+        d_k = rows(d, k)
+        dd[k] = cross(d_k, d_k)
+    for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
+        x_k = rows(x, k)
+        de[k] = cross(rows(d, j[k] - 1), x_k)
+        if held is None:
+            ee[k] = cross(x_k, x_k)
+    if held is None:
+        _exact_table.hold(key, u, x[2], ee)
+    return dd[j - 1], de, ee, None
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:

@@ -298,7 +298,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     passes what it evaluated to the next level through errors._exact_table:
     a temporal key's ee and the finest level's cell primitives at all its
     edges, which a coarser level reads when its edges are every r-th of
-    those; a spatial key's node table, whose lam_max only falls from the
+    those; a spatial key's cut tables, whose lattice only shrinks from the
     finest mesh down.  Each row still equals a cold standalone error_report
     bit for bit.
     """

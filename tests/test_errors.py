@@ -99,8 +99,8 @@ class TestDeterministicHeat:
 class TestZeroAndExactCases:
     def test_exact_scheme_injection_zeros_everything(self):
         # the exact family: no FEM space and no time grid.  The Volterra case
-        # runs the time-exact node rows through the identity fold, where both
-        # sides tabulate the same factors
+        # runs the closed-form time-exact rows through the identity fold, where
+        # both sides build the same cut tables
         for kind, x0 in ((heat_kind(), np.ones(4)), (volterra_kind(1.5), np.ones(4)), (wave_kind(), np.ones((2, 4)))):
             setup = Setup(
                 kind,
@@ -118,17 +118,17 @@ class TestZeroAndExactCases:
             assert rep.representation_value == 0.0
 
     def test_time_exact_exact_family_zero_across_blocks(self):
-        # K = 512 at rho = 1.9: the exact factors on the global nodes (about 3.6M
-        # values) span many blocks of modes, and the discrete side is one (J, G)
-        # table; every row reduces on its own, so both sides still agree bit for bit
+        # K = 512 at rho = 1.9: the cut tables of the K modes on the lattice
+        # span many blocks of modes, on the exact side and on the discrete side;
+        # every row reduces on its own, so both sides still agree bit for bit
         kind, K = volterra_kind(1.9), 512
         spec = dirichlet_spectrum(K)
-        nodes, _ = errors._global_nodes(kind, float(spec.eigenvalues[-1]), 1.0)
-        assert K * nodes.size > 3_000_000 and len(errors._mode_blocks(K, nodes.size, errors._ML_BLOCK)) > 1
         x0 = np.zeros(K)
         x0[:3] = [1.0, -0.5, 0.25]
         errors._exact_table.cache_clear()
         rep = error_report(Setup(kind, spec, CovarianceSpec(amplitude=1.0, decay=0.5), CP, 1.0, x0=x0))
+        lattice = errors._exact_table.points
+        assert len(errors._mode_blocks(K, lattice.size, errors._ML_BLOCK)) > 1
         errors._exact_table.cache_clear()
         assert (rep.strong_error, rep.weak_error_quadratic, rep.representation_value) == (0.0, 0.0, 0.0)
 
@@ -888,21 +888,26 @@ class TestExactSide:
     @pytest.mark.parametrize("fem", [None, 8], ids=["spectral", "p1"])
     @pytest.mark.parametrize("n", [16, None], ids=["scheme", "time-exact"])
     def test_volterra_rows_do_not_depend_on_the_block_size(self, n, fem, monkeypatch):
-        # one block loop serves both level types: blocks of 1 mode, of 3 modes
+        # both level types work in blocks of modes: blocks of 1 mode, of 3 modes
         # (the last of the 16 short) and the whole table give the same rows bit
-        # for bit, cold and read back from the held table
+        # for bit, cold and read back from the held table.  A scheme level holds
+        # its N + 1 edges, a time-exact level the Q points of its cut lattice
         kind = volterra_kind(1.5)
         setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=n, fem=fem and assemble_fem(fem))
         lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
-        lam_max = max(float(lam.max()), float(lam_d.max()))
-        per_mode = n + 1 if n else errors._global_nodes(kind, lam_max, 1.0)[0].size
+        errors._exact_table.cache_clear()
+        errors._rows(kind, lam_d, j, lam, 1.0, n)
+        key, per_mode = errors._exact_table.key, errors._exact_table.points.size
+        assert key[:3] == (kind, lam.tobytes(), 1.0) and (n is None) == (len(key) == 4)
+        if n is not None:
+            assert per_mode == n + 1
         builds = []
         for modes in (1, 3, lam.size):
             monkeypatch.setattr(errors, "_ML_BLOCK", modes * per_mode)
             assert len(errors._mode_blocks(lam.size, per_mode, errors._ML_BLOCK)) == -(-lam.size // modes)
             errors._exact_table.cache_clear()
             cold = errors._rows(kind, lam_d, j, lam, 1.0, n)
-            assert errors._exact_table.held_points((kind, lam.tobytes(), 1.0) + ((lam_max,) if n is None else ())) == per_mode
+            assert errors._exact_table.held_points(key) == per_mode
             builds += [cold, errors._rows(kind, lam_d, j, lam, 1.0, n)]
         errors._exact_table.cache_clear()
         for rows in builds[1:]:
@@ -981,14 +986,13 @@ class TestExactSide:
         assert abs(ee - ref) <= 1e-11 * ref
 
     def test_time_exact_ee_against_g_table(self):
-        # time-exact Volterra rows integrate e^2 on the global nodes of the top
-        # mode: ee for the sine modes, dd for the P1 modes, which sit far below
-        # the top one.  Both agree with the G_rho table up to rho = 1.95, where
-        # the lower modes oscillate past the top mode's dead span (see
-        # _global_partition)
+        # closed-form time-exact Volterra rows against the G_rho table, a Gauss
+        # route on E_rho: ee for the sine modes, dd for the P1 modes, which sit
+        # far below the top one, from rho = 1.25 up to rho = 1.95, where the
+        # factors barely decay
         spec = dirichlet_spectrum(1024)
         lam = spec.eigenvalues
-        for rho in (1.5, 1.7, 1.9, 1.95):
+        for rho in (1.25, 1.5, 1.7, 1.9, 1.95):
             kind = volterra_kind(rho)
             setup = Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(64))
             lam_d, j, _ = errors._partner_map(setup)
@@ -998,6 +1002,100 @@ class TestExactSide:
             assert np.max(np.abs(ee - g) / g) <= 1e-14, rho
             g = errors._volterra_ee(kind, lam_d, 1.0)[j - 1]
             assert np.max(np.abs(dd - g) / g) <= 1e-14, rho
+
+
+class TestCutRows:
+    """Closed-form time-exact Volterra rows (errors._cut_rows) against a route
+    that shares none of their shortcuts: each factor E_rho(-lam t^rho) from
+    the residue pair (2/rho) Re e^(p t) and a fine trapezoid sum of the cut
+    integral with no pole correction, the rows by order-30 Gauss panels in t."""
+
+    @staticmethod
+    def reference_factors(rho, lam, t):
+        """E_rho(-lam_k t^rho) at the times t: the trapezoid step in u = log r
+        is a tenth of the poles' distance pi (rho - 1)/rho from the real axis,
+        so its error e^(-20 pi) needs no correction; the lattice is offset
+        from u = 0 and spans 38/rho past every nu = log(lam)/rho."""
+        nu = np.log(lam) / rho
+        h = 0.1 * np.pi * (rho - 1) / rho
+        u = np.arange(nu.min() - 38 / rho, nu.max() + 38 / rho, h) + h / 3
+        half = np.pi * (rho - 1) / 2
+        w = -np.sin(2 * half) * h / (4 * np.pi * (np.sinh(rho * (u - nu[:, None]) / 2) ** 2 + np.sin(half) ** 2))
+        p = lam ** (1 / rho) * np.exp(1j * np.pi / rho)
+        out = np.empty((lam.size, t.size))
+        for c in range(0, t.size, 64):  # 64 times at a time bounds the (lattice, times) block
+            tc = t[c : c + 64]
+            out[:, c : c + 64] = (2 / rho) * np.exp(p[:, None] * tc).real + w @ np.exp(-np.outer(np.exp(u), tc))
+        return out
+
+    @staticmethod
+    def panels(rho, lam, T):
+        """Order-30 Gauss nodes and weights on [0, T]: 20 halvings toward the
+        t^rho branch point at 0 and a geometric grid (ratio 1.5) from the top
+        pole's scale 1/|p|, and cells of 2 radians of its oscillation while the
+        lowest mode's residue pair lives (40 of its decay scales)."""
+        p_lo, p_hi = (x ** (1 / rho) * np.exp(1j * np.pi / rho) for x in (lam.min(), lam.max()))
+        scale = 1.0 / abs(p_hi)
+        pts = [0.0, T] + [scale * 2.0**-m for m in range(20, 0, -1)]
+        pts += list(scale * 1.5 ** np.arange(0, np.log(T / scale) / np.log(1.5)))
+        span = min(T, 40.0 / abs(p_lo.real))
+        pts += list(np.linspace(0.0, span, int(np.ceil(span * p_hi.imag / 2.0)) + 1))
+        pts = np.unique([x for x in pts if x <= T])
+        gx, gw = np.polynomial.legendre.leggauss(30)
+        half = np.diff(pts)[:, None] / 2
+        return (pts[:-1, None] + half * (1 + gx)).ravel(), (half * gw).ravel()
+
+    def worst_gap(self, rho, lam_d, j, lam, T=1.0):
+        """max over the rows dd, de, ee of |rows - reference| / sqrt(dd ee), the
+        Cauchy-Schwarz scale of de, which can cancel."""
+        errors._exact_table.cache_clear()
+        rows = errors._rows(volterra_kind(rho), lam_d, j, lam, T, None)[:3]
+        errors._exact_table.cache_clear()
+        both = np.concatenate([lam_d, lam])
+        t, w = self.panels(rho, both, T)
+        f = self.reference_factors(rho, both, t)
+        d, x = f[: lam_d.size][j - 1], f[lam_d.size :]
+        ref = ((d * d) @ w, (d * x) @ w, (x * x) @ w)
+        scale = np.sqrt(ref[0] * ref[2])
+        return max(float(np.max(np.abs(got - want) / scale)) for got, want in zip(rows, ref))
+
+    def high_mode(self):
+        """Sine mode 126 of K = 128 and its P1 partner on M = 128."""
+        return assemble_fem(128).eigenvalues[125:126], np.array([1]), np.array([(126 * np.pi) ** 2])
+
+    def test_high_mode_near_rho_1(self):
+        # at rho = 1.01 the poles sit 0.031 from the real axis, 0.11 of the step
+        assert self.worst_gap(1.01, *self.high_mode()) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [1.95, 1.99])
+    def test_p1_level_near_rho_2(self, rho):
+        # K = 32 sine modes on M = 16: modes 16 and 32 have no partner, 17..31 alias
+        setup = Setup(volterra_kind(rho), dirichlet_spectrum(32), FLAT, CP, 1.0, fem=assemble_fem(16))
+        lam_d, j, _ = errors._partner_map(setup)
+        assert self.worst_gap(rho, lam_d, j, setup.spec.eigenvalues) <= 1e-12
+
+    def test_uncorrected_pair_fails_near_rho_1(self, monkeypatch):
+        # the same check with the residue pair's amplitude 2/rho, as without the
+        # trapezoid's pole correction, is far off at rho = 1.01
+        real = errors._cut_pair
+
+        def uncorrected(kind, lam):
+            A, p = real(kind, lam)
+            return np.full_like(A, 2.0 / kind.rho), p
+
+        monkeypatch.setattr(errors, "_cut_pair", uncorrected)
+        assert self.worst_gap(1.01, *self.high_mode()) > 1e-6
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["lam", "lam_d"])
+    def test_eigenvalues_must_be_finite_and_positive(self, bad, side):
+        # the cut lattice is built from log(lam): 0 or a negative value would
+        # give NaN rows, so the level is refused before anything is evaluated
+        lam = dirichlet_spectrum(4).eigenvalues.copy()
+        lam_d = lam.copy()
+        (lam if side == "lam" else lam_d)[1] = bad
+        with pytest.raises(ValueError, match="finite eigenvalues > 0"):
+            errors._rows(volterra_kind(1.5), lam_d, np.arange(1, 5), lam, 1.0, None)
 
 
 class TestFemAssembly:
@@ -1066,17 +1164,16 @@ class TestFemAssembly:
         setup = Setup(kind, dirichlet_spectrum(24), cov, CP, 1.0, n_cells=n_cells, fem=assemble_fem(8), x0=x0)
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
-            # time-exact node rows in one block of all 24 sine modes and in blocks
-            # of 5, the last one short: the held table is cleared so that each
-            # build runs.  Every row reduces on its own, so the nodes, the E_rho
-            # values, ee and the report are the one-block build's bit for bit
+            # closed-form time-exact rows in one block of all 24 sine modes and in
+            # blocks of 5, the last one short: the held table is cleared so that
+            # each build runs.  Every row reduces on its own, so the lattice, the
+            # cut tables, ee and the report are the one-block build's bit for bit
             table = errors._exact_table
-            lam = setup.spec.eigenvalues
-            key = (kind, lam.tobytes(), 1.0, max(float(lam.max()), float(setup.fem.eigenvalues.max())))
-            assert table.key == key
-            G = table.points.size
+            key = table.key
+            assert key[:3] == (kind, setup.spec.eigenvalues.tobytes(), 1.0)
+            Q = table.points.size
             builds = []
-            for block in (24 * G, 5 * G):
+            for block in (24 * Q, 5 * Q):
                 monkeypatch.setattr(errors, "_ML_BLOCK", block)
                 table.cache_clear()
                 reports.append(error_report(setup))

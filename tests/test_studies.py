@@ -563,8 +563,8 @@ def _fully_discrete(K, meshes):
 
 class TestStudyExactSide:
     """The Volterra exact side is computed once per study: the scheme levels'
-    ee row once per (kind, lam, T), the time-exact levels' node table once per
-    (kind, lam, T, lam_max), lam by its bytes.  Both are pure functions of
+    ee row once per (kind, lam, T), the time-exact levels' cut tables once per
+    (kind, lam, T, lattice ends), lam by its bytes.  Both are pure functions of
     their keys, so a study row must equal a cold standalone error_report of
     that level bit for bit."""
 
@@ -640,7 +640,7 @@ class TestStudyExactSide:
             assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
     # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
-    # those of M <= 12 below it: the finest level of the second ladder has its own nodes
+    # those of M <= 12 below it: the finest level of the second ladder has its own lattice
     TIME_EXACT_LADDERS = {"shared-nodes": (1 / 4, 1 / 6, 1 / 8, 1 / 12), "finest-keyed-apart": (1 / 4, 1 / 8, 1 / 12, 1 / 16)}
 
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
@@ -657,27 +657,31 @@ class TestStudyExactSide:
 
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
     def test_time_exact_exact_side_evaluated_once_per_node_set(self, ladder, monkeypatch):
-        # E_rho values: K G for each node set (once, not once per level) plus J G per level
-        from levyspde.spectral import assemble_fem
+        # the node set of a time-exact level is its cut lattice: the K sine modes'
+        # tables are built once per lattice (not once per level) and the J
+        # discrete modes' once per level, and no E_rho value or Gauss node is used
+        from levyspde.spectral import assemble_fem, dirichlet_spectrum
 
         kind, K = volterra_kind(1.5), 16
-        lam_K = (K * np.pi) ** 2
-        counted = []
-        real = errors.mittag_leffler_neg
-        monkeypatch.setattr(errors, "mittag_leffler_neg", lambda rho, x, beta=1: counted.append(x.size) or real(rho, x, beta))
+        sine = dirichlet_spectrum(K).eigenvalues
+        built, real = [], errors._cut_side
+
+        def counting(kind, lam, u, M, T):
+            built.append((lam.tobytes() == sine.tobytes(), lam.size, (u[0], u.size)))
+            return real(kind, lam, u, M, T)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a time-exact level evaluated E_rho or built Gauss nodes")
+
+        monkeypatch.setattr(errors, "_cut_side", counting)
+        monkeypatch.setattr(errors, "mittag_leffler_neg", refused)
+        monkeypatch.setattr(errors, "_panel_nodes", refused)
         errors._exact_table.cache_clear()
         run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
-        want, node_sets = 0, []
-        for h in ladder:
-            lam_d = assemble_fem(round(1 / h)).eigenvalues
-            lam_max = max(lam_K, float(lam_d[-1]))
-            G = errors._global_nodes(kind, lam_max, 1.0)[0].size
-            if lam_max not in node_sets:
-                node_sets.append(lam_max)
-                want += K * G
-            want += lam_d.size * G
-        assert len(node_sets) == (2 if lam_max > lam_K else 1)
-        assert sum(counted) == want
+        lattices = [lattice for exact, _, lattice in built if exact]
+        assert [size for exact, size, _ in built if not exact] == [round(1 / h) - 1 for h in sorted(ladder)]
+        finest_above = assemble_fem(round(1 / min(ladder))).eigenvalues[-1] > sine[-1]
+        assert len(set(lattices)) == len(lattices) == (2 if finest_above else 1)
 
     def test_interleaved_studies_rows_equal_cold_standalone_reports(self):
         # one table is held for every Volterra study, and each run below
