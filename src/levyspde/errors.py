@@ -21,7 +21,11 @@ so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
 m = c^2 q, m and q.  One function builds them for every family,
 _rows(kind, lam_d, j, lam, T, n_cells): eigenvalue arrays in, no Setup, so
 rows at modes past K or at eigenvalues no spectrum carries come from the same
-call.  representation_sweep checks the regrouped value against
+call.  One entry point weighs them, error_reports(setups), for the levels of
+one problem (error_report is its one-level case): heat and wave levels on
+the spectral space differ only in their step count N, so one _rows call
+takes a group of them with N an (L, 1) array; every other level is a call
+of its own.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
 Every mode factor decays and oscillates like e^(p s), p = _pole(kind, lam),
@@ -30,7 +34,8 @@ are closed forms: their exact factor is the carrier e^(p s) itself, the mode
 factor e(s) = Re(c e^(p s)) (heat c = 1, p = -lam; wave c = i/sqrt(lam),
 p = -i sqrt(lam)), read out by _observable; a step factor is Re(c z^n), so
 Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
-expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L.
+expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L (a real pair, as
+heat's, has two equal terms and is summed once).
 Volterra scheme rows have no such form, but their exact side has two: the
 cell integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's
 edges, which they pair with the CQ factor table, and
@@ -43,8 +48,9 @@ no quadrature node is used.  Both level types work in blocks of modes and
 reduce each row along itself, so no number depends on the block size.  What
 a level evaluates passes to the next level of its study through one
 read-only table, _exact_table, read by one rule, _ExactTable.view.
-studies.run_study runs every ladder finest first, so on a dyadic ladder only
-the finest level evaluates E_{rho,2}; ee is evaluated once per key.
+error_reports runs these levels last first, a study's finest, so on a
+dyadic ladder only the finest level evaluates E_{rho,2}; ee is evaluated
+once per key.
 """
 
 from __future__ import annotations
@@ -188,22 +194,27 @@ def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
 # heat and wave time integrals in closed form
 
 
-def _geometric(L, n: int):
-    """sum_{m<n} e^(m L) = expm1(n L) / expm1(L); n where L = 0."""
-    den = np.expm1(L)
-    zero = den == 0
-    return np.where(zero, n, np.expm1(n * L) / np.where(zero, 1, den))
+def _geometric(L, n):
+    """sum_{m<n} e^(m L) = expm1(n L) / expm1(L); n where L = 0.  n may be
+    an array that broadcasts against L."""
+    den, num = np.expm1(L), np.expm1(n * L)
+    return np.divide(num, den, out=np.full_like(num, n), where=den != 0)
 
 
-def _integral(L, T: float):
-    """int_0^T e^(L s) ds = expm1(L T) / L; T where L = 0."""
-    zero = L == 0
-    return np.where(zero, T, np.expm1(L * T) / np.where(zero, 1, L))
+def _integral(L, T):
+    """int_0^T e^(L s) ds = expm1(L T) / L; T where L = 0.  T may be an
+    array that broadcasts against L."""
+    num = np.expm1(L * T)
+    return np.divide(num, L, out=np.full_like(num, T), where=L != 0)
 
 
 def _re_products(a, la, b, lb, total):
     """Sum (or integral) of Re(a e^(la x)) Re(b e^(lb x)), by
-    Re u Re v = Re(u v + u conj(v)) / 2; total(L) sums (integrates) e^(L x)."""
+    Re u Re v = Re(u v + u conj(v)) / 2; total(L) sums (integrates) e^(L x).
+    A real pair gives two equal terms, so it is summed once: 0.5 (x + x) is
+    x bit for bit."""
+    if not any(map(np.iscomplexobj, (a, la, b, lb))):
+        return a * b * total(la + lb)
     return 0.5 * (a * b * total(la + lb) + a * np.conj(b) * total(la + np.conj(lb))).real
 
 
@@ -331,16 +342,22 @@ class _ExactTable:
 _exact_table = _ExactTable()
 
 
-def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
+def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells):
     """(dd, de, ee, z_T) per sine mode k from eigenvalue arrays alone:
     dd = int_0^T etilde^2, de = int_0^T etilde e_k, ee = int_0^T e_k^2, etilde
     the discrete factor at lam_d[j[k] - 1] (lam_d, j as _partner_map gives
     them; the discrete side is built on the J values of lam_d and gathered by
-    j), and z_T the scheme's terminal factor on lam_d, None on a time-exact
-    level (n_cells None, etilde the exact factor at lam_d).
+    j), and z_T the scheme's terminal factor on lam_d where the rows come with
+    it (Volterra scheme levels: the CQ table's last column), else None
+    (_terminal_factor gives it).  n_cells None is a time-exact level, etilde
+    the exact factor at lam_d.
 
     Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
     Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
+    n_cells may be an (L, 1) array of step counts: dd and de are then
+    C-ordered (L, K), one row per level, and ee, which no step count enters,
+    is one (K,) row.  A level's row is then the contiguous vector its own
+    call gives, bit for bit; a strided row would reduce in another order.
     Volterra time-exact levels: _cut_rows.  Volterra scheme levels make one
     pass over the exact side in blocks of modes of about _ML_BLOCK values:
     the cell primitives at the edges are read through _exact_table.view or
@@ -355,17 +372,16 @@ def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int | None):
         integral = partial(_integral, T=T)
         ee = _re_products(c, p, c, p, integral)
         if n_cells is None:
-            a, la, b, lb, total, z_T = c_d, p_d, c, p, integral, None
+            a, la, b, lb, total = c_d, p_d, c, p, integral
             dd = _re_products(a, la, a, la, total)
         else:
             dt = T / n_cells
-            log_z = step_log(kind, lam_d, dt)
-            la, z_T = log_z[j - 1], np.exp(n_cells * log_z)
+            la = np.take(step_log(kind, lam_d, dt), j - 1, axis=-1)  # C-ordered; x[..., j - 1] comes out F-ordered
             a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
             b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
             total = partial(_geometric, n=n_cells)
             dd = dt * _re_products(a, la, a, la, total)
-        return dd, _re_products(a, la, b, lb, total), ee, z_T
+        return dd, _re_products(a, la, b, lb, total), ee, None
     if n_cells is None:
         return _cut_rows(kind, lam_d, j, lam, T)
     steps = discrete_family(kind, lam_d, T / n_cells, n_cells).steps
@@ -477,8 +493,13 @@ def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
     return dd[j - 1], de, ee, None
 
 
-def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
-    """Exact factor at T of each mode: the carrier e^(p T), E_rho for Volterra."""
+def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
+    """Factor at T of each mode.  Exact (n_cells None): the carrier e^(p T),
+    E_rho for Volterra.  A heat or wave scheme of n_cells steps: z^N =
+    e^(N log z).  A Volterra scheme's is the CQ table's last column, which
+    _rows returns with its rows."""
+    if n_cells is not None:
+        return np.exp(n_cells * step_log(kind, lam, T / n_cells))
     return _noise_factor(kind, lam, T) if kind.name == "volterra" else np.exp(_pole(kind, lam) * T)
 
 
@@ -541,22 +562,39 @@ class ErrorReport:
     representation_value: float
 
 
-def error_report(setup: Setup) -> ErrorReport:
-    """Strong, weak and representation values of one setup.
+def _one_problem(setups) -> None:
+    """Refuse setups that are not the levels of one problem, naming each field
+    in which a level differs from the first; the axis is whether a level has
+    a FEM space and whether a time grid."""
+    if not setups or not all(isinstance(s, Setup) for s in setups):
+        raise ValueError(f"setups must be a nonempty sequence of Setups, got {[type(s).__name__ for s in setups]}")
+    first = setups[0]
+    for i, s in enumerate(setups[1:], 1):
+        same = {
+            "kind": s.kind == first.kind,
+            "spec": s.spec.mode_count == first.spec.mode_count,
+            "cov": s.cov == first.cov,
+            "law": s.law == first.law,
+            "T": s.T == first.T,
+            "x0": np.array_equal(s.x0, first.x0),
+            "axis (fem)": (s.fem is None) == (first.fem is None),
+            "axis (n_cells)": (s.n_cells is None) == (first.n_cells is None),
+        }
+        if not all(same.values()):
+            names = ", ".join(name for name, ok in same.items() if not ok)
+            raise ValueError(f"setups must be the levels of one problem; setup {i} differs from setup 0 in {names}")
 
-    I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes, with
-    m = c^2 q from the partner map (c = 1 on the spectral space).  On the
-    exact family (no FEM space, no time grid) the rows are equal bit for bit,
-    so every value is exactly 0.
-    """
-    kind, q = setup.kind, setup.q()
-    lam_d, j, c = _partner_map(setup)
+
+def _report(setup: Setup, q, partners, dd, de, ee, z_T) -> ErrorReport:
+    """One level's values from its rows and partner map (lam_d, j, c):
+    I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes,
+    m = c^2 q, plus the x0 terms."""
+    kind, (lam_d, j, c) = setup.kind, partners
     m = c * c * q
-    dd, de, ee, z_T = _rows(kind, lam_d, j, setup.spec.eigenvalues, setup.T, setup.n_cells)
     x0_d = x0_e = x0_diff = 0.0
     if setup.x0.any():
         a_e = _exact_terminal_first(setup)
-        z_T = _terminal_factor(kind, lam_d, setup.T) if z_T is None else z_T
+        z_T = _terminal_factor(kind, lam_d, setup.T, setup.n_cells) if z_T is None else z_T
         a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
         x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
@@ -567,6 +605,46 @@ def error_report(setup: Setup) -> ErrorReport:
     rep = (x0_d - x0_e) + quad + 2.0 * (i_de - i_ee)
     strong = float(np.sqrt(max(x0_diff + quad, 0.0)))
     return ErrorReport(strong_error=strong, weak_error_quadratic=weak, representation_value=rep)
+
+
+def error_reports(setups: Sequence[Setup]) -> list[ErrorReport]:
+    """Strong, weak and representation values of each level of one problem,
+    in input order.
+
+    The levels share kind, spectrum, covariance, law, T, x0 and axis
+    (_one_problem refuses others).  Heat and wave levels on the spectral
+    space with a time grid differ only in their step count N, so they are
+    assembled together: one _rows call per group of at most
+    max(1, _ML_BLOCK // K) levels, N an (L, 1) array, the rows reduced level
+    by level.  Every other level is one _rows call, the last level first (a
+    study's finest), so a Volterra level reads what a finer one holds in
+    _exact_table.  On the exact family (no FEM space, no time grid) the rows
+    are equal bit for bit, so every value is exactly 0.
+    """
+    setups = list(setups)
+    _one_problem(setups)
+    first = setups[0]
+    kind, lam, T, q = first.kind, first.spec.eigenvalues, first.T, first.q()
+    out = [None] * len(setups)
+    if kind.name != "volterra" and first.fem is None and first.n_cells is not None:
+        partners = _partner_map(first)
+        size = max(1, _ML_BLOCK // lam.size)
+        for lo in range(0, len(setups), size):
+            group = setups[lo : lo + size]
+            dd, de, ee, _ = _rows(kind, *partners[:2], lam, T, np.array([s.n_cells for s in group])[:, None])
+            for i, s in enumerate(group):
+                out[lo + i] = _report(s, q, partners, dd[i], de[i], ee, None)
+        return out
+    for i in reversed(range(len(setups))):
+        partners = _partner_map(setups[i])
+        out[i] = _report(setups[i], q, partners, *_rows(kind, *partners[:2], lam, T, setups[i].n_cells))
+    return out
+
+
+def error_report(setup: Setup) -> ErrorReport:
+    """Strong, weak and representation values of one setup: the one-level
+    case of error_reports."""
+    return error_reports([setup])[0]
 
 
 def _weak_error_cellwise(setup: Setup) -> float:

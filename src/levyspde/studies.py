@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CylindricalFunctional, ErrorReport, Setup, error_report, mc_weak_error
+from .errors import CylindricalFunctional, ErrorReport, Setup, error_report, error_reports, mc_weak_error
 from .noise import CovarianceSpec, LevyLaw, _check_beta, hs_condition, stream
 from .propagators import EquationKind, heat_kind, volterra_kind, wave_kind
 from .spectral import _is_count, _is_whole, assemble_fem, dirichlet_spectrum
@@ -294,13 +294,15 @@ def run_study(config: StudyConfig) -> StudyResult:
     finest level's reads its cells from those; only the scheme side is per
     level.  Level N's MC pair equals mc_weak_error(problem, [N]) bit for bit.
 
-    Every ladder runs finest first, rows in ladder order.  A Volterra level
-    passes what it evaluated to the next level through errors._exact_table:
-    a temporal key's ee and the finest level's cell primitives at all its
-    edges, which a coarser level reads when its edges are every r-th of
-    those; a spatial key's cut tables, whose lattice only shrinks from the
-    finest mesh down.  Each row still equals a cold standalone error_report
-    bit for bit.
+    One errors.error_reports call assembles the deterministic columns of the
+    whole ladder, rows in ladder order.  A heat or wave temporal ladder is
+    assembled as one broadcast over its step counts.  Every other ladder
+    runs finest first, one level at a time, and a Volterra level passes what
+    it evaluated to the next level through errors._exact_table: a temporal
+    key's ee and the finest level's cell primitives at all its edges, which a
+    coarser level reads when its edges are every r-th of those; a spatial
+    key's cut tables, whose lattice only shrinks from the finest mesh down.
+    Each row still equals a cold standalone error_report bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))
@@ -316,11 +318,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     if config.mc_paths:
         problem = replace(setups[0], n_cells=None)
         mc = mc_weak_error(problem, [s.n_cells for s in setups], g=g, n_paths=config.mc_paths, seed=config.mc_seed)
-    rows = [None] * len(setups)
-    for level in reversed(range(len(setups))):
-        rep = error_report(setups[level])
+    rows = []
+    for level, rep in enumerate(error_reports(setups)):
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
-        rows[level] = StudyRow(level, config.ladder[level], rep, *mc[level], in_fit)
+        rows.append(StudyRow(level, config.ladder[level], rep, *mc[level], in_fit))
     res = np.array([r.resolution for r in rows])
     try:
         strong_fit = fit_rate(res, [r.report.strong_error for r in rows])

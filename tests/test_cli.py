@@ -249,13 +249,13 @@ class TestStudyCommand:
         assert "of |weak|/log(T/dt)" in out and "FAIL" not in out
 
     def test_weak_column_at_the_strong_rate_exits_2(self, capsys, tmp_path, monkeypatch):
-        real = levyspde.studies.error_report
+        # run_study takes a ladder's reports from one error_reports call
+        real = levyspde.studies.error_reports
 
-        def strong_as_weak(setup):
-            r = real(setup)
-            return ErrorReport(r.strong_error, r.strong_error, r.representation_value)
+        def strong_as_weak(setups):
+            return [ErrorReport(r.strong_error, r.strong_error, r.representation_value) for r in real(setups)]
 
-        monkeypatch.setattr(levyspde.studies, "error_report", strong_as_weak)
+        monkeypatch.setattr(levyspde.studies, "error_reports", strong_as_weak)
         code, out, _ = run(capsys, "study", "--preset", "heat-temporal-beta1", "--output", str(tmp_path))
         assert code == 2
         assert "FAIL" in out

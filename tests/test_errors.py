@@ -167,6 +167,126 @@ class TestOnePath:
         assert callable(errors.increments_from_path)  # studybench/tracer.py wraps it there
 
 
+def _hex(report):
+    return [v.hex() for v in dataclasses.astuple(report)]
+
+
+def _x0(kind, K):
+    x0 = np.zeros((2, K) if kind.name == "wave" else K)
+    x0[..., :3] = [1.0, -0.5, 0.25]
+    return x0
+
+
+class TestErrorReports:
+    """error_reports(setups) returns each level's report, in input order, and
+    each equals error_report of that level alone bit for bit: heat and wave
+    temporal levels broadcast over their step counts, every other level one
+    at a time."""
+
+    KINDS = {"heat-be": heat_kind(), "wave-cn": wave_kind("crank_nicolson"), "wave-be": wave_kind("backward_euler")}
+    # (T, step counts): dyadic, non-nested and a horizon whose dt = T / N is not dyadic
+    CELLS = {"dyadic": (1.0, (16, 32, 64, 128)), "non-nested": (1.0, (12, 16, 20, 24)), "T0.7": (0.7, (16, 32, 64, 128))}
+
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["no-x0", "x0"])
+    @pytest.mark.parametrize("T, cells", CELLS.values(), ids=CELLS.keys())
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
+    def test_temporal_levels_equal_lone_reports(self, kind, T, cells, with_x0, monkeypatch):
+        K = 48
+        x0 = _x0(kind, K) if with_x0 else None
+        cov = CovarianceSpec(amplitude=1.3, decay=0.55)
+        setups = [Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=n, x0=x0) for n in cells]
+        calls, real = [], errors._rows
+
+        def counting(kind, lam_d, j, lam, T, n_cells):
+            calls.append(np.shape(n_cells))
+            return real(kind, lam_d, j, lam, T, n_cells)
+
+        monkeypatch.setattr(errors, "_rows", counting)
+        reports = errors.error_reports(setups)
+        assert calls == [(len(cells), 1)]  # one call for the whole ladder
+        alone = [error_report(s) for s in setups]
+        for got, want in zip(reports, alone):
+            assert got.strong_error > 0.0 and _hex(got) == _hex(want)
+        # each broadcast row is the row of a scalar step count, bit for bit
+        lam, j = setups[0].spec.eigenvalues, np.arange(1, K + 1)
+        dd, de, ee, _ = real(kind, lam, j, lam, T, np.array(cells)[:, None])
+        for i, n in enumerate(cells):
+            for got, want in zip((dd[i], de[i], ee), real(kind, lam, j, lam, T, n)[:3]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
+    def test_groups_split_at_the_block_size(self, kind, monkeypatch):
+        # _ML_BLOCK // K = 3 levels per call, below the ladder's 7: calls of 3, 3 and 1
+        K = 32
+        setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=_x0(kind, K)) for n in range(8, 15)]
+        alone = [error_report(s) for s in setups]
+        monkeypatch.setattr(errors, "_ML_BLOCK", 3 * K + 1)
+        calls, real = [], errors._rows
+
+        def counting(kind, lam_d, j, lam, T, n_cells):
+            calls.append(np.ravel(n_cells).tolist())
+            return real(kind, lam_d, j, lam, T, n_cells)
+
+        monkeypatch.setattr(errors, "_rows", counting)
+        reports = errors.error_reports(setups)
+        assert calls == [[8, 9, 10], [11, 12, 13], [14]]
+        assert [_hex(r) for r in reports] == [_hex(r) for r in alone]
+
+    LADDERS = {
+        "heat-spatial": (heat_kind(), None, (4, 8, 16)),
+        "wave-spatial": (wave_kind("crank_nicolson"), None, (4, 8, 16)),
+        "volterra-spatial": (volterra_kind(1.5), None, (4, 8, 12)),
+        "volterra-temporal": (volterra_kind(1.5), (16, 32, 12, 64), None),
+        "heat-fully-discrete": (heat_kind(), 16, (4, 8)),
+    }
+
+    @pytest.mark.parametrize("kind, cells, meshes", LADDERS.values(), ids=LADDERS.keys())
+    def test_other_levels_equal_lone_reports(self, kind, cells, meshes):
+        K = 16
+        x0 = _x0(kind, K)
+        if meshes is None:
+            setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=x0) for n in cells]
+        else:
+            setups = [
+                Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=cells, fem=assemble_fem(m), x0=x0) for m in meshes
+            ]
+        errors._exact_table.cache_clear()
+        reports = errors.error_reports(setups)
+        for setup, got in zip(setups, reports):
+            errors._exact_table.cache_clear()
+            assert got.strong_error > 0.0 and _hex(got) == _hex(error_report(setup))
+
+    @pytest.mark.parametrize("kind", [heat_kind(), wave_kind(), volterra_kind(1.5)], ids=["heat", "wave", "volterra"])
+    def test_one_level(self, kind):
+        setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=8, x0=_x0(kind, 16))
+        errors._exact_table.cache_clear()
+        (got,) = errors.error_reports([setup])
+        errors._exact_table.cache_clear()
+        assert _hex(got) == _hex(error_report(setup))
+
+    def test_levels_of_another_problem_refused(self):
+        base = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
+        others = {
+            "kind": Setup(wave_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=8),
+            "spec": dataclasses.replace(base, spec=dirichlet_spectrum(9), n_cells=8),
+            "cov": dataclasses.replace(base, cov=CovarianceSpec(amplitude=2.0, decay=0.0), n_cells=8),
+            "law": dataclasses.replace(base, law=LevyLaw("compound_poisson", intensity=2.0), n_cells=8),
+            "T": dataclasses.replace(base, T=0.5, n_cells=8),
+            "x0": dataclasses.replace(base, x0=np.ones(8), n_cells=8),
+            "axis (fem)": dataclasses.replace(base, fem=assemble_fem(4), n_cells=8),
+            "axis (n_cells)": dataclasses.replace(base, n_cells=None),
+        }
+        for field, other in others.items():
+            with pytest.raises(ValueError, match=re.escape(f"setup 1 differs from setup 0 in {field}")):
+                errors.error_reports([base, other])
+        spatial = dataclasses.replace(base, n_cells=None, fem=assemble_fem(4))
+        with pytest.raises(ValueError, match=re.escape("in axis (fem), axis (n_cells)")):
+            errors.error_reports([base, spatial])  # a temporal and a spatial level
+        for bad in ([], [base, "level"]):
+            with pytest.raises(ValueError, match="nonempty sequence of Setups"):
+                errors.error_reports(bad)
+
+
 class TestRepresentationIdentity:
     def test_sweep_relative_agreement(self):
         from levyspde.studies import representation_sweep
@@ -937,6 +1057,11 @@ class TestExactSide:
             et = observed_steps(kind, lam, steps[:, 1:])
             assert np.all(np.abs(dd - np.einsum("kn,kn->k", et, et) / n) <= bound * p2)
             assert np.all(np.abs(de - np.einsum("kn,kn->k", et, p1)) <= bound * p2)
+            # the CQ table's last column comes with Volterra rows; heat and wave
+            # z^N comes from _terminal_factor, called only where x0 reads it
+            assert (z_T is None) == (kind.name != "volterra")
+            if z_T is None:
+                z_T = errors._terminal_factor(kind, lam, 1.0, n)
             assert np.allclose(z_T, steps[:, -1], rtol=1e-12, atol=0.0)
 
     def test_rows_held_table_is_keyed_by_the_eigenvalues(self):

@@ -639,6 +639,36 @@ class TestStudyExactSide:
             errors._exact_table.cache_clear()
             assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
+    HEAT_WAVE_LADDERS = {
+        "heat-be-dyadic": (heat_kind(), 1.0, (1 / 16, 1 / 32, 1 / 64, 1 / 128)),
+        "wave-cn-non-nested": (wave_kind("crank_nicolson"), 1.0, (1 / 12, 1 / 16, 1 / 20, 1 / 24)),
+        "wave-be-T0.7": (wave_kind("backward_euler"), 0.7, (0.7 / 16, 0.7 / 32, 0.7 / 64, 0.7 / 128)),
+    }
+
+    @pytest.mark.parametrize("kind, T, ladder", HEAT_WAVE_LADDERS.values(), ids=HEAT_WAVE_LADDERS.keys())
+    def test_heat_and_wave_ladders_are_one_call(self, kind, T, ladder, monkeypatch):
+        # run_study hands the whole ladder to one error_reports call, which
+        # broadcasts a heat or wave temporal ladder over its step counts; every
+        # row still equals the standalone report of its level bit for bit
+        import levyspde.studies as studies
+        from levyspde.studies import _level_setup
+
+        x0 = ((1.0, -0.5, 0.25), (0.5, 0.125, 0.0)) if kind.name == "wave" else (1.0, -0.5, 0.25)
+        cfg = StudyConfig(name="t", kind=kind, axis="temporal", beta=0.75, T=T, modes=64, ladder=ladder, x0=x0)
+        calls, real = [], errors._rows
+
+        def counting(kind, lam_d, j, lam, T, n_cells):
+            calls.append(np.ravel(n_cells).tolist())
+            return real(kind, lam_d, j, lam, T, n_cells)
+
+        monkeypatch.setattr(errors, "_rows", counting)
+        res = run_study(cfg)
+        assert calls == [[round(T / dt) for dt in ladder]]
+        assert studies.error_reports is errors.error_reports
+        for row in res.rows:
+            alone = errors.error_report(_level_setup(cfg, row.resolution))
+            assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
+
     # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
     # those of M <= 12 below it: the finest level of the second ladder has its own lattice
     TIME_EXACT_LADDERS = {"shared-nodes": (1 / 4, 1 / 6, 1 / 8, 1 / 12), "finest-keyed-apart": (1 / 4, 1 / 8, 1 / 12, 1 / 16)}
