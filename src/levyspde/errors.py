@@ -186,6 +186,9 @@ def _noise_factor(kind: EquationKind, lam, s) -> np.ndarray:
     s = np.asarray(s, float)
     if kind.name == "volterra":
         return mittag_leffler_neg(kind.rho, lam * s**kind.rho)
+    if kind.name == "wave":  # Im e^(p s) / Im p with p = -i sqrt(lam), without a complex exp
+        root = np.sqrt(lam)
+        return np.sin(root * s) / root
     p = _pole(kind, lam)
     return _observable(kind, p, np.exp(p * s))
 
@@ -422,13 +425,18 @@ def _cut_side(kind: EquationKind, lam: np.ndarray, u: np.ndarray, M: np.ndarray,
     P = int_0^T Re(A e^(p t)) e^(-r t) dt (r = e^u) and Y = W M + P."""
     (A, p), rho, half = _cut_pair(kind, lam), kind.rho, np.pi * (kind.rho - 1.0) / 2.0
     nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
+    # P = Re(A (e^((p - r) T) - 1) / (p - r)), where A (e^((p - r) T) - 1) = alpha E + beta
+    # with E = expm1((Re p - r) T) real, so the table is built in real arithmetic
+    alpha, beta = A * (1.0 + turn), A * turn
     tables = np.empty((3, lam.size, u.size))
     for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
         sinh2 = np.sinh(rho * (u - nu[k, None]) / 2.0) ** 2
         tables[0, k] = -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
-        # e^((p - r) T) - 1 from one real expm1 per value
-        grow = np.expm1(T * (p.real[k, None] - r)) * (1.0 + turn[k, None]) + turn[k, None]
-        tables[1, k] = (A[k, None] * grow / (p[k, None] - r)).real
+        # Re((alpha E + beta) / (d + i b)), d = Re p - r, b = Im p
+        d, b = p.real[k, None] - r, p.imag[k, None]
+        E = np.expm1(T * d)
+        num = (alpha.real[k, None] * E + beta.real[k, None]) * d + (alpha.imag[k, None] * E + beta.imag[k, None]) * b
+        tables[1, k] = num / (d * d + b * b)
     tables[2] = tables[0] @ M + tables[1]  # one product of the whole table, so its bits follow its shape only
     return A, p, tables
 

@@ -85,39 +85,67 @@ class RateFit:
 
 
 def _above_floor(resolutions, errors) -> tuple[np.ndarray, np.ndarray]:
-    """(resolutions, |errors|) of the levels with |error| above FIT_FLOOR;
-    fewer than three such levels is an error."""
+    """(resolutions, |errors|) of the levels with |error| above FIT_FLOOR.
+    Refused with a ValueError: resolutions that are not distinct, finite and
+    > 0, and errors that are not finite; fewer than three levels above the
+    floor is an InsufficientDataError."""
     res = np.asarray(resolutions, float)
     err = np.abs(np.asarray(errors, float))
+    if res.ndim != 1 or res.shape != err.shape:
+        raise ValueError(f"resolutions and errors must be 1-D and of one length, got {res.shape} and {err.shape}")
+    if not np.all((res > 0.0) & (res < np.inf)):  # NaN fails both
+        raise ValueError(f"resolutions must be finite and > 0, got {res.tolist()}")
+    if len(set(res.tolist())) < res.size:
+        raise ValueError(f"resolutions must be distinct, got {res.tolist()}")
+    if not np.all(np.isfinite(err)):
+        raise ValueError(f"errors must be finite, got {np.asarray(errors, float).tolist()}")
     keep = err > FIT_FLOOR
     if keep.sum() < 3:
         raise InsufficientDataError(f"only {int(keep.sum())} levels above the error floor; need >= 3")
     return res[keep], err[keep]
 
 
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line through the points
+    (x, y), in closed form from the centred sums: slope = S_xy / S_xx with
+    S_xx = sum (x - xbar)^2, S_xy = sum (x - xbar)(y - ybar), and intercept
+    = ybar - slope xbar; r^2 = 1 - SS_res / SS_tot, 1 where y is constant.
+    Plain floats: the fits are a handful of points.  Refused where S_xx is
+    not > 0 (fewer than two distinct x)."""
+    x, y = x.tolist(), y.tolist()
+    xbar, ybar = sum(x) / len(x), sum(y) / len(y)
+    dx, dy = [v - xbar for v in x], [v - ybar for v in y]
+    sxx = sum(d * d for d in dx)
+    if not sxx > 0.0:
+        raise ValueError(f"a line fit needs at least two distinct x values, got {x}")
+    slope = sum(a * b for a, b in zip(dx, dy)) / sxx
+    intercept = ybar - slope * xbar
+    ss_res = sum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
+    ss_tot = sum(d * d for d in dy)
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def fit_rate(resolutions: np.ndarray, errors: np.ndarray) -> RateFit:
-    """Least-squares slope of log|error| against log resolution.
+    """Least-squares slope of log|error| against log resolution (_line_fit).
 
     Levels with |error| below the floor guard are excluded; fewer than three
-    usable levels is an error.
+    usable levels is an error, and so are the inputs _above_floor refuses.
     """
     res, err = _above_floor(resolutions, errors)
-    x = np.log(res)
-    y = np.log(err)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, levels_used=res.size)
+    slope, intercept, r2 = _line_fit(np.log(res), np.log(err))
+    return RateFit(slope=slope, intercept=intercept, r_squared=r2, levels_used=res.size)
 
 
 def log_shape_slope(resolutions, errors, T: float) -> float:
     """Fitted exponent a of the bound shape C h^a log(T/h): the slope of
     |error| / log(T/h) over the levels fit_rate keeps, those whose plain
-    |error| is above FIT_FLOOR."""
+    |error| is above FIT_FLOOR.  T must be finite and above every
+    resolution, where log(T/h) > 0."""
     res, err = _above_floor(resolutions, errors)
-    return float(np.polyfit(np.log(res), np.log(err / np.log(T / res)), 1)[0])
+    h = np.asarray(resolutions, float)
+    if not 0.0 < h.max() < T < np.inf:  # a NaN T fails
+        raise ValueError(f"T must be finite and above every resolution, got T={T} and resolutions {h.tolist()}")
+    return _line_fit(np.log(res), np.log(err / np.log(T / res)))[0]
 
 
 def weak_rate_ok(slope: float, expected: float) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -939,6 +940,16 @@ class TestExactSide:
         assert calls == ([] if kind.name == "heat" else [lam.size])
         assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
+    def test_wave_factor_is_the_carrier_observable(self):
+        # sin(sqrt(lam) s) / sqrt(lam) against Im e^(p s) / Im p, p = -i sqrt(lam),
+        # the complex carrier it replaces, across many oscillations
+        lam = dirichlet_spectrum(256).eigenvalues
+        s = np.random.default_rng(5).uniform(0.0, 1.0, (64, 1))
+        p = -1j * np.sqrt(lam)
+        want = np.exp(p * s).imag / p.imag
+        got = errors._noise_factor(wave_kind("crank_nicolson"), lam, s)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("kind", SCHEMES, ids=["heat", "wave", "wave-be"])
     def test_closed_forms_match_cell_quadrature(self, kind):
         # the kernel's dd, de and ee rows against step tables and cellwise Gauss quadrature
@@ -1210,6 +1221,26 @@ class TestCutRows:
 
         monkeypatch.setattr(errors, "_cut_pair", uncorrected)
         assert self.worst_gap(1.01, *self.high_mode()) > 1e-6
+
+    @pytest.mark.parametrize("rho", [1.01, 1.5, 1.95])
+    def test_pole_cut_table_matches_the_complex_quotient(self, rho):
+        # P = Re(A (e^((p - r) T) - 1) / (p - r)) as the complex quotient the
+        # table was once built from, the oracle of the real-arithmetic table; each
+        # mode's row is compared on the scale of its largest entry, since entries
+        # near a sign change cancel
+        kind, lam, T = volterra_kind(rho), dirichlet_spectrum(128).eigenvalues, 1.0
+        step = rho * errors._CUT_STEP
+        ends = (
+            math.floor((math.log(lam.min()) - errors._DEAD_SPAN) / step),
+            math.ceil((math.log(lam.max()) + errors._DEAD_SPAN) / step),
+        )
+        u, M = errors._cut_lattice(rho, T, *ends)
+        A, p, tables = errors._cut_side(kind, lam, u, M, T)
+        r, turn = np.exp(u), np.expm1(1j * T * p.imag)[:, None]
+        grow = np.expm1(T * (p.real[:, None] - r)) * (1.0 + turn) + turn
+        want = (A[:, None] * grow / (p[:, None] - r)).real
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(tables[1] - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("side", ["lam", "lam_d"])

@@ -70,6 +70,79 @@ class TestFitRate:
         fit = fit_rate(dts, errs)
         assert fit.levels_used == 3
 
+    @pytest.mark.parametrize("levels", range(3, 13))
+    def test_closed_form_matches_polyfit(self, levels):
+        # np.polyfit, a least-squares solve, is the oracle of the closed form only
+        rng = np.random.default_rng(levels)
+        for _ in range(20):
+            res = np.sort(rng.uniform(1e-4, 0.9, levels))[::-1]
+            errs = rng.uniform(0.1, 3.0) * res ** rng.uniform(0.2, 2.5) * np.exp(rng.normal(0, 0.3, levels))
+            x, y = np.log(res), np.log(errs)
+            slope, intercept = np.polyfit(x, y, 1)
+            r2 = 1.0 - np.sum((y - (slope * x + intercept)) ** 2) / np.sum((y - y.mean()) ** 2)
+            fit = fit_rate(res, errs)
+            assert fit.slope == pytest.approx(slope, rel=1e-12)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+            assert fit.r_squared == pytest.approx(r2, rel=1e-12)
+            assert type(fit.slope) is type(fit.intercept) is type(fit.r_squared) is float
+            shape = np.polyfit(x, np.log(errs / np.log(1.0 / res)), 1)[0]
+            assert log_shape_slope(res, errs, 1.0) == pytest.approx(shape, rel=1e-12)
+
+    def test_studies_need_no_lstsq(self, monkeypatch):
+        # one small study per family and axis, and summary(), with numpy's
+        # least-squares routes made to raise: the fits take the closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("a least-squares solve was called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        ladder = tuple(2.0 ** -np.arange(2, 6))  # dt = T/N and h = 1/M on both axes
+        kinds = [(heat_kind(), 1.0), (volterra_kind(1.5), 0.5), (wave_kind("crank_nicolson"), 0.75)]
+        for kind, beta in kinds:
+            for axis in ("temporal", "spatial"):
+                res = run_study(StudyConfig(f"{kind.name}-{axis}", kind, axis, beta, modes=32, ladder=ladder))
+                s = res.summary()
+                assert np.isfinite([s["weak_slope"], s["weak_bound_slope"], s["strong_slope"]]).all(), res.config.name
+
+    DTS = (0.5, 0.25, 0.125, 0.0625)
+    ERRS = (1e-1, 3e-2, 1e-2, 3e-3)
+
+    @pytest.mark.parametrize(
+        "res, errs, match",
+        [
+            ((0.25,) * 4, ERRS, "resolutions must be distinct"),
+            ((0.5, 0.25, 0.25, 0.0625), ERRS, "resolutions must be distinct"),
+            ((0.5, 0.25, 0.0, 0.0625), ERRS, "resolutions must be finite and > 0"),
+            ((0.5, 0.25, -0.125, 0.0625), ERRS, "resolutions must be finite and > 0"),
+            ((0.5, np.nan, 0.125, 0.0625), ERRS, "resolutions must be finite and > 0"),
+            ((np.inf, 0.25, 0.125, 0.0625), ERRS, "resolutions must be finite and > 0"),
+            (DTS, (1e-1, np.nan, 1e-2, 3e-3), "errors must be finite"),
+            (DTS, (1e-1, 3e-2, np.inf, 3e-3), "errors must be finite"),
+            (DTS, (1e-1, 3e-2, -np.inf, 3e-3), "errors must be finite"),
+            (DTS, ERRS[:3], "resolutions and errors must be 1-D and of one length"),
+        ],
+        ids=["all-equal", "one-repeat", "zero", "negative", "nan", "inf", "nan-error", "inf-error", "minus-inf-error",
+             "lengths"],
+    )
+    def test_unfittable_input_refused(self, res, errs, match):
+        # at the parent these gave a slope with r^2 ~ 0, LAPACK's "SVD did not
+        # converge", a NaN level dropped from the fit, or slope nan with r^2 = 1
+        for fit in (fit_rate, lambda h, e: log_shape_slope(h, e, 1.0)):
+            with pytest.raises(ValueError, match=match) as info:
+                fit(res, errs)
+            assert not isinstance(info.value, InsufficientDataError)
+
+    def test_short_ladder_stays_insufficient(self):
+        with pytest.raises(InsufficientDataError):
+            fit_rate(self.DTS[:2], self.ERRS[:2])
+
+    @pytest.mark.parametrize("T", [0.5, 0.25, np.nan, np.inf, 0.0], ids=["at-T", "below-T", "nan", "inf", "zero"])
+    def test_log_shape_needs_resolutions_below_T(self, T):
+        # log(T/h) is 0 at h = T and negative past it: the parent returned nan
+        # with a divide-by-zero warning
+        with pytest.raises(ValueError, match="T must be finite and above every resolution"):
+            log_shape_slope(self.DTS, self.ERRS, T)
+
 
 # The paper's guaranteed exponents, written out per family and axis as
 # beta -> (weak, strong, beta_in_range, weak_log); wave p = 2 for P1 elements
