@@ -19,13 +19,13 @@ setup: sine mode k meets one discrete mode j(k) with coupling c_k (the
 identity with c = 1 on the spectral space, spectral.alias_fold on a P1 space),
 so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
 m = c^2 q, m and q.  One function builds them for every family,
-_rows(kind, lam_d, j, lam, T, n_cells): eigenvalue arrays in, no Setup, so
-rows at modes past K or at eigenvalues no spectrum carries come from the same
-call.  One entry point weighs them, error_reports(setups), for the levels of
-one problem (error_report is its one-level case): heat and wave levels on
-the spectral space differ only in their step count N, so one _rows call
-takes a group of them with N an (L, 1) array; every other level is a call
-of its own.  representation_sweep checks the regrouped value against
+_rows(kind, levels, lam, T), each level (lam_d, j, n_cells): eigenvalue
+arrays in, no Setup, so rows at modes past K or at eigenvalues no spectrum
+carries come from the same call.  One entry point weighs them,
+error_reports(setups), for the levels of one problem (error_report is its
+one-level case), and it makes one pass: a single _rows call takes every
+level, builds the exact side the levels share once and drops it when it
+returns.  representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
 Every mode factor decays and oscillates like e^(p s), p = _pole(kind, lam),
@@ -35,7 +35,9 @@ factor e(s) = Re(c e^(p s)) (heat c = 1, p = -lam; wave c = i/sqrt(lam),
 p = -i sqrt(lam)), read out by _observable; a step factor is Re(c z^n), so
 Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
 expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L (a real pair, as
-heat's, has two equal terms and is summed once).
+heat's, has two equal terms and is summed once).  Their levels go through
+one broadcast, partner eigenvalues gathered into an (L, K) stack and step
+counts into an (L, 1) column, on every axis.
 Volterra scheme rows have no such form, but their exact side has two: the
 cell integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's
 edges, which they pair with the CQ factor table, and
@@ -45,12 +47,11 @@ toward the u^rho branch point at u = 0).  Time-exact Volterra rows are closed
 forms (_cut_rows): every factor is a pole-corrected residue pair plus a sum of
 exponentials e^(-r_q t) on one lattice in log r, so no E_rho is evaluated and
 no quadrature node is used.  Both level types work in blocks of modes and
-reduce each row along itself, so no number depends on the block size.  What
-a level evaluates passes to the next level of its study through one
-read-only table, _exact_table, read by one rule, _ExactTable.view.
-error_reports runs these levels last first, a study's finest, so on a
-dyadic ladder only the finest level evaluates E_{rho,2}; ee is evaluated
-once per key.
+reduce each row along itself, so no number depends on the block size.  The
+exact side of a call is ee and, for a scheme ladder, the cell primitives at
+the finest level's edges, which a level whose edges nest in them reads as a
+strided view (on a dyadic ladder only the finest level evaluates E_{rho,2});
+for a time-exact ladder, the cut tables and ee once per lattice.
 """
 
 from __future__ import annotations
@@ -308,105 +309,103 @@ def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, K, rows)]
 
 
-class _ExactTable:
-    """The exact-side values one Volterra level evaluated, held for the next
-    level of a study; read-only, one key at a time.  The key carries the bytes
-    of lam, as _rows takes any array.  Scheme levels, key (kind, lam, T): the
-    (K, N+1) cell primitives t E_{rho,2}(-lam_k t^rho) at the level's N+1
-    edges (K (N+1) 8 bytes, at most _PRIM_TABLE_MAX values), and ee.
-    Time-exact levels, key (kind, lam, T, lattice ends), points the lattice:
-    _cut_side's (3, K, Q) tables (3 K Q 8 bytes), and ee.  Each is a pure
-    function of its key and points, not of the blocks it was evaluated in, so
-    a level that reads them through view gets the bits it would evaluate."""
-
-    def __init__(self):
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self.key = self.points = self.values = self.ee = None
-
-    def view(self, key, points: np.ndarray):
-        """The held values at points, a strided view, when key matches and
-        points are the held points taken every r-th, bit for bit; else None."""
-        stride = _nest_stride(self.points, points) if key == self.key and self.points is not None else None
-        return None if stride is None else self.values[..., ::stride]
-
-    def hold(self, key, points, values, ee: np.ndarray) -> None:
-        for x in (points, values, ee):
-            if x is not None:
-                x.flags.writeable = False
-        self.key, self.points, self.values, self.ee = key, points, values, ee
-
-    def held_points(self, key) -> int:
-        """How many points key's values are held at; 0 for another key or none."""
-        return self.points.size if key == self.key and self.points is not None else 0
-
-
-_exact_table = _ExactTable()
-
-
-def _rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells):
-    """(dd, de, ee, z_T) per sine mode k from eigenvalue arrays alone:
-    dd = int_0^T etilde^2, de = int_0^T etilde e_k, ee = int_0^T e_k^2, etilde
-    the discrete factor at lam_d[j[k] - 1] (lam_d, j as _partner_map gives
-    them; the discrete side is built on the J values of lam_d and gathered by
-    j), and z_T the scheme's terminal factor on lam_d where the rows come with
-    it (Volterra scheme levels: the CQ table's last column), else None
+def _rows(kind: EquationKind, levels, lam, T: float) -> list:
+    """(dd, de, ee, z_T) per sine mode k of each level (lam_d, j, n_cells) of
+    levels, from eigenvalue arrays alone: dd = int_0^T etilde^2,
+    de = int_0^T etilde e_k, ee = int_0^T e_k^2, etilde the level's discrete
+    factor at lam_d[j[k] - 1] (lam_d, j as _partner_map gives them), and z_T
+    the scheme's terminal factor on lam_d where the rows come with it
+    (Volterra scheme levels: the CQ table's last column), else None
     (_terminal_factor gives it).  n_cells None is a time-exact level, etilde
-    the exact factor at lam_d.
+    the exact factor at lam_d; the levels all carry a step count or none does.
 
-    Heat and wave: etilde = Re(c z^n) on cell n, the cell integrals of e_k are
-    Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
-    n_cells may be an (L, 1) array of step counts: dd and de are then
-    C-ordered (L, K), one row per level, and ee, which no step count enters,
-    is one (K,) row.  A level's row is then the contiguous vector its own
-    call gives, bit for bit; a strided row would reduce in another order.
-    Volterra time-exact levels: _cut_rows.  Volterra scheme levels make one
-    pass over the exact side in blocks of modes of about _ML_BLOCK values:
-    the cell primitives at the edges are read through _exact_table.view or
-    evaluated, kept, and their differences paired with the CQ table
-    (J, N+1); ee is read from the G_rho table.  A level that reads nothing
-    holds its primitives when they outnumber its key's held points and fit
-    under _PRIM_TABLE_MAX.  Every row is reduced along itself, so no row
-    depends on the block size."""
+    One pass over the levels.  The exact side they share is built once, here,
+    and dropped on return: heat and wave ee, taken max(1, _ML_BLOCK // K)
+    levels at a time by one broadcast (_carrier_rows); Volterra scheme levels
+    ee from the G_rho table and the cell primitives at the edges of the finest
+    level whose K (N + 1) values fit under _PRIM_TABLE_MAX, which a level whose
+    edges nest in them reads as a strided view and any other level evaluates
+    for itself (_cq_rows; the levels run finest first, so the table is built
+    in the finest level's own pass, after its CQ table); time-exact Volterra
+    levels the cut tables and ee, once per lattice (_cut_rows).  Every row is
+    reduced along itself, so a level's rows are the bits its own call gives,
+    whatever the other levels, their order or the block size."""
     if kind.name != "volterra":
-        p_d, p = _pole(kind, lam_d)[j - 1], _pole(kind, lam)
-        c_d, c = (np.ones_like(m) if kind.name == "heat" else 1j / -m.imag for m in (p_d, p))
-        integral = partial(_integral, T=T)
-        ee = _re_products(c, p, c, p, integral)
-        if n_cells is None:
-            a, la, b, lb, total = c_d, p_d, c, p, integral
-            dd = _re_products(a, la, a, la, total)
-        else:
-            dt = T / n_cells
-            la = np.take(step_log(kind, lam_d, dt), j - 1, axis=-1)  # C-ordered; x[..., j - 1] comes out F-ordered
-            a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
-            b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
-            total = partial(_geometric, n=n_cells)
-            dd = dt * _re_products(a, la, a, la, total)
-        return dd, _re_products(a, la, b, lb, total), ee, None
-    if n_cells is None:
-        return _cut_rows(kind, lam_d, j, lam, T)
+        p = _pole(kind, lam)
+        c = np.ones_like(p) if kind.name == "heat" else 1j / -p.imag
+        ee = _re_products(c, p, c, p, partial(_integral, T=T))
+        size = max(1, _ML_BLOCK // lam.size)
+        groups = (levels[lo : lo + size] for lo in range(0, len(levels), size))
+        return [r for group in groups for r in _carrier_rows(kind, group, c, p, ee, T)]
+    if levels[0][2] is None:
+        sides = {}  # the exact side on each lattice: (A, p, tables) and ee, by lattice ends
+        return [_cut_rows(kind, lam_d, j, lam, T, sides) for lam_d, j, _ in levels]
+    ee, rows, held = _volterra_ee(kind, lam, T), [None] * len(levels), None
+    for i in sorted(range(len(levels)), key=lambda i: -levels[i][2]):  # finest first
+        lam_d, j, n_cells = levels[i]
+        rows[i], held = _cq_rows(kind, lam_d, j, lam, T, n_cells, held, ee)
+    return rows
+
+
+def _carrier_rows(kind: EquationKind, levels, c, p, ee, T: float) -> list:
+    """_rows of heat or wave levels, each sine mode's carrier c, p and ee
+    given, as one broadcast over the levels: their partner eigenvalues
+    lam_d[j - 1] are gathered into one (L, K) stack (one row for scheme
+    levels that share one partner map, as a temporal ladder's do) and their
+    step counts into an (L, 1) column.
+    etilde = Re(c z^n) on cell n, the cell integrals of e_k are
+    Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
+    dd and de come out C-ordered (L, K), so a level's row is the
+    contiguous vector a group of one gives it, bit for bit; a strided row
+    would reduce in another order."""
+    shared = levels[0][2] is not None and all(lam_d is levels[0][0] and j is levels[0][1] for lam_d, j, _ in levels)
+    # np.array, not np.stack, whose first call in a process costs about 0.1 ms
+    lam_d = np.array([lam_d[j - 1] for lam_d, j, _ in levels[: 1 if shared else None]])
+    p_d = _pole(kind, lam_d)
+    c_d = np.ones_like(p_d) if kind.name == "heat" else 1j / -p_d.imag
+    integral = partial(_integral, T=T)
+    if levels[0][2] is None:
+        a, la, b, lb, total = c_d, p_d, c, p, integral
+        dd = _re_products(a, la, a, la, total)
+    else:
+        n_cells = np.array([n for *_, n in levels])[:, None]
+        dt = T / n_cells
+        la = step_log(kind, lam_d, dt)
+        a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
+        b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
+        total = partial(_geometric, n=n_cells)
+        dd = dt * _re_products(a, la, a, la, total)
+    de = _re_products(a, la, b, lb, total)
+    return [(dd[i], de[i], ee, None) for i in range(len(levels))]
+
+
+def _cq_rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int, held, ee):
+    """((dd, de, ee, z_T), held) of a Volterra scheme level: the CQ table
+    (J, N+1) of the discrete side, its last column z_T, and de pairing it with
+    the differences of the cell primitives at the level's edges, in blocks of
+    modes of about _ML_BLOCK values.  held is the call's (edges, primitives)
+    table or None.  A level whose edges are every r-th of the held edges, bit
+    for bit, reads the primitives as a strided view; any other evaluates its
+    own, and the first level that fits its K (N + 1) of them under
+    _PRIM_TABLE_MAX keeps them as the table it returns.  Its CQ table is then
+    built before the primitives are, so the two tables' scratch never meet."""
     steps = discrete_family(kind, lam_d, T / n_cells, n_cells).steps
-    key, points = (kind, lam.tobytes(), T), np.linspace(0.0, T, n_cells + 1)
-    et, t_rho = steps[:, 1:], points**kind.rho
+    edges, et = np.linspace(0.0, T, n_cells + 1), steps[:, 1:]
+    t_rho = edges**kind.rho
     dd = (T / n_cells) * np.einsum("jn,jn->j", et, et)
-    held = _exact_table.view(key, points)
-    ee = _exact_table.ee if key == _exact_table.key else None
-    fits = lam.size * points.size <= _PRIM_TABLE_MAX
-    keep = np.empty((lam.size, points.size)) if fits and _exact_table.held_points(key) < points.size else None
+    stride = None if held is None else _nest_stride(held[0], edges)
+    keep = np.empty((lam.size, edges.size)) if held is None and lam.size * edges.size <= _PRIM_TABLE_MAX else None
     de = np.empty(lam.size)
-    for k in _mode_blocks(lam.size, points.size, _ML_BLOCK):
-        # int_0^t e_k at the edges
-        x = points * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2) if held is None else held[k]
+    for k in _mode_blocks(lam.size, edges.size, _ML_BLOCK):
+        if stride is None:  # int_0^t e_k = t E_{rho,2}(-lam_k t^rho) at the edges
+            x = edges * mittag_leffler_neg(kind.rho, lam[k, None] * t_rho, beta=2)
+        else:
+            x = held[1][k, ::stride]
         if keep is not None:
             keep[k] = x
         de[k] = np.einsum("kn,kn->k", et[j[k] - 1], np.diff(x, axis=1))
-    if ee is None:
-        ee = _volterra_ee(kind, lam, T)
-    if keep is not None or key != _exact_table.key:
-        _exact_table.hold(key, None if keep is None else points, keep, ee)
-    return dd[j - 1], de, ee, steps[:, -1]
+    z_T = steps[:, -1].copy()  # a copy: the CQ table goes with the level
+    return (dd[j - 1], de, ee, z_T), held if keep is None else (edges, keep)
 
 
 def _cut_pair(kind: EquationKind, lam: np.ndarray):
@@ -452,7 +451,7 @@ def _cut_lattice(rho: float, T: float, lo: int, hi: int):
     return u, M
 
 
-def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
+def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float, sides: dict):
     """(dd, de, ee, None) of a time-exact Volterra level in closed form.
 
     On the Hankel contour E_rho(-lam t^rho) is the residue pair
@@ -466,8 +465,9 @@ def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
     Every row is cross(a, b) = int_0^T e_a e_b, the pair products plus
     sum_q (W_a Y_b + P_a W_b) (_cut_side), reduced row by row: dd = cross(d, d),
     de = cross(d[j-1], x), ee = cross(x, x), so the exact family's rows are
-    equal and no row depends on the block size.  The exact side's tables and
-    ee are held under (kind, lam, T, lattice ends)."""
+    equal and no row depends on the block size.  sides is the call's exact
+    side, (x, ee) by lattice ends: a level builds it when its lattice is new
+    to the call and reads it otherwise."""
     both = np.concatenate([lam, lam_d])
     lo, hi = float(both.min()), float(both.max())
     if not 0.0 < lo <= hi < np.inf:
@@ -475,7 +475,7 @@ def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
     step = kind.rho * _CUT_STEP
     ends = (math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step))
     u, M = _cut_lattice(kind.rho, T, *ends)
-    integral, key = partial(_integral, T=T), (kind, lam.tobytes(), T, ends)
+    integral = partial(_integral, T=T)
 
     def rows(side, k):  # (A, p, W, P, Y) of the modes k
         A, p, tables = side
@@ -484,20 +484,19 @@ def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float):
     def cross(a, b):
         return _re_products(a[0], a[1], b[0], b[1], integral) + np.sum(a[2] * b[4] + a[3] * b[2], axis=1)
 
-    d, held = _cut_side(kind, lam_d, u, M, T), _exact_table.view(key, u)
-    x = _cut_side(kind, lam, u, M, T) if held is None else (*_cut_pair(kind, lam), held)
-    ee = np.empty(lam.size) if held is None else _exact_table.ee
+    if ends not in sides:
+        x, ee = _cut_side(kind, lam, u, M, T), np.empty(lam.size)
+        for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
+            x_k = rows(x, k)
+            ee[k] = cross(x_k, x_k)
+        sides[ends] = x, ee
+    (x, ee), d = sides[ends], _cut_side(kind, lam_d, u, M, T)
     dd, de = np.empty(lam_d.size), np.empty(lam.size)
     for k in _mode_blocks(lam_d.size, u.size, _ML_BLOCK):
         d_k = rows(d, k)
         dd[k] = cross(d_k, d_k)
     for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
-        x_k = rows(x, k)
-        de[k] = cross(rows(d, j[k] - 1), x_k)
-        if held is None:
-            ee[k] = cross(x_k, x_k)
-    if held is None:
-        _exact_table.hold(key, u, x[2], ee)
+        de[k] = cross(rows(d, j[k] - 1), rows(x, k))
     return dd[j - 1], de, ee, None
 
 
@@ -620,33 +619,23 @@ def error_reports(setups: Sequence[Setup]) -> list[ErrorReport]:
     in input order.
 
     The levels share kind, spectrum, covariance, law, T, x0 and axis
-    (_one_problem refuses others).  Heat and wave levels on the spectral
-    space with a time grid differ only in their step count N, so they are
-    assembled together: one _rows call per group of at most
-    max(1, _ML_BLOCK // K) levels, N an (L, 1) array, the rows reduced level
-    by level.  Every other level is one _rows call, the last level first (a
-    study's finest), so a Volterra level reads what a finer one holds in
-    _exact_table.  On the exact family (no FEM space, no time grid) the rows
-    are equal bit for bit, so every value is exactly 0.
+    (_one_problem refuses others).  One _rows call takes them all, in one
+    pass that builds the exact side they share once and drops it on return,
+    so a level's report is the one error_report gives it alone, bit for bit,
+    and nothing passes from one call to the next.  On the exact family (no
+    FEM space, no time grid) the rows are equal bit for bit, so every value
+    is exactly 0.
     """
     setups = list(setups)
     _one_problem(setups)
     first = setups[0]
-    kind, lam, T, q = first.kind, first.spec.eigenvalues, first.T, first.q()
-    out = [None] * len(setups)
-    if kind.name != "volterra" and first.fem is None and first.n_cells is not None:
-        partners = _partner_map(first)
-        size = max(1, _ML_BLOCK // lam.size)
-        for lo in range(0, len(setups), size):
-            group = setups[lo : lo + size]
-            dd, de, ee, _ = _rows(kind, *partners[:2], lam, T, np.array([s.n_cells for s in group])[:, None])
-            for i, s in enumerate(group):
-                out[lo + i] = _report(s, q, partners, dd[i], de[i], ee, None)
-        return out
-    for i in reversed(range(len(setups))):
-        partners = _partner_map(setups[i])
-        out[i] = _report(setups[i], q, partners, *_rows(kind, *partners[:2], lam, T, setups[i].n_cells))
-    return out
+    spaces = {id(s.fem): s for s in setups}  # one partner map per space: a temporal ladder's levels share one
+    maps = {space: _partner_map(s) for space, s in spaces.items()}
+    partners = [maps[id(s.fem)] for s in setups]
+    levels = [(lam_d, j, s.n_cells) for (lam_d, j, _), s in zip(partners, setups)]
+    rows = _rows(first.kind, levels, first.spec.eigenvalues, first.T)
+    q = first.q()
+    return [_report(s, q, pm, *r) for s, pm, r in zip(setups, partners, rows)]
 
 
 def error_report(setup: Setup) -> ErrorReport:

@@ -323,14 +323,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     level.  Level N's MC pair equals mc_weak_error(problem, [N]) bit for bit.
 
     One errors.error_reports call assembles the deterministic columns of the
-    whole ladder, rows in ladder order.  A heat or wave temporal ladder is
-    assembled as one broadcast over its step counts.  Every other ladder
-    runs finest first, one level at a time, and a Volterra level passes what
-    it evaluated to the next level through errors._exact_table: a temporal
-    key's ee and the finest level's cell primitives at all its edges, which a
-    coarser level reads when its edges are every r-th of those; a spatial
-    key's cut tables, whose lattice only shrinks from the finest mesh down.
-    Each row still equals a cold standalone error_report bit for bit.
+    whole ladder, rows in ladder order, in one pass that builds the exact side
+    the levels share once: heat and wave levels as one broadcast on either
+    axis, a Volterra temporal ladder's ee and the finest level's cell
+    primitives at all its edges, which a coarser level reads when its edges
+    are every r-th of those, a Volterra spatial ladder's cut tables once per
+    lattice.  Nothing is kept from one study to the next, and each row equals
+    the standalone error_report of its level bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))

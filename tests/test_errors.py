@@ -118,7 +118,7 @@ class TestZeroAndExactCases:
             assert rep.weak_error_quadratic == 0.0
             assert rep.representation_value == 0.0
 
-    def test_time_exact_exact_family_zero_across_blocks(self):
+    def test_time_exact_exact_family_zero_across_blocks(self, monkeypatch):
         # K = 512 at rho = 1.9: the cut tables of the K modes on the lattice
         # span many blocks of modes, on the exact side and on the discrete side;
         # every row reduces on its own, so both sides still agree bit for bit
@@ -126,11 +126,15 @@ class TestZeroAndExactCases:
         spec = dirichlet_spectrum(K)
         x0 = np.zeros(K)
         x0[:3] = [1.0, -0.5, 0.25]
-        errors._exact_table.cache_clear()
+        lattices, real = [], errors._cut_side
+
+        def recording(kind, lam, u, M, T):
+            lattices.append(u.size)
+            return real(kind, lam, u, M, T)
+
+        monkeypatch.setattr(errors, "_cut_side", recording)
         rep = error_report(Setup(kind, spec, CovarianceSpec(amplitude=1.0, decay=0.5), CP, 1.0, x0=x0))
-        lattice = errors._exact_table.points
-        assert len(errors._mode_blocks(K, lattice.size, errors._ML_BLOCK)) > 1
-        errors._exact_table.cache_clear()
+        assert len(lattices) == 2 and len(errors._mode_blocks(K, lattices[0], errors._ML_BLOCK)) > 1
         assert (rep.strong_error, rep.weak_error_quadratic, rep.representation_value) == (0.0, 0.0, 0.0)
 
     def test_initial_data_terms_against_closed_form(self):
@@ -168,6 +172,11 @@ class TestOnePath:
         assert callable(errors.increments_from_path)  # studybench/tracer.py wraps it there
 
 
+def _level_rows(kind, lam_d, j, lam, T, n_cells):
+    """The rows of one level (lam_d, j, n_cells) from a _rows call of its own."""
+    return errors._rows(kind, [(lam_d, j, n_cells)], lam, T)[0]
+
+
 def _hex(report):
     return [v.hex() for v in dataclasses.astuple(report)]
 
@@ -180,9 +189,10 @@ def _x0(kind, K):
 
 class TestErrorReports:
     """error_reports(setups) returns each level's report, in input order, and
-    each equals error_report of that level alone bit for bit: heat and wave
-    temporal levels broadcast over their step counts, every other level one
-    at a time."""
+    each equals error_report of that level alone bit for bit: one _rows call
+    takes every level, heat and wave levels as one broadcast on either axis,
+    Volterra levels one at a time against the exact side the call builds
+    once."""
 
     KINDS = {"heat-be": heat_kind(), "wave-cn": wave_kind("crank_nicolson"), "wave-be": wave_kind("backward_euler")}
     # (T, step counts): dyadic, non-nested and a horizon whose dt = T / N is not dyadic
@@ -196,24 +206,27 @@ class TestErrorReports:
         x0 = _x0(kind, K) if with_x0 else None
         cov = CovarianceSpec(amplitude=1.3, decay=0.55)
         setups = [Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=n, x0=x0) for n in cells]
-        calls, real = [], errors._rows
+        calls, real = [], errors._carrier_rows
 
-        def counting(kind, lam_d, j, lam, T, n_cells):
-            calls.append(np.shape(n_cells))
-            return real(kind, lam_d, j, lam, T, n_cells)
+        def counting(kind, levels, c, p, ee, T):
+            calls.append(len(levels))
+            return real(kind, levels, c, p, ee, T)
 
-        monkeypatch.setattr(errors, "_rows", counting)
+        monkeypatch.setattr(errors, "_carrier_rows", counting)
         reports = errors.error_reports(setups)
-        assert calls == [(len(cells), 1)]  # one call for the whole ladder
+        assert calls == [len(cells)]  # one broadcast for the whole ladder
         alone = [error_report(s) for s in setups]
         for got, want in zip(reports, alone):
             assert got.strong_error > 0.0 and _hex(got) == _hex(want)
-        # each broadcast row is the row of a scalar step count, bit for bit
+        # each broadcast row is the row of a lone level, bit for bit, whether the
+        # levels share one partner map (one gathered row) or each has its own
         lam, j = setups[0].spec.eigenvalues, np.arange(1, K + 1)
-        dd, de, ee, _ = real(kind, lam, j, lam, T, np.array(cells)[:, None])
-        for i, n in enumerate(cells):
-            for got, want in zip((dd[i], de[i], ee), real(kind, lam, j, lam, T, n)[:3]):
-                assert np.array_equal(got, want)
+        shared = errors._rows(kind, [(lam, j, n) for n in cells], lam, T)
+        apart = errors._rows(kind, [(lam.copy(), j.copy(), n) for n in cells], lam, T)
+        for rows, rows_apart, n in zip(shared, apart, cells):
+            want = _level_rows(kind, lam, j, lam, T, n)[:3]
+            for got, got_apart, w in zip(rows[:3], rows_apart[:3], want):
+                assert np.array_equal(got, w) and np.array_equal(got_apart, w)
 
     @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
     def test_groups_split_at_the_block_size(self, kind, monkeypatch):
@@ -222,48 +235,96 @@ class TestErrorReports:
         setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=_x0(kind, K)) for n in range(8, 15)]
         alone = [error_report(s) for s in setups]
         monkeypatch.setattr(errors, "_ML_BLOCK", 3 * K + 1)
-        calls, real = [], errors._rows
+        calls, real = [], errors._carrier_rows
 
-        def counting(kind, lam_d, j, lam, T, n_cells):
-            calls.append(np.ravel(n_cells).tolist())
-            return real(kind, lam_d, j, lam, T, n_cells)
+        def counting(kind, levels, c, p, ee, T):
+            calls.append([n for *_, n in levels])
+            return real(kind, levels, c, p, ee, T)
 
-        monkeypatch.setattr(errors, "_rows", counting)
+        monkeypatch.setattr(errors, "_carrier_rows", counting)
         reports = errors.error_reports(setups)
         assert calls == [[8, 9, 10], [11, 12, 13], [14]]
         assert [_hex(r) for r in reports] == [_hex(r) for r in alone]
 
+    # (kind, step counts or the one step count of a P1 ladder, meshes or None, x0, K)
     LADDERS = {
-        "heat-spatial": (heat_kind(), None, (4, 8, 16)),
-        "wave-spatial": (wave_kind("crank_nicolson"), None, (4, 8, 16)),
-        "volterra-spatial": (volterra_kind(1.5), None, (4, 8, 12)),
-        "volterra-temporal": (volterra_kind(1.5), (16, 32, 12, 64), None),
-        "heat-fully-discrete": (heat_kind(), 16, (4, 8)),
+        "heat-spatial": (heat_kind(), None, (4, 8, 16), True, 16),
+        "wave-spatial": (wave_kind("crank_nicolson"), None, (4, 8, 16), True, 16),
+        "volterra-spatial": (volterra_kind(1.5), None, (4, 8, 12), True, 16),
+        "volterra-temporal": (volterra_kind(1.5), (16, 32, 12, 64), None, True, 16),
+        "heat-fully-discrete": (heat_kind(), 16, (4, 8), True, 16),
+        "heat-spatial-no-x0": (heat_kind(), None, (4, 8, 16), False, 16),
+        "wave-spatial-no-x0": (wave_kind("crank_nicolson"), None, (4, 8, 16), False, 16),
+        "wave-be-spatial": (wave_kind("backward_euler"), None, (16, 8, 4), True, 16),
+        "wave-fully-discrete": (wave_kind("crank_nicolson"), 16, (4, 8, 16), True, 16),
+        "wave-be-fully-discrete-no-x0": (wave_kind("backward_euler"), 12, (16, 8), False, 16),
+        "heat-fully-discrete-no-x0": (heat_kind(), 16, (16, 8, 4), False, 16),
+        # K = M - 1 on the finest mesh: its top P1 eigenvalue passes lam_K, so
+        # its cut lattice ends above the coarser levels' one
+        "volterra-spatial-K=M-1": (volterra_kind(1.5), None, (4, 8, 16), True, 15),
     }
 
-    @pytest.mark.parametrize("kind, cells, meshes", LADDERS.values(), ids=LADDERS.keys())
-    def test_other_levels_equal_lone_reports(self, kind, cells, meshes):
-        K = 16
-        x0 = _x0(kind, K)
+    @pytest.mark.parametrize("kind, cells, meshes, with_x0, K", LADDERS.values(), ids=LADDERS.keys())
+    def test_other_levels_equal_lone_reports(self, kind, cells, meshes, with_x0, K):
+        x0 = _x0(kind, K) if with_x0 else None
         if meshes is None:
             setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=x0) for n in cells]
         else:
             setups = [
                 Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=cells, fem=assemble_fem(m), x0=x0) for m in meshes
             ]
-        errors._exact_table.cache_clear()
         reports = errors.error_reports(setups)
         for setup, got in zip(setups, reports):
-            errors._exact_table.cache_clear()
             assert got.strong_error > 0.0 and _hex(got) == _hex(error_report(setup))
 
     @pytest.mark.parametrize("kind", [heat_kind(), wave_kind(), volterra_kind(1.5)], ids=["heat", "wave", "volterra"])
     def test_one_level(self, kind):
         setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=8, x0=_x0(kind, 16))
-        errors._exact_table.cache_clear()
         (got,) = errors.error_reports([setup])
-        errors._exact_table.cache_clear()
         assert _hex(got) == _hex(error_report(setup))
+
+    @pytest.mark.parametrize("axis", ["temporal", "spatial"])
+    def test_volterra_exact_side_built_once_per_call(self, axis, monkeypatch):
+        # dyadic ladders.  Temporal: E_{rho,2} sees only the finest level's
+        # K (N + 1) edge arguments and _volterra_ee runs once.  Spatial (K = M - 1
+        # on the finest mesh, whose top P1 eigenvalue passes lam_K): the sine
+        # modes' cut tables are built once per distinct lattice, here two.
+        # Nothing outlives the call, so a second call builds everything again
+        kind, K = volterra_kind(1.5), 15
+        spec = dirichlet_spectrum(K)
+        if axis == "temporal":
+            setups = [Setup(kind, spec, FLAT, CP, 1.0, n_cells=n) for n in (64, 32, 16, 8)]
+        else:
+            setups = [Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(m)) for m in (16, 8, 4)]
+        primitives, ee_runs, sine_lattices = [], [], []
+        ml, volterra_ee, cut_side = errors.mittag_leffler_neg, errors._volterra_ee, errors._cut_side
+
+        def counting_ml(rho, x, beta=1):
+            if beta == 2:
+                primitives.append(x.size)
+            return ml(rho, x, beta)
+
+        def counting_ee(kind, lam, T):
+            ee_runs.append(lam.size)
+            return volterra_ee(kind, lam, T)
+
+        def counting_cut(kind, lam, u, M, T):
+            if np.array_equal(lam, spec.eigenvalues):
+                sine_lattices.append((u[0], u.size))
+            return cut_side(kind, lam, u, M, T)
+
+        monkeypatch.setattr(errors, "mittag_leffler_neg", counting_ml)
+        monkeypatch.setattr(errors, "_volterra_ee", counting_ee)
+        monkeypatch.setattr(errors, "_cut_side", counting_cut)
+        first = errors.error_reports(setups)
+        if axis == "temporal":
+            assert (sum(primitives), ee_runs, sine_lattices) == (K * 65, [K], [])
+        else:
+            assert (primitives, ee_runs) == ([], [])
+            assert len(sine_lattices) == len(set(sine_lattices)) == 2
+        built = (sum(primitives), len(ee_runs), len(sine_lattices))
+        assert errors.error_reports(setups) == first
+        assert (sum(primitives), len(ee_runs), len(sine_lattices)) == tuple(2 * b for b in built)
 
     def test_levels_of_another_problem_refused(self):
         base = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
@@ -957,7 +1018,7 @@ class TestExactSide:
 
         lam = dirichlet_spectrum(256).eigenvalues
         for n in self.LADDER:
-            dd, de, ee, _ = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
+            dd, de, ee, _ = _level_rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             et = observed_steps(kind, lam, discrete_family(kind, lam, 1.0 / n, n).steps[:, 1:])
             scale = 1e-10 * p2
@@ -973,7 +1034,7 @@ class TestExactSide:
 
         modes = [1, 2, 16, 256]
         lam = (np.array(modes) * np.pi) ** 2
-        dd, de, ee, _ = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
+        dd, de, ee, _ = _level_rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
         with mp.workdps(40):
             dt, i = mp.mpf(1) / n, mp.mpc(0, 1)
             for j, k in enumerate(modes):
@@ -1005,15 +1066,13 @@ class TestExactSide:
         j = np.arange(1, lam.size + 1)  # the identity fold of the spectral space
         for n in (12, 16):
             steps = discrete_family(kind, lam, 1.0 / n, n).steps
-            errors._exact_table.cache_clear()  # cold: evaluate, not read a held level's primitives
-            _, de, ee, z_T = errors._rows(kind, lam, j, lam, 1.0, n)
+            _, de, ee, z_T = _level_rows(kind, lam, j, lam, 1.0, n)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, n + 1))
             assert np.all(np.abs(de - np.einsum("kn,kn->k", steps[:, 1:], p1)) <= 1e-12 * p2)
             assert np.all(np.abs(ee - p2) <= 1e-12 * p2)
             assert np.array_equal(z_T, steps[:, -1])
             monkeypatch.setattr(errors, "_ML_BLOCK", 3 * (n + 1))  # blocks of 3 modes, the last one short
-            errors._exact_table.cache_clear()
-            assert np.array_equal(errors._rows(kind, lam, j, lam, 1.0, n)[1], de)
+            assert np.array_equal(_level_rows(kind, lam, j, lam, 1.0, n)[1], de)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("fem", [None, 8], ids=["spectral", "p1"])
@@ -1021,26 +1080,29 @@ class TestExactSide:
     def test_volterra_rows_do_not_depend_on_the_block_size(self, n, fem, monkeypatch):
         # both level types work in blocks of modes: blocks of 1 mode, of 3 modes
         # (the last of the 16 short) and the whole table give the same rows bit
-        # for bit, cold and read back from the held table.  A scheme level holds
-        # its N + 1 edges, a time-exact level the Q points of its cut lattice
+        # for bit, for the level alone, for the level twice in one call (the
+        # second reads the exact side the call built) and, past the table cap,
+        # for a scheme level evaluating its own edges.  A scheme level has its
+        # N + 1 edges per mode, a time-exact level the Q points of its cut lattice
         kind = volterra_kind(1.5)
         setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=n, fem=fem and assemble_fem(fem))
         lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
-        errors._exact_table.cache_clear()
-        errors._rows(kind, lam_d, j, lam, 1.0, n)
-        key, per_mode = errors._exact_table.key, errors._exact_table.points.size
-        assert key[:3] == (kind, lam.tobytes(), 1.0) and (n is None) == (len(key) == 4)
-        if n is not None:
-            assert per_mode == n + 1
-        builds = []
+        lattices, real = [], errors._cut_side
+
+        def recording(kind, lam, u, M, T):
+            lattices.append(u.size)
+            return real(kind, lam, u, M, T)
+
+        monkeypatch.setattr(errors, "_cut_side", recording)
+        builds = [_level_rows(kind, lam_d, j, lam, 1.0, n)]
+        per_mode = n + 1 if n is not None else lattices[0]
         for modes in (1, 3, lam.size):
             monkeypatch.setattr(errors, "_ML_BLOCK", modes * per_mode)
             assert len(errors._mode_blocks(lam.size, per_mode, errors._ML_BLOCK)) == -(-lam.size // modes)
-            errors._exact_table.cache_clear()
-            cold = errors._rows(kind, lam_d, j, lam, 1.0, n)
-            assert errors._exact_table.held_points(key) == per_mode
-            builds += [cold, errors._rows(kind, lam_d, j, lam, 1.0, n)]
-        errors._exact_table.cache_clear()
+            builds += [_level_rows(kind, lam_d, j, lam, 1.0, n), *errors._rows(kind, [(lam_d, j, n)] * 2, lam, 1.0)]
+            with monkeypatch.context() as m:
+                m.setattr(errors, "_PRIM_TABLE_MAX", 0)
+                builds.append(_level_rows(kind, lam_d, j, lam, 1.0, n))
         for rows in builds[1:]:
             for got, want in zip(rows, builds[0]):
                 assert (got is None and want is None) or np.array_equal(got, want)
@@ -1056,8 +1118,7 @@ class TestExactSide:
 
         bound = 1e-12 if kind.name == "volterra" else 1e-10
         for lam in ((np.arange(9.0, 17.0) * np.pi) ** 2, np.logspace(0.5, 4.5, 9)):
-            errors._exact_table.cache_clear()
-            dd, de, ee, z_T = errors._rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
+            dd, de, ee, z_T = _level_rows(kind, lam, np.arange(1, lam.size + 1), lam, 1.0, n)
             p1, p2 = cell_integrals(kind, lam, np.linspace(0.0, 1.0, (n or 1) + 1))
             assert np.all(np.abs(ee - p2) <= bound * p2)
             if n is None:  # etilde is the exact factor: every row is the exact ee
@@ -1078,20 +1139,17 @@ class TestExactSide:
     def test_rows_held_table_is_keyed_by_the_eigenvalues(self):
         # two equal-size spectra, Dirichlet modes 1..K and K+1..2K, partnered in
         # one discrete spectrum of 2K values (so a time-exact level's lam_max is
-        # the same for both): each call's rows equal that array's cold rows bit
-        # for bit.  A (kind, K, T) key read the first array's cell primitives and
-        # ee for the second, and the time-exact factors and ee likewise
+        # the same for both): each call's rows equal that array's rows when the
+        # calls run in the other order, bit for bit.  A table held between calls
+        # under a (kind, K, T) key once read the first array's cell primitives
+        # and ee for the second, and the time-exact factors and ee likewise
         kind, K = volterra_kind(1.5), 16
         lam_d = dirichlet_spectrum(2 * K).eigenvalues
         low, high = (lam_d[:K], np.arange(1, K + 1)), (lam_d[K:], np.arange(K + 1, 2 * K + 1))
         calls = [(low, 64), (high, 32), (high, None), (low, None)]
-        cold = []
-        for (lam, j), n in calls:
-            errors._exact_table.cache_clear()
-            cold.append(errors._rows(kind, lam_d, j, lam, 1.0, n))
-        errors._exact_table.cache_clear()
-        for ((lam, j), n), want in zip(calls, cold):
-            got = errors._rows(kind, lam_d, j, lam, 1.0, n)
+        backward = [_level_rows(kind, lam_d, j, lam, 1.0, n) for (lam, j), n in reversed(calls)][::-1]
+        for ((lam, j), n), want in zip(calls, backward):
+            got = _level_rows(kind, lam_d, j, lam, 1.0, n)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w), n
 
@@ -1132,7 +1190,7 @@ class TestExactSide:
             kind = volterra_kind(rho)
             setup = Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(64))
             lam_d, j, _ = errors._partner_map(setup)
-            dd, _, ee, z_T = errors._rows(kind, lam_d, j, lam, 1.0, None)
+            dd, _, ee, z_T = _level_rows(kind, lam_d, j, lam, 1.0, None)
             assert z_T is None
             g = errors._volterra_ee(kind, lam, 1.0)
             assert np.max(np.abs(ee - g) / g) <= 1e-14, rho
@@ -1184,9 +1242,7 @@ class TestCutRows:
     def worst_gap(self, rho, lam_d, j, lam, T=1.0):
         """max over the rows dd, de, ee of |rows - reference| / sqrt(dd ee), the
         Cauchy-Schwarz scale of de, which can cancel."""
-        errors._exact_table.cache_clear()
-        rows = errors._rows(volterra_kind(rho), lam_d, j, lam, T, None)[:3]
-        errors._exact_table.cache_clear()
+        rows = _level_rows(volterra_kind(rho), lam_d, j, lam, T, None)[:3]
         both = np.concatenate([lam_d, lam])
         t, w = self.panels(rho, both, T)
         f = self.reference_factors(rho, both, t)
@@ -1251,7 +1307,7 @@ class TestCutRows:
         lam_d = lam.copy()
         (lam if side == "lam" else lam_d)[1] = bad
         with pytest.raises(ValueError, match="finite eigenvalues > 0"):
-            errors._rows(volterra_kind(1.5), lam_d, np.arange(1, 5), lam, 1.0, None)
+            _level_rows(volterra_kind(1.5), lam_d, np.arange(1, 5), lam, 1.0, None)
 
 
 class TestFemAssembly:
@@ -1321,22 +1377,29 @@ class TestFemAssembly:
         reports = [error_report(setup)]
         if kind.name == "volterra" and n_cells is None:
             # closed-form time-exact rows in one block of all 24 sine modes and in
-            # blocks of 5, the last one short: the held table is cleared so that
-            # each build runs.  Every row reduces on its own, so the lattice, the
-            # cut tables, ee and the report are the one-block build's bit for bit
-            table = errors._exact_table
-            key = table.key
-            assert key[:3] == (kind, setup.spec.eigenvalues.tobytes(), 1.0)
-            Q = table.points.size
+            # blocks of 5, the last one short.  Every row reduces on its own, so
+            # the lattice, the sine modes' cut tables, the rows and the report are
+            # the one-block build's bit for bit
+            lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
+            sine_sides, real = [], errors._cut_side
+
+            def recording(kind, lam_k, u, M, T):
+                side = real(kind, lam_k, u, M, T)
+                if lam_k is lam:
+                    sine_sides.append((u, side[2]))
+                return side
+
+            monkeypatch.setattr(errors, "_cut_side", recording)
+            error_report(setup)
+            Q = sine_sides[0][0].size
             builds = []
             for block in (24 * Q, 5 * Q):
                 monkeypatch.setattr(errors, "_ML_BLOCK", block)
-                table.cache_clear()
                 reports.append(error_report(setup))
-                assert table.key == key
-                builds.append((table.points, table.values, table.ee))
+                builds.append((*sine_sides[-1], *_level_rows(kind, lam_d, j, lam, 1.0, None)[:3]))
             whole, blocked = builds
-            assert blocked[1] is not whole[1] and all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+            assert len(sine_sides) == 5 and blocked[1] is not whole[1]
+            assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
             assert reports[-1] == reports[-2]
         weak, strong2, i_ee = self.oracle(setup)
         for rep in reports:

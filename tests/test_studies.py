@@ -635,30 +635,28 @@ def _fully_discrete(K, meshes):
 
 
 class TestStudyExactSide:
-    """The Volterra exact side is computed once per study: the scheme levels'
-    ee row once per (kind, lam, T), the time-exact levels' cut tables once per
-    (kind, lam, T, lattice ends), lam by its bytes.  Both are pure functions of
-    their keys, so a study row must equal a cold standalone error_report of
-    that level bit for bit."""
+    """The Volterra exact side is computed once per study, inside its one
+    error_reports call: the scheme levels' ee row and cell primitives once,
+    the time-exact levels' cut tables once per lattice.  Nothing outlives the
+    call, so a study row must equal the standalone error_report of that level
+    bit for bit."""
 
-    # (T, ladder, _PRIM_TABLE_MAX or None, shared): the finest level holds its
-    # cell primitives t E_{rho,2}(-lam t^rho) at all its N + 1 edges, and a
-    # level whose edges are every r-th of those reads them; any other level,
-    # and every level past the cap, evaluates its own.  shared is True (only
-    # the finest level evaluates), False (every level does) or the count of
-    # E_{rho,2} values evaluated
+    # (T, ladder, _PRIM_TABLE_MAX or None, shared): the call evaluates the cell
+    # primitives t E_{rho,2}(-lam t^rho) at all N + 1 edges of the finest level
+    # whose K (N + 1) values fit under the cap, and a level whose edges are
+    # every r-th of those reads them; any other level evaluates its own.
+    # shared is True (only the finest level's edges are evaluated), False
+    # (every level's are) or the count of E_{rho,2} values evaluated
     VOLTERRA_LADDERS = {
         "dyadic": (1.0, (1 / 16, 1 / 32, 1 / 64, 1 / 128), None, True),
         "dyadic-T0.7": (0.7, (0.7 / 16, 0.7 / 32, 0.7 / 64, 0.7 / 128), None, True),
-        # run 24, 20, 16, 12: 20 and 16 evaluate their own edges and, having
-        # fewer than the held 25, keep none, so 12 reads 24's (16 (25 + 21 + 17))
+        # a table at 24's edges: 20 and 16 evaluate their own, 12 reads 24's (16 (25 + 21 + 17))
         "non-nested": (1.0, (1 / 12, 1 / 16, 1 / 20, 1 / 24), None, 1008),
-        # 30 cells held; linspace(0, 1, 31)[::6] is 1 ulp off linspace(0, 1, 6)
+        # a table at 30's edges; linspace(0, 1, 31)[::6] is 1 ulp off linspace(0, 1, 6)
         "unequal-edges": (1.0, (1 / 5, 1 / 7, 1 / 11, 1 / 30), None, False),
         "tiny-cap": (1.0, (1 / 16, 1 / 32, 1 / 64, 1 / 128), 16 * 8, False),  # below every level's K (N + 1)
-        # run 32, 16, 15, 8: the odd level evaluates its own 16 edges and keeps no
-        # table, so the held 32-cell one still serves 8 (16 (33 + 16) values, not
-        # 16 (33 + 16 + 9) as when the odd level evicts it)
+        # a table at 32's edges: the odd level evaluates its own 16 edges, and 16
+        # and 8 read the table (16 (33 + 16) values)
         "odd-level-keeps-the-table": (1.0, (1 / 8, 1 / 15, 1 / 16, 1 / 32), None, 784),
     }
 
@@ -681,20 +679,18 @@ class TestStudyExactSide:
             return real(rho, x, beta)
 
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting)  # the name the benchmark tracer wraps
-        errors._exact_table.cache_clear()
         res = run_study(cfg)
         if isinstance(shared, bool):
             shared = K * (max(cells) + 1 if shared else sum(n + 1 for n in cells))
         assert sum(counted) == shared
         for row in res.rows:
-            errors._exact_table.cache_clear()
             alone = error_report(_level_setup(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     def test_fully_discrete_reports_equal_cold_reports(self, monkeypatch):
-        # a time scheme on every level of a P1 ladder, run one after another:
-        # every level shares the sine spectrum and N = 16, so the first level's
-        # held K (N + 1) cell primitives serve the rest at stride 1
+        # a time scheme on every level of a P1 ladder in one error_reports call:
+        # every level shares the sine spectrum and N = 16, so the call's one
+        # table of K (N + 1) cell primitives serves every level at stride 1
         counted = []
         real = errors.mittag_leffler_neg
 
@@ -705,11 +701,9 @@ class TestStudyExactSide:
 
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting)
         setups = _fully_discrete(16, (4, 6, 8, 12))
-        errors._exact_table.cache_clear()
-        warm = [errors.error_report(setup) for setup in setups]
+        together = errors.error_reports(setups)
         assert sum(counted) == 16 * 17
-        for setup, report in zip(setups, warm):
-            errors._exact_table.cache_clear()
+        for setup, report in zip(setups, together):
             assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
     HEAT_WAVE_LADDERS = {
@@ -730,9 +724,9 @@ class TestStudyExactSide:
         cfg = StudyConfig(name="t", kind=kind, axis="temporal", beta=0.75, T=T, modes=64, ladder=ladder, x0=x0)
         calls, real = [], errors._rows
 
-        def counting(kind, lam_d, j, lam, T, n_cells):
-            calls.append(np.ravel(n_cells).tolist())
-            return real(kind, lam_d, j, lam, T, n_cells)
+        def counting(kind, levels, lam, T):
+            calls.append([n for *_, n in levels])
+            return real(kind, levels, lam, T)
 
         monkeypatch.setattr(errors, "_rows", counting)
         res = run_study(cfg)
@@ -754,7 +748,6 @@ class TestStudyExactSide:
         cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="spatial", beta=0.5, modes=16, ladder=ladder)
         res = run_study(cfg)
         for row in res.rows:
-            errors._exact_table.cache_clear()
             alone = error_report(_level_setup(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
@@ -762,7 +755,8 @@ class TestStudyExactSide:
     def test_time_exact_exact_side_evaluated_once_per_node_set(self, ladder, monkeypatch):
         # the node set of a time-exact level is its cut lattice: the K sine modes'
         # tables are built once per lattice (not once per level) and the J
-        # discrete modes' once per level, and no E_rho value or Gauss node is used
+        # discrete modes' once per level, in ladder order, and no E_rho value or
+        # Gauss node is used
         from levyspde.spectral import assemble_fem, dirichlet_spectrum
 
         kind, K = volterra_kind(1.5), 16
@@ -779,18 +773,18 @@ class TestStudyExactSide:
         monkeypatch.setattr(errors, "_cut_side", counting)
         monkeypatch.setattr(errors, "mittag_leffler_neg", refused)
         monkeypatch.setattr(errors, "_panel_nodes", refused)
-        errors._exact_table.cache_clear()
         run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
         lattices = [lattice for exact, _, lattice in built if exact]
-        assert [size for exact, size, _ in built if not exact] == [round(1 / h) - 1 for h in sorted(ladder)]
+        assert [size for exact, size, _ in built if not exact] == [round(1 / h) - 1 for h in ladder]
         finest_above = assemble_fem(round(1 / min(ladder))).eigenvalues[-1] > sine[-1]
         assert len(set(lattices)) == len(lattices) == (2 if finest_above else 1)
 
     def test_interleaved_studies_rows_equal_cold_standalone_reports(self):
-        # one table is held for every Volterra study, and each run below
-        # replaces the last one's: time-exact spatial, dyadic temporal, a time
-        # scheme on P1 spaces (K = 12, the scheme key of another lam),
-        # non-nested temporal, dyadic again
+        # Volterra studies one after another: time-exact spatial, dyadic
+        # temporal, a time scheme on P1 spaces (K = 12, another lam),
+        # non-nested temporal, dyadic again.  No exact side passes from one
+        # call to the next, so every report equals the standalone one,
+        # computed afterwards
         from levyspde.studies import _level_setup
 
         kind, dyadic, meshes = volterra_kind(1.5), (1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 4, 1 / 6, 1 / 8, 1 / 12)
@@ -808,7 +802,6 @@ class TestStudyExactSide:
             else:
                 warm += [(errors.error_report(setup), setup) for setup in step]
         for report, setup in warm:
-            errors._exact_table.cache_clear()
             assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
 
     def test_volterra_implied_exact_side_is_level_independent(self):
