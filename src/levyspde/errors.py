@@ -18,40 +18,29 @@ Volterra, first component for the wave system).  One assembly serves every
 setup: sine mode k meets one discrete mode j(k) with coupling c_k (the
 identity with c = 1 on the spectral space, spectral.alias_fold on a P1 space),
 so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
-m = c^2 q, m and q.  One function builds them for every family,
-_rows(kind, levels, lam, T), each level (lam_d, j, n_cells): eigenvalue
-arrays in, no Setup, so rows at modes past K or at eigenvalues no spectrum
-carries come from the same call.  One entry point weighs them,
-error_reports(setups), for the levels of one problem (error_report is its
-one-level case), and it makes one pass: a single _rows call takes every
-level, builds the exact side the levels share once and drops it when it
-returns.  representation_sweep checks the regrouped value against
+m = c^2 q, m and q.  _rows(kind, levels, lam, T) builds them from eigenvalue
+arrays alone, each level (lam_d, j, n_cells), in one pass that builds the
+exact side the levels share once; error_reports(setups) weighs them for the
+levels of one problem (error_report is its one-level case).
+representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
-Every mode factor decays and oscillates like e^(p s), p = _pole(kind, lam),
-which also sets the resolution of the global partition.  Heat and wave rows
-are closed forms: their exact factor is the carrier e^(p s) itself, the mode
-factor e(s) = Re(c e^(p s)) (heat c = 1, p = -lam; wave c = i/sqrt(lam),
-p = -i sqrt(lam)), read out by _observable; a step factor is Re(c z^n), so
-Re u Re v = Re(uv + u conj(v))/2 turns every row into geometric sums
-expm1(N log xi)/expm1(log xi) or integrals expm1(L T)/L (a real pair, as
-heat's, has two equal terms and is summed once).  Their levels go through
-one broadcast, partner eigenvalues gathered into an (L, K) stack and step
-counts into an (L, 1) column, on every axis.
-Volterra scheme rows have no such form, but their exact side has two: the
-cell integrals int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's
-edges, which they pair with the CQ factor table, and
-I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du
-read for every mode from one cumulative Gauss table (the first cell graded
-toward the u^rho branch point at u = 0).  Time-exact Volterra rows are closed
-forms (_cut_rows): every factor is a pole-corrected residue pair plus a sum of
-exponentials e^(-r_q t) on one lattice in log r, so no E_rho is evaluated and
-no quadrature node is used.  Both level types work in blocks of modes and
-reduce each row along itself, so no number depends on the block size.  The
-exact side of a call is ee and, for a scheme ladder, the cell primitives at
-the finest level's edges, which a level whose edges nest in them reads as a
-strided view (on a dyadic ladder only the finest level evaluates E_{rho,2});
-for a time-exact ladder, the cut tables and ee once per lattice.
+Every mode factor is one short exponential sum (_terms),
+e(t) = Re(A e^(p t)) + sum_q W_q e^(-r_q t) with the pole p = _pole(kind, lam),
+which also sets the resolution of the global partition: heat A = 1 and wave
+A = i/sqrt(lam) with no cut, Volterra's E_rho(-lam t^rho) the pole-corrected
+residue pair plus a trapezoid sum of its branch cut on one lattice in
+u = log r.  By Re u Re v = Re(uv + u conj(v))/2 every heat, wave and
+time-exact Volterra row is one _cross of two factors' terms against a Gram:
+integrals expm1(L T)/L on time-exact levels, geometric sums
+expm1(N log xi)/expm1(log xi) over a scheme's step factors Re(A z^n), plus
+the cut's sums; no E_rho is evaluated and no quadrature node used.  Volterra
+scheme rows pair the CQ factor table with the cell integrals
+int_cell e_k = diff(t E_{rho,2}(-lam_k t^rho)) at the level's edges, and
+I_ee = lam^(-1/rho) G_rho(T lam^(1/rho)), G_rho(y) = int_0^y E_rho(-u^rho)^2 du,
+comes from one cumulative Gauss table.  Rows with a cut or a CQ table work in
+blocks of modes and each row reduces along itself, so no number depends on
+the block size.
 """
 
 from __future__ import annotations
@@ -166,16 +155,15 @@ def _pole(kind: EquationKind, lam):
     """The pole p of a mode: its factor decays and oscillates like e^(p s).
     Volterra p = lam^(1/rho) e^(i pi/rho), the pole of E_rho(-lam s^rho)'s
     residue pair; its ends are heat's p = -lam (rho = 1) and the wave's
-    +-i sqrt(lam) (rho = 2).  Heat and wave factors are the carrier e^(p s)
-    itself, with the observable factor e(s) = Re(c e^(p s)): heat p = -lam,
-    c = 1; wave p = -i sqrt(lam), c = i/sqrt(lam) = i/(-Im p)."""
+    +-i sqrt(lam) (rho = 2).  Heat and wave factors are Re(A e^(p s)) itself
+    (_terms): heat p = -lam, A = 1; wave p = -i sqrt(lam), A = i/(-Im p)."""
     if kind.name == "volterra":
         return lam ** (1.0 / kind.rho) * (np.cos(np.pi / kind.rho) + 1j * np.sin(np.pi / kind.rho))
     return -lam if kind.name == "heat" else -1j * np.sqrt(lam)
 
 
 def _observable(kind: EquationKind, p, z) -> np.ndarray:
-    """The noise column's observable Re(c z) of a mode factor z, p = _pole(kind, lam):
+    """The noise column's observable Re(A z) of a mode factor z, p = _pole(kind, lam):
     Im z / Im p = -Im z / sqrt(lam) for the wave, else Re z."""
     return z.imag / p.imag if kind.name == "wave" else z.real
 
@@ -210,16 +198,6 @@ def _integral(L, T):
     array that broadcasts against L."""
     num = np.expm1(L * T)
     return np.divide(num, L, out=np.full_like(num, T), where=L != 0)
-
-
-def _re_products(a, la, b, lb, total):
-    """Sum (or integral) of Re(a e^(la x)) Re(b e^(lb x)), by
-    Re u Re v = Re(u v + u conj(v)) / 2; total(L) sums (integrates) e^(L x).
-    A real pair gives two equal terms, so it is summed once: 0.5 (x + x) is
-    x bit for bit."""
-    if not any(map(np.iscomplexobj, (a, la, b, lb))):
-        return a * b * total(la + lb)
-    return 0.5 * (a * b * total(la + lb) + a * np.conj(b) * total(la + np.conj(lb))).real
 
 
 # ----------------------------------------------------------------------------
@@ -303,9 +281,9 @@ def _volterra_ee(kind: EquationKind, lam: np.ndarray, T: float) -> np.ndarray:
 
 
 def _mode_blocks(K: int, per_mode: int, block: int) -> list[slice]:
-    """Slices of range(K) of max(1, block // per_mode) modes each, the last
-    one possibly short: blocks of about block values at per_mode per mode."""
-    rows = max(1, block // per_mode)
+    """Slices of range(K) of max(1, block // per_mode) modes each (all K at
+    per_mode 0), the last one possibly short: blocks of about block values."""
+    rows = max(1, block // per_mode) if per_mode else max(1, K)
     return [slice(lo, lo + rows) for lo in range(0, K, rows)]
 
 
@@ -319,64 +297,34 @@ def _rows(kind: EquationKind, levels, lam, T: float) -> list:
     (_terminal_factor gives it).  n_cells None is a time-exact level, etilde
     the exact factor at lam_d; the levels all carry a step count or none does.
 
-    One pass over the levels.  The exact side they share is built once, here,
-    and dropped on return: heat and wave ee, taken max(1, _ML_BLOCK // K)
-    levels at a time by one broadcast (_carrier_rows); Volterra scheme levels
-    ee from the G_rho table and the cell primitives at the edges of the finest
-    level whose K (N + 1) values fit under _PRIM_TABLE_MAX, which a level whose
-    edges nest in them reads as a strided view and any other level evaluates
-    for itself (_cq_rows; the levels run finest first, so the table is built
-    in the finest level's own pass, after its CQ table); time-exact Volterra
-    levels the cut tables and ee, once per lattice (_cut_rows).  Every row is
-    reduced along itself, so a level's rows are the bits its own call gives,
-    whatever the other levels, their order or the block size."""
-    if kind.name != "volterra":
-        p = _pole(kind, lam)
-        c = np.ones_like(p) if kind.name == "heat" else 1j / -p.imag
-        ee = _re_products(c, p, c, p, partial(_integral, T=T))
-        size = max(1, _ML_BLOCK // lam.size)
-        groups = (levels[lo : lo + size] for lo in range(0, len(levels), size))
-        return [r for group in groups for r in _carrier_rows(kind, group, c, p, ee, T)]
-    if levels[0][2] is None:
-        sides = {}  # the exact side on each lattice: (A, p, tables) and ee, by lattice ends
-        return [_cut_rows(kind, lam_d, j, lam, T, sides) for lam_d, j, _ in levels]
-    ee, rows, held = _volterra_ee(kind, lam, T), [None] * len(levels), None
-    for i in sorted(range(len(levels)), key=lambda i: -levels[i][2]):  # finest first
-        lam_d, j, n_cells = levels[i]
-        rows[i], held = _cq_rows(kind, lam_d, j, lam, T, n_cells, held, ee)
+    Two paths, one pass; the exact side the levels share is built once, here,
+    and dropped on return.  Volterra scheme levels (_cq_rows, finest first):
+    ee from the G_rho table, and the cell primitives at the edges of the
+    finest level whose K (N + 1) values fit under _PRIM_TABLE_MAX, which a
+    level whose edges nest in them reads as a strided view.  Every other
+    level: _term_rows on groups of max(1, _ML_BLOCK // K) heat or wave levels
+    or one Volterra level, against the exact terms and ee, built once per cut
+    lattice (heat and wave have none).  Every row is reduced along itself,
+    so a level's rows are the bits its own call gives, whatever the other
+    levels, their order or the block size."""
+    if kind.name == "volterra" and levels[0][2] is not None:
+        ee, rows, held = _volterra_ee(kind, lam, T), [None] * len(levels), None
+        for i in sorted(range(len(levels)), key=lambda i: -levels[i][2]):  # finest first
+            lam_d, j, n_cells = levels[i]
+            rows[i], held = _cq_rows(kind, lam_d, j, lam, T, n_cells, held, ee)
+        return rows
+    # a cut table's bits follow its shape (one BLAS product), so a level with a cut is a group alone
+    size, exact, rows = 1 if kind.name == "volterra" else max(1, _ML_BLOCK // lam.size), {}, []
+    for lo in range(0, len(levels), size):
+        group = levels[lo : lo + size]
+        key = _cut_ends(kind, lam, group[0][0]) if kind.name == "volterra" else None  # heat and wave have no cut
+        if key not in exact:  # the exact side, once per lattice
+            lattice = key and _cut_lattice(kind.rho, T, *key)
+            x = _terms(kind, lam, lattice, T)
+            exact[key] = lattice, x, _cross_rows(x, None, x, partial(_integral, T=T))
+        lattice, x, ee = exact[key]
+        rows += [(dd, de, ee, None) for dd, de in _term_rows(kind, group, x, lattice, T)]
     return rows
-
-
-def _carrier_rows(kind: EquationKind, levels, c, p, ee, T: float) -> list:
-    """_rows of heat or wave levels, each sine mode's carrier c, p and ee
-    given, as one broadcast over the levels: their partner eigenvalues
-    lam_d[j - 1] are gathered into one (L, K) stack (one row for scheme
-    levels that share one partner map, as a temporal ladder's do) and their
-    step counts into an (L, 1) column.
-    etilde = Re(c z^n) on cell n, the cell integrals of e_k are
-    Re(c e^(p t_(n-1)) expm1(p dt) / p), and every sum over n is geometric.
-    dd and de come out C-ordered (L, K), so a level's row is the
-    contiguous vector a group of one gives it, bit for bit; a strided row
-    would reduce in another order."""
-    shared = levels[0][2] is not None and all(lam_d is levels[0][0] and j is levels[0][1] for lam_d, j, _ in levels)
-    # np.array, not np.stack, whose first call in a process costs about 0.1 ms
-    lam_d = np.array([lam_d[j - 1] for lam_d, j, _ in levels[: 1 if shared else None]])
-    p_d = _pole(kind, lam_d)
-    c_d = np.ones_like(p_d) if kind.name == "heat" else 1j / -p_d.imag
-    integral = partial(_integral, T=T)
-    if levels[0][2] is None:
-        a, la, b, lb, total = c_d, p_d, c, p, integral
-        dd = _re_products(a, la, a, la, total)
-    else:
-        n_cells = np.array([n for *_, n in levels])[:, None]
-        dt = T / n_cells
-        la = step_log(kind, lam_d, dt)
-        a = c_d * np.exp(la)  # etilde_n = Re(a z^(n-1))
-        b, lb = c * _integral(p, dt), p * dt  # int_cell_n e = Re(b e^((n-1) p dt))
-        total = partial(_geometric, n=n_cells)
-        dd = dt * _re_products(a, la, a, la, total)
-    de = _re_products(a, la, b, lb, total)
-    return [(dd[i], de[i], ee, None) for i in range(len(levels))]
 
 
 def _cq_rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int, held, ee):
@@ -408,36 +356,15 @@ def _cq_rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int, held, ee
     return (dd[j - 1], de, ee, z_T), held if keep is None else (edges, keep)
 
 
-def _cut_pair(kind: EquationKind, lam: np.ndarray):
-    """(A, p): each mode's pole p = _pole(kind, lam) and its pole-corrected
-    amplitude A = (2/rho) / (1 - e^(-2 pi (pi (rho - 1) + i log lam) / (rho h))),
-    h = _CUT_STEP (see _cut_rows)."""
-    rho = kind.rho
-    nu = np.log(lam) / rho
-    A = (2.0 / rho) / (1.0 - np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP))
-    return A, _pole(kind, lam)
-
-
-def _cut_side(kind: EquationKind, lam: np.ndarray, u: np.ndarray, M: np.ndarray, T: float):
-    """(A, p, tables): _cut_pair(kind, lam) and the (3, K, Q) tables on the
-    lattice u of the cut weights W, the pole-cut integrals
-    P = int_0^T Re(A e^(p t)) e^(-r t) dt (r = e^u) and Y = W M + P."""
-    (A, p), rho, half = _cut_pair(kind, lam), kind.rho, np.pi * (kind.rho - 1.0) / 2.0
-    nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
-    # P = Re(A (e^((p - r) T) - 1) / (p - r)), where A (e^((p - r) T) - 1) = alpha E + beta
-    # with E = expm1((Re p - r) T) real, so the table is built in real arithmetic
-    alpha, beta = A * (1.0 + turn), A * turn
-    tables = np.empty((3, lam.size, u.size))
-    for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
-        sinh2 = np.sinh(rho * (u - nu[k, None]) / 2.0) ** 2
-        tables[0, k] = -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
-        # Re((alpha E + beta) / (d + i b)), d = Re p - r, b = Im p
-        d, b = p.real[k, None] - r, p.imag[k, None]
-        E = np.expm1(T * d)
-        num = (alpha.real[k, None] * E + beta.real[k, None]) * d + (alpha.imag[k, None] * E + beta.imag[k, None]) * b
-        tables[1, k] = num / (d * d + b * b)
-    tables[2] = tables[0] @ M + tables[1]  # one product of the whole table, so its bits follow its shape only
-    return A, p, tables
+def _cut_ends(kind: EquationKind, lam: np.ndarray, lam_d: np.ndarray):
+    """Ends (lo, hi) of the cut lattice of a time-exact Volterra level, over
+    (log lam -+ _DEAD_SPAN)/rho of lam and lam_d."""
+    both = np.concatenate([lam, lam_d])
+    lo, hi = float(both.min()), float(both.max())
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0, got the range [{lo}, {hi}]")
+    step = kind.rho * _CUT_STEP
+    return math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step)
 
 
 @lru_cache(maxsize=1)
@@ -451,53 +378,104 @@ def _cut_lattice(rho: float, T: float, lo: int, hi: int):
     return u, M
 
 
-def _cut_rows(kind: EquationKind, lam_d, j, lam, T: float, sides: dict):
-    """(dd, de, ee, None) of a time-exact Volterra level in closed form.
+def _terms(kind: EquationKind, lam: np.ndarray, lattice, T: float):
+    """(A, p, cut) of each mode's factor Re(A e^(p t)) + sum_q W_q e^(-r_q t),
+    p = _pole(kind, lam): heat A = 1 and wave A = i/sqrt(lam), cut None.
 
-    On the Hankel contour E_rho(-lam t^rho) is the residue pair
-    (2/rho) Re e^(p t) plus a cut integral in u = log r, here a trapezoid sum
-    on one lattice u_q = q h anchored at u = 0 (h = _CUT_STEP) over
-    (log lam -+ _DEAD_SPAN)/rho of lam and lam_d: Re(A e^(p t)) + sum_q W_q
-    e^(-e^(u_q) t), W = -sin(pi(rho-1)) h / (4 pi [sinh^2(rho(u - nu)/2) +
-    sin^2(pi(rho-1)/2)]), nu = log(lam)/rho.  The integrand's poles
-    u = nu +- i pi(rho-1)/rho are the residue pair, so the trapezoid's pole
-    correction is _cut_pair's A in place of 2/rho and one h serves every rho.
-    Every row is cross(a, b) = int_0^T e_a e_b, the pair products plus
-    sum_q (W_a Y_b + P_a W_b) (_cut_side), reduced row by row: dd = cross(d, d),
-    de = cross(d[j-1], x), ee = cross(x, x), so the exact family's rows are
-    equal and no row depends on the block size.  sides is the call's exact
-    side, (x, ee) by lattice ends: a level builds it when its lattice is new
-    to the call and reads it otherwise."""
-    both = np.concatenate([lam, lam_d])
-    lo, hi = float(both.min()), float(both.max())
-    if not 0.0 < lo <= hi < np.inf:
-        raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0, got the range [{lo}, {hi}]")
-    step = kind.rho * _CUT_STEP
-    ends = (math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step))
-    u, M = _cut_lattice(kind.rho, T, *ends)
-    integral = partial(_integral, T=T)
-
-    def rows(side, k):  # (A, p, W, P, Y) of the modes k
-        A, p, tables = side
-        return A[k], p[k], *tables[:, k]
-
-    def cross(a, b):
-        return _re_products(a[0], a[1], b[0], b[1], integral) + np.sum(a[2] * b[4] + a[3] * b[2], axis=1)
-
-    if ends not in sides:
-        x, ee = _cut_side(kind, lam, u, M, T), np.empty(lam.size)
-        for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
-            x_k = rows(x, k)
-            ee[k] = cross(x_k, x_k)
-        sides[ends] = x, ee
-    (x, ee), d = sides[ends], _cut_side(kind, lam_d, u, M, T)
-    dd, de = np.empty(lam_d.size), np.empty(lam.size)
-    for k in _mode_blocks(lam_d.size, u.size, _ML_BLOCK):
-        d_k = rows(d, k)
-        dd[k] = cross(d_k, d_k)
+    Volterra's E_rho(-lam t^rho) is, on the Hankel contour, the residue pair
+    (2/rho) Re e^(p t) plus a cut integral, here a trapezoid sum in u = log r
+    on the lattice (u, M), r_q = e^(u_q), with h = _CUT_STEP and
+    nu = log(lam)/rho: W = -sin(pi(rho-1)) h / (4 pi [sinh^2(rho(u - nu)/2) +
+    sin^2(pi(rho-1)/2)]).  The integrand's poles u = nu +- i pi(rho-1)/rho
+    are the residue pair, so the trapezoid's pole correction is the amplitude
+    A = (2/rho) / (1 - e^(-2 pi (pi (rho - 1) / rho + i nu) / h)), and one h
+    serves every rho.  cut stacks W, the pole-cut integrals
+    P = int_0^T Re(A e^(p t)) e^(-r t) dt and Y = W M + P, (3, K, Q)."""
+    p = _pole(kind, lam)
+    if kind.name != "volterra":
+        return (np.ones_like(p) if kind.name == "heat" else 1j / -p.imag), p, None
+    (u, M), rho, half = lattice, kind.rho, np.pi * (kind.rho - 1.0) / 2.0
+    nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
+    A = (2.0 / rho) / (1.0 - np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP))
+    # P = Re(A (e^((p - r) T) - 1) / (p - r)), where A (e^((p - r) T) - 1) = alpha E + beta
+    # with E = expm1((Re p - r) T) real, so the table is built in real arithmetic
+    alpha, beta = A * (1.0 + turn), A * turn
+    cut = np.empty((3, lam.size, u.size))
     for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
-        de[k] = cross(rows(d, j[k] - 1), rows(x, k))
-    return dd[j - 1], de, ee, None
+        sinh2 = np.sinh(rho * (u - nu[k, None]) / 2.0) ** 2
+        cut[0, k] = -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
+        # Re((alpha E + beta) / (d + i b)), d = Re p - r, b = Im p
+        d, b = p.real[k, None] - r, p.imag[k, None]
+        E = np.expm1(T * d)
+        num = (alpha.real[k, None] * E + beta.real[k, None]) * d + (alpha.imag[k, None] * E + beta.imag[k, None]) * b
+        cut[1, k] = num / (d * d + b * b)
+    cut[2] = cut[0] @ M + cut[1]  # one product of the whole table, so its bits follow its shape only
+    return A, p, cut
+
+
+def _take(terms, k):
+    """The terms of the modes k (a slice or an index array)."""
+    A, p, cut = terms
+    return A[k], p[k], None if cut is None else cut[:, k]
+
+
+def _cross(a, b, total):
+    """Sum (or integral) over time of the products of two factors' terms
+    (_terms), one value per row; total(L) sums (integrates) e^(L t).  The
+    pairs by Re u Re v = Re(u v + u conj(v)) / 2 (a real pair gives two equal
+    terms, so it is summed once: 0.5 (x + x) is x bit for bit), plus
+    sum_q (W_a Y_b + P_a W_b) along each row where there is a cut."""
+    (A, p, cut), (B, q, cut_b) = a, b
+    if not any(map(np.iscomplexobj, (A, p, B, q))):
+        pair = A * B * total(p + q)
+    else:
+        pair = 0.5 * (A * B * total(p + q) + A * np.conj(B) * total(p + np.conj(q))).real
+    if cut is None:
+        return pair
+    (Wa, Pa, _), (Wb, _, Yb) = cut, cut_b
+    return pair + np.sum(Wa * Yb + Pa * Wb, axis=-1)
+
+
+def _cross_rows(a, ia, b, total) -> np.ndarray:
+    """_cross of a's terms at the entries ia ((L, K); all of a if None) with
+    b's K modes, in blocks of about _ML_BLOCK values (L Q per mode, one block
+    without a cut)."""
+    shape, Q = b[1].shape if ia is None else ia.shape, 0 if b[2] is None else b[2].shape[-1]
+    out = np.empty(shape)
+    for k in _mode_blocks(shape[-1], (1 if ia is None else shape[0]) * Q, _ML_BLOCK):
+        out[..., k] = _cross(_take(a, k if ia is None else ia[:, k]), _take(b, k), total)
+    return out
+
+
+def _term_rows(kind: EquationKind, levels, x, lattice, T: float) -> list:
+    """(dd, de) of each level of a group sharing the exact terms x and their
+    lattice, as one broadcast.  Time-exact levels: the terms d of the levels'
+    J distinct partner eigenvalues, concatenated, give dd by _integral, and
+    the (L, K) index of each sine mode's partner entry pairs d with x for de.
+    Scheme levels (heat, wave): the partner eigenvalues lam_d[j - 1] in one
+    (L, K) stack (one row for levels sharing a partner map, as a temporal
+    ladder's J = K distinct ones) against an (L, 1) column of step counts N;
+    the step factors Re(a z^(n-1)), a = A z, log z = step_log, meet
+    themselves and the cell integrals of e_k, Re(A int_0^dt e^(p s) ds
+    e^((n-1) p dt)), in _geometric sums, times dt = T / N for dd.  Rows come
+    out of C-ordered (L, K) arrays, the bits a group of one gives."""
+    if levels[0][2] is not None:
+        shared = all(lam_d is levels[0][0] and j is levels[0][1] for lam_d, j, _ in levels)
+        # np.array, not np.stack, whose first call in a process costs about 0.1 ms
+        lam_d = np.array([lam_d[j - 1] for lam_d, j, _ in levels[: 1 if shared else None]])
+        n = np.array([n for *_, n in levels])[:, None]
+        dt, steps = T / n, partial(_geometric, n=n)
+        la = step_log(kind, lam_d, dt)
+        d = _terms(kind, lam_d, lattice, T)[0] * np.exp(la), la, None
+        x = x[0] * _integral(x[1], dt), x[1] * dt, None
+        return list(zip(dt * _cross(d, d, steps), _cross(d, x, steps)))
+    entries, at = [], -1  # each sine mode's 0-based partner entry, past the levels before
+    for lam_d, j, _ in levels:
+        entries.append(j + at)
+        at += lam_d.size
+    idx, integral = np.array(entries), partial(_integral, T=T)
+    d = _terms(kind, np.concatenate([lam_d for lam_d, *_ in levels]), lattice, T)
+    return list(zip(_cross_rows(d, None, d, integral).take(idx), _cross_rows(d, idx, x, integral)))
 
 
 def _terminal_factor(kind: EquationKind, lam: np.ndarray, T: float, n_cells: int | None = None) -> np.ndarray:
@@ -691,6 +669,8 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray) -> np.ndarray:
     if setup.fem is None and setup.n_cells is None:
         raise ValueError("the exact family (no FEM space, no time grid) has no propagator error")
     s_grid = np.asarray(s_grid, float)
+    if s_grid.ndim != 1:
+        raise ValueError(f"s_grid must be a 1-D array of times, got shape {s_grid.shape}")
     if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
         raise ValueError("s_grid must lie in (0, T]")
     kind, lam = setup.kind, setup.spec.eigenvalues

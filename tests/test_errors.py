@@ -126,13 +126,13 @@ class TestZeroAndExactCases:
         spec = dirichlet_spectrum(K)
         x0 = np.zeros(K)
         x0[:3] = [1.0, -0.5, 0.25]
-        lattices, real = [], errors._cut_side
+        lattices, real = [], errors._terms
 
-        def recording(kind, lam, u, M, T):
-            lattices.append(u.size)
-            return real(kind, lam, u, M, T)
+        def recording(kind, lam, lattice, T):
+            lattices.append(lattice[0].size)
+            return real(kind, lam, lattice, T)
 
-        monkeypatch.setattr(errors, "_cut_side", recording)
+        monkeypatch.setattr(errors, "_terms", recording)
         rep = error_report(Setup(kind, spec, CovarianceSpec(amplitude=1.0, decay=0.5), CP, 1.0, x0=x0))
         assert len(lattices) == 2 and len(errors._mode_blocks(K, lattices[0], errors._ML_BLOCK)) > 1
         assert (rep.strong_error, rep.weak_error_quadratic, rep.representation_value) == (0.0, 0.0, 0.0)
@@ -206,13 +206,13 @@ class TestErrorReports:
         x0 = _x0(kind, K) if with_x0 else None
         cov = CovarianceSpec(amplitude=1.3, decay=0.55)
         setups = [Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=n, x0=x0) for n in cells]
-        calls, real = [], errors._carrier_rows
+        calls, real = [], errors._term_rows
 
-        def counting(kind, levels, c, p, ee, T):
+        def counting(kind, levels, x, lattice, T):
             calls.append(len(levels))
-            return real(kind, levels, c, p, ee, T)
+            return real(kind, levels, x, lattice, T)
 
-        monkeypatch.setattr(errors, "_carrier_rows", counting)
+        monkeypatch.setattr(errors, "_term_rows", counting)
         reports = errors.error_reports(setups)
         assert calls == [len(cells)]  # one broadcast for the whole ladder
         alone = [error_report(s) for s in setups]
@@ -235,13 +235,13 @@ class TestErrorReports:
         setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=_x0(kind, K)) for n in range(8, 15)]
         alone = [error_report(s) for s in setups]
         monkeypatch.setattr(errors, "_ML_BLOCK", 3 * K + 1)
-        calls, real = [], errors._carrier_rows
+        calls, real = [], errors._term_rows
 
-        def counting(kind, levels, c, p, ee, T):
+        def counting(kind, levels, x, lattice, T):
             calls.append([n for *_, n in levels])
-            return real(kind, levels, c, p, ee, T)
+            return real(kind, levels, x, lattice, T)
 
-        monkeypatch.setattr(errors, "_carrier_rows", counting)
+        monkeypatch.setattr(errors, "_term_rows", counting)
         reports = errors.error_reports(setups)
         assert calls == [[8, 9, 10], [11, 12, 13], [14]]
         assert [_hex(r) for r in reports] == [_hex(r) for r in alone]
@@ -297,7 +297,7 @@ class TestErrorReports:
         else:
             setups = [Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(m)) for m in (16, 8, 4)]
         primitives, ee_runs, sine_lattices = [], [], []
-        ml, volterra_ee, cut_side = errors.mittag_leffler_neg, errors._volterra_ee, errors._cut_side
+        ml, volterra_ee, terms = errors.mittag_leffler_neg, errors._volterra_ee, errors._terms
 
         def counting_ml(rho, x, beta=1):
             if beta == 2:
@@ -308,14 +308,14 @@ class TestErrorReports:
             ee_runs.append(lam.size)
             return volterra_ee(kind, lam, T)
 
-        def counting_cut(kind, lam, u, M, T):
+        def counting_terms(kind, lam, lattice, T):
             if np.array_equal(lam, spec.eigenvalues):
-                sine_lattices.append((u[0], u.size))
-            return cut_side(kind, lam, u, M, T)
+                sine_lattices.append((lattice[0][0], lattice[0].size))
+            return terms(kind, lam, lattice, T)
 
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting_ml)
         monkeypatch.setattr(errors, "_volterra_ee", counting_ee)
-        monkeypatch.setattr(errors, "_cut_side", counting_cut)
+        monkeypatch.setattr(errors, "_terms", counting_terms)
         first = errors.error_reports(setups)
         if axis == "temporal":
             assert (sum(primitives), ee_runs, sine_lattices) == (K * 65, [K], [])
@@ -552,6 +552,15 @@ class TestProfiles:
         ):
             with pytest.raises(ValueError, match=r"s_grid must lie in \(0, T\]"):
                 propagator_error_profile(setup, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.25, 0.5], [0.75, 1.0]]], ids=["scalar", "2-D"])
+    def test_s_grid_not_one_dimensional_refused(self, bad):
+        # a scalar used to raise "iteration over a 0-d array", a 2-D grid a
+        # TypeError on converting a row to a float
+        setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
+        shape = np.shape(bad)
+        with pytest.raises(ValueError, match=re.escape(f"s_grid must be a 1-D array of times, got shape {shape}")):
+            propagator_error_profile(setup, bad)
 
     def test_exact_family_refused(self):
         setup = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0)
@@ -1075,30 +1084,43 @@ class TestExactSide:
             assert np.array_equal(_level_rows(kind, lam, j, lam, 1.0, n)[1], de)
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("fem", [None, 8], ids=["spectral", "p1"])
-    @pytest.mark.parametrize("n", [16, None], ids=["scheme", "time-exact"])
-    def test_volterra_rows_do_not_depend_on_the_block_size(self, n, fem, monkeypatch):
+    # (kind, step count, mesh): Volterra scheme and time-exact levels on either
+    # space, and heat and wave time-exact P1 levels, which take the same blocks
+    BLOCK_CASES = {
+        "scheme-spectral": (volterra_kind(1.5), 16, None),
+        "scheme-p1": (volterra_kind(1.5), 16, 8),
+        "time-exact-spectral": (volterra_kind(1.5), None, None),
+        "time-exact-p1": (volterra_kind(1.5), None, 8),
+        "heat-time-exact-p1": (heat_kind(), None, 8),
+        "wave-time-exact-p1": (wave_kind("crank_nicolson"), None, 8),
+    }
+
+    @pytest.mark.parametrize("kind, n, fem", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_volterra_rows_do_not_depend_on_the_block_size(self, kind, n, fem, monkeypatch):
         # both level types work in blocks of modes: blocks of 1 mode, of 3 modes
         # (the last of the 16 short) and the whole table give the same rows bit
         # for bit, for the level alone, for the level twice in one call (the
         # second reads the exact side the call built) and, past the table cap,
         # for a scheme level evaluating its own edges.  A scheme level has its
-        # N + 1 edges per mode, a time-exact level the Q points of its cut lattice
-        kind = volterra_kind(1.5)
+        # N + 1 edges per mode, a time-exact level the Q points of its cut
+        # lattice.  Heat and wave terms have no cut (Q = 0): their modes are one
+        # block, and the same _ML_BLOCK values put the level pair in groups of
+        # one level (a broadcast of both at 2K)
         setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=n, fem=fem and assemble_fem(fem))
         lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
-        lattices, real = [], errors._cut_side
+        lattices, real = [], errors._terms
 
-        def recording(kind, lam, u, M, T):
-            lattices.append(u.size)
-            return real(kind, lam, u, M, T)
+        def recording(kind, lam, lattice, T):
+            lattices.append(0 if lattice is None else lattice[0].size)
+            return real(kind, lam, lattice, T)
 
-        monkeypatch.setattr(errors, "_cut_side", recording)
+        monkeypatch.setattr(errors, "_terms", recording)
         builds = [_level_rows(kind, lam_d, j, lam, 1.0, n)]
         per_mode = n + 1 if n is not None else lattices[0]
-        for modes in (1, 3, lam.size):
-            monkeypatch.setattr(errors, "_ML_BLOCK", modes * per_mode)
-            assert len(errors._mode_blocks(lam.size, per_mode, errors._ML_BLOCK)) == -(-lam.size // modes)
+        for modes in (1, 3, lam.size, 2 * lam.size):
+            monkeypatch.setattr(errors, "_ML_BLOCK", modes * max(per_mode, 1))
+            blocks = errors._mode_blocks(lam.size, per_mode, errors._ML_BLOCK)
+            assert len(blocks) == (-(-lam.size // modes) if per_mode else 1)
             builds += [_level_rows(kind, lam_d, j, lam, 1.0, n), *errors._rows(kind, [(lam_d, j, n)] * 2, lam, 1.0)]
             with monkeypatch.context() as m:
                 m.setattr(errors, "_PRIM_TABLE_MAX", 0)
@@ -1199,7 +1221,7 @@ class TestExactSide:
 
 
 class TestCutRows:
-    """Closed-form time-exact Volterra rows (errors._cut_rows) against a route
+    """Closed-form time-exact Volterra rows (errors._terms and _cross) against a route
     that shares none of their shortcuts: each factor E_rho(-lam t^rho) from
     the residue pair (2/rho) Re e^(p t) and a fine trapezoid sum of the cut
     integral with no pole correction, the rows by order-30 Gauss panels in t."""
@@ -1266,16 +1288,26 @@ class TestCutRows:
         lam_d, j, _ = errors._partner_map(setup)
         assert self.worst_gap(rho, lam_d, j, setup.spec.eigenvalues) <= 1e-12
 
+    @staticmethod
+    def pole_cut(A, p, u, T):
+        """P = Re(A (e^((p - r) T) - 1) / (p - r)), r = e^u, as a complex quotient."""
+        r, turn = np.exp(u), np.expm1(1j * T * p.imag)[:, None]
+        grow = np.expm1(T * (p.real[:, None] - r)) * (1.0 + turn) + turn
+        return (A[:, None] * grow / (p[:, None] - r)).real
+
     def test_uncorrected_pair_fails_near_rho_1(self, monkeypatch):
         # the same check with the residue pair's amplitude 2/rho, as without the
-        # trapezoid's pole correction, is far off at rho = 1.01
-        real = errors._cut_pair
+        # trapezoid's pole correction (the pole-cut table rebuilt from it), is
+        # far off at rho = 1.01
+        real = errors._terms
 
-        def uncorrected(kind, lam):
-            A, p = real(kind, lam)
-            return np.full_like(A, 2.0 / kind.rho), p
+        def uncorrected(kind, lam, lattice, T):
+            A, p, (W, _, _) = real(kind, lam, lattice, T)
+            A = np.full_like(A, 2.0 / kind.rho)
+            P = self.pole_cut(A, p, lattice[0], T)
+            return A, p, np.stack([W, P, W @ lattice[1] + P])
 
-        monkeypatch.setattr(errors, "_cut_pair", uncorrected)
+        monkeypatch.setattr(errors, "_terms", uncorrected)
         assert self.worst_gap(1.01, *self.high_mode()) > 1e-6
 
     @pytest.mark.parametrize("rho", [1.01, 1.5, 1.95])
@@ -1290,13 +1322,11 @@ class TestCutRows:
             math.floor((math.log(lam.min()) - errors._DEAD_SPAN) / step),
             math.ceil((math.log(lam.max()) + errors._DEAD_SPAN) / step),
         )
-        u, M = errors._cut_lattice(rho, T, *ends)
-        A, p, tables = errors._cut_side(kind, lam, u, M, T)
-        r, turn = np.exp(u), np.expm1(1j * T * p.imag)[:, None]
-        grow = np.expm1(T * (p.real[:, None] - r)) * (1.0 + turn) + turn
-        want = (A[:, None] * grow / (p[:, None] - r)).real
+        lattice = errors._cut_lattice(rho, T, *ends)
+        A, p, cut = errors._terms(kind, lam, lattice, T)
+        want = self.pole_cut(A, p, lattice[0], T)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.all(np.abs(tables[1] - want) <= 1e-14 * scale)
+        assert np.all(np.abs(cut[1] - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("side", ["lam", "lam_d"])
@@ -1381,15 +1411,15 @@ class TestFemAssembly:
             # the lattice, the sine modes' cut tables, the rows and the report are
             # the one-block build's bit for bit
             lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
-            sine_sides, real = [], errors._cut_side
+            sine_sides, real = [], errors._terms
 
-            def recording(kind, lam_k, u, M, T):
-                side = real(kind, lam_k, u, M, T)
+            def recording(kind, lam_k, lattice, T):
+                terms = real(kind, lam_k, lattice, T)
                 if lam_k is lam:
-                    sine_sides.append((u, side[2]))
-                return side
+                    sine_sides.append((lattice[0], terms[2]))
+                return terms
 
-            monkeypatch.setattr(errors, "_cut_side", recording)
+            monkeypatch.setattr(errors, "_terms", recording)
             error_report(setup)
             Q = sine_sides[0][0].size
             builds = []

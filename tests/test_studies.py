@@ -761,16 +761,16 @@ class TestStudyExactSide:
 
         kind, K = volterra_kind(1.5), 16
         sine = dirichlet_spectrum(K).eigenvalues
-        built, real = [], errors._cut_side
+        built, real = [], errors._terms
 
-        def counting(kind, lam, u, M, T):
-            built.append((lam.tobytes() == sine.tobytes(), lam.size, (u[0], u.size)))
-            return real(kind, lam, u, M, T)
+        def counting(kind, lam, lattice, T):
+            built.append((lam.tobytes() == sine.tobytes(), lam.size, (lattice[0][0], lattice[0].size)))
+            return real(kind, lam, lattice, T)
 
         def refused(*args, **kwargs):
             raise AssertionError("a time-exact level evaluated E_rho or built Gauss nodes")
 
-        monkeypatch.setattr(errors, "_cut_side", counting)
+        monkeypatch.setattr(errors, "_terms", counting)
         monkeypatch.setattr(errors, "mittag_leffler_neg", refused)
         monkeypatch.setattr(errors, "_panel_nodes", refused)
         run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
