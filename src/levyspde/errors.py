@@ -52,7 +52,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .mittag_leffler import mittag_leffler_neg
+from .mittag_leffler import _CUT_STEP, _DEAD_SPAN, _cut_amplitude, _cut_span, _cut_weights, mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
 
 # mc_weak_error draws its jumps through _compound_poisson_draws, and
@@ -64,9 +64,7 @@ from .propagators import EquationKind, cq_mode_solve, discrete_family, step_log
 from .spectral import DirichletSpectrum, FemSpace, _is_count, alias_fold, spectral_coupling  # noqa: F401
 
 GAUSS_ORDER = 8
-_DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
 _FIRST_CELL_HALVINGS = 20  # geometric grading of the first cell toward the s^rho branch point
-_CUT_STEP = 0.28  # cut trapezoid step in u = log r: error e^(-pi^2/h) ~ 5e-16 from the strip |Im u| < pi/2
 _ML_BLOCK = 16384  # values per block of modes (Volterra levels, the oracle); bounds memory, moves no row
 _PRIM_TABLE_MAX = 1 << 23  # values of the held cell-primitive table (64 MB); a larger level evaluates directly
 _MC_JUMPS_PER_BLOCK = 8192  # expected jumps drawn per Monte Carlo block; bounds its memory
@@ -357,14 +355,13 @@ def _cq_rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int, held, ee
 
 
 def _cut_ends(kind: EquationKind, lam: np.ndarray, lam_d: np.ndarray):
-    """Ends (lo, hi) of the cut lattice of a time-exact Volterra level, over
-    (log lam -+ _DEAD_SPAN)/rho of lam and lam_d."""
+    """Ends (lo, hi) of the cut lattice (_cut_span) of a time-exact Volterra
+    level, over the eigenvalues of lam and lam_d."""
     both = np.concatenate([lam, lam_d])
     lo, hi = float(both.min()), float(both.max())
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0, got the range [{lo}, {hi}]")
-    step = kind.rho * _CUT_STEP
-    return math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step)
+    return _cut_span(kind.rho, lo, hi)
 
 
 @lru_cache(maxsize=1)
@@ -383,27 +380,22 @@ def _terms(kind: EquationKind, lam: np.ndarray, lattice, T: float):
     p = _pole(kind, lam): heat A = 1 and wave A = i/sqrt(lam), cut None.
 
     Volterra's E_rho(-lam t^rho) is, on the Hankel contour, the residue pair
-    (2/rho) Re e^(p t) plus a cut integral, here a trapezoid sum in u = log r
-    on the lattice (u, M), r_q = e^(u_q), with h = _CUT_STEP and
-    nu = log(lam)/rho: W = -sin(pi(rho-1)) h / (4 pi [sinh^2(rho(u - nu)/2) +
-    sin^2(pi(rho-1)/2)]).  The integrand's poles u = nu +- i pi(rho-1)/rho
-    are the residue pair, so the trapezoid's pole correction is the amplitude
-    A = (2/rho) / (1 - e^(-2 pi (pi (rho - 1) / rho + i nu) / h)), and one h
-    serves every rho.  cut stacks W, the pole-cut integrals
+    with the pole-corrected amplitude A (_cut_amplitude) plus a trapezoid sum
+    of its branch cut with the weights W (_cut_weights) on the lattice (u, M),
+    r_q = e^(u_q), nu = log(lam)/rho.  cut stacks W, the pole-cut integrals
     P = int_0^T Re(A e^(p t)) e^(-r t) dt and Y = W M + P, (3, K, Q)."""
     p = _pole(kind, lam)
     if kind.name != "volterra":
         return (np.ones_like(p) if kind.name == "heat" else 1j / -p.imag), p, None
-    (u, M), rho, half = lattice, kind.rho, np.pi * (kind.rho - 1.0) / 2.0
+    (u, M), rho = lattice, kind.rho
     nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
-    A = (2.0 / rho) / (1.0 - np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP))
+    A, _ = _cut_amplitude(rho, nu)
     # P = Re(A (e^((p - r) T) - 1) / (p - r)), where A (e^((p - r) T) - 1) = alpha E + beta
     # with E = expm1((Re p - r) T) real, so the table is built in real arithmetic
     alpha, beta = A * (1.0 + turn), A * turn
     cut = np.empty((3, lam.size, u.size))
     for k in _mode_blocks(lam.size, u.size, _ML_BLOCK):
-        sinh2 = np.sinh(rho * (u - nu[k, None]) / 2.0) ** 2
-        cut[0, k] = -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
+        cut[0, k] = _cut_weights(rho, u, nu[k, None])
         # Re((alpha E + beta) / (d + i b)), d = Re p - r, b = Im p
         d, b = p.real[k, None] - r, p.imag[k, None]
         E = np.expm1(T * d)

@@ -18,18 +18,11 @@ Strategy (vectorized over x):
     branch-cut integral x sin(pi(rho+1-beta))/pi I(x),
     I(x) = int_0^inf e^(-r) r^(rho-beta) / |r^rho e^(i pi rho) + x|^2 dr > 0.
     log I is analytic in u = log x on [log 5, rho log 60], so it is read from
-    a table per (rho, beta): _BRIDGE_PANELS equal panels in u, each a
-    Chebyshev interpolant of degree _BRIDGE_DEGREE, evaluated by Clenshaw's
-    recurrence (O(1) work and memory per argument).  The table is built on
-    the first bridge call with a given (rho, beta) and cached.  Its 8 * 17 =
-    136 values of I come from a trapezoid rule after the substitution
-    r = exp(u), which it matches to about 1e-14 relative.  The integrand is
-    analytic in a strip of width pi*(rho-1)/rho, which dictates the
-    trapezoid's step.  Below the lowest node u_lo = -34/rho the integrand is
-    e^((rho+1-beta)u)/x^2 to double precision, so the rule is continued there
-    as a geometric series (ratio e^(-(rho+1-beta)h)) folded into the weight of
-    the lowest node.  For beta = 2 near rho = 1 that tail is most of the
-    integral: r^(rho-2) is barely integrable at r = 0.
+    a table per (rho, beta), built on first use and cached: _BRIDGE_PANELS
+    equal panels in u, each a Chebyshev interpolant of degree _BRIDGE_DEGREE
+    evaluated by Clenshaw's recurrence (O(1) work per argument), through 136
+    values of I from the cut lattice (_lattice_cut), the pole-corrected
+    trapezoid on which levyspde.errors builds its time-exact Volterra factors.
   * x > 60**rho: residue pair plus the asymptotic series
     sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.  The
     pair decays like exp(x^(1/rho) cos(pi/rho)), the series like a power of
@@ -47,14 +40,11 @@ smallest one there).  Inside each branch the dropped terms are smaller still
 coefficients are computed on the first call with a given (rho, beta) and
 cached; nothing is computed at import.
 
-Verified range: the trapezoid that builds the bridge table has a step
-floor of 0.005, which the strip allows from rho = 1.01 up; there the
-evaluator agrees with a high-precision series to 1e-11 absolute for both
-beta (6e-15 in the bridge just above x = 5 at rho = 1.01, beta = 1).  Below
-1.01 the floor exceeds what the strip allows (with the former floor 0.01 the
-bridge was off by 2.3e-4 at rho = 1.001), so rho in (1, 1.01) is refused
-with a ValueError rather than silently degraded; so are x that are negative,
-infinite or NaN, and beta other than 1 or 2.
+Verified range: rho == 1 or 1.01 <= rho <= 2, where the evaluator agrees
+with a high-precision series to 1e-11 absolute for both beta.  Below 1.01
+the series, the CQ and G_rho paths of levyspde.errors and the test oracles
+are unverified, so rho in (1, 1.01) is refused with a ValueError, as are x
+that are negative, infinite or NaN, and beta other than 1 or 2.
 """
 
 from __future__ import annotations
@@ -70,6 +60,8 @@ _TERM_FLOOR = 1e-17  # share of the leading term below which a series term is dr
 _MAX_TERMS = 120
 _BRIDGE_PANELS = 8  # equal panels in log x of the bridge table
 _BRIDGE_DEGREE = 16  # Chebyshev degree per panel
+_DEAD_SPAN = 40.0  # exponential envelopes are below e^-40 past this many scales
+_CUT_STEP = 0.28  # cut lattice step in u = log r: error e^(-pi^2/h) ~ 5e-16, strip |Im u| < pi/2
 _lgamma = np.vectorize(math.lgamma, otypes=[float])  # over at most _MAX_TERMS coefficients
 
 
@@ -155,40 +147,47 @@ def _residue_pair(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
     return amp * np.cos(root * np.sin(np.pi / rho) - (beta - 1) * np.pi / rho)
 
 
-@lru_cache(maxsize=32)
-def _branch_cut_grid(rho: float, beta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(r^rho, exp(-r) r^(rho+1-beta) du) on the trapezoid grid in u = log r.
-
-    The step is 0.55 of the strip width pi*(rho-1)/rho (capped at 0.25).  Its
-    floor 0.005 is what bounds the verified range from below: at rho = 1.01 the
-    step is 0.0054, and below about 1.01 the floor would clamp it above what the
-    strip allows, which is why mittag_leffler_neg refuses those rho.  The lowest
-    node's weight also carries the nodes below it, u_lo - h, u_lo - 2h, ...,
-    where the integrand falls off as the geometric series e^((rho+1-beta)u).
-    """
-    step = max(min(0.55 * (rho - 1.0) / rho, 0.25), 0.005)
-    u_lo = -34.0 / rho
-    u_hi = np.log(720.0)
-    u = np.linspace(u_lo, u_hi, int(np.ceil((u_hi - u_lo) / step)) + 1)
-    h = u[1] - u[0]
-    power = rho - (beta - 1)  # rho + 1 - beta
-    rr = np.exp(rho * u)
-    base = np.exp(-np.exp(u)) * np.exp(power * u) * h
-    base[0] /= -np.expm1(-power * h)
-    return rr, base
+def _cut_span(rho: float, lo: float, hi: float) -> tuple[int, int]:
+    """Ends (q_lo, q_hi) of the cut lattice u_q = q _CUT_STEP over
+    (log x -+ _DEAD_SPAN)/rho of every x in [lo, hi]."""
+    step = rho * _CUT_STEP
+    return math.floor((math.log(lo) - _DEAD_SPAN) / step), math.ceil((math.log(hi) + _DEAD_SPAN) / step)
 
 
-def _branch_cut_integral(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
-    """I(x) = int_0^inf exp(-r) r^(rho-beta) / (r^(2 rho) + 2 x r^rho cos(pi rho) + x^2) dr.
+def _cut_weights(rho: float, u: np.ndarray, nu) -> np.ndarray:
+    """Weights W_q at the nodes u = log r of the trapezoid sum
+    sum_q W_q e^(-r_q t) of E_rho(-x t^rho)'s branch cut, nu = log(x)/rho."""
+    half = np.pi * (rho - 1.0) / 2.0
+    sinh2 = np.sinh(rho * (u - nu) / 2.0) ** 2
+    return -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
 
-    Trapezoid after r = exp(u); one u-grid serves every x since the strip of
-    analyticity (poles of the denominator at Im(rho*u) = +-pi(rho-1)) does not
-    depend on x.
-    """
-    rr, base = _branch_cut_grid(rho, beta)
-    xcol = x[:, None]
-    denom = (rr[None, :] + xcol * np.cos(np.pi * rho)) ** 2 + (xcol * xcol) * np.sin(np.pi * rho) ** 2
-    return (base[None, :] / denom).sum(axis=1)
+
+def _cut_amplitude(rho: float, nu) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A - 2/rho), the residue pair Re(A e^(p t)) on the cut lattice.  The
+    cut integrand's poles u = nu +- i pi(rho-1)/rho are the pair, so the
+    trapezoid's pole correction (Trefethen and Weideman, SIAM Review 56, 2014)
+    turns 2/rho into A, and one step serves every rho.  A - 2/rho = A alias
+    keeps its digits where alias is tiny (rho near 2)."""
+    alias = np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP)
+    A = (2.0 / rho) / (1.0 - alias)
+    return A, A * alias
+
+
+def _lattice_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
+    """I(x) on the bridge from the cut lattice at t = 1: E_{rho,beta}(-x) less
+    the residue pair is sum_q W_q e^(-r_q) + Re((A - 2/rho) e^p) (beta = 1) or
+    its integral over 0 < t < 1 (beta = 2), p = x^(1/rho) e^(i pi/rho), over
+    x sin(pi(rho+1-beta))/pi."""
+    lo, hi = _cut_span(rho, SERIES_CUTOFF, 60.0**rho)
+    u = np.arange(lo, hi + 1) * _CUT_STEP
+    r, nu = np.exp(u), np.log(x) / rho
+    p = x ** (1.0 / rho) * (np.cos(np.pi / rho) + 1j * np.sin(np.pi / rho))
+    (A, corr), W = _cut_amplitude(rho, nu), _cut_weights(rho, u, nu[:, None])
+    if beta == 1:
+        cut = W @ np.exp(-r) + (corr * np.exp(p)).real
+    else:
+        cut = W @ (-np.expm1(-r) / r) + ((corr * np.exp(p) - A) / p).real
+    return cut / (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi)
 
 
 def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -208,14 +207,13 @@ def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
 def _bridge_table(rho: float, beta: int) -> tuple[float, float, np.ndarray]:
     """(log 5, panel width, Chebyshev coefficients of log I as a (degree + 1,
     panels) array): on each of the equal panels of [log 5, rho log 60] in
-    u = log x, the interpolant of log I through the trapezoid's values at the
-    panel's Chebyshev points."""
+    u = log x, the interpolant of log I through the cut lattice's values
+    (_lattice_cut) at the panel's Chebyshev points."""
     lo = np.log(SERIES_CUTOFF)
     width = (rho * np.log(60.0) - lo) / _BRIDGE_PANELS
     t, vander = _chebyshev_basis()
     u = lo + (np.arange(_BRIDGE_PANELS) + (t[:, None] + 1.0) / 2.0) * width
-    # a panel at a time: at rho = 1.01 each value meets 7392 trapezoid nodes
-    log_cut = np.log([_branch_cut_integral(rho, np.exp(panel), beta) for panel in u.T]).T
+    log_cut = np.log(_lattice_cut(rho, np.exp(u).ravel(), beta)).reshape(u.shape)
     return lo, width, np.linalg.solve(vander, log_cut)
 
 

@@ -180,10 +180,13 @@ def step_log(kind: EquationKind, lam_h, dt: float) -> np.ndarray:
     """log z of the one-step factor per mode, in forms that keep their digits
     (y = dt sqrt(lam)): heat backward Euler -log1p(dt lam); wave
     Crank-Nicolson -2i arctan(y/2), backward Euler -log1p(y^2)/2 - i arctan(y)
-    and the explicit step +log1p(y^2)/2 - i arctan(y)."""
+    and the explicit step +log1p(y^2)/2 - i arctan(y).  A Volterra step has
+    no one-step factor (cq_resolvent) and is refused."""
     lam_h = np.asarray(lam_h, float)
     if kind.name == "heat":
         return -np.log1p(dt * lam_h)
+    if kind.name != "wave":
+        raise ValueError(f"step_log takes a heat or wave kind; {kind.name} has no one-step factor")
     return _wave_step_log(kind.scheme, dt * np.sqrt(lam_h))
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 
 import numpy as np
@@ -13,6 +12,7 @@ from levyspde.errors import (
     mc_weak_error,
     propagator_error_profile,
 )
+from levyspde.mittag_leffler import _cut_span
 from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import discrete_family, heat_kind, volterra_kind, wave_kind
 from levyspde.spectral import assemble_fem, dirichlet_spectrum
@@ -1317,12 +1317,7 @@ class TestCutRows:
         # mode's row is compared on the scale of its largest entry, since entries
         # near a sign change cancel
         kind, lam, T = volterra_kind(rho), dirichlet_spectrum(128).eigenvalues, 1.0
-        step = rho * errors._CUT_STEP
-        ends = (
-            math.floor((math.log(lam.min()) - errors._DEAD_SPAN) / step),
-            math.ceil((math.log(lam.max()) + errors._DEAD_SPAN) / step),
-        )
-        lattice = errors._cut_lattice(rho, T, *ends)
+        lattice = errors._cut_lattice(rho, T, *_cut_span(rho, lam.min(), lam.max()))
         A, p, cut = errors._terms(kind, lam, lattice, T)
         want = self.pole_cut(A, p, lattice[0], T)
         scale = np.max(np.abs(want), axis=1, keepdims=True)

@@ -314,6 +314,16 @@ class TestConsistencyOrder:
         err = np.array([np.abs(step_log(kind, lam, dt) / dt - _pole(kind, lam)) for dt in dts])
         assert np.all(np.abs(np.log2(err[:-1] / err[1:]) - order) < 0.1)
 
+    def test_step_log_refuses_a_volterra_kind(self):
+        # a Volterra step has no one-step factor; it once fell through to the
+        # explicit Euler wave log, a growing factor, and so did the scheme
+        # terminal factor built from it
+        with pytest.raises(ValueError, match="volterra has no one-step factor"):
+            step_log(volterra_kind(1.5), 1.0, 0.1)
+        with pytest.raises(ValueError, match="volterra has no one-step factor"):
+            _terminal_factor(volterra_kind(1.5), np.array([1.0]), 1.0, 10)
+
+
 def heat_profile(dt: float, N: int, s: float) -> float:
     """propagator_error_profile at s of a one-mode heat setup (lam = pi^2) with N cells of dt."""
     cov = CovarianceSpec(amplitude=1.0, decay=0.0)
