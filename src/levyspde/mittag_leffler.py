@@ -20,9 +20,9 @@ Strategy (vectorized over x):
     log I is analytic in u = log x on [log 5, rho log 60], so it is read from
     a table per (rho, beta), built on first use and cached: _BRIDGE_PANELS
     equal panels in u, each a Chebyshev interpolant of degree _BRIDGE_DEGREE
-    evaluated by Clenshaw's recurrence (O(1) work per argument), through 136
-    values of I from the cut lattice (_lattice_cut), the pole-corrected
-    trapezoid on which levyspde.errors builds its time-exact Volterra factors.
+    evaluated by Clenshaw's recurrence, through 136 values of I from the cut
+    lattice (_lattice_cut) on which levyspde.errors builds its time-exact
+    Volterra factors.
   * x > 60**rho: residue pair plus the asymptotic series
     sum_{j>=1} (-1)^(j+1) x^(-j) / Gamma(beta - rho j), in Horner form.  The
     pair decays like exp(x^(1/rho) cos(pi/rho)), the series like a power of
@@ -167,7 +167,7 @@ def _cut_amplitude(rho: float, nu) -> tuple[np.ndarray, np.ndarray]:
     cut integrand's poles u = nu +- i pi(rho-1)/rho are the pair, so the
     trapezoid's pole correction (Trefethen and Weideman, SIAM Review 56, 2014)
     turns 2/rho into A, and one step serves every rho.  A - 2/rho = A alias
-    keeps its digits where alias is tiny (rho near 2)."""
+    keeps its digits near rho = 2."""
     alias = np.exp(-2.0 * np.pi * (np.pi * (rho - 1.0) / rho + 1j * nu) / _CUT_STEP)
     A = (2.0 / rho) / (1.0 - alias)
     return A, A * alias
@@ -176,17 +176,16 @@ def _cut_amplitude(rho: float, nu) -> tuple[np.ndarray, np.ndarray]:
 def _lattice_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
     """I(x) on the bridge from the cut lattice at t = 1: E_{rho,beta}(-x) less
     the residue pair is sum_q W_q e^(-r_q) + Re((A - 2/rho) e^p) (beta = 1) or
-    its integral over 0 < t < 1 (beta = 2), p = x^(1/rho) e^(i pi/rho), over
-    x sin(pi(rho+1-beta))/pi."""
+    its integral over 0 < t < 1 (beta = 2), p = e^(nu + i pi/rho), over
+    x sin(pi(rho+1-beta))/pi.  A, h-periodic in nu, takes nu mod h, where
+    its phase keeps its digits."""
     lo, hi = _cut_span(rho, SERIES_CUTOFF, 60.0**rho)
-    u = np.arange(lo, hi + 1) * _CUT_STEP
-    r, nu = np.exp(u), np.log(x) / rho
-    p = x ** (1.0 / rho) * (np.cos(np.pi / rho) + 1j * np.sin(np.pi / rho))
-    (A, corr), W = _cut_amplitude(rho, nu), _cut_weights(rho, u, nu[:, None])
-    if beta == 1:
-        cut = W @ np.exp(-r) + (corr * np.exp(p)).real
-    else:
-        cut = W @ (-np.expm1(-r) / r) + ((corr * np.exp(p) - A) / p).real
+    u, nu = np.arange(lo, hi + 1) * _CUT_STEP, np.log(x) / rho
+    r = np.exp(u)
+    f = np.exp(-r) if beta == 1 else -np.expm1(-r) / r
+    (A, corr), p = _cut_amplitude(rho, nu - np.rint(nu / _CUT_STEP) * _CUT_STEP), np.exp(nu + 1j * np.pi / rho)
+    cut = (_cut_weights(rho, u[f > 0.0], nu[:, None]) * f[f > 0.0]).sum(axis=1)
+    cut += (corr * np.exp(p) if beta == 1 else (corr * np.exp(p) - A) / p).real
     return cut / (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi)
 
 
