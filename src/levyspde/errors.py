@@ -29,10 +29,10 @@ Every mode factor is one short exponential sum (_terms),
 e(t) = Re(A e^(p t)) + sum_q W_q e^(-r_q t) with the pole p = _pole(kind, lam),
 which also sets the resolution of the global partition: heat A = 1 and wave
 A = i/sqrt(lam) with no cut, Volterra's E_rho(-lam t^rho) the pole-corrected
-residue pair plus a trapezoid sum of its branch cut on one lattice in
-u = log r.  By Re u Re v = Re(uv + u conj(v))/2 every heat, wave and
-time-exact Volterra row is one _cross of two factors' terms against a Gram:
-integrals expm1(L T)/L on time-exact levels, geometric sums
+residue pair plus a trapezoid sum of its branch cut in u = log r, on one
+lattice per call, from the sine spectrum.  By Re u Re v = Re(uv + u conj(v))/2
+every heat, wave and time-exact Volterra row is one _cross of two factors'
+terms against a Gram: integrals expm1(L T)/L on time-exact levels, geometric sums
 expm1(N log xi)/expm1(log xi) over a scheme's step factors Re(A z^n), plus
 the cut's sums; no E_rho is evaluated and no quadrature node used.  Volterra
 scheme rows pair the CQ factor table with the cell integrals
@@ -300,28 +300,25 @@ def _rows(kind: EquationKind, levels, lam, T: float) -> list:
     ee from the G_rho table, and the cell primitives at the edges of the
     finest level whose K (N + 1) values fit under _PRIM_TABLE_MAX, which a
     level whose edges nest in them reads as a strided view.  Every other
-    level: _term_rows on groups of max(1, _ML_BLOCK // K) heat or wave levels
-    or one Volterra level, against the exact terms and ee, built once per cut
-    lattice (heat and wave have none).  Every row is reduced along itself,
-    so a level's rows are the bits its own call gives, whatever the other
-    levels, their order or the block size."""
+    level: the exact terms and ee once, on one cut lattice per call, from the
+    sine spectrum (Volterra; heat and wave have none), then _term_rows on
+    groups of max(1, _ML_BLOCK // K) heat or wave levels or one Volterra
+    level.  Every row is reduced along itself, so a level's rows are the bits
+    its own call gives, whatever the other levels, their order or the block
+    size."""
     if kind.name == "volterra" and levels[0][2] is not None:
         ee, rows, held = _volterra_ee(kind, lam, T), [None] * len(levels), None
         for i in sorted(range(len(levels)), key=lambda i: -levels[i][2]):  # finest first
             lam_d, j, n_cells = levels[i]
             rows[i], held = _cq_rows(kind, lam_d, j, lam, T, n_cells, held, ee)
         return rows
+    lattice = _cut_lattice(kind.rho, lam, T) if kind.name == "volterra" else None  # heat and wave have no cut
+    x = _terms(kind, lam, lattice, T)
+    ee, rows = _cross_rows(x, None, x, partial(_integral, T=T)), []
     # a cut table's bits follow its shape (one BLAS product), so a level with a cut is a group alone
-    size, exact, rows = 1 if kind.name == "volterra" else max(1, _ML_BLOCK // lam.size), {}, []
+    size = 1 if kind.name == "volterra" else max(1, _ML_BLOCK // lam.size)
     for lo in range(0, len(levels), size):
-        group = levels[lo : lo + size]
-        key = _cut_ends(kind, lam, group[0][0]) if kind.name == "volterra" else None  # heat and wave have no cut
-        if key not in exact:  # the exact side, once per lattice
-            lattice = key and _cut_lattice(kind.rho, T, *key)
-            x = _terms(kind, lam, lattice, T)
-            exact[key] = lattice, x, _cross_rows(x, None, x, partial(_integral, T=T))
-        lattice, x, ee = exact[key]
-        rows += [(dd, de, ee, None) for dd, de in _term_rows(kind, group, x, lattice, T)]
+        rows += [(dd, de, ee, None) for dd, de in _term_rows(kind, levels[lo : lo + size], x, lattice, T)]
     return rows
 
 
@@ -354,25 +351,16 @@ def _cq_rows(kind: EquationKind, lam_d, j, lam, T: float, n_cells: int, held, ee
     return (dd[j - 1], de, ee, z_T), held if keep is None else (edges, keep)
 
 
-def _cut_ends(kind: EquationKind, lam: np.ndarray, lam_d: np.ndarray):
-    """Ends (lo, hi) of the cut lattice (_cut_span) of a time-exact Volterra
-    level, over the eigenvalues of lam and lam_d."""
-    both = np.concatenate([lam, lam_d])
-    lo, hi = float(both.min()), float(both.max())
+def _cut_lattice(rho: float, lam: np.ndarray, T: float):
+    """The lattice u_q = q _CUT_STEP over the sine eigenvalues lam (_cut_span)
+    and the (Q, Q) matrix M_qq' = int_0^T e^(-(r_q + r_q') t) dt, r = e^u."""
+    lo, hi = float(lam.min()), float(lam.max())
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0, got the range [{lo}, {hi}]")
-    return _cut_span(kind.rho, lo, hi)
-
-
-@lru_cache(maxsize=1)
-def _cut_lattice(rho: float, T: float, lo: int, hi: int):
-    """The lattice u_q = q _CUT_STEP, lo <= q <= hi, and the (Q, Q) matrix
-    M_qq' = int_0^T e^(-(r_q + r_q') t) dt, r = e^u, both read-only."""
-    u = np.arange(lo, hi + 1) * _CUT_STEP
+    q_lo, q_hi = _cut_span(rho, lo, hi)
+    u = np.arange(q_lo, q_hi + 1) * _CUT_STEP
     s = np.exp(u)[:, None] + np.exp(u)
-    M = -np.expm1(-T * s) / s
-    u.flags.writeable = M.flags.writeable = False
-    return u, M
+    return u, -np.expm1(-T * s) / s
 
 
 def _terms(kind: EquationKind, lam: np.ndarray, lattice, T: float):
@@ -383,11 +371,19 @@ def _terms(kind: EquationKind, lam: np.ndarray, lattice, T: float):
     with the pole-corrected amplitude A (_cut_amplitude) plus a trapezoid sum
     of its branch cut with the weights W (_cut_weights) on the lattice (u, M),
     r_q = e^(u_q), nu = log(lam)/rho.  cut stacks W, the pole-cut integrals
-    P = int_0^T Re(A e^(p t)) e^(-r t) dt and Y = W M + P, (3, K, Q)."""
-    p = _pole(kind, lam)
+    P = int_0^T Re(A e^(p t)) e^(-r t) dt and Y = W M + P, (3, K, Q).  An
+    eigenvalue is refused unless the lattice spans _DEAD_SPAN - 4 of W's decay
+    scales rho |u - nu| past it, a truncation below the trapezoid's e^(-pi^2/h)
+    (a P1 space's eigenvalues, M - 1 <= K, keep at least 38)."""
     if kind.name != "volterra":
+        p = _pole(kind, lam)
         return (np.ones_like(p) if kind.name == "heat" else 1j / -p.imag), p, None
     (u, M), rho = lattice, kind.rho
+    lo, hi, keep = float(lam.min()), float(lam.max()), _DEAD_SPAN - 4.0
+    least, most = math.exp(rho * u[0] + keep), math.exp(rho * u[-1] - keep)
+    if not least <= lo <= hi <= most:  # NaN fails too
+        raise ValueError(f"time-exact Volterra rows need finite eigenvalues > 0 in [{least:.3g}, {most:.3g}], got {lo, hi}")
+    p = _pole(kind, lam)
     nu, r, turn = np.log(lam) / rho, np.exp(u), np.expm1(1j * T * p.imag)
     A, _ = _cut_amplitude(rho, nu)
     # P = Re(A (e^((p - r) T) - 1) / (p - r)), where A (e^((p - r) T) - 1) = alpha E + beta
@@ -562,15 +558,14 @@ def _one_problem(setups) -> None:
             raise ValueError(f"setups must be the levels of one problem; setup {i} differs from setup 0 in {names}")
 
 
-def _report(setup: Setup, q, partners, dd, de, ee, z_T) -> ErrorReport:
+def _report(setup: Setup, q, a_e, partners, dd, de, ee, z_T) -> ErrorReport:
     """One level's values from its rows and partner map (lam_d, j, c):
     I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes,
-    m = c^2 q, plus the x0 terms."""
+    m = c^2 q, plus the x0 terms from a_e, E(T) X0 observed (None: no x0)."""
     kind, (lam_d, j, c) = setup.kind, partners
     m = c * c * q
     x0_d = x0_e = x0_diff = 0.0
-    if setup.x0.any():
-        a_e = _exact_terminal_first(setup)
+    if a_e is not None:
         z_T = _terminal_factor(kind, lam_d, setup.T, setup.n_cells) if z_T is None else z_T
         a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
@@ -590,9 +585,10 @@ def error_reports(setups: Sequence[Setup]) -> list[ErrorReport]:
 
     The levels share kind, spectrum, covariance, law, T, x0 and axis
     (_one_problem refuses others).  One _rows call takes them all, in one
-    pass that builds the exact side they share once and drops it on return,
-    so a level's report is the one error_report gives it alone, bit for bit,
-    and nothing passes from one call to the next.  On the exact family (no
+    pass that builds the exact side they share once (one lattice per call,
+    from the sine spectrum) and drops it on return, so a level's report is
+    the one error_report gives it alone, bit for bit, and nothing passes
+    from one call to the next.  On the exact family (no
     FEM space, no time grid) the rows are equal bit for bit, so every value
     is exactly 0.
     """
@@ -604,8 +600,8 @@ def error_reports(setups: Sequence[Setup]) -> list[ErrorReport]:
     partners = [maps[id(s.fem)] for s in setups]
     levels = [(lam_d, j, s.n_cells) for (lam_d, j, _), s in zip(partners, setups)]
     rows = _rows(first.kind, levels, first.spec.eigenvalues, first.T)
-    q = first.q()
-    return [_report(s, q, pm, *r) for s, pm, r in zip(setups, partners, rows)]
+    q, a_e = first.q(), _exact_terminal_first(first) if first.x0.any() else None
+    return [_report(s, q, a_e, pm, *r) for s, pm, r in zip(setups, partners, rows)]
 
 
 def error_report(setup: Setup) -> ErrorReport:

@@ -327,9 +327,9 @@ def run_study(config: StudyConfig) -> StudyResult:
     the levels share once: heat and wave levels as one broadcast on either
     axis, a Volterra temporal ladder's ee and the finest level's cell
     primitives at all its edges, which a coarser level reads when its edges
-    are every r-th of those, a Volterra spatial ladder's cut tables once per
-    lattice.  Nothing is kept from one study to the next, and each row equals
-    the standalone error_report of its level bit for bit.
+    are every r-th of those, a Volterra spatial ladder's cut tables on one
+    lattice per call, from the sine spectrum.  Nothing is kept from one
+    study to the next; each row is error_report's of its level bit for bit.
     """
     spec = dirichlet_spectrum(config.modes)
     hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))

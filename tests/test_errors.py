@@ -12,7 +12,6 @@ from levyspde.errors import (
     mc_weak_error,
     propagator_error_profile,
 )
-from levyspde.mittag_leffler import _cut_span
 from levyspde.noise import CovarianceSpec, LevyLaw
 from levyspde.propagators import discrete_family, heat_kind, volterra_kind, wave_kind
 from levyspde.spectral import assemble_fem, dirichlet_spectrum
@@ -259,8 +258,8 @@ class TestErrorReports:
         "wave-fully-discrete": (wave_kind("crank_nicolson"), 16, (4, 8, 16), True, 16),
         "wave-be-fully-discrete-no-x0": (wave_kind("backward_euler"), 12, (16, 8), False, 16),
         "heat-fully-discrete-no-x0": (heat_kind(), 16, (16, 8, 4), False, 16),
-        # K = M - 1 on the finest mesh: its top P1 eigenvalue passes lam_K, so
-        # its cut lattice ends above the coarser levels' one
+        # K = M - 1 on the finest mesh: its top P1 eigenvalue passes lam_K, and
+        # it is taken on the sine spectrum's lattice with the coarser levels
         "volterra-spatial-K=M-1": (volterra_kind(1.5), None, (4, 8, 16), True, 15),
     }
 
@@ -288,8 +287,9 @@ class TestErrorReports:
         # dyadic ladders.  Temporal: E_{rho,2} sees only the finest level's
         # K (N + 1) edge arguments and _volterra_ee runs once.  Spatial (K = M - 1
         # on the finest mesh, whose top P1 eigenvalue passes lam_K): the sine
-        # modes' cut tables are built once per distinct lattice, here two.
-        # Nothing outlives the call, so a second call builds everything again
+        # modes' cut tables are built once, on the call's one lattice from the
+        # sine spectrum.  Nothing outlives the call, so a second call builds
+        # everything again
         kind, K = volterra_kind(1.5), 15
         spec = dirichlet_spectrum(K)
         if axis == "temporal":
@@ -321,10 +321,36 @@ class TestErrorReports:
             assert (sum(primitives), ee_runs, sine_lattices) == (K * 65, [K], [])
         else:
             assert (primitives, ee_runs) == ([], [])
-            assert len(sine_lattices) == len(set(sine_lattices)) == 2
+            assert len(sine_lattices) == 1
         built = (sum(primitives), len(ee_runs), len(sine_lattices))
         assert errors.error_reports(setups) == first
         assert (sum(primitives), len(ee_runs), len(sine_lattices)) == tuple(2 * b for b in built)
+
+    def test_no_cache_is_keyed_by_a_problem(self):
+        # no exact-side state outlives a call: the functools caches of levyspde
+        # hold the Gauss rule and, per (rho, beta), E_rho's series coefficients
+        # and bridge table, none keyed by a problem's eigenvalues, T or ladder
+        import functools
+        import importlib
+        import inspect
+        import pkgutil
+
+        import levyspde
+
+        caches = set()
+        for info in pkgutil.iter_modules(levyspde.__path__):
+            module = importlib.import_module(f"levyspde.{info.name}")
+            owned = [(n, v) for n, v in vars(module).items() if getattr(v, "__module__", None) == module.__name__]
+            owned += [(f"{n}.{m}", w) for n, v in owned if inspect.isclass(v) for m, w in vars(v).items()]
+            caches |= {
+                f"{info.name}.{n}" for n, v in owned if hasattr(v, "cache_info") or isinstance(v, functools.cached_property)
+            }
+        assert caches == {
+            "errors._gauss",
+            "mittag_leffler._series_coeff",
+            "mittag_leffler._asymptotic_coeff",
+            "mittag_leffler._bridge_table",
+        }
 
     def test_levels_of_another_problem_refused(self):
         base = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
@@ -747,11 +773,6 @@ class TestMonteCarloLadder:
         with pytest.raises(ValueError, match=re.escape(f"n_cells must be a nonempty sequence of whole numbers >= 1, got {bad!r}")):
             mc_weak_error(self.BASE, bad, n_paths=10)
 
-    def test_unstable_wave_scheme_refused(self):
-        # the kind refuses the scheme, so no Monte Carlo problem can be built on it
-        with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
-            mc_weak_error(Setup(wave_kind("explicit_euler"), dirichlet_spectrum(8), FLAT, CP, 1.0), [4], n_paths=10)
-
     def test_problem_must_be_one_setup(self):
         # the former call shape, a list of per-level setups, used to end in an AttributeError
         with pytest.raises(ValueError, match="setup must be one Setup, the problem, got a list"):
@@ -924,11 +945,6 @@ class TestBatchedMonteCarlo:
 
 
 class TestSetupValidation:
-    def test_unstable_wave_scheme_refused(self):
-        # refused where the kind is built, before Setup sees it
-        with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
-            Setup(wave_kind("explicit_euler"), dirichlet_spectrum(4), FLAT, CP, 1.0, n_cells=4)
-
     def test_covariance_required(self):
         with pytest.raises(ValueError, match="cov must be a CovarianceSpec, got None"):
             Setup(heat_kind(), dirichlet_spectrum(4), None, CP, 1.0, n_cells=4)
@@ -1160,18 +1176,19 @@ class TestExactSide:
 
     def test_rows_held_table_is_keyed_by_the_eigenvalues(self):
         # two equal-size spectra, Dirichlet modes 1..K and K+1..2K, partnered in
-        # one discrete spectrum of 2K values (so a time-exact level's lam_max is
-        # the same for both): each call's rows equal that array's rows when the
-        # calls run in the other order, bit for bit.  A table held between calls
-        # under a (kind, K, T) key once read the first array's cell primitives
-        # and ee for the second, and the time-exact factors and ee likewise
+        # one discrete spectrum of 2K values, the same for both: each call's
+        # rows equal that array's rows when the calls run in the other order,
+        # bit for bit.  A table held between calls under a (kind, K, T) key once
+        # read the first array's cell primitives and ee for the second, and the
+        # time-exact factors and ee likewise.  The time-exact partners, modes
+        # 3..2K+2, sit on both sine spectra's cut lattices
         kind, K = volterra_kind(1.5), 16
-        lam_d = dirichlet_spectrum(2 * K).eigenvalues
+        lam_d, lam_t = dirichlet_spectrum(2 * K).eigenvalues, dirichlet_spectrum(2 * K + 2).eigenvalues[2:]
         low, high = (lam_d[:K], np.arange(1, K + 1)), (lam_d[K:], np.arange(K + 1, 2 * K + 1))
-        calls = [(low, 64), (high, 32), (high, None), (low, None)]
-        backward = [_level_rows(kind, lam_d, j, lam, 1.0, n) for (lam, j), n in reversed(calls)][::-1]
-        for ((lam, j), n), want in zip(calls, backward):
-            got = _level_rows(kind, lam_d, j, lam, 1.0, n)
+        calls = [(lam_d, low, 64), (lam_d, high, 32), (lam_t, high, None), (lam_t, low, None)]
+        backward = [_level_rows(kind, part, j, lam, 1.0, n) for part, (lam, j), n in reversed(calls)][::-1]
+        for (part, (lam, j), n), want in zip(calls, backward):
+            got = _level_rows(kind, part, j, lam, 1.0, n)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w), n
 
@@ -1317,7 +1334,7 @@ class TestCutRows:
         # mode's row is compared on the scale of its largest entry, since entries
         # near a sign change cancel
         kind, lam, T = volterra_kind(rho), dirichlet_spectrum(128).eigenvalues, 1.0
-        lattice = errors._cut_lattice(rho, T, *_cut_span(rho, lam.min(), lam.max()))
+        lattice = errors._cut_lattice(rho, lam, T)
         A, p, cut = errors._terms(kind, lam, lattice, T)
         want = self.pole_cut(A, p, lattice[0], T)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -1333,6 +1350,21 @@ class TestCutRows:
         (lam if side == "lam" else lam_d)[1] = bad
         with pytest.raises(ValueError, match="finite eigenvalues > 0"):
             _level_rows(volterra_kind(1.5), lam_d, np.arange(1, 5), lam, 1.0, None)
+
+    @pytest.mark.parametrize("scales, refused", [(-7.0, True), (-3.0, False), (3.0, False), (7.0, True)])
+    def test_partner_eigenvalues_outside_the_lattice_refused(self, scales, refused):
+        # the lattice spans _DEAD_SPAN decay scales past the sine eigenvalues;
+        # a partner eigenvalue e^7 past them keeps fewer than _DEAD_SPAN - 4 and
+        # is refused, one e^3 past them is taken on the lattice
+        lam = dirichlet_spectrum(4).eigenvalues
+        lam_d = lam.copy()
+        lam_d[0 if scales < 0 else -1] *= np.exp(scales)
+        level = (volterra_kind(1.5), lam_d, np.arange(1, 5), lam, 1.0, None)
+        if refused:
+            with pytest.raises(ValueError, match=r"finite eigenvalues > 0 in \[.*\], got"):
+                _level_rows(*level)
+        else:
+            assert all(np.all(np.isfinite(r)) for r in _level_rows(*level)[:3])
 
 
 class TestFemAssembly:

@@ -364,12 +364,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="exponent"):
             run_study(cfg)
 
-    def test_unstable_wave_scheme_refused(self):
-        # the kind refuses the scheme, so no config of either axis can be built on it
-        for axis in ("temporal", "spatial"):
-            with pytest.raises(ValueError, match="wave scheme 'explicit_euler' is not I-stable"):
-                self.base(kind=wave_kind("explicit_euler"), axis=axis)
-
 
 class TestRunStudy:
     def test_fits_unavailable_at_error_floor(self):
@@ -602,19 +596,6 @@ class TestRuntimeDependencies:
         assert code == "0" and after == numpy_alone == "False"
         assert (tmp_path / "heat-temporal-beta1.csv").exists()
 
-    def test_names_the_benchmark_tracer_wraps_stay_importable(self):
-        # studybench/tracer.py installs its spans at these (module, name) pairs
-        import importlib
-        import importlib.util
-        import pathlib
-
-        path = pathlib.Path(__file__).resolve().parents[1] / "studybench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("studybench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        for _, module, attr in tracer.WRAPPED:
-            assert callable(getattr(importlib.import_module(f"levyspde.{module}"), attr)), (module, attr)
-
 
 def _bits(report):
     return [v.hex() for v in dataclasses.astuple(report)]
@@ -637,9 +618,9 @@ def _fully_discrete(K, meshes):
 class TestStudyExactSide:
     """The Volterra exact side is computed once per study, inside its one
     error_reports call: the scheme levels' ee row and cell primitives once,
-    the time-exact levels' cut tables once per lattice.  Nothing outlives the
-    call, so a study row must equal the standalone error_report of that level
-    bit for bit."""
+    the time-exact levels' cut tables once, on one lattice.  Nothing outlives
+    the call, so a study row must equal the standalone error_report of that
+    level bit for bit."""
 
     # (T, ladder, _PRIM_TABLE_MAX or None, shared): the call evaluates the cell
     # primitives t E_{rho,2}(-lam t^rho) at all N + 1 edges of the finest level
@@ -737,7 +718,8 @@ class TestStudyExactSide:
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
-    # those of M <= 12 below it: the finest level of the second ladder has its own lattice
+    # those of M <= 12 below it: the finest level of the second ladder is still
+    # taken on the sine spectrum's lattice
     TIME_EXACT_LADDERS = {"shared-nodes": (1 / 4, 1 / 6, 1 / 8, 1 / 12), "finest-keyed-apart": (1 / 4, 1 / 8, 1 / 12, 1 / 16)}
 
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
@@ -753,11 +735,11 @@ class TestStudyExactSide:
 
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
     def test_time_exact_exact_side_evaluated_once_per_node_set(self, ladder, monkeypatch):
-        # the node set of a time-exact level is its cut lattice: the K sine modes'
-        # tables are built once per lattice (not once per level) and the J
+        # the node set of a time-exact level is the call's one cut lattice, from
+        # the sine spectrum: the K sine modes' tables are built once and the J
         # discrete modes' once per level, in ladder order, and no E_rho value or
         # Gauss node is used
-        from levyspde.spectral import assemble_fem, dirichlet_spectrum
+        from levyspde.spectral import dirichlet_spectrum
 
         kind, K = volterra_kind(1.5), 16
         sine = dirichlet_spectrum(K).eigenvalues
@@ -774,10 +756,9 @@ class TestStudyExactSide:
         monkeypatch.setattr(errors, "mittag_leffler_neg", refused)
         monkeypatch.setattr(errors, "_panel_nodes", refused)
         run_study(StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=K, ladder=ladder))
-        lattices = [lattice for exact, _, lattice in built if exact]
+        lattices = {lattice for _, _, lattice in built}
         assert [size for exact, size, _ in built if not exact] == [round(1 / h) - 1 for h in ladder]
-        finest_above = assemble_fem(round(1 / min(ladder))).eigenvalues[-1] > sine[-1]
-        assert len(set(lattices)) == len(lattices) == (2 if finest_above else 1)
+        assert [exact for exact, *_ in built].count(True) == len(lattices) == 1
 
     def test_interleaved_studies_rows_equal_cold_standalone_reports(self):
         # Volterra studies one after another: time-exact spatial, dyadic
