@@ -52,7 +52,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .mittag_leffler import _CUT_STEP, _DEAD_SPAN, _cut_amplitude, _cut_span, _cut_weights, mittag_leffler_neg
+from .mittag_leffler import _CUT_STEP, _DEAD_SPAN, _cut_amplitude, _cut_span, _cut_weights, _unit_pole, mittag_leffler_neg
 from .noise import CovarianceSpec, LevyLaw, _compound_poisson_draws, stream
 
 # mc_weak_error draws its jumps through _compound_poisson_draws, and
@@ -156,7 +156,7 @@ def _pole(kind: EquationKind, lam):
     +-i sqrt(lam) (rho = 2).  Heat and wave factors are Re(A e^(p s)) itself
     (_terms): heat p = -lam, A = 1; wave p = -i sqrt(lam), A = i/(-Im p)."""
     if kind.name == "volterra":
-        return lam ** (1.0 / kind.rho) * (np.cos(np.pi / kind.rho) + 1j * np.sin(np.pi / kind.rho))
+        return lam ** (1.0 / kind.rho) * _unit_pole(kind.rho)
     return -lam if kind.name == "heat" else -1j * np.sqrt(lam)
 
 
@@ -246,8 +246,7 @@ def _global_partition(kind: EquationKind, lam_max: float, T: float) -> np.ndarra
         pts.append(np.linspace(0.0, span, m + 1))
     out = _strictly_increasing(np.concatenate(pts))
     if kind.name == "volterra":
-        # r from the unit modes' poles e^(i pi/rho), whose parts are exactly cos and sin
-        r, r15 = (abs(u.real) / u.imag for u in (_pole(kind, 1.0), _pole(EquationKind("volterra", 1.5), 1.0)))
+        r, r15 = (abs(u.real) / u.imag for u in (_unit_pole(kind.rho), _unit_pole(1.5)))
         kappa = min(1.0, r / r15)
         width, cap = 0.3 * kappa, math.ceil(8.0 / kappa)
         out = np.concatenate([[0.0], out[1] * 2.0 ** -np.arange(_FIRST_CELL_HALVINGS, 0, -1.0), out[1:]])

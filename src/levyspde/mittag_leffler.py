@@ -125,7 +125,7 @@ def _pair_cutoff(rho: float, beta: int, coeff: np.ndarray) -> float:
     x = 60.0**rho * 2.0 ** (np.arange(4000) / 4.0)
     x = x[x < 1e300]
     y = x ** (1.0 / rho)
-    d = -math.cos(math.pi / rho)
+    d = -_unit_pole(rho).real
     tail = _horner(np.append(0.0, np.abs(coeff[m + 1 :])), 1.0 / x)  # sum_{j>m} |c_j| x^(m-j)
     log_pair = math.log(2.0 / rho) - d * y + (1 - beta) * np.log(y)
     ok = (tail <= 0.5 * lead) & (log_pair <= math.log(0.5 * _TERM_FLOOR * lead) - m * np.log(x))
@@ -139,12 +139,26 @@ def _ml_series(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
     return _horner(_series_coeff(rho, beta), -x)
 
 
+def _unit_pole(rho: float) -> complex:
+    """e^(i pi/rho), the pole of the unit mode, each part the sine of an angle
+    at most pi/2: cos(pi/rho) = -sin(pi(2-rho)/(2 rho)) and sin(pi/rho) =
+    sin(pi(rho-1)/rho), so neither loses digits near rho = 2, where pi/rho
+    is near pi/2."""
+    return complex(-math.sin(math.pi * (2.0 - rho) / (2.0 * rho)), math.sin(math.pi * (rho - 1.0) / rho))
+
+
+def _cut_sine(rho: float) -> float:
+    """sin(pi(rho-1)) = sin(pi min(rho-1, 2-rho)), the sine of an angle at
+    most pi/2, so it keeps its digits near rho = 2, where pi(rho-1) is near pi."""
+    return math.sin(math.pi * min(rho - 1.0, 2.0 - rho))
+
+
 def _residue_pair(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
     """(2/rho) Re[zeta^(1-beta) e^zeta], zeta = x^(1/rho) e^{i pi/rho}: the two
     conjugate Hankel poles."""
-    root = x ** (1.0 / rho)
-    amp = (2.0 / rho) * np.exp(root * np.cos(np.pi / rho)) / root ** (beta - 1)
-    return amp * np.cos(root * np.sin(np.pi / rho) - (beta - 1) * np.pi / rho)
+    root, pole = x ** (1.0 / rho), _unit_pole(rho)
+    amp = (2.0 / rho) * np.exp(root * pole.real) / root ** (beta - 1)
+    return amp * np.cos(root * pole.imag - (beta - 1) * np.pi / rho)
 
 
 def _cut_span(rho: float, lo: float, hi: float) -> tuple[int, int]:
@@ -157,9 +171,8 @@ def _cut_span(rho: float, lo: float, hi: float) -> tuple[int, int]:
 def _cut_weights(rho: float, u: np.ndarray, nu) -> np.ndarray:
     """Weights W_q at the nodes u = log r of the trapezoid sum
     sum_q W_q e^(-r_q t) of E_rho(-x t^rho)'s branch cut, nu = log(x)/rho."""
-    half = np.pi * (rho - 1.0) / 2.0
     sinh2 = np.sinh(rho * (u - nu) / 2.0) ** 2
-    return -np.sin(2.0 * half) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(half) ** 2))
+    return -_cut_sine(rho) * _CUT_STEP / (4.0 * np.pi * (sinh2 + np.sin(np.pi * (rho - 1.0) / 2.0) ** 2))
 
 
 def _cut_amplitude(rho: float, nu) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +190,16 @@ def _lattice_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
     """I(x) on the bridge from the cut lattice at t = 1: E_{rho,beta}(-x) less
     the residue pair is sum_q W_q e^(-r_q) + Re((A - 2/rho) e^p) (beta = 1) or
     its integral over 0 < t < 1 (beta = 2), p = e^(nu + i pi/rho), over
-    x sin(pi(rho+1-beta))/pi.  A, h-periodic in nu, takes nu mod h, where
-    its phase keeps its digits."""
+    x sin(pi(rho+1-beta))/pi, sin(pi(rho+1-beta)) = (-1)^beta sin(pi(rho-1)).
+    A, h-periodic in nu, takes nu mod h, where its phase keeps its digits."""
     lo, hi = _cut_span(rho, SERIES_CUTOFF, 60.0**rho)
     u, nu = np.arange(lo, hi + 1) * _CUT_STEP, np.log(x) / rho
     r = np.exp(u)
     f = np.exp(-r) if beta == 1 else -np.expm1(-r) / r
-    (A, corr), p = _cut_amplitude(rho, nu - np.rint(nu / _CUT_STEP) * _CUT_STEP), np.exp(nu + 1j * np.pi / rho)
+    (A, corr), p = _cut_amplitude(rho, nu - np.rint(nu / _CUT_STEP) * _CUT_STEP), np.exp(nu) * _unit_pole(rho)
     cut = (_cut_weights(rho, u[f > 0.0], nu[:, None]) * f[f > 0.0]).sum(axis=1)
     cut += (corr * np.exp(p) if beta == 1 else (corr * np.exp(p) - A) / p).real
-    return cut / (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi)
+    return cut / (x * ((-1.0) ** beta * _cut_sine(rho)) / np.pi)
 
 
 def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +244,7 @@ def _bridge_cut(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
 
 
 def _ml_bridge(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:
-    return _residue_pair(rho, x, beta) + (x * np.sin(np.pi * (rho - (beta - 1))) / np.pi) * _bridge_cut(rho, x, beta)
+    return _residue_pair(rho, x, beta) + (x * ((-1.0) ** beta * _cut_sine(rho)) / np.pi) * _bridge_cut(rho, x, beta)
 
 
 def _ml_asymptotic(rho: float, x: np.ndarray, beta: int = 1) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -495,13 +496,20 @@ class TestHsTimeIntegral:
         # the vectorised cut of _global_partition against the documented rule
         # applied one cell at a time: the same breakpoints, bit for bit
         kind = volterra_kind(rho)
+
+        def cos_sin(r):
+            # |cos(pi/r)| = sin(pi(2-r)/(2r)) and sin(pi/r) = sin(pi(r-1)/r), the
+            # angles the pole takes them from, so neither loses digits near r = 2
+            return math.sin(math.pi * (2 - r) / (2 * r)), math.sin(math.pi * (r - 1) / r)
+
+        cos, sin = cos_sin(rho)
         for lam, T in ((1.0, 1e3), ((64 * np.pi) ** 2, 1.0)):
             # the envelope exp(lam^(1/rho) cos(pi/rho) s) and oscillation sin(lam^(1/rho) sin(pi/rho) s)
-            scale = 1.0 / (abs(np.cos(np.pi / rho)) * lam ** (1.0 / rho))
-            freq = lam ** (1.0 / rho) * np.sin(np.pi / rho)
+            scale = 1.0 / (cos * lam ** (1.0 / rho))
+            freq = lam ** (1.0 / rho) * sin
             base = self.documented_base(T, scale, freq, min(T, errors._DEAD_SPAN * scale))
             base = [0.0] + [base[1] * 2.0**-m for m in range(errors._FIRST_CELL_HALVINGS, 0, -1)] + base[1:]
-            ratio = [abs(np.cos(np.pi / r)) / np.sin(np.pi / r) for r in (rho, 1.5)]
+            ratio = [c / s for c, s in map(cos_sin, (rho, 1.5))]
             kappa = min(1.0, ratio[0] / ratio[1])  # 1 up to rho = 1.5, then narrower tail pieces
             want = [0.0]
             for a, b in zip(base, base[1:]):
@@ -1339,6 +1347,29 @@ class TestCutRows:
         want = self.pole_cut(A, p, lattice[0], T)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(cut[1] - want) <= 1e-14 * scale)
+
+    def test_weights_and_pole_near_rho_2_against_mpmath(self):
+        # at rho = 1.999 the weights' sin(pi(rho-1)) and the pole's cos(pi/rho)
+        # are small values of angles near pi and pi/2; taken as the sines of
+        # pi - pi(rho-1) and pi/2 - pi/rho they keep their digits (the angles
+        # themselves put 9.1e-14 into W and 5.5e-14 into Re p)
+        import mpmath as mp
+
+        from levyspde.mittag_leffler import _CUT_STEP, _cut_span, _cut_weights
+
+        rho, lam = 1.999, dirichlet_spectrum(128).eigenvalues[[0, 63, 127]]
+        lo, hi = _cut_span(rho, lam.min(), lam.max())
+        u, nu = np.arange(lo, hi + 1) * _CUT_STEP, np.log(lam) / rho
+        W, p = _cut_weights(rho, u, nu[:, None]), errors._pole(volterra_kind(rho), lam)
+        with mp.workdps(40):
+            r, h = mp.mpf(rho), mp.mpf(_CUT_STEP)
+            half = mp.pi * (r - 1) / 2
+            for k in range(lam.size):
+                den = [4 * mp.pi * (mp.sinh(r * (mp.mpf(v) - mp.mpf(nu[k])) / 2) ** 2 + mp.sin(half) ** 2) for v in u]
+                want = np.array([float(-mp.sin(2 * half) * h / d) for d in den])
+                assert np.max(np.abs(W[k] - want) / np.abs(want)) <= 1e-14
+                want = float(mp.mpf(lam[k]) ** (1 / r) * mp.cos(mp.pi / r))
+                assert abs(p[k].real - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("side", ["lam", "lam_d"])
