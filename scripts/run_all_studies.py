@@ -29,11 +29,17 @@ moved past its bound or an earlier CSV could not be compared.
 
 import argparse
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
-from levyspde.studies import SLOPE_TOL, emit_csv, preset_studies, read_csv, run_study
+# one BLAS thread unless the caller sets a count, set before numpy loads: the
+# products are small, and the default count can make a timing read 5x slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from levyspde.studies import SLOPE_TOL, emit_csv, preset_studies, read_csv, run_study  # noqa: E402
 
 DETERMINISTIC_COLUMNS = ("strong", "weak_quad", "representation")
 MC_COLUMNS = ("mc_estimate", "mc_stderr")

@@ -646,3 +646,21 @@ def test_script_runs_in_a_fresh_interpreter(fresh_python, argv, heads):
     root = Path(__file__).resolve().parents[1]
     out = fresh_python(str(root / "scripts" / argv[0]), *argv[1:])
     assert all(any(line.startswith(head) for line in out.splitlines()) for head in heads)
+
+
+def test_scripts_default_to_one_blas_thread(fresh_python):
+    # each script sets a BLAS thread count of 1 before numpy loads, unless the caller set one
+    root = Path(__file__).resolve().parents[1]
+    names = ("run_all_studies.py", "mc_consistency.py", "profile_bound_shapes.py")
+    out = fresh_python(
+        "-c",
+        "import os, runpy, sys\n"
+        "for path in sys.argv[1:]:\n"
+        "    for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS'):\n"
+        "        os.environ.pop(var, None)\n"
+        "    os.environ['MKL_NUM_THREADS'] = '3'\n"
+        "    runpy.run_path(path, run_name='script')\n"
+        "    print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n",
+        *(str(root / "scripts" / name) for name in names),
+    )
+    assert out.splitlines() == ["1 1 3"] * len(names)

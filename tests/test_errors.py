@@ -850,6 +850,38 @@ def per_path_reference(setup, N, g, n_paths, seed):
     return diffs.mean(), diffs.std(ddof=1) / np.sqrt(n_paths)
 
 
+def flat_heat_reference(setup, ladder, g, n_paths, seed):
+    """mc_weak_error(setup, ladder) for a heat problem with x0 = 0 on a dyadic
+    ladder, from the same block draws: the exact factor is the raw
+    np.exp(-lam (T - tau)), and each level's cell is the finest level's cell
+    (np.searchsorted) // r.  Returns the pairs and the share of exponents
+    below -708."""
+    from levyspde.noise import _compound_poisson_draws, stream
+
+    lam, K, T = setup.spec.eigenvalues, setup.spec.mode_count, setup.T
+    assert setup.kind.name == "heat" and not setup.x0.any()
+    sq = np.sqrt(setup.q())
+    fine = np.linspace(0.0, T, max(ladder) + 1)
+    strides = [(fine.size - 1) // N for N in ladder]
+    assert all(np.array_equal(fine[::r], np.linspace(0.0, T, N + 1)) for N, r in zip(ladder, strides))
+    steps = [discrete_family(setup.kind, lam, T / N, N).steps for N in ladder]
+    block = errors._mc_block_paths(setup)
+    diffs, exponents = np.empty((len(ladder), n_paths)), []
+    for b, lo in enumerate(range(0, n_paths, block)):
+        P = min(block, n_paths - lo)
+        coord, t, s = _compound_poisson_draws(setup.law, T, P * K, stream(seed, b))
+        mode = coord % K
+        exponents.append(-lam[mode] * (T - t))
+        x_exact = np.bincount(coord, weights=np.exp(exponents[-1]) * s, minlength=P * K)
+        fine_index = mode * (fine.size - 1) + np.searchsorted(fine[1:], t, side="left")
+        for row, N, r, st in zip(diffs, ladder, strides, steps):
+            cell = fine_index // r - mode * N  # 0-based; a jump in cell c is carried N - c steps
+            x_disc = np.bincount(coord, weights=st[mode, N - cell] * s, minlength=P * K)
+            row[lo : lo + P] = g(sq * x_disc.reshape(P, K)) - g(sq * x_exact.reshape(P, K))
+    pairs = [(float(np.mean(row)), float(np.std(row, ddof=1) / np.sqrt(n_paths))) for row in diffs]
+    return pairs, float(np.mean(np.concatenate(exponents) < -708.0))
+
+
 class TestCells:
     """_cells bins unsorted times into right-closed cells with a guess and one
     correction each way; it must equal searchsorted on the level's edges."""
@@ -925,6 +957,18 @@ class TestBatchedMonteCarlo:
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
         assert [(est, se)] == mc_weak_error(problem, [8], n_paths=n_paths, seed=5)
+
+    @pytest.mark.parametrize("g", [errors.quadratic_functional, CylindricalFunctional(mode=16)], ids=["quadratic", "cos"])
+    def test_heat_underflow_equals_raw_exp_reference(self, g):
+        # at T = 1 and K = 16 a quarter of the heat exponents -lam (T - tau) lie
+        # below -708, where _noise_factor floors them; the pairs keep their bits
+        problem = Setup(heat_kind(), dirichlet_spectrum(16), CovarianceSpec(amplitude=1.0, decay=0.55),
+                        LevyLaw("compound_poisson", intensity=16.0), 1.0)
+        ladder, n_paths = [64, 32, 16, 8], 75
+        assert errors._mc_block_paths(problem) < n_paths  # several blocks, the last one short
+        pairs, underflow = flat_heat_reference(problem, ladder, g, n_paths, seed=19)
+        assert underflow >= 0.2
+        assert mc_weak_error(problem, ladder, g=g, n_paths=n_paths, seed=19) == pairs
 
     @pytest.mark.parametrize(
         "kind, K, decay, T",

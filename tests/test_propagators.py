@@ -82,6 +82,22 @@ class TestExactFactors:
         lam = 4.2
         assert _noise_factor(heat_kind(), lam, np.log(2.0) / lam) == pytest.approx(0.5, rel=1e-14)
 
+    def test_heat_exponent_floored_at_minus_700(self):
+        # at or above e^-700 the heat factor is np.exp's own bits; below, it lies
+        # in [0, e^-700], finite however large lam is.  Wave and Volterra are unfloored.
+        lam = np.concatenate([np.geomspace(1.0, 1e6, 61), [699.9, 700.0, 700.1, 708.5, 1e300, 1e308]])[:, None]
+        s = np.array([0.0, 1e-3, 0.25, 0.999, 1.0, 10.0])
+        with np.errstate(over="ignore"):  # 1e308 * 10 is an exponent of -inf
+            got, exponent = _noise_factor(heat_kind(), lam, s), -lam * s
+        above = exponent >= -700.0
+        assert above.sum() > 100 and (~above).sum() > 100 and np.isneginf(exponent).any()
+        assert np.array_equal(got[above], np.exp(exponent[above]))
+        assert np.all(np.isfinite(got)) and np.all((got[~above] >= 0.0) & (got[~above] <= np.exp(-700.0)))
+        lam, s = np.geomspace(1.0, 1e12, 41)[:, None], np.linspace(0.0, 1.0, 9)
+        root = np.sqrt(lam)
+        assert np.array_equal(_noise_factor(wave_kind(), lam, s), np.sin(root * s) / root)
+        assert np.array_equal(_noise_factor(volterra_kind(1.5), lam, s), mittag_leffler_neg(1.5, lam * s**1.5))
+
     def test_wave_energy_preserved(self):
         # the exact wave block is the rotation cos(t rt) - i sin(t rt), rt = sqrt(lam),
         # of w = a + i b/sqrt(lam), |w|^2 = a^2 + b^2/lam; its noise column's
