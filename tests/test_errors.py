@@ -873,11 +873,12 @@ def flat_heat_reference(setup, ladder, g, n_paths, seed):
         mode = coord % K
         exponents.append(-lam[mode] * (T - t))
         x_exact = np.bincount(coord, weights=np.exp(exponents[-1]) * s, minlength=P * K)
+        g_exact = g(sq * x_exact.reshape(P, K))
         fine_index = mode * (fine.size - 1) + np.searchsorted(fine[1:], t, side="left")
         for row, N, r, st in zip(diffs, ladder, strides, steps):
             cell = fine_index // r - mode * N  # 0-based; a jump in cell c is carried N - c steps
             x_disc = np.bincount(coord, weights=st[mode, N - cell] * s, minlength=P * K)
-            row[lo : lo + P] = g(sq * x_disc.reshape(P, K)) - g(sq * x_exact.reshape(P, K))
+            row[lo : lo + P] = g(sq * x_disc.reshape(P, K)) - g_exact
     pairs = [(float(np.mean(row)), float(np.std(row, ddof=1) / np.sqrt(n_paths))) for row in diffs]
     return pairs, float(np.mean(np.concatenate(exponents) < -708.0))
 
