@@ -11,14 +11,13 @@ Usage: python scripts/mc_consistency.py [n_seeds] [n_paths]
 import os
 import sys
 import time
-from dataclasses import replace
 
 # one BLAS thread unless the caller sets a count, set before numpy loads: the
 # products are small, and the default count can make a timing read 5x slower
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from levyspde.errors import Setup, error_report, mc_weak_error  # noqa: E402
+from levyspde.errors import Setup, error_reports, mc_weak_error  # noqa: E402
 from levyspde.noise import CovarianceSpec, LevyLaw  # noqa: E402
 from levyspde.propagators import heat_kind, volterra_kind, wave_kind  # noqa: E402
 from levyspde.spectral import dirichlet_spectrum  # noqa: E402
@@ -39,7 +38,7 @@ FAMILIES = {
 
 
 def check(name: str, problem: Setup, N: int, n_seeds: int, n_paths: int) -> bool:
-    det = error_report(replace(problem, n_cells=N)).weak_error_quadratic
+    det = error_reports(problem, [(None, N)])[0].weak_error_quadratic
     print(f"{name}: deterministic weak error {det:.17g}")
     hits = 0
     t0 = time.time()

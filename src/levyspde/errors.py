@@ -19,9 +19,9 @@ setup: sine mode k meets one discrete mode j(k) with coupling c_k (the
 identity with c = 1 on the spectral space, spectral.alias_fold on a P1 space),
 so rows dd(lam_j(k)), de(lam_j(k), lam_k) and ee(lam_k) are weighted by
 m = c^2 q, m and q.  _rows(kind, levels, lam, T) builds them from eigenvalue
-arrays alone, each level (lam_d, j, n_cells), in one pass that builds the
-exact side the levels share once; error_reports(setups) weighs them for the
-levels of one problem (error_report is its one-level case).
+arrays alone, each level (lam_d, j, n_cells); error_reports(problem, levels)
+weighs them for the levels of one problem, under the rules of a call that
+its docstring states (error_report is its one-level case).
 representation_sweep checks the regrouped value against
 _weak_error_cellwise, a cellwise assembly from step tables and quadrature.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -92,14 +92,17 @@ class Setup:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, EquationKind):
+            raise ValueError(f"kind must be an EquationKind, got {self.kind!r}")
+        if not isinstance(self.spec, DirichletSpectrum):
+            raise ValueError(f"spec must be a DirichletSpectrum, got {self.spec!r}")
         if not isinstance(self.cov, CovarianceSpec):
             raise ValueError(f"cov must be a CovarianceSpec, got {self.cov!r}")
         if not isinstance(self.law, LevyLaw):
             raise ValueError(f"law must be a LevyLaw, got {self.law!r}")
         if not 0 < self.T < np.inf:
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
-        if self.n_cells is not None and not _is_count(self.n_cells):
-            raise ValueError(f"n_cells must be a whole number >= 1, got {self.n_cells!r}")
+        _check_level(self.spec, self.fem, self.n_cells)
         K = self.spec.mode_count
         x0 = np.zeros((2, K) if self.kind.name == "wave" else K)
         if self.x0 is not None:
@@ -113,11 +116,6 @@ class Setup:
                 raise ValueError("x0 has more coefficients than spectrum modes")
             x0[..., : given.shape[-1]] = given
         object.__setattr__(self, "x0", x0)
-        if self.fem is not None and self.fem.interior_dim > self.spec.mode_count:
-            raise ValueError(
-                f"FEM space has {self.fem.interior_dim} modes but only {self.spec.mode_count} "
-                "exact modes are kept; raise the spectral truncation K"
-            )
 
     @property
     def dt(self) -> float | None:
@@ -125,6 +123,21 @@ class Setup:
 
     def q(self) -> np.ndarray:
         return self.cov.values(self.spec)
+
+
+def _check_level(spec: DirichletSpectrum, fem, n_cells) -> None:
+    """Refuse a level (fem, n_cells) of a problem on the K sine modes of spec:
+    fem must be None (the spectral space) or a FemSpace with at most K
+    interior modes, n_cells None (time-exact) or a whole number >= 1."""
+    if n_cells is not None and not _is_count(n_cells):
+        raise ValueError(f"n_cells must be a whole number >= 1, got {n_cells!r}")
+    if not (fem is None or isinstance(fem, FemSpace)):
+        raise ValueError(f"fem must be None or a FemSpace, got {fem!r}")
+    if fem is not None and fem.interior_dim > spec.mode_count:
+        raise ValueError(
+            f"FEM space has {fem.interior_dim} modes but only {spec.mode_count} "
+            "exact modes are kept; raise the spectral truncation K"
+        )
 
 
 # ----------------------------------------------------------------------------
@@ -302,8 +315,8 @@ def _rows(kind: EquationKind, levels, lam, T: float) -> list:
     (_terminal_factor gives it).  n_cells None is a time-exact level, etilde
     the exact factor at lam_d; the levels all carry a step count or none does.
 
-    Two paths, one pass; the exact side the levels share is built once, here,
-    and dropped on return.  Volterra scheme levels (_cq_rows, finest first):
+    Two paths, one pass under error_reports' rules of a call; the exact side
+    is built here.  Volterra scheme levels (_cq_rows, finest first):
     ee from the G_rho table, and the cell primitives at the edges of the
     finest level whose K (N + 1) values fit under _PRIM_TABLE_MAX, which a
     level whose edges nest in them reads as a strided view.  Every other
@@ -497,15 +510,15 @@ def _exact_terminal_first(setup: Setup) -> np.ndarray:
     return _terminal_first(setup.kind, lam, _terminal_factor(setup.kind, lam, setup.T), setup.x0)
 
 
-def _partner_map(setup: Setup):
-    """(lam_d, j, c): the discrete eigenvalues and alias_fold's (j, c); on the
-    spectral space the identity fold, j(k) = k and c = 1.  j = 0 (no partner)
-    picks the last discrete row, which the weight c^2 q = 0 of such a mode
-    cancels."""
-    if setup.fem is None:
-        lam = setup.spec.eigenvalues
+def _partner_map(spec: DirichletSpectrum, fem: FemSpace | None):
+    """(lam_d, j, c): the discrete eigenvalues of fem and alias_fold's (j, c);
+    on the spectral space (fem None) the identity fold, j(k) = k and c = 1.
+    j = 0 (no partner) picks the last discrete row, which the weight c^2 q = 0
+    of such a mode cancels."""
+    if fem is None:
+        lam = spec.eigenvalues
         return lam, np.arange(1, lam.size + 1), np.ones(lam.size)
-    return (setup.fem.eigenvalues, *alias_fold(setup.fem, setup.spec))
+    return (fem.eigenvalues, *alias_fold(fem, spec))
 
 
 def _fold(v: np.ndarray, j, c, J: int) -> np.ndarray:
@@ -542,39 +555,16 @@ class ErrorReport:
     representation_value: float
 
 
-def _one_problem(setups) -> None:
-    """Refuse setups that are not the levels of one problem, naming each field
-    in which a level differs from the first; the axis is whether a level has
-    a FEM space and whether a time grid."""
-    if not setups or not all(isinstance(s, Setup) for s in setups):
-        raise ValueError(f"setups must be a nonempty sequence of Setups, got {[type(s).__name__ for s in setups]}")
-    first = setups[0]
-    for i, s in enumerate(setups[1:], 1):
-        same = {
-            "kind": s.kind == first.kind,
-            "spec": s.spec.mode_count == first.spec.mode_count,
-            "cov": s.cov == first.cov,
-            "law": s.law == first.law,
-            "T": s.T == first.T,
-            "x0": np.array_equal(s.x0, first.x0),
-            "axis (fem)": (s.fem is None) == (first.fem is None),
-            "axis (n_cells)": (s.n_cells is None) == (first.n_cells is None),
-        }
-        if not all(same.values()):
-            names = ", ".join(name for name, ok in same.items() if not ok)
-            raise ValueError(f"setups must be the levels of one problem; setup {i} differs from setup 0 in {names}")
-
-
-def _report(setup: Setup, q, a_e, partners, dd, de, ee, z_T) -> ErrorReport:
+def _report(problem: Setup, n_cells, q, a_e, partners, dd, de, ee, z_T) -> ErrorReport:
     """One level's values from its rows and partner map (lam_d, j, c):
     I_dd = m . dd, I_de = m . de and I_ee = q . ee over the sine modes,
     m = c^2 q, plus the x0 terms from a_e, E(T) X0 observed (None: no x0)."""
-    kind, (lam_d, j, c) = setup.kind, partners
+    kind, (lam_d, j, c) = problem.kind, partners
     m = c * c * q
     x0_d = x0_e = x0_diff = 0.0
     if a_e is not None:
-        z_T = _terminal_factor(kind, lam_d, setup.T, setup.n_cells) if z_T is None else z_T
-        a_d = _terminal_first(kind, lam_d, z_T, _fold(setup.x0, j, c, lam_d.size))  # x0 projected
+        z_T = _terminal_factor(kind, lam_d, problem.T, n_cells) if z_T is None else z_T
+        a_d = _terminal_first(kind, lam_d, z_T, _fold(problem.x0, j, c, lam_d.size))  # x0 projected
         x0_d, x0_e = float(a_d @ a_d), float(a_e @ a_e)
         x0_diff = x0_d - 2.0 * float(a_d @ _fold(a_e, j, c, lam_d.size)) + x0_e
     # one reduction for all three, so the exact family's equal rows give equal sums
@@ -586,35 +576,44 @@ def _report(setup: Setup, q, a_e, partners, dd, de, ee, z_T) -> ErrorReport:
     return ErrorReport(strong_error=strong, weak_error_quadratic=weak, representation_value=rep)
 
 
-def error_reports(setups: Sequence[Setup]) -> list[ErrorReport]:
+def error_reports(problem: Setup, levels) -> list[ErrorReport]:
     """Strong, weak and representation values of each level of one problem,
-    in input order.
+    in input order; error_report is the one-level case.
 
-    The levels share kind, spectrum, covariance, law, T, x0 and axis
-    (_one_problem refuses others).  One _rows call takes them all, in one
-    pass that builds the exact side they share once (one lattice per call,
-    from the sine spectrum) and drops it on return, so a level's report is
-    the one error_report gives it alone, bit for bit, and nothing passes
-    from one call to the next.  On the exact family (no
-    FEM space, no time grid) the rows are equal bit for bit, so every value
-    is exactly 0.
+    problem is a spectral-Galerkin setup without a time grid, the object
+    mc_weak_error takes; each level is a pair (fem, n_cells), fem None the
+    spectral space and n_cells None time-exact, checked as Setup checks
+    them, and the levels share one axis.  The rules of a call, which the
+    module, _rows and run_study refer to: one problem, so the levels cannot
+    disagree on anything but (fem, n_cells); one partner map per FEM space;
+    one _rows pass, which builds the exact side the levels share once (one
+    lattice per call, from the sine spectrum) and drops it on return; and
+    each report equal bit for bit to error_report of its level alone.  On
+    the exact family (no FEM space, no time grid) every value is exactly 0.
     """
-    setups = list(setups)
-    _one_problem(setups)
-    first = setups[0]
-    spaces = {id(s.fem): s for s in setups}  # one partner map per space: a temporal ladder's levels share one
-    maps = {space: _partner_map(s) for space, s in spaces.items()}
-    partners = [maps[id(s.fem)] for s in setups]
-    levels = [(lam_d, j, s.n_cells) for (lam_d, j, _), s in zip(partners, setups)]
-    rows = _rows(first.kind, levels, first.spec.eigenvalues, first.T)
-    q, a_e = first.q(), _exact_terminal_first(first) if first.x0.any() else None
-    return [_report(s, q, a_e, pm, *r) for s, pm, r in zip(setups, partners, rows)]
+    if not isinstance(problem, Setup):
+        raise ValueError(f"problem must be one Setup, got a {type(problem).__name__}")
+    if problem.fem is not None or problem.n_cells is not None:
+        raise ValueError("the problem carries no FEM space and no time grid; they go in levels")
+    levels = list(levels) if isinstance(levels, Sequence) else []
+    if not levels or not all(isinstance(level, tuple) and len(level) == 2 for level in levels):
+        raise ValueError("levels must be a nonempty sequence of (fem, n_cells) pairs")
+    for fem, n_cells in levels:
+        _check_level(problem.spec, fem, n_cells)
+    if len({(fem is None, n_cells is None) for fem, n_cells in levels}) > 1:
+        raise ValueError("levels must share one axis: each carries a FEM space or none does, and a time grid or none")
+    maps = {id(fem): _partner_map(problem.spec, fem) for fem, _ in levels}
+    partners = [maps[id(fem)] for fem, _ in levels]
+    eigen_levels = [(lam_d, j, n) for (lam_d, j, _), (_, n) in zip(partners, levels)]
+    rows = _rows(problem.kind, eigen_levels, problem.spec.eigenvalues, problem.T)
+    q, a_e = problem.q(), _exact_terminal_first(problem) if problem.x0.any() else None
+    return [_report(problem, n, q, a_e, pm, *r) for (_, n), pm, r in zip(levels, partners, rows)]
 
 
 def error_report(setup: Setup) -> ErrorReport:
     """Strong, weak and representation values of one setup: the one-level
     case of error_reports."""
-    return error_reports([setup])[0]
+    return error_reports(replace(setup, fem=None, n_cells=None), [(setup.fem, setup.n_cells)])[0]
 
 
 def _weak_error_cellwise(setup: Setup) -> float:
@@ -669,7 +668,7 @@ def propagator_error_profile(setup: Setup, s_grid: np.ndarray) -> np.ndarray:
     if not np.all((s_grid > 0) & (s_grid <= setup.T)):  # NaN fails both
         raise ValueError("s_grid must lie in (0, T]")
     kind, lam = setup.kind, setup.spec.eigenvalues
-    lam_d, j, c = _partner_map(setup)
+    lam_d, j, c = _partner_map(setup.spec, setup.fem)
     if setup.n_cells is not None:
         steps = discrete_family(kind, lam_d, setup.dt, setup.n_cells).steps
         n = np.maximum(np.ceil(np.round(s_grid / setup.dt, 12)).astype(int), 1)  # s in the right-closed cell n

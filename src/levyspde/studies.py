@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -301,19 +301,12 @@ class StudyResult:
         }
 
 
-def _level_setup(config: StudyConfig, resolution: float) -> Setup:
-    spec = dirichlet_spectrum(config.modes)
-    cov = config.covariance()
-    if config.axis == "temporal":
-        n = int(round(config.T / resolution))
-        return Setup(config.kind, spec, cov, config.law, config.T, n_cells=n, x0=config.x0)
-    fem = assemble_fem(int(round(1.0 / resolution)))
-    return Setup(config.kind, spec, cov, config.law, config.T, fem=fem, x0=config.x0)
-
-
 def run_study(config: StudyConfig) -> StudyResult:
     """Compute every ladder level and fit the rates.
 
+    One Setup, the problem, serves hs_condition, mc_weak_error and
+    error_reports; each level is a pair (fem, n_cells), a step count on a
+    temporal ladder, a P1 space on a spatial one.
     Deterministic columns are bitwise reproducible for a fixed build; the MC
     columns are reproducible for a fixed seed.  With mc_paths, one
     mc_weak_error call serves the whole ladder, its problem and step counts:
@@ -321,18 +314,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     are binned once on the finest level, and a level whose edges nest in the
     finest level's reads its cells from those; only the scheme side is per
     level.  Level N's MC pair equals mc_weak_error(problem, [N]) bit for bit.
-
-    One errors.error_reports call assembles the deterministic columns of the
-    whole ladder, rows in ladder order, in one pass that builds the exact side
-    the levels share once: heat and wave levels as one broadcast on either
-    axis, a Volterra temporal ladder's ee and the finest level's cell
-    primitives at all its edges, which a coarser level reads when its edges
-    are every r-th of those, a Volterra spatial ladder's cut tables on one
-    lattice per call, from the sine spectrum.  Nothing is kept from one
-    study to the next; each row is error_report's of its level bit for bit.
+    One errors.error_reports call gives the deterministic columns of the
+    whole ladder, in ladder order, under the rules its docstring states.
     """
-    spec = dirichlet_spectrum(config.modes)
-    hs = hs_condition(spec, config.covariance(), config.beta, _kernel_order(config.kind))
+    spec, cov = dirichlet_spectrum(config.modes), config.covariance()
+    problem = Setup(config.kind, spec, cov, config.law, config.T, x0=config.x0)
+    hs = hs_condition(spec, cov, config.beta, _kernel_order(config.kind))
     if not hs.converges:
         raise ValueError(
             f"study {config.name!r} refused: covariance too rough for beta={config.beta} "
@@ -340,13 +327,15 @@ def run_study(config: StudyConfig) -> StudyResult:
         )
     tail_fraction = hs.tail_bound / hs.partial_sum
     g = CylindricalFunctional(mode=config.g_mode) if config.g == "cylindrical_cos" else None
-    setups = [_level_setup(config, resolution) for resolution in config.ladder]
-    mc = [(None, None)] * len(setups)
+    if config.axis == "temporal":
+        levels = [(None, int(round(config.T / dt))) for dt in config.ladder]
+    else:
+        levels = [(assemble_fem(int(round(1.0 / h))), None) for h in config.ladder]
+    mc = [(None, None)] * len(levels)
     if config.mc_paths:
-        problem = replace(setups[0], n_cells=None)
-        mc = mc_weak_error(problem, [s.n_cells for s in setups], g=g, n_paths=config.mc_paths, seed=config.mc_seed)
+        mc = mc_weak_error(problem, [n for _, n in levels], g=g, n_paths=config.mc_paths, seed=config.mc_seed)
     rows = []
-    for level, rep in enumerate(error_reports(setups)):
+    for level, rep in enumerate(error_reports(problem, levels)):
         in_fit = abs(rep.weak_error_quadratic) > FIT_FLOOR and rep.strong_error > FIT_FLOOR
         rows.append(StudyRow(level, config.ladder[level], rep, *mc[level], in_fit))
     res = np.array([r.resolution for r in rows])

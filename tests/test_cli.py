@@ -252,8 +252,8 @@ class TestStudyCommand:
         # run_study takes a ladder's reports from one error_reports call
         real = levyspde.studies.error_reports
 
-        def strong_as_weak(setups):
-            return [ErrorReport(r.strong_error, r.strong_error, r.representation_value) for r in real(setups)]
+        def strong_as_weak(problem, levels):
+            return [ErrorReport(r.strong_error, r.strong_error, r.representation_value) for r in real(problem, levels)]
 
         monkeypatch.setattr(levyspde.studies, "error_reports", strong_as_weak)
         code, out, _ = run(capsys, "study", "--preset", "heat-temporal-beta1", "--output", str(tmp_path))

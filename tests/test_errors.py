@@ -154,9 +154,9 @@ class TestZeroAndExactCases:
 
 class TestOnePath:
     def test_spectral_partner_map_is_the_identity_fold(self):
-        setup = Setup(heat_kind(), dirichlet_spectrum(6), FLAT, CP, 1.0, n_cells=4)
-        lam_d, j, c = errors._partner_map(setup)
-        assert lam_d is setup.spec.eigenvalues
+        spec = dirichlet_spectrum(6)
+        lam_d, j, c = errors._partner_map(spec, None)
+        assert lam_d is spec.eigenvalues
         np.testing.assert_array_equal(j, np.arange(1, 7))
         np.testing.assert_array_equal(c, np.ones(6))
 
@@ -188,11 +188,11 @@ def _x0(kind, K):
 
 
 class TestErrorReports:
-    """error_reports(setups) returns each level's report, in input order, and
-    each equals error_report of that level alone bit for bit: one _rows call
-    takes every level, heat and wave levels as one broadcast on either axis,
-    Volterra levels one at a time against the exact side the call builds
-    once."""
+    """error_reports(problem, levels) returns each level's report, in input
+    order, and each equals error_report of that level alone bit for bit: one
+    _rows call takes every level, heat and wave levels as one broadcast on
+    either axis, Volterra levels one at a time against the exact side the
+    call builds once."""
 
     KINDS = {"heat-be": heat_kind(), "wave-cn": wave_kind("crank_nicolson"), "wave-be": wave_kind("backward_euler")}
     # (T, step counts): dyadic, non-nested and a horizon whose dt = T / N is not dyadic
@@ -204,8 +204,7 @@ class TestErrorReports:
     def test_temporal_levels_equal_lone_reports(self, kind, T, cells, with_x0, monkeypatch):
         K = 48
         x0 = _x0(kind, K) if with_x0 else None
-        cov = CovarianceSpec(amplitude=1.3, decay=0.55)
-        setups = [Setup(kind, dirichlet_spectrum(K), cov, CP, T, n_cells=n, x0=x0) for n in cells]
+        problem = Setup(kind, dirichlet_spectrum(K), CovarianceSpec(amplitude=1.3, decay=0.55), CP, T, x0=x0)
         calls, real = [], errors._term_rows
 
         def counting(kind, levels, x, lattice, T):
@@ -213,14 +212,14 @@ class TestErrorReports:
             return real(kind, levels, x, lattice, T)
 
         monkeypatch.setattr(errors, "_term_rows", counting)
-        reports = errors.error_reports(setups)
+        reports = errors.error_reports(problem, [(None, n) for n in cells])
         assert calls == [len(cells)]  # one broadcast for the whole ladder
-        alone = [error_report(s) for s in setups]
+        alone = [error_report(dataclasses.replace(problem, n_cells=n)) for n in cells]
         for got, want in zip(reports, alone):
             assert got.strong_error > 0.0 and _hex(got) == _hex(want)
         # each broadcast row is the row of a lone level, bit for bit, whether the
         # levels share one partner map (one gathered row) or each has its own
-        lam, j = setups[0].spec.eigenvalues, np.arange(1, K + 1)
+        lam, j = problem.spec.eigenvalues, np.arange(1, K + 1)
         shared = errors._rows(kind, [(lam, j, n) for n in cells], lam, T)
         apart = errors._rows(kind, [(lam.copy(), j.copy(), n) for n in cells], lam, T)
         for rows, rows_apart, n in zip(shared, apart, cells):
@@ -231,9 +230,9 @@ class TestErrorReports:
     @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
     def test_groups_split_at_the_block_size(self, kind, monkeypatch):
         # _ML_BLOCK // K = 3 levels per call, below the ladder's 7: calls of 3, 3 and 1
-        K = 32
-        setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=_x0(kind, K)) for n in range(8, 15)]
-        alone = [error_report(s) for s in setups]
+        K, cells = 32, range(8, 15)
+        problem = Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, x0=_x0(kind, K))
+        alone = [error_report(dataclasses.replace(problem, n_cells=n)) for n in cells]
         monkeypatch.setattr(errors, "_ML_BLOCK", 3 * K + 1)
         calls, real = [], errors._term_rows
 
@@ -242,7 +241,7 @@ class TestErrorReports:
             return real(kind, levels, x, lattice, T)
 
         monkeypatch.setattr(errors, "_term_rows", counting)
-        reports = errors.error_reports(setups)
+        reports = errors.error_reports(problem, [(None, n) for n in cells])
         assert calls == [[8, 9, 10], [11, 12, 13], [14]]
         assert [_hex(r) for r in reports] == [_hex(r) for r in alone]
 
@@ -266,22 +265,18 @@ class TestErrorReports:
 
     @pytest.mark.parametrize("kind, cells, meshes, with_x0, K", LADDERS.values(), ids=LADDERS.keys())
     def test_other_levels_equal_lone_reports(self, kind, cells, meshes, with_x0, K):
-        x0 = _x0(kind, K) if with_x0 else None
-        if meshes is None:
-            setups = [Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=n, x0=x0) for n in cells]
-        else:
-            setups = [
-                Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, n_cells=cells, fem=assemble_fem(m), x0=x0) for m in meshes
-            ]
-        reports = errors.error_reports(setups)
-        for setup, got in zip(setups, reports):
-            assert got.strong_error > 0.0 and _hex(got) == _hex(error_report(setup))
+        problem = Setup(kind, dirichlet_spectrum(K), FLAT, CP, 1.0, x0=_x0(kind, K) if with_x0 else None)
+        levels = [(None, n) for n in cells] if meshes is None else [(assemble_fem(m), cells) for m in meshes]
+        reports = errors.error_reports(problem, levels)
+        for (fem, n), got in zip(levels, reports):
+            alone = error_report(dataclasses.replace(problem, fem=fem, n_cells=n))
+            assert got.strong_error > 0.0 and _hex(got) == _hex(alone)
 
     @pytest.mark.parametrize("kind", [heat_kind(), wave_kind(), volterra_kind(1.5)], ids=["heat", "wave", "volterra"])
     def test_one_level(self, kind):
-        setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=8, x0=_x0(kind, 16))
-        (got,) = errors.error_reports([setup])
-        assert _hex(got) == _hex(error_report(setup))
+        problem = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, x0=_x0(kind, 16))
+        (got,) = errors.error_reports(problem, [(None, 8)])
+        assert _hex(got) == _hex(error_report(dataclasses.replace(problem, n_cells=8)))
 
     @pytest.mark.parametrize("axis", ["temporal", "spatial"])
     def test_volterra_exact_side_built_once_per_call(self, axis, monkeypatch):
@@ -293,10 +288,11 @@ class TestErrorReports:
         # everything again
         kind, K = volterra_kind(1.5), 15
         spec = dirichlet_spectrum(K)
+        problem = Setup(kind, spec, FLAT, CP, 1.0)
         if axis == "temporal":
-            setups = [Setup(kind, spec, FLAT, CP, 1.0, n_cells=n) for n in (64, 32, 16, 8)]
+            levels = [(None, n) for n in (64, 32, 16, 8)]
         else:
-            setups = [Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(m)) for m in (16, 8, 4)]
+            levels = [(assemble_fem(m), None) for m in (16, 8, 4)]
         primitives, ee_runs, sine_lattices = [], [], []
         ml, volterra_ee, terms = errors.mittag_leffler_neg, errors._volterra_ee, errors._terms
 
@@ -317,14 +313,14 @@ class TestErrorReports:
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting_ml)
         monkeypatch.setattr(errors, "_volterra_ee", counting_ee)
         monkeypatch.setattr(errors, "_terms", counting_terms)
-        first = errors.error_reports(setups)
+        first = errors.error_reports(problem, levels)
         if axis == "temporal":
             assert (sum(primitives), ee_runs, sine_lattices) == (K * 65, [K], [])
         else:
             assert (primitives, ee_runs) == ([], [])
             assert len(sine_lattices) == 1
         built = (sum(primitives), len(ee_runs), len(sine_lattices))
-        assert errors.error_reports(setups) == first
+        assert errors.error_reports(problem, levels) == first
         assert (sum(primitives), len(ee_runs), len(sine_lattices)) == tuple(2 * b for b in built)
 
     def test_no_cache_is_keyed_by_a_problem(self):
@@ -353,27 +349,25 @@ class TestErrorReports:
             "mittag_leffler._bridge_table",
         }
 
-    def test_levels_of_another_problem_refused(self):
-        base = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=4)
-        others = {
-            "kind": Setup(wave_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0, n_cells=8),
-            "spec": dataclasses.replace(base, spec=dirichlet_spectrum(9), n_cells=8),
-            "cov": dataclasses.replace(base, cov=CovarianceSpec(amplitude=2.0, decay=0.0), n_cells=8),
-            "law": dataclasses.replace(base, law=LevyLaw("compound_poisson", intensity=2.0), n_cells=8),
-            "T": dataclasses.replace(base, T=0.5, n_cells=8),
-            "x0": dataclasses.replace(base, x0=np.ones(8), n_cells=8),
-            "axis (fem)": dataclasses.replace(base, fem=assemble_fem(4), n_cells=8),
-            "axis (n_cells)": dataclasses.replace(base, n_cells=None),
-        }
-        for field, other in others.items():
-            with pytest.raises(ValueError, match=re.escape(f"setup 1 differs from setup 0 in {field}")):
-                errors.error_reports([base, other])
-        spatial = dataclasses.replace(base, n_cells=None, fem=assemble_fem(4))
-        with pytest.raises(ValueError, match=re.escape("in axis (fem), axis (n_cells)")):
-            errors.error_reports([base, spatial])  # a temporal and a spatial level
-        for bad in ([], [base, "level"]):
-            with pytest.raises(ValueError, match="nonempty sequence of Setups"):
-                errors.error_reports(bad)
+    def test_input_not_one_problem_and_its_levels_refused(self):
+        # kind, spectrum, covariance, law, T and x0 are the problem's alone, so
+        # levels cannot disagree on them; what is left to refuse is the shape
+        problem = Setup(heat_kind(), dirichlet_spectrum(8), FLAT, CP, 1.0)
+        for field, value in (("fem", assemble_fem(4)), ("n_cells", 4)):
+            with pytest.raises(ValueError, match=re.escape("the problem carries no FEM space and no time grid")):
+                errors.error_reports(dataclasses.replace(problem, **{field: value}), [(None, 8)])
+        for bad in ([], (), [(None, 8), (None, 16, None)], [(None, 8), 16], [[None, 8]], "ab", None):
+            with pytest.raises(ValueError, match=re.escape("levels must be a nonempty sequence of (fem, n_cells) pairs")):
+                errors.error_reports(problem, bad)
+        for two_axes in ([(None, 8), (assemble_fem(4), None)], [(None, 8), (None, None)], [(assemble_fem(4), 8), (None, 8)]):
+            with pytest.raises(ValueError, match="levels must share one axis"):
+                errors.error_reports(problem, two_axes)
+        with pytest.raises(ValueError, match="raise the spectral truncation K"):
+            errors.error_reports(problem, [(assemble_fem(4), None), (assemble_fem(16), None)])  # 15 modes on K = 8
+        with pytest.raises(ValueError, match=re.escape("n_cells must be a whole number >= 1, got 8.0")):
+            errors.error_reports(problem, [(None, 4), (None, 8.0)])
+        with pytest.raises(ValueError, match="problem must be one Setup, got a list"):
+            errors.error_reports([problem], [(None, 8)])
 
 
 class TestRepresentationIdentity:
@@ -1039,6 +1033,25 @@ class TestSetupValidation:
         with pytest.raises(ValueError, match="raise the spectral truncation"):
             Setup(heat_kind(), dirichlet_spectrum(4), FLAT, CP, 1.0, fem=assemble_fem(8))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kind", "heat", "kind must be an EquationKind"),
+            ("spec", 8, "spec must be a DirichletSpectrum"),
+            ("spec", np.arange(8.0), "spec must be a DirichletSpectrum"),
+            ("fem", 4, "fem must be None or a FemSpace"),
+        ],
+        ids=["kind-name", "spec-count", "spec-array", "fem-count"],
+    )
+    def test_kind_spec_and_fem_types_refused(self, field, value, message):
+        # each used to raise an AttributeError, fem=4 "'int' object has no attribute 'interior_dim'"
+        fields = dict(kind=heat_kind(), spec=dirichlet_spectrum(8), cov=FLAT, law=CP, T=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+            Setup(**{**fields, field: value})
+        if field == "fem":  # error_reports checks each level as Setup does
+            with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+                errors.error_reports(Setup(**fields), [(value, None)])
+
     def test_wave_x0_terminal_values(self):
         # first component of the exact group action on (a, b)
         spec = dirichlet_spectrum(2)
@@ -1175,8 +1188,8 @@ class TestExactSide:
         # lattice.  Heat and wave terms have no cut (Q = 0): their modes are one
         # block, and the same _ML_BLOCK values put the level pair in groups of
         # one level (a broadcast of both at 2K)
-        setup = Setup(kind, dirichlet_spectrum(16), FLAT, CP, 1.0, n_cells=n, fem=fem and assemble_fem(fem))
-        lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
+        spec = dirichlet_spectrum(16)
+        lam, (lam_d, j, _) = spec.eigenvalues, errors._partner_map(spec, fem and assemble_fem(fem))
         lattices, real = [], errors._terms
 
         def recording(kind, lam, lattice, T):
@@ -1280,8 +1293,7 @@ class TestExactSide:
         lam = spec.eigenvalues
         for rho in (1.25, 1.5, 1.7, 1.9, 1.95):
             kind = volterra_kind(rho)
-            setup = Setup(kind, spec, FLAT, CP, 1.0, fem=assemble_fem(64))
-            lam_d, j, _ = errors._partner_map(setup)
+            lam_d, j, _ = errors._partner_map(spec, assemble_fem(64))
             dd, _, ee, z_T = _level_rows(kind, lam_d, j, lam, 1.0, None)
             assert z_T is None
             g = errors._volterra_ee(kind, lam, 1.0)
@@ -1354,9 +1366,9 @@ class TestCutRows:
     @pytest.mark.parametrize("rho", [1.95, 1.99])
     def test_p1_level_near_rho_2(self, rho):
         # K = 32 sine modes on M = 16: modes 16 and 32 have no partner, 17..31 alias
-        setup = Setup(volterra_kind(rho), dirichlet_spectrum(32), FLAT, CP, 1.0, fem=assemble_fem(16))
-        lam_d, j, _ = errors._partner_map(setup)
-        assert self.worst_gap(rho, lam_d, j, setup.spec.eigenvalues) <= 1e-12
+        spec = dirichlet_spectrum(32)
+        lam_d, j, _ = errors._partner_map(spec, assemble_fem(16))
+        assert self.worst_gap(rho, lam_d, j, spec.eigenvalues) <= 1e-12
 
     @staticmethod
     def pole_cut(A, p, u, T):
@@ -1513,7 +1525,7 @@ class TestFemAssembly:
             # blocks of 5, the last one short.  Every row reduces on its own, so
             # the lattice, the sine modes' cut tables, the rows and the report are
             # the one-block build's bit for bit
-            lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup)
+            lam, (lam_d, j, _) = setup.spec.eigenvalues, errors._partner_map(setup.spec, setup.fem)
             sine_sides, real = [], errors._terms
 
             def recording(kind, lam_k, lattice, T):

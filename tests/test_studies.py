@@ -601,6 +601,24 @@ def _bits(report):
     return [v.hex() for v in dataclasses.astuple(report)]
 
 
+def _problem(cfg):
+    """The problem of a study config, a Setup built apart from run_study."""
+    from levyspde.errors import Setup
+    from levyspde.spectral import dirichlet_spectrum
+
+    return Setup(cfg.kind, dirichlet_spectrum(cfg.modes), cfg.covariance(), cfg.law, cfg.T, x0=cfg.x0)
+
+
+def _level(cfg, resolution):
+    """The Setup of one ladder level of a study config alone: n_cells = T/dt
+    on a temporal ladder, the P1 space of M = 1/h on a spatial one."""
+    from levyspde.spectral import assemble_fem
+
+    if cfg.axis == "temporal":
+        return dataclasses.replace(_problem(cfg), n_cells=round(cfg.T / resolution))
+    return dataclasses.replace(_problem(cfg), fem=assemble_fem(round(1.0 / resolution)))
+
+
 def _fully_discrete(K, meshes):
     """Volterra rho = 1.5 setups with the backward-Euler CQ scheme of 16 cells
     on the P1 space of each M in meshes, spectrum K."""
@@ -644,7 +662,6 @@ class TestStudyExactSide:
     @pytest.mark.parametrize("T, ladder, cap, shared", VOLTERRA_LADDERS.values(), ids=VOLTERRA_LADDERS.keys())
     def test_volterra_rows_equal_standalone_reports(self, T, ladder, cap, shared, monkeypatch):
         from levyspde.errors import error_report
-        from levyspde.studies import _level_setup
 
         K = 16
         cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="temporal", beta=0.5, T=T, modes=K, ladder=ladder)
@@ -665,7 +682,7 @@ class TestStudyExactSide:
             shared = K * (max(cells) + 1 if shared else sum(n + 1 for n in cells))
         assert sum(counted) == shared
         for row in res.rows:
-            alone = error_report(_level_setup(cfg, row.resolution))
+            alone = error_report(_level(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     def test_fully_discrete_reports_equal_cold_reports(self, monkeypatch):
@@ -682,7 +699,8 @@ class TestStudyExactSide:
 
         monkeypatch.setattr(errors, "mittag_leffler_neg", counting)
         setups = _fully_discrete(16, (4, 6, 8, 12))
-        together = errors.error_reports(setups)
+        problem = dataclasses.replace(setups[0], fem=None, n_cells=None)
+        together = errors.error_reports(problem, [(s.fem, s.n_cells) for s in setups])
         assert sum(counted) == 16 * 17
         for setup, report in zip(setups, together):
             assert report.strong_error > 0.0 and _bits(report) == _bits(errors.error_report(setup))
@@ -699,7 +717,6 @@ class TestStudyExactSide:
         # broadcasts a heat or wave temporal ladder over its step counts; every
         # row still equals the standalone report of its level bit for bit
         import levyspde.studies as studies
-        from levyspde.studies import _level_setup
 
         x0 = ((1.0, -0.5, 0.25), (0.5, 0.125, 0.0)) if kind.name == "wave" else (1.0, -0.5, 0.25)
         cfg = StudyConfig(name="t", kind=kind, axis="temporal", beta=0.75, T=T, modes=64, ladder=ladder, x0=x0)
@@ -714,7 +731,7 @@ class TestStudyExactSide:
         assert calls == [[round(T / dt) for dt in ladder]]
         assert studies.error_reports is errors.error_reports
         for row in res.rows:
-            alone = errors.error_report(_level_setup(cfg, row.resolution))
+            alone = errors.error_report(_level(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     # on K = 16 the P1 eigenvalue of M = 16 (2985) is above lam_K = (16 pi)^2 (2527),
@@ -725,12 +742,11 @@ class TestStudyExactSide:
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
     def test_time_exact_rows_equal_cold_standalone_reports(self, ladder):
         from levyspde.errors import error_report
-        from levyspde.studies import _level_setup
 
         cfg = StudyConfig(name="v", kind=volterra_kind(1.5), axis="spatial", beta=0.5, modes=16, ladder=ladder)
         res = run_study(cfg)
         for row in res.rows:
-            alone = error_report(_level_setup(cfg, row.resolution))
+            alone = error_report(_level(cfg, row.resolution))
             assert row.report.strong_error > 0.0 and _bits(row.report) == _bits(alone)
 
     @pytest.mark.parametrize("ladder", TIME_EXACT_LADDERS.values(), ids=TIME_EXACT_LADDERS.keys())
@@ -766,8 +782,6 @@ class TestStudyExactSide:
         # non-nested temporal, dyadic again.  No exact side passes from one
         # call to the next, so every report equals the standalone one,
         # computed afterwards
-        from levyspde.studies import _level_setup
-
         kind, dyadic, meshes = volterra_kind(1.5), (1 / 16, 1 / 32, 1 / 64, 1 / 128), (1 / 4, 1 / 6, 1 / 8, 1 / 12)
         runs = [
             StudyConfig(name="v", kind=kind, axis="spatial", beta=0.5, modes=16, ladder=meshes),
@@ -779,7 +793,7 @@ class TestStudyExactSide:
         warm = []  # (report, setup) of every level, all computed before any cold report
         for step in runs:
             if isinstance(step, StudyConfig):
-                warm += [(row.report, _level_setup(step, row.resolution)) for row in run_study(step).rows]
+                warm += [(row.report, _level(step, row.resolution)) for row in run_study(step).rows]
             else:
                 warm += [(errors.error_report(setup), setup) for setup in step]
         for report, setup in warm:
@@ -824,7 +838,6 @@ class TestStudyMonteCarlo:
     def test_rows_equal_standalone_mc(self, name, g, cells, T, nested):
         from levyspde.errors import CylindricalFunctional, _mc_block_paths, _nest_stride, mc_weak_error
         from levyspde.noise import LevyLaw
-        from levyspde.studies import _level_setup
 
         kind, beta, x0 = self.KINDS[name]
         ladder = tuple(T / n for n in cells)
@@ -833,8 +846,8 @@ class TestStudyMonteCarlo:
             law=LevyLaw("compound_poisson", intensity=16.0), g=g, g_mode=2 if g == "cylindrical_cos" else 1,
             mc_paths=75, mc_seed=11,
         )
-        problem = dataclasses.replace(_level_setup(cfg, ladder[0]), n_cells=None)
-        assert [_level_setup(cfg, dt).n_cells for dt in ladder] == list(cells)
+        problem = _problem(cfg)
+        assert [_level(cfg, dt).n_cells for dt in ladder] == list(cells)
         # a nested ladder reads every level's cells off the finest level's; the others
         # bin at least one level on its own edges
         strides = [_nest_stride(np.linspace(0.0, T, cells[-1] + 1), np.linspace(0.0, T, n + 1)) for n in cells]
